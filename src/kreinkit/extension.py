@@ -26,6 +26,7 @@ identity matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,11 @@ from .numerics import (
     TOL_HERM,
     TOL_ORTHO,
     TOL_RANK,
+    SpectralDecomposition,
     Subspace,
     as_matrix,
     frob,
+    hermitian_eig,
     null_space,
     orthonormal_range,
     projector,
@@ -57,7 +60,9 @@ DEFAULT_TOL = 1e-9  # instance tolerance for extension-level checks
 class Extension:
     """A self-adjoint extension: the Hermitian matrix and its Cayley
     transform (a + i)(a - i)^{-1}, kept together because every formula
-    downstream consumes both."""
+    downstream consumes both.  The eigendecomposition of a is computed on
+    first use and kept: every resolvent-type function of a at any z is a
+    diagonal function of it."""
 
     a: np.ndarray
     cayley: np.ndarray
@@ -76,6 +81,10 @@ class Extension:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.a)
 
 
 @dataclass(frozen=True, eq=False)

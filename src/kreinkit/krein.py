@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .extension import (
 )
 from .numerics import (
     OVERFLOW_GUARD,
+    SpectralDecomposition,
     Subspace,
     apply_function_normal,
     as_matrix,
@@ -86,7 +88,8 @@ class PSample:
 class AngleOperator:
     """Hermitian angle operator alpha of an extension pair on an invariant
     subspace; -exp(-2i alpha) equals the restricted Cayley product, with the
-    spectrum reduced to the branch (-pi/2, pi/2]."""
+    spectrum reduced to the branch (-pi/2, pi/2].  Its eigendecomposition is
+    computed on first use and shared by every function of alpha."""
 
     alpha: np.ndarray
     subspace: Subspace
@@ -95,6 +98,10 @@ class AngleOperator:
         object.__setattr__(self, "alpha", as_matrix(self.alpha, "angle operator"))
         if self.alpha.shape != (self.subspace.rank, self.subspace.rank):
             raise ValueError("angle operator shape does not match subspace rank")
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,25 +119,22 @@ class WeylSample:
             raise ValueError("weyl operator shape does not match subspace rank")
 
 
-def _guard_resolvent_point(a: np.ndarray, z: complex, tol: float) -> None:
-    """Reject z within tol of the (real) spectrum of a Hermitian matrix."""
-    if a.shape[0] == 0:
-        return
-    evs = np.linalg.eigvalsh(a)
-    dist = float(np.min(np.abs(evs - z)))
-    if dist <= max(tol, 1e-13):
-        raise SpectralParameter(
-            f"z = {z:.6g} is within {dist:.3e} of the spectrum"
-        )
+def _resolvent_diagonal(ext: Extension, z: complex, tol: float) -> np.ndarray:
+    """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
+    the extension's cached eigenframe.  Rejects z within tol of the (real)
+    spectrum."""
+    w = ext.spectrum.eigenvalues
+    if w.size:
+        dist = float(np.min(np.abs(w - z)))
+        if dist <= max(tol, 1e-13):
+            raise SpectralParameter(
+                f"z = {z:.6g} is within {dist:.3e} of the spectrum"
+            )
+    return 1.0 / (w - z)
 
 
 def _resolvent(ext: Extension, z: complex, tol: float) -> np.ndarray:
-    _guard_resolvent_point(ext.a, z, tol)
-    eye = np.eye(ext.dim)
-    try:
-        return solve_linear(ext.a - z * eye, eye)
-    except SingularMatrix as exc:
-        raise SpectralParameter(f"resolvent solve failed at z = {z:.6g}") from exc
+    return ext.spectrum.compose(_resolvent_diagonal(ext, z, tol))
 
 
 def _as_m(m) -> np.ndarray:
@@ -147,9 +151,10 @@ def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z,
     z = complex(z)
     r1 = _resolvent(ext1, z, tol)
     r2 = _resolvent(ext2, z, tol)
-    eye = np.eye(ext1.dim)
-    left = (ext1.a - z * eye) @ solve_linear(ext1.a - 1j * eye, eye)
-    right = (ext1.a - z * eye) @ solve_linear(ext1.a + 1j * eye, eye)
+    spec1 = ext1.spectrum
+    w1 = spec1.eigenvalues
+    left = spec1.compose((w1 - z) / (w1 - 1j))
+    right = spec1.compose((w1 - z) / (w1 + 1j))
     full = left @ (r2 - r1) @ right
     s = subspace.basis
     return PSample(z=z, full=full, restricted=s.conj().T @ full @ s)
@@ -196,19 +201,19 @@ def angle_operator(ext1: Extension, ext2: Extension, subspace: Subspace,
         )
     dec = unitary_eig(w)
     alpha = apply_function_normal(dec, _branch_angle)
-    alpha = (alpha + alpha.conj().T) / 2.0
-    rec = -apply_function_normal(hermitian_eig(alpha),
-                                 lambda lam: cmath.exp(-2j * lam))
+    angle = AngleOperator(alpha=(alpha + alpha.conj().T) / 2.0, subspace=subspace)
+    spec = angle.spectrum
+    rec = -spec.compose(np.exp(-2j * spec.eigenvalues))
     res = frob(rec - w)
     if res > tol * (1.0 + frob(w)):
         raise NumericalFailure(f"angle reconstruction residual {res:.3e}")
-    return AngleOperator(alpha=alpha, subspace=subspace)
+    return angle
 
 
-def _angle_gap_guard(alpha: np.ndarray, tol: float) -> None:
-    if alpha.shape[0] == 0:
+def _angle_gap_guard(angle: AngleOperator, tol: float) -> None:
+    evs = angle.spectrum.eigenvalues.real
+    if evs.size == 0:
         return
-    evs = np.linalg.eigvalsh(alpha)
     gap = float(np.min(np.abs(evs - math.pi / 2.0)))
     if gap <= tol:
         raise NotRelativelyPrime(
@@ -226,8 +231,8 @@ def tan_alpha(angle: AngleOperator, *, tol: float = ANGLE_GAP_TOL,
     """
     if angle.subspace.rank == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _angle_gap_guard(angle.alpha, tol)
-    t = apply_function_normal(hermitian_eig(angle.alpha), cmath.tan, guard=guard)
+    _angle_gap_guard(angle, tol)
+    t = apply_function_normal(angle.spectrum, cmath.tan, guard=guard)
     return (t + t.conj().T) / 2.0
 
 
@@ -236,16 +241,13 @@ def weyl_operator(ext: Extension, subspace: Subspace, z,
     """Weyl-Titchmarsh operator of one extension compressed to a subspace:
     m(z) = z + (1 + z^2) S* (a - z)^{-1} S in the subspace frame.
 
-    m(i) = i * identity for every extension and every subspace."""
+    m(i) = i * identity for every extension and every subspace.  Evaluated
+    in the extension's cached eigenframe V as z + (1 + z^2) W* diag(1/(w - z)) W
+    with W = V* S."""
     z = complex(z)
-    _guard_resolvent_point(ext.a, z, tol)
-    s = subspace.basis
-    eye = np.eye(ext.dim)
-    try:
-        x = solve_linear(ext.a - z * eye, s)
-    except SingularMatrix as exc:
-        raise SpectralParameter(f"resolvent solve failed at z = {z:.6g}") from exc
-    m = z * np.eye(subspace.rank) + (1.0 + z * z) * (s.conj().T @ x)
+    d = _resolvent_diagonal(ext, z, tol)
+    ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
+    m = z * np.eye(subspace.rank) + (1.0 + z * z) * (ws.conj().T @ (d[:, None] * ws))
     return WeylSample(z=z, m=m, subspace=subspace)
 
 
@@ -265,25 +267,29 @@ def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray, z,
 
     with S the basis of the common deficiency subspace of the pair and alpha
     the angle operator over that subspace.  A rank-0 subspace (identical
-    extensions) degenerates to R1(z).
+    extensions) degenerates to R1(z).  R1 and the (a1 -/+ i) R1 factors are
+    diagonal in the cached eigenframe of a1, so the second term is a rank-n
+    update costing O(N^2 n).
     """
     z = complex(z)
-    r1 = _resolvent(ext1, z, tol)
+    d = _resolvent_diagonal(ext1, z, tol)
+    spec = ext1.spectrum
+    r1 = spec.compose(d)
     if subspace.rank == 0:
         return r1
     tan_a = as_matrix(tan_a, "tan alpha")
     m1 = weyl_operator(ext1, subspace, z, tol=tol).m
-    s = subspace.basis
-    eye = np.eye(ext1.dim)
     try:
         mid = solve_linear(tan_a - m1, np.eye(subspace.rank))
     except SingularMatrix as exc:
         raise SingularDenominator(
             f"tan(alpha) - m(z) is singular at z = {z:.6g}"
         ) from exc
-    left = (ext1.a - 1j * eye) @ r1
-    right = (ext1.a + 1j * eye) @ r1
-    return r1 + left @ s @ mid @ s.conj().T @ right
+    v, w = spec.eigenvectors, spec.eigenvalues
+    ws = v.conj().T @ subspace.basis
+    left = v @ (((w - 1j) * d)[:, None] * ws)                  # (a1 - i) R1 S
+    right = (ws.conj().T * ((w + 1j) * d)) @ v.conj().T         # S* (a1 + i) R1
+    return r1 + left @ mid @ right
 
 
 def herglotz_lower_bound(z) -> float:
@@ -319,8 +325,8 @@ def herglotz_check(ext: Extension, subspace: Subspace, z,
     lhs = z.imag * im_m
     lam_min = float(np.min(np.linalg.eigvalsh(lhs))) if subspace.rank else np.inf
     x, y = z.real, z.imag
-    dec = hermitian_eig(ext.a)
-    shalf = apply_function_normal(dec, lambda lam: math.sqrt(1.0 + lam.real ** 2))
+    spec = ext.spectrum
+    shalf = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
     eye = np.eye(ext.dim)
     dmat = (ext.a - x * eye) @ (ext.a - x * eye) + (y * y) * eye
     rhs_full = shalf @ solve_linear(dmat, shalf)
@@ -357,26 +363,32 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
     return num @ den_inv
 
 
+def _angle_form(m: np.ndarray, angle: AngleOperator, sign: float, tol: float,
+                what: str) -> np.ndarray:
+    """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
+    b = sign * alpha, every factor a diagonal function of alpha's cached
+    eigendecomposition.  The pole guard looks at alpha itself."""
+    _angle_gap_guard(angle, tol)
+    spec = angle.spectrum
+    b = sign * spec.eigenvalues
+    cos_b = spec.compose(np.cos(b))
+    sin_b = spec.compose(np.sin(b))
+    num = cos_b + sin_b @ m
+    den = sin_b - cos_b @ m
+    try:
+        den_inv = solve_linear(den, np.eye(m.shape[0]))
+    except SingularMatrix as exc:
+        raise SingularDenominator(f"{what} denominator is singular") from exc
+    return spec.compose(np.exp(-1j * b)) @ num @ den_inv @ spec.compose(np.exp(1j * b))
+
+
 def lft_m1_to_m2_angle(m1, angle: AngleOperator,
                        *, tol: float = ANGLE_GAP_TOL) -> np.ndarray:
     """Angle form of the same law, valid for relatively prime pairs:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
     """
-    m = _as_m(m1)
-    _angle_gap_guard(angle.alpha, tol)
-    dec = hermitian_eig(angle.alpha)
-    e_minus = apply_function_normal(dec, lambda lam: cmath.exp(-1j * lam))
-    e_plus = apply_function_normal(dec, lambda lam: cmath.exp(1j * lam))
-    cos_a = apply_function_normal(dec, cmath.cos)
-    sin_a = apply_function_normal(dec, cmath.sin)
-    num = cos_a + sin_a @ m
-    den = sin_a - cos_a @ m
-    try:
-        den_inv = solve_linear(den, np.eye(m.shape[0]))
-    except SingularMatrix as exc:
-        raise SingularDenominator("angle-form denominator is singular") from exc
-    return e_minus @ num @ den_inv @ e_plus
+    return _angle_form(_as_m(m1), angle, 1.0, tol, "angle-form")
 
 
 def lft_to_reference(m1, angle_ref1: AngleOperator,
@@ -385,21 +397,10 @@ def lft_to_reference(m1, angle_ref1: AngleOperator,
     M-operator from m1, where angle_ref1 is the angle of (reference, ext1):
 
         m_ref = -e^{i a} (cos a - sin a * m1) (sin a + cos a * m1)^{-1} e^{-i a}
+
+    which is the angle form at -alpha.
     """
-    m = _as_m(m1)
-    _angle_gap_guard(angle_ref1.alpha, tol)
-    dec = hermitian_eig(angle_ref1.alpha)
-    e_minus = apply_function_normal(dec, lambda lam: cmath.exp(-1j * lam))
-    e_plus = apply_function_normal(dec, lambda lam: cmath.exp(1j * lam))
-    cos_a = apply_function_normal(dec, cmath.cos)
-    sin_a = apply_function_normal(dec, cmath.sin)
-    num = cos_a - sin_a @ m
-    den = sin_a + cos_a @ m
-    try:
-        den_inv = solve_linear(den, np.eye(m.shape[0]))
-    except SingularMatrix as exc:
-        raise SingularDenominator("reference-inversion denominator is singular") from exc
-    return -e_plus @ num @ den_inv @ e_minus
+    return _angle_form(_as_m(m1), angle_ref1, -1.0, tol, "reference-inversion")
 
 
 def choose_third_extension(model: RestrictionModel, ext1: Extension,
@@ -429,8 +430,14 @@ def choose_third_extension(model: RestrictionModel, ext1: Extension,
 
 
 def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
-                      z, *, tol: float = DEFAULT_TOL) -> dict[str, float]:
-    """Exercise every route from m1(z) to m2(z) and report residuals.
+                      zs, *, tol: float = DEFAULT_TOL) -> dict[str, float]:
+    """Exercise every route from m1(z) to m2(z) over the z-grid zs (an
+    iterable of non-real points; pass [z] for a single point) and report the
+    worst residual of each key over the grid.
+
+    The pair-level data (p(i) both ways, the auxiliary third extension and
+    its two angle operators) is computed once; per z only the three Weyl
+    operators and the fractional-linear maps are evaluated.
 
     Keys:
       direct               coefficient form vs directly computed m2
@@ -438,35 +445,34 @@ def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
       reference_inversion  inverted m_ref vs its directly computed value
       cayley_compression   p(i) from resolvents vs (i/2)(1 - W)
       cayley_compression_affine  1 + i p(i) vs (1/2)(1 + W)
+    The two cayley_compression keys do not depend on z.
     """
-    z = complex(z)
     sub = model.nplus
-    m1 = weyl_operator(ext1, sub, z, tol=tol)
-    m2 = weyl_operator(ext2, sub, z, tol=tol)
     p_i = p_at_i_via_cayley(ext1, ext2, sub)
-    direct = frob(lft_m1_to_m2(m1, p_i) - m2.m)
-
     eye = np.eye(sub.rank)
     w = restricted_cayley_product(ext1, ext2, sub)
     p_res = p_function(ext1, ext2, sub, 1j, tol=tol).restricted
-    compression = frob(p_res - 0.5j * (eye - w))
-    compression_affine = frob((eye + 1j * p_res) - 0.5 * (eye + w))
-
     ext3 = choose_third_extension(model, ext1, ext2, tol=tol)
     a31 = angle_operator(ext3, ext1, sub, tol=tol)
     a32 = angle_operator(ext3, ext2, sub, tol=tol)
-    m3 = lft_to_reference(m1, a31)
-    m3_direct = weyl_operator(ext3, sub, z, tol=tol).m
-    reference_inversion = frob(m3 - m3_direct)
-    m2_via3 = lft_m1_to_m2_angle(m3, a32)
-    third = frob(m2_via3 - m2.m)
+
+    direct = third = reference_inversion = 0.0
+    for z in zs:
+        z = complex(z)
+        m1 = weyl_operator(ext1, sub, z, tol=tol)
+        m2 = weyl_operator(ext2, sub, z, tol=tol).m
+        direct = max(direct, frob(lft_m1_to_m2(m1, p_i) - m2))
+        m3 = lft_to_reference(m1, a31)
+        m3_direct = weyl_operator(ext3, sub, z, tol=tol).m
+        reference_inversion = max(reference_inversion, frob(m3 - m3_direct))
+        third = max(third, frob(lft_m1_to_m2_angle(m3, a32) - m2))
 
     return {
         "direct": direct,
         "third_extension": third,
         "reference_inversion": reference_inversion,
-        "cayley_compression": compression,
-        "cayley_compression_affine": compression_affine,
+        "cayley_compression": frob(p_res - 0.5j * (eye - w)),
+        "cayley_compression_affine": frob((eye + 1j * p_res) - 0.5 * (eye + w)),
     }
 
 
@@ -511,9 +517,9 @@ def p_translation_check(ext1: Extension, ext2: Extension, subspace: Subspace,
     zp = complex(z_prime)
     pz = p_function(ext1, ext2, subspace, z, tol=tol)
     pzp = p_function(ext1, ext2, subspace, zp, tol=tol)
-    eye = np.eye(ext1.dim)
-    mid = (ext1.a + 1j * eye) @ solve_linear(ext1.a - zp * eye, eye) \
-        @ (ext1.a - 1j * eye) @ solve_linear(ext1.a - z * eye, eye)
+    w1 = ext1.spectrum.eigenvalues
+    mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp, tol)
+                                * _resolvent_diagonal(ext1, z, tol))
     translation = frob(pz.full - pzp.full - (z - zp) * (pzp.full @ mid @ pz.full))
     # scale floor 1: a compressed difference that is pure roundoff (identical
     # extensions) must count as rank 0 at every z, not as noise directions

@@ -115,6 +115,12 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
+    def compose(self, values) -> np.ndarray:
+        """V diag(values) V*: the matrix with this eigenframe and the given
+        eigenvalues (one per stored eigenvalue, in the same order)."""
+        v = self.eigenvectors
+        return (v * values) @ v.conj().T
+
 
 def hermitian_eig(h, *, tol_herm: float = TOL_HERM,
                   tol_recon: float = TOL_RECON) -> SpectralDecomposition:
@@ -227,8 +233,7 @@ def apply_function_normal(d: SpectralDecomposition, f: Callable[[complex], compl
                 f"f({complex(lam):.6g}) = {fv:.6g} is singular or beyond guard {guard:.1e}"
             )
         vals[i] = fv
-    v = d.eigenvectors
-    return (v * vals) @ v.conj().T
+    return d.compose(vals)
 
 
 def solve_linear(m, b, *, tol_rank: float = TOL_RANK) -> np.ndarray:

@@ -94,10 +94,9 @@ def test_criterion_02_general_lft_including_degenerate(sweep, degenerate_pairs):
     worst_third = 0.0
     pairs = sweep + degenerate_pairs
     for model, ext1, ext2 in pairs:
-        for z in Z16:
-            res = kr.general_lft_check(model, ext1, ext2, z)
-            worst_direct = max(worst_direct, res["direct"])
-            worst_third = max(worst_third, res["third_extension"])
+        res = kr.general_lft_check(model, ext1, ext2, Z16)
+        worst_direct = max(worst_direct, res["direct"])
+        worst_third = max(worst_third, res["third_extension"])
     assert worst_direct <= 1e-8
     assert worst_third <= 1e-8
     _line(2, "general fractional-linear law",

@@ -225,10 +225,9 @@ def test_matrix_pair_identities(dim, deficiency, seed):
 @pytest.mark.parametrize("dim,deficiency,seed", [(4, 2, 10), (6, 3, 11)])
 def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed)
-    for z in (2j, 1 + 1j):
-        res = general_lft_check(model, ext1, ext2, z)
-        for key, value in res.items():
-            assert value < 1e-9, (key, value)
+    res = general_lft_check(model, ext1, ext2, (2j, 1 + 1j))
+    for key, value in res.items():
+        assert value < 1e-9, (key, value)
     vn = vonneumann_link_check(model, ext1, ext2)
     assert vn["parametrization_link"] < 1e-10
     assert vn["common_subspace_alignment"] < 1e-10
@@ -309,7 +308,7 @@ def test_non_prime_pair_behaviour():
         p_i = p_at_i_via_cayley(ext1, ext2, sub)
         assert frob(lft_m1_to_m2(m1, p_i) - m2) < 1e-9 * (1.0 + frob(m2))
         # and the third-extension route avoids the degenerate pair entirely
-        res = general_lft_check(model, ext1, ext2, z)
+        res = general_lft_check(model, ext1, ext2, [z])
         assert res["direct"] < 1e-9
         assert res["third_extension"] < 1e-9
 
@@ -408,3 +407,75 @@ def test_sample_shape_validation():
     line = Subspace(ambient=2, rank=1, basis=np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
         AngleOperator(alpha=np.zeros((2, 2)), subspace=line)
+
+
+# ---------------------------------------------------------------------------
+# eigenbasis routes against independent dense solves at N = 64
+
+EPS = np.finfo(float).eps
+
+
+def _pair_64(kind):
+    if kind == "identical":
+        model = support.random_model(64, 3, seed=61)
+        return model, model.reference, model.reference
+    deficiency = 64 if kind == "n_equals_N" else 3
+    model, ext1, ext2, _ = support.random_pair(64, deficiency, seed=67)
+    return model, ext1, ext2
+
+
+def _z_cases(ext1):
+    # near the real axis, midway between two neighbouring eigenvalues of a1
+    w = np.linalg.eigvalsh(ext1.a)
+    near_axis = (w[31] + w[32]) / 2.0 + 1e-6j
+    return {"moderate": 1 + 1j, "near_axis": near_axis,
+            "large_imag": 1e6j, "large_oblique": 6e5 + 8e5j}
+
+
+def _solve_resolvent(a, z):
+    eye = np.eye(a.shape[0])
+    return np.linalg.solve(a - z * eye, eye)
+
+
+def _budget(exts, z):
+    """n * eps * kappa(a - z), worst over the extensions: how far apart two
+    backward-stable evaluations may land, relative to the size of the terms
+    the formula combines."""
+    kappa = max(
+        float(np.max(np.abs(w - z)) / np.min(np.abs(w - z)))
+        for w in (np.linalg.eigvalsh(ext.a) for ext in exts)
+    )
+    return exts[0].dim * EPS * kappa
+
+
+@pytest.mark.parametrize("kind", ["prime", "identical", "n_equals_N"])
+def test_eigenbasis_routes_match_dense_solves(kind):
+    model, ext1, ext2 = _pair_64(kind)
+    sub = model.nplus
+    s = sub.basis
+    eye = np.eye(model.dim)
+    common = common_plus_subspace(ext1, ext2)
+    assert common.rank == {"prime": 3, "identical": 0, "n_equals_N": 64}[kind]
+    tan_c = tan_alpha(angle_operator(ext1, ext2, common))
+    for label, z in _z_cases(ext1).items():
+        budget = 10.0 * _budget((ext1, ext2), z)
+        r1 = _solve_resolvent(ext1.a, z)
+        r2 = _solve_resolvent(ext2.a, z)
+        r1_norm = np.linalg.norm(r1, 2)
+
+        m_ref = z * np.eye(sub.rank) + (1.0 + z * z) * (s.conj().T @ r1 @ s)
+        m_scale = abs(z) + abs(1.0 + z * z) * r1_norm
+        m_err = frob(weyl_operator(ext1, sub, z).m - m_ref)
+        assert m_err <= budget * m_scale, (label, "weyl", m_err)
+
+        left = (ext1.a - z * eye) @ _solve_resolvent(ext1.a, 1j)
+        right = (ext1.a - z * eye) @ _solve_resolvent(ext1.a, -1j)
+        p_ref = left @ (r2 - r1) @ right
+        p_scale = (np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
+                   * (r1_norm + np.linalg.norm(r2, 2)))
+        p_err = frob(p_function(ext1, ext2, sub, z).full - p_ref)
+        assert p_err <= budget * p_scale, (label, "p", p_err)
+
+        # the acceptance oracle's relative measure, 100x below its tolerance
+        via = krein_resolvent(ext1, common, tan_c, z)
+        assert frob(via - r2) <= 1e-11 * frob(r2), (label, "krein")
