@@ -51,6 +51,7 @@ from .numerics import apply_function_normal, frob, hermitian_eig, projector, sol
 TOOL_NAME = "kreinkit"
 
 MAX_DIMENSION = 64
+QUADRATURE_TOL = 1e-6  # halfline: bound on the quadrature round-trip residual
 ANGLE_CLAMP = 1.4  # keeps generated pairs 0.17 away from the degenerate angle
 
 FIXED_Z16 = (
@@ -600,8 +601,7 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
     }
 
 
-def halfline_command(alpha2_values, z_values, tol: float = 1e-10,
-                     quadrature_tol: float = 1e-6) -> dict:
+def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
     """Run the half-line verification; invalid grid points become flagged
     failed records instead of aborting the run."""
     checks = []
@@ -638,7 +638,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10,
         try:
             residuals = hl.verify_halfline(tuple(good_z), tuple(good_alpha))
             for name, value in sorted(residuals.items()):
-                effective = quadrature_tol if name == "quadrature_roundtrip" else tol
+                effective = QUADRATURE_TOL if name == "quadrature_roundtrip" else tol
                 checks.append(_record(name, value, effective))
         except KreinKitError as exc:
             checks.append(_error_record("verify_halfline", tol, exc))

@@ -45,6 +45,7 @@ from .numerics import (
     Subspace,
     as_matrix,
     frob,
+    hermitian_deviation,
     hermitian_eig,
     null_space,
     orthonormal_range,
@@ -74,9 +75,9 @@ class Extension:
             raise ValueError("extension matrices must be square and same shape")
 
     @classmethod
-    def from_hermitian(cls, a, *, tol_herm: float = TOL_HERM) -> "Extension":
+    def from_hermitian(cls, a) -> "Extension":
         a = as_matrix(a, "extension matrix")
-        return cls(a=a, cayley=cayley(a, tol_herm=tol_herm))
+        return cls(a=a, cayley=cayley(a))
 
     @property
     def dim(self) -> int:
@@ -120,7 +121,7 @@ class RestrictionModel:
     reference: Extension
 
 
-def cayley(a, *, tol_herm: float = TOL_HERM) -> np.ndarray:
+def cayley(a) -> np.ndarray:
     """Cayley transform (a + i)(a - i)^{-1} of a Hermitian matrix.
 
     Unitary by construction; a - i is invertible for Hermitian a, so the only
@@ -129,37 +130,38 @@ def cayley(a, *, tol_herm: float = TOL_HERM) -> np.ndarray:
     a = as_matrix(a, "hermitian matrix")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got {a.shape}")
-    dev = frob(a - a.conj().T)
-    if dev > tol_herm * (1.0 + frob(a)):
-        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds tolerance")
+    if hermitian_deviation(a) > TOL_HERM:
+        raise NotHermitian(
+            f"Hermitian deviation {frob(a - a.conj().T):.3e} exceeds tolerance"
+        )
     eye = np.eye(a.shape[0])
     return (a + 1j * eye) @ solve_linear(a - 1j * eye, eye)
 
 
-def inverse_cayley(c, *, tol: float = DEFAULT_TOL,
-                   tol_herm: float = TOL_HERM) -> np.ndarray:
+def inverse_cayley(c) -> np.ndarray:
     """Invert the Cayley transform: a = i (c + 1)(c - 1)^{-1}.
 
-    Raises UnitEigenvalue when c has an eigenvalue within tol of 1; that is
-    the self-adjoint-relation case and is never silently perturbed.
+    Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1;
+    that is the self-adjoint-relation case and is never silently perturbed.
     """
     c = as_matrix(c, "cayley transform")
     dec = unitary_eig(c)
     if dec.dim:
         gap = float(np.min(np.abs(dec.eigenvalues - 1.0)))
-        if gap <= tol:
+        if gap <= DEFAULT_TOL:
             raise UnitEigenvalue(
                 f"cayley transform has eigenvalue within {gap:.3e} of 1"
             )
     eye = np.eye(c.shape[0])
     a = 1j * ((c + eye) @ solve_linear(c - eye, eye))
-    dev = frob(a - a.conj().T)
-    if dev > tol_herm * (1.0 + frob(a)):
-        raise NumericalFailure(f"inverse cayley lost Hermiticity by {dev:.3e}")
+    if hermitian_deviation(a) > TOL_HERM:
+        raise NumericalFailure(
+            f"inverse cayley lost Hermiticity by {frob(a - a.conj().T):.3e}"
+        )
     return (a + a.conj().T) / 2.0
 
 
-def _orthonormal_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
+def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """Phase-fixed thin QR: orientation-preserving orthonormalization.
 
     diag(R) is rotated to the positive real axis, so an already-orthonormal
@@ -170,13 +172,12 @@ def _orthonormal_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
     d = np.diag(r)
     mags = np.abs(d)
     dmax = float(mags.max()) if mags.size else 0.0
-    if dmax == 0.0 or float(mags.min()) <= tol_rank * dmax:
+    if dmax == 0.0 or float(mags.min()) <= TOL_RANK * dmax:
         raise RankDeficientInput("defect-subspace columns are not independent")
     return q * (d.conj() / mags)[None, :]
 
 
-def build_model(a1, nplus_raw, *, tol_rank: float = TOL_RANK,
-                tol_herm: float = TOL_HERM) -> RestrictionModel:
+def build_model(a1, nplus_raw) -> RestrictionModel:
     """Assemble the model from the reference matrix and a raw N+ spanning set.
 
     nplus_raw is N x n with independent columns; it is orthonormalized with
@@ -191,16 +192,16 @@ def build_model(a1, nplus_raw, *, tol_rank: float = TOL_RANK,
         raise ValueError(f"nplus rows {raw.shape[0]} != dimension {dim}")
     if not 1 <= n <= dim:
         raise ValueError(f"deficiency index {n} out of range 1..{dim}")
-    bp = _orthonormal_columns(raw, tol_rank)
-    c1 = cayley(a1, tol_herm=tol_herm)
+    bp = _orthonormal_columns(raw)
+    c1 = cayley(a1)
     bm = -solve_linear(c1, bp)
-    nplus = Subspace(ambient=dim, rank=n, basis=bp)
-    nminus = Subspace(ambient=dim, rank=n, basis=bm)  # ctor verifies isometry
-    perp = null_space(bp.conj().T, tol_rank)
+    nplus = Subspace(basis=bp)
+    nminus = Subspace(basis=bm)  # ctor verifies isometry
+    perp = null_space(bp.conj().T)
     if perp.rank != dim - n:
         raise NumericalFailure("defect-subspace complement has wrong rank")
     eye = np.eye(dim)
-    dot = orthonormal_range(solve_linear(a1 + 1j * eye, perp.basis), tol_rank)
+    dot = orthonormal_range(solve_linear(a1 + 1j * eye, perp.basis))
     if dot.rank != dim - n:
         raise NumericalFailure("restricted domain has wrong rank")
     return RestrictionModel(
@@ -214,8 +215,8 @@ def build_model(a1, nplus_raw, *, tol_rank: float = TOL_RANK,
     )
 
 
-def extension_from_parameter(model: RestrictionModel, p: ExtensionParameter,
-                             *, tol: float = DEFAULT_TOL) -> Extension:
+def extension_from_parameter(model: RestrictionModel,
+                             p: ExtensionParameter) -> Extension:
     """Build the extension selected by the unitary parameter v.
 
     The inverse Cayley transform of the result acts as C1^{-1} on N+^perp and
@@ -232,7 +233,7 @@ def extension_from_parameter(model: RestrictionModel, p: ExtensionParameter,
     u_map = model.nminus.basis @ p.v @ model.nplus.basis.conj().T
     c_inv = solve_linear(model.reference.cayley, eye - pp) - u_map
     c = solve_linear(c_inv, eye)
-    a = inverse_cayley(c, tol=tol)
+    a = inverse_cayley(c)
     return Extension(a=a, cayley=cayley(a))
 
 
@@ -265,23 +266,20 @@ def restricted_cayley_product(ext1: Extension, ext2: Extension,
     return s.conj().T @ ext2.cayley @ solve_linear(ext1.cayley, s)
 
 
-def is_relatively_prime(model: RestrictionModel, ext1: Extension, ext2: Extension,
-                        *, tol: float = DEFAULT_TOL) -> bool:
+def is_relatively_prime(model: RestrictionModel, ext1: Extension,
+                        ext2: Extension) -> bool:
     """True when the pair generates the full model: no eigenvalue of
-    (C1 C2^{-1})|N+ within tol of 1.
+    (C1 C2^{-1})|N+ within DEFAULT_TOL of 1.
 
     Equivalently (cross-checked in the test suite), the resolvent difference
     at i has full rank n.
     """
-    s = model.nplus.basis
-    w = s.conj().T @ ext1.cayley @ solve_linear(ext2.cayley, s)
-    dec = unitary_eig(w)
+    dec = unitary_eig(restricted_cayley_product(ext2, ext1, model.nplus))
     gap = float(np.min(np.abs(dec.eigenvalues - 1.0))) if dec.dim else np.inf
-    return bool(gap > tol)
+    return bool(gap > DEFAULT_TOL)
 
 
-def common_plus_subspace(ext1: Extension, ext2: Extension,
-                         *, tol_rank: float = TOL_RANK) -> Subspace:
+def common_plus_subspace(ext1: Extension, ext2: Extension) -> Subspace:
     """Closure of the range of R2(i) - R1(i): the deficiency subspace of the
     maximal common symmetric part of the pair.  Equals N+ exactly when the
     pair is relatively prime; rank 0 when the extensions coincide.
@@ -292,11 +290,10 @@ def common_plus_subspace(ext1: Extension, ext2: Extension,
     eye = np.eye(ext1.dim)
     r1 = solve_linear(ext1.a - 1j * eye, eye)
     r2 = solve_linear(ext2.a - 1j * eye, eye)
-    return orthonormal_range(r2 - r1, tol_rank, scale_floor=1.0)
+    return orthonormal_range(r2 - r1, scale_floor=1.0)
 
 
-def check_cayley_geometry(model: RestrictionModel, ext: Extension,
-                          *, tol_rank: float = TOL_RANK) -> dict[str, float]:
+def check_cayley_geometry(model: RestrictionModel, ext: Extension) -> dict[str, float]:
     """Residuals of the structural facts tying one extension to the model.
 
     Keys:
@@ -315,7 +312,7 @@ def check_cayley_geometry(model: RestrictionModel, ext: Extension,
     rhs = 0.5j * (c_inv @ bp - bp)
     resolvent_identity = frob(lhs - rhs)
     combined = np.hstack([model.dot_domain.basis, (eye - c_inv) @ bp])
-    rank = orthonormal_range(combined, tol_rank).rank
+    rank = orthonormal_range(combined).rank
     return {
         "deficiency_exchange": exchange,
         "resolvent_cayley_identity": resolvent_identity,

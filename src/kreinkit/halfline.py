@@ -46,6 +46,7 @@ from .krein import herglotz_lower_bound
 from .numerics import Subspace
 
 SQRT_HALF = math.sqrt(0.5)
+BRANCH_CUT_TOL = 1e-12  # how close to [0, inf) a spectral parameter may sit
 
 DEFAULT_ALPHA2 = (
     0.0,
@@ -101,15 +102,16 @@ class HalflineScenario:
             object.__setattr__(self, "c", c)
 
 
-def sqrt_upper(z, *, tol: float = 1e-12) -> complex:
+def sqrt_upper(z) -> complex:
     """Square root with positive imaginary part, cut along [0, inf).
 
-    Points within tol of the cut (z nearly real with Re z >= -tol) are
-    rejected: both the branch and the decay of e^{i sqrt(z) x} degenerate
-    there.  Strictly negative real z is fine and gives i sqrt(|z|).
+    Points within BRANCH_CUT_TOL of the cut (z nearly real with
+    Re z >= -BRANCH_CUT_TOL) are rejected: both the branch and the decay of
+    e^{i sqrt(z) x} degenerate there.  Strictly negative real z is fine and
+    gives i sqrt(|z|).
     """
     z = complex(z)
-    if abs(z.imag) <= tol and z.real >= -tol:
+    if abs(z.imag) <= BRANCH_CUT_TOL and z.real >= -BRANCH_CUT_TOL:
         raise BranchCut(f"z = {z:.6g} lies on the [0, inf) branch cut")
     w = cmath.sqrt(z)
     if w.imag < 0.0:
@@ -297,7 +299,7 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         "quadrature_roundtrip",
     ]
     out = {key: 0.0 for key in keys}
-    line = Subspace(ambient=1, rank=1, basis=np.eye(1, dtype=np.complex128))
+    line = Subspace(basis=np.eye(1, dtype=np.complex128))
     for a2 in alpha2_values:
         scenario = HalflineScenario(float(a2))
         t = math.tan(scenario.alpha2)

@@ -58,7 +58,6 @@ from .extension import (
     restricted_cayley_product,
 )
 from .numerics import (
-    OVERFLOW_GUARD,
     SpectralDecomposition,
     Subspace,
     apply_function_normal,
@@ -72,6 +71,7 @@ from .numerics import (
 )
 
 ANGLE_GAP_TOL = 1e-8  # how close to pi/2 an angle eigenvalue may sit
+PARAMETER_TOL = 1e-8  # membership gate when recovering a von Neumann parameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,38 +119,37 @@ class WeylSample:
             raise ValueError("weyl operator shape does not match subspace rank")
 
 
-def _resolvent_diagonal(ext: Extension, z: complex, tol: float) -> np.ndarray:
+def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
     """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
-    the extension's cached eigenframe.  Rejects z within tol of the (real)
-    spectrum."""
+    the extension's cached eigenframe.  Rejects z within DEFAULT_TOL of the
+    (real) spectrum."""
     w = ext.spectrum.eigenvalues
     if w.size:
         dist = float(np.min(np.abs(w - z)))
-        if dist <= max(tol, 1e-13):
+        if dist <= DEFAULT_TOL:
             raise SpectralParameter(
                 f"z = {z:.6g} is within {dist:.3e} of the spectrum"
             )
     return 1.0 / (w - z)
 
 
-def _resolvent(ext: Extension, z: complex, tol: float) -> np.ndarray:
-    return ext.spectrum.compose(_resolvent_diagonal(ext, z, tol))
+def _resolvent(ext: Extension, z: complex) -> np.ndarray:
+    return ext.spectrum.compose(_resolvent_diagonal(ext, z))
 
 
 def _as_m(m) -> np.ndarray:
     return m.m if isinstance(m, WeylSample) else as_matrix(m, "weyl matrix")
 
 
-def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z,
-               *, tol: float = DEFAULT_TOL) -> PSample:
+def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSample:
     """Sandwiched resolvent difference at z, full and compressed.
 
     z must stay off both spectra; the compression frame is the given
     subspace's basis (use the model's nplus for the standard object).
     """
     z = complex(z)
-    r1 = _resolvent(ext1, z, tol)
-    r2 = _resolvent(ext2, z, tol)
+    r1 = _resolvent(ext1, z)
+    r2 = _resolvent(ext2, z)
     spec1 = ext1.spectrum
     w1 = spec1.eigenvalues
     left = spec1.compose((w1 - z) / (w1 - 1j))
@@ -177,8 +176,8 @@ def _branch_angle(lam: complex) -> float:
     return alpha
 
 
-def angle_operator(ext1: Extension, ext2: Extension, subspace: Subspace,
-                   *, tol: float = DEFAULT_TOL) -> AngleOperator:
+def angle_operator(ext1: Extension, ext2: Extension,
+                   subspace: Subspace) -> AngleOperator:
     """Hermitian angle operator of the pair on an invariant subspace.
 
     Checks invariance of the subspace under C2 C1^{-1} (NotInvariant
@@ -195,7 +194,7 @@ def angle_operator(ext1: Extension, ext2: Extension, subspace: Subspace,
     prod_full = ext2.cayley @ solve_linear(ext1.cayley, eye)
     w = s.conj().T @ prod_full @ s
     invariance = frob(prod_full @ s - s @ w)
-    if invariance > tol * (1.0 + frob(prod_full)):
+    if invariance > DEFAULT_TOL * (1.0 + frob(prod_full)):
         raise NotInvariant(
             f"subspace is not invariant under the Cayley product ({invariance:.3e})"
         )
@@ -205,39 +204,37 @@ def angle_operator(ext1: Extension, ext2: Extension, subspace: Subspace,
     spec = angle.spectrum
     rec = -spec.compose(np.exp(-2j * spec.eigenvalues))
     res = frob(rec - w)
-    if res > tol * (1.0 + frob(w)):
+    if res > DEFAULT_TOL * (1.0 + frob(w)):
         raise NumericalFailure(f"angle reconstruction residual {res:.3e}")
     return angle
 
 
-def _angle_gap_guard(angle: AngleOperator, tol: float) -> None:
+def _angle_gap_guard(angle: AngleOperator) -> None:
     evs = angle.spectrum.eigenvalues.real
     if evs.size == 0:
         return
     gap = float(np.min(np.abs(evs - math.pi / 2.0)))
-    if gap <= tol:
+    if gap <= ANGLE_GAP_TOL:
         raise NotRelativelyPrime(
             f"angle eigenvalue within {gap:.3e} of pi/2: pair is degenerate here"
         )
 
 
-def tan_alpha(angle: AngleOperator, *, tol: float = ANGLE_GAP_TOL,
-              guard: float = OVERFLOW_GUARD) -> np.ndarray:
+def tan_alpha(angle: AngleOperator) -> np.ndarray:
     """tan of the angle operator by spectral calculus.
 
-    Raises NotRelativelyPrime when an eigenvalue of alpha sits within tol of
-    pi/2 (tan has its pole exactly where the pair fails to be relatively
-    prime on the subspace).
+    Raises NotRelativelyPrime when an eigenvalue of alpha sits within
+    ANGLE_GAP_TOL of pi/2 (tan has its pole exactly where the pair fails to
+    be relatively prime on the subspace).
     """
     if angle.subspace.rank == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _angle_gap_guard(angle, tol)
-    t = apply_function_normal(angle.spectrum, cmath.tan, guard=guard)
+    _angle_gap_guard(angle)
+    t = apply_function_normal(angle.spectrum, cmath.tan)
     return (t + t.conj().T) / 2.0
 
 
-def weyl_operator(ext: Extension, subspace: Subspace, z,
-                  *, tol: float = DEFAULT_TOL) -> WeylSample:
+def weyl_operator(ext: Extension, subspace: Subspace, z) -> WeylSample:
     """Weyl-Titchmarsh operator of one extension compressed to a subspace:
     m(z) = z + (1 + z^2) S* (a - z)^{-1} S in the subspace frame.
 
@@ -245,22 +242,22 @@ def weyl_operator(ext: Extension, subspace: Subspace, z,
     in the extension's cached eigenframe V as z + (1 + z^2) W* diag(1/(w - z)) W
     with W = V* S."""
     z = complex(z)
-    d = _resolvent_diagonal(ext, z, tol)
+    d = _resolvent_diagonal(ext, z)
     ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
     m = z * np.eye(subspace.rank) + (1.0 + z * z) * (ws.conj().T @ (d[:, None] * ws))
     return WeylSample(z=z, m=m, subspace=subspace)
 
 
-def p_inverse_via_m(ext1: Extension, tan_a: np.ndarray, subspace: Subspace, z,
-                    *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def p_inverse_via_m(ext1: Extension, tan_a: np.ndarray, subspace: Subspace,
+                    z) -> np.ndarray:
     """Inverse of the compressed resolvent-difference operator without ever
     touching the second extension: tan(alpha) - m1(z) on the subspace."""
     tan_a = as_matrix(tan_a, "tan alpha")
-    return tan_a - weyl_operator(ext1, subspace, z, tol=tol).m
+    return tan_a - weyl_operator(ext1, subspace, z).m
 
 
-def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray, z,
-                    *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray,
+                    z) -> np.ndarray:
     """Resolvent of the second extension from first-extension data only:
 
         R2(z) = R1(z) + (a1 - i) R1(z) S (tan(alpha) - m1(z))^{-1} S* (a1 + i) R1(z)
@@ -272,13 +269,13 @@ def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray, z,
     update costing O(N^2 n).
     """
     z = complex(z)
-    d = _resolvent_diagonal(ext1, z, tol)
+    d = _resolvent_diagonal(ext1, z)
     spec = ext1.spectrum
     r1 = spec.compose(d)
     if subspace.rank == 0:
         return r1
     tan_a = as_matrix(tan_a, "tan alpha")
-    m1 = weyl_operator(ext1, subspace, z, tol=tol).m
+    m1 = weyl_operator(ext1, subspace, z).m
     try:
         mid = solve_linear(tan_a - m1, np.eye(subspace.rank))
     except SingularMatrix as exc:
@@ -308,8 +305,7 @@ def herglotz_lower_bound(z) -> float:
     return z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
 
 
-def herglotz_check(ext: Extension, subspace: Subspace, z,
-                   *, tol: float = DEFAULT_TOL) -> dict[str, float]:
+def herglotz_check(ext: Extension, subspace: Subspace, z) -> dict[str, float]:
     """Positivity data of the Weyl-Titchmarsh operator at one non-real z.
 
     Keys:
@@ -319,7 +315,7 @@ def herglotz_check(ext: Extension, subspace: Subspace, z,
     """
     z = complex(z)
     bound = herglotz_lower_bound(z)  # raises RealParameter on the axis
-    m = weyl_operator(ext, subspace, z, tol=tol).m
+    m = weyl_operator(ext, subspace, z).m
     im_m = (m - m.conj().T) / 2j
     im_m = (im_m + im_m.conj().T) / 2.0
     lhs = z.imag * im_m
@@ -332,7 +328,7 @@ def herglotz_check(ext: Extension, subspace: Subspace, z,
     rhs_full = shalf @ solve_linear(dmat, shalf)
     s = subspace.basis
     rhs = (y * y) * (s.conj().T @ rhs_full @ s)
-    m_conj = weyl_operator(ext, subspace, z.conjugate(), tol=tol).m
+    m_conj = weyl_operator(ext, subspace, z.conjugate()).m
     return {
         "positivity_bound": max(0.0, bound - lam_min) if subspace.rank else 0.0,
         "exact_identity": frob(lhs - rhs),
@@ -363,12 +359,12 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
     return num @ den_inv
 
 
-def _angle_form(m: np.ndarray, angle: AngleOperator, sign: float, tol: float,
+def _angle_form(m: np.ndarray, angle: AngleOperator, sign: float,
                 what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
     b = sign * alpha, every factor a diagonal function of alpha's cached
     eigendecomposition.  The pole guard looks at alpha itself."""
-    _angle_gap_guard(angle, tol)
+    _angle_gap_guard(angle)
     spec = angle.spectrum
     b = sign * spec.eigenvalues
     cos_b = spec.compose(np.cos(b))
@@ -382,17 +378,15 @@ def _angle_form(m: np.ndarray, angle: AngleOperator, sign: float, tol: float,
     return spec.compose(np.exp(-1j * b)) @ num @ den_inv @ spec.compose(np.exp(1j * b))
 
 
-def lft_m1_to_m2_angle(m1, angle: AngleOperator,
-                       *, tol: float = ANGLE_GAP_TOL) -> np.ndarray:
+def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
     """Angle form of the same law, valid for relatively prime pairs:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
     """
-    return _angle_form(_as_m(m1), angle, 1.0, tol, "angle-form")
+    return _angle_form(_as_m(m1), angle, 1.0, "angle-form")
 
 
-def lft_to_reference(m1, angle_ref1: AngleOperator,
-                     *, tol: float = ANGLE_GAP_TOL) -> np.ndarray:
+def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
     """Invert the angle-form law: recover the auxiliary reference extension's
     M-operator from m1, where angle_ref1 is the angle of (reference, ext1):
 
@@ -400,11 +394,11 @@ def lft_to_reference(m1, angle_ref1: AngleOperator,
 
     which is the angle form at -alpha.
     """
-    return _angle_form(_as_m(m1), angle_ref1, -1.0, tol, "reference-inversion")
+    return _angle_form(_as_m(m1), angle_ref1, -1.0, "reference-inversion")
 
 
 def choose_third_extension(model: RestrictionModel, ext1: Extension,
-                           ext2: Extension, *, tol: float = DEFAULT_TOL) -> Extension:
+                           ext2: Extension) -> Extension:
     """Deterministically pick an auxiliary extension relatively prime to both.
 
     Sweeps the phases t_j = j pi / (2 (2n + 2)), j = 1..2n+1, each defining a
@@ -415,22 +409,22 @@ def choose_third_extension(model: RestrictionModel, ext1: Extension,
     ExhaustedCandidates otherwise.
     """
     n = model.deficiency
-    v1 = parameter_of(model, ext1, tol=max(tol, 1e-8)).v
+    v1 = parameter_of(model, ext1, tol=PARAMETER_TOL).v
     for j in range(1, 2 * n + 2):
         t = j * math.pi / (2.0 * (2 * n + 2))
         candidate = ExtensionParameter(cmath.exp(-2j * t) * v1)
         try:
-            ext3 = extension_from_parameter(model, candidate, tol=tol)
+            ext3 = extension_from_parameter(model, candidate)
         except UnitEigenvalue:
             continue
-        if is_relatively_prime(model, ext3, ext1, tol=tol) and \
-                is_relatively_prime(model, ext3, ext2, tol=tol):
+        if is_relatively_prime(model, ext3, ext1) and \
+                is_relatively_prime(model, ext3, ext2):
             return ext3
     raise ExhaustedCandidates("no admissible third extension in the phase sweep")
 
 
 def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
-                      zs, *, tol: float = DEFAULT_TOL) -> dict[str, float]:
+                      zs) -> dict[str, float]:
     """Exercise every route from m1(z) to m2(z) over the z-grid zs (an
     iterable of non-real points; pass [z] for a single point) and report the
     worst residual of each key over the grid.
@@ -451,19 +445,19 @@ def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
     p_i = p_at_i_via_cayley(ext1, ext2, sub)
     eye = np.eye(sub.rank)
     w = restricted_cayley_product(ext1, ext2, sub)
-    p_res = p_function(ext1, ext2, sub, 1j, tol=tol).restricted
-    ext3 = choose_third_extension(model, ext1, ext2, tol=tol)
-    a31 = angle_operator(ext3, ext1, sub, tol=tol)
-    a32 = angle_operator(ext3, ext2, sub, tol=tol)
+    p_res = p_function(ext1, ext2, sub, 1j).restricted
+    ext3 = choose_third_extension(model, ext1, ext2)
+    a31 = angle_operator(ext3, ext1, sub)
+    a32 = angle_operator(ext3, ext2, sub)
 
     direct = third = reference_inversion = 0.0
     for z in zs:
         z = complex(z)
-        m1 = weyl_operator(ext1, sub, z, tol=tol)
-        m2 = weyl_operator(ext2, sub, z, tol=tol).m
+        m1 = weyl_operator(ext1, sub, z)
+        m2 = weyl_operator(ext2, sub, z).m
         direct = max(direct, frob(lft_m1_to_m2(m1, p_i) - m2))
         m3 = lft_to_reference(m1, a31)
-        m3_direct = weyl_operator(ext3, sub, z, tol=tol).m
+        m3_direct = weyl_operator(ext3, sub, z).m
         reference_inversion = max(reference_inversion, frob(m3 - m3_direct))
         third = max(third, frob(lft_m1_to_m2_angle(m3, a32) - m2))
 
@@ -477,7 +471,7 @@ def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
 
 
 def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
-                          ext2: Extension, *, tol: float = DEFAULT_TOL) -> dict[str, float]:
+                          ext2: Extension) -> dict[str, float]:
     """Link between the compressed resolvent difference at i and the von
     Neumann unitary parameters, restricted to the pair's common deficiency
     subspace: p(i) = (i/2)(1 - u2^{-1} u1) there.
@@ -488,10 +482,10 @@ def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
     """
     sub = common_plus_subspace(ext1, ext2)
     c = sub.basis
-    p_full = p_function(ext1, ext2, model.nplus, 1j, tol=tol).full
+    p_full = p_function(ext1, ext2, model.nplus, 1j).full
     left = c.conj().T @ p_full @ c
-    u1 = parameter_of(model, ext1, tol=max(tol, 1e-8)).v
-    u2 = parameter_of(model, ext2, tol=max(tol, 1e-8)).v
+    u1 = parameter_of(model, ext1, tol=PARAMETER_TOL).v
+    u2 = parameter_of(model, ext2, tol=PARAMETER_TOL).v
     w_par = solve_linear(u2, u1)
     bp = model.nplus.basis
     op = bp @ (0.5j * (np.eye(model.deficiency) - w_par)) @ bp.conj().T
@@ -505,7 +499,7 @@ def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
 
 
 def p_translation_check(ext1: Extension, ext2: Extension, subspace: Subspace,
-                        z, z_prime, *, tol: float = DEFAULT_TOL) -> dict[str, float]:
+                        z, z_prime) -> dict[str, float]:
     """Translation identity in the spectral parameter plus rank constancy.
 
     Keys:
@@ -515,11 +509,11 @@ def p_translation_check(ext1: Extension, ext2: Extension, subspace: Subspace,
     """
     z = complex(z)
     zp = complex(z_prime)
-    pz = p_function(ext1, ext2, subspace, z, tol=tol)
-    pzp = p_function(ext1, ext2, subspace, zp, tol=tol)
+    pz = p_function(ext1, ext2, subspace, z)
+    pzp = p_function(ext1, ext2, subspace, zp)
     w1 = ext1.spectrum.eigenvalues
-    mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp, tol)
-                                * _resolvent_diagonal(ext1, z, tol))
+    mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp)
+                                * _resolvent_diagonal(ext1, z))
     translation = frob(pz.full - pzp.full - (z - zp) * (pzp.full @ mid @ pz.full))
     # scale floor 1: a compressed difference that is pure roundoff (identical
     # extensions) must count as rank 0 at every z, not as noise directions

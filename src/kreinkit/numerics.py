@@ -28,12 +28,12 @@ from .errors import (
     SingularMatrix,
 )
 
-# Default tolerances; every operation takes them as keyword overrides.
+# Gate constants.  Each numerical decision in this module reads one of them
+# at the single place it is made; no operation takes a tolerance argument.
 TOL_ORTHO = 1e-12   # orthonormality of bases / unitarity gate
 TOL_RECON = 1e-10   # eigendecomposition reconstruction, relative
 TOL_HERM = 1e-11    # Hermitian deviation, relative; unit-circle deviation
 TOL_RANK = 1e-9     # relative singular value / pivot cutoff
-TOL_SOLVE = 1e-10   # linear solve residual, relative, times condition guard
 OVERFLOW_GUARD = 1e12  # spectral calculus: |f(lambda)| beyond this is a pole
 
 
@@ -68,23 +68,22 @@ class Subspace:
     uniformly.
     """
 
-    ambient: int
-    rank: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = as_matrix(self.basis, "subspace basis")
         object.__setattr__(self, "basis", b)
-        if b.shape != (self.ambient, self.rank):
-            raise ValueError(
-                f"basis shape {b.shape} != (ambient, rank) = "
-                f"({self.ambient}, {self.rank})"
-            )
-        if not 0 <= self.rank <= self.ambient:
-            raise ValueError(f"rank {self.rank} out of range for ambient {self.ambient}")
         gram = b.conj().T @ b
         if frob(gram - np.eye(self.rank)) > TOL_ORTHO * max(1.0, float(self.rank)):
             raise ValueError("subspace basis is not orthonormal within tolerance")
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,32 +121,31 @@ class SpectralDecomposition:
         return (v * values) @ v.conj().T
 
 
-def hermitian_eig(h, *, tol_herm: float = TOL_HERM,
-                  tol_recon: float = TOL_RECON) -> SpectralDecomposition:
+def hermitian_eig(h) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian if ||H - H*|| > tol_herm * (1 + ||H||), and
+    Raises NotHermitian if hermitian_deviation(H) > TOL_HERM, and
     NumericalFailure if the reconstruction residual exceeds
-    tol_recon * (1 + ||H||).
+    TOL_RECON * (1 + ||H||).
     """
     a = as_matrix(h, "hermitian matrix")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got {a.shape}")
-    dev = frob(a - a.conj().T)
-    if dev > tol_herm * (1.0 + frob(a)):
-        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds tolerance")
+    if hermitian_deviation(a) > TOL_HERM:
+        raise NotHermitian(
+            f"Hermitian deviation {frob(a - a.conj().T):.3e} exceeds tolerance"
+        )
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
         raise NumericalFailure(f"eigh failed: {exc}") from exc
     res = frob(a - (v * w) @ v.conj().T)
-    if res > tol_recon * (1.0 + frob(a)):
+    if res > TOL_RECON * (1.0 + frob(a)):
         raise NumericalFailure(f"eigh reconstruction residual {res:.3e}")
     return SpectralDecomposition(w.astype(np.complex128), v)
 
 
-def unitary_eig(u, *, tol_ortho: float = TOL_ORTHO, tol_herm: float = TOL_HERM,
-                tol_recon: float = TOL_RECON) -> SpectralDecomposition:
+def unitary_eig(u) -> SpectralDecomposition:
     """Eigendecomposition of a unitary matrix via the complex Schur form.
 
     The Schur frame of a normal matrix is an orthonormal eigenbasis, which is
@@ -162,7 +160,7 @@ def unitary_eig(u, *, tol_ortho: float = TOL_ORTHO, tol_herm: float = TOL_HERM,
         return SpectralDecomposition(np.zeros(0, dtype=np.complex128),
                                      np.zeros((0, 0), dtype=np.complex128))
     dev = frob(a.conj().T @ a - np.eye(d))
-    if dev > tol_ortho * max(1.0, float(d)):
+    if dev > TOL_ORTHO * max(1.0, float(d)):
         raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds tolerance")
     try:
         t, zf = scipy.linalg.schur(a, output="complex")
@@ -170,25 +168,24 @@ def unitary_eig(u, *, tol_ortho: float = TOL_ORTHO, tol_herm: float = TOL_HERM,
         raise NumericalFailure(f"schur failed: {exc}") from exc
     w = np.diag(t).astype(np.complex128)
     circ = np.max(np.abs(np.abs(w) - 1.0))
-    if circ > tol_herm:
+    if circ > TOL_HERM:
         raise NumericalFailure(f"eigenvalue off the unit circle by {circ:.3e}")
     order = np.argsort(np.angle(w), kind="stable")
     w = w[order]
     zf = zf[:, order]
     res = frob(a - (zf * w) @ zf.conj().T)
-    if res > tol_recon * (1.0 + frob(a)):
+    if res > TOL_RECON * (1.0 + frob(a)):
         raise NumericalFailure(f"unitary reconstruction residual {res:.3e}")
     return SpectralDecomposition(w, zf)
 
 
-def orthonormal_range(m, tol_rank: float = TOL_RANK, *,
-                      scale_floor: float = 0.0) -> Subspace:
+def orthonormal_range(m, *, scale_floor: float = 0.0) -> Subspace:
     """Orthonormal basis of the (numerical) column range of m.
 
-    Rank counts singular values above tol_rank * max(sigma_max, scale_floor).
+    Rank counts singular values above TOL_RANK * max(sigma_max, scale_floor).
     The default floor 0 gives the usual relative cutoff; callers that know
     the natural norm scale of m pass it as scale_floor so that a matrix which
-    is pure roundoff (sigma_max itself below tol_rank * scale_floor) comes
+    is pure roundoff (sigma_max itself below TOL_RANK * scale_floor) comes
     back as the zero subspace instead of full-rank noise.
     """
     a = as_matrix(m, "range input")
@@ -197,12 +194,12 @@ def orthonormal_range(m, tol_rank: float = TOL_RANK, *,
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"svd failed: {exc}") from exc
     smax = float(ss[0]) if ss.size else 0.0
-    cutoff = tol_rank * max(smax, scale_floor)
+    cutoff = TOL_RANK * max(smax, scale_floor)
     rank = int(np.count_nonzero(ss > cutoff)) if cutoff > 0.0 else 0
-    return Subspace(ambient=a.shape[0], rank=rank, basis=uu[:, :rank])
+    return Subspace(basis=uu[:, :rank])
 
 
-def null_space(m, tol_rank: float = TOL_RANK) -> Subspace:
+def null_space(m) -> Subspace:
     """Orthonormal basis of the (numerical) kernel of m, a subspace of the
     column domain C^cols.  rank(orthonormal_range(m)) + rank(null_space(m))
     equals the column count."""
@@ -212,34 +209,35 @@ def null_space(m, tol_rank: float = TOL_RANK) -> Subspace:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"svd failed: {exc}") from exc
     smax = float(ss[0]) if ss.size else 0.0
-    rank = int(np.count_nonzero(ss > tol_rank * smax)) if smax > 0.0 else 0
-    basis = vh[rank:, :].conj().T
-    return Subspace(ambient=a.shape[1], rank=a.shape[1] - rank, basis=basis)
+    rank = int(np.count_nonzero(ss > TOL_RANK * smax)) if smax > 0.0 else 0
+    return Subspace(basis=vh[rank:, :].conj().T)
 
 
-def apply_function_normal(d: SpectralDecomposition, f: Callable[[complex], complex],
-                          *, guard: float = OVERFLOW_GUARD) -> np.ndarray:
+def apply_function_normal(d: SpectralDecomposition,
+                          f: Callable[[complex], complex]) -> np.ndarray:
     """Spectral function calculus: sum of f(lambda_i) u_i u_i*.
 
     f is a scalar callable evaluated at each stored eigenvalue.  Non-finite
-    values, or magnitudes above `guard`, signal an eigenvalue at a pole of f
-    (e.g. tan at pi/2) and raise SingularFunctionValue.
+    values, or magnitudes above OVERFLOW_GUARD, signal an eigenvalue at a
+    pole of f (e.g. tan at pi/2) and raise SingularFunctionValue.
     """
     vals = np.empty(d.dim, dtype=np.complex128)
     for i, lam in enumerate(d.eigenvalues):
         fv = complex(f(complex(lam)))
-        if not (np.isfinite(fv.real) and np.isfinite(fv.imag)) or abs(fv) > guard:
+        finite = np.isfinite(fv.real) and np.isfinite(fv.imag)
+        if not finite or abs(fv) > OVERFLOW_GUARD:
             raise SingularFunctionValue(
-                f"f({complex(lam):.6g}) = {fv:.6g} is singular or beyond guard {guard:.1e}"
+                f"f({complex(lam):.6g}) = {fv:.6g} is singular or beyond guard "
+                f"{OVERFLOW_GUARD:.1e}"
             )
         vals[i] = fv
     return d.compose(vals)
 
 
-def solve_linear(m, b, *, tol_rank: float = TOL_RANK) -> np.ndarray:
+def solve_linear(m, b) -> np.ndarray:
     """Solve M X = B by LU with partial pivoting and a pivot-ratio gate.
 
-    Raises SingularMatrix when the smallest |U_ii| falls below tol_rank times
+    Raises SingularMatrix when the smallest |U_ii| falls below TOL_RANK times
     the largest, which is the operational singularity test used everywhere in
     the package (resolvents at spectral points, degenerate denominators).
     """
@@ -262,10 +260,10 @@ def solve_linear(m, b, *, tol_rank: float = TOL_RANK) -> np.ndarray:
         raise SingularMatrix(f"LU factorization failed: {exc}") from exc
     diag = np.abs(np.diag(lu))
     dmax = float(diag.max())
-    if dmax == 0.0 or float(diag.min()) <= tol_rank * dmax:
+    if dmax == 0.0 or float(diag.min()) <= TOL_RANK * dmax:
         raise SingularMatrix(
             f"pivot ratio {float(diag.min()) / max(dmax, np.finfo(float).tiny):.3e} "
-            f"below cutoff {tol_rank:.1e}"
+            f"below cutoff {TOL_RANK:.1e}"
         )
     x = scipy.linalg.lu_solve((lu, piv), rhs)
     if x.size and not np.all(np.isfinite(x)):

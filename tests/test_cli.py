@@ -6,6 +6,7 @@ smoke test for the installed entry points.
 """
 
 import collections
+import dataclasses
 import json
 import math
 import subprocess
@@ -366,3 +367,18 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
                           "cayley_roundtrip check on this draw")
 def test_inverse_cayley_defect_is_visible():
     cli.run_checks(cli.generate_scenario(64, 3, 586626706))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="known defect: three primeness gates with three thresholds "
+                          "disagree near an angle of pi/2")
+def test_primeness_gates_agree_near_the_degenerate_angle():
+    scenario = dataclasses.replace(
+        cli.generate_scenario(8, 2, 5),
+        parameter={"angle": np.diag([math.pi / 2 - 3e-9, 0.3]).astype(complex)},
+    )
+    checks = {rec["name"]: rec for rec in cli.run_checks(scenario)["checks"]}
+    assert checks["relatively_prime_consistency"]["note"] == "relatively prime"
+    # a pair declared prime must not be rejected as non-prime by a later gate
+    assert not [name for name, rec in checks.items()
+                if rec.get("error") == "NotRelativelyPrime"]

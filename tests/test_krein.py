@@ -362,7 +362,7 @@ def test_lft_to_reference_inverts_angle_form():
 
 def test_angle_operator_rejects_non_invariant_subspace():
     model, ext1, ext2, _ = support.random_pair(4, 2, seed=59)
-    line = Subspace(ambient=4, rank=1, basis=model.nplus.basis[:, :1])
+    line = Subspace(basis=model.nplus.basis[:, :1])
     with pytest.raises(NotInvariant):
         angle_operator(ext1, ext2, line)
 
@@ -375,6 +375,13 @@ def test_spectral_parameter_guard():
         p_function(ext1, ext2, model.nplus, 1.0 + 1e-14j)
     with pytest.raises(SpectralParameter):
         krein_resolvent(ext1, model.nplus, np.array([[0.0]]), 1e-14j)
+    # the guard sits at DEFAULT_TOL = 1e-9 from the spectrum, on both sides
+    with pytest.raises(SpectralParameter):
+        weyl_operator(ext1, model.nplus, 5e-10j)
+    with pytest.raises(SpectralParameter):
+        p_function(ext1, ext2, model.nplus, 1.0 + 5e-10j)
+    assert np.all(np.isfinite(weyl_operator(ext1, model.nplus, 2e-9j).m))
+    assert np.all(np.isfinite(p_function(ext1, ext2, model.nplus, 1.0 + 2e-9j).full))
 
 
 def test_lft_singular_denominator():
@@ -383,15 +390,21 @@ def test_lft_singular_denominator():
 
 
 def test_tan_alpha_pole_raises():
-    line = Subspace(ambient=1, rank=1, basis=np.eye(1))
-    ang = AngleOperator(alpha=np.array([[math.pi / 2.0]]), subspace=line)
-    with pytest.raises(NotRelativelyPrime):
-        tan_alpha(ang)
+    line = Subspace(basis=np.eye(1))
     m1 = np.array([[0.5j]])
-    with pytest.raises(NotRelativelyPrime):
-        lft_m1_to_m2_angle(m1, ang)
-    with pytest.raises(NotRelativelyPrime):
-        lft_to_reference(m1, ang)
+    # the pole guard sits at ANGLE_GAP_TOL = 1e-8 from pi/2
+    for gap in (0.0, 5e-9):
+        ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - gap]]), subspace=line)
+        with pytest.raises(NotRelativelyPrime):
+            tan_alpha(ang)
+        with pytest.raises(NotRelativelyPrime):
+            lft_m1_to_m2_angle(m1, ang)
+        with pytest.raises(NotRelativelyPrime):
+            lft_to_reference(m1, ang)
+    ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - 2e-8]]), subspace=line)
+    assert tan_alpha(ang)[0, 0].real == pytest.approx(5e7, rel=1e-6)
+    assert np.all(np.isfinite(lft_m1_to_m2_angle(m1, ang)))
+    assert np.all(np.isfinite(lft_to_reference(m1, ang)))
 
 
 def test_krein_resolvent_singular_denominator(s1):
@@ -404,7 +417,7 @@ def test_krein_resolvent_singular_denominator(s1):
 
 
 def test_sample_shape_validation():
-    line = Subspace(ambient=2, rank=1, basis=np.array([[1.0], [0.0]]))
+    line = Subspace(basis=np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
         AngleOperator(alpha=np.zeros((2, 2)), subspace=line)
 

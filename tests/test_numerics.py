@@ -66,17 +66,18 @@ def test_frob_and_hermitian_deviation():
 
 def test_subspace_validates_orthonormality():
     with pytest.raises(ValueError):
-        Subspace(ambient=2, rank=1, basis=np.array([[1.0], [1.0]]))
-    s = Subspace(ambient=2, rank=1, basis=np.array([[1.0], [1.0]]) / math.sqrt(2))
+        Subspace(basis=np.array([[1.0], [1.0]]))
+    s = Subspace(basis=np.array([[1.0], [1.0]]) / math.sqrt(2))
     assert_allclose(projector(s), np.full((2, 2), 0.5), atol=1e-14)
     # rank 0 is legal and gives the zero projector
-    z = Subspace(ambient=3, rank=0, basis=np.zeros((3, 0)))
+    z = Subspace(basis=np.zeros((3, 0)))
+    assert (z.ambient, z.rank) == (3, 0) and (s.ambient, s.rank) == (2, 1)
     assert_allclose(projector(z), np.zeros((3, 3)), atol=0.0)
 
 
 def test_projector_frozen_complex_line():
     u = np.array([[1.0], [1j]]) / math.sqrt(2)
-    s = Subspace(ambient=2, rank=1, basis=u)
+    s = Subspace(basis=u)
     expected = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])
     assert_allclose(projector(s), expected, atol=1e-15)
 
@@ -167,6 +168,11 @@ def test_solve_linear_known_system_and_failures():
     assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
     with pytest.raises(SingularMatrix):
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+    # the pivot-ratio gate sits at TOL_RANK = 1e-9
+    with pytest.raises(SingularMatrix):
+        solve_linear(np.diag([1.0, 5e-10]), np.eye(2))
+    assert_allclose(solve_linear(np.diag([1.0, 2e-9]), np.eye(2)),
+                    np.diag([1.0, 5e8]), rtol=1e-15)
     with pytest.raises(ValueError):
         solve_linear(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
