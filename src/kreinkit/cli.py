@@ -36,15 +36,14 @@ from . import halfline as hl
 from . import krein as kr
 from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
 from .extension import (
+    DEFAULT_TOL,
     ExtensionParameter,
     build_model,
     check_cayley_geometry,
-    common_plus_subspace,
     extension_from_parameter,
     inverse_cayley,
     is_relatively_prime,
     parameter_of,
-    restricted_cayley_product,
 )
 from .numerics import apply_function_normal, frob, hermitian_eig, projector, solve_linear
 
@@ -99,7 +98,8 @@ def _c_to_json(z: complex) -> list:
 
 
 def _m_to_json(m: np.ndarray) -> list:
-    return [[_c_to_json(x) for x in row] for row in np.asarray(m, dtype=np.complex128)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _c_from_json(obj, where: str) -> complex:
@@ -124,7 +124,53 @@ def _m_from_json(obj, where: str) -> np.ndarray:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, for dicts
+    with str keys, lists, str, int, float, bool and None.  Written directly
+    because json.dumps with indent falls back to its pure-Python encoder,
+    which dominated the cost of hashing a scenario."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """One value of the indented layout; newline is the line break plus the
+    indentation of the line the value starts on."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        matrix = _float_matrix(obj, newline)
+        if matrix is not None:
+            return matrix
+        inner = newline + "  "
+        items = [float.__repr__(x) if type(x) is float and math.isfinite(x)
+                 else _json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [json.dumps(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
+def _float_matrix(rows: list, newline: str) -> str | None:
+    """The layout of rows when they are equal-length lists of finite floats
+    (a matrix row of [re, im] pairs, a z-grid), written with one join over
+    all the floats; None for any other list."""
+    width = len(rows[0]) if type(rows[0]) is list else 0
+    if not width or not all(type(row) is list and len(row) == width for row in rows):
+        return None
+    flat = [x for row in rows for x in row]
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    inner, leaf = newline + "  ", newline + "    "
+    seps = (["," + leaf] * (width - 1) + [inner + "]," + inner + "[" + leaf]) * len(rows)
+    parts = [""] * (2 * len(flat) - 1)
+    parts[0::2] = map(float.__repr__, flat)
+    parts[1::2] = seps[:-1]
+    return "[" + inner + "[" + leaf + "".join(parts) + inner + "]" + newline + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +398,9 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     passes iff max_residual <= tolerance.  Internal errors become failed
     records tagged with the error class (sentinel residual -1.0); the suite
     always runs to the end of whatever remains feasible.
+
+    The pair-level checks read P(z), M(z) and the pair's data from one
+    krein.PairContext, so each is computed once; it is dropped on return.
     """
     tol = float(tol_override) if tol_override is not None else scenario.tolerance
     if not (1e-14 <= tol <= 1e-3):
@@ -369,6 +418,7 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         checks.append(_error_record("build_model", tol, exc))
         return _finish_report(checks, provenance)
 
+    pair = kr.PairContext(model, ext1, ext2)
     dim, n = model.dim, model.deficiency
     eye = np.eye(dim)
     eyen = np.eye(n)
@@ -385,8 +435,8 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
     ), tol))
     checks.append(_record("extension_parameter_roundtrip", max(
-        frob(parameter_of(model, ext2).v - v2) / (1.0 + frob(v2)),
-        frob(parameter_of(model, ext1).v - eyen),
+        frob(pair.parameter(ext2, DEFAULT_TOL).v - v2) / (1.0 + frob(v2)),
+        frob(pair.parameter(ext1, DEFAULT_TOL).v - eyen),
     ), tol))
     checks.append(_record("cayley_roundtrip", max(
         frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),
@@ -403,7 +453,7 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
 
     # primeness and the common deficiency subspace
     prime = is_relatively_prime(model, ext1, ext2)
-    common = common_plus_subspace(ext1, ext2)
+    common = pair.common
     consistent = prime == (common.rank == n)
     note = "relatively prime" if prime else (
         "not relatively prime; angle-form checks skipped"
@@ -417,9 +467,7 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         tol,
     ))
     if prime:
-        r1_i = solve_linear(ext1.a - 1j * eye, eye)
-        r2_i = solve_linear(ext2.a - 1j * eye, eye)
-        restricted = bp.conj().T @ (r2_i - r1_i) @ bm
+        restricted = bp.conj().T @ pair.resolvent_difference @ bm
         min_sv = float(np.linalg.svd(restricted, compute_uv=False)[-1])
         checks.append(_record(
             "resolvent_difference_min_sv",
@@ -434,12 +482,12 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     hz_ident = 0.0
     try:
         for ext in (ext1, ext2):
-            fixed = max(fixed, frob(kr.weyl_operator(ext, sub, 1j).m - 1j * eyen))
+            fixed = max(fixed, frob(pair.m(ext, 1j) - 1j * eyen))
             for z in zs:
-                m = kr.weyl_operator(ext, sub, z).m
-                mc = kr.weyl_operator(ext, sub, np.conj(z)).m
+                m = pair.m(ext, z)
+                mc = pair.m(ext, np.conj(z))
                 conj_sym = max(conj_sym, frob(mc - m.conj().T) / (1.0 + frob(m)))
-                hz = kr.herglotz_check(ext, sub, z)
+                hz = kr.herglotz_check(pair, ext, z)
                 hz_bound = max(hz_bound, hz["positivity_bound"])
                 hz_ident = max(hz_ident, hz["exact_identity"])
         checks.append(_record("weyl_fixed_point_at_i", fixed, tol))
@@ -451,15 +499,12 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
 
     # resolvent-difference calculus over the grid
     try:
-        p_i = kr.p_function(ext1, ext2, sub, 1j)
-        w = restricted_cayley_product(ext1, ext2, sub)
-        checks.append(_record(
-            "p_at_i_consistency",
-            frob(p_i.restricted - kr.p_at_i_via_cayley(ext1, ext2, sub)),
-            tol,
-        ))
+        p_i = pair.p(1j)
+        w = pair.cayley_w
+        p_cayley = pair.p_at_i_via_cayley
+        checks.append(_record("p_at_i_consistency", frob(p_i.restricted - p_cayley), tol))
         checks.append(_record("cayley_compression_identities", max(
-            frob(p_i.restricted - 0.5j * (eyen - w)),
+            frob(p_i.restricted - p_cayley),
             frob((eyen + 1j * p_i.restricted) - 0.5 * (eyen + w)),
         ), tol))
         adjoint = support = translation = 0.0
@@ -467,8 +512,8 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         min_restricted_sv = np.inf
         pperp = eye - projector(sub)
         for idx, z in enumerate(zs):
-            ps = kr.p_function(ext1, ext2, sub, z)
-            psc = kr.p_function(ext1, ext2, sub, np.conj(z))
+            ps = pair.p(z)
+            psc = pair.p(np.conj(z))
             scale = 1.0 + frob(ps.full)
             adjoint = max(adjoint, frob(ps.full.conj().T - psc.full) / scale)
             support = max(
@@ -477,7 +522,7 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
                 frob(pperp @ ps.full) / scale,
             )
             zp = zs[(idx + 1) % len(zs)]
-            tr = kr.p_translation_check(ext1, ext2, sub, z, zp)
+            tr = kr.p_translation_check(pair, z, zp)
             translation = max(translation, tr["translation"] / scale)
             rank_delta = max(rank_delta, tr["rank_delta"])
             range_drift = max(range_drift, tr["range_drift"])
@@ -501,9 +546,9 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     # angle operator and tan inversion (prime pairs only)
     if prime:
         try:
-            angle = kr.angle_operator(ext1, ext2, sub)
+            angle = pair.angle(sub)
             tan_a = kr.tan_alpha(angle)
-            p_i = kr.p_function(ext1, ext2, sub, 1j)
+            p_i = pair.p(1j)
             checks.append(_record(
                 "angle_tan_inversion",
                 frob((tan_a - 1j * eyen) @ p_i.restricted - eyen)
@@ -513,16 +558,16 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
             inv_res = 0.0
             angle_lft = 0.0
             for z in zs:
-                ps = kr.p_function(ext1, ext2, sub, z)
-                m1 = kr.weyl_operator(ext1, sub, z)
-                inv = kr.p_inverse_via_m(ext1, tan_a, sub, z)
+                ps = pair.p(z)
+                m1 = pair.m(ext1, z)
+                inv = tan_a - m1  # p_inverse_via_m on the memoized m1
                 inv_res = max(
                     inv_res,
-                    frob(inv @ ps.restricted - eyen) / (1.0 + frob(m1.m)),
+                    frob(inv @ ps.restricted - eyen) / (1.0 + frob(m1)),
                 )
-                m2 = kr.weyl_operator(ext2, sub, z)
+                m2 = pair.m(ext2, z)
                 via = kr.lft_m1_to_m2_angle(m1, angle)
-                angle_lft = max(angle_lft, frob(via - m2.m) / (1.0 + frob(m2.m)))
+                angle_lft = max(angle_lft, frob(via - m2) / (1.0 + frob(m2)))
             checks.append(_record("p_inverse_via_weyl", inv_res, tol))
             checks.append(_record("lft_angle_vs_direct", angle_lft, tol))
         except KreinKitError as exc:
@@ -531,8 +576,7 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     # Krein resolvent formula over the common subspace (any pair)
     try:
         if common.rank:
-            angle_common = kr.angle_operator(ext1, ext2, common)
-            tan_common = kr.tan_alpha(angle_common)
+            tan_common = kr.tan_alpha(pair.angle(common))
         else:
             tan_common = np.zeros((0, 0), dtype=np.complex128)
         krein_res = 0.0
@@ -546,14 +590,14 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
 
     # fractional-linear laws, third-extension route, von Neumann link
     try:
-        res = kr.general_lft_check(model, ext1, ext2, zs)
+        res = kr.general_lft_check(pair, zs)
         checks.append(_record("lft_direct", res["direct"], tol))
         checks.append(_record("lft_third_extension", res["third_extension"], tol))
         checks.append(_record("lft_reference_inversion", res["reference_inversion"], tol))
     except KreinKitError as exc:
         checks.append(_error_record("lft_suite", tol, exc))
     try:
-        vn = kr.vonneumann_link_check(model, ext1, ext2)
+        vn = kr.vonneumann_link_check(pair)
         checks.append(_record("vonneumann_link", vn["parametrization_link"], tol))
         checks.append(_record(
             "vonneumann_common_alignment", vn["common_subspace_alignment"], tol,

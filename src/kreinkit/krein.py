@@ -22,6 +22,10 @@ Out of these pieces the module assembles:
   * the translation identity in z and rank constancy of compressed P,
   * the consistency link with the von Neumann unitary parameters.
 
+The pair-level checks read their inputs from a PairContext, which computes
+each quantity of one pair once (P(z) per z, M(z) per extension and z, the
+common subspace, the Cayley products) and shares it between them.
+
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
 """
@@ -55,6 +59,7 @@ from .extension import (
     extension_from_parameter,
     is_relatively_prime,
     parameter_of,
+    resolvent_difference_at_i,
     restricted_cayley_product,
 )
 from .numerics import (
@@ -185,13 +190,20 @@ def angle_operator(ext1: Extension, ext2: Extension,
     eigenvalue through the branch (-pi/2, pi/2].  The reconstruction
     -exp(-2i alpha) == restricted product is re-verified on exit.
     """
-    k = subspace.rank
-    if k == 0:
+    return _angle_on(_cayley_product(ext1, ext2), subspace)
+
+
+def _cayley_product(ext1: Extension, ext2: Extension) -> np.ndarray:
+    """C2 C1^{-1} on the whole space."""
+    return ext2.cayley @ solve_linear(ext1.cayley, np.eye(ext1.dim))
+
+
+def _angle_on(prod_full: np.ndarray, subspace: Subspace) -> AngleOperator:
+    """angle_operator's body, given the full Cayley product C2 C1^{-1}."""
+    if subspace.rank == 0:
         return AngleOperator(alpha=np.zeros((0, 0), dtype=np.complex128),
                              subspace=subspace)
     s = subspace.basis
-    eye = np.eye(ext1.dim)
-    prod_full = ext2.cayley @ solve_linear(ext1.cayley, eye)
     w = s.conj().T @ prod_full @ s
     invariance = frob(prod_full @ s - s @ w)
     if invariance > DEFAULT_TOL * (1.0 + frob(prod_full)):
@@ -289,6 +301,119 @@ def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray,
     return r1 + left @ mid @ right
 
 
+def _frozen(*arrays: np.ndarray) -> np.ndarray:
+    """Set the arrays read-only; return the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
+class PairContext:
+    """Memo of what the pair-level checks read about one pair (ext1, ext2)
+    of extensions of a model, with N+ as the sampling subspace.
+
+    Every entry is computed on first use by the same function a direct call
+    would use (p_function, weyl_operator, orthonormal_range, ...) and shared
+    by every later read, so a check suite over a z-grid evaluates P(z) once
+    per distinct z and M(z) once per distinct (extension, z).  Cached arrays
+    are read-only.  The context is the only owner of its entries: it lives as
+    long as its creator keeps it.  Spectral parameters are keys by value, so
+    z and a twin differing only in the sign of a zero part share one entry.
+    """
+
+    def __init__(self, model: RestrictionModel, ext1: Extension, ext2: Extension):
+        self.model = model
+        self.ext1 = ext1
+        self.ext2 = ext2
+        self._p: dict = {}
+        self._m: dict = {}
+        self._ranges: dict = {}
+        self._roots: dict = {}
+        self._parameters: dict = {}
+
+    def p(self, z) -> PSample:
+        """P(z) of the pair, full and compressed to N+."""
+        z = complex(z)
+        if z not in self._p:
+            ps = p_function(self.ext1, self.ext2, self.model.nplus, z)
+            _frozen(ps.full, ps.restricted)
+            self._p[z] = ps
+        return self._p[z]
+
+    def m(self, ext: Extension, z) -> np.ndarray:
+        """M(z) of ext (an extension of the pair or any other extension of
+        the model) compressed to N+."""
+        key = (ext, complex(z))
+        if key not in self._m:
+            self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]).m)
+        return self._m[key]
+
+    def p_ranges(self, z) -> tuple[Subspace, Subspace]:
+        """Numerical ranges of P(z) and of its compression to N+."""
+        z = complex(z)
+        if z not in self._ranges:
+            ps = self.p(z)
+            # scale floor 1: a compressed difference that is pure roundoff
+            # (identical extensions) must count as rank 0 at every z, not as
+            # noise directions
+            ranges = (orthonormal_range(ps.full, scale_floor=1.0),
+                      orthonormal_range(ps.restricted, scale_floor=1.0))
+            _frozen(*(r.basis for r in ranges))
+            self._ranges[z] = ranges
+        return self._ranges[z]
+
+    def herglotz_root(self, ext: Extension) -> np.ndarray:
+        """(1 + a^2)^{1/2} of ext, a diagonal function of its eigenframe."""
+        if ext not in self._roots:
+            spec = ext.spectrum
+            self._roots[ext] = _frozen(
+                spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
+            )
+        return self._roots[ext]
+
+    def parameter(self, ext: Extension, tol: float) -> ExtensionParameter:
+        """parameter_of(model, ext, tol=tol).  A parameter already recovered
+        under a gate at least as strict passes this one too, so it is
+        reused; only the membership gate depends on tol."""
+        seen = self._parameters.get(ext)
+        if seen is None or seen[0] > tol:
+            par = parameter_of(self.model, ext, tol=tol)
+            _frozen(par.v)
+            seen = self._parameters[ext] = (tol, par)
+        return seen[1]
+
+    @cached_property
+    def resolvent_difference(self) -> np.ndarray:
+        """R2(i) - R1(i), one LU solve per extension."""
+        return _frozen(resolvent_difference_at_i(self.ext1, self.ext2))
+
+    @cached_property
+    def common(self) -> Subspace:
+        """Deficiency subspace of the pair's maximal common symmetric part."""
+        common = common_plus_subspace(self.resolvent_difference)
+        _frozen(common.basis)
+        return common
+
+    @cached_property
+    def cayley_w(self) -> np.ndarray:
+        """Restricted Cayley product W = (C2 C1^{-1})|N+ in the N+ frame."""
+        return _frozen(restricted_cayley_product(self.ext1, self.ext2, self.model.nplus))
+
+    @cached_property
+    def p_at_i_via_cayley(self) -> np.ndarray:
+        """(i/2)(1 - W): P(i) on N+ from Cayley data alone."""
+        return _frozen(0.5j * (np.eye(self.model.deficiency) - self.cayley_w))
+
+    @cached_property
+    def cayley_product(self) -> np.ndarray:
+        """C2 C1^{-1} on the whole space."""
+        return _frozen(_cayley_product(self.ext1, self.ext2))
+
+    def angle(self, subspace: Subspace) -> AngleOperator:
+        """angle_operator(ext1, ext2, subspace), from the cached product."""
+        return _angle_on(self.cayley_product, subspace)
+
+
 def herglotz_lower_bound(z) -> float:
     """Lower bound (Im z)^2 / (max(1, |z|^2) + |Re z|) for the smallest
     eigenvalue of Im z * Im m(z).  Requires Im z != 0.
@@ -305,8 +430,9 @@ def herglotz_lower_bound(z) -> float:
     return z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
 
 
-def herglotz_check(ext: Extension, subspace: Subspace, z) -> dict[str, float]:
-    """Positivity data of the Weyl-Titchmarsh operator at one non-real z.
+def herglotz_check(pair: PairContext, ext: Extension, z) -> dict[str, float]:
+    """Positivity data of the Weyl-Titchmarsh operator of ext on N+ at one
+    non-real z; M and the (1 + a^2)^{1/2} factor come from the pair's memo.
 
     Keys:
       positivity_bound    max(0, bound - lambda_min(Im z * Im m(z)))
@@ -315,20 +441,20 @@ def herglotz_check(ext: Extension, subspace: Subspace, z) -> dict[str, float]:
     """
     z = complex(z)
     bound = herglotz_lower_bound(z)  # raises RealParameter on the axis
-    m = weyl_operator(ext, subspace, z).m
+    subspace = pair.model.nplus
+    m = pair.m(ext, z)
     im_m = (m - m.conj().T) / 2j
     im_m = (im_m + im_m.conj().T) / 2.0
     lhs = z.imag * im_m
     lam_min = float(np.min(np.linalg.eigvalsh(lhs))) if subspace.rank else np.inf
     x, y = z.real, z.imag
-    spec = ext.spectrum
-    shalf = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
+    shalf = pair.herglotz_root(ext)
     eye = np.eye(ext.dim)
     dmat = (ext.a - x * eye) @ (ext.a - x * eye) + (y * y) * eye
     rhs_full = shalf @ solve_linear(dmat, shalf)
     s = subspace.basis
     rhs = (y * y) * (s.conj().T @ rhs_full @ s)
-    m_conj = weyl_operator(ext, subspace, z.conjugate()).m
+    m_conj = pair.m(ext, z.conjugate())
     return {
         "positivity_bound": max(0.0, bound - lam_min) if subspace.rank else 0.0,
         "exact_identity": frob(lhs - rhs),
@@ -397,8 +523,7 @@ def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
     return _angle_form(_as_m(m1), angle_ref1, -1.0, "reference-inversion")
 
 
-def choose_third_extension(model: RestrictionModel, ext1: Extension,
-                           ext2: Extension) -> Extension:
+def choose_third_extension(pair: PairContext) -> Extension:
     """Deterministically pick an auxiliary extension relatively prime to both.
 
     Sweeps the phases t_j = j pi / (2 (2n + 2)), j = 1..2n+1, each defining a
@@ -408,8 +533,9 @@ def choose_third_extension(model: RestrictionModel, ext1: Extension,
     finitely many phases, so the sweep cannot exhaust for honest inputs;
     ExhaustedCandidates otherwise.
     """
+    model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     n = model.deficiency
-    v1 = parameter_of(model, ext1, tol=PARAMETER_TOL).v
+    v1 = pair.parameter(ext1, PARAMETER_TOL).v
     for j in range(1, 2 * n + 2):
         t = j * math.pi / (2.0 * (2 * n + 2))
         candidate = ExtensionParameter(cmath.exp(-2j * t) * v1)
@@ -423,55 +549,45 @@ def choose_third_extension(model: RestrictionModel, ext1: Extension,
     raise ExhaustedCandidates("no admissible third extension in the phase sweep")
 
 
-def general_lft_check(model: RestrictionModel, ext1: Extension, ext2: Extension,
-                      zs) -> dict[str, float]:
+def general_lft_check(pair: PairContext, zs) -> dict[str, float]:
     """Exercise every route from m1(z) to m2(z) over the z-grid zs (an
     iterable of non-real points; pass [z] for a single point) and report the
     worst residual of each key over the grid.
 
-    The pair-level data (p(i) both ways, the auxiliary third extension and
-    its two angle operators) is computed once; per z only the three Weyl
-    operators and the fractional-linear maps are evaluated.
+    The pair-level data (p(i) from Cayley data, the auxiliary third
+    extension and its two angle operators) is computed once; per z only the
+    fractional-linear maps are evaluated, on Weyl operators from the pair's
+    memo.
 
     Keys:
       direct               coefficient form vs directly computed m2
       third_extension      route through the auxiliary extension vs m2
       reference_inversion  inverted m_ref vs its directly computed value
-      cayley_compression   p(i) from resolvents vs (i/2)(1 - W)
-      cayley_compression_affine  1 + i p(i) vs (1/2)(1 + W)
-    The two cayley_compression keys do not depend on z.
     """
-    sub = model.nplus
-    p_i = p_at_i_via_cayley(ext1, ext2, sub)
-    eye = np.eye(sub.rank)
-    w = restricted_cayley_product(ext1, ext2, sub)
-    p_res = p_function(ext1, ext2, sub, 1j).restricted
-    ext3 = choose_third_extension(model, ext1, ext2)
+    ext1, ext2 = pair.ext1, pair.ext2
+    sub = pair.model.nplus
+    p_i = pair.p_at_i_via_cayley
+    ext3 = choose_third_extension(pair)
     a31 = angle_operator(ext3, ext1, sub)
     a32 = angle_operator(ext3, ext2, sub)
 
     direct = third = reference_inversion = 0.0
     for z in zs:
-        z = complex(z)
-        m1 = weyl_operator(ext1, sub, z)
-        m2 = weyl_operator(ext2, sub, z).m
+        m1 = pair.m(ext1, z)
+        m2 = pair.m(ext2, z)
         direct = max(direct, frob(lft_m1_to_m2(m1, p_i) - m2))
         m3 = lft_to_reference(m1, a31)
-        m3_direct = weyl_operator(ext3, sub, z).m
-        reference_inversion = max(reference_inversion, frob(m3 - m3_direct))
+        reference_inversion = max(reference_inversion, frob(m3 - pair.m(ext3, z)))
         third = max(third, frob(lft_m1_to_m2_angle(m3, a32) - m2))
 
     return {
         "direct": direct,
         "third_extension": third,
         "reference_inversion": reference_inversion,
-        "cayley_compression": frob(p_res - 0.5j * (eye - w)),
-        "cayley_compression_affine": frob((eye + 1j * p_res) - 0.5 * (eye + w)),
     }
 
 
-def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
-                          ext2: Extension) -> dict[str, float]:
+def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
     """Link between the compressed resolvent difference at i and the von
     Neumann unitary parameters, restricted to the pair's common deficiency
     subspace: p(i) = (i/2)(1 - u2^{-1} u1) there.
@@ -480,12 +596,11 @@ def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
       parametrization_link        residual of the identity above
       common_subspace_alignment   || (1 - P_{N+}) basis(common) ||
     """
-    sub = common_plus_subspace(ext1, ext2)
-    c = sub.basis
-    p_full = p_function(ext1, ext2, model.nplus, 1j).full
-    left = c.conj().T @ p_full @ c
-    u1 = parameter_of(model, ext1, tol=PARAMETER_TOL).v
-    u2 = parameter_of(model, ext2, tol=PARAMETER_TOL).v
+    model = pair.model
+    c = pair.common.basis
+    left = c.conj().T @ pair.p(1j).full @ c
+    u1 = pair.parameter(pair.ext1, PARAMETER_TOL).v
+    u2 = pair.parameter(pair.ext2, PARAMETER_TOL).v
     w_par = solve_linear(u2, u1)
     bp = model.nplus.basis
     op = bp @ (0.5j * (np.eye(model.deficiency) - w_par)) @ bp.conj().T
@@ -498,9 +613,9 @@ def vonneumann_link_check(model: RestrictionModel, ext1: Extension,
     }
 
 
-def p_translation_check(ext1: Extension, ext2: Extension, subspace: Subspace,
-                        z, z_prime) -> dict[str, float]:
-    """Translation identity in the spectral parameter plus rank constancy.
+def p_translation_check(pair: PairContext, z, z_prime) -> dict[str, float]:
+    """Translation identity in the spectral parameter plus rank constancy,
+    on P and its ranges from the pair's memo.
 
     Keys:
       translation  || P(z) - P(z') - (z - z') P(z')(a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1} P(z) ||
@@ -509,18 +624,15 @@ def p_translation_check(ext1: Extension, ext2: Extension, subspace: Subspace,
     """
     z = complex(z)
     zp = complex(z_prime)
-    pz = p_function(ext1, ext2, subspace, z)
-    pzp = p_function(ext1, ext2, subspace, zp)
+    ext1 = pair.ext1
+    pz = pair.p(z)
+    pzp = pair.p(zp)
     w1 = ext1.spectrum.eigenvalues
     mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp)
                                 * _resolvent_diagonal(ext1, z))
     translation = frob(pz.full - pzp.full - (z - zp) * (pzp.full @ mid @ pz.full))
-    # scale floor 1: a compressed difference that is pure roundoff (identical
-    # extensions) must count as rank 0 at every z, not as noise directions
-    range_z = orthonormal_range(pz.restricted, scale_floor=1.0)
-    range_zp = orthonormal_range(pzp.restricted, scale_floor=1.0)
-    full_range_z = orthonormal_range(pz.full, scale_floor=1.0)
-    full_range_zp = orthonormal_range(pzp.full, scale_floor=1.0)
+    full_range_z, range_z = pair.p_ranges(z)
+    full_range_zp, range_zp = pair.p_ranges(zp)
     return {
         "translation": translation,
         "rank_delta": float(abs(range_z.rank - range_zp.rank)),

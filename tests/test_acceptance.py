@@ -26,6 +26,7 @@ from kreinkit.extension import (
     extension_from_parameter,
     inverse_cayley,
     is_relatively_prime,
+    resolvent_difference_at_i,
 )
 from kreinkit.halfline import m1_halfline, m2_halfline, HalflineScenario, verify_halfline
 from kreinkit.numerics import frob, projector
@@ -75,7 +76,7 @@ def test_criterion_01_krein_resolvent_oracle(sweep):
     worst = 0.0
     for model, ext1, ext2 in sweep:
         eye = np.eye(model.dim)
-        common = common_plus_subspace(ext1, ext2)
+        common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
         tan_c = kr.tan_alpha(kr.angle_operator(ext1, ext2, common))
         for z in Z16:
             direct = np.linalg.solve(ext2.a - z * eye, eye)
@@ -94,7 +95,7 @@ def test_criterion_02_general_lft_including_degenerate(sweep, degenerate_pairs):
     worst_third = 0.0
     pairs = sweep + degenerate_pairs
     for model, ext1, ext2 in pairs:
-        res = kr.general_lft_check(model, ext1, ext2, Z16)
+        res = kr.general_lft_check(kr.PairContext(model, ext1, ext2), Z16)
         worst_direct = max(worst_direct, res["direct"])
         worst_third = max(worst_third, res["third_extension"])
     assert worst_direct <= 1e-8
@@ -125,9 +126,10 @@ def test_criterion_04_herglotz_suite(sweep):
     worst_deficit = 0.0
     worst_identity = 0.0
     for model, ext1, ext2 in sweep:
+        pair = kr.PairContext(model, ext1, ext2)
         for ext in (ext1, ext2):
             for z in Z16:
-                res = kr.herglotz_check(ext, model.nplus, z)
+                res = kr.herglotz_check(pair, ext, z)
                 worst_deficit = max(worst_deficit, res["positivity_bound"])
                 worst_identity = max(worst_identity, res["exact_identity"])
     assert worst_deficit <= 1e-10
@@ -144,6 +146,7 @@ def test_criterion_05_p_function_identities(sweep):
     rank_violations = 0
     for model, ext1, ext2 in sweep:
         sub = model.nplus
+        pair = kr.PairContext(model, ext1, ext2)
         n = model.deficiency
         eyen = np.eye(n)
         pperp = np.eye(model.dim) - projector(sub)
@@ -159,8 +162,7 @@ def test_criterion_05_p_function_identities(sweep):
             worst_sym = max(worst_sym, frob(ps.full.conj().T - psc.full))
             worst_support = max(worst_support,
                                 frob(ps.full @ pperp), frob(pperp @ ps.full))
-            tr = kr.p_translation_check(ext1, ext2, sub, z,
-                                        Z16[(idx + 1) % len(Z16)])
+            tr = kr.p_translation_check(pair, z, Z16[(idx + 1) % len(Z16)])
             worst_translation = max(worst_translation, tr["translation"])
             if tr["rank_delta"] != 0.0:
                 rank_violations += 1
@@ -199,14 +201,14 @@ def test_criterion_06_cayley_geometry_suite(sweep):
             worst_resolvent = max(worst_resolvent,
                                   geo["resolvent_cayley_identity"])
             assert geo["domain_direct_sum"] == 0.0
-        common = common_plus_subspace(ext1, ext2)
+        common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
         assert common.rank == n
         r1 = np.linalg.solve(ext1.a - 1j * eye, eye)
         r2 = np.linalg.solve(ext2.a - 1j * eye, eye)
         on_nminus = (r2 - r1) @ model.nminus.basis
         min_sv_seen = min(min_sv_seen, float(
             np.linalg.svd(on_nminus, compute_uv=False)[-1]))
-        vn = kr.vonneumann_link_check(model, ext1, ext2)
+        vn = kr.vonneumann_link_check(kr.PairContext(model, ext1, ext2))
         worst_link = max(worst_link, vn["parametrization_link"])
     assert worst_roundtrip <= 1e-10
     assert worst_exchange <= 1e-10
@@ -267,7 +269,7 @@ def test_criterion_09_weyl_fixed_point(sweep, degenerate_pairs):
             m_i = kr.weyl_operator(ext, model.nplus, 1j).m
             worst = max(worst, frob(m_i - 1j * np.eye(n)))
             count += 1
-        common = common_plus_subspace(ext1, ext2)
+        common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
         if 0 < common.rank:
             m_c = kr.weyl_operator(ext1, common, 1j).m
             worst = max(worst, frob(m_c - 1j * np.eye(common.rank)))

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kreinkit import cli
 from kreinkit import extension as extension_module
@@ -75,6 +76,61 @@ def test_generate_scenario_is_deterministic():
     assert a == b
     c = cli.generate_scenario(5, 2, 8).canonical_bytes()
     assert c != a
+
+
+AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, 1.0, 2.0 ** 53])
+JSON_FLOATS = st.one_of(AWKWARD_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def scenario_documents(draw):
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, dim))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(JSON_FLOATS, min_size=2 * rows * cols,
+                             max_size=2 * rows * cols))
+        pairs = np.array(flat).reshape(rows, cols, 2)
+        return cli._m_to_json(pairs[..., 0] + 1j * pairs[..., 1])
+
+    return {
+        "version": 1,
+        "seed": draw(st.integers(0, 2 ** 31)),
+        "dimension": dim,
+        "deficiency": n,
+        "a1": draw(st.one_of(st.none(), st.just(matrix(dim, dim)))),
+        "nplus": matrix(dim, n),
+        "parameter": {draw(st.sampled_from(["angle", "unitary"])): matrix(n, n)},
+        "z_grid": draw(st.lists(st.lists(JSON_FLOATS, min_size=2, max_size=2))),
+        "tolerance": draw(JSON_FLOATS),
+    }
+
+
+REPORT_RECORDS = st.fixed_dictionaries(
+    {
+        "name": st.text(),
+        "max_residual": st.one_of(st.just(-1.0), st.floats()),
+        "tolerance": JSON_FLOATS,
+        "pass": st.booleans(),
+    },
+    optional={"error": st.text(), "note": st.text()},
+)
+REPORTS = st.fixed_dictionaries({
+    "version": st.integers(),
+    "checks": st.lists(REPORT_RECORDS, max_size=4),
+    "summary": st.sampled_from(["pass", "fail"]),
+    "provenance": st.dictionaries(st.text(), st.one_of(st.none(), st.text(), st.integers())),
+    "rows": st.lists(st.fixed_dictionaries(
+        {"z": st.lists(JSON_FLOATS, max_size=2)},
+        optional={"m": st.lists(st.lists(st.lists(st.floats(), max_size=2), max_size=2)),
+                  "lambda_min": JSON_FLOATS},
+    ), max_size=3),
+})
+
+
+@given(st.one_of(scenario_documents(), REPORTS))
+def test_dump_json_matches_the_reference_encoder(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _scenario_doc(**overrides):
@@ -338,28 +394,58 @@ def test_module_entry_point_subprocess():
 
 def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # counted, not timed: the pair-level auxiliary extension is chosen once
-    # for the whole z-grid, and every resolvent-type evaluation of ext1, ext2
-    # and ext3 reuses one cached eigendecomposition per extension
+    # for the whole z-grid, every resolvent-type evaluation of ext1, ext2
+    # and ext3 reuses one cached eigendecomposition per extension, and the
+    # pair memo builds P(z) once for each of the 26 distinct z (the grid,
+    # its conjugates and i), the range of the full P(z) once per grid point
+    # and the common subspace once
     decompositions = collections.Counter()
     third_calls = []
+    p_bodies = []
+    full_ranges = []
+    commons = []
+    pairs = []
     real_eig = extension_module.hermitian_eig
     real_third = krein_module.choose_third_extension
+    real_p = krein_module.p_function
+    real_range = krein_module.orthonormal_range
+    real_common = krein_module.common_plus_subspace
 
     def counting_eig(a, **kwargs):
         decompositions[np.asarray(a).tobytes()] += 1
         return real_eig(a, **kwargs)
 
-    def counting_third(*args, **kwargs):
-        third_calls.append(args)
-        return real_third(*args, **kwargs)
+    def counting(calls, real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    class RecordedPair(krein_module.PairContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pairs.append(self)
 
     monkeypatch.setattr(extension_module, "hermitian_eig", counting_eig)
-    monkeypatch.setattr(krein_module, "choose_third_extension", counting_third)
+    monkeypatch.setattr(krein_module, "choose_third_extension",
+                        counting(third_calls, real_third))
+    monkeypatch.setattr(krein_module, "p_function", counting(p_bodies, real_p))
+    monkeypatch.setattr(krein_module, "orthonormal_range", counting(full_ranges, real_range))
+    monkeypatch.setattr(krein_module, "common_plus_subspace", counting(commons, real_common))
+    monkeypatch.setattr(krein_module, "PairContext", RecordedPair)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
     assert len(third_calls) == 1
     assert len(decompositions) == 3
     assert max(decompositions.values()) == 1
+    assert len(p_bodies) == 26
+    assert len([args for args in full_ranges if args[0].shape == (64, 64)]) == 16
+    assert len(commons) == 1
+    (pair,) = pairs
+    for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
+                   pair.p_ranges(2j)[0].basis, pair.common.basis, pair.cayley_w):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=NumericalFailure,
@@ -367,6 +453,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
                           "cayley_roundtrip check on this draw")
 def test_inverse_cayley_defect_is_visible():
     cli.run_checks(cli.generate_scenario(64, 3, 586626706))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="known defect (ROADMAP item 2, defect 2): herglotz_identity is "
+                          "an absolute residual; ||a2|| = 1.49e4 on this draw gives 1.39e-9")
+def test_herglotz_identity_holds_for_a_large_norm_extension():
+    model, ext1, ext2, _ = cli.materialize(cli.generate_scenario(64, 3, 450058655))
+    pair = krein_module.PairContext(model, ext1, ext2)
+    worst = max(krein_module.herglotz_check(pair, ext, z)["exact_identity"]
+                for ext in (ext1, ext2) for z in cli.FIXED_Z16)
+    assert worst <= 1e-9
 
 
 @pytest.mark.xfail(strict=True,

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import support
 from kreinkit.errors import (
+    NotAnExtension,
     NotInvariant,
     NotRelativelyPrime,
     RealParameter,
@@ -21,13 +22,18 @@ from kreinkit.errors import (
     SpectralParameter,
 )
 from kreinkit.extension import (
+    DEFAULT_TOL,
     Extension,
     build_model,
     common_plus_subspace,
     is_relatively_prime,
+    resolvent_difference_at_i,
+    restricted_cayley_product,
 )
 from kreinkit.krein import (
+    PARAMETER_TOL,
     AngleOperator,
+    PairContext,
     angle_operator,
     choose_third_extension,
     general_lft_check,
@@ -122,11 +128,12 @@ def test_s1_herglotz_frozen(s1):
     # bound at 2i is 4 / max(1, 4) = 1, attained by the reference:
     # Im(2i) * Im m1(2i) = 2 * 0.5 = 1
     assert herglotz_lower_bound(2j) == pytest.approx(1.0)
-    res = herglotz_check(ext1, model.nplus, 2j)
+    pair = PairContext(model, ext1, ext2)
+    res = herglotz_check(pair, ext1, 2j)
     assert res["positivity_bound"] <= 1e-14
     assert res["exact_identity"] < 1e-14
     assert res["conjugate_symmetry"] < 1e-14
-    res2 = herglotz_check(ext2, model.nplus, 2j)
+    res2 = herglotz_check(pair, ext2, 2j)
     assert res2["positivity_bound"] <= 1e-14
     assert res2["exact_identity"] < 1e-14
 
@@ -225,18 +232,41 @@ def test_matrix_pair_identities(dim, deficiency, seed):
 @pytest.mark.parametrize("dim,deficiency,seed", [(4, 2, 10), (6, 3, 11)])
 def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed)
-    res = general_lft_check(model, ext1, ext2, (2j, 1 + 1j))
+    pair = PairContext(model, ext1, ext2)
+    res = general_lft_check(pair, (2j, 1 + 1j))
     for key, value in res.items():
         assert value < 1e-9, (key, value)
-    vn = vonneumann_link_check(model, ext1, ext2)
+    # Cayley compression at i: p(i) = (i/2)(1 - W) and 1 + i p(i) = (1 + W)/2
+    eyen = np.eye(deficiency)
+    w = restricted_cayley_product(ext1, ext2, model.nplus)
+    p_i = p_function(ext1, ext2, model.nplus, 1j).restricted
+    assert frob(p_i - 0.5j * (eyen - w)) < 1e-9
+    assert frob((eyen + 1j * p_i) - 0.5 * (eyen + w)) < 1e-9
+    vn = vonneumann_link_check(pair)
     assert vn["parametrization_link"] < 1e-10
     assert vn["common_subspace_alignment"] < 1e-10
+
+
+def test_pair_context_reuses_a_parameter_only_under_a_looser_gate():
+    model, ext1, ext2, _ = support.random_pair(6, 2, seed=53)
+    pair = PairContext(model, ext1, ext2)
+    assert pair.parameter(ext2, DEFAULT_TOL) is pair.parameter(ext2, PARAMETER_TOL)
+    # off the restricted domain by 3e-9 of the scale: inside the PARAMETER_TOL
+    # gate, outside the DEFAULT_TOL one, which must still be applied
+    shift = np.eye(model.dim)
+    scale = 1.0 + frob(ext2.a) + frob(model.a1)
+    eps = 3e-9 * scale / frob(shift @ model.dot_domain.basis)
+    near = Extension(a=ext2.a + eps * shift, cayley=ext2.cayley)
+    pair = PairContext(model, ext1, near)
+    pair.parameter(near, PARAMETER_TOL)
+    with pytest.raises(NotAnExtension):
+        pair.parameter(near, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("z,zp", [(1j, 2j), (1 + 1j, -2 - 1j), (2j, -3j)])
 def test_translation_identity(z, zp):
     model, ext1, ext2, _ = support.random_pair(5, 2, seed=17)
-    res = p_translation_check(ext1, ext2, model.nplus, z, zp)
+    res = p_translation_check(PairContext(model, ext1, ext2), z, zp)
     assert res["translation"] < 1e-10
     assert res["rank_delta"] == 0.0
     assert res["range_drift"] < 1e-9
@@ -266,9 +296,10 @@ def test_weyl_fixed_point_and_conjugate_symmetry():
 
 def test_herglotz_on_matrix_pair():
     model, ext1, ext2, _ = support.random_pair(6, 2, seed=37)
+    pair = PairContext(model, ext1, ext2)
     for ext in (ext1, ext2):
         for z in SAFE_Z:
-            res = herglotz_check(ext, model.nplus, z)
+            res = herglotz_check(pair, ext, z)
             assert res["positivity_bound"] <= 1e-12
             assert res["exact_identity"] < 1e-10
             assert res["conjugate_symmetry"] < 1e-10
@@ -282,7 +313,7 @@ def test_non_prime_pair_behaviour():
     model, ext1, ext2, h = support.random_pair(6, 3, seed=41, degenerate=1)
     sub = model.nplus
     assert not is_relatively_prime(model, ext1, ext2)
-    common = common_plus_subspace(ext1, ext2)
+    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
     assert common.rank == 2
 
     # the full angle operator exists (N+ stays invariant) but its tangent
@@ -308,7 +339,7 @@ def test_non_prime_pair_behaviour():
         p_i = p_at_i_via_cayley(ext1, ext2, sub)
         assert frob(lft_m1_to_m2(m1, p_i) - m2) < 1e-9 * (1.0 + frob(m2))
         # and the third-extension route avoids the degenerate pair entirely
-        res = general_lft_check(model, ext1, ext2, [z])
+        res = general_lft_check(PairContext(model, ext1, ext2), [z])
         assert res["direct"] < 1e-9
         assert res["third_extension"] < 1e-9
 
@@ -316,7 +347,7 @@ def test_non_prime_pair_behaviour():
 def test_identical_extensions_degenerate_cleanly():
     model = support.random_model(4, 2, seed=43)
     ext1 = model.reference
-    common = common_plus_subspace(ext1, ext1)
+    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext1))
     assert common.rank == 0
     ang = angle_operator(ext1, ext1, common)
     assert ang.alpha.shape == (0, 0)
@@ -333,12 +364,12 @@ def test_identical_extensions_degenerate_cleanly():
 
 def test_choose_third_extension_properties(s1):
     model, ext1, ext2 = s1
-    ext3 = choose_third_extension(model, ext1, ext2)
+    ext3 = choose_third_extension(PairContext(model, ext1, ext2))
     assert is_relatively_prime(model, ext3, ext1)
     assert is_relatively_prime(model, ext3, ext2)
     # also for a non-prime pair
     model2, e1, e2, _ = support.random_pair(4, 2, seed=47, degenerate=1)
-    ext3b = choose_third_extension(model2, e1, e2)
+    ext3b = choose_third_extension(PairContext(model2, e1, e2))
     assert is_relatively_prime(model2, ext3b, e1)
     assert is_relatively_prime(model2, ext3b, e2)
 
@@ -467,7 +498,7 @@ def test_eigenbasis_routes_match_dense_solves(kind):
     sub = model.nplus
     s = sub.basis
     eye = np.eye(model.dim)
-    common = common_plus_subspace(ext1, ext2)
+    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
     assert common.rank == {"prime": 3, "identical": 0, "n_equals_N": 64}[kind]
     tan_c = tan_alpha(angle_operator(ext1, ext2, common))
     for label, z in _z_cases(ext1).items():
