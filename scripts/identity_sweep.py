@@ -3,13 +3,21 @@ worst residual of each check scales with model size.
 
 Usage:
     python3 scripts/identity_sweep.py --dims 2 4 8 12 --defs 1 2 3 --seeds 5
+
+A scenario counts as failed once, whether its report fails or run_checks
+raises.  The last line is the SHA-256 of every report's canonical bytes,
+with "raised <Class>: <message>" standing in for a scenario that raised, so
+two source trees give byte-identical results on the sweep iff they print
+the same line.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 
 from kreinkit import cli
+from kreinkit.errors import KreinKitError
 
 
 def main(argv=None) -> int:
@@ -25,6 +33,7 @@ def main(argv=None) -> int:
     worst = {}   # check name -> (residual, dim, deficiency, seed)
     count = 0
     failed = 0
+    digest = hashlib.sha256()
     started = time.perf_counter()
     for dim in args.dims:
         for deficiency in args.defs:
@@ -32,17 +41,24 @@ def main(argv=None) -> int:
                 continue
             for seed in range(args.seeds):
                 scenario = cli.generate_scenario(dim, deficiency, seed)
-                report = cli.run_checks(scenario, tol_override=args.tol)
                 count += 1
+                try:
+                    report = cli.run_checks(scenario, tol_override=args.tol)
+                except KreinKitError as exc:
+                    raised = f"raised {type(exc).__name__}: {exc}"
+                    print(f"{raised} at dim={dim} n={deficiency} seed={seed}")
+                    digest.update((raised + "\n").encode("utf-8"))
+                    failed += 1
+                    continue
+                digest.update(cli._dump_json(report).encode("utf-8"))
                 if report["summary"] != "pass":
                     failed += 1
                 for rec in report["checks"]:
                     r = rec["max_residual"]
                     if r < 0.0:
-                        # error sentinel: surface it as a failure
+                        # error sentinel: the failed summary already counts it
                         print(f"error in {rec['name']} at dim={dim} "
                               f"n={deficiency} seed={seed}: {rec['note']}")
-                        failed += 1
                         continue
                     if rec["name"] not in worst or r > worst[rec["name"]][0]:
                         worst[rec["name"]] = (r, dim, deficiency, seed)
@@ -54,6 +70,7 @@ def main(argv=None) -> int:
         r, dim, deficiency, seed = worst[name]
         print(f"{name:<{name_width}}  {r:>14.3e}  ({dim}, {deficiency}, {seed})")
     print(f"\n{count} scenarios, {failed} failed, {elapsed:.2f} s")
+    print(f"reports sha256 {digest.hexdigest()}")
     return 1 if failed else 0
 
 

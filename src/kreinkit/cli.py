@@ -13,9 +13,13 @@ two-space indent, trailing newline), so identical inputs give byte-identical
 outputs.  Reports carry no timestamps by design.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-input or I/O error.  Checks that error out internally become failed records
-with an "error" tag and the sentinel max_residual -1.0; the suite never
-aborts midway.
+input or I/O error.  In check, an error building the model becomes the
+failed record build_model, and one inside a check suite a failed record
+named after the suite (weyl_suite, p_function_suite, angle_suite,
+krein_vs_direct, lft_suite, vonneumann_link), with an "error" tag and the
+sentinel max_residual -1.0; the later suites still run.  The model layer
+(model, parametrization and Cayley-geometry records, primeness, the common
+subspace) is not guarded: an error there exits 2.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .extension import (
     check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
-    is_relatively_prime,
     parameter_of,
 )
 from .numerics import apply_function_normal, frob, hermitian_eig, projector, solve_linear
@@ -239,6 +242,12 @@ class ScenarioFile:
         for key in ("version", "dimension", "deficiency", "parameter", "z_grid"):
             if key not in obj:
                 raise BadDimensions(f"scenario is missing the {key!r} field")
+        # exact types: nothing is coerced, and bool is a subclass of int
+        for key in ("version", "dimension", "deficiency", "seed"):
+            if key in obj and type(obj[key]) is not int:
+                raise BadDimensions(f"{key} must be an integer, got {obj[key]!r}")
+        if type(obj.get("tolerance", 1e-9)) not in (int, float):
+            raise BadDimensions(f"tolerance must be a number, got {obj['tolerance']!r}")
         par = obj["parameter"]
         if not (isinstance(par, dict) and len(par) == 1):
             raise BadDimensions('parameter must be {"angle": H} or {"unitary": V}')
@@ -390,58 +399,73 @@ def _finish_report(checks: list, provenance: dict) -> dict:
     }
 
 
+def _provenance(key: str, digest: str) -> dict:
+    return {key: digest, "tool": TOOL_NAME, "tool_version": __version__}
+
+
 def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dict:
     """Execute the full identity suite on one scenario.
 
     Residuals are normalized by 1 + the norms of the primary inputs of each
     identity, so the single tolerance is meaningful across scales; a record
-    passes iff max_residual <= tolerance.  Internal errors become failed
-    records tagged with the error class (sentinel residual -1.0); the suite
-    always runs to the end of whatever remains feasible.
+    passes iff max_residual <= tolerance.  _model_layer is not guarded; a
+    KreinKitError in materialize or in a suite of _SUITES becomes one failed
+    record (see the module docstring), after the records the suite yielded.
 
-    The pair-level checks read P(z), M(z) and the pair's data from one
+    Every check reads P(z), M(z) and the pair's data from one
     krein.PairContext, so each is computed once; it is dropped on return.
     """
     tol = float(tol_override) if tol_override is not None else scenario.tolerance
     if not (1e-14 <= tol <= 1e-3):
         raise BadDimensions("tolerance must lie in [1e-14, 1e-3]")
-    checks: list[dict] = []
-    provenance = {
-        "scenario_sha256": scenario.sha256(),
-        "tool": TOOL_NAME,
-        "tool_version": __version__,
-    }
-
+    provenance = _provenance("scenario_sha256", scenario.sha256())
     try:
         model, ext1, ext2, v2 = materialize(scenario)
     except KreinKitError as exc:
-        checks.append(_error_record("build_model", tol, exc))
-        return _finish_report(checks, provenance)
-
+        return _finish_report([_error_record("build_model", tol, exc)], provenance)
     pair = kr.PairContext(model, ext1, ext2)
-    dim, n = model.dim, model.deficiency
-    eye = np.eye(dim)
-    eyen = np.eye(n)
-    sub = model.nplus
-    bp, bm = model.nplus.basis, model.nminus.basis
-    zs = scenario.z_grid
+    checks = list(_model_layer(pair, v2, tol))
+    for name, suite in _SUITES:
+        try:
+            for rec in suite(pair, scenario.z_grid, tol):
+                checks.append(rec)
+        except KreinKitError as exc:
+            checks.append(_error_record(name, tol, exc))
+    return _finish_report(checks, provenance)
 
-    # model and parametrization layer
-    checks.append(_record("model_invariants", max(
+
+class _Worst(dict):
+    """Worst value of each record over a grid, in the order first seen.  The
+    running value is the first argument of max, so a NaN never displaces it."""
+
+    def add(self, name: str, *values: float) -> None:
+        self[name] = max(self.get(name, 0.0), *values)
+
+    def records(self, tol: float) -> list:
+        return [_record(name, value, tol) for name, value in self.items()]
+
+
+def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
+    """Model, parametrization and Cayley geometry; primeness and the common
+    deficiency subspace."""
+    model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
+    eyen = np.eye(model.deficiency)
+    bp, bm = model.nplus.basis, model.nminus.basis
+    yield _record("model_invariants", max(
         frob(bp.conj().T @ bp - eyen),
         frob(bm.conj().T @ bm - eyen),
         frob(model.dot_domain.basis.conj().T @ model.dot_domain.basis
              - np.eye(model.dot_domain.rank)),
         frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
-    ), tol))
-    checks.append(_record("extension_parameter_roundtrip", max(
+    ), tol)
+    yield _record("extension_parameter_roundtrip", max(
         frob(pair.parameter(ext2, DEFAULT_TOL).v - v2) / (1.0 + frob(v2)),
         frob(pair.parameter(ext1, DEFAULT_TOL).v - eyen),
-    ), tol))
-    checks.append(_record("cayley_roundtrip", max(
+    ), tol)
+    yield _record("cayley_roundtrip", max(
         frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),
         frob(inverse_cayley(ext2.cayley) - ext2.a) / (1.0 + frob(ext2.a)),
-    ), tol))
+    ), tol)
     geo1 = check_cayley_geometry(model, ext1)
     geo2 = check_cayley_geometry(model, ext2)
     for key, name in (
@@ -449,163 +473,126 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         ("resolvent_cayley_identity", "resolvent_cayley_identity"),
         ("domain_direct_sum", "domain_direct_sum"),
     ):
-        checks.append(_record(name, max(geo1[key], geo2[key]), tol))
+        yield _record(name, max(geo1[key], geo2[key]), tol)
 
-    # primeness and the common deficiency subspace
-    prime = is_relatively_prime(model, ext1, ext2)
-    common = pair.common
-    consistent = prime == (common.rank == n)
-    note = "relatively prime" if prime else (
-        "not relatively prime; angle-form checks skipped"
-    )
-    checks.append(_record(
-        "relatively_prime_consistency", 0.0 if consistent else 1.0, tol, note=note,
-    ))
-    checks.append(_record(
-        "resolvent_difference_range",
-        frob((eye - projector(sub)) @ common.basis),
-        tol,
-    ))
-    if prime:
+    consistent = pair.prime == (pair.common.rank == model.deficiency)
+    note = ("relatively prime" if pair.prime
+            else "not relatively prime; angle-form checks skipped")
+    yield _record("relatively_prime_consistency", 0.0 if consistent else 1.0, tol,
+                  note=note)
+    yield _record("resolvent_difference_range",
+                  frob((np.eye(model.dim) - projector(model.nplus)) @ pair.common.basis),
+                  tol)
+    if pair.prime:
         restricted = bp.conj().T @ pair.resolvent_difference @ bm
         min_sv = float(np.linalg.svd(restricted, compute_uv=False)[-1])
-        checks.append(_record(
-            "resolvent_difference_min_sv",
-            0.0 if min_sv > 1e-9 else 1.0, tol,
-            note=f"smallest singular value {min_sv:.3e}",
-        ))
+        yield _record("resolvent_difference_min_sv", 0.0 if min_sv > 1e-9 else 1.0, tol,
+                      note=f"smallest singular value {min_sv:.3e}")
 
-    # Weyl operators: fixed point, symmetry, Herglotz
-    fixed = 0.0
-    conj_sym = 0.0
-    hz_bound = 0.0
-    hz_ident = 0.0
-    try:
-        for ext in (ext1, ext2):
-            fixed = max(fixed, frob(pair.m(ext, 1j) - 1j * eyen))
-            for z in zs:
-                m = pair.m(ext, z)
-                mc = pair.m(ext, np.conj(z))
-                conj_sym = max(conj_sym, frob(mc - m.conj().T) / (1.0 + frob(m)))
-                hz = kr.herglotz_check(pair, ext, z)
-                hz_bound = max(hz_bound, hz["positivity_bound"])
-                hz_ident = max(hz_ident, hz["exact_identity"])
-        checks.append(_record("weyl_fixed_point_at_i", fixed, tol))
-        checks.append(_record("weyl_conjugate_symmetry", conj_sym, tol))
-        checks.append(_record("herglotz_bound", hz_bound, tol))
-        checks.append(_record("herglotz_identity", hz_ident, tol))
-    except KreinKitError as exc:
-        checks.append(_error_record("weyl_suite", tol, exc))
 
-    # resolvent-difference calculus over the grid
-    try:
-        p_i = pair.p(1j)
-        w = pair.cayley_w
-        p_cayley = pair.p_at_i_via_cayley
-        checks.append(_record("p_at_i_consistency", frob(p_i.restricted - p_cayley), tol))
-        checks.append(_record("cayley_compression_identities", max(
-            frob(p_i.restricted - p_cayley),
-            frob((eyen + 1j * p_i.restricted) - 0.5 * (eyen + w)),
-        ), tol))
-        adjoint = support = translation = 0.0
-        rank_delta = range_drift = 0.0
-        min_restricted_sv = np.inf
-        pperp = eye - projector(sub)
-        for idx, z in enumerate(zs):
-            ps = pair.p(z)
-            psc = pair.p(np.conj(z))
-            scale = 1.0 + frob(ps.full)
-            adjoint = max(adjoint, frob(ps.full.conj().T - psc.full) / scale)
-            support = max(
-                support,
-                frob(ps.full @ pperp) / scale,
-                frob(pperp @ ps.full) / scale,
-            )
-            zp = zs[(idx + 1) % len(zs)]
-            tr = kr.p_translation_check(pair, z, zp)
-            translation = max(translation, tr["translation"] / scale)
-            rank_delta = max(rank_delta, tr["rank_delta"])
-            range_drift = max(range_drift, tr["range_drift"])
-            if prime:
-                svs = np.linalg.svd(ps.restricted, compute_uv=False)
-                min_restricted_sv = min(min_restricted_sv, float(svs[-1]))
-        checks.append(_record("p_adjoint_symmetry", adjoint, tol))
-        checks.append(_record("p_support", support, tol))
-        checks.append(_record("p_translation", translation, tol))
-        checks.append(_record("p_compressed_rank_constancy", rank_delta, tol))
-        checks.append(_record("p_range_constancy", range_drift, tol))
-        if prime:
-            checks.append(_record(
-                "p_restricted_min_sv",
-                0.0 if min_restricted_sv > tol else 1.0, tol,
-                note=f"smallest singular value {min_restricted_sv:.3e}",
-            ))
-    except KreinKitError as exc:
-        checks.append(_error_record("p_function_suite", tol, exc))
-
-    # angle operator and tan inversion (prime pairs only)
-    if prime:
-        try:
-            angle = pair.angle(sub)
-            tan_a = kr.tan_alpha(angle)
-            p_i = pair.p(1j)
-            checks.append(_record(
-                "angle_tan_inversion",
-                frob((tan_a - 1j * eyen) @ p_i.restricted - eyen)
-                / (1.0 + frob(tan_a)),
-                tol,
-            ))
-            inv_res = 0.0
-            angle_lft = 0.0
-            for z in zs:
-                ps = pair.p(z)
-                m1 = pair.m(ext1, z)
-                inv = tan_a - m1  # p_inverse_via_m on the memoized m1
-                inv_res = max(
-                    inv_res,
-                    frob(inv @ ps.restricted - eyen) / (1.0 + frob(m1)),
-                )
-                m2 = pair.m(ext2, z)
-                via = kr.lft_m1_to_m2_angle(m1, angle)
-                angle_lft = max(angle_lft, frob(via - m2) / (1.0 + frob(m2)))
-            checks.append(_record("p_inverse_via_weyl", inv_res, tol))
-            checks.append(_record("lft_angle_vs_direct", angle_lft, tol))
-        except KreinKitError as exc:
-            checks.append(_error_record("angle_suite", tol, exc))
-
-    # Krein resolvent formula over the common subspace (any pair)
-    try:
-        if common.rank:
-            tan_common = kr.tan_alpha(pair.angle(common))
-        else:
-            tan_common = np.zeros((0, 0), dtype=np.complex128)
-        krein_res = 0.0
+def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
+    """M(z) of both extensions: fixed point at i, symmetry, Herglotz."""
+    worst = _Worst()
+    for ext in (pair.ext1, pair.ext2):
+        worst.add("weyl_fixed_point_at_i",
+                  frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
         for z in zs:
-            direct = solve_linear(ext2.a - z * eye, eye)
-            via = kr.krein_resolvent(ext1, common, tan_common, z)
-            krein_res = max(krein_res, frob(via - direct) / frob(direct))
-        checks.append(_record("krein_vs_direct", krein_res, tol))
-    except KreinKitError as exc:
-        checks.append(_error_record("krein_vs_direct", tol, exc))
+            hz = kr.herglotz_check(pair, ext, z)
+            worst.add("weyl_conjugate_symmetry",
+                      hz["conjugate_symmetry"] / (1.0 + frob(pair.m(ext, z))))
+            worst.add("herglotz_bound", hz["positivity_bound"])
+            worst.add("herglotz_identity", hz["exact_identity"])
+    yield from worst.records(tol)
 
-    # fractional-linear laws, third-extension route, von Neumann link
-    try:
-        res = kr.general_lft_check(pair, zs)
-        checks.append(_record("lft_direct", res["direct"], tol))
-        checks.append(_record("lft_third_extension", res["third_extension"], tol))
-        checks.append(_record("lft_reference_inversion", res["reference_inversion"], tol))
-    except KreinKitError as exc:
-        checks.append(_error_record("lft_suite", tol, exc))
-    try:
-        vn = kr.vonneumann_link_check(pair)
-        checks.append(_record("vonneumann_link", vn["parametrization_link"], tol))
-        checks.append(_record(
-            "vonneumann_common_alignment", vn["common_subspace_alignment"], tol,
-        ))
-    except KreinKitError as exc:
-        checks.append(_error_record("vonneumann_link", tol, exc))
 
-    return _finish_report(checks, provenance)
+def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
+    """P(i) against Cayley data, then P(z) over the grid."""
+    model = pair.model
+    eyen = np.eye(model.deficiency)
+    p_i = pair.p(1j).restricted
+    at_i = frob(p_i - pair.p_at_i_via_cayley)
+    yield _record("p_at_i_consistency", at_i, tol)
+    yield _record("cayley_compression_identities", max(
+        at_i, frob((eyen + 1j * p_i) - 0.5 * (eyen + pair.cayley_w)),
+    ), tol)
+    worst = _Worst()
+    min_sv = np.inf
+    pperp = np.eye(model.dim) - projector(model.nplus)
+    for z, zp in zip(zs, zs[1:] + zs[:1]):
+        ps = pair.p(z)
+        scale = 1.0 + frob(ps.full)
+        worst.add("p_adjoint_symmetry",
+                  frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
+        worst.add("p_support", frob(ps.full @ pperp) / scale, frob(pperp @ ps.full) / scale)
+        tr = kr.p_translation_check(pair, z, zp)
+        worst.add("p_translation", tr["translation"] / scale)
+        worst.add("p_compressed_rank_constancy", tr["rank_delta"])
+        worst.add("p_range_constancy", tr["range_drift"])
+        if pair.prime:
+            min_sv = min(min_sv, float(np.linalg.svd(ps.restricted, compute_uv=False)[-1]))
+    yield from worst.records(tol)
+    if pair.prime:
+        yield _record("p_restricted_min_sv", 0.0 if min_sv > tol else 1.0, tol,
+                      note=f"smallest singular value {min_sv:.3e}")
+
+
+def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
+    """Prime pairs only: tan(alpha) inverts P(i), tan(alpha) - M1(z) inverts
+    P(z), and the angle form of the fractional-linear law."""
+    if not pair.prime:
+        return
+    eyen = np.eye(pair.model.deficiency)
+    angle = pair.angle(pair.model.nplus)
+    tan_a = kr.tan_alpha(angle)
+    yield _record("angle_tan_inversion",
+                  frob((tan_a - 1j * eyen) @ pair.p(1j).restricted - eyen)
+                  / (1.0 + frob(tan_a)), tol)
+    worst = _Worst()
+    for z in zs:
+        ps = pair.p(z)
+        m1 = pair.m(pair.ext1, z)
+        worst.add("p_inverse_via_weyl",
+                  frob((tan_a - m1) @ ps.restricted - eyen) / (1.0 + frob(m1)))
+        m2 = pair.m(pair.ext2, z)
+        via = kr.lft_m1_to_m2_angle(m1, angle)
+        worst.add("lft_angle_vs_direct", frob(via - m2) / (1.0 + frob(m2)))
+    yield from worst.records(tol)
+
+
+def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
+    """Krein's formula on the common subspace (any pair) against a direct
+    solve for R2(z)."""
+    tan_common = kr.tan_alpha(pair.angle(pair.common))
+    eye = np.eye(pair.model.dim)
+    worst = _Worst()
+    for z in zs:
+        direct = solve_linear(pair.ext2.a - z * eye, eye)
+        via = kr.krein_resolvent(pair.ext1, pair.common, tan_common, z)
+        worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
+    yield from worst.records(tol)
+
+
+def _lft_suite(pair: kr.PairContext, zs: list, tol: float):
+    res = kr.general_lft_check(pair, zs)
+    for key in ("direct", "third_extension", "reference_inversion"):
+        yield _record("lft_" + key, res[key], tol)
+
+
+def _vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
+    vn = kr.vonneumann_link_check(pair)
+    yield _record("vonneumann_link", vn["parametrization_link"], tol)
+    yield _record("vonneumann_common_alignment", vn["common_subspace_alignment"], tol)
+
+
+# (error record name, suite), run in this order behind run_checks' boundary
+_SUITES = (
+    ("weyl_suite", _weyl_suite),
+    ("p_function_suite", _p_function_suite),
+    ("angle_suite", _angle_suite),
+    ("krein_vs_direct", _krein_suite),
+    ("lft_suite", _lft_suite),
+    ("vonneumann_link", _vonneumann_suite),
+)
 
 
 def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
@@ -621,7 +608,7 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
     rows = []
     for z in scenario.z_grid:
         try:
-            m = kr.weyl_operator(ext, model.nplus, z).m
+            m = kr.weyl_operator(ext, model.nplus, z)
         except KreinKitError as exc:
             rows.append({"z": _c_to_json(z), "error": type(exc).__name__})
             continue
@@ -637,11 +624,7 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
         "version": 1,
         "which": which,
         "rows": rows,
-        "provenance": {
-            "scenario_sha256": scenario.sha256(),
-            "tool": TOOL_NAME,
-            "tool_version": __version__,
-        },
+        "provenance": _provenance("scenario_sha256", scenario.sha256()),
     }
 
 
@@ -691,11 +674,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
         "z": [_c_to_json(complex(z)) for z in z_values],
         "tol": tol,
     }).encode("utf-8")).hexdigest()
-    return _finish_report(checks, {
-        "request_sha256": digest,
-        "tool": TOOL_NAME,
-        "tool_version": __version__,
-    })
+    return _finish_report(checks, _provenance("request_sha256", digest))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ Out of these pieces the module assembles:
   * the consistency link with the von Neumann unitary parameters.
 
 The pair-level checks read their inputs from a PairContext, which computes
-each quantity of one pair once (P(z) per z, M(z) per extension and z, the
-common subspace, the Cayley products) and shares it between them.
+each quantity of one pair once (P(z) per z, M(z) per extension and z,
+primeness, the common subspace, the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -84,7 +84,6 @@ class PSample:
     """One evaluation of the sandwiched resolvent difference: the full-space
     matrix and its compression to the sampling subspace's frame."""
 
-    z: complex
     full: np.ndarray
     restricted: np.ndarray
 
@@ -109,21 +108,6 @@ class AngleOperator:
         return hermitian_eig(self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class WeylSample:
-    """One evaluation of the Weyl-Titchmarsh operator of an extension
-    compressed to a subspace, in that subspace's frame."""
-
-    z: complex
-    m: np.ndarray
-    subspace: Subspace
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_matrix(self.m, "weyl operator"))
-        if self.m.shape != (self.subspace.rank, self.subspace.rank):
-            raise ValueError("weyl operator shape does not match subspace rank")
-
-
 def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
     """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
     the extension's cached eigenframe.  Rejects z within DEFAULT_TOL of the
@@ -142,10 +126,6 @@ def _resolvent(ext: Extension, z: complex) -> np.ndarray:
     return ext.spectrum.compose(_resolvent_diagonal(ext, z))
 
 
-def _as_m(m) -> np.ndarray:
-    return m.m if isinstance(m, WeylSample) else as_matrix(m, "weyl matrix")
-
-
 def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSample:
     """Sandwiched resolvent difference at z, full and compressed.
 
@@ -161,15 +141,7 @@ def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSamp
     right = spec1.compose((w1 - z) / (w1 + 1j))
     full = left @ (r2 - r1) @ right
     s = subspace.basis
-    return PSample(z=z, full=full, restricted=s.conj().T @ full @ s)
-
-
-def p_at_i_via_cayley(ext1: Extension, ext2: Extension,
-                      subspace: Subspace) -> np.ndarray:
-    """Value of the compressed resolvent-difference operator at z = i from
-    Cayley data alone: (i/2)(1 - C2 C1^{-1}) in the subspace frame."""
-    w = restricted_cayley_product(ext1, ext2, subspace)
-    return 0.5j * (np.eye(subspace.rank) - w)
+    return PSample(full=full, restricted=s.conj().T @ full @ s)
 
 
 def _branch_angle(lam: complex) -> float:
@@ -246,7 +218,7 @@ def tan_alpha(angle: AngleOperator) -> np.ndarray:
     return (t + t.conj().T) / 2.0
 
 
-def weyl_operator(ext: Extension, subspace: Subspace, z) -> WeylSample:
+def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
     """Weyl-Titchmarsh operator of one extension compressed to a subspace:
     m(z) = z + (1 + z^2) S* (a - z)^{-1} S in the subspace frame.
 
@@ -257,15 +229,7 @@ def weyl_operator(ext: Extension, subspace: Subspace, z) -> WeylSample:
     d = _resolvent_diagonal(ext, z)
     ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
     m = z * np.eye(subspace.rank) + (1.0 + z * z) * (ws.conj().T @ (d[:, None] * ws))
-    return WeylSample(z=z, m=m, subspace=subspace)
-
-
-def p_inverse_via_m(ext1: Extension, tan_a: np.ndarray, subspace: Subspace,
-                    z) -> np.ndarray:
-    """Inverse of the compressed resolvent-difference operator without ever
-    touching the second extension: tan(alpha) - m1(z) on the subspace."""
-    tan_a = as_matrix(tan_a, "tan alpha")
-    return tan_a - weyl_operator(ext1, subspace, z).m
+    return as_matrix(m, "weyl operator")
 
 
 def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray,
@@ -287,7 +251,7 @@ def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray,
     if subspace.rank == 0:
         return r1
     tan_a = as_matrix(tan_a, "tan alpha")
-    m1 = weyl_operator(ext1, subspace, z).m
+    m1 = weyl_operator(ext1, subspace, z)
     try:
         mid = solve_linear(tan_a - m1, np.eye(subspace.rank))
     except SingularMatrix as exc:
@@ -345,7 +309,7 @@ class PairContext:
         the model) compressed to N+."""
         key = (ext, complex(z))
         if key not in self._m:
-            self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]).m)
+            self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]))
         return self._m[key]
 
     def p_ranges(self, z) -> tuple[Subspace, Subspace]:
@@ -395,6 +359,12 @@ class PairContext:
         return common
 
     @cached_property
+    def prime(self) -> bool:
+        """is_relatively_prime(model, ext1, ext2): the one primeness decision
+        every check of the pair reads."""
+        return is_relatively_prime(self.model, self.ext1, self.ext2)
+
+    @cached_property
     def cayley_w(self) -> np.ndarray:
         """Restricted Cayley product W = (C2 C1^{-1})|N+ in the N+ frame."""
         return _frozen(restricted_cayley_product(self.ext1, self.ext2, self.model.nplus))
@@ -441,22 +411,21 @@ def herglotz_check(pair: PairContext, ext: Extension, z) -> dict[str, float]:
     """
     z = complex(z)
     bound = herglotz_lower_bound(z)  # raises RealParameter on the axis
-    subspace = pair.model.nplus
     m = pair.m(ext, z)
     im_m = (m - m.conj().T) / 2j
     im_m = (im_m + im_m.conj().T) / 2.0
     lhs = z.imag * im_m
-    lam_min = float(np.min(np.linalg.eigvalsh(lhs))) if subspace.rank else np.inf
+    lam_min = float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
     x, y = z.real, z.imag
     shalf = pair.herglotz_root(ext)
     eye = np.eye(ext.dim)
     dmat = (ext.a - x * eye) @ (ext.a - x * eye) + (y * y) * eye
     rhs_full = shalf @ solve_linear(dmat, shalf)
-    s = subspace.basis
+    s = pair.model.nplus.basis
     rhs = (y * y) * (s.conj().T @ rhs_full @ s)
     m_conj = pair.m(ext, z.conjugate())
     return {
-        "positivity_bound": max(0.0, bound - lam_min) if subspace.rank else 0.0,
+        "positivity_bound": max(0.0, bound - lam_min),
         "exact_identity": frob(lhs - rhs),
         "conjugate_symmetry": frob(m_conj - m.conj().T),
     }
@@ -472,7 +441,7 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
     Holds for arbitrary pairs, degenerate ones included (p_i = 0 on a
     degenerate block gives the identity map there).
     """
-    m = _as_m(m1)
+    m = as_matrix(m1, "weyl matrix")
     p = as_matrix(p_i, "p at i")
     k = m.shape[0]
     eye = np.eye(k)
@@ -485,11 +454,11 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
     return num @ den_inv
 
 
-def _angle_form(m: np.ndarray, angle: AngleOperator, sign: float,
-                what: str) -> np.ndarray:
+def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
     b = sign * alpha, every factor a diagonal function of alpha's cached
     eigendecomposition.  The pole guard looks at alpha itself."""
+    m = as_matrix(m, "weyl matrix")
     _angle_gap_guard(angle)
     spec = angle.spectrum
     b = sign * spec.eigenvalues
@@ -509,7 +478,7 @@ def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
     """
-    return _angle_form(_as_m(m1), angle, 1.0, "angle-form")
+    return _angle_form(m1, angle, 1.0, "angle-form")
 
 
 def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
@@ -520,7 +489,7 @@ def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
 
     which is the angle form at -alpha.
     """
-    return _angle_form(_as_m(m1), angle_ref1, -1.0, "reference-inversion")
+    return _angle_form(m1, angle_ref1, -1.0, "reference-inversion")
 
 
 def choose_third_extension(pair: PairContext) -> Extension:

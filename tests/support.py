@@ -122,3 +122,18 @@ def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4):
     v2 = -expm(2j * h)
     ext2 = extension_from_parameter(model, ExtensionParameter(v2))
     return model, model.reference, ext2, h
+
+
+# ---------------------------------------------------------------------------
+# scenario documents
+
+# 1x1 model whose reference spectrum {0} sits 1e-14 below the first grid
+# point: every check suite that evaluates M(z) or P(z) there raises
+# SpectralParameter
+SPECTRAL_COLLISION = {
+    "version": 1, "seed": 0, "dimension": 1, "deficiency": 1,
+    "a1": [[[0.0, 0.0]]], "nplus": [[[1.0, 0.0]]],
+    "parameter": {"unitary": [[[0.0, -1.0]]]},
+    "z_grid": [[0.0, 1e-14], [0.0, 1.0]],
+    "tolerance": 1e-9,
+}

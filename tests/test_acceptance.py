@@ -111,7 +111,7 @@ def test_criterion_03_angle_form_matches_coefficient_form(sweep):
     for model, ext1, ext2 in sweep:
         sub = model.nplus
         angle = kr.angle_operator(ext1, ext2, sub)
-        p_i = kr.p_at_i_via_cayley(ext1, ext2, sub)
+        p_i = kr.PairContext(model, ext1, ext2).p_at_i_via_cayley
         for z in Z16:
             m1 = kr.weyl_operator(ext1, sub, z)
             via_angle = kr.lft_m1_to_m2_angle(m1, angle)
@@ -153,7 +153,7 @@ def test_criterion_05_p_function_identities(sweep):
         tan_a = kr.tan_alpha(kr.angle_operator(ext1, ext2, sub))
         p_i = kr.p_function(ext1, ext2, sub, 1j)
         worst_at_i = max(worst_at_i, frob(
-            p_i.restricted - kr.p_at_i_via_cayley(ext1, ext2, sub)))
+            p_i.restricted - pair.p_at_i_via_cayley))
         worst_inv_i = max(worst_inv_i, frob(
             (tan_a - 1j * eyen) @ p_i.restricted - eyen))
         for idx, z in enumerate(Z16):
@@ -168,7 +168,7 @@ def test_criterion_05_p_function_identities(sweep):
                 rank_violations += 1
             if np.linalg.matrix_rank(ps.restricted, tol=1e-9) != n:
                 rank_violations += 1
-            inv = kr.p_inverse_via_m(ext1, tan_a, sub, z)
+            inv = tan_a - kr.weyl_operator(ext1, sub, z)
             worst_inv_z = max(worst_inv_z, frob(inv @ ps.restricted - eyen))
     assert worst_sym <= 1e-8
     assert worst_support <= 1e-8
@@ -231,7 +231,7 @@ def test_criterion_07_scalar_ground_truth():
     res_p = abs(p_i - (0.5 + 0.5j))
     alpha = kr.angle_operator(ext1, ext2, model.nplus).alpha[0, 0]
     res_alpha = abs(alpha - math.pi / 4.0)
-    m2 = kr.weyl_operator(ext2, model.nplus, 2j).m[0, 0]
+    m2 = kr.weyl_operator(ext2, model.nplus, 2j)[0, 0]
     res_m2 = abs(m2 - (0.6 + 0.8j))
     # the frozen constants themselves come from the scalar oracle
     assert support.weyl(-1.0, 2j) == pytest.approx(0.6 + 0.8j, abs=1e-15)
@@ -266,12 +266,12 @@ def test_criterion_09_weyl_fixed_point(sweep, degenerate_pairs):
     for model, ext1, ext2 in sweep + degenerate_pairs:
         for ext in (ext1, ext2):
             n = model.deficiency
-            m_i = kr.weyl_operator(ext, model.nplus, 1j).m
+            m_i = kr.weyl_operator(ext, model.nplus, 1j)
             worst = max(worst, frob(m_i - 1j * np.eye(n)))
             count += 1
         common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
         if 0 < common.rank:
-            m_c = kr.weyl_operator(ext1, common, 1j).m
+            m_c = kr.weyl_operator(ext1, common, 1j)
             worst = max(worst, frob(m_c - 1j * np.eye(common.rank)))
     worst = max(worst, abs(m1_halfline(1j) - 1j))
     worst = max(worst, abs(m2_halfline(1j, HalflineScenario(math.pi / 8)) - 1j))

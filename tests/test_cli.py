@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from kreinkit import cli
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
@@ -153,6 +154,11 @@ def _scenario_doc(**overrides):
     {"parameter": {"twist": [[[0.0, 0.0]]]}},
     {"parameter": {"angle": [[[0.0, 0.0], [0.0, 0.0]]]}},
     {"a1": [[[0.0, 0.0]]]},
+    {"deficiency": 1.7},
+    {"dimension": "2"},
+    {"seed": 1.5},
+    {"tolerance": "1e-9"},
+    {"version": True},
 ])
 def test_scenario_validation_rejects(mutate):
     with pytest.raises(BadDimensions):
@@ -317,6 +323,25 @@ def test_mfunc_rows_and_flagged_spectral_collision(tmp_path):
     rows = read_json(out2)["rows"]
     assert rows[0].get("error") == "SpectralParameter"
     assert "m" in rows[1]
+
+
+def test_run_checks_turns_suite_errors_into_records():
+    # each suite that evaluates at the colliding grid point becomes one
+    # error record, the records it yielded before the error stay, and the
+    # suites after it still run
+    report = cli.run_checks(cli.ScenarioFile.from_json(support.SPECTRAL_COLLISION))
+    checks = {rec["name"]: rec for rec in report["checks"]}
+    errors = {name: rec["error"] for name, rec in checks.items() if "error" in rec}
+    assert errors == dict.fromkeys(
+        ("weyl_suite", "p_function_suite", "angle_suite", "krein_vs_direct",
+         "lft_suite"), "SpectralParameter")
+    for name in errors:
+        assert checks[name]["max_residual"] == -1.0 and not checks[name]["pass"]
+    for name in ("p_at_i_consistency", "cayley_compression_identities",
+                 "angle_tan_inversion", "vonneumann_link",
+                 "vonneumann_common_alignment"):
+        assert checks[name]["pass"]
+    assert report["summary"] == "fail"
 
 
 def test_mfunc_which_choice_enforced(tmp_path):

@@ -1,0 +1,49 @@
+"""Tests for the scripts that drive the check suite over many scenarios."""
+
+import hashlib
+import importlib.util
+import pathlib
+
+import support
+from kreinkit import cli
+from kreinkit.errors import NumericalFailure
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_sweep_counts_each_failing_scenario_once(monkeypatch, capsys):
+    # seed 0 raises out of run_checks; seed 1 returns a report with five
+    # error records.  Each counts as one failed scenario.
+    raising = cli.generate_scenario(2, 1, 0)
+    collision = cli.ScenarioFile.from_json(support.SPECTRAL_COLLISION)
+    real_run_checks = cli.run_checks
+
+    def run_checks(scenario, tol_override=None):
+        if scenario is raising:
+            raise NumericalFailure("injected")
+        return real_run_checks(scenario, tol_override)
+
+    monkeypatch.setattr(cli, "generate_scenario",
+                        lambda dim, deficiency, seed: (raising, collision)[seed])
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    expected = hashlib.sha256(
+        b"raised NumericalFailure: injected\n"
+        + cli._dump_json(real_run_checks(collision)).encode("utf-8")
+    ).hexdigest()
+
+    sweep = _load("identity_sweep")
+    outputs = []
+    for _ in range(2):
+        assert sweep.main(["--dims", "1", "--defs", "1", "--seeds", "2"]) == 1
+        outputs.append(capsys.readouterr().out.splitlines())
+    first, second = outputs
+    assert first[0] == "raised NumericalFailure: injected at dim=1 n=1 seed=0"
+    assert first[-2].startswith("2 scenarios, 2 failed, ")
+    assert first[-1] == second[-1] == f"reports sha256 {expected}"
