@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .errors import (
     BadDimensions,
@@ -197,16 +196,37 @@ class QuadratureGrid:
         return np.linspace(0.0, self.length, self.nodes + 1)
 
 
+def _simpson_steps(f: np.ndarray, dx: float) -> np.ndarray:
+    """Integral over the first half-step of each three-point window of f."""
+    return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+
 def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
-    # scipy's cumulative rules silently drop imaginary parts, so integrate
-    # the real and imaginary components separately.
+    """Running integral of complex samples y on a uniform grid, from 0.
+
+    The rules are those of scipy.integrate.cumulative_simpson and
+    cumulative_trapezoid (initial=0), applied to the real and imaginary
+    parts in scipy's operation order, so the result is bit-identical.  The
+    two parts are the columns of one real array: a complex product with a
+    real factor rounds the same but can flip the sign of a zero.
+    """
+    parts = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
     if scheme == "simpson":
-        re = cumulative_simpson(y.real, dx=dx, initial=0.0)
-        im = cumulative_simpson(y.imag, dx=dx, initial=0.0)
+        # even steps from the forward windows, odd steps and the last step
+        # from the windows of the reversed samples
+        forward = _simpson_steps(parts, dx)
+        backward = _simpson_steps(parts[::-1], dx)[::-1]
+        steps = np.empty((parts.shape[0] - 1, 2))
+        steps[:-1:2] = forward[::2]
+        steps[1::2] = backward[::2]
+        steps[-1] = backward[-1]
     else:
-        re = cumulative_trapezoid(y.real, dx=dx, initial=0.0)
-        im = cumulative_trapezoid(y.imag, dx=dx, initial=0.0)
-    return re + 1j * im
+        steps = dx * (parts[1:] + parts[:-1]) / 2.0
+    out = np.zeros_like(parts)
+    np.cumsum(steps, axis=0, out=out[1:])
+    if scheme == "simpson":
+        out += 0.0  # scipy adds `initial` to the sums, which turns -0.0 into 0.0
+    return out.view(np.complex128).ravel()
 
 
 def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = QuadratureGrid()) -> np.ndarray:

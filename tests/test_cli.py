@@ -413,6 +413,24 @@ def test_module_entry_point_subprocess():
     assert doc["version"] == 1 and doc["dimension"] == 2
 
 
+def _scipy_subpackages(statement: str) -> set:
+    code = (f"import json, sys; {statement}; "
+            "print(json.dumps(sorted({name.split('.')[1] for name in sys.modules "
+            "if name.startswith('scipy.')})))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    return set(json.loads(out.stdout))
+
+
+def test_import_loads_no_scipy_subpackage_beyond_linalg():
+    # every `kreinkit check` pays the import: scipy.integrate alone would add
+    # about 0.35 s and 23 MB through the subpackages it pulls in
+    loaded = _scipy_subpackages("import kreinkit, kreinkit.cli")
+    allowed = _scipy_subpackages("import scipy.linalg")
+    assert "linalg" in loaded
+    assert loaded <= allowed, sorted(loaded - allowed)
+
+
 # ---------------------------------------------------------------------------
 # cost contract of the check suite
 
@@ -478,6 +496,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
                           "cayley_roundtrip check on this draw")
 def test_inverse_cayley_defect_is_visible():
     cli.run_checks(cli.generate_scenario(64, 3, 586626706))
+
+
+# the draws test_parameter_roundtrip_random_pairs hits in about 4 % of runs
+@pytest.mark.parametrize("seed", [7412, 12824])
+@pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                   reason="known defect: inverse_cayley loses Hermiticity when the "
+                          "parameter of ext2 is rebuilt into an extension")
+def test_inverse_cayley_defect_on_small_parameter_roundtrips(seed):
+    model, _, ext2, _ = support.random_pair(3, 3, seed)
+    extension_module.extension_from_parameter(
+        model, extension_module.parameter_of(model, ext2))
 
 
 @pytest.mark.xfail(strict=True,

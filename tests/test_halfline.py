@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kreinkit.errors import (
     BadDimensions,
@@ -14,6 +15,7 @@ from kreinkit.errors import (
     NumericalFailure,
     SingularDenominator,
 )
+from kreinkit import halfline
 from kreinkit.halfline import (
     DEFAULT_ALPHA2,
     DEFAULT_Z,
@@ -196,6 +198,39 @@ def test_quadrature_overflow_guard():
     grid = QuadratureGrid(length=40.0, nodes=400)
     with pytest.raises(NumericalFailure):
         dirichlet_resolvent_quadrature(np.zeros(401), -400.0 + 0j, grid)
+
+
+@given(
+    n=st.one_of(st.integers(17, 257), st.just(QuadratureGrid().nodes + 1)),
+    dx=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zero_share=st.sampled_from((0.0, 0.25, 1.0)),
+    scheme=st.sampled_from(("simpson", "trapezoid")),
+)
+def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share, scheme):
+    # scipy.integrate is the oracle here and is imported nowhere else
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+
+    rule = cumulative_simpson if scheme == "simpson" else cumulative_trapezoid
+    rng = np.random.default_rng(seed)
+
+    def part():
+        # magnitudes from 1e-300 to 1e300 in both signs, plus signed zeros
+        values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        zeros = rng.random(n) < zero_share
+        values[zeros] = rng.choice((-0.0, 0.0), int(zeros.sum()))
+        return values
+
+    # set the parts in place: `re + 1j * im` could flip the sign of a zero
+    y = np.empty(n, dtype=np.complex128)
+    y.real, y.imag = part(), part()
+    expected = np.empty(n, dtype=np.complex128)
+    expected.real = rule(y.real, dx=dx, initial=0.0)
+    expected.imag = rule(y.imag, dx=dx, initial=0.0)
+    got = halfline._cumulative(y, dx, scheme)
+    assert got.tobytes() == expected.tobytes()
+    reversed_view = halfline._cumulative(y[::-1], dx, scheme)
+    assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx, scheme).tobytes()
 
 
 def test_grid_too_coarse_is_reported():

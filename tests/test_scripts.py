@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import pathlib
 
 import support
@@ -47,3 +48,18 @@ def test_identity_sweep_counts_each_failing_scenario_once(monkeypatch, capsys):
     assert first[0] == "raised NumericalFailure: injected at dim=1 n=1 seed=0"
     assert first[-2].startswith("2 scenarios, 2 failed, ")
     assert first[-1] == second[-1] == f"reports sha256 {expected}"
+
+
+def test_bench_writes_medians_per_tree(monkeypatch, tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    out = tmp_path / "bench.json"
+    bench = _load("bench")
+    monkeypatch.setattr(bench, "SHAPES", ((2, 1),))
+    assert bench.main(["--src", src, "--runs", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result["cases"]) == {"import kreinkit.cli", "check (2,1)"}
+    for per_tree in result["cases"].values():
+        stats = per_tree[src]
+        assert stats["exit_code"] == 0
+        assert stats["q1_s"] == stats["median_s"] == stats["q3_s"] == stats["samples_s"][0] > 0.0
+    assert set(result["machine"]["thread_variables"]) == set(bench.THREAD_VARIABLES)
