@@ -1,18 +1,23 @@
-"""Time the command line from a cold start, on one or more source trees.
+"""Time the command line from a cold start, and the kernels in process, on
+one or more source trees.
 
 Usage:
     python3 scripts/bench.py --src src --src ../parent/src --runs 10 --out BENCH.json
 
 Each --src is a directory that holds the `kreinkit` package.  Every case
-runs in a fresh interpreter with PYTHONPATH set to that directory alone:
+runs in a fresh interpreter with PYTHONPATH set to that directory alone.
+The cold-start cases ("cases" in the output) time the whole process:
 `python -c "import kreinkit.cli"`, then `python -m kreinkit check` on a
 seeded scenario file of each shape in SHAPES.  The scenario files are generated
-once, by the first tree, so every tree checks the same bytes.  Runs
-alternate between the trees, and the order flips on every round, so a slow
-phase of the host falls on both sides.  The JSON output holds each side's
-samples, median and quartiles, the BLAS thread variables as the runs saw
-them, the processor count, and the Python, numpy and scipy versions.  A
-case whose exit code differs between runs of one tree stops the script.
+once, by the first tree, so every tree checks the same bytes.  The kernel
+cases ("kernels") time one call in process: each interpreter runs the
+case's set-up, then prints the best per-call time of KERNEL_REPEATS
+samples.  Runs alternate between the trees, and the order flips on every
+round, so a slow phase of the host falls on both sides.  The JSON output
+holds each side's samples, median and quartiles, the BLAS thread variables
+as the runs saw them, the processor count, and the Python, numpy and scipy
+versions.  A case whose exit code differs between runs of one tree stops
+the script.
 """
 
 import argparse
@@ -29,6 +34,39 @@ import time
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ((8, 2), (32, 3), (64, 3))
 SCENARIO_SEED = 3
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+_SOLVE = ("import numpy as np\n"
+          "from kreinkit.numerics import solve_linear\n"
+          "g = np.random.default_rng(0).standard_normal((2, {n}, {n}))\n"
+          "a, b = g[0] + 1j * g[1], np.eye({n})")
+# name -> (set-up, timed statement, calls per sample)
+KERNELS = {
+    "halfline_command": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        "from kreinkit import cli\ninp = workloads.Halfline(1).next_input()",
+        "cli.halfline_command(*inp)", 2),
+    "solve_linear n=1": (_SOLVE.format(n=1), "solve_linear(a, b)", 2000),
+    "solve_linear n=3": (_SOLVE.format(n=3), "solve_linear(a, b)", 2000),
+    "solve_linear n=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),
+    "lft_m1_to_m2_angle 1x1": (
+        "import numpy as np\n"
+        "from kreinkit.krein import AngleOperator, lft_m1_to_m2_angle\n"
+        "from kreinkit.numerics import Subspace\n"
+        "angle = AngleOperator(alpha=np.array([[0.3]]), subspace=Subspace(basis=np.eye(1)))\n"
+        "m = np.array([[1.0 + 1.0j]])",
+        "lft_m1_to_m2_angle(m, angle)", 2000),
+    "dirichlet_resolvent_quadrature": (
+        "import numpy as np\nfrom kreinkit import halfline as hl\n"
+        "grid = hl.QuadratureGrid()\nf = np.exp(-grid.points())",
+        "hl.dirichlet_resolvent_quadrature(f, 1j, grid)", 20),
+}
+KERNEL_REPEATS = 7
+_KERNEL_MAIN = """{setup}
+import timeit
+best = min(timeit.Timer({stmt!r}, globals=globals()).repeat({repeats}, {number}))
+print(best / {number})
+"""
 
 
 def _run(src: str, args: list) -> tuple:
@@ -38,6 +76,17 @@ def _run(src: str, args: list) -> tuple:
     done = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=600)
     return time.perf_counter() - start, done.returncode
+
+
+def _run_kernel(src: str, args: list) -> tuple:
+    """(seconds per call, exit code) that one fresh interpreter on tree
+    `src` prints for a kernel case; 0.0 seconds when it failed."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+    if done.returncode != 0:
+        return 0.0, done.returncode
+    return float(done.stdout.split()[-1]), 0
 
 
 def _summary(samples: list) -> dict:
@@ -73,18 +122,29 @@ def main(argv=None) -> int:
                 return 1
             cases[f"check ({dim},{deficiency})"] = ["-m", "kreinkit", "check", path]
 
-        samples = {case: {src: [] for src in args.src} for case in cases}
-        exits = {case: {} for case in cases}
+        kernels = {
+            case: ["-c", _KERNEL_MAIN.format(setup=setup, stmt=stmt,
+                                             repeats=KERNEL_REPEATS, number=number)]
+            for case, (setup, stmt, number) in KERNELS.items()
+        }
+        runners = [(cases, _run), (kernels, _run_kernel)]
+        samples = {case: {src: [] for src in args.src} for case in [*cases, *kernels]}
+        exits = {case: {} for case in samples}
         for round_index in range(args.runs):
             order = args.src if round_index % 2 == 0 else args.src[::-1]
-            for case, case_args in cases.items():
-                for src in order:
-                    seconds, code = _run(src, case_args)
-                    if exits[case].setdefault(src, code) != code:
-                        print(f"bench.py: {case} on {src} exited {code}, "
-                              f"earlier {exits[case][src]}", file=sys.stderr)
-                        return 1
-                    samples[case][src].append(seconds)
+            for table, run in runners:
+                for case, case_args in table.items():
+                    for src in order:
+                        seconds, code = run(src, case_args)
+                        if exits[case].setdefault(src, code) != code:
+                            print(f"bench.py: {case} on {src} exited {code}, "
+                                  f"earlier {exits[case][src]}", file=sys.stderr)
+                            return 1
+                        samples[case][src].append(seconds)
+
+    def per_tree(case):
+        return {src: {"exit_code": exits[case][src], **_summary(samples[case][src])}
+                for src in args.src}
 
     result = {
         "machine": {
@@ -97,17 +157,17 @@ def main(argv=None) -> int:
         },
         "runs": args.runs,
         "scenario_seed": SCENARIO_SEED,
-        "cases": {case: {src: {"exit_code": exits[case][src], **_summary(samples[case][src])}
-                         for src in args.src}
-                  for case in cases},
+        "cases": {case: per_tree(case) for case in cases},
+        "kernel_repeats": KERNEL_REPEATS,
+        "kernels": {case: per_tree(case) for case in kernels},
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2)
         handle.write("\n")
-    for case, per_tree in result["cases"].items():
-        for src, stats in per_tree.items():
-            print(f"{case:22s} {src:30s} median {stats['median_s'] * 1e3:8.1f} ms  "
-                  f"quartiles {stats['q1_s'] * 1e3:.1f}-{stats['q3_s'] * 1e3:.1f} ms  "
+    for case, trees in {**result["cases"], **result["kernels"]}.items():
+        for src, stats in trees.items():
+            print(f"{case:30s} {src:30s} median {stats['median_s'] * 1e3:9.4g} ms  "
+                  f"quartiles {stats['q1_s'] * 1e3:.4g}-{stats['q3_s'] * 1e3:.4g} ms  "
                   f"exit {stats['exit_code']}")
     return 0
 

@@ -196,9 +196,10 @@ class QuadratureGrid:
         return np.linspace(0.0, self.length, self.nodes + 1)
 
 
-def _simpson_steps(f: np.ndarray, dx: float) -> np.ndarray:
-    """Integral over the first half-step of each three-point window of f."""
-    return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+def _simpson_step(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, dx: float) -> np.ndarray:
+    """Integral from the first to the second point of the three-point windows
+    (f0, f1, f2)."""
+    return dx / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)
 
 
 def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
@@ -212,14 +213,13 @@ def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     """
     parts = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
     if scheme == "simpson":
-        # even steps from the forward windows, odd steps and the last step
-        # from the windows of the reversed samples
-        forward = _simpson_steps(parts, dx)
-        backward = _simpson_steps(parts[::-1], dx)[::-1]
+        # even steps from the forward windows starting at even points, odd
+        # steps and the last step from the same windows read backwards
+        first, mid, last = parts[0:-2:2], parts[1:-1:2], parts[2::2]
         steps = np.empty((parts.shape[0] - 1, 2))
-        steps[:-1:2] = forward[::2]
-        steps[1::2] = backward[::2]
-        steps[-1] = backward[-1]
+        steps[:-1:2] = _simpson_step(first, mid, last, dx)
+        steps[1::2] = _simpson_step(last, mid, first, dx)
+        steps[-1] = _simpson_step(parts[-1], parts[-2], parts[-3], dx)
     else:
         steps = dx * (parts[1:] + parts[:-1]) / 2.0
     out = np.zeros_like(parts)

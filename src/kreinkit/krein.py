@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -93,10 +93,12 @@ class AngleOperator:
     """Hermitian angle operator alpha of an extension pair on an invariant
     subspace; -exp(-2i alpha) equals the restricted Cayley product, with the
     spectrum reduced to the branch (-pi/2, pi/2].  Its eigendecomposition is
-    computed on first use and shared by every function of alpha."""
+    computed on first use and shared by every function of alpha, and so are
+    the factors of the angle-form laws (law_factors)."""
 
     alpha: np.ndarray
     subspace: Subspace
+    _law_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_matrix(self.alpha, "angle operator"))
@@ -106,6 +108,18 @@ class AngleOperator:
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         return hermitian_eig(self.alpha)
+
+    def law_factors(self, sign: float) -> tuple[np.ndarray, ...]:
+        """(cos b, sin b, e^{-ib}, e^{ib}) at b = sign * alpha, diagonal
+        functions of the cached spectrum, built once per sign and read-only."""
+        if sign not in self._law_factors:
+            spec = self.spectrum
+            b = sign * spec.eigenvalues
+            factors = (spec.compose(np.cos(b)), spec.compose(np.sin(b)),
+                       spec.compose(np.exp(-1j * b)), spec.compose(np.exp(1j * b)))
+            _frozen(*factors)
+            self._law_factors[sign] = factors
+        return self._law_factors[sign]
 
 
 def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
@@ -456,21 +470,18 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
 
 def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
-    b = sign * alpha, every factor a diagonal function of alpha's cached
-    eigendecomposition.  The pole guard looks at alpha itself."""
+    b = sign * alpha, the factors taken from the angle's cache.  The pole
+    guard looks at alpha itself, on every call, before any factor is built."""
     m = as_matrix(m, "weyl matrix")
     _angle_gap_guard(angle)
-    spec = angle.spectrum
-    b = sign * spec.eigenvalues
-    cos_b = spec.compose(np.cos(b))
-    sin_b = spec.compose(np.sin(b))
+    cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
     try:
         den_inv = solve_linear(den, np.eye(m.shape[0]))
     except SingularMatrix as exc:
         raise SingularDenominator(f"{what} denominator is singular") from exc
-    return spec.compose(np.exp(-1j * b)) @ num @ den_inv @ spec.compose(np.exp(1j * b))
+    return phase_left @ num @ den_inv @ phase_right
 
 
 def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:

@@ -13,7 +13,6 @@ Frobenius norm throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +35,10 @@ TOL_HERM = 1e-11    # Hermitian deviation, relative; unit-circle deviation
 TOL_RANK = 1e-9     # relative singular value / pivot cutoff
 OVERFLOW_GUARD = 1e12  # spectral calculus: |f(lambda)| beyond this is a pole
 
+# LAPACK's complex LU, bound once: the calls scipy.linalg.lu_factor/lu_solve
+# reach, without their per-call wrapper stack (finiteness is checked here).
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a 2-d complex128 array.
@@ -45,7 +48,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -250,14 +253,10 @@ def solve_linear(m, b) -> np.ndarray:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {d}")
     if d == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    try:
-        # the pivot-ratio gate below is the singularity test; scipy's own
-        # exact-zero-pivot warning would just duplicate it as console noise
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a)
-    except Exception as exc:
-        raise SingularMatrix(f"LU factorization failed: {exc}") from exc
+    # an exact zero pivot shows only as info > 0, which the gate below covers
+    lu, piv, info = _GETRF(a)
+    if info < 0:
+        raise SingularMatrix(f"LU factorization failed: getrf info {info}")
     diag = np.abs(np.diag(lu))
     dmax = float(diag.max())
     if dmax == 0.0 or float(diag.min()) <= TOL_RANK * dmax:
@@ -265,8 +264,10 @@ def solve_linear(m, b) -> np.ndarray:
             f"pivot ratio {float(diag.min()) / max(dmax, np.finfo(float).tiny):.3e} "
             f"below cutoff {TOL_RANK:.1e}"
         )
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    if x.size and not np.all(np.isfinite(x)):
+    x, info = _GETRS(lu, piv, rhs)
+    if info != 0:
+        raise ValueError(f"LU solve failed: getrs info {info}")
+    if x.size and not np.isfinite(x).all():
         raise NumericalFailure("solve produced non-finite entries")
     return x
 

@@ -49,7 +49,7 @@ from kreinkit.krein import (
     vonneumann_link_check,
     weyl_operator,
 )
-from kreinkit.numerics import Subspace, frob
+from kreinkit.numerics import Subspace, frob, solve_linear
 
 SAFE_Z = (1j, 2j, -3j, 1 + 1j, -1 + 1j, -2 - 1j, 0.5 + 0.5j)
 
@@ -426,14 +426,43 @@ def test_tan_alpha_pole_raises():
         ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - gap]]), subspace=line)
         with pytest.raises(NotRelativelyPrime):
             tan_alpha(ang)
-        with pytest.raises(NotRelativelyPrime):
-            lft_m1_to_m2_angle(m1, ang)
-        with pytest.raises(NotRelativelyPrime):
-            lft_to_reference(m1, ang)
+        # a raise is never cached: a second call on the same angle raises too
+        for law in (lft_m1_to_m2_angle, lft_to_reference) * 2:
+            with pytest.raises(NotRelativelyPrime):
+                law(m1, ang)
     ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - 2e-8]]), subspace=line)
     assert tan_alpha(ang)[0, 0].real == pytest.approx(5e7, rel=1e-6)
     assert np.all(np.isfinite(lft_m1_to_m2_angle(m1, ang)))
     assert np.all(np.isfinite(lft_to_reference(m1, ang)))
+
+
+def _angle_form_rebuilt(m, angle, sign):
+    """The angle-form law at b = sign * alpha, every factor composed afresh."""
+    spec = angle.spectrum
+    b = sign * spec.eigenvalues
+    cos_b, sin_b = spec.compose(np.cos(b)), spec.compose(np.sin(b))
+    den_inv = solve_linear(sin_b - cos_b @ m, np.eye(m.shape[0]))
+    return (spec.compose(np.exp(-1j * b)) @ (cos_b + sin_b @ m) @ den_inv
+            @ spec.compose(np.exp(1j * b)))
+
+
+def test_angle_form_laws_reuse_read_only_factors():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    angle = AngleOperator(alpha=(g + g.conj().T) / 4.0, subspace=Subspace(basis=np.eye(3)))
+    for _ in range(2):   # the second pass reads the cached factors
+        for k in range(3):
+            m = rng.standard_normal((3, 3)) + 1j * (np.eye(3) + 0.1 * k)
+            assert lft_m1_to_m2_angle(m, angle).tobytes() == \
+                _angle_form_rebuilt(m, angle, 1.0).tobytes()
+            assert lft_to_reference(m, angle).tobytes() == \
+                _angle_form_rebuilt(m, angle, -1.0).tobytes()
+    for sign in (1.0, -1.0):
+        factors = angle.law_factors(sign)
+        assert angle.law_factors(sign) is factors
+        for factor in factors:
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0.0
 
 
 def test_krein_resolvent_singular_denominator(s1):

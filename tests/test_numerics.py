@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
@@ -181,8 +183,45 @@ def test_solve_linear_known_system_and_failures():
     assert empty.shape == (0, 2)
 
 
+def test_solve_linear_exact_zero_pivot_raises_without_warning():
+    # LAPACK reports the zero pivot through info alone; the gate turns it
+    # into SingularMatrix and nothing reaches the warnings machinery
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix):
+            solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # property tests
+
+
+def _laid_out(rng, rows, cols, layout):
+    """A random complex (rows, cols) array: C-ordered, a Fortran-ordered
+    copy, or a .T or .conj().T view."""
+    if layout in ("transpose", "adjoint"):
+        g = rng.standard_normal((cols, rows)) + 1j * rng.standard_normal((cols, rows))
+        return g.T if layout == "transpose" else g.conj().T
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.asfortranarray(g) if layout == "fortran" else g
+
+
+_LAYOUTS = ("c", "fortran", "transpose", "adjoint")
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]), st.data())
+def test_solve_linear_matches_scipy_lu_bit_for_bit(seed, n, data):
+    rng = _rng(seed)
+    a = _laid_out(rng, n, n, data.draw(st.sampled_from(_LAYOUTS), label="matrix layout"))
+    b = _laid_out(rng, n, data.draw(st.integers(1, n + 1), label="rhs columns"),
+                  data.draw(st.sampled_from(_LAYOUTS), label="rhs layout"))
+    if data.draw(st.booleans(), label="read-only"):
+        a.flags.writeable = False
+        b.flags.writeable = False
+    a_before, b_before = a.tobytes(), b.tobytes()
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    assert solve_linear(a, b).tobytes() == expected.tobytes()
+    assert a.tobytes() == a_before and b.tobytes() == b_before
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 8))
