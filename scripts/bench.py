@@ -46,6 +46,16 @@ KERNELS = {
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         "from kreinkit import cli\ninp = workloads.Halfline(1).next_input()",
         "cli.halfline_command(*inp)", 2),
+    "extension_from_parameter (64,3)": (
+        "from kreinkit import cli\n"
+        "from kreinkit.extension import ExtensionParameter, extension_from_parameter\n"
+        f"model, _, _, v2 = cli.materialize(cli.generate_scenario(64, 3, {SCENARIO_SEED}))\n"
+        "p = ExtensionParameter(v2)",
+        "extension_from_parameter(model, p)", 20),
+    "run_checks battery input": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        f"from kreinkit import cli\n_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
+        "cli.run_checks(scenario)", 1),
     "solve_linear n=1": (_SOLVE.format(n=1), "solve_linear(a, b)", 2000),
     "solve_linear n=3": (_SOLVE.format(n=3), "solve_linear(a, b)", 2000),
     "solve_linear n=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     NotAnExtension,
-    NotHermitian,
     NumericalFailure,
     RankDeficientInput,
     UnitEigenvalue,
@@ -59,25 +58,18 @@ DEFAULT_TOL = 1e-9  # instance tolerance for extension-level checks
 
 @dataclass(frozen=True, eq=False)
 class Extension:
-    """A self-adjoint extension: the Hermitian matrix and its Cayley
-    transform (a + i)(a - i)^{-1}, kept together because every formula
-    downstream consumes both.  The eigendecomposition of a is computed on
-    first use and kept: every resolvent-type function of a at any z is a
-    diagonal function of it."""
+    """A self-adjoint extension, given by its Hermitian matrix a.  The
+    eigendecomposition of a is computed on first use and kept: the Cayley
+    transform and every resolvent-type function of a at any z are diagonal
+    functions of it.  A non-Hermitian a raises NotHermitian there."""
 
     a: np.ndarray
-    cayley: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a, "extension matrix"))
-        object.__setattr__(self, "cayley", as_matrix(self.cayley, "cayley transform"))
-        if self.a.shape != self.cayley.shape or self.a.shape[0] != self.a.shape[1]:
-            raise ValueError("extension matrices must be square and same shape")
-
-    @classmethod
-    def from_hermitian(cls, a) -> "Extension":
-        a = as_matrix(a, "extension matrix")
-        return cls(a=a, cayley=cayley(a))
+        a = as_matrix(self.a, "extension matrix")
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"extension matrix must be square, got {a.shape}")
+        object.__setattr__(self, "a", a)
 
     @property
     def dim(self) -> int:
@@ -86,6 +78,13 @@ class Extension:
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         return hermitian_eig(self.a)
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """Cayley transform (a + i)(a - i)^{-1} = V diag((w + i)/(w - i)) V*,
+        unitary by construction."""
+        w = self.spectrum.eigenvalues.real
+        return self.spectrum.compose((w + 1j) / (w - 1j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,25 +120,9 @@ class RestrictionModel:
     reference: Extension
 
 
-def cayley(a) -> np.ndarray:
-    """Cayley transform (a + i)(a - i)^{-1} of a Hermitian matrix.
-
-    Unitary by construction; a - i is invertible for Hermitian a, so the only
-    error mode is a non-Hermitian input.
-    """
-    a = as_matrix(a, "hermitian matrix")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got {a.shape}")
-    if hermitian_deviation(a) > TOL_HERM:
-        raise NotHermitian(
-            f"Hermitian deviation {frob(a - a.conj().T):.3e} exceeds tolerance"
-        )
-    eye = np.eye(a.shape[0])
-    return (a + 1j * eye) @ solve_linear(a - 1j * eye, eye)
-
-
 def inverse_cayley(c) -> np.ndarray:
-    """Invert the Cayley transform: a = i (c + 1)(c - 1)^{-1}.
+    """Invert the Cayley transform: a = i (c + 1)(c - 1)^{-1}, taken in the
+    unitary eigenframe of c as V diag(cot(theta/2)) V*, theta = arg mu.
 
     Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1;
     that is the self-adjoint-relation case and is never silently perturbed.
@@ -152,8 +135,9 @@ def inverse_cayley(c) -> np.ndarray:
             raise UnitEigenvalue(
                 f"cayley transform has eigenvalue within {gap:.3e} of 1"
             )
-    eye = np.eye(c.shape[0])
-    a = 1j * ((c + eye) @ solve_linear(c - eye, eye))
+    # the real cot of the phase: i (mu + 1)/(mu - 1) would keep an imaginary
+    # rounding error that grows like 1/gap^2
+    a = dec.compose(1.0 / np.tan(np.angle(dec.eigenvalues) / 2.0))
     if hermitian_deviation(a) > TOL_HERM:
         raise NumericalFailure(
             f"inverse cayley lost Hermiticity by {frob(a - a.conj().T):.3e}"
@@ -193,8 +177,8 @@ def build_model(a1, nplus_raw) -> RestrictionModel:
     if not 1 <= n <= dim:
         raise ValueError(f"deficiency index {n} out of range 1..{dim}")
     bp = _orthonormal_columns(raw)
-    c1 = cayley(a1)
-    bm = -solve_linear(c1, bp)
+    reference = Extension(a1)
+    bm = -reference.cayley.conj().T @ bp
     nplus = Subspace(basis=bp)
     nminus = Subspace(basis=bm)  # ctor verifies isometry
     perp = null_space(bp.conj().T)
@@ -211,7 +195,7 @@ def build_model(a1, nplus_raw) -> RestrictionModel:
         nplus=nplus,
         nminus=nminus,
         dot_domain=dot,
-        reference=Extension(a=a1, cayley=c1),
+        reference=reference,
     )
 
 
@@ -228,13 +212,12 @@ def extension_from_parameter(model: RestrictionModel,
         raise ValueError(
             f"parameter size {p.v.shape[0]} != deficiency {model.deficiency}"
         )
-    eye = np.eye(model.dim)
-    pp = projector(model.nplus)
-    u_map = model.nminus.basis @ p.v @ model.nplus.basis.conj().T
-    c_inv = solve_linear(model.reference.cayley, eye - pp) - u_map
-    c = solve_linear(c_inv, eye)
-    a = inverse_cayley(c)
-    return Extension(a=a, cayley=cayley(a))
+    # C1^{-1} Bp = -Bm by the choice of the N- basis, so the inverse of the
+    # transform is C1* + Bm (1 - v) Bp*, and the transform is its adjoint
+    bm, bp = model.nminus.basis, model.nplus.basis
+    c = (model.reference.cayley
+         + bp @ (np.eye(model.deficiency) - p.v).conj().T @ bm.conj().T)
+    return Extension(inverse_cayley(c))
 
 
 def parameter_of(model: RestrictionModel, ext: Extension,
@@ -250,7 +233,7 @@ def parameter_of(model: RestrictionModel, ext: Extension,
         raise NotAnExtension(
             f"matrix deviates from the reference on the restricted domain by {dev:.3e}"
         )
-    v = -model.nminus.basis.conj().T @ solve_linear(ext.cayley, model.nplus.basis)
+    v = -(ext.cayley @ model.nminus.basis).conj().T @ model.nplus.basis
     return ExtensionParameter(v)
 
 
@@ -263,7 +246,7 @@ def restricted_cayley_product(ext1: Extension, ext2: Extension,
     (callers that cannot guarantee it check invariance first).
     """
     s = subspace.basis
-    return s.conj().T @ ext2.cayley @ solve_linear(ext1.cayley, s)
+    return s.conj().T @ ext2.cayley @ (ext1.cayley.conj().T @ s)
 
 
 def is_relatively_prime(model: RestrictionModel, ext1: Extension,
@@ -309,7 +292,7 @@ def check_cayley_geometry(model: RestrictionModel, ext: Extension) -> dict[str, 
     """
     eye = np.eye(model.dim)
     c = ext.cayley
-    c_inv = solve_linear(c, eye)
+    c_inv = c.conj().T
     bp = model.nplus.basis
     pp = projector(model.nplus)
     pm = projector(model.nminus)

@@ -75,7 +75,7 @@ from .numerics import (
     unitary_eig,
 )
 
-ANGLE_GAP_TOL = 1e-8  # how close to pi/2 an angle eigenvalue may sit
+ANGLE_GAP_TOL = 1e-8  # how close to +-pi/2 an angle eigenvalue may sit
 PARAMETER_TOL = 1e-8  # membership gate when recovering a von Neumann parameter
 
 
@@ -181,7 +181,7 @@ def angle_operator(ext1: Extension, ext2: Extension,
 
 def _cayley_product(ext1: Extension, ext2: Extension) -> np.ndarray:
     """C2 C1^{-1} on the whole space."""
-    return ext2.cayley @ solve_linear(ext1.cayley, np.eye(ext1.dim))
+    return ext2.cayley @ ext1.cayley.conj().T
 
 
 def _angle_on(prod_full: np.ndarray, subspace: Subspace) -> AngleOperator:
@@ -211,10 +211,11 @@ def _angle_gap_guard(angle: AngleOperator) -> None:
     evs = angle.spectrum.eigenvalues.real
     if evs.size == 0:
         return
-    gap = float(np.min(np.abs(evs - math.pi / 2.0)))
+    # the pole of tan sits at both ends of the branch (-pi/2, pi/2]
+    gap = float(np.min(np.abs(np.mod(evs, math.pi) - math.pi / 2.0)))
     if gap <= ANGLE_GAP_TOL:
         raise NotRelativelyPrime(
-            f"angle eigenvalue within {gap:.3e} of pi/2: pair is degenerate here"
+            f"angle eigenvalue within {gap:.3e} of +-pi/2: pair is degenerate here"
         )
 
 
@@ -222,7 +223,7 @@ def tan_alpha(angle: AngleOperator) -> np.ndarray:
     """tan of the angle operator by spectral calculus.
 
     Raises NotRelativelyPrime when an eigenvalue of alpha sits within
-    ANGLE_GAP_TOL of pi/2 (tan has its pole exactly where the pair fails to
+    ANGLE_GAP_TOL of +-pi/2 (tan has its pole exactly where the pair fails to
     be relatively prime on the subspace).
     """
     if angle.subspace.rank == 0:
@@ -430,13 +431,12 @@ def herglotz_check(pair: PairContext, ext: Extension, z) -> dict[str, float]:
     im_m = (im_m + im_m.conj().T) / 2.0
     lhs = z.imag * im_m
     lam_min = float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
-    x, y = z.real, z.imag
-    shalf = pair.herglotz_root(ext)
-    eye = np.eye(ext.dim)
-    dmat = (ext.a - x * eye) @ (ext.a - x * eye) + (y * y) * eye
-    rhs_full = shalf @ solve_linear(dmat, shalf)
-    s = pair.model.nplus.basis
-    rhs = (y * y) * (s.conj().T @ rhs_full @ s)
+    # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve with
+    # a - conj z, whose condition number is the square root of the product's
+    y = z.imag
+    half = solve_linear(ext.a - z.conjugate() * np.eye(ext.dim),
+                        pair.herglotz_root(ext) @ pair.model.nplus.basis)
+    rhs = (y * y) * (half.conj().T @ half)
     m_conj = pair.m(ext, z.conjugate())
     return {
         "positivity_bound": max(0.0, bound - lam_min),
@@ -581,7 +581,7 @@ def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
     left = c.conj().T @ pair.p(1j).full @ c
     u1 = pair.parameter(pair.ext1, PARAMETER_TOL).v
     u2 = pair.parameter(pair.ext2, PARAMETER_TOL).v
-    w_par = solve_linear(u2, u1)
+    w_par = u2.conj().T @ u1
     bp = model.nplus.basis
     op = bp @ (0.5j * (np.eye(model.deficiency) - w_par)) @ bp.conj().T
     right = c.conj().T @ op @ c

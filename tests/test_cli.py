@@ -20,7 +20,8 @@ import support
 from kreinkit import cli
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
-from kreinkit.errors import BadDimensions, NumericalFailure
+from kreinkit.errors import BadDimensions
+from kreinkit.numerics import frob
 
 
 def run_main(args):
@@ -491,37 +492,31 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
             cached[0, 0] = 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalFailure,
-                   reason="known defect: inverse_cayley loses Hermiticity in the "
-                          "cayley_roundtrip check on this draw")
-def test_inverse_cayley_defect_is_visible():
-    cli.run_checks(cli.generate_scenario(64, 3, 586626706))
+# a draw whose second extension has a Cayley eigenvalue 3e-4 to 2e-3 from 1,
+# so ||a2|| is in the thousands and the inverse Cayley transform is ill
+# conditioned
+def test_cayley_roundtrip_holds_for_a_near_unit_cayley_eigenvalue():
+    report = cli.run_checks(cli.generate_scenario(64, 3, 586626706))
+    assert report["summary"] == "pass"
 
 
-# the draws test_parameter_roundtrip_random_pairs hits in about 4 % of runs
+# two of the near-unit draws pinned on test_parameter_roundtrip_random_pairs
 @pytest.mark.parametrize("seed", [7412, 12824])
-@pytest.mark.xfail(strict=True, raises=NumericalFailure,
-                   reason="known defect: inverse_cayley loses Hermiticity when the "
-                          "parameter of ext2 is rebuilt into an extension")
-def test_inverse_cayley_defect_on_small_parameter_roundtrips(seed):
+def test_small_parameter_roundtrips_keep_hermiticity(seed):
     model, _, ext2, _ = support.random_pair(3, 3, seed)
-    extension_module.extension_from_parameter(
+    rebuilt = extension_module.extension_from_parameter(
         model, extension_module.parameter_of(model, ext2))
+    assert frob(rebuilt.a - ext2.a) < 1e-8 * (1.0 + frob(ext2.a))
 
 
-# battery workload inputs (seeds 31 and 32) where the same defect fires inside
-# materialize: run_checks returns a build_model error record instead of raising
+# battery workload inputs (seeds 31 and 32) that build such an extension
+# inside materialize
 @pytest.mark.parametrize("seed", [513004044, 1895223984])
-@pytest.mark.xfail(strict=True,
-                   reason="known defect: inverse_cayley loses Hermiticity while the "
-                          "scenario's second extension is built")
-def test_inverse_cayley_defect_fails_the_battery_report(seed):
+def test_battery_report_passes_on_a_near_unit_cayley_eigenvalue(seed):
     assert cli.run_checks(cli.generate_scenario(64, 3, seed))["summary"] == "pass"
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known defect (ROADMAP item 2, defect 2): herglotz_identity is "
-                          "an absolute residual; ||a2|| = 1.49e4 on this draw gives 1.39e-9")
+# ||a2|| = 1.49e4 on this draw: the identity is an absolute residual
 def test_herglotz_identity_holds_for_a_large_norm_extension():
     model, ext1, ext2, _ = cli.materialize(cli.generate_scenario(64, 3, 450058655))
     pair = krein_module.PairContext(model, ext1, ext2)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 import support
@@ -24,7 +24,6 @@ from kreinkit.extension import (
     ExtensionParameter,
     RestrictionModel,
     build_model,
-    cayley,
     check_cayley_geometry,
     common_plus_subspace,
     extension_from_parameter,
@@ -56,13 +55,13 @@ def swap_model():
 
 def test_cayley_scalar_oracle():
     for a in (0.0, 1.0, -1.0, 2.5):
-        got = cayley(np.array([[a]]))[0, 0]
+        got = Extension(np.array([[a]])).cayley[0, 0]
         assert abs(got - support.cay(a)) < 1e-14
 
 
 def test_cayley_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        cayley(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Extension(np.array([[0.0, 1.0], [0.0, 0.0]])).cayley
 
 
 def test_inverse_cayley_unit_eigenvalue():
@@ -73,10 +72,31 @@ def test_inverse_cayley_unit_eigenvalue():
 @given(st.integers(0, 10 ** 6), st.integers(1, 6))
 def test_cayley_roundtrip_and_unitarity(seed, k):
     h = support.random_hermitian(np.random.default_rng(seed), k)
-    c = cayley(h)
+    c = Extension(h).cayley
     assert frob(c.conj().T @ c - np.eye(k)) < 1e-11 * (1.0 + frob(h))
     back = inverse_cayley(c)
     assert frob(back - h) < 1e-9 * (1.0 + frob(h)) ** 2
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.sampled_from([1.0, -1.0]),
+       st.floats(-8.0, -1.0))
+def test_cayley_calculus_across_the_unit_eigenvalue_gap(seed, k, sign, log_gap):
+    # c = V diag(e^{i theta}) V* with one phase at +-g, g in [1e-8, 1e-1], the
+    # others random; the exact inverse is a = V diag(cot(theta/2)) V*.  The
+    # inverse Cayley map has relative condition number about ||a||, so each
+    # error is held to 10 k eps (1 + ||a||)
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    theta = rng.uniform(-math.pi, math.pi, k)
+    theta[0] = sign * 10.0 ** log_gap
+    a = (frame / np.tan(theta / 2.0)) @ frame.conj().T
+    a = (a + a.conj().T) / 2.0
+    c = (frame * np.exp(1j * theta)) @ frame.conj().T
+    bound = 10.0 * k * np.finfo(float).eps * (1.0 + frob(a))
+    assert frob(inverse_cayley(c) - a) / (1.0 + frob(a)) <= bound
+    ext = Extension(a)
+    assert frob(ext.cayley - c) <= bound
+    assert frob(inverse_cayley(ext.cayley) - a) / (1.0 + frob(a)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +130,7 @@ def test_scalar_model_every_hermitian_is_an_extension(scalar_model):
     # dot domain is zero-dimensional, so any 1x1 Hermitian matrix qualifies;
     # with bm = bp = 1 the parameter formula collapses to v = -1/cay(a2)
     for a2 in (-3.0, 0.5, 7.0):
-        ext = Extension.from_hermitian([[a2]])
+        ext = Extension([[a2]])
         v = parameter_of(scalar_model, ext).v[0, 0]
         assert abs(v - (-1.0 / support.cay(a2))) < 1e-12
         back = extension_from_parameter(scalar_model, parameter_of(scalar_model, ext))
@@ -151,7 +171,7 @@ def test_swap_model_relation_parameter_raises(swap_model):
 
 
 def test_parameter_of_rejects_non_extension(swap_model):
-    stranger = Extension.from_hermitian(np.diag([5.0, 7.0]))
+    stranger = Extension(np.diag([5.0, 7.0]))
     with pytest.raises(NotAnExtension):
         parameter_of(swap_model, stranger)
 
@@ -182,7 +202,7 @@ def test_full_deficiency_model():
     # an extension
     model = support.random_model(3, 3, seed=7)
     assert model.dot_domain.rank == 0
-    other = Extension.from_hermitian(support.random_hermitian(
+    other = Extension(support.random_hermitian(
         np.random.default_rng(8), 3))
     v = parameter_of(model, other)
     back = extension_from_parameter(model, v)
@@ -222,6 +242,12 @@ def test_identical_extensions_have_rank_zero_common_subspace():
 
 
 @given(st.integers(0, 10 ** 6))
+# draws whose second extension has a Cayley eigenvalue close to 1, where
+# the inverse Cayley transform is ill conditioned
+@example(7412)
+@example(12824)
+@example(11315)
+@example(132731)
 def test_parameter_roundtrip_random_pairs(seed):
     dim = 3 + seed % 4
     deficiency = 1 + seed % 3

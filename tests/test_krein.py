@@ -57,7 +57,7 @@ SAFE_Z = (1j, 2j, -3j, 1 + 1j, -1 + 1j, -2 - 1j, 0.5 + 0.5j)
 def scalar_pair(a1, a2):
     """1x1 model for reference value a1 plus the extension a2."""
     model = build_model(np.array([[a1]]), np.ones((1, 1)))
-    return model, model.reference, Extension.from_hermitian([[a2]])
+    return model, model.reference, Extension([[a2]])
 
 
 @pytest.fixture
@@ -254,7 +254,7 @@ def test_pair_context_reuses_a_parameter_only_under_a_looser_gate():
     shift = np.eye(model.dim)
     scale = 1.0 + frob(ext2.a) + frob(model.a1)
     eps = 3e-9 * scale / frob(shift @ model.dot_domain.basis)
-    near = Extension(a=ext2.a + eps * shift, cayley=ext2.cayley)
+    near = Extension(ext2.a + eps * shift)
     pair = PairContext(model, ext1, near)
     pair.parameter(near, PARAMETER_TOL)
     with pytest.raises(NotAnExtension):
@@ -421,19 +421,23 @@ def test_lft_singular_denominator():
 def test_tan_alpha_pole_raises():
     line = Subspace(basis=np.eye(1))
     m1 = np.array([[0.5j]])
-    # the pole guard sits at ANGLE_GAP_TOL = 1e-8 from pi/2
-    for gap in (0.0, 5e-9):
-        ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - gap]]), subspace=line)
-        with pytest.raises(NotRelativelyPrime):
-            tan_alpha(ang)
-        # a raise is never cached: a second call on the same angle raises too
-        for law in (lft_m1_to_m2_angle, lft_to_reference) * 2:
+    # the pole guard sits at ANGLE_GAP_TOL = 1e-8 from pi/2 and from -pi/2,
+    # the two ends of the branch
+    for sign in (1.0, -1.0):
+        for gap in (0.0, 1e-12, 5e-9):
+            ang = AngleOperator(alpha=np.array([[sign * (math.pi / 2.0 - gap)]]),
+                                subspace=line)
             with pytest.raises(NotRelativelyPrime):
-                law(m1, ang)
-    ang = AngleOperator(alpha=np.array([[math.pi / 2.0 - 2e-8]]), subspace=line)
-    assert tan_alpha(ang)[0, 0].real == pytest.approx(5e7, rel=1e-6)
-    assert np.all(np.isfinite(lft_m1_to_m2_angle(m1, ang)))
-    assert np.all(np.isfinite(lft_to_reference(m1, ang)))
+                tan_alpha(ang)
+            # a raise is never cached: a second call on the same angle raises too
+            for law in (lft_m1_to_m2_angle, lft_to_reference) * 2:
+                with pytest.raises(NotRelativelyPrime):
+                    law(m1, ang)
+        ang = AngleOperator(alpha=np.array([[sign * (math.pi / 2.0 - 2e-8)]]),
+                            subspace=line)
+        assert tan_alpha(ang)[0, 0].real == pytest.approx(sign * 5e7, rel=1e-6)
+        assert np.all(np.isfinite(lft_m1_to_m2_angle(m1, ang)))
+        assert np.all(np.isfinite(lft_to_reference(m1, ang)))
 
 
 def _angle_form_rebuilt(m, angle, sign):
