@@ -18,8 +18,13 @@ failed record build_model, and one inside a check suite a failed record
 named after the suite (weyl_suite, p_function_suite, angle_suite,
 krein_vs_direct, lft_suite, vonneumann_link), with an "error" tag and the
 sentinel max_residual -1.0; the later suites still run.  The model layer
-(model, parametrization and Cayley-geometry records, primeness, the common
-subspace) is not guarded: an error there exits 2.
+(model, parametrization and Cayley-geometry records, primeness and the
+resolvent difference at i) is not guarded: an error there exits 2.
+
+Every suite runs on N+ for every pair.  Krein's formula and the angle-form
+checks use the sine/cosine form of the paper's (tan alpha - M1(z))^{-1},
+which needs no primeness decision; primeness only sets the note of
+relatively_prime_consistency and the p_restricted_min_sv record.
 """
 
 from __future__ import annotations
@@ -446,8 +451,8 @@ class _Worst(dict):
 
 
 def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
-    """Model, parametrization and Cayley geometry; primeness and the common
-    deficiency subspace."""
+    """Model, parametrization and Cayley geometry; the resolvent difference
+    at i against Cayley data, noted with the pair's primeness."""
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     eyen = np.eye(model.deficiency)
     bp, bm = model.nplus.basis, model.nminus.basis
@@ -475,19 +480,11 @@ def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     ):
         yield _record(name, max(geo1[key], geo2[key]), tol)
 
-    consistent = pair.prime == (pair.common.rank == model.deficiency)
-    note = ("relatively prime" if pair.prime
-            else "not relatively prime; angle-form checks skipped")
-    yield _record("relatively_prime_consistency", 0.0 if consistent else 1.0, tol,
-                  note=note)
-    yield _record("resolvent_difference_range",
-                  frob((np.eye(model.dim) - projector(model.nplus)) @ pair.common.basis),
-                  tol)
-    if pair.prime:
-        restricted = bp.conj().T @ pair.resolvent_difference @ bm
-        min_sv = float(np.linalg.svd(restricted, compute_uv=False)[-1])
-        yield _record("resolvent_difference_min_sv", 0.0 if min_sv > 1e-9 else 1.0, tol,
-                      note=f"smallest singular value {min_sv:.3e}")
+    # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
+    note = "relatively prime" if pair.prime else "not relatively prime"
+    yield _record("relatively_prime_consistency", frob(
+        pair.resolvent_difference - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
+    ), tol, note=note)
 
 
 def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
@@ -510,11 +507,9 @@ def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     model = pair.model
     eyen = np.eye(model.deficiency)
     p_i = pair.p(1j).restricted
-    at_i = frob(p_i - pair.p_at_i_via_cayley)
-    yield _record("p_at_i_consistency", at_i, tol)
-    yield _record("cayley_compression_identities", max(
-        at_i, frob((eyen + 1j * p_i) - 0.5 * (eyen + pair.cayley_w)),
-    ), tol)
+    yield _record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
+    yield _record("cayley_compression_identities",
+                  frob((eyen + 1j * p_i) - 0.5 * (eyen + pair.cayley_w)), tol)
     worst = _Worst()
     min_sv = np.inf
     pperp = np.eye(model.dim) - projector(model.nplus)
@@ -537,22 +532,19 @@ def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
 
 
 def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Prime pairs only: tan(alpha) inverts P(i), tan(alpha) - M1(z) inverts
-    P(z), and the angle form of the fractional-linear law."""
-    if not pair.prime:
-        return
-    eyen = np.eye(pair.model.deficiency)
-    angle = pair.angle(pair.model.nplus)
-    tan_a = kr.tan_alpha(angle)
+    """sin(alpha) - i cos(alpha) and sin(alpha) - cos(alpha) M1(z) invert P(i)
+    and P(z) up to the factor cos(alpha), and the angle form of the
+    fractional-linear law."""
+    angle = pair.angle
+    cos_a, sin_a, _, _ = angle.law_factors(1.0)
     yield _record("angle_tan_inversion",
-                  frob((tan_a - 1j * eyen) @ pair.p(1j).restricted - eyen)
-                  / (1.0 + frob(tan_a)), tol)
+                  frob((sin_a - 1j * cos_a) @ pair.p(1j).restricted - cos_a), tol)
     worst = _Worst()
     for z in zs:
         ps = pair.p(z)
         m1 = pair.m(pair.ext1, z)
         worst.add("p_inverse_via_weyl",
-                  frob((tan_a - m1) @ ps.restricted - eyen) / (1.0 + frob(m1)))
+                  frob((sin_a - cos_a @ m1) @ ps.restricted - cos_a) / (1.0 + frob(m1)))
         m2 = pair.m(pair.ext2, z)
         via = kr.lft_m1_to_m2_angle(m1, angle)
         worst.add("lft_angle_vs_direct", frob(via - m2) / (1.0 + frob(m2)))
@@ -560,14 +552,12 @@ def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
 
 
 def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Krein's formula on the common subspace (any pair) against a direct
-    solve for R2(z)."""
-    tan_common = kr.tan_alpha(pair.angle(pair.common))
+    """Krein's formula on N+ against a direct solve for R2(z)."""
     eye = np.eye(pair.model.dim)
     worst = _Worst()
     for z in zs:
         direct = solve_linear(pair.ext2.a - z * eye, eye)
-        via = kr.krein_resolvent(pair.ext1, pair.common, tan_common, z)
+        via = kr.krein_resolvent(pair.ext1, pair.angle, z)
         worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
     yield from worst.records(tol)
 
@@ -579,9 +569,8 @@ def _lft_suite(pair: kr.PairContext, zs: list, tol: float):
 
 
 def _vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
-    vn = kr.vonneumann_link_check(pair)
-    yield _record("vonneumann_link", vn["parametrization_link"], tol)
-    yield _record("vonneumann_common_alignment", vn["common_subspace_alignment"], tol)
+    yield _record("vonneumann_link", kr.vonneumann_link_check(pair)["parametrization_link"],
+                  tol)
 
 
 # (error record name, suite), run in this order behind run_checks' boundary

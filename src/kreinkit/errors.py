@@ -53,8 +53,8 @@ class NotInvariant(KreinKitError):
 
 class NotRelativelyPrime(KreinKitError):
     """The extension pair is degenerate for the requested operation (the
-    restricted Cayley product has eigenvalue 1 / the angle operator has an
-    eigenvalue at pi/2)."""
+    half-line boundary angle alpha2 is pi/2 mod pi, where the closed forms
+    in tan(alpha2) have their pole)."""
 
 
 class SingularDenominator(KreinKitError):

@@ -270,18 +270,6 @@ def resolvent_difference_at_i(ext1: Extension, ext2: Extension) -> np.ndarray:
     return r2 - r1
 
 
-def common_plus_subspace(difference_at_i: np.ndarray) -> Subspace:
-    """Closure of the range of R2(i) - R1(i) (pass
-    resolvent_difference_at_i(ext1, ext2)): the deficiency subspace of the
-    maximal common symmetric part of the pair.  Equals N+ exactly when the
-    pair is relatively prime; rank 0 when the extensions coincide.
-
-    Both resolvents have spectral norm at most 1, so the rank cutoff floors
-    the scale at 1: a difference that is pure roundoff yields rank 0 instead
-    of noise directions."""
-    return orthonormal_range(difference_at_i, scale_floor=1.0)
-
-
 def check_cayley_geometry(model: RestrictionModel, ext: Extension) -> dict[str, float]:
     """Residuals of the structural facts tying one extension to the model.
 

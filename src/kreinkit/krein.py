@@ -7,15 +7,19 @@ is the sandwiched resolvent difference
 
 an operator supported on the deficiency subspace N+ on both sides.  Its value
 at z = i is (i/2)(1 - C2 C1^{-1}) compressed to N+, which links it to the
-Cayley/unitary parametrization; its inverse on N+ is tan(alpha) - M(z), where
-alpha is the angle operator of the pair and
+Cayley/unitary parametrization.  With alpha the angle operator of the pair on
+N+ and
 
     M(z) = z + (1 + z^2) P_N (A - z)^{-1} P_N |_N
 
-is the Weyl-Titchmarsh operator of an extension compressed to a subspace N.
-Out of these pieces the module assembles:
+the Weyl-Titchmarsh operator of an extension compressed to a subspace N, it
+satisfies (sin alpha - cos alpha M1(z)) P(z) = cos alpha on N+: the paper's
+(tan alpha - M1(z))^{-1} multiplied through by cos alpha.  This sine/cosine
+form holds for every pair, relatively prime or not (cos alpha vanishes on
+the blocks where the extensions agree), so no function of the module needs
+a primeness decision.  Out of these pieces the module assembles:
 
-  * the resolvent formula recovering R2(z) from A1-data plus tan(alpha),
+  * the resolvent formula recovering R2(z) from A1-data plus the angle,
   * the Herglotz bound and the exact positivity identity for Im M,
   * the fractional-linear laws mapping M1 to M2 (directly, in angle form,
     and through a deterministic auxiliary third extension),
@@ -24,7 +28,7 @@ Out of these pieces the module assembles:
 
 The pair-level checks read their inputs from a PairContext, which computes
 each quantity of one pair once (P(z) per z, M(z) per extension and z,
-primeness, the common subspace, the Cayley products) and shares it.
+primeness, the angle, the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -42,7 +46,6 @@ import numpy as np
 from .errors import (
     ExhaustedCandidates,
     NotInvariant,
-    NotRelativelyPrime,
     NumericalFailure,
     RealParameter,
     SingularDenominator,
@@ -55,7 +58,6 @@ from .extension import (
     Extension,
     ExtensionParameter,
     RestrictionModel,
-    common_plus_subspace,
     extension_from_parameter,
     is_relatively_prime,
     parameter_of,
@@ -75,7 +77,6 @@ from .numerics import (
     unitary_eig,
 )
 
-ANGLE_GAP_TOL = 1e-8  # how close to +-pi/2 an angle eigenvalue may sit
 PARAMETER_TOL = 1e-8  # membership gate when recovering a von Neumann parameter
 
 
@@ -176,19 +177,7 @@ def angle_operator(ext1: Extension, ext2: Extension,
     eigenvalue through the branch (-pi/2, pi/2].  The reconstruction
     -exp(-2i alpha) == restricted product is re-verified on exit.
     """
-    return _angle_on(_cayley_product(ext1, ext2), subspace)
-
-
-def _cayley_product(ext1: Extension, ext2: Extension) -> np.ndarray:
-    """C2 C1^{-1} on the whole space."""
-    return ext2.cayley @ ext1.cayley.conj().T
-
-
-def _angle_on(prod_full: np.ndarray, subspace: Subspace) -> AngleOperator:
-    """angle_operator's body, given the full Cayley product C2 C1^{-1}."""
-    if subspace.rank == 0:
-        return AngleOperator(alpha=np.zeros((0, 0), dtype=np.complex128),
-                             subspace=subspace)
+    prod_full = ext2.cayley @ ext1.cayley.conj().T
     s = subspace.basis
     w = s.conj().T @ prod_full @ s
     invariance = frob(prod_full @ s - s @ w)
@@ -207,77 +196,49 @@ def _angle_on(prod_full: np.ndarray, subspace: Subspace) -> AngleOperator:
     return angle
 
 
-def _angle_gap_guard(angle: AngleOperator) -> None:
-    evs = angle.spectrum.eigenvalues.real
-    if evs.size == 0:
-        return
-    # the pole of tan sits at both ends of the branch (-pi/2, pi/2]
-    gap = float(np.min(np.abs(np.mod(evs, math.pi) - math.pi / 2.0)))
-    if gap <= ANGLE_GAP_TOL:
-        raise NotRelativelyPrime(
-            f"angle eigenvalue within {gap:.3e} of +-pi/2: pair is degenerate here"
-        )
-
-
-def tan_alpha(angle: AngleOperator) -> np.ndarray:
-    """tan of the angle operator by spectral calculus.
-
-    Raises NotRelativelyPrime when an eigenvalue of alpha sits within
-    ANGLE_GAP_TOL of +-pi/2 (tan has its pole exactly where the pair fails to
-    be relatively prime on the subspace).
-    """
-    if angle.subspace.rank == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    _angle_gap_guard(angle)
-    t = apply_function_normal(angle.spectrum, cmath.tan)
-    return (t + t.conj().T) / 2.0
-
-
 def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
     """Weyl-Titchmarsh operator of one extension compressed to a subspace:
     m(z) = z + (1 + z^2) S* (a - z)^{-1} S in the subspace frame.
 
     m(i) = i * identity for every extension and every subspace.  Evaluated
-    in the extension's cached eigenframe V as z + (1 + z^2) W* diag(1/(w - z)) W
-    with W = V* S."""
+    in the extension's cached eigenframe V in the Herglotz-kernel form
+    W* diag((1 + w z)/(w - z)) W with W = V* S.  Because W* W = 1 this is
+    the operator above, and unlike it, it cancels no two terms of size |z|."""
     z = complex(z)
-    d = _resolvent_diagonal(ext, z)
+    w = ext.spectrum.eigenvalues
+    kernel = (1.0 + w * z) * _resolvent_diagonal(ext, z)
     ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
-    m = z * np.eye(subspace.rank) + (1.0 + z * z) * (ws.conj().T @ (d[:, None] * ws))
-    return as_matrix(m, "weyl operator")
+    return as_matrix(ws.conj().T @ (kernel[:, None] * ws), "weyl operator")
 
 
-def krein_resolvent(ext1: Extension, subspace: Subspace, tan_a: np.ndarray,
-                    z) -> np.ndarray:
-    """Resolvent of the second extension from first-extension data only:
+def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
+    """Resolvent of the second extension from first-extension data and the
+    pair's angle operator on N+ (S the basis of angle.subspace):
 
-        R2(z) = R1(z) + (a1 - i) R1(z) S (tan(alpha) - m1(z))^{-1} S* (a1 + i) R1(z)
+        R2(z) = R1(z) + (a1 - i) R1(z) S (sin a - cos a m1(z))^{-1} cos a S* (a1 + i) R1(z)
 
-    with S the basis of the common deficiency subspace of the pair and alpha
-    the angle operator over that subspace.  A rank-0 subspace (identical
-    extensions) degenerates to R1(z).  R1 and the (a1 -/+ i) R1 factors are
-    diagonal in the cached eigenframe of a1, so the second term is a rank-n
-    update costing O(N^2 n).
+    the paper's (tan(alpha) - m1(z))^{-1} multiplied through by cos(alpha),
+    so it holds for every pair: the middle factor vanishes on the blocks
+    where alpha = +-pi/2 (identical extensions give R1(z)).  R1 and the
+    (a1 -/+ i) R1 factors are diagonal in the cached eigenframe of a1, so
+    the second term is a rank-n update costing O(N^2 n).
     """
     z = complex(z)
     d = _resolvent_diagonal(ext1, z)
     spec = ext1.spectrum
-    r1 = spec.compose(d)
-    if subspace.rank == 0:
-        return r1
-    tan_a = as_matrix(tan_a, "tan alpha")
-    m1 = weyl_operator(ext1, subspace, z)
+    cos_a, sin_a, _, _ = angle.law_factors(1.0)
+    m1 = weyl_operator(ext1, angle.subspace, z)
     try:
-        mid = solve_linear(tan_a - m1, np.eye(subspace.rank))
+        mid = solve_linear(sin_a - cos_a @ m1, cos_a)
     except SingularMatrix as exc:
         raise SingularDenominator(
-            f"tan(alpha) - m(z) is singular at z = {z:.6g}"
+            f"sin(alpha) - cos(alpha) m(z) is singular at z = {z:.6g}"
         ) from exc
     v, w = spec.eigenvectors, spec.eigenvalues
-    ws = v.conj().T @ subspace.basis
+    ws = v.conj().T @ angle.subspace.basis
     left = v @ (((w - 1j) * d)[:, None] * ws)                  # (a1 - i) R1 S
     right = (ws.conj().T * ((w + 1j) * d)) @ v.conj().T         # S* (a1 + i) R1
-    return r1 + left @ mid @ right
+    return spec.compose(d) + left @ mid @ right
 
 
 def _frozen(*arrays: np.ndarray) -> np.ndarray:
@@ -367,16 +328,9 @@ class PairContext:
         return _frozen(resolvent_difference_at_i(self.ext1, self.ext2))
 
     @cached_property
-    def common(self) -> Subspace:
-        """Deficiency subspace of the pair's maximal common symmetric part."""
-        common = common_plus_subspace(self.resolvent_difference)
-        _frozen(common.basis)
-        return common
-
-    @cached_property
     def prime(self) -> bool:
         """is_relatively_prime(model, ext1, ext2): the one primeness decision
-        every check of the pair reads."""
+        of the pair, reported in its check note."""
         return is_relatively_prime(self.model, self.ext1, self.ext2)
 
     @cached_property
@@ -390,13 +344,9 @@ class PairContext:
         return _frozen(0.5j * (np.eye(self.model.deficiency) - self.cayley_w))
 
     @cached_property
-    def cayley_product(self) -> np.ndarray:
-        """C2 C1^{-1} on the whole space."""
-        return _frozen(_cayley_product(self.ext1, self.ext2))
-
-    def angle(self, subspace: Subspace) -> AngleOperator:
-        """angle_operator(ext1, ext2, subspace), from the cached product."""
-        return _angle_on(self.cayley_product, subspace)
+    def angle(self) -> AngleOperator:
+        """angle_operator(ext1, ext2, N+), with its law factors cached."""
+        return angle_operator(self.ext1, self.ext2, self.model.nplus)
 
 
 def herglotz_lower_bound(z) -> float:
@@ -470,10 +420,8 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
 
 def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
-    b = sign * alpha, the factors taken from the angle's cache.  The pole
-    guard looks at alpha itself, on every call, before any factor is built."""
+    b = sign * alpha, the factors taken from the angle's cache."""
     m = as_matrix(m, "weyl matrix")
-    _angle_gap_guard(angle)
     cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
@@ -485,9 +433,12 @@ def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
 
 
 def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
-    """Angle form of the same law, valid for relatively prime pairs:
+    """Angle form of the same law, for every pair:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
+
+    It is lft_m1_to_m2 written in the angle: p(i) = i e^{-i alpha} cos(alpha)
+    and 1 + i p(i) = i e^{-i alpha} sin(alpha).
     """
     return _angle_form(m1, angle, 1.0, "angle-form")
 
@@ -569,28 +520,16 @@ def general_lft_check(pair: PairContext, zs) -> dict[str, float]:
 
 def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
     """Link between the compressed resolvent difference at i and the von
-    Neumann unitary parameters, restricted to the pair's common deficiency
-    subspace: p(i) = (i/2)(1 - u2^{-1} u1) there.
+    Neumann unitary parameters on N+: p(i) = (i/2)(1 - u2^{-1} u1), for
+    every pair.
 
     Keys:
       parametrization_link        residual of the identity above
-      common_subspace_alignment   || (1 - P_{N+}) basis(common) ||
     """
-    model = pair.model
-    c = pair.common.basis
-    left = c.conj().T @ pair.p(1j).full @ c
     u1 = pair.parameter(pair.ext1, PARAMETER_TOL).v
     u2 = pair.parameter(pair.ext2, PARAMETER_TOL).v
-    w_par = u2.conj().T @ u1
-    bp = model.nplus.basis
-    op = bp @ (0.5j * (np.eye(model.deficiency) - w_par)) @ bp.conj().T
-    right = c.conj().T @ op @ c
-    eye = np.eye(model.dim)
-    alignment = frob((eye - bp @ bp.conj().T) @ c)
-    return {
-        "parametrization_link": frob(left - right),
-        "common_subspace_alignment": alignment,
-    }
+    right = 0.5j * (np.eye(pair.model.deficiency) - u2.conj().T @ u1)
+    return {"parametrization_link": frob(pair.p(1j).restricted - right)}
 
 
 def p_translation_check(pair: PairContext, z, z_prime) -> dict[str, float]:

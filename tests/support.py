@@ -16,7 +16,9 @@ from kreinkit.extension import (
     ExtensionParameter,
     build_model,
     extension_from_parameter,
+    resolvent_difference_at_i,
 )
+from kreinkit.numerics import orthonormal_range
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +102,15 @@ def random_model(dim, deficiency, seed):
     return build_model(a1, raw)
 
 
-def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4):
+def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4, gap=0.0):
     """Model plus a second extension from a random Hermitian angle matrix.
 
     The unitary parameter is v2 = -expm(2i h), with expm from scipy: a route
     independent of the package's own spectral calculus.  `degenerate` pins
-    that many eigenvalues of h to exactly pi/2, which forces the restricted
-    Cayley product to have eigenvalue 1 on a block of that size, i.e. a
-    deliberately non-relatively-prime pair.  Returns (model, ext1, ext2, h).
+    that many eigenvalues of h to pi/2 - gap; at gap 0 that forces the
+    restricted Cayley product to have eigenvalue 1 on a block of that size,
+    i.e. a deliberately non-relatively-prime pair, and a small gap puts the
+    Cayley eigenvalue about 2 * gap from 1.  Returns (model, ext1, ext2, h).
     """
     model = random_model(dim, deficiency, seed)
     rng = np.random.default_rng(seed + 10_000)
@@ -115,13 +118,27 @@ def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4):
     evs, vec = np.linalg.eigh(h)
     evs = np.clip(evs, -clamp, clamp)
     if degenerate:
-        evs[:degenerate] = math.pi / 2.0
+        evs[:degenerate] = math.pi / 2.0 - gap
     h = (vec * evs) @ vec.conj().T
     h = (h + h.conj().T) / 2.0
     # reference parameter is the identity by the model's basis convention
     v2 = -expm(2j * h)
     ext2 = extension_from_parameter(model, ExtensionParameter(v2))
     return model, model.reference, ext2, h
+
+
+def common_subspace(ext1, ext2):
+    """Range of R2(i) - R1(i): the deficiency subspace of the pair's maximal
+    common symmetric part.  It is N+ for a relatively prime pair and rank 0
+    for identical extensions.  Both resolvents have norm at most 1, so the
+    rank cutoff floors the scale at 1."""
+    return orthonormal_range(resolvent_difference_at_i(ext1, ext2), scale_floor=1.0)
+
+
+def tan_of(angle):
+    """tan(alpha) from the angle's spectrum, for a relatively prime pair."""
+    spec = angle.spectrum
+    return spec.compose(np.tan(spec.eigenvalues.real))
 
 
 # ---------------------------------------------------------------------------

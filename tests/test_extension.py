@@ -25,12 +25,10 @@ from kreinkit.extension import (
     RestrictionModel,
     build_model,
     check_cayley_geometry,
-    common_plus_subspace,
     extension_from_parameter,
     inverse_cayley,
     is_relatively_prime,
     parameter_of,
-    resolvent_difference_at_i,
     restricted_cayley_product,
 )
 from kreinkit.numerics import frob, projector
@@ -224,7 +222,7 @@ def test_primeness_matches_common_subspace_rank():
     for seed, degenerate in ((3, 0), (4, 1), (5, 2)):
         model, ext1, ext2, _ = support.random_pair(6, 2, seed, degenerate=degenerate)
         prime = is_relatively_prime(model, ext1, ext2)
-        common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
+        common = support.common_subspace(ext1, ext2)
         assert prime == (common.rank == model.deficiency)
         assert common.rank == model.deficiency - degenerate
         # the common subspace always sits inside N+
@@ -236,8 +234,7 @@ def test_primeness_matches_common_subspace_rank():
 
 def test_identical_extensions_have_rank_zero_common_subspace():
     model = support.random_model(5, 2, seed=31)
-    common = common_plus_subspace(
-        resolvent_difference_at_i(model.reference, model.reference))
+    common = support.common_subspace(model.reference, model.reference)
     assert common.rank == 0
 
 

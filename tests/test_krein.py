@@ -9,14 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import support
 from kreinkit.errors import (
     NotAnExtension,
     NotInvariant,
-    NotRelativelyPrime,
     RealParameter,
     SingularDenominator,
     SpectralParameter,
@@ -25,9 +24,7 @@ from kreinkit.extension import (
     DEFAULT_TOL,
     Extension,
     build_model,
-    common_plus_subspace,
     is_relatively_prime,
-    resolvent_difference_at_i,
     restricted_cayley_product,
 )
 from kreinkit.krein import (
@@ -45,7 +42,6 @@ from kreinkit.krein import (
     lft_to_reference,
     p_function,
     p_translation_check,
-    tan_alpha,
     vonneumann_link_check,
     weyl_operator,
 )
@@ -85,10 +81,13 @@ def test_s1_angle_and_tan_frozen(s1):
     model, ext1, ext2 = s1
     ang = angle_operator(ext1, ext2, model.nplus)
     assert_allclose(ang.alpha, [[math.pi / 4.0]], atol=1e-14)
-    assert_allclose(tan_alpha(ang), [[1.0]], atol=1e-14)
-    # inversion at i: (tan a - i) p(i) = 1
+    assert_allclose(support.tan_of(ang), [[1.0]], atol=1e-14)
+    # inversion at i: (tan a - i) p(i) = 1, and its sine/cosine form
+    # (sin a - i cos a) p(i) = cos a
     p_i = p_function(ext1, ext2, model.nplus, 1j).restricted
     assert abs((1.0 - 1j) * p_i[0, 0] - 1.0) < 1e-14
+    cos_a, sin_a, _, _ = ang.law_factors(1.0)
+    assert_allclose((sin_a - 1j * cos_a) @ p_i, cos_a, atol=1e-14)
 
 
 def test_s1_weyl_frozen(s1):
@@ -116,7 +115,7 @@ def test_s1_lft_frozen(s1):
 def test_s1_krein_resolvent_frozen(s1):
     model, ext1, ext2 = s1
     ang = angle_operator(ext1, ext2, model.nplus)
-    r2 = krein_resolvent(ext1, model.nplus, tan_alpha(ang), 1j)
+    r2 = krein_resolvent(ext1, ang, 1j)
     assert_allclose(r2, [[-0.5 + 0.5j]], atol=1e-14)
     assert abs(r2[0, 0] - support.resolvent(-1.0, 1j)) < 1e-14
 
@@ -174,19 +173,19 @@ def test_scalar_oracle_sweep(a1, a2, z):
     ang = angle_operator(ext1, ext2, sub)
     assert abs(ang.alpha[0, 0] - alpha) < 1e-10
 
-    # scalar inversion identity: 1/p12(z) = tan(alpha) - m1(z)
-    assume(abs(alpha - math.pi / 2.0) > 1e-2)
-    inv = (tan_alpha(ang) - weyl_operator(ext1, sub, z))[0, 0]
-    assert abs(inv * ps - 1.0) < 1e-9 * (1.0 + abs(inv))
-
     # resolvent formula equals the direct resolvent of a2
-    r2 = krein_resolvent(ext1, sub, tan_alpha(ang), z)[0, 0]
+    r2 = krein_resolvent(ext1, ang, z)[0, 0]
     assert abs(r2 - support.resolvent(a2, z)) < 1e-9 * (1.0 + abs(r2))
 
     # both fractional-linear routes land on m2
     p_i = PairContext(model, ext1, ext2).p_at_i_via_cayley
     assert abs(lft_m1_to_m2([[m1]], p_i)[0, 0] - m2) < 1e-9 * (1.0 + abs(m2))
     assert abs(lft_m1_to_m2_angle([[m1]], ang)[0, 0] - m2) < 1e-9 * (1.0 + abs(m2))
+
+    # scalar inversion identity: 1/p12(z) = tan(alpha) - m1(z)
+    assume(abs(alpha - math.pi / 2.0) > 1e-2)
+    inv = math.tan(alpha) - m1
+    assert abs(inv * ps - 1.0) < 1e-9 * (1.0 + abs(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def test_matrix_pair_identities(dim, deficiency, seed):
     assert is_relatively_prime(model, ext1, ext2)
 
     ang = angle_operator(ext1, ext2, sub)
-    tan_a = tan_alpha(ang)
+    tan_a = support.tan_of(ang)
     for z in SAFE_Z:
         ps = p_function(ext1, ext2, sub, z)
         scale = 1.0 + frob(ps.full)
@@ -218,7 +217,7 @@ def test_matrix_pair_identities(dim, deficiency, seed):
         assert frob(inv @ ps.restricted - eyen) < 1e-9 * (1.0 + frob(inv))
         # resolvent formula vs direct inverse
         direct = np.linalg.solve(ext2.a - z * eye, eye)
-        via = krein_resolvent(ext1, sub, tan_a, z)
+        via = krein_resolvent(ext1, ang, z)
         assert frob(via - direct) < 1e-9 * frob(direct)
 
     # value at i, both routes
@@ -242,7 +241,6 @@ def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     assert frob((eyen + 1j * p_i) - 0.5 * (eyen + w)) < 1e-9
     vn = vonneumann_link_check(pair)
     assert vn["parametrization_link"] < 1e-10
-    assert vn["common_subspace_alignment"] < 1e-10
 
 
 def test_pair_context_reuses_a_parameter_only_under_a_looser_gate():
@@ -307,37 +305,67 @@ def test_herglotz_on_matrix_pair():
 # non-prime pairs
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-12.0, -2.0), st.integers(2, 8), st.integers(1, 3),
+       st.integers(0, 10 ** 6), st.sampled_from(SAFE_Z))
+@example(log_gap=-11.0, dim=8, deficiency=2, seed=5, z=2j)
+@example(log_gap=-4.0, dim=8, deficiency=2, seed=5, z=2j)
+def test_sine_cosine_forms_across_the_primeness_decision(log_gap, dim, deficiency, seed, z):
+    # one angle eigenvalue pi/2 - gap, with the gap log-uniform over
+    # [1e-12, 1e-2]: the Cayley gap is about 2 * gap, so the one primeness
+    # decision (Cayley gap > DEFAULT_TOL) falls on either side of it, and
+    # neither Krein's formula nor the angle-form law may notice
+    gap = 10.0 ** log_gap
+    deficiency = min(deficiency, dim)
+    model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed, degenerate=1, gap=gap)
+    assume(min(np.min(np.abs(np.linalg.eigvalsh(ext.a) - z)) for ext in (ext1, ext2)) > 0.1)
+    prime = is_relatively_prime(model, ext1, ext2)
+    if gap > 2e-9:
+        assert prime
+    elif gap < 2e-10:
+        assert not prime
+    ang = angle_operator(ext1, ext2, model.nplus)
+    eye = np.eye(dim)
+    direct = np.linalg.solve(ext2.a - z * eye, eye)
+    assert frob(krein_resolvent(ext1, ang, z) - direct) < 1e-9 * frob(direct)
+    m2 = weyl_operator(ext2, model.nplus, z)
+    via = lft_m1_to_m2_angle(weyl_operator(ext1, model.nplus, z), ang)
+    assert frob(via - m2) < 1e-9 * (1.0 + frob(m2))
+
+
 def test_non_prime_pair_behaviour():
     model, ext1, ext2, h = support.random_pair(6, 3, seed=41, degenerate=1)
     sub = model.nplus
+    pair = PairContext(model, ext1, ext2)
     assert not is_relatively_prime(model, ext1, ext2)
-    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
-    assert common.rank == 2
+    assert support.common_subspace(ext1, ext2).rank == 2
 
-    # the full angle operator exists (N+ stays invariant) but its tangent
-    # has a pole on the degenerate block
-    ang = angle_operator(ext1, ext2, sub)
-    with pytest.raises(NotRelativelyPrime):
-        tan_alpha(ang)
-
-    # over the common subspace everything works, including the resolvent
-    # formula
-    ang_c = angle_operator(ext1, ext2, common)
-    tan_c = tan_alpha(ang_c)
+    # the angle operator on N+ exists (N+ stays invariant) and has an
+    # eigenvalue at one end of the branch: cos(alpha) vanishes on the
+    # degenerate block
+    ang = pair.angle
+    evs = ang.spectrum.eigenvalues.real
+    assert np.sum(np.abs(np.abs(evs) - math.pi / 2.0) < 1e-8) == 1
+    cos_a, sin_a, _, _ = ang.law_factors(1.0)
     eye = np.eye(model.dim)
     for z in (2j, 1 + 1j, -2 - 1j):
+        # the sine/cosine forms hold on all of N+: the inversion of P(z),
+        # Krein's formula and the angle-form law
+        m1 = weyl_operator(ext1, sub, z)
+        m2 = weyl_operator(ext2, sub, z)
+        assert frob((sin_a - cos_a @ m1) @ pair.p(z).restricted - cos_a) < 1e-9 * (1.0 + frob(m1))
         direct = np.linalg.solve(ext2.a - z * eye, eye)
-        via = krein_resolvent(ext1, common, tan_c, z)
+        via = krein_resolvent(ext1, ang, z)
         assert frob(via - direct) < 1e-9 * frob(direct)
+        assert frob(lft_m1_to_m2_angle(m1, ang) - m2) < 1e-9 * (1.0 + frob(m2))
 
     # the coefficient-form fractional-linear law still holds on all of N+
     for z in (2j, 1 + 1j):
         m1 = weyl_operator(ext1, sub, z)
         m2 = weyl_operator(ext2, sub, z)
-        p_i = PairContext(model, ext1, ext2).p_at_i_via_cayley
-        assert frob(lft_m1_to_m2(m1, p_i) - m2) < 1e-9 * (1.0 + frob(m2))
+        assert frob(lft_m1_to_m2(m1, pair.p_at_i_via_cayley) - m2) < 1e-9 * (1.0 + frob(m2))
         # and the third-extension route avoids the degenerate pair entirely
-        res = general_lft_check(PairContext(model, ext1, ext2), [z])
+        res = general_lft_check(pair, [z])
         assert res["direct"] < 1e-9
         assert res["third_extension"] < 1e-9
 
@@ -345,16 +373,18 @@ def test_non_prime_pair_behaviour():
 def test_identical_extensions_degenerate_cleanly():
     model = support.random_model(4, 2, seed=43)
     ext1 = model.reference
-    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext1))
-    assert common.rank == 0
-    ang = angle_operator(ext1, ext1, common)
-    assert ang.alpha.shape == (0, 0)
-    tan_c = tan_alpha(ang)
+    assert support.common_subspace(ext1, ext1).rank == 0
+    # every angle eigenvalue sits at an end of the branch, so Krein's
+    # formula on N+ adds a vanishing term to R1
+    ang = angle_operator(ext1, ext1, model.nplus)
+    assert_allclose(np.abs(ang.spectrum.eigenvalues.real), math.pi / 2.0, atol=1e-8)
     eye = np.eye(4)
     for z in (2j, 1 + 1j):
-        via = krein_resolvent(ext1, common, tan_c, z)
+        via = krein_resolvent(ext1, ang, z)
         direct = np.linalg.solve(ext1.a - z * eye, eye)
         assert frob(via - direct) < 1e-12 * frob(direct)
+        m1 = weyl_operator(ext1, model.nplus, z)
+        assert frob(lft_m1_to_m2_angle(m1, ang) - m1) < 1e-12 * (1.0 + frob(m1))
     # compressed difference on N+ is numerically zero
     ps = p_function(ext1, ext1, model.nplus, 2j)
     assert frob(ps.restricted) < 1e-12
@@ -403,7 +433,7 @@ def test_spectral_parameter_guard():
     with pytest.raises(SpectralParameter):
         p_function(ext1, ext2, model.nplus, 1.0 + 1e-14j)
     with pytest.raises(SpectralParameter):
-        krein_resolvent(ext1, model.nplus, np.array([[0.0]]), 1e-14j)
+        krein_resolvent(ext1, angle_operator(ext1, ext2, model.nplus), 1e-14j)
     # the guard sits at DEFAULT_TOL = 1e-9 from the spectrum, on both sides
     with pytest.raises(SpectralParameter):
         weyl_operator(ext1, model.nplus, 5e-10j)
@@ -418,26 +448,25 @@ def test_lft_singular_denominator():
         lft_m1_to_m2([[1.0 + 1j]], np.array([[1.0]]))
 
 
-def test_tan_alpha_pole_raises():
+def test_angle_form_laws_are_finite_at_the_pole():
+    # the angle form needs no pole guard at either end of the branch
+    # (-pi/2, pi/2]: it is the coefficient form with p(i) = i e^{-ia} cos a,
+    # and at the pole itself it is the identity map
     line = Subspace(basis=np.eye(1))
     m1 = np.array([[0.5j]])
-    # the pole guard sits at ANGLE_GAP_TOL = 1e-8 from pi/2 and from -pi/2,
-    # the two ends of the branch
     for sign in (1.0, -1.0):
-        for gap in (0.0, 1e-12, 5e-9):
-            ang = AngleOperator(alpha=np.array([[sign * (math.pi / 2.0 - gap)]]),
-                                subspace=line)
-            with pytest.raises(NotRelativelyPrime):
-                tan_alpha(ang)
-            # a raise is never cached: a second call on the same angle raises too
-            for law in (lft_m1_to_m2_angle, lft_to_reference) * 2:
-                with pytest.raises(NotRelativelyPrime):
-                    law(m1, ang)
-        ang = AngleOperator(alpha=np.array([[sign * (math.pi / 2.0 - 2e-8)]]),
-                            subspace=line)
-        assert tan_alpha(ang)[0, 0].real == pytest.approx(sign * 5e7, rel=1e-6)
-        assert np.all(np.isfinite(lft_m1_to_m2_angle(m1, ang)))
-        assert np.all(np.isfinite(lft_to_reference(m1, ang)))
+        for gap in (0.0, 1e-12, 5e-9, 2e-8):
+            a = sign * (math.pi / 2.0 - gap)
+            ang = AngleOperator(alpha=np.array([[a]]), subspace=line)
+            for _ in range(2):   # the second pass reads the cached factors
+                p_fwd = np.array([[1j * np.exp(-1j * a) * math.cos(a)]])
+                p_back = np.array([[1j * np.exp(1j * a) * math.cos(a)]])
+                assert_allclose(lft_m1_to_m2_angle(m1, ang), lft_m1_to_m2(m1, p_fwd),
+                                atol=1e-15)
+                assert_allclose(lft_to_reference(m1, ang), lft_m1_to_m2(m1, p_back),
+                                atol=1e-15)
+            if gap == 0.0:
+                assert_allclose(lft_m1_to_m2_angle(m1, ang), m1, atol=1e-15)
 
 
 def _angle_form_rebuilt(m, angle, sign):
@@ -469,13 +498,14 @@ def test_angle_form_laws_reuse_read_only_factors():
                 factor[0, 0] = 0.0
 
 
-def test_krein_resolvent_singular_denominator(s1):
-    model, ext1, _ = s1
-    # a genuine tan(alpha) can never collide with m1 off the real axis
-    # (Im m1 is definite there), so force the collision by hand
-    m1 = weyl_operator(ext1, model.nplus, 2j)
+def test_krein_resolvent_singular_denominator():
+    # a genuine angle can never make sin(alpha) - cos(alpha) m1(z) singular
+    # off the real axis (Im m1 is definite there), so force it on the axis:
+    # for a1 = 1, m1(-1) = (1 + w z)/(w - z) = 0 exactly, and alpha = 0
+    model, ext1, _ = scalar_pair(1.0, 0.0)
+    ang = AngleOperator(alpha=np.zeros((1, 1)), subspace=model.nplus)
     with pytest.raises(SingularDenominator):
-        krein_resolvent(ext1, model.nplus, m1, 2j)
+        krein_resolvent(ext1, ang, -1.0)
 
 
 def test_sample_shape_validation():
@@ -529,9 +559,9 @@ def test_eigenbasis_routes_match_dense_solves(kind):
     sub = model.nplus
     s = sub.basis
     eye = np.eye(model.dim)
-    common = common_plus_subspace(resolvent_difference_at_i(ext1, ext2))
-    assert common.rank == {"prime": 3, "identical": 0, "n_equals_N": 64}[kind]
-    tan_c = tan_alpha(angle_operator(ext1, ext2, common))
+    assert support.common_subspace(ext1, ext2).rank == \
+        {"prime": 3, "identical": 0, "n_equals_N": 64}[kind]
+    angle = angle_operator(ext1, ext2, sub)
     for label, z in _z_cases(ext1).items():
         budget = 10.0 * _budget((ext1, ext2), z)
         r1 = _solve_resolvent(ext1.a, z)
@@ -552,5 +582,5 @@ def test_eigenbasis_routes_match_dense_solves(kind):
         assert p_err <= budget * p_scale, (label, "p", p_err)
 
         # the acceptance oracle's relative measure, 100x below its tolerance
-        via = krein_resolvent(ext1, common, tan_c, z)
+        via = krein_resolvent(ext1, angle, z)
         assert frob(via - r2) <= 1e-11 * frob(r2), (label, "krein")
