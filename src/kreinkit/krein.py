@@ -23,12 +23,12 @@ a primeness decision.  Out of these pieces the module assembles:
   * the Herglotz bound and the exact positivity identity for Im M,
   * the fractional-linear laws mapping M1 to M2 (directly, in angle form,
     and through a deterministic auxiliary third extension),
-  * the translation identity in z and rank constancy of compressed P,
+  * the translation identity in z and the range constancy of P,
   * the consistency link with the von Neumann unitary parameters.
 
 The pair-level checks read their inputs from a PairContext, which computes
-each quantity of one pair once (P(z) per z, M(z) per extension and z,
-primeness, the angle, the Cayley products) and shares it.
+each quantity of one pair once (P(z) and the SVD of P(z)|N+ per z, M(z) per
+extension and z, primeness, the angle, the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -67,11 +67,11 @@ from .extension import (
 from .numerics import (
     SpectralDecomposition,
     Subspace,
+    _svd_range,
     apply_function_normal,
     as_matrix,
     frob,
     hermitian_eig,
-    orthonormal_range,
     projector,
     solve_linear,
     unitary_eig,
@@ -137,10 +137,6 @@ def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
     return 1.0 / (w - z)
 
 
-def _resolvent(ext: Extension, z: complex) -> np.ndarray:
-    return ext.spectrum.compose(_resolvent_diagonal(ext, z))
-
-
 def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSample:
     """Sandwiched resolvent difference at z, full and compressed.
 
@@ -148,8 +144,8 @@ def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSamp
     subspace's basis (use the model's nplus for the standard object).
     """
     z = complex(z)
-    r1 = _resolvent(ext1, z)
-    r2 = _resolvent(ext2, z)
+    r1 = ext1.spectrum.compose(_resolvent_diagonal(ext1, z))
+    r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, z))
     spec1 = ext1.spectrum
     w1 = spec1.eigenvalues
     left = spec1.compose((w1 - z) / (w1 - 1j))
@@ -254,11 +250,12 @@ class PairContext:
 
     Every entry is computed on first use by the same function a direct call
     would use (p_function, weyl_operator, orthonormal_range, ...) and shared
-    by every later read, so a check suite over a z-grid evaluates P(z) once
-    per distinct z and M(z) once per distinct (extension, z).  Cached arrays
-    are read-only.  The context is the only owner of its entries: it lives as
-    long as its creator keeps it.  Spectral parameters are keys by value, so
-    z and a twin differing only in the sign of a zero part share one entry.
+    by every later read, so a check suite over a z-grid evaluates P(z) and
+    the SVD of P(z)|N+ once per distinct z and M(z) once per (extension, z).
+    Cached arrays are read-only.  The context is the only owner of its
+    entries: it lives as long as its creator keeps it.  Spectral parameters
+    are keys by value, so z and a twin differing only in the sign of a zero
+    part share one entry.
     """
 
     def __init__(self, model: RestrictionModel, ext1: Extension, ext2: Extension):
@@ -288,18 +285,18 @@ class PairContext:
             self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]))
         return self._m[key]
 
-    def p_ranges(self, z) -> tuple[Subspace, Subspace]:
-        """Numerical ranges of P(z) and of its compression to N+."""
+    def p_range(self, z) -> tuple[Subspace, np.ndarray, float]:
+        """Range and singular values (descending) of P(z)|N+, from one SVD,
+        and the leakage ||(1 - P_N+) P(z)|| of P(z) off N+."""
         z = complex(z)
         if z not in self._ranges:
             ps = self.p(z)
             # scale floor 1: a compressed difference that is pure roundoff
             # (identical extensions) must count as rank 0 at every z, not as
             # noise directions
-            ranges = (orthonormal_range(ps.full, scale_floor=1.0),
-                      orthonormal_range(ps.restricted, scale_floor=1.0))
-            _frozen(*(r.basis for r in ranges))
-            self._ranges[z] = ranges
+            sub, sv = _svd_range(ps.restricted, 1.0)
+            pperp = np.eye(self.model.dim) - projector(self.model.nplus)
+            self._ranges[z] = (sub, _frozen(sv, sub.basis), frob(pperp @ ps.full))
         return self._ranges[z]
 
     def herglotz_root(self, ext: Extension) -> np.ndarray:
@@ -534,12 +531,15 @@ def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
 
 def p_translation_check(pair: PairContext, z, z_prime) -> dict[str, float]:
     """Translation identity in the spectral parameter plus rank constancy,
-    on P and its ranges from the pair's memo.
+    on P and its range data from the pair's memo.
 
     Keys:
       translation  || P(z) - P(z') - (z - z') P(z')(a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1} P(z) ||
-      rank_delta   |rank P(z)|_sub - rank P(z')|_sub|
-      range_drift  || range-projector(P(z)) - range-projector(P(z')) ||
+      rank_delta   |rank P(z)|_N+ - rank P(z')|_N+|
+      range_drift  || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
+                   + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
+                   sigma_r the last singular value above the rank cutoff (no
+                   leak at rank 0); a sin-theta bound on the full range's drift
     """
     z = complex(z)
     zp = complex(z_prime)
@@ -550,10 +550,11 @@ def p_translation_check(pair: PairContext, z, z_prime) -> dict[str, float]:
     mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp)
                                 * _resolvent_diagonal(ext1, z))
     translation = frob(pz.full - pzp.full - (z - zp) * (pzp.full @ mid @ pz.full))
-    full_range_z, range_z = pair.p_ranges(z)
-    full_range_zp, range_zp = pair.p_ranges(zp)
+    ranges = (pair.p_range(z), pair.p_range(zp))
+    (range_z, _, _), (range_zp, _, _) = ranges
+    leaks = sum(leak / sv[sub.rank - 1] for sub, sv, leak in ranges if sub.rank)
     return {
         "translation": translation,
         "rank_delta": float(abs(range_z.rank - range_zp.rank)),
-        "range_drift": frob(projector(full_range_z) - projector(full_range_zp)),
+        "range_drift": frob(projector(range_z) - projector(range_zp)) + leaks,
     }

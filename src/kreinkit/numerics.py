@@ -191,6 +191,11 @@ def orthonormal_range(m, *, scale_floor: float = 0.0) -> Subspace:
     is pure roundoff (sigma_max itself below TOL_RANK * scale_floor) comes
     back as the zero subspace instead of full-rank noise.
     """
+    return _svd_range(m, scale_floor)[0]
+
+
+def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
+    """orthonormal_range and the singular values of m, descending."""
     a = as_matrix(m, "range input")
     try:
         uu, ss, _ = np.linalg.svd(a, full_matrices=False)
@@ -199,7 +204,7 @@ def orthonormal_range(m, *, scale_floor: float = 0.0) -> Subspace:
     smax = float(ss[0]) if ss.size else 0.0
     cutoff = TOL_RANK * max(smax, scale_floor)
     rank = int(np.count_nonzero(ss > cutoff)) if cutoff > 0.0 else 0
-    return Subspace(basis=uu[:, :rank])
+    return Subspace(basis=uu[:, :rank]), ss
 
 
 def null_space(m) -> Subspace:

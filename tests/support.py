@@ -18,7 +18,7 @@ from kreinkit.extension import (
     extension_from_parameter,
     resolvent_difference_at_i,
 )
-from kreinkit.numerics import orthonormal_range
+from kreinkit.numerics import orthonormal_range, projector
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,15 @@ def common_subspace(ext1, ext2):
     for identical extensions.  Both resolvents have norm at most 1, so the
     rank cutoff floors the scale at 1."""
     return orthonormal_range(resolvent_difference_at_i(ext1, ext2), scale_floor=1.0)
+
+
+def full_range_drift(pair, z, zp):
+    """|| range-projector(P(z)) - range-projector(P(z')) || with the ranges
+    of the full N x N P from the pair's memo, at the scale floor the memo
+    uses for P|N+.  The library reports a bound on this drift from n x n
+    data; this is the direct route it replaced."""
+    ranges = [orthonormal_range(pair.p(w).full, scale_floor=1.0) for w in (z, zp)]
+    return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
 
 
 def tan_of(angle):

@@ -384,6 +384,28 @@ def test_halfline_flagged_inputs_exit_1(tmp_path):
     assert any(c.get("error") == "SingularDenominator" for c in report["checks"])
 
 
+# |z| above 1e150 is rejected where it enters, before |z|^2 in the Herglotz
+# bound can overflow (near 1.3e154) past the exit-code contract; 1e150 runs
+@pytest.mark.parametrize("modulus,check_codes,mfunc_code", [
+    (1e200, (2,), 2), (1e150, (0, 1), 0),
+])
+def test_huge_z_keeps_the_exit_code_contract(tmp_path, capsys, modulus, check_codes,
+                                             mfunc_code):
+    scen = tmp_path / "scen.json"
+    assert run_main(["gen", "--dim", "4", "--def", "2", "--seed", "1", "-o", str(scen)]) == 0
+    doc = read_json(scen)
+    doc["z_grid"] = [[0.0, modulus], [1.0, 1.0]]
+    scen.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    assert run_main(["check", str(scen), "-o", out]) in check_codes
+    assert run_main(["mfunc", str(scen), "--which", "2", "-o", out]) == mfunc_code
+    assert run_main(["halfline", "--z", f"{modulus:g}i", "-o", out]) == 1
+    flagged = [c for c in read_json(out)["checks"] if c["name"].startswith("z_validation")]
+    assert [c["error"] for c in flagged] == (["BadDimensions"] if modulus > 1e150 else [])
+    if modulus > 1e150:
+        assert "1e150" in capsys.readouterr().err
+
+
 def test_halfline_invalid_inputs_exit_2():
     assert run_main(["halfline", "--z", "abc"]) == 2
     assert run_main(["halfline", "--z", ""]) == 2
@@ -440,19 +462,20 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # for the whole z-grid, every resolvent-type evaluation of ext1, ext2
     # and ext3 reuses one cached eigendecomposition per extension, and the
     # pair memo builds P(z) once for each of the 26 distinct z (the grid,
-    # its conjugates and i), the range of the full P(z) once per grid point,
-    # and the angle operator once for the pair and once for each pair of the
-    # third-extension route
+    # its conjugates and i), the range of P(z)|N+ (3 x 3) once per grid point
+    # and no range of the full 64 x 64 P(z), and the angle operator once for
+    # the pair and once for each pair of the third-extension route
     decompositions = collections.Counter()
+    svds = []
     third_calls = []
     p_bodies = []
-    full_ranges = []
+    ranges = []
     angles = []
     pairs = []
     real_eig = extension_module.hermitian_eig
     real_third = krein_module.choose_third_extension
     real_p = krein_module.p_function
-    real_range = krein_module.orthonormal_range
+    real_range = krein_module._svd_range
     real_angle = krein_module.angle_operator
 
     def counting_eig(a, **kwargs):
@@ -474,7 +497,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     monkeypatch.setattr(krein_module, "choose_third_extension",
                         counting(third_calls, real_third))
     monkeypatch.setattr(krein_module, "p_function", counting(p_bodies, real_p))
-    monkeypatch.setattr(krein_module, "orthonormal_range", counting(full_ranges, real_range))
+    monkeypatch.setattr(krein_module, "_svd_range", counting(ranges, real_range))
+    monkeypatch.setattr(np.linalg, "svd", counting(svds, np.linalg.svd))
     monkeypatch.setattr(krein_module, "angle_operator", counting(angles, real_angle))
     monkeypatch.setattr(krein_module, "PairContext", RecordedPair)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
@@ -483,14 +507,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(decompositions) == 3
     assert max(decompositions.values()) == 1
     assert len(p_bodies) == 26
-    assert len([args for args in full_ranges if args[0].shape == (64, 64)]) == 16
+    assert [args[0].shape for args in ranges] == [(3, 3)] * 16
+    # the other 4 SVDs are ranks of the model layer, outside the grid loop
+    assert len(svds) == 20
     assert len(angles) == 3
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
-                   pair.p_ranges(2j)[0].basis, pair.resolvent_difference, pair.cayley_w,
+                   pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
+                   pair.resolvent_difference, pair.cayley_w,
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
+            cached.flat[0] = 0.0
 
 
 # a draw whose second extension has a Cayley eigenvalue 3e-4 to 2e-3 from 1,
@@ -526,15 +553,24 @@ def test_herglotz_identity_holds_for_a_large_norm_extension():
     assert worst <= 1e-9
 
 
-# defect scenario of the primeness decision: the Cayley gap is about 2 eps,
-# so the one decision (gap > 1e-9) reads prime exactly for eps >= 7e-10
-@pytest.mark.parametrize("eps", [1e-6, 3e-9, 1.5e-9, 7e-10, 3e-10, 0.0])
-def test_every_pair_runs_one_code_path_near_the_degenerate_angle(eps):
-    scenario = dataclasses.replace(
+# defect 1, the scenario of the primeness decision: angle diag(pi/2 - eps, 0.3)
+def _defect_1(eps):
+    return dataclasses.replace(
         cli.generate_scenario(8, 2, 5),
         parameter={"angle": np.diag([math.pi / 2 - eps, 0.3]).astype(complex)},
     )
-    checks = {rec["name"]: rec for rec in cli.run_checks(scenario)["checks"]}
+
+
+# defect 2: a z-grid point at |z| = 1e6
+def _defect_2():
+    return dataclasses.replace(cli.generate_scenario(8, 2, 5), z_grid=[1e6j, 1 + 1j])
+
+
+# the Cayley gap of defect 1 is about 2 eps, so the one decision
+# (gap > 1e-9) reads prime exactly for eps >= 7e-10
+@pytest.mark.parametrize("eps", [1e-6, 3e-9, 1.5e-9, 7e-10, 3e-10, 0.0])
+def test_every_pair_runs_one_code_path_near_the_degenerate_angle(eps):
+    checks = {rec["name"]: rec for rec in cli.run_checks(_defect_1(eps))["checks"]}
     assert not [name for name, rec in checks.items() if "error" in rec]
     note = checks["relatively_prime_consistency"]["note"]
     assert note == ("relatively prime" if eps >= 7e-10 else "not relatively prime")
@@ -548,7 +584,33 @@ def test_every_pair_runs_one_code_path_near_the_degenerate_angle(eps):
 def test_large_z_grid_keeps_the_weyl_operator_accurate():
     # at |z| = 1e6 the Herglotz-kernel form of M(z) cancels nothing, so the
     # Herglotz identity and the inverted reference law hold there
-    scenario = dataclasses.replace(cli.generate_scenario(8, 2, 5), z_grid=[1e6j, 1 + 1j])
-    checks = {rec["name"]: rec for rec in cli.run_checks(scenario)["checks"]}
+    checks = {rec["name"]: rec for rec in cli.run_checks(_defect_2())["checks"]}
     for name in ("herglotz_identity", "lft_reference_inversion"):
         assert checks[name]["pass"], (name, checks[name])
+
+
+# range_drift is computed from P(z)|N+ and the leakage of P(z) off N+; it
+# must bound the drift of the full-space range, measured by the oracle,
+# wherever that drift is above roundoff
+@pytest.mark.parametrize("scenario", [
+    _defect_1(1e-6), _defect_1(3e-9), _defect_2(),
+    cli.generate_scenario(64, 3, 3), cli.generate_scenario(8, 2, 0),
+    cli.generate_scenario(6, 6, 1), cli.generate_scenario(1, 1, 2),
+], ids=["defect1-1e-6", "defect1-3e-9", "defect2", "64x3", "8x2", "6x6", "1x1"])
+def test_range_drift_bounds_the_full_space_drift(scenario):
+    model, ext1, ext2, _ = cli.materialize(scenario)
+    pair = krein_module.PairContext(model, ext1, ext2)
+    zs = scenario.z_grid
+    for z, zp in zip(zs, zs[1:] + zs[:1]):
+        oracle = support.full_range_drift(pair, z, zp)
+        drift = krein_module.p_translation_check(pair, z, zp)["range_drift"]
+        assert oracle <= 1e-14 or drift >= oracle, (z, zp, oracle, drift)
+
+
+@pytest.mark.parametrize("scenario", [_defect_1(1e-6), _defect_1(3e-9), _defect_2()],
+                         ids=["defect1-1e-6", "defect1-3e-9", "defect2"])
+def test_defect_scenarios_fail_range_constancy(scenario):
+    # the bound stays sensitive: a compressed-range drift alone reads
+    # roundoff on these scenarios, where the full-space drift does not
+    checks = {rec["name"]: rec for rec in cli.run_checks(scenario)["checks"]}
+    assert not checks["p_range_constancy"]["pass"]
