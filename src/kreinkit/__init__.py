@@ -27,7 +27,6 @@ from .errors import (
     RankDeficientInput,
     RealParameter,
     SingularDenominator,
-    SingularFunctionValue,
     SingularMatrix,
     SpectralParameter,
     UnitEigenvalue,
@@ -77,9 +76,7 @@ from .krein import (
 from .numerics import (
     SpectralDecomposition,
     Subspace,
-    apply_function_normal,
     hermitian_eig,
-    null_space,
     orthonormal_range,
     projector,
     solve_linear,
@@ -111,14 +108,12 @@ __all__ = [
     "RealParameter",
     "RestrictionModel",
     "SingularDenominator",
-    "SingularFunctionValue",
     "SingularMatrix",
     "SpectralDecomposition",
     "SpectralParameter",
     "Subspace",
     "UnitEigenvalue",
     "angle_operator",
-    "apply_function_normal",
     "build_model",
     "check_cayley_geometry",
     "choose_third_extension",
@@ -136,7 +131,6 @@ __all__ = [
     "lft_to_reference",
     "m1_halfline",
     "m2_halfline",
-    "null_space",
     "orthonormal_range",
     "p12_halfline",
     "p_function",

@@ -30,7 +30,6 @@ relatively_prime_consistency and the p_restricted_min_sv record.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -45,7 +44,6 @@ from . import halfline as hl
 from . import krein as kr
 from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
 from .extension import (
-    DEFAULT_TOL,
     ExtensionParameter,
     build_model,
     check_cayley_geometry,
@@ -53,7 +51,7 @@ from .extension import (
     inverse_cayley,
     parameter_of,
 )
-from .numerics import apply_function_normal, frob, hermitian_eig, projector, solve_linear
+from .numerics import frob, hermitian_eig, projector, solve_linear
 
 TOOL_NAME = "kreinkit"
 
@@ -358,9 +356,8 @@ def materialize(scenario: ScenarioFile):
         herm = (mat + mat.conj().T) / 2.0
         if frob(mat - herm) > 1e-12 * (1.0 + frob(mat)):
             raise BadDimensions("angle parameter must be Hermitian")
-        rotation = apply_function_normal(
-            hermitian_eig(herm), lambda lam: cmath.exp(2j * lam)
-        )
+        dec = hermitian_eig(herm)
+        rotation = dec.compose(np.exp(2j * dec.eigenvalues))
         v1 = parameter_of(model, ext1).v
         v2 = -rotation @ v1
     ext2 = extension_from_parameter(model, ExtensionParameter(v2))
@@ -464,8 +461,8 @@ def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
         frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
     ), tol)
     yield _record("extension_parameter_roundtrip", max(
-        frob(pair.parameter(ext2, DEFAULT_TOL).v - v2) / (1.0 + frob(v2)),
-        frob(pair.parameter(ext1, DEFAULT_TOL).v - eyen),
+        frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
+        frob(pair.parameter(ext1).v - eyen),
     ), tol)
     yield _record("cayley_roundtrip", max(
         frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),

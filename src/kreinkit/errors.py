@@ -26,10 +26,6 @@ class SingularMatrix(KreinKitError):
     """Linear solve hit a (numerically) singular matrix."""
 
 
-class SingularFunctionValue(KreinKitError):
-    """Spectral function calculus met a non-finite or overflowing value."""
-
-
 class RankDeficientInput(KreinKitError):
     """Columns expected to be independent are not."""
 

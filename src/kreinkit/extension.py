@@ -46,7 +46,6 @@ from .numerics import (
     frob,
     hermitian_deviation,
     hermitian_eig,
-    null_space,
     orthonormal_range,
     projector,
     solve_linear,
@@ -145,28 +144,30 @@ def inverse_cayley(c) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
-    """Phase-fixed thin QR: orientation-preserving orthonormalization.
+def _orthonormal_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed complete QR: orientation-preserving orthonormalization of
+    the columns of m, and an orthonormal basis of their complement.
 
     diag(R) is rotated to the positive real axis, so an already-orthonormal
     input comes back unchanged (up to roundoff) and the first basis vector is
     a positive multiple of the first input column.
     """
-    q, r = np.linalg.qr(m, mode="reduced")
+    q, r = np.linalg.qr(m, mode="complete")
+    n = m.shape[1]
     d = np.diag(r)
     mags = np.abs(d)
     dmax = float(mags.max()) if mags.size else 0.0
     if dmax == 0.0 or float(mags.min()) <= TOL_RANK * dmax:
         raise RankDeficientInput("defect-subspace columns are not independent")
-    return q * (d.conj() / mags)[None, :]
+    return q[:, :n] * (d.conj() / mags)[None, :], q[:, n:]
 
 
 def build_model(a1, nplus_raw) -> RestrictionModel:
     """Assemble the model from the reference matrix and a raw N+ spanning set.
 
     nplus_raw is N x n with independent columns; it is orthonormalized with
-    the orientation-preserving QR above.  N- is the isometric image
-    -C1^{-1} N+, and dot_domain is (a1 + i)^{-1}(N+^perp).
+    the orientation-preserving QR above, which also gives N+^perp.  N- is the
+    isometric image -C1^{-1} N+, and dot_domain is (a1 + i)^{-1}(N+^perp).
     """
     a1 = as_matrix(a1, "reference matrix")
     dim = a1.shape[0]
@@ -176,16 +177,12 @@ def build_model(a1, nplus_raw) -> RestrictionModel:
         raise ValueError(f"nplus rows {raw.shape[0]} != dimension {dim}")
     if not 1 <= n <= dim:
         raise ValueError(f"deficiency index {n} out of range 1..{dim}")
-    bp = _orthonormal_columns(raw)
+    bp, perp = _orthonormal_columns(raw)
     reference = Extension(a1)
     bm = -reference.cayley.conj().T @ bp
     nplus = Subspace(basis=bp)
     nminus = Subspace(basis=bm)  # ctor verifies isometry
-    perp = null_space(bp.conj().T)
-    if perp.rank != dim - n:
-        raise NumericalFailure("defect-subspace complement has wrong rank")
-    eye = np.eye(dim)
-    dot = orthonormal_range(solve_linear(a1 + 1j * eye, perp.basis))
+    dot = orthonormal_range(solve_linear(a1 + 1j * np.eye(dim), perp))
     if dot.rank != dim - n:
         raise NumericalFailure("restricted domain has wrong rank")
     return RestrictionModel(
@@ -220,16 +217,15 @@ def extension_from_parameter(model: RestrictionModel,
     return Extension(inverse_cayley(c))
 
 
-def parameter_of(model: RestrictionModel, ext: Extension,
-                 *, tol: float = DEFAULT_TOL) -> ExtensionParameter:
+def parameter_of(model: RestrictionModel, ext: Extension) -> ExtensionParameter:
     """Recover the unitary parameter of an extension: v = -Bm* C^{-1} Bp.
 
     Raises NotAnExtension unless ext agrees with the reference on the
-    restricted domain.
+    restricted domain, within DEFAULT_TOL of the scale 1 + ||a|| + ||a1||.
     """
     dev = frob((ext.a - model.a1) @ model.dot_domain.basis)
     scale = 1.0 + frob(ext.a) + frob(model.a1)
-    if dev > tol * scale:
+    if dev > DEFAULT_TOL * scale:
         raise NotAnExtension(
             f"matrix deviates from the reference on the restricted domain by {dev:.3e}"
         )

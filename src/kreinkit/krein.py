@@ -68,7 +68,6 @@ from .numerics import (
     SpectralDecomposition,
     Subspace,
     _svd_range,
-    apply_function_normal,
     as_matrix,
     frob,
     hermitian_eig,
@@ -76,9 +75,6 @@ from .numerics import (
     solve_linear,
     unitary_eig,
 )
-
-PARAMETER_TOL = 1e-8  # membership gate when recovering a von Neumann parameter
-
 
 @dataclass(frozen=True, eq=False)
 class PSample:
@@ -182,7 +178,10 @@ def angle_operator(ext1: Extension, ext2: Extension,
             f"subspace is not invariant under the Cayley product ({invariance:.3e})"
         )
     dec = unitary_eig(w)
-    alpha = apply_function_normal(dec, _branch_angle)
+    # the scalar cmath.phase per eigenvalue: np.angle differs from it in the
+    # last bit on some unit inputs, and reports would move with it
+    alpha = dec.compose(np.array([_branch_angle(lam) for lam in dec.eigenvalues],
+                                 dtype=np.complex128))
     angle = AngleOperator(alpha=(alpha + alpha.conj().T) / 2.0, subspace=subspace)
     spec = angle.spectrum
     rec = -spec.compose(np.exp(-2j * spec.eigenvalues))
@@ -308,16 +307,12 @@ class PairContext:
             )
         return self._roots[ext]
 
-    def parameter(self, ext: Extension, tol: float) -> ExtensionParameter:
-        """parameter_of(model, ext, tol=tol).  A parameter already recovered
-        under a gate at least as strict passes this one too, so it is
-        reused; only the membership gate depends on tol."""
-        seen = self._parameters.get(ext)
-        if seen is None or seen[0] > tol:
-            par = parameter_of(self.model, ext, tol=tol)
+    def parameter(self, ext: Extension) -> ExtensionParameter:
+        """parameter_of(model, ext), the von Neumann parameter of ext."""
+        if ext not in self._parameters:
+            par = self._parameters[ext] = parameter_of(self.model, ext)
             _frozen(par.v)
-            seen = self._parameters[ext] = (tol, par)
-        return seen[1]
+        return self._parameters[ext]
 
     @cached_property
     def resolvent_difference(self) -> np.ndarray:
@@ -355,10 +350,17 @@ def herglotz_lower_bound(z) -> float:
     together with the scalar estimate
     (1+t^2)/((t - Re z)^2 + (Im z)^2) >= 1/(max(1,|z|^2) + |Re z|), t real;
     without it the bound fails for |Im z| < 1 (e.g. z = i/2, eigenvalue 3).
-    At z = i the bound is 1, attained: m(i) = i * identity."""
+    At z = i the bound is 1, attained: m(i) = i * identity.  Beyond
+    |z| = 1e150 numerator and denominator are divided by max(|Re z|, |Im z|)^2
+    first, so |z|^2 cannot overflow."""
     z = complex(z)
     if z.imag == 0.0:
         raise RealParameter("herglotz bound needs a non-real z")
+    x, y = abs(z.real), abs(z.imag)
+    s = max(x, y)
+    if s > 1e150:
+        x, y = x / s, y / s
+        return y * y / (x * x + y * y + x / s)
     return z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
 
 
@@ -463,7 +465,7 @@ def choose_third_extension(pair: PairContext) -> Extension:
     """
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     n = model.deficiency
-    v1 = pair.parameter(ext1, PARAMETER_TOL).v
+    v1 = pair.parameter(ext1).v
     for j in range(1, 2 * n + 2):
         t = j * math.pi / (2.0 * (2 * n + 2))
         candidate = ExtensionParameter(cmath.exp(-2j * t) * v1)
@@ -523,8 +525,8 @@ def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
     Keys:
       parametrization_link        residual of the identity above
     """
-    u1 = pair.parameter(pair.ext1, PARAMETER_TOL).v
-    u2 = pair.parameter(pair.ext2, PARAMETER_TOL).v
+    u1 = pair.parameter(pair.ext1).v
+    u2 = pair.parameter(pair.ext2).v
     right = 0.5j * (np.eye(pair.model.deficiency) - u2.conj().T @ u1)
     return {"parametrization_link": frob(pair.p(1j).restricted - right)}
 

@@ -2,10 +2,10 @@
 
 Everything downstream (Cayley transforms, deficiency subspaces, resolvent
 formulas) reduces to a small set of dense operations: Hermitian and unitary
-eigendecompositions, SVD-based range/null-space extraction, spectral function
-calculus, and linear solves with singularity detection.  This module owns
-those operations and their failure modes; formula-level code never calls
-LAPACK directly.
+eigendecompositions, SVD-based range extraction, spectral function calculus
+(SpectralDecomposition.compose), and linear solves with singularity
+detection.  This module owns those operations and their failure modes;
+formula-level code never calls LAPACK directly.
 
 Matrices are numpy complex128 arrays, validated on entry.  Residuals use the
 Frobenius norm throughout.
@@ -14,18 +14,11 @@ Frobenius norm throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    NotHermitian,
-    NotUnitary,
-    NumericalFailure,
-    SingularFunctionValue,
-    SingularMatrix,
-)
+from .errors import NotHermitian, NotUnitary, NumericalFailure, SingularMatrix
 
 # Gate constants.  Each numerical decision in this module reads one of them
 # at the single place it is made; no operation takes a tolerance argument.
@@ -33,7 +26,6 @@ TOL_ORTHO = 1e-12   # orthonormality of bases / unitarity gate
 TOL_RECON = 1e-10   # eigendecomposition reconstruction, relative
 TOL_HERM = 1e-11    # Hermitian deviation, relative; unit-circle deviation
 TOL_RANK = 1e-9     # relative singular value / pivot cutoff
-OVERFLOW_GUARD = 1e12  # spectral calculus: |f(lambda)| beyond this is a pole
 
 # LAPACK's complex LU, bound once: the calls scipy.linalg.lu_factor/lu_solve
 # reach, without their per-call wrapper stack (finiteness is checked here).
@@ -182,20 +174,17 @@ def unitary_eig(u) -> SpectralDecomposition:
     return SpectralDecomposition(w, zf)
 
 
-def orthonormal_range(m, *, scale_floor: float = 0.0) -> Subspace:
-    """Orthonormal basis of the (numerical) column range of m.
-
-    Rank counts singular values above TOL_RANK * max(sigma_max, scale_floor).
-    The default floor 0 gives the usual relative cutoff; callers that know
-    the natural norm scale of m pass it as scale_floor so that a matrix which
-    is pure roundoff (sigma_max itself below TOL_RANK * scale_floor) comes
-    back as the zero subspace instead of full-rank noise.
-    """
-    return _svd_range(m, scale_floor)[0]
+def orthonormal_range(m) -> Subspace:
+    """Orthonormal basis of the (numerical) column range of m: the left
+    singular vectors of the singular values above TOL_RANK * sigma_max."""
+    return _svd_range(m, 0.0)[0]
 
 
 def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
-    """orthonormal_range and the singular values of m, descending."""
+    """Range and singular values (descending) of m, the rank cutoff being
+    TOL_RANK * max(sigma_max, scale_floor).  A caller that knows the natural
+    norm scale of m passes it as scale_floor, so that pure roundoff comes
+    back as the zero subspace instead of full-rank noise."""
     a = as_matrix(m, "range input")
     try:
         uu, ss, _ = np.linalg.svd(a, full_matrices=False)
@@ -205,41 +194,6 @@ def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
     cutoff = TOL_RANK * max(smax, scale_floor)
     rank = int(np.count_nonzero(ss > cutoff)) if cutoff > 0.0 else 0
     return Subspace(basis=uu[:, :rank]), ss
-
-
-def null_space(m) -> Subspace:
-    """Orthonormal basis of the (numerical) kernel of m, a subspace of the
-    column domain C^cols.  rank(orthonormal_range(m)) + rank(null_space(m))
-    equals the column count."""
-    a = as_matrix(m, "null-space input")
-    try:
-        _, ss, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"svd failed: {exc}") from exc
-    smax = float(ss[0]) if ss.size else 0.0
-    rank = int(np.count_nonzero(ss > TOL_RANK * smax)) if smax > 0.0 else 0
-    return Subspace(basis=vh[rank:, :].conj().T)
-
-
-def apply_function_normal(d: SpectralDecomposition,
-                          f: Callable[[complex], complex]) -> np.ndarray:
-    """Spectral function calculus: sum of f(lambda_i) u_i u_i*.
-
-    f is a scalar callable evaluated at each stored eigenvalue.  Non-finite
-    values, or magnitudes above OVERFLOW_GUARD, signal an eigenvalue at a
-    pole of f (e.g. tan at pi/2) and raise SingularFunctionValue.
-    """
-    vals = np.empty(d.dim, dtype=np.complex128)
-    for i, lam in enumerate(d.eigenvalues):
-        fv = complex(f(complex(lam)))
-        finite = np.isfinite(fv.real) and np.isfinite(fv.imag)
-        if not finite or abs(fv) > OVERFLOW_GUARD:
-            raise SingularFunctionValue(
-                f"f({complex(lam):.6g}) = {fv:.6g} is singular or beyond guard "
-                f"{OVERFLOW_GUARD:.1e}"
-            )
-        vals[i] = fv
-    return d.compose(vals)
 
 
 def solve_linear(m, b) -> np.ndarray:

@@ -18,7 +18,7 @@ from kreinkit.extension import (
     extension_from_parameter,
     resolvent_difference_at_i,
 )
-from kreinkit.numerics import orthonormal_range, projector
+from kreinkit.numerics import _svd_range, projector
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def common_subspace(ext1, ext2):
     common symmetric part.  It is N+ for a relatively prime pair and rank 0
     for identical extensions.  Both resolvents have norm at most 1, so the
     rank cutoff floors the scale at 1."""
-    return orthonormal_range(resolvent_difference_at_i(ext1, ext2), scale_floor=1.0)
+    return _svd_range(resolvent_difference_at_i(ext1, ext2), 1.0)[0]
 
 
 def full_range_drift(pair, z, zp):
@@ -140,7 +140,7 @@ def full_range_drift(pair, z, zp):
     of the full N x N P from the pair's memo, at the scale floor the memo
     uses for P|N+.  The library reports a bound on this drift from n x n
     data; this is the direct route it replaced."""
-    ranges = [orthonormal_range(pair.p(w).full, scale_floor=1.0) for w in (z, zp)]
+    ranges = [_svd_range(pair.p(w).full, 1.0)[0] for w in (z, zp)]
     return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
 
 

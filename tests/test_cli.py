@@ -453,6 +453,13 @@ def test_import_loads_no_scipy_subpackage_beyond_linalg():
     assert loaded <= allowed, sorted(loaded - allowed)
 
 
+def test_every_public_name_resolves():
+    import kreinkit
+    assert len(set(kreinkit.__all__)) == len(kreinkit.__all__)
+    missing = [name for name in kreinkit.__all__ if not hasattr(kreinkit, name)]
+    assert missing == []
+
+
 # ---------------------------------------------------------------------------
 # cost contract of the check suite
 
@@ -508,8 +515,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert max(decompositions.values()) == 1
     assert len(p_bodies) == 26
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
-    # the other 4 SVDs are ranks of the model layer, outside the grid loop
-    assert len(svds) == 20
+    # the other 3 SVDs are ranks of the model layer, outside the grid loop
+    assert len(svds) == 19
     assert len(angles) == 3
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),

@@ -207,6 +207,22 @@ def test_full_deficiency_model():
     assert frob(back.a - other.a) < 1e-9 * (1.0 + frob(other.a))
 
 
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       st.integers(0, 2 ** 32 - 1))
+@example((1, 1), 0)
+@example((5, 5), 1)
+def test_dot_domain_is_orthonormal_and_meets_the_defect_space(shape, seed):
+    # D = (a1 + i)^{-1}(N+^perp): orthonormal, of rank N - n (0 at n = N), and
+    # (a1 + i) D is orthogonal to N+
+    dim, deficiency = shape
+    model = support.random_model(dim, deficiency, seed)
+    d = model.dot_domain.basis
+    assert d.shape == (dim, dim - deficiency)
+    assert frob(d.conj().T @ d - np.eye(dim - deficiency)) < 1e-12 * dim
+    leak = model.nplus.basis.conj().T @ (model.a1 + 1j * np.eye(dim)) @ d
+    assert frob(leak) < 1e-12 * (1.0 + frob(model.a1))
+
+
 # ---------------------------------------------------------------------------
 # pair-level structure
 

@@ -25,10 +25,11 @@ from kreinkit.extension import (
     Extension,
     build_model,
     is_relatively_prime,
+    parameter_of,
     restricted_cayley_product,
 )
+from kreinkit.halfline import verify_halfline
 from kreinkit.krein import (
-    PARAMETER_TOL,
     AngleOperator,
     PairContext,
     angle_operator,
@@ -144,6 +145,20 @@ def test_herglotz_lower_bound_frozen_values():
         herglotz_lower_bound(2.0)
 
 
+def test_herglotz_lower_bound_at_huge_z():
+    # |z|^2 overflows a float from |z| ~ 1.34e154; library callers reach the
+    # bound there, the half-line verifier among them
+    assert herglotz_lower_bound(1e200j) == 1.0
+    assert herglotz_lower_bound(1e160 + 1j) == pytest.approx(1e-320, rel=1e-3)
+    assert herglotz_lower_bound(-1e200 - 1e200j) == pytest.approx(0.5)
+    res = verify_halfline((1e200j,), (0.3,), include_quadrature=False)
+    assert all(math.isfinite(value) for value in res.values())
+    # up to |z| = 1e150 the bound is the unscaled formula, bit for bit
+    for z in (1e150j, 1e150 + 1e-3j, -7e149 + 7e149j, 2 - 1e-200j):
+        assert herglotz_lower_bound(z) == \
+            z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
+
+
 # ---------------------------------------------------------------------------
 # scalar-oracle property sweep
 
@@ -243,20 +258,23 @@ def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     assert vn["parametrization_link"] < 1e-10
 
 
-def test_pair_context_reuses_a_parameter_only_under_a_looser_gate():
+def test_one_membership_gate_rejects_a_near_extension():
     model, ext1, ext2, _ = support.random_pair(6, 2, seed=53)
     pair = PairContext(model, ext1, ext2)
-    assert pair.parameter(ext2, DEFAULT_TOL) is pair.parameter(ext2, PARAMETER_TOL)
-    # off the restricted domain by 3e-9 of the scale: inside the PARAMETER_TOL
-    # gate, outside the DEFAULT_TOL one, which must still be applied
+    assert pair.parameter(ext2) is pair.parameter(ext2)
+    # off the restricted domain by 3e-9 of the scale, three times the
+    # DEFAULT_TOL gate: every route to its von Neumann parameter refuses it
     shift = np.eye(model.dim)
     scale = 1.0 + frob(ext2.a) + frob(model.a1)
     eps = 3e-9 * scale / frob(shift @ model.dot_domain.basis)
     near = Extension(ext2.a + eps * shift)
-    pair = PairContext(model, ext1, near)
-    pair.parameter(near, PARAMETER_TOL)
     with pytest.raises(NotAnExtension):
-        pair.parameter(near, DEFAULT_TOL)
+        parameter_of(model, near)
+    pair = PairContext(model, ext1, near)
+    with pytest.raises(NotAnExtension):
+        pair.parameter(near)
+    with pytest.raises(NotAnExtension):
+        vonneumann_link_check(pair)
 
 
 @pytest.mark.parametrize("z,zp", [(1j, 2j), (1 + 1j, -2 - 1j), (2j, -3j)])
