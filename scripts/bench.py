@@ -12,8 +12,9 @@ seeded scenario file of each shape in SHAPES.  The scenario files are generated
 once, by the first tree, so every tree checks the same bytes.  The kernel
 cases ("kernels") time one call in process: each interpreter runs the
 case's set-up, then prints the best per-call time of KERNEL_REPEATS
-samples.  Runs alternate between the trees, and the order flips on every
-round, so a slow phase of the host falls on both sides.  The JSON output
+samples; a kernel that exits non-zero stops the script with exit code 1.
+Runs alternate between the trees, and the order flips on every round, so a
+slow phase of the host falls on both sides.  The JSON output
 holds each side's samples, median and quartiles, the BLAS thread variables
 as the runs saw them, the processor count, and the Python, numpy and scipy
 versions.  A case whose exit code differs between runs of one tree stops
@@ -61,9 +62,10 @@ KERNELS = {
     "solve_linear n=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),
     "lft_m1_to_m2_angle 1x1": (
         "import numpy as np\n"
-        "from kreinkit.krein import AngleOperator, lft_m1_to_m2_angle\n"
-        "from kreinkit.numerics import Subspace\n"
-        "angle = AngleOperator(alpha=np.array([[0.3]]), subspace=Subspace(basis=np.eye(1)))\n"
+        "from kreinkit.extension import Extension, build_model\n"
+        "from kreinkit.krein import angle_operator, lft_m1_to_m2_angle\n"
+        "model = build_model(np.zeros((1, 1)), np.eye(1))\n"
+        "angle = angle_operator(model.reference, Extension(np.ones((1, 1))), model.nplus)\n"
         "m = np.array([[1.0 + 1.0j]])",
         "lft_m1_to_m2_angle(m, angle)", 2000),
     "dirichlet_resolvent_quadrature": (
@@ -90,12 +92,12 @@ def _run(src: str, args: list) -> tuple:
 
 def _run_kernel(src: str, args: list) -> tuple:
     """(seconds per call, exit code) that one fresh interpreter on tree
-    `src` prints for a kernel case; 0.0 seconds when it failed."""
+    `src` prints for a kernel case; None seconds when it failed."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=600)
     if done.returncode != 0:
-        return 0.0, done.returncode
+        return None, done.returncode
     return float(done.stdout.split()[-1]), 0
 
 
@@ -146,6 +148,10 @@ def main(argv=None) -> int:
                 for case, case_args in table.items():
                     for src in order:
                         seconds, code = run(src, case_args)
+                        if seconds is None:
+                            print(f"bench.py: kernel {case} on {src} exited {code}",
+                                  file=sys.stderr)
+                            return 1
                         if exits[case].setdefault(src, code) != code:
                             print(f"bench.py: {case} on {src} exited {code}, "
                                   f"earlier {exits[case][src]}", file=sys.stderr)

@@ -39,7 +39,6 @@ from .extension import (
     check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
-    is_relatively_prime,
     parameter_of,
     resolvent_difference_at_i,
     restricted_cayley_product,
@@ -124,7 +123,6 @@ __all__ = [
     "herglotz_lower_bound",
     "hermitian_eig",
     "inverse_cayley",
-    "is_relatively_prime",
     "krein_resolvent",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",

@@ -18,12 +18,14 @@ failed record build_model, and one inside a check suite a failed record
 named after the suite (weyl_suite, p_function_suite, angle_suite,
 krein_vs_direct, lft_suite, vonneumann_link), with an "error" tag and the
 sentinel max_residual -1.0; the later suites still run.  The model layer
-(model, parametrization and Cayley-geometry records, primeness and the
-resolvent difference at i) is not guarded: an error there exits 2.
+(model, parametrization and Cayley-geometry records, the pair's angle with
+its primeness decision, and the resolvent difference at i) is not guarded:
+an error there exits 2.
 
 Every suite runs on N+ for every pair.  Krein's formula and the angle-form
 checks use the sine/cosine form of the paper's (tan alpha - M1(z))^{-1},
-which needs no primeness decision; primeness only sets the note of
+which needs no primeness decision; primeness (read off the angle: no
+Cayley eigenvalue within DEFAULT_TOL of 1) only sets the note of
 relatively_prime_consistency and the p_restricted_min_sv record.
 """
 
@@ -478,7 +480,7 @@ def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
         yield _record(name, max(geo1[key], geo2[key]), tol)
 
     # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
-    note = "relatively prime" if pair.prime else "not relatively prime"
+    note = "relatively prime" if pair.angle.prime else "not relatively prime"
     yield _record("relatively_prime_consistency", frob(
         pair.resolvent_difference - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
     ), tol, note=note)
@@ -502,11 +504,9 @@ def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
 def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid."""
     model = pair.model
-    eyen = np.eye(model.deficiency)
+    prime = pair.angle.prime
     p_i = pair.p(1j).restricted
     yield _record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
-    yield _record("cayley_compression_identities",
-                  frob((eyen + 1j * p_i) - 0.5 * (eyen + pair.cayley_w)), tol)
     worst = _Worst()
     min_sv = np.inf
     pperp = np.eye(model.dim) - projector(model.nplus)
@@ -521,10 +521,10 @@ def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
         worst.add("p_translation", tr["translation"] / scale)
         worst.add("p_compressed_rank_constancy", tr["rank_delta"])
         worst.add("p_range_constancy", tr["range_drift"])
-        if pair.prime:
+        if prime:
             min_sv = min(min_sv, float(sv[-1]))
     yield from worst.records(tol)
-    if pair.prime:
+    if prime:
         yield _record("p_restricted_min_sv", 0.0 if min_sv > tol else 1.0, tol,
                       note=f"smallest singular value {min_sv:.3e}")
 

@@ -245,19 +245,6 @@ def restricted_cayley_product(ext1: Extension, ext2: Extension,
     return s.conj().T @ ext2.cayley @ (ext1.cayley.conj().T @ s)
 
 
-def is_relatively_prime(model: RestrictionModel, ext1: Extension,
-                        ext2: Extension) -> bool:
-    """True when the pair generates the full model: no eigenvalue of
-    (C1 C2^{-1})|N+ within DEFAULT_TOL of 1.
-
-    Equivalently (cross-checked in the test suite), the resolvent difference
-    at i has full rank n.
-    """
-    dec = unitary_eig(restricted_cayley_product(ext2, ext1, model.nplus))
-    gap = float(np.min(np.abs(dec.eigenvalues - 1.0))) if dec.dim else np.inf
-    return bool(gap > DEFAULT_TOL)
-
-
 def resolvent_difference_at_i(ext1: Extension, ext2: Extension) -> np.ndarray:
     """R2(i) - R1(i), each resolvent by an LU solve with a - i."""
     eye = np.eye(ext1.dim)

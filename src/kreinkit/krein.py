@@ -28,7 +28,8 @@ a primeness decision.  Out of these pieces the module assembles:
 
 The pair-level checks read their inputs from a PairContext, which computes
 each quantity of one pair once (P(z) and the SVD of P(z)|N+ per z, M(z) per
-extension and z, primeness, the angle, the Cayley products) and shares it.
+extension and z, the angle with its primeness decision, the Cayley products)
+and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -45,6 +46,7 @@ import numpy as np
 
 from .errors import (
     ExhaustedCandidates,
+    NotHermitian,
     NotInvariant,
     NumericalFailure,
     RealParameter,
@@ -59,7 +61,6 @@ from .extension import (
     ExtensionParameter,
     RestrictionModel,
     extension_from_parameter,
-    is_relatively_prime,
     parameter_of,
     resolvent_difference_at_i,
     restricted_cayley_product,
@@ -70,7 +71,6 @@ from .numerics import (
     _svd_range,
     as_matrix,
     frob,
-    hermitian_eig,
     projector,
     solve_linear,
     unitary_eig,
@@ -88,27 +88,37 @@ class PSample:
 @dataclass(frozen=True, eq=False)
 class AngleOperator:
     """Hermitian angle operator alpha of an extension pair on an invariant
-    subspace; -exp(-2i alpha) equals the restricted Cayley product, with the
-    spectrum reduced to the branch (-pi/2, pi/2].  Its eigendecomposition is
-    computed on first use and shared by every function of alpha, and so are
-    the factors of the angle-form laws (law_factors)."""
+    subspace, held as its spectral decomposition: -exp(-2i alpha) equals the
+    restricted Cayley product, and angle_operator reduces the spectrum to the
+    branch (-pi/2, pi/2].  Every function of alpha is a diagonal function of
+    that one decomposition; the factors of the angle-form laws (law_factors)
+    are built once and shared."""
 
-    alpha: np.ndarray
+    spectrum: SpectralDecomposition
     subspace: Subspace
     _law_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_matrix(self.alpha, "angle operator"))
-        if self.alpha.shape != (self.subspace.rank, self.subspace.rank):
+        if self.spectrum.dim != self.subspace.rank:
             raise ValueError("angle operator shape does not match subspace rank")
+        if np.any(np.imag(self.spectrum.eigenvalues) != 0.0):
+            raise NotHermitian("angle operator spectrum is not real")
 
     @cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        return hermitian_eig(self.alpha)
+    def alpha(self) -> np.ndarray:
+        """alpha as a matrix in the subspace frame, read-only."""
+        return _frozen(self.spectrum.compose(self.spectrum.eigenvalues))
+
+    @property
+    def prime(self) -> bool:
+        """The pair's primeness decision: every Cayley eigenvalue
+        mu = -exp(-2i alpha_k) keeps |mu - 1| = 2|cos alpha_k| > DEFAULT_TOL."""
+        gaps = 2.0 * np.abs(np.cos(self.spectrum.eigenvalues.real))
+        return bool(np.all(gaps > DEFAULT_TOL))
 
     def law_factors(self, sign: float) -> tuple[np.ndarray, ...]:
         """(cos b, sin b, e^{-ib}, e^{ib}) at b = sign * alpha, diagonal
-        functions of the cached spectrum, built once per sign and read-only."""
+        functions of the spectrum, built once per sign and read-only."""
         if sign not in self._law_factors:
             spec = self.spectrum
             b = sign * spec.eigenvalues
@@ -162,33 +172,31 @@ def _branch_angle(lam: complex) -> float:
 
 def angle_operator(ext1: Extension, ext2: Extension,
                    subspace: Subspace) -> AngleOperator:
-    """Hermitian angle operator of the pair on an invariant subspace.
+    """Hermitian angle operator of the pair on an invariant subspace S.
 
     Checks invariance of the subspace under C2 C1^{-1} (NotInvariant
-    otherwise), eigendecomposes the restricted product, and maps each unitary
-    eigenvalue through the branch (-pi/2, pi/2].  The reconstruction
-    -exp(-2i alpha) == restricted product is re-verified on exit.
+    otherwise) on the N x n image C2 C1* S, takes one Schur form of the
+    restricted product W = S* C2 C1* S read off that image, and maps each
+    unitary eigenvalue through the branch (-pi/2, pi/2], keeping W's frame.
+    The reconstruction -exp(-2i alpha) == W is re-verified on exit.
     """
-    prod_full = ext2.cayley @ ext1.cayley.conj().T
     s = subspace.basis
-    w = s.conj().T @ prod_full @ s
-    invariance = frob(prod_full @ s - s @ w)
-    if invariance > DEFAULT_TOL * (1.0 + frob(prod_full)):
+    image = ext2.cayley @ (ext1.cayley.conj().T @ s)
+    w = s.conj().T @ image
+    invariance = frob(image - s @ w)
+    # 1 + sqrt(N) = 1 + ||C2 C1^{-1}||, the product being unitary
+    if invariance > DEFAULT_TOL * (1.0 + math.sqrt(ext1.dim)):
         raise NotInvariant(
             f"subspace is not invariant under the Cayley product ({invariance:.3e})"
         )
     dec = unitary_eig(w)
     # the scalar cmath.phase per eigenvalue: np.angle differs from it in the
     # last bit on some unit inputs, and reports would move with it
-    alpha = dec.compose(np.array([_branch_angle(lam) for lam in dec.eigenvalues],
-                                 dtype=np.complex128))
-    angle = AngleOperator(alpha=(alpha + alpha.conj().T) / 2.0, subspace=subspace)
-    spec = angle.spectrum
-    rec = -spec.compose(np.exp(-2j * spec.eigenvalues))
-    res = frob(rec - w)
+    alpha = np.array([_branch_angle(lam) for lam in dec.eigenvalues], dtype=np.complex128)
+    res = frob(-dec.compose(np.exp(-2j * alpha)) - w)
     if res > DEFAULT_TOL * (1.0 + frob(w)):
         raise NumericalFailure(f"angle reconstruction residual {res:.3e}")
-    return angle
+    return AngleOperator(SpectralDecomposition(alpha, dec.eigenvectors), subspace)
 
 
 def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
@@ -320,12 +328,6 @@ class PairContext:
         return _frozen(resolvent_difference_at_i(self.ext1, self.ext2))
 
     @cached_property
-    def prime(self) -> bool:
-        """is_relatively_prime(model, ext1, ext2): the one primeness decision
-        of the pair, reported in its check note."""
-        return is_relatively_prime(self.model, self.ext1, self.ext2)
-
-    @cached_property
     def cayley_w(self) -> np.ndarray:
         """Restricted Cayley product W = (C2 C1^{-1})|N+ in the N+ frame."""
         return _frozen(restricted_cayley_product(self.ext1, self.ext2, self.model.nplus))
@@ -337,7 +339,8 @@ class PairContext:
 
     @cached_property
     def angle(self) -> AngleOperator:
-        """angle_operator(ext1, ext2, N+), with its law factors cached."""
+        """angle_operator(ext1, ext2, N+), with its law factors cached; its
+        prime is the one primeness decision of the pair."""
         return angle_operator(self.ext1, self.ext2, self.model.nplus)
 
 
@@ -453,8 +456,11 @@ def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
     return _angle_form(m1, angle_ref1, -1.0, "reference-inversion")
 
 
-def choose_third_extension(pair: PairContext) -> Extension:
-    """Deterministically pick an auxiliary extension relatively prime to both.
+def choose_third_extension(
+        pair: PairContext) -> tuple[Extension, AngleOperator, AngleOperator]:
+    """Deterministically pick an auxiliary extension ext3 relatively prime to
+    both, and return it with the angles of (ext3, ext1) and (ext3, ext2) on
+    N+ that decided it.
 
     Sweeps the phases t_j = j pi / (2 (2n + 2)), j = 1..2n+1, each defining a
     candidate whose inverse Cayley transform on N+ is the reference one
@@ -473,9 +479,11 @@ def choose_third_extension(pair: PairContext) -> Extension:
             ext3 = extension_from_parameter(model, candidate)
         except UnitEigenvalue:
             continue
-        if is_relatively_prime(model, ext3, ext1) and \
-                is_relatively_prime(model, ext3, ext2):
-            return ext3
+        a31 = angle_operator(ext3, ext1, model.nplus)
+        if a31.prime:
+            a32 = angle_operator(ext3, ext2, model.nplus)
+            if a32.prime:
+                return ext3, a31, a32
     raise ExhaustedCandidates("no admissible third extension in the phase sweep")
 
 
@@ -485,9 +493,9 @@ def general_lft_check(pair: PairContext, zs) -> dict[str, float]:
     worst residual of each key over the grid.
 
     The pair-level data (p(i) from Cayley data, the auxiliary third
-    extension and its two angle operators) is computed once; per z only the
-    fractional-linear maps are evaluated, on Weyl operators from the pair's
-    memo.
+    extension and the two angles that chose it) is computed once; per z only
+    the fractional-linear maps are evaluated, on Weyl operators from the
+    pair's memo.
 
     Keys:
       direct               coefficient form vs directly computed m2
@@ -495,11 +503,8 @@ def general_lft_check(pair: PairContext, zs) -> dict[str, float]:
       reference_inversion  inverted m_ref vs its directly computed value
     """
     ext1, ext2 = pair.ext1, pair.ext2
-    sub = pair.model.nplus
     p_i = pair.p_at_i_via_cayley
-    ext3 = choose_third_extension(pair)
-    a31 = angle_operator(ext3, ext1, sub)
-    a32 = angle_operator(ext3, ext2, sub)
+    ext3, a31, a32 = choose_third_extension(pair)
 
     direct = third = reference_inversion = 0.0
     for z in zs:

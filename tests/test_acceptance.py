@@ -24,7 +24,6 @@ from kreinkit.extension import (
     check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
-    is_relatively_prime,
 )
 from kreinkit.halfline import m1_halfline, m2_halfline, HalflineScenario, verify_halfline
 from kreinkit.numerics import frob, projector
@@ -49,7 +48,7 @@ def sweep():
         for seed in SEEDS:
             scenario = cli.generate_scenario(dim, deficiency, seed)
             model, ext1, ext2, _ = cli.materialize(scenario)
-            assert is_relatively_prime(model, ext1, ext2)
+            assert kr.angle_operator(ext1, ext2, model.nplus).prime
             out.append((model, ext1, ext2))
     assert len(out) == 20
     return out
@@ -64,7 +63,7 @@ def degenerate_pairs():
     for dim, deficiency, seed, degenerate in cases:
         model, ext1, ext2, _ = support.random_pair(
             dim, deficiency, seed, degenerate=degenerate)
-        assert not is_relatively_prime(model, ext1, ext2)
+        assert not kr.angle_operator(ext1, ext2, model.nplus).prime
         out.append((model, ext1, ext2))
     return out
 

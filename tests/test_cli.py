@@ -20,7 +20,7 @@ import support
 from kreinkit import cli
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
-from kreinkit.errors import BadDimensions
+from kreinkit.errors import BadDimensions, NotInvariant
 from kreinkit.numerics import frob
 
 
@@ -338,10 +338,27 @@ def test_run_checks_turns_suite_errors_into_records():
          "lft_suite"), "SpectralParameter")
     for name in errors:
         assert checks[name]["max_residual"] == -1.0 and not checks[name]["pass"]
-    for name in ("p_at_i_consistency", "cayley_compression_identities",
-                 "angle_tan_inversion", "vonneumann_link"):
+    for name in ("p_at_i_consistency", "angle_tan_inversion", "vonneumann_link"):
         assert checks[name]["pass"]
     assert report["summary"] == "fail"
+
+
+def test_angle_error_in_the_model_layer_exits_2(tmp_path, monkeypatch):
+    # the note of relatively_prime_consistency reads the pair's angle, so an
+    # angle error is a model-layer error: no report, exit 2
+    def broken_angle(*args):
+        raise NotInvariant("broken")
+
+    monkeypatch.setattr(krein_module, "angle_operator", broken_angle)
+    scenario = cli.generate_scenario(4, 1, 3)
+    with pytest.raises(NotInvariant):
+        cli.run_checks(scenario)
+    scen = tmp_path / "scen.json"
+    assert run_main(["gen", "--dim", "4", "--def", "1", "--seed", "3",
+                     "-o", str(scen)]) == 0
+    out = tmp_path / "report.json"
+    assert run_main(["check", str(scen), "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_mfunc_which_choice_enforced(tmp_path):
@@ -471,13 +488,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # pair memo builds P(z) once for each of the 26 distinct z (the grid,
     # its conjugates and i), the range of P(z)|N+ (3 x 3) once per grid point
     # and no range of the full 64 x 64 P(z), and the angle operator once for
-    # the pair and once for each pair of the third-extension route
+    # the pair and once for each pair of the third-extension route.  Seven
+    # Schur forms in all: one 3 x 3 per angle, which also decides primeness,
+    # and the four 64 x 64 inverse Cayley transforms (ext2, ext3 and the two
+    # of cayley_roundtrip)
     decompositions = collections.Counter()
     svds = []
     third_calls = []
     p_bodies = []
     ranges = []
     angles = []
+    schurs = []
     pairs = []
     real_eig = extension_module.hermitian_eig
     real_third = krein_module.choose_third_extension
@@ -507,6 +528,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     monkeypatch.setattr(krein_module, "_svd_range", counting(ranges, real_range))
     monkeypatch.setattr(np.linalg, "svd", counting(svds, np.linalg.svd))
     monkeypatch.setattr(krein_module, "angle_operator", counting(angles, real_angle))
+    for module in (krein_module, extension_module):
+        monkeypatch.setattr(module, "unitary_eig", counting(schurs, module.unitary_eig))
     monkeypatch.setattr(krein_module, "PairContext", RecordedPair)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
@@ -518,10 +541,11 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # the other 3 SVDs are ranks of the model layer, outside the grid loop
     assert len(svds) == 19
     assert len(angles) == 3
+    assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3 + [(64, 64)] * 4
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
-                   pair.resolvent_difference, pair.cayley_w,
+                   pair.resolvent_difference, pair.cayley_w, pair.angle.alpha,
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0

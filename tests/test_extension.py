@@ -27,10 +27,10 @@ from kreinkit.extension import (
     check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
-    is_relatively_prime,
     parameter_of,
     restricted_cayley_product,
 )
+from kreinkit.krein import angle_operator
 from kreinkit.numerics import frob, projector
 
 
@@ -237,7 +237,7 @@ def test_primeness_matches_common_subspace_rank():
     prime_counts = []
     for seed, degenerate in ((3, 0), (4, 1), (5, 2)):
         model, ext1, ext2, _ = support.random_pair(6, 2, seed, degenerate=degenerate)
-        prime = is_relatively_prime(model, ext1, ext2)
+        prime = angle_operator(ext1, ext2, model.nplus).prime
         common = support.common_subspace(ext1, ext2)
         assert prime == (common.rank == model.deficiency)
         assert common.rank == model.deficiency - degenerate

@@ -1,6 +1,7 @@
 """Tests for the closed-form half-line pair and the quadrature cross-check."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from kreinkit.halfline import (
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,38 @@ def test_m2_angle_law_frozen_value():
     assert abs(m2_halfline(1j, scen) - 1j) < 1e-14
 
 
+def _m2_reference(z, alpha2):
+    """Re and Im of (cos a2 + sin a2 m1)/(sin a2 - cos a2 m1) in 120-digit
+    decimal arithmetic, m1 = 1 + i sqrt(2z) on the upper branch."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        D = decimal.Decimal
+        a, b = 2 * D(z.real), 2 * D(z.imag)  # b > 0 here
+        root_re = (((a * a + b * b).sqrt() + a) / 2).sqrt()
+        root_im = b / (2 * root_re)  # principal root, Im > 0
+        m1_re, m1_im = 1 - root_im, root_re
+        ca, sa = D(math.cos(alpha2)), D(math.sin(alpha2))
+        num_re, num_im = ca + sa * m1_re, sa * m1_im
+        den_re, den_im = sa - ca * m1_re, -ca * m1_im
+        den2 = den_re * den_re + den_im * den_im
+        return (float((num_re * den_re + num_im * den_im) / den2),
+                float((num_im * den_re - num_re * den_im) / den2))
+
+
+@pytest.mark.parametrize("alpha2", [0.3, 2.0])
+@pytest.mark.parametrize("z", [1e34j, 1e50j, 1e100 + 1e100j])
+def test_m2_halfline_keeps_its_imaginary_part_at_huge_z(z, alpha2):
+    # Im m2 is about 1/|z|^(1/2) against Re m2 ~ -tan a2, so the quotient's
+    # own imaginary part cancels to 0 here; 120 digits resolve it exactly
+    want_re, want_im = _m2_reference(z, alpha2)
+    got = m2_halfline(z, HalflineScenario(alpha2))
+    assert abs((got.real - want_re) / want_re) < 8 * EPS
+    assert abs((got.imag - want_im) / want_im) < 8 * EPS
+    if alpha2 == 0.3 and z == 1e50j:
+        # a true Herglotz function: no false positivity violation
+        assert verify_halfline((z,), (alpha2,), include_quadrature=False)["herglotz_m2"] == 0.0
+
+
 def test_p12_inversion_identity():
     for a2 in DEFAULT_ALPHA2:
         scen = HalflineScenario(a2)
@@ -95,10 +129,6 @@ def test_resolvent_coefficient_proportional_to_p12():
 def test_scenario_constructor_contracts():
     scen = HalflineScenario(0.0)
     assert scen.c == pytest.approx(1.0 / SQRT2)
-    # explicit c must agree with the angle
-    HalflineScenario(0.0, c=(1.0 - math.tan(0.0)) / SQRT2)
-    with pytest.raises(ValueError):
-        HalflineScenario(0.0, c=0.5)
     with pytest.raises(ValueError):
         HalflineScenario(math.inf)
     for bad in (math.pi / 2, -math.pi / 2, 3 * math.pi / 2, math.pi / 2 + 1e-9):

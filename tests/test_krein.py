@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import support
 from kreinkit.errors import (
     NotAnExtension,
+    NotHermitian,
     NotInvariant,
     RealParameter,
     SingularDenominator,
@@ -24,7 +25,6 @@ from kreinkit.extension import (
     DEFAULT_TOL,
     Extension,
     build_model,
-    is_relatively_prime,
     parameter_of,
     restricted_cayley_product,
 )
@@ -46,7 +46,7 @@ from kreinkit.krein import (
     vonneumann_link_check,
     weyl_operator,
 )
-from kreinkit.numerics import Subspace, frob, solve_linear
+from kreinkit.numerics import Subspace, frob, hermitian_eig, solve_linear, unitary_eig
 
 SAFE_Z = (1j, 2j, -3j, 1 + 1j, -1 + 1j, -2 - 1j, 0.5 + 0.5j)
 
@@ -214,9 +214,8 @@ def test_matrix_pair_identities(dim, deficiency, seed):
     n = model.deficiency
     eye = np.eye(dim)
     eyen = np.eye(n)
-    assert is_relatively_prime(model, ext1, ext2)
-
     ang = angle_operator(ext1, ext2, sub)
+    assert ang.prime
     tan_a = support.tan_of(ang)
     for z in SAFE_Z:
         ps = p_function(ext1, ext2, sub, z)
@@ -337,12 +336,11 @@ def test_sine_cosine_forms_across_the_primeness_decision(log_gap, dim, deficienc
     deficiency = min(deficiency, dim)
     model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed, degenerate=1, gap=gap)
     assume(min(np.min(np.abs(np.linalg.eigvalsh(ext.a) - z)) for ext in (ext1, ext2)) > 0.1)
-    prime = is_relatively_prime(model, ext1, ext2)
-    if gap > 2e-9:
-        assert prime
-    elif gap < 2e-10:
-        assert not prime
     ang = angle_operator(ext1, ext2, model.nplus)
+    if gap > 2e-9:
+        assert ang.prime
+    elif gap < 2e-10:
+        assert not ang.prime
     eye = np.eye(dim)
     direct = np.linalg.solve(ext2.a - z * eye, eye)
     assert frob(krein_resolvent(ext1, ang, z) - direct) < 1e-9 * frob(direct)
@@ -351,11 +349,38 @@ def test_sine_cosine_forms_across_the_primeness_decision(log_gap, dim, deficienc
     assert frob(via - m2) < 1e-9 * (1.0 + frob(m2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-12.0, -2.0), st.integers(2, 8), st.integers(1, 3), st.integers(0, 10 ** 6))
+@example(log_gap=-9.155, dim=8, deficiency=2, seed=5)   # Cayley gap 1.4e-9: prime
+@example(log_gap=-10.0, dim=3, deficiency=3, seed=0)    # 2e-10: not prime
+def test_angle_spectrum_decides_primeness_and_rebuilds_w(log_gap, dim, deficiency, seed):
+    # one Schur form of W = (C2 C1^{-1})|N+ gives the angle and primeness:
+    # prime agrees with W's eigenvalues from an independent nonsymmetric
+    # solver, away from the DEFAULT_TOL threshold itself
+    gap = 10.0 ** log_gap
+    deficiency = min(deficiency, dim)
+    model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed, degenerate=1, gap=gap)
+    w = restricted_cayley_product(ext1, ext2, model.nplus)
+    cayley_gap = float(np.min(np.abs(np.linalg.eigvals(w) - 1.0)))
+    assume(abs(cayley_gap - DEFAULT_TOL) > 1e-3 * DEFAULT_TOL)
+    ang = angle_operator(ext1, ext2, model.nplus)
+    assert ang.prime == (cayley_gap > DEFAULT_TOL)
+    # the rebuilt product is unitary by construction, W only up to the
+    # roundoff of the Cayley transforms, so that defect enters the bound
+    tol = 10 * deficiency * np.finfo(float).eps
+    spec = ang.spectrum
+    rebuilt = -spec.compose(np.exp(-2j * spec.eigenvalues))
+    assert frob(rebuilt - w) < tol + frob(w.conj().T @ w - np.eye(deficiency))
+    assert frob(ang.alpha - ang.alpha.conj().T) <= tol * frob(ang.alpha)
+    with pytest.raises(ValueError):
+        ang.alpha[0, 0] = 0.0
+
+
 def test_non_prime_pair_behaviour():
     model, ext1, ext2, h = support.random_pair(6, 3, seed=41, degenerate=1)
     sub = model.nplus
     pair = PairContext(model, ext1, ext2)
-    assert not is_relatively_prime(model, ext1, ext2)
+    assert not pair.angle.prime
     assert support.common_subspace(ext1, ext2).rank == 2
 
     # the angle operator on N+ exists (N+ stays invariant) and has an
@@ -410,14 +435,18 @@ def test_identical_extensions_degenerate_cleanly():
 
 def test_choose_third_extension_properties(s1):
     model, ext1, ext2 = s1
-    ext3 = choose_third_extension(PairContext(model, ext1, ext2))
-    assert is_relatively_prime(model, ext3, ext1)
-    assert is_relatively_prime(model, ext3, ext2)
-    # also for a non-prime pair
     model2, e1, e2, _ = support.random_pair(4, 2, seed=47, degenerate=1)
-    ext3b = choose_third_extension(PairContext(model2, e1, e2))
-    assert is_relatively_prime(model2, ext3b, e1)
-    assert is_relatively_prime(model2, ext3b, e2)
+    # also for a non-prime pair: the returned angles decided the choice, so
+    # they are prime, and they are the angles a fresh call computes
+    for m, first, second in ((model, ext1, ext2), (model2, e1, e2)):
+        ext3, a31, a32 = choose_third_extension(PairContext(m, first, second))
+        for angle, other in ((a31, first), (a32, second)):
+            assert angle.prime
+            fresh = angle_operator(ext3, other, m.nplus)
+            for got, want in ((angle.spectrum.eigenvalues, fresh.spectrum.eigenvalues),
+                              (angle.spectrum.eigenvectors, fresh.spectrum.eigenvectors),
+                              (angle.alpha, fresh.alpha)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_lft_to_reference_inverts_angle_form():
@@ -475,7 +504,7 @@ def test_angle_form_laws_are_finite_at_the_pole():
     for sign in (1.0, -1.0):
         for gap in (0.0, 1e-12, 5e-9, 2e-8):
             a = sign * (math.pi / 2.0 - gap)
-            ang = AngleOperator(alpha=np.array([[a]]), subspace=line)
+            ang = AngleOperator(hermitian_eig(np.array([[a]])), line)
             for _ in range(2):   # the second pass reads the cached factors
                 p_fwd = np.array([[1j * np.exp(-1j * a) * math.cos(a)]])
                 p_back = np.array([[1j * np.exp(1j * a) * math.cos(a)]])
@@ -500,7 +529,7 @@ def _angle_form_rebuilt(m, angle, sign):
 def test_angle_form_laws_reuse_read_only_factors():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    angle = AngleOperator(alpha=(g + g.conj().T) / 4.0, subspace=Subspace(basis=np.eye(3)))
+    angle = AngleOperator(hermitian_eig((g + g.conj().T) / 4.0), Subspace(basis=np.eye(3)))
     for _ in range(2):   # the second pass reads the cached factors
         for k in range(3):
             m = rng.standard_normal((3, 3)) + 1j * (np.eye(3) + 0.1 * k)
@@ -521,7 +550,7 @@ def test_krein_resolvent_singular_denominator():
     # off the real axis (Im m1 is definite there), so force it on the axis:
     # for a1 = 1, m1(-1) = (1 + w z)/(w - z) = 0 exactly, and alpha = 0
     model, ext1, _ = scalar_pair(1.0, 0.0)
-    ang = AngleOperator(alpha=np.zeros((1, 1)), subspace=model.nplus)
+    ang = AngleOperator(hermitian_eig(np.zeros((1, 1))), model.nplus)
     with pytest.raises(SingularDenominator):
         krein_resolvent(ext1, ang, -1.0)
 
@@ -529,7 +558,10 @@ def test_krein_resolvent_singular_denominator():
 def test_sample_shape_validation():
     line = Subspace(basis=np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
-        AngleOperator(alpha=np.zeros((2, 2)), subspace=line)
+        AngleOperator(hermitian_eig(np.zeros((2, 2))), line)
+    # a unitary spectrum passed by mistake is not an angle
+    with pytest.raises(NotHermitian):
+        AngleOperator(unitary_eig(np.array([[1j]])), line)
 
 
 # ---------------------------------------------------------------------------

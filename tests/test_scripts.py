@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import sys
 
 import support
 from kreinkit import cli
@@ -65,3 +66,24 @@ def test_bench_writes_medians_per_tree(monkeypatch, tmp_path):
         assert stats["exit_code"] == 0
         assert stats["q1_s"] == stats["median_s"] == stats["q3_s"] == stats["samples_s"][0] > 0.0
     assert set(result["machine"]["thread_variables"]) == set(bench.THREAD_VARIABLES)
+
+
+def test_bench_stops_on_a_failing_kernel(monkeypatch, tmp_path, capsys):
+    src = str(SCRIPTS.parent / "src")
+    out = tmp_path / "bench.json"
+    bench = _load("bench")
+    monkeypatch.setattr(bench, "SHAPES", ((2, 1),))
+    monkeypatch.setattr(bench, "KERNELS", {"raises": ("raise SystemExit(3)", "pass", 1)})
+    assert bench.main(["--src", src, "--runs", "1", "--out", str(out)]) == 1
+    assert f"kernel raises on {src} exited 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_kernels_run_on_the_current_tree(monkeypatch):
+    # every kernel's set-up and statement run once; a set-up that no longer
+    # matches the library would otherwise surface only in a full bench run
+    monkeypatch.setattr(sys, "path", sys.path[:])  # set-ups may extend it
+    for setup, stmt, _ in _load("bench").KERNELS.values():
+        namespace = {}
+        exec(setup, namespace)
+        exec(stmt, namespace)
