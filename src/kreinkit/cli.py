@@ -15,12 +15,12 @@ outputs.  Reports carry no timestamps by design.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 input or I/O error.  In check, an error building the model becomes the
 failed record build_model, and one inside a check suite a failed record
-named after the suite (weyl_suite, p_function_suite, angle_suite,
-krein_vs_direct, lft_suite, vonneumann_link), with an "error" tag and the
-sentinel max_residual -1.0; the later suites still run.  The model layer
-(model, parametrization and Cayley-geometry records, the pair's angle with
-its primeness decision, and the resolvent difference at i) is not guarded:
-an error there exits 2.
+named after the suite (model_layer, weyl_suite, p_function_suite,
+angle_suite, krein_vs_direct, lft_suite, vonneumann_link), with an "error"
+tag and the sentinel max_residual -1.0; the later suites still run.  The
+model layer (model, parametrization and Cayley-geometry records, the pair's
+angle with its primeness decision, and the resolvent difference at i) is
+the first suite, so an error there, too, is a failed record and exit 1.
 
 Every suite runs on N+ for every pair.  Krein's formula and the angle-form
 checks use the sine/cosine form of the paper's (tan alpha - M1(z))^{-1},
@@ -412,9 +412,9 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
 
     Residuals are normalized by 1 + the norms of the primary inputs of each
     identity, so the single tolerance is meaningful across scales; a record
-    passes iff max_residual <= tolerance.  _model_layer is not guarded; a
-    KreinKitError in materialize or in a suite of _SUITES becomes one failed
-    record (see the module docstring), after the records the suite yielded.
+    passes iff max_residual <= tolerance.  A KreinKitError in materialize or
+    in a suite of _SUITES becomes one failed record (see the module
+    docstring), after the records the suite yielded.
 
     Every check reads P(z), M(z) and the pair's data from one
     krein.PairContext, so each is computed once; it is dropped on return.
@@ -428,10 +428,10 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     except KreinKitError as exc:
         return _finish_report([_error_record("build_model", tol, exc)], provenance)
     pair = kr.PairContext(model, ext1, ext2)
-    checks = list(_model_layer(pair, v2, tol))
+    checks = []
     for name, suite in _SUITES:
         try:
-            for rec in suite(pair, scenario.z_grid, tol):
+            for rec in suite(pair, v2, scenario.z_grid, tol):
                 checks.append(rec)
         except KreinKitError as exc:
             checks.append(_error_record(name, tol, exc))
@@ -449,7 +449,7 @@ class _Worst(dict):
         return [_record(name, value, tol) for name, value in self.items()]
 
 
-def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
+def _model_layer(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     """Model, parametrization and Cayley geometry; the resolvent difference
     at i against Cayley data, noted with the pair's primeness."""
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
@@ -486,7 +486,7 @@ def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     ), tol, note=note)
 
 
-def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
+def _weyl_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     """M(z) of both extensions: fixed point at i, symmetry, Herglotz."""
     worst = _Worst()
     for ext in (pair.ext1, pair.ext2):
@@ -501,7 +501,7 @@ def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
+def _p_function_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid."""
     model = pair.model
     prime = pair.angle.prime
@@ -529,7 +529,7 @@ def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
                       note=f"smallest singular value {min_sv:.3e}")
 
 
-def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
+def _angle_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     """sin(alpha) - i cos(alpha) and sin(alpha) - cos(alpha) M1(z) invert P(i)
     and P(z) up to the factor cos(alpha), and the angle form of the
     fractional-linear law."""
@@ -549,7 +549,7 @@ def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
+def _krein_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     """Krein's formula on N+ against a direct solve for R2(z)."""
     eye = np.eye(pair.model.dim)
     worst = _Worst()
@@ -560,19 +560,20 @@ def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _lft_suite(pair: kr.PairContext, zs: list, tol: float):
+def _lft_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     res = kr.general_lft_check(pair, zs)
     for key in ("direct", "third_extension", "reference_inversion"):
         yield _record("lft_" + key, res[key], tol)
 
 
-def _vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
+def _vonneumann_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     yield _record("vonneumann_link", kr.vonneumann_link_check(pair)["parametrization_link"],
                   tol)
 
 
-# (error record name, suite), run in this order behind run_checks' boundary
+# (error record name, suite(pair, v2, zs, tol)), run in this order behind the boundary
 _SUITES = (
+    ("model_layer", _model_layer),
     ("weyl_suite", _weyl_suite),
     ("p_function_suite", _p_function_suite),
     ("angle_suite", _angle_suite),

@@ -6,7 +6,8 @@ n-dimensional "defect" subspace N+.  The symmetric object being extended is
 the restriction of ``a1`` to D = (a1 + i)^{-1}(N+^perp); every Hermitian
 matrix that agrees with ``a1`` on D is an extension.  The deficiency
 subspaces are N+ and N- = C1^{-1} N+ (C1 the Cayley transform of ``a1``),
-and extensions are in bijection with unitaries N+ -> N-.
+and extensions are in bijection with unitaries N+ -> N-; each one differs
+from a1 by an operator of rank at most n, and is built as that update.
 
 A word of caution that applies to everything built on this model: D is a
 proper subspace of C^N, so the restricted operator is *not* densely defined.
@@ -34,6 +35,7 @@ from .errors import (
     NotAnExtension,
     NumericalFailure,
     RankDeficientInput,
+    SingularMatrix,
     UnitEigenvalue,
 )
 from .numerics import (
@@ -198,23 +200,30 @@ def build_model(a1, nplus_raw) -> RestrictionModel:
 
 def extension_from_parameter(model: RestrictionModel,
                              p: ExtensionParameter) -> Extension:
-    """Build the extension selected by the unitary parameter v.
-
-    The inverse Cayley transform of the result acts as C1^{-1} on N+^perp and
-    as -U_v on N+, where U_v is the parametrized isometry N+ -> N-.  Raises
-    UnitEigenvalue when the assembled transform has eigenvalue 1 (parameter
-    selects a relation, not an operator).
+    """Build the extension selected by the unitary parameter v as the rank-n
+    update a2 = a1 + F T F* of the reference, F = (a1 - i) Bp: Woodbury on
+    c - 1 for its Cayley transform c = C1 + Bp (1 - v)* Bm* gives
+    T = u (2i - (h + i) u)^{-1}, u = (1 - v)*, h + i = Bp* a1 Bp + i = Bp* F + 2i.
+    Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1
+    (v selects a relation): that n x n solve is singular, or an eigenvalue
+    w of a2 has |(w + i)/(w - i) - 1| = 2/|w - i| <= DEFAULT_TOL.
     """
-    if p.v.shape[0] != model.deficiency:
-        raise ValueError(
-            f"parameter size {p.v.shape[0]} != deficiency {model.deficiency}"
-        )
-    # C1^{-1} Bp = -Bm by the choice of the N- basis, so the inverse of the
-    # transform is C1* + Bm (1 - v) Bp*, and the transform is its adjoint
-    bm, bp = model.nminus.basis, model.nplus.basis
-    c = (model.reference.cayley
-         + bp @ (np.eye(model.deficiency) - p.v).conj().T @ bm.conj().T)
-    return Extension(inverse_cayley(c))
+    n = model.deficiency
+    if p.v.shape[0] != n:
+        raise ValueError(f"parameter size {p.v.shape[0]} != deficiency {n}")
+    bp, eye = model.nplus.basis, np.eye(n)
+    f = model.a1 @ bp - 1j * bp
+    u = (eye - p.v).conj().T
+    try:
+        t = u @ solve_linear(2j * eye - (bp.conj().T @ f + 2j * eye) @ u, eye)
+    except SingularMatrix as exc:
+        raise UnitEigenvalue(f"cayley transform has eigenvalue 1: {exc}") from None
+    a2 = model.a1 + f @ ((t + t.conj().T) / 2.0) @ f.conj().T
+    ext = Extension((a2 + a2.conj().T) / 2.0)
+    gap = float(np.min(2.0 / np.abs(ext.spectrum.eigenvalues.real - 1j)))
+    if gap <= DEFAULT_TOL:
+        raise UnitEigenvalue(f"cayley transform has eigenvalue within {gap:.3e} of 1")
+    return ext
 
 
 def parameter_of(model: RestrictionModel, ext: Extension) -> ExtensionParameter:

@@ -12,10 +12,13 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from kreinkit import cli
 from kreinkit.extension import (
+    Extension,
     ExtensionParameter,
     build_model,
     extension_from_parameter,
+    parameter_of,
     resolvent_difference_at_i,
 )
 from kreinkit.numerics import _svd_range, projector
@@ -125,6 +128,58 @@ def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4, gap=0.0):
     v2 = -expm(2j * h)
     ext2 = extension_from_parameter(model, ExtensionParameter(v2))
     return model, model.reference, ext2, h
+
+
+def assembled_cayley(model, v):
+    """The N x N Cayley transform C1 + Bp (1 - v)* Bm* of the extension with
+    unitary parameter v.  inverse_cayley of it is the reference route to that
+    extension, through a Schur form of c, independent of the rank-n update
+    a1 + F T F* that extension_from_parameter takes."""
+    bp, bm = model.nplus.basis, model.nminus.basis
+    return model.reference.cayley \
+        + bp @ (np.eye(model.deficiency) - v).conj().T @ bm.conj().T
+
+
+def near_unit_parameter(model, delta):
+    """A unitary parameter whose Cayley transform has an eigenvalue about
+    delta from 1.  In the eigenframe g of h = Bp* a1 Bp, v = g diag(e^{i phi})
+    g* makes 2i - (h + i)(1 - v)* diagonal, singular at the phase
+    2 atan2(1, eta) for an eigenvalue eta of h; the first phase sits delta
+    from it and the others opposite theirs.  At n = 1 this is
+    v = exp(i (2 atan2(1, h) + delta))."""
+    bp = model.nplus.basis
+    eta, g = np.linalg.eigh(bp.conj().T @ model.a1 @ bp)
+    phases = 2.0 * np.arctan2(1.0, eta) + math.pi
+    phases[0] = 2.0 * math.atan2(1.0, eta[0]) + delta
+    return (g * np.exp(1j * phases)) @ g.conj().T
+
+
+def unitary_scenario(scenario, v):
+    """The scenario with its parameter replaced by {"unitary": v}."""
+    return cli.ScenarioFile.from_json({**scenario.to_json(),
+                                       "parameter": {"unitary": cli._m_to_json(v)}})
+
+
+def near_unit_scenario(dim, deficiency, seed, delta):
+    """generate_scenario(dim, deficiency, seed) with the parameter
+    {"unitary": near_unit_parameter(model, delta)}."""
+    scenario = cli.generate_scenario(dim, deficiency, seed)
+    model = build_model(scenario.a1, scenario.nplus)
+    return unitary_scenario(scenario, near_unit_parameter(model, delta))
+
+
+def role_swapped(scenario):
+    """The same restriction with the roles of the two extensions swapped:
+    a2 agrees with a1 on D, so build_model(a2, nplus) models it with a2 as
+    the reference, and a1 is its extension with the parameter
+    parameter_of(model2, a1).  Returns the scenario, with explicit a1 = a2,
+    nplus and that {"unitary": V}, and the original a1."""
+    _, ext1, ext2, _ = cli.materialize(scenario)
+    model2 = build_model(ext2.a, scenario.nplus)
+    v = parameter_of(model2, Extension(ext1.a)).v
+    swapped = cli.ScenarioFile.from_json({**scenario.to_json(),
+                                          "a1": cli._m_to_json(ext2.a)})
+    return unitary_scenario(swapped, v), ext1.a
 
 
 def common_subspace(ext1, ext2):

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import support
 from kreinkit import cli
@@ -343,22 +343,50 @@ def test_run_checks_turns_suite_errors_into_records():
     assert report["summary"] == "fail"
 
 
-def test_angle_error_in_the_model_layer_exits_2(tmp_path, monkeypatch):
-    # the note of relatively_prime_consistency reads the pair's angle, so an
-    # angle error is a model-layer error: no report, exit 2
+def test_angle_error_in_the_model_layer_is_a_failed_record(tmp_path, monkeypatch):
+    # the model layer is the first suite behind the error boundary: an angle
+    # error there is the failed record model_layer, the suites that read the
+    # angle fail the same way, and check writes its report and exits 1
     def broken_angle(*args):
         raise NotInvariant("broken")
 
     monkeypatch.setattr(krein_module, "angle_operator", broken_angle)
-    scenario = cli.generate_scenario(4, 1, 3)
-    with pytest.raises(NotInvariant):
-        cli.run_checks(scenario)
+    report = cli.run_checks(cli.generate_scenario(4, 1, 3))
+    errors = {rec["name"]: rec["error"] for rec in report["checks"] if "error" in rec}
+    assert errors["model_layer"] == "NotInvariant"
+    assert report["summary"] == "fail"
     scen = tmp_path / "scen.json"
     assert run_main(["gen", "--dim", "4", "--def", "1", "--seed", "3",
                      "-o", str(scen)]) == 0
     out = tmp_path / "report.json"
-    assert run_main(["check", str(scen), "-o", str(out)]) == 2
-    assert not out.exists()
+    assert run_main(["check", str(scen), "-o", str(out)]) == 1
+    assert read_json(out)["summary"] == "fail"
+
+
+def _check_near_unit(tmp_path, delta):
+    scen = tmp_path / "near.json"
+    scen.write_text(cli._dump_json(support.near_unit_scenario(8, 1, 5, delta).to_json()),
+                    encoding="utf-8")
+    out = tmp_path / "near_report.json"
+    return run_main(["check", str(scen), "-o", str(out)]), read_json(out)
+
+
+def test_unit_eigenvalue_parameter_is_a_failed_build_model_record(tmp_path):
+    # {"unitary": V} 1e-9 from the unit-eigenvalue phase of (8, 1) seed 5
+    code, report = _check_near_unit(tmp_path, 1e-9)
+    assert code == 1
+    (rec,) = report["checks"]
+    assert rec["name"] == "build_model" and rec["error"] == "UnitEigenvalue"
+
+
+def test_model_layer_error_on_a_valid_scenario_exits_1(tmp_path):
+    # 1e-8 from that phase the extension builds (||a2|| = 5.3e8), and the
+    # pair's angle operator finds N+ not invariant under C2 C1^{-1} (3e-8)
+    code, report = _check_near_unit(tmp_path, 1e-8)
+    assert code == 1
+    errors = {rec["name"]: rec["error"] for rec in report["checks"] if "error" in rec}
+    assert errors["model_layer"] == "NotInvariant"
+    assert "model_invariants" in {rec["name"] for rec in report["checks"]}
 
 
 def test_mfunc_which_choice_enforced(tmp_path):
@@ -541,7 +569,9 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # the other 3 SVDs are ranks of the model layer, outside the grid loop
     assert len(svds) == 19
     assert len(angles) == 3
-    assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3 + [(64, 64)] * 4
+    # extensions are rank-n updates of a1; the two 64 x 64 Schur forms are
+    # cayley_roundtrip's inverse Cayley transforms
+    assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3 + [(64, 64)] * 2
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
@@ -582,6 +612,27 @@ def test_herglotz_identity_holds_for_a_large_norm_extension():
     worst = max(krein_module.herglotz_check(pair, ext, z)["exact_identity"]
                 for ext in (ext1, ext2) for z in cli.FIXED_Z16)
     assert worst <= 1e-9
+
+
+@given(st.sampled_from([(64, 3), (32, 3), (8, 2), (6, 6), (1, 1)]),
+       st.integers(0, 2 ** 32 - 1))
+# large-norm second extensions (||a2|| up to 1.49e4): swapped, they are
+# references the battery never draws
+@example((64, 3), 450058655)
+@example((64, 3), 586626706)
+@example((64, 3), 824942258)
+def test_role_swap_passes_and_rebuilds_the_reference(shape, seed):
+    # a2 agrees with a1 on D, so a2 as the reference models the same
+    # restriction, and a1 is its extension with parameter_of(model2, a1)
+    swapped, a1 = support.role_swapped(cli.generate_scenario(*shape, seed))
+    assert cli.run_checks(swapped)["summary"] == "pass"
+    model2 = extension_module.build_model(swapped.a1, swapped.nplus)
+    rebuilt = extension_module.extension_from_parameter(
+        model2, extension_module.ExtensionParameter(swapped.parameter["unitary"]))
+    # the round trip passes through the Cayley transforms of both extensions;
+    # inverting one at a has relative condition about 1 + ||a||
+    bound = 4.0 * shape[0] * np.finfo(float).eps * (1.0 + frob(a1)) * (1.0 + frob(swapped.a1))
+    assert frob(rebuilt.a - a1) <= bound
 
 
 # defect 1, the scenario of the primeness decision: angle diag(pi/2 - eps, 0.3)

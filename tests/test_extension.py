@@ -20,6 +20,7 @@ from kreinkit.errors import (
     UnitEigenvalue,
 )
 from kreinkit.extension import (
+    DEFAULT_TOL,
     Extension,
     ExtensionParameter,
     RestrictionModel,
@@ -31,7 +32,9 @@ from kreinkit.extension import (
     restricted_cayley_product,
 )
 from kreinkit.krein import angle_operator
-from kreinkit.numerics import frob, projector
+from kreinkit.numerics import frob, projector, unitary_eig
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -276,6 +279,52 @@ def test_parameter_roundtrip_random_pairs(seed):
     # re-derive it here against the raw formula as a cross-check
     raw = -model.nminus.basis.conj().T @ np.linalg.solve(ext2.cayley, model.nplus.basis)
     assert frob(raw - v2.v) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the unit-eigenvalue decision of the rank-n construction
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.floats(-13.0, -5.0),
+       st.sampled_from([1.0, -1.0]))
+@example(1, 5, -9.0, 1.0)
+@example(3, 11, -5.0, -1.0)
+def test_unit_eigenvalue_decision_matches_the_schur_route(n, seed, log_delta, sign):
+    # reference: assemble the N x N Cayley transform c and invert it in its
+    # Schur frame, which raises at an eigenvalue gap of c to 1 <= DEFAULT_TOL.
+    # The rank-n update decides the same question from the spectrum of the a2
+    # it builds; the two gaps agree to roundoff, so the decisions must agree
+    # outside a factor-2 band around the gate
+    dim = 8
+    model = support.random_model(dim, n, seed)
+    v = support.near_unit_parameter(model, sign * 10.0 ** log_delta)
+    c = support.assembled_cayley(model, v)
+    gap = float(np.min(np.abs(unitary_eig(c).eigenvalues - 1.0)))
+    assume(not DEFAULT_TOL / 2.0 <= gap <= 2.0 * DEFAULT_TOL)
+    try:
+        reference = inverse_cayley(c)
+    except UnitEigenvalue:
+        reference = None
+    try:
+        built = extension_from_parameter(model, ExtensionParameter(v)).a
+    except UnitEigenvalue:
+        built = None
+    assert (reference is None) == (built is None) == (gap <= DEFAULT_TOL)
+    if built is not None:
+        # the inverse Cayley transform has relative condition about
+        # 1 + ||a2||, so each route's relative error is a few N eps times it
+        scale = 1.0 + frob(reference)
+        assert frob(built - reference) <= 4.0 * dim * EPS * scale ** 2
+
+
+def test_unit_eigenvalue_raises_where_the_pivot_ratio_is_one():
+    # n = 1: the 1x1 solve's pivot ratio is 1 at every phase, so it cannot
+    # decide; 1e-9 from the unit-eigenvalue phase the Cayley gap is 3.8e-10
+    # and the a2 it would build has ||a2|| = 5.3e9
+    scenario = support.near_unit_scenario(8, 1, 5, 1e-9)
+    model = build_model(scenario.a1, scenario.nplus)
+    with pytest.raises(UnitEigenvalue):
+        extension_from_parameter(model, ExtensionParameter(scenario.parameter["unitary"]))
 
 
 def test_check_cayley_geometry_residuals():
