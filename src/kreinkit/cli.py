@@ -412,9 +412,9 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
 
     Residuals are normalized by 1 + the norms of the primary inputs of each
     identity, so the single tolerance is meaningful across scales; a record
-    passes iff max_residual <= tolerance.  A KreinKitError in materialize or
-    in a suite of _SUITES becomes one failed record (see the module
-    docstring), after the records the suite yielded.
+    passes iff max_residual <= tolerance.  A KreinKitError in materialize, in
+    _model_layer or in a suite of _SUITES becomes one failed record (see the
+    module docstring), after the records the suite yielded.
 
     Every check reads P(z), M(z) and the pair's data from one
     krein.PairContext, so each is computed once; it is dropped on return.
@@ -429,9 +429,10 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
         return _finish_report([_error_record("build_model", tol, exc)], provenance)
     pair = kr.PairContext(model, ext1, ext2)
     checks = []
-    for name, suite in _SUITES:
+    model_layer = lambda pair, zs, tol: _model_layer(pair, v2, tol)
+    for name, suite in (("model_layer", model_layer),) + _SUITES:
         try:
-            for rec in suite(pair, v2, scenario.z_grid, tol):
+            for rec in suite(pair, scenario.z_grid, tol):
                 checks.append(rec)
         except KreinKitError as exc:
             checks.append(_error_record(name, tol, exc))
@@ -449,7 +450,7 @@ class _Worst(dict):
         return [_record(name, value, tol) for name, value in self.items()]
 
 
-def _model_layer(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     """Model, parametrization and Cayley geometry; the resolvent difference
     at i against Cayley data, noted with the pair's primeness."""
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
@@ -486,7 +487,7 @@ def _model_layer(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     ), tol, note=note)
 
 
-def _weyl_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     """M(z) of both extensions: fixed point at i, symmetry, Herglotz."""
     worst = _Worst()
     for ext in (pair.ext1, pair.ext2):
@@ -501,7 +502,7 @@ def _weyl_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _p_function_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid."""
     model = pair.model
     prime = pair.angle.prime
@@ -529,7 +530,7 @@ def _p_function_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float
                       note=f"smallest singular value {min_sv:.3e}")
 
 
-def _angle_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
     """sin(alpha) - i cos(alpha) and sin(alpha) - cos(alpha) M1(z) invert P(i)
     and P(z) up to the factor cos(alpha), and the angle form of the
     fractional-linear law."""
@@ -549,7 +550,7 @@ def _angle_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _krein_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
     """Krein's formula on N+ against a direct solve for R2(z)."""
     eye = np.eye(pair.model.dim)
     worst = _Worst()
@@ -560,20 +561,19 @@ def _krein_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
     yield from worst.records(tol)
 
 
-def _lft_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _lft_suite(pair: kr.PairContext, zs: list, tol: float):
     res = kr.general_lft_check(pair, zs)
     for key in ("direct", "third_extension", "reference_inversion"):
         yield _record("lft_" + key, res[key], tol)
 
 
-def _vonneumann_suite(pair: kr.PairContext, v2: np.ndarray, zs: list, tol: float):
+def _vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
     yield _record("vonneumann_link", kr.vonneumann_link_check(pair)["parametrization_link"],
                   tol)
 
 
-# (error record name, suite(pair, v2, zs, tol)), run in this order behind the boundary
+# (error record name, suite), run in this order behind run_checks' boundary
 _SUITES = (
-    ("model_layer", _model_layer),
     ("weyl_suite", _weyl_suite),
     ("p_function_suite", _p_function_suite),
     ("angle_suite", _angle_suite),

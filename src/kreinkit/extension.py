@@ -6,8 +6,7 @@ n-dimensional "defect" subspace N+.  The symmetric object being extended is
 the restriction of ``a1`` to D = (a1 + i)^{-1}(N+^perp); every Hermitian
 matrix that agrees with ``a1`` on D is an extension.  The deficiency
 subspaces are N+ and N- = C1^{-1} N+ (C1 the Cayley transform of ``a1``),
-and extensions are in bijection with unitaries N+ -> N-; each one differs
-from a1 by an operator of rank at most n, and is built as that update.
+and extensions (rank-n updates of a1) biject with unitaries N+ -> N-.
 
 A word of caution that applies to everything built on this model: D is a
 proper subspace of C^N, so the restricted operator is *not* densely defined.
@@ -35,7 +34,6 @@ from .errors import (
     NotAnExtension,
     NumericalFailure,
     RankDeficientInput,
-    SingularMatrix,
     UnitEigenvalue,
 )
 from .numerics import (
@@ -205,20 +203,22 @@ def extension_from_parameter(model: RestrictionModel,
     c - 1 for its Cayley transform c = C1 + Bp (1 - v)* Bm* gives
     T = u (2i - (h + i) u)^{-1}, u = (1 - v)*, h + i = Bp* a1 Bp + i = Bp* F + 2i.
     Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1
-    (v selects a relation): that n x n solve is singular, or an eigenvalue
-    w of a2 has |(w + i)/(w - i) - 1| = 2/|w - i| <= DEFAULT_TOL.
+    (v selects a relation), read off a2 and not off a pivot ratio: an
+    eigenvalue w has |(w + i)/(w - i) - 1| = 2/|w - i| <= DEFAULT_TOL, or an
+    entry of a2 is at least 2/DEFAULT_TOL (so is some |w|) or nan (overflow).
     """
-    n = model.deficiency
-    if p.v.shape[0] != n:
-        raise ValueError(f"parameter size {p.v.shape[0]} != deficiency {n}")
-    bp, eye = model.nplus.basis, np.eye(n)
-    f = model.a1 @ bp - 1j * bp
-    u = (eye - p.v).conj().T
-    try:
-        t = u @ solve_linear(2j * eye - (bp.conj().T @ f + 2j * eye) @ u, eye)
-    except SingularMatrix as exc:
-        raise UnitEigenvalue(f"cayley transform has eigenvalue 1: {exc}") from None
-    a2 = model.a1 + f @ ((t + t.conj().T) / 2.0) @ f.conj().T
+    bp, eye = model.nplus.basis, np.eye(model.deficiency)
+    if p.v.shape != eye.shape:
+        raise ValueError(f"parameter size {p.v.shape[0]} != deficiency {model.deficiency}")
+    f, u = model.a1 @ bp - 1j * bp, (eye - p.v).conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            t = u @ np.linalg.solve(2j * eye - (bp.conj().T @ f + 2j * eye) @ u, eye)
+        except np.linalg.LinAlgError:  # exactly singular
+            raise UnitEigenvalue("cayley transform has eigenvalue 1") from None
+        a2 = model.a1 + f @ ((t + t.conj().T) / 2.0) @ f.conj().T
+    if not np.abs(a2).max() < 2.0 / DEFAULT_TOL:
+        raise UnitEigenvalue(f"extension has an entry of size {np.abs(a2).max():.3e}")
     ext = Extension((a2 + a2.conj().T) / 2.0)
     gap = float(np.min(2.0 / np.abs(ext.spectrum.eigenvalues.real - 1j)))
     if gap <= DEFAULT_TOL:

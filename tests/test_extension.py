@@ -286,17 +286,27 @@ def test_parameter_roundtrip_random_pairs(seed):
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.floats(-13.0, -5.0),
-       st.sampled_from([1.0, -1.0]))
-@example(1, 5, -9.0, 1.0)
-@example(3, 11, -5.0, -1.0)
-def test_unit_eigenvalue_decision_matches_the_schur_route(n, seed, log_delta, sign):
+       st.sampled_from([1.0, -1.0]), st.sampled_from([0.0, 1e4]))
+@example(1, 5, -9.0, 1.0, 0.0)
+@example(3, 11, -5.0, -1.0, 0.0)
+@example(2, 5, -6.0, 1.0, 1e4)
+@example(3, 7, -8.5, -1.0, 1e4)
+def test_unit_eigenvalue_decision_matches_the_schur_route(n, seed, log_delta, sign,
+                                                          spread):
     # reference: assemble the N x N Cayley transform c and invert it in its
     # Schur frame, which raises at an eigenvalue gap of c to 1 <= DEFAULT_TOL.
     # The rank-n update decides the same question from the spectrum of the a2
     # it builds; the two gaps agree to roundoff, so the decisions must agree
-    # outside a factor-2 band around the gate
+    # outside a factor-2 band around the gate.  spread adds spread * b b* to
+    # a1, b = Bp g the eigenvector of h = Bp* a1 Bp of its largest eigenvalue,
+    # so at n >= 2 one eigenvalue of h is about 1e4 while the near-unit one
+    # stays O(1): the pivot ratio of the n x n solve then reads about
+    # delta / 1e4, far below the gap, and must not decide
     dim = 8
-    model = support.random_model(dim, n, seed)
+    base = support.random_model(dim, n, seed)
+    bp = base.nplus.basis
+    b = bp @ np.linalg.eigh(bp.conj().T @ base.a1 @ bp)[1][:, -1:]
+    model = build_model(base.a1 + spread * (b @ b.conj().T), bp)
     v = support.near_unit_parameter(model, sign * 10.0 ** log_delta)
     c = support.assembled_cayley(model, v)
     gap = float(np.min(np.abs(unitary_eig(c).eigenvalues - 1.0)))
@@ -311,10 +321,35 @@ def test_unit_eigenvalue_decision_matches_the_schur_route(n, seed, log_delta, si
         built = None
     assert (reference is None) == (built is None) == (gap <= DEFAULT_TOL)
     if built is not None:
-        # the inverse Cayley transform has relative condition about
-        # 1 + ||a2||, so each route's relative error is a few N eps times it
-        scale = 1.0 + frob(reference)
-        assert frob(built - reference) <= 4.0 * dim * EPS * scale ** 2
+        # both routes read a1 with an absolute error of a few N eps ||a1||
+        # (C1 from its eigh; F and h from products), and the inverse Cayley
+        # transform amplifies an error in c by about (1 + ||a2||)^2 / 2
+        scale = (1.0 + frob(model.a1)) * (1.0 + frob(reference)) ** 2
+        assert frob(built - reference) <= 4.0 * dim * EPS * scale
+
+
+def test_near_unit_parameter_builds_where_the_pivot_ratio_is_small():
+    # h = diag(0, 1e4): the n x n matrix 2i - (h + i)(1 - v)* is diag(~1e-6,
+    # ~2e4), a pivot ratio of about 5e-11, but the Cayley gap is 1e-6, so
+    # the extension exists (one eigenvalue near -2e6) and both routes build it
+    dim = 4
+    model = build_model(np.diag([0.0, 1e4, 1.0, 2.0]), np.eye(dim)[:, :2])
+    v = support.near_unit_parameter(model, 1e-6)
+    built = extension_from_parameter(model, ExtensionParameter(v))
+    reference = inverse_cayley(support.assembled_cayley(model, v))
+    assert_allclose(np.min(built.spectrum.eigenvalues.real), -2e6, rtol=1e-6)
+    scale = 1.0 + frob(reference)  # a1 is diagonal: its eigh frame is exact
+    assert frob(built.a - reference) <= 4.0 * dim * EPS * scale ** 2
+
+
+@pytest.mark.parametrize("phase", [0.0, 1e-308, 1e-300])
+def test_unit_eigenvalue_at_an_exactly_singular_or_overflowing_solve(phase):
+    # h = 0 and v = -exp(i phase): the 1x1 solve is exactly singular at
+    # phase 0, overflows to a nan at 1e-308 and gives an entry of a2 of
+    # 2e300 at 1e-300; each is a Cayley gap of at most 1e-300
+    model = build_model(np.diag([0.0, 1.0, 2.0]), np.eye(3)[:, :1])
+    with pytest.raises(UnitEigenvalue):
+        extension_from_parameter(model, ExtensionParameter([[-np.exp(1j * phase)]]))
 
 
 def test_unit_eigenvalue_raises_where_the_pivot_ratio_is_one():
