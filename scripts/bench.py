@@ -68,6 +68,25 @@ KERNELS = {
         "angle = angle_operator(model.reference, Extension(np.ones((1, 1))), model.nplus)\n"
         "m = np.array([[1.0 + 1.0j]])",
         "lft_m1_to_m2_angle(m, angle)", 2000),
+    # eight M-values through the angle law: one call on their stack, or
+    # eight calls on a tree whose laws take one matrix per call
+    "lft_m1_to_m2_angle 8 stacked 1x1": (
+        "import numpy as np\n"
+        "from kreinkit.extension import Extension, build_model\n"
+        "from kreinkit.krein import angle_operator, lft_m1_to_m2_angle\n"
+        "model = build_model(np.zeros((1, 1)), np.eye(1))\n"
+        "angle = angle_operator(model.reference, Extension(np.ones((1, 1))), model.nplus)\n"
+        "ms = (1.0 + 1.0j) * np.arange(1, 9).reshape(8, 1, 1)\n"
+        "try:\n"
+        "    lft_m1_to_m2_angle(ms, angle)\n"
+        "    law = lambda: lft_m1_to_m2_angle(ms, angle)\n"
+        "except ValueError:\n"
+        "    law = lambda: [lft_m1_to_m2_angle(m, angle) for m in ms]",
+        "law()", 500),
+    "halfline._cumulative 4001": (
+        "import numpy as np\nfrom kreinkit import halfline as hl\n"
+        "x = np.linspace(0.0, 40.0, 4001)\ny = np.exp((-0.3 + 1j) * x)",
+        "hl._cumulative(y, 0.01, 'simpson')", 200),
     "dirichlet_resolvent_quadrature": (
         "import numpy as np\nfrom kreinkit import halfline as hl\n"
         "grid = hl.QuadratureGrid()\nf = np.exp(-grid.points())",

@@ -122,7 +122,11 @@ def m2_halfline(z, scenario: HalflineScenario) -> complex:
 
     The imaginary part is Im m1 / |sin a2 - cos a2 m1|^2, exact for a map of
     determinant 1; read off the quotient it cancels away for |z| >= 1e34."""
-    m1 = m1_halfline(z)
+    return _m2_from_m1(z, m1_halfline(z), scenario)
+
+
+def _m2_from_m1(z, m1: complex, scenario: HalflineScenario) -> complex:
+    """m2_halfline at z, given m1 = m1_halfline(z)."""
     ca = math.cos(scenario.alpha2)
     sa = math.sin(scenario.alpha2)
     den = sa - ca * m1
@@ -197,31 +201,47 @@ def _simpson_step(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, dx: float) -> 
     return dx / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)
 
 
+def _parts(y: np.ndarray) -> np.ndarray:
+    """Contiguous (n, 2) real array of complex samples: the real and
+    imaginary parts as columns."""
+    return np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+
+
 def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     """Running integral of complex samples y on a uniform grid, from 0.
 
     The rules are those of scipy.integrate.cumulative_simpson and
     cumulative_trapezoid (initial=0), applied to the real and imaginary
     parts in scipy's operation order, so the result is bit-identical.  The
-    two parts are the columns of one real array: a complex product with a
-    real factor rounds the same but can flip the sign of a zero.
+    steps are computed on the two parts as the columns of one real array: a
+    complex product with a real factor rounds the same but can flip the sign
+    of a zero.  The running sum adds the steps as complex numbers, which
+    adds each part on its own.
     """
-    parts = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    y = np.asarray(y, dtype=np.complex128)
+    n = y.shape[0]
     if scheme == "simpson":
         # even steps from the forward windows starting at even points, odd
-        # steps and the last step from the same windows read backwards
-        first, mid, last = parts[0:-2:2], parts[1:-1:2], parts[2::2]
-        steps = np.empty((parts.shape[0] - 1, 2))
-        steps[:-1:2] = _simpson_step(first, mid, last, dx)
-        steps[1::2] = _simpson_step(last, mid, first, dx)
-        steps[-1] = _simpson_step(parts[-1], parts[-2], parts[-3], dx)
+        # steps from the same windows read backwards; the windows are slices
+        # of contiguous copies of the even and odd samples
+        windows = (n - 1) // 2
+        steps = np.empty(n - 1, dtype=np.complex128)
+        even, odd = _parts(y[::2]), _parts(y[1::2])
+        first, mid, last = even[:windows], odd[:windows], even[1:windows + 1]
+        steps[:-1:2] = _simpson_step(first, mid, last, dx).view(np.complex128).ravel()
+        steps[1::2] = _simpson_step(last, mid, first, dx).view(np.complex128).ravel()
+        if n % 2 == 0:
+            # no window ends at the last point: read the last three backwards
+            tail = _parts(y[-3:])
+            steps[-1:] = _simpson_step(tail[2:], tail[1:2], tail[:1], dx).view(np.complex128)
     else:
-        steps = dx * (parts[1:] + parts[:-1]) / 2.0
-    out = np.zeros_like(parts)
-    np.cumsum(steps, axis=0, out=out[1:])
+        parts = _parts(y)
+        steps = (dx * (parts[1:] + parts[:-1]) / 2.0).view(np.complex128).ravel()
+    out = np.zeros(n, dtype=np.complex128)
+    np.cumsum(steps, out=out[1:])
     if scheme == "simpson":
         out += 0.0  # scipy adds `initial` to the sums, which turns -0.0 into 0.0
-    return out.view(np.complex128).ravel()
+    return out
 
 
 def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = QuadratureGrid()) -> np.ndarray:
@@ -229,9 +249,12 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
 
     u(x) = [e^{ikx} int_0^x sin(ky) f(y) dy + sin(kx) int_x^L e^{iky} f(y) dy] / k
 
-    with k = sqrt_upper(z).  f_samples must hold f on grid.points().  The
-    result is validated in place by the three-point second difference of the
-    defining equation -u'' - z u = f; GridTooCoarse reports a violation.
+    with k = sqrt_upper(z).  f_samples must hold f on grid.points().  One
+    exponential e = e^{ikx} is evaluated, and sin(kx) = (e - 1/e)/(2i) is read
+    off it; Im k * length > 690 raises NumericalFailure, which keeps
+    |1/e| <= e^690 finite.  The result is validated in place by the
+    three-point second difference of the defining equation -u'' - z u = f;
+    GridTooCoarse reports a violation.
     """
     f = np.asarray(f_samples, dtype=np.complex128)
     if f.ndim != 1 or f.shape[0] != grid.nodes + 1:
@@ -248,8 +271,8 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
         )
     x = grid.points()
     h = grid.step
-    s = np.sin(k * x)
     e = np.exp(1j * k * x)
+    s = (e - 1.0 / e) / 2j
     c1 = _cumulative(s * f, h, grid.scheme)
     tail = e * f
     c2 = _cumulative(tail[::-1], h, grid.scheme)[::-1]
@@ -295,6 +318,10 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
                     grid: QuadratureGrid = QuadratureGrid()) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
+    m1(z) is evaluated once per z.  Per alpha2, each matrix law runs once,
+    on the stack of 1x1 values m1(z) over the z grid; its solve decides every
+    z by that z's own denominator.
+
     Returns max residuals over the (alpha2, z) grid:
       lft_phase_form       m2 vs the matrix angle-form law on 1x1 blocks
       lft_plain_form       m2 vs the matrix coefficient law with p12(i)
@@ -315,6 +342,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     ]
     out = {key: 0.0 for key in keys}
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
+    zs = [complex(z) for z in z_values]
+    m1s = [m1_halfline(z) for z in zs]
+    m1_stack = np.array(m1s, dtype=np.complex128).reshape(-1, 1, 1)
     for a2 in alpha2_values:
         scenario = HalflineScenario(float(a2))
         t = math.tan(scenario.alpha2)
@@ -329,17 +359,12 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         out["angle_recovery"] = max(
             out["angle_recovery"], abs(_wrap_mod_pi(recovered - scenario.alpha2))
         )
-        for z in z_values:
-            z = complex(z)
-            m1 = m1_halfline(z)
-            m2 = m2_halfline(z, scenario)
-            m1_mat = np.array([[m1]], dtype=np.complex128)
-            via_angle = lft_m1_to_m2_angle(m1_mat, angle)[0, 0]
-            out["lft_phase_form"] = max(out["lft_phase_form"], abs(via_angle - m2))
-            via_plain = lft_m1_to_m2(
-                m1_mat, np.array([[p_i]], dtype=np.complex128)
-            )[0, 0]
-            out["lft_plain_form"] = max(out["lft_plain_form"], abs(via_plain - m2))
+        m2s = [_m2_from_m1(z, m1, scenario) for z, m1 in zip(zs, m1s)]
+        via_angle = lft_m1_to_m2_angle(m1_stack, angle)[:, 0, 0]
+        via_plain = lft_m1_to_m2(m1_stack, np.array([[p_i]], dtype=np.complex128))[:, 0, 0]
+        for z, m1, m2, angle_m2, plain_m2 in zip(zs, m1s, m2s, via_angle, via_plain):
+            out["lft_phase_form"] = max(out["lft_phase_form"], abs(angle_m2 - m2))
+            out["lft_plain_form"] = max(out["lft_plain_form"], abs(plain_m2 - m2))
             p_z = p12_halfline(z, scenario)
             out["p_inverse_via_m"] = max(
                 out["p_inverse_via_m"], abs(1.0 / p_z - (t - m1))
@@ -356,8 +381,7 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         x = grid.points()
         a = float(x[grid.nodes // 2])
         g, g2 = _bump_with_second_derivative(x, a)
-        for z in z_values:
-            z = complex(z)
+        for z in zs:
             f = -g2 - z * g
             u = dirichlet_resolvent_quadrature(f, z, grid)
             out["quadrature_roundtrip"] = max(

@@ -68,6 +68,7 @@ from .extension import (
 from .numerics import (
     SpectralDecomposition,
     Subspace,
+    _as_stack,
     _svd_range,
     as_matrix,
     frob,
@@ -405,11 +406,15 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
         m2 = (p_i + (1 + i p_i) m1) ((1 + i p_i) - p_i m1)^{-1}
 
     Holds for arbitrary pairs, degenerate ones included (p_i = 0 on a
-    degenerate block gives the identity map there).
+    degenerate block gives the identity map there).  m1 is one k x k matrix
+    or a stack (..., k, k) of them, say one per z; the coefficients stay one
+    k x k matrix.  A stack takes one solve_linear call, which decides each
+    denominator on its own, and maps every matrix bit for bit as a call on
+    it alone would.
     """
-    m = as_matrix(m1, "weyl matrix")
+    m = _as_stack(m1, "weyl matrix")
     p = as_matrix(p_i, "p at i")
-    k = m.shape[0]
+    k = m.shape[-1]
     eye = np.eye(k)
     num = p + (eye + 1j * p) @ m
     den = (eye + 1j * p) - p @ m
@@ -422,13 +427,14 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
 
 def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
-    b = sign * alpha, the factors taken from the angle's cache."""
-    m = as_matrix(m, "weyl matrix")
+    b = sign * alpha, the factors taken from the angle's cache; m is one
+    matrix or a stack of them, as in lft_m1_to_m2."""
+    m = _as_stack(m, "weyl matrix")
     cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
     try:
-        den_inv = solve_linear(den, np.eye(m.shape[0]))
+        den_inv = solve_linear(den, np.eye(m.shape[-1]))
     except SingularMatrix as exc:
         raise SingularDenominator(f"{what} denominator is singular") from exc
     return phase_left @ num @ den_inv @ phase_right
@@ -440,7 +446,8 @@ def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
 
     It is lft_m1_to_m2 written in the angle: p(i) = i e^{-i alpha} cos(alpha)
-    and 1 + i p(i) = i e^{-i alpha} sin(alpha).
+    and 1 + i p(i) = i e^{-i alpha} sin(alpha).  m1 is one matrix or a stack
+    of them, as in lft_m1_to_m2.
     """
     return _angle_form(m1, angle, 1.0, "angle-form")
 
@@ -451,7 +458,8 @@ def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
 
         m_ref = -e^{i a} (cos a - sin a * m1) (sin a + cos a * m1)^{-1} e^{-i a}
 
-    which is the angle form at -alpha.
+    which is the angle form at -alpha.  m1 is one matrix or a stack of them,
+    as in lft_m1_to_m2.
     """
     return _angle_form(m1, angle_ref1, -1.0, "reference-inversion")
 

@@ -45,6 +45,18 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _as_stack(m, name: str) -> np.ndarray:
+    """Validate and convert to a complex128 stack of matrices: two or more
+    axes, the last two indexing one matrix, under as_matrix's finiteness
+    rule.  as_matrix itself stays 2-d for its callers."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"{name} must have at least 2 axes, got shape {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def frob(m) -> float:
     return float(np.linalg.norm(m))
 
@@ -199,24 +211,45 @@ def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
 def solve_linear(m, b) -> np.ndarray:
     """Solve M X = B by LU with partial pivoting and a pivot-ratio gate.
 
+    m is one square matrix (k, k) or a stack (..., k, k) of them, and b is a
+    (k, r) right-hand side or a stack whose leading axes broadcast against
+    m's.  Each matrix is factorized and gated on its own (_lu_solve), so a
+    stack holds the solutions of the 2-d calls on its matrices, bit for bit,
+    and fails where one of them would.  A 2-d call returns LAPACK's output
+    array as it is.
+
     Raises SingularMatrix when the smallest |U_ii| falls below TOL_RANK times
     the largest, which is the operational singularity test used everywhere in
     the package (resolvents at spectral points, degenerate denominators).
     """
-    a = as_matrix(m, "solve matrix")
-    rhs = as_matrix(b, "solve rhs")
-    d = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    a = _as_stack(m, "solve matrix")
+    rhs = _as_stack(b, "solve rhs")
+    d = a.shape[-1]
+    if a.shape[-2] != d:
         raise ValueError(f"expected square matrix, got {a.shape}")
-    if rhs.shape[0] != d:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {d}")
-    if d == 0:
+    if rhs.shape[-2] != d:
+        raise ValueError(f"rhs has {rhs.shape[-2]} rows, expected {d}")
+    if a.ndim == 2 and rhs.ndim == 2:
+        return _lu_solve(a, rhs)
+    batch = np.broadcast_shapes(a.shape[:-2], rhs.shape[:-2])
+    out = np.empty(batch + rhs.shape[-2:], dtype=np.complex128)
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    rhs = np.broadcast_to(rhs, out.shape)
+    for index in np.ndindex(batch):
+        out[index] = _lu_solve(a[index], rhs[index])
+    return out
+
+
+def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """solve_linear on one validated square matrix and a 2-d right-hand side
+    with matching rows: the one place that factorizes and gates."""
+    if a.shape[0] == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
     # an exact zero pivot shows only as info > 0, which the gate below covers
     lu, piv, info = _GETRF(a)
     if info < 0:
         raise SingularMatrix(f"LU factorization failed: getrf info {info}")
-    diag = np.abs(np.diag(lu))
+    diag = np.abs(lu.diagonal())
     dmax = float(diag.max())
     if dmax == 0.0 or float(diag.min()) <= TOL_RANK * dmax:
         raise SingularMatrix(

@@ -410,6 +410,14 @@ def test_halfline_command_paths(tmp_path):
     assert rep.read_bytes() == rep2.read_bytes()
 
 
+def test_halfline_decides_each_z_on_its_own():
+    # z = -0.5 + 1e-10 i lies 1e-10 from the bound state z = -c^2 = -0.5 of
+    # alpha2 = 0, so its law denominators are about 1e-10 while those at
+    # z = i are of order 1: each z passes its own gate
+    doc = cli.halfline_command([0.0, 0.3], [1j, -0.5 + 1e-10j])
+    assert doc["summary"] == "pass", doc["checks"]
+
+
 def test_halfline_flagged_inputs_exit_1(tmp_path):
     rep = tmp_path / "hl.json"
     # z on the branch cut: flagged record, exit 1

@@ -230,6 +230,21 @@ def test_quadrature_overflow_guard():
         dirichlet_resolvent_quadrature(np.zeros(401), -400.0 + 0j, grid)
 
 
+def test_quadrature_at_the_edge_of_the_overflow_guard():
+    # k = 17.25 i puts Im k * L at 690 exactly, the largest the guard admits:
+    # sin(kx) is read off e = exp(ikx) as (e - 1/e)/(2i), with |1/e| up to
+    # e^690.  For f = e^{-x} and z = -kappa^2 the Dirichlet solution is
+    # (e^{-x} - e^{-kappa x}) / (kappa^2 - 1)
+    grid = QuadratureGrid(nodes=20000)
+    x = grid.points()
+    kappa = 17.25
+    u = dirichlet_resolvent_quadrature(np.exp(-x), -kappa ** 2 + 0j, grid)
+    exact = (np.exp(-x) - np.exp(-kappa * x)) / (kappa ** 2 - 1.0)
+    assert float(np.max(np.abs(u - exact))) < 1e-9
+    with pytest.raises(NumericalFailure):
+        dirichlet_resolvent_quadrature(np.exp(-x), -17.3 ** 2 + 0j, grid)
+
+
 @given(
     n=st.one_of(st.integers(17, 257), st.just(QuadratureGrid().nodes + 1)),
     dx=st.floats(1e-6, 10.0),
@@ -295,6 +310,15 @@ def test_verify_halfline_trapezoid_scheme():
     # composite Simpson on the same grid is strictly better
     simpson = verify_halfline()["quadrature_roundtrip"]
     assert simpson < res["quadrature_roundtrip"]
+
+
+def test_verify_halfline_on_an_empty_z_grid():
+    # the laws run on the empty stack of m1 values and return an empty stack
+    res = verify_halfline(z_values=())
+    assert all(value == 0.0 for key, value in res.items()
+               if key not in ("p_at_i_inverse", "angle_recovery")), res
+    res = verify_halfline(z_values=(), alpha2_values=())
+    assert set(res.values()) == {0.0}
 
 
 def test_verify_halfline_without_quadrature():

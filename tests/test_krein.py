@@ -493,6 +493,9 @@ def test_spectral_parameter_guard():
 def test_lft_singular_denominator():
     with pytest.raises(SingularDenominator):
         lft_m1_to_m2([[1.0 + 1j]], np.array([[1.0]]))
+    # in a stack, the one singular denominator fails the call
+    with pytest.raises(SingularDenominator):
+        lft_m1_to_m2([[[0.5j]], [[1.0 + 1j]]], np.array([[1.0]]))
 
 
 def test_angle_form_laws_are_finite_at_the_pole():
@@ -543,6 +546,27 @@ def test_angle_form_laws_reuse_read_only_factors():
         for factor in factors:
             with pytest.raises(ValueError):
                 factor[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_laws_on_a_stack_match_their_per_matrix_calls(n):
+    # a stack of M-values over a z-grid takes one call of each law, and each
+    # matrix maps as a call on it alone does, to the bit
+    model, ext1, ext2, _ = support.random_pair(n + 5, n, 21)
+    pair = PairContext(model, ext1, ext2)
+    stack = np.stack([pair.m(ext1, z) for z in (2j, 1 + 1j, -0.5 + 0.3j, 4 - 2j)])
+    routes = ((lft_m1_to_m2, pair.p_at_i_via_cayley), (lft_m1_to_m2_angle, pair.angle),
+              (lft_to_reference, pair.angle))
+    for law, coefficients in routes:
+        mapped = law(stack, coefficients)
+        assert mapped.shape == stack.shape
+        for m, out in zip(stack, mapped):
+            assert out.tobytes() == law(m, coefficients).tobytes()
+        grid = law(stack.reshape(2, 2, n, n), coefficients)
+        assert grid.reshape(stack.shape).tobytes() == mapped.tobytes()
+        assert law(stack[:0], coefficients).shape == (0, n, n)
+    with pytest.raises(ValueError):
+        lft_m1_to_m2(np.stack([stack[0], np.full((n, n), np.nan)]), pair.p_at_i_via_cayley)
 
 
 def test_krein_resolvent_singular_denominator():

@@ -184,6 +184,33 @@ def test_solve_linear_exact_zero_pivot_raises_without_warning():
             solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
 
 
+def test_solve_linear_decides_each_matrix_of_a_stack():
+    # one matrix of the stack fails its own pivot-ratio gate
+    with pytest.raises(SingularMatrix):
+        solve_linear(np.stack([np.eye(2), np.diag([1.0, 5e-10])]), np.eye(2))
+    # a ratio of 1e-12 between matrices is no failure: each passes alone
+    x = solve_linear(np.array([[[1.0]], [[1e-12]]]), np.eye(1))
+    assert_allclose(x, np.array([[[1.0]], [[1e12]]]), rtol=1e-15)
+    # the empty stack solves to the empty stack
+    assert solve_linear(np.zeros((0, 2, 2)), np.eye(2)).shape == (0, 2, 2)
+    assert solve_linear(np.zeros((0, 1, 1)), np.zeros((0, 1, 3))).shape == (0, 1, 3)
+    # leading axes broadcast; the result is the matching stack
+    rng = _rng(4)
+    a = rng.standard_normal((2, 1, 3, 3)) + 3j * np.eye(3)
+    b = rng.standard_normal((4, 3, 2)) + 0j
+    x = solve_linear(a, b)
+    assert x.shape == (2, 4, 3, 2)
+    assert x[1, 2].tobytes() == solve_linear(a[1, 0], b[2]).tobytes()
+    with pytest.raises(ValueError):
+        solve_linear(np.stack([np.eye(2), np.eye(2)]), np.eye(3))
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros((2, 2, 3)), np.eye(2))
+    with pytest.raises(ValueError):
+        solve_linear(np.stack([np.eye(2), np.diag([1.0, np.inf])]), np.eye(2))
+    with pytest.raises(ValueError):
+        solve_linear(np.ones(2), np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -212,8 +239,26 @@ def test_solve_linear_matches_scipy_lu_bit_for_bit(seed, n, data):
         b.flags.writeable = False
     a_before, b_before = a.tobytes(), b.tobytes()
     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
-    assert solve_linear(a, b).tobytes() == expected.tobytes()
+    got = solve_linear(a, b)
+    assert got.tobytes() == expected.tobytes()
+    # LAPACK's own output array, not a copy in another order: frob and the
+    # records built on it sum in memory order
+    assert got.strides == expected.strides
     assert a.tobytes() == a_before and b.tobytes() == b_before
+    # a stack holding a, against b shared or stacked: each matrix solves as
+    # its own 2-d call does, to the bit
+    depth = data.draw(st.integers(0, 3), label="further matrices in the stack")
+    stack = np.stack([a] + [_laid_out(rng, n, n, "c") for _ in range(depth)])
+    if data.draw(st.booleans(), label="stacked rhs"):
+        rhs = np.stack([b] + [_laid_out(rng, *b.shape, "c") for _ in range(depth)])
+        rhs_of = list(rhs)
+    else:
+        rhs, rhs_of = b, [b] * (depth + 1)
+    x = solve_linear(stack, rhs)
+    assert x.shape == (depth + 1,) + b.shape
+    for solution, matrix, right in zip(x, stack, rhs_of):
+        assert solution.tobytes() == solve_linear(matrix, right).tobytes()
+    assert x[0].tobytes() == expected.tobytes()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 8))
