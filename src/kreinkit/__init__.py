@@ -8,8 +8,8 @@ cross-checks the resolvent-difference operator P(z), Weyl-Titchmarsh
 operators, the angle operator of an extension pair, Krein's resolvent
 formula, the Herglotz positivity bound, and the fractional-linear laws
 relating the M-operators of two extensions.  A closed-form half-line
-Laplacian instance with a quadrature cross-check lives in `halfline`, and a
-scenario-driven CLI in `cli`.
+Laplacian instance with a quadrature cross-check lives in `halfline`, the
+records of the check report in `checks`, and a scenario-driven CLI in `cli`.
 """
 
 from .errors import (
@@ -36,7 +36,6 @@ from .extension import (
     ExtensionParameter,
     RestrictionModel,
     build_model,
-    check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
     parameter_of,
@@ -60,16 +59,12 @@ from .krein import (
     PairContext,
     angle_operator,
     choose_third_extension,
-    general_lft_check,
-    herglotz_check,
     herglotz_lower_bound,
     krein_resolvent,
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
     lft_to_reference,
     p_function,
-    p_translation_check,
-    vonneumann_link_check,
     weyl_operator,
 )
 from .numerics import (
@@ -114,12 +109,9 @@ __all__ = [
     "UnitEigenvalue",
     "angle_operator",
     "build_model",
-    "check_cayley_geometry",
     "choose_third_extension",
     "dirichlet_resolvent_quadrature",
     "extension_from_parameter",
-    "general_lft_check",
-    "herglotz_check",
     "herglotz_lower_bound",
     "hermitian_eig",
     "inverse_cayley",
@@ -132,7 +124,6 @@ __all__ = [
     "orthonormal_range",
     "p12_halfline",
     "p_function",
-    "p_translation_check",
     "parameter_of",
     "projector",
     "resolvent_coefficient",
@@ -142,6 +133,5 @@ __all__ = [
     "sqrt_upper",
     "unitary_eig",
     "verify_halfline",
-    "vonneumann_link_check",
     "weyl_operator",
 ]

@@ -1,0 +1,249 @@
+"""The records of the check report, each defined once.
+
+A record is one identity of the finite model, reported as its worst
+residual over the scenario's z-grid against the report tolerance.  Records
+come in suites, generators over one krein.PairContext: model_layer (the
+model, its parametrization and Cayley geometry), then the suites of SUITES
+(Weyl operators, P(z), the angle operator, Krein's formula, the
+fractional-linear laws and the von Neumann link), each with the name of the
+failed record that an error in it becomes.  cli.run_checks runs them in that
+order behind one error boundary.  A suite computes its residuals from the
+pair's memo and calls the krein formulas through the module, so each P(z)
+and M(z) is computed once per run.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import krein as kr
+from .extension import inverse_cayley
+from .numerics import frob, orthonormal_range, projector, solve_linear
+
+
+def record(name: str, residual: float, tol: float, **extra) -> dict:
+    rec = {
+        "name": name,
+        "max_residual": float(residual),
+        "tolerance": float(tol),
+        "pass": bool(residual <= tol),
+    }
+    rec.update(extra)
+    return rec
+
+
+def error_record(name: str, tol: float, exc: Exception) -> dict:
+    return {
+        "name": name,
+        "max_residual": -1.0,
+        "tolerance": float(tol),
+        "pass": False,
+        "error": type(exc).__name__,
+        "note": str(exc),
+    }
+
+
+class _Worst(dict):
+    """Worst value of each record over a grid, in the order first seen.  The
+    running value is the first argument of max, so a NaN never displaces it."""
+
+    def add(self, name: str, *values: float) -> None:
+        self[name] = max(self.get(name, 0.0), *values)
+
+    def records(self, tol: float) -> list:
+        return [record(name, value, tol) for name, value in self.items()]
+
+
+def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
+    """Model, parametrization and Cayley geometry; the resolvent difference
+    at i against Cayley data, noted with the pair's primeness.  v2 is the
+    parameter that built ext2."""
+    model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
+    eye, eyen = np.eye(model.dim), np.eye(model.deficiency)
+    bp, bm = model.nplus.basis, model.nminus.basis
+    yield record("model_invariants", max(
+        frob(bp.conj().T @ bp - eyen),
+        frob(bm.conj().T @ bm - eyen),
+        frob(model.dot_domain.basis.conj().T @ model.dot_domain.basis
+             - np.eye(model.dot_domain.rank)),
+        frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
+    ), tol)
+    yield record("extension_parameter_roundtrip", max(
+        frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
+        frob(pair.parameter(ext1).v - eyen),
+    ), tol)
+    yield record("cayley_roundtrip", max(
+        frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),
+        frob(inverse_cayley(ext2.cayley) - ext2.a) / (1.0 + frob(ext2.a)),
+    ), tol)
+
+    # per extension with Cayley transform C: ||P_N+ - C P_N- C^{-1}||,
+    # ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp|| and
+    # N - rank([dot_domain basis | (1 - C^{-1}) Bp])
+    geometry = []
+    for ext in (ext1, ext2):
+        c_inv = ext.cayley.conj().T
+        exchange = frob(projector(model.nplus)
+                        - ext.cayley @ projector(model.nminus) @ c_inv)
+        lhs = solve_linear(ext.a - 1j * eye, c_inv @ bp)
+        identity = frob(lhs - 0.5j * (c_inv @ bp - bp))
+        combined = np.hstack([model.dot_domain.basis, (eye - c_inv) @ bp])
+        geometry.append((exchange, identity,
+                         float(model.dim - orthonormal_range(combined).rank)))
+    for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
+                                    "resolvent_cayley_identity", "domain_direct_sum"),
+                                   *geometry):
+        yield record(name, max(first, second), tol)
+
+    # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
+    note = "relatively prime" if pair.angle.prime else "not relatively prime"
+    yield record("relatively_prime_consistency", frob(
+        pair.resolvent_difference - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
+    ), tol, note=note)
+
+
+def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
+    """M(z) of both extensions: fixed point at i, conjugate symmetry, the
+    Herglotz bound on lambda_min(Im z * Im M(z)) and the exact identity
+    Im z * Im M = (Im z)^2 S*(1+a^2)^{1/2}((a-x)^2+y^2)^{-1}(1+a^2)^{1/2} S."""
+    worst = _Worst()
+    for ext in (pair.ext1, pair.ext2):
+        worst.add("weyl_fixed_point_at_i",
+                  frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
+        for z in zs:
+            bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
+            m = pair.m(ext, z)
+            im_m = (m - m.conj().T) / 2j
+            im_m = (im_m + im_m.conj().T) / 2.0
+            lhs = z.imag * im_m
+            lam_min = float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
+            # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve
+            # with a - conj z, whose condition number is the square root of the
+            # product's
+            y = z.imag
+            half = solve_linear(ext.a - z.conjugate() * np.eye(ext.dim),
+                                pair.herglotz_root(ext) @ pair.model.nplus.basis)
+            rhs = (y * y) * (half.conj().T @ half)
+            symmetry = frob(pair.m(ext, z.conjugate()) - m.conj().T)
+            worst.add("weyl_conjugate_symmetry", symmetry / (1.0 + frob(m)))
+            worst.add("herglotz_bound", max(0.0, bound - lam_min))
+            worst.add("herglotz_identity", frob(lhs - rhs))
+    yield from worst.records(tol)
+
+
+def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
+    """P(i) against Cayley data, then P(z) over the grid, each z paired with
+    the next one z' (cyclically) for
+
+      p_translation                || P(z) - P(z') - (z - z') P(z') mid P(z) ||,
+                                   mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}
+      p_compressed_rank_constancy  |rank P(z)|_N+ - rank P(z')|_N+|
+      p_range_constancy            || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
+                                   + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
+                                   sigma_r the last singular value above the
+                                   rank cutoff (no leak at rank 0); a sin-theta
+                                   bound on the full range's drift, symmetric
+                                   in z and z'
+    """
+    ext1 = pair.ext1
+    prime = pair.angle.prime
+    p_i = pair.p(1j).restricted
+    yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
+    worst = _Worst()
+    min_sv = np.inf
+    w1 = ext1.spectrum.eigenvalues
+    for z, zp in zip(zs, zs[1:] + zs[:1]):
+        ps = pair.p(z)
+        _, sv, leak = pair.p_range(z)
+        scale = 1.0 + frob(ps.full)
+        worst.add("p_adjoint_symmetry",
+                  frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
+        worst.add("p_support", frob(ps.full @ pair.nplus_perp) / scale, leak / scale)
+        pzp = pair.p(zp)
+        # the translation identity's middle factor, in ext1's eigenframe
+        mid = ext1.spectrum.compose((1.0 + w1 * w1) * kr._resolvent_diagonal(ext1, zp)
+                                    * kr._resolvent_diagonal(ext1, z))
+        translation = frob(ps.full - pzp.full - (z - zp) * (pzp.full @ mid @ ps.full))
+        worst.add("p_translation", translation / scale)
+        ranges = (pair.p_range(z), pair.p_range(zp))
+        (range_z, _, _), (range_zp, _, _) = ranges
+        leaks = sum(off / s[sub.rank - 1] for sub, s, off in ranges if sub.rank)
+        worst.add("p_compressed_rank_constancy", float(abs(range_z.rank - range_zp.rank)))
+        worst.add("p_range_constancy",
+                  frob(projector(range_z) - projector(range_zp)) + leaks)
+        if prime:
+            min_sv = min(min_sv, float(sv[-1]))
+    yield from worst.records(tol)
+    if prime:
+        yield record("p_restricted_min_sv", 0.0 if min_sv > tol else 1.0, tol,
+                     note=f"smallest singular value {min_sv:.3e}")
+
+
+def angle_suite(pair: kr.PairContext, zs: list, tol: float):
+    """sin(alpha) - i cos(alpha) and sin(alpha) - cos(alpha) M1(z) invert P(i)
+    and P(z) up to the factor cos(alpha), and the angle form of the
+    fractional-linear law."""
+    angle = pair.angle
+    cos_a, sin_a, _, _ = angle.law_factors(1.0)
+    yield record("angle_tan_inversion",
+                 frob((sin_a - 1j * cos_a) @ pair.p(1j).restricted - cos_a), tol)
+    worst = _Worst()
+    for z in zs:
+        ps = pair.p(z)
+        m1 = pair.m(pair.ext1, z)
+        worst.add("p_inverse_via_weyl",
+                  frob((sin_a - cos_a @ m1) @ ps.restricted - cos_a) / (1.0 + frob(m1)))
+        m2 = pair.m(pair.ext2, z)
+        via = kr.lft_m1_to_m2_angle(m1, angle)
+        worst.add("lft_angle_vs_direct", frob(via - m2) / (1.0 + frob(m2)))
+    yield from worst.records(tol)
+
+
+def krein_suite(pair: kr.PairContext, zs: list, tol: float):
+    """Krein's formula on N+ against a direct solve for R2(z)."""
+    eye = np.eye(pair.model.dim)
+    worst = _Worst()
+    for z in zs:
+        direct = solve_linear(pair.ext2.a - z * eye, eye)
+        via = kr.krein_resolvent(pair.ext1, pair.angle, z)
+        worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
+    yield from worst.records(tol)
+
+
+def lft_suite(pair: kr.PairContext, zs: list, tol: float):
+    """Every route from M1(z) to M2(z): the coefficient form with p(i) from
+    Cayley data (lft_direct), and the route through an auxiliary third
+    extension, chosen once for the grid: M1 inverted to its M
+    (lft_reference_inversion) and mapped on to M2 (lft_third_extension)."""
+    ext1, ext2 = pair.ext1, pair.ext2
+    p_i = pair.p_at_i_via_cayley
+    ext3, a31, a32 = kr.choose_third_extension(pair)
+    worst = _Worst()
+    for z in zs:
+        m1 = pair.m(ext1, z)
+        m2 = pair.m(ext2, z)
+        worst.add("lft_direct", frob(kr.lft_m1_to_m2(m1, p_i) - m2))
+        m3 = kr.lft_to_reference(m1, a31)
+        worst.add("lft_reference_inversion", frob(m3 - pair.m(ext3, z)))
+        worst.add("lft_third_extension", frob(kr.lft_m1_to_m2_angle(m3, a32) - m2))
+    yield from worst.records(tol)
+
+
+def vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
+    """P(i) = (i/2)(1 - u2^{-1} u1) on N+ with the von Neumann parameters u1,
+    u2 of the pair, for every pair."""
+    u1 = pair.parameter(pair.ext1).v
+    u2 = pair.parameter(pair.ext2).v
+    right = 0.5j * (np.eye(pair.model.deficiency) - u2.conj().T @ u1)
+    yield record("vonneumann_link", frob(pair.p(1j).restricted - right), tol)
+
+
+# (error record name, suite), run in this order after model_layer
+SUITES = (
+    ("weyl_suite", weyl_suite),
+    ("p_function_suite", p_function_suite),
+    ("angle_suite", angle_suite),
+    ("krein_vs_direct", krein_suite),
+    ("lft_suite", lft_suite),
+    ("vonneumann_link", vonneumann_suite),
+)

@@ -13,14 +13,14 @@ two-space indent, trailing newline), so identical inputs give byte-identical
 outputs.  Reports carry no timestamps by design.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-input or I/O error.  In check, an error building the model becomes the
-failed record build_model, and one inside a check suite a failed record
-named after the suite (model_layer, weyl_suite, p_function_suite,
-angle_suite, krein_vs_direct, lft_suite, vonneumann_link), with an "error"
-tag and the sentinel max_residual -1.0; the later suites still run.  The
-model layer (model, parametrization and Cayley-geometry records, the pair's
-angle with its primeness decision, and the resolvent difference at i) is
-the first suite, so an error there, too, is a failed record and exit 1.
+input or I/O error.  check runs checks.model_layer and then the suites of
+checks.SUITES, which define every record of the report.  An error building
+the model becomes the failed record build_model, and one inside a suite a
+failed record named after the suite (model_layer, weyl_suite,
+p_function_suite, angle_suite, krein_vs_direct, lft_suite,
+vonneumann_link), with an "error" tag and the sentinel max_residual -1.0;
+the later suites still run.  The model layer is the first suite, so an
+error there, too, is a failed record and exit 1.
 
 Every suite runs on N+ for every pair.  Krein's formula and the angle-form
 checks use the sine/cosine form of the paper's (tan alpha - M1(z))^{-1},
@@ -44,16 +44,10 @@ import numpy as np
 from . import __version__
 from . import halfline as hl
 from . import krein as kr
+from .checks import SUITES, error_record, model_layer, record
 from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
-from .extension import (
-    ExtensionParameter,
-    build_model,
-    check_cayley_geometry,
-    extension_from_parameter,
-    inverse_cayley,
-    parameter_of,
-)
-from .numerics import frob, hermitian_eig, projector, solve_linear
+from .extension import ExtensionParameter, build_model, extension_from_parameter, parameter_of
+from .numerics import frob, hermitian_eig
 
 TOOL_NAME = "kreinkit"
 
@@ -185,6 +179,14 @@ def _float_matrix(rows: list, newline: str) -> str | None:
 # Scenario files
 
 
+def _checked_tolerance(tol) -> float:
+    """tol as a float, if it lies in the report's range [1e-14, 1e-3]."""
+    tol = float(tol)
+    if not (1e-14 <= tol <= 1e-3):
+        raise BadDimensions("tolerance must lie in [1e-14, 1e-3]")
+    return tol
+
+
 @dataclass
 class ScenarioFile:
     """Validated in-memory form of a scenario JSON document."""
@@ -225,9 +227,7 @@ class ScenarioFile:
         self.z_grid = [complex(z) for z in self.z_grid]
         if any(z.imag == 0.0 or abs(z) > 1e150 for z in self.z_grid):
             raise BadDimensions("z_grid entries must be nonreal with |z| <= 1e150")
-        self.tolerance = float(self.tolerance)
-        if not (1e-14 <= self.tolerance <= 1e-3):
-            raise BadDimensions("tolerance must lie in [1e-14, 1e-3]")
+        self.tolerance = _checked_tolerance(self.tolerance)
         if self.a1 is not None and self.a1.shape != (d, d):
             raise BadDimensions(f"a1 shape {self.a1.shape} does not match dimension {d}")
         if self.nplus is not None and self.nplus.shape != (d, n):
@@ -367,29 +367,7 @@ def materialize(scenario: ScenarioFile):
 
 
 # ---------------------------------------------------------------------------
-# Check suite
-
-
-def _record(name: str, residual: float, tol: float, **extra) -> dict:
-    rec = {
-        "name": name,
-        "max_residual": float(residual),
-        "tolerance": float(tol),
-        "pass": bool(residual <= tol),
-    }
-    rec.update(extra)
-    return rec
-
-
-def _error_record(name: str, tol: float, exc: Exception) -> dict:
-    return {
-        "name": name,
-        "max_residual": -1.0,
-        "tolerance": float(tol),
-        "pass": False,
-        "error": type(exc).__name__,
-        "note": str(exc),
-    }
+# Check reports
 
 
 def _finish_report(checks: list, provenance: dict) -> dict:
@@ -410,177 +388,30 @@ def _provenance(key: str, digest: str) -> dict:
 def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dict:
     """Execute the full identity suite on one scenario.
 
-    Residuals are normalized by 1 + the norms of the primary inputs of each
-    identity, so the single tolerance is meaningful across scales; a record
-    passes iff max_residual <= tolerance.  A KreinKitError in materialize, in
-    _model_layer or in a suite of _SUITES becomes one failed record (see the
-    module docstring), after the records the suite yielded.
+    A record passes iff max_residual <= tolerance.  A KreinKitError in
+    materialize, in checks.model_layer or in a suite of checks.SUITES
+    becomes one failed record (see the module docstring), after the records
+    the suite yielded.
 
     Every check reads P(z), M(z) and the pair's data from one
     krein.PairContext, so each is computed once; it is dropped on return.
     """
-    tol = float(tol_override) if tol_override is not None else scenario.tolerance
-    if not (1e-14 <= tol <= 1e-3):
-        raise BadDimensions("tolerance must lie in [1e-14, 1e-3]")
+    tol = _checked_tolerance(scenario.tolerance if tol_override is None else tol_override)
     provenance = _provenance("scenario_sha256", scenario.sha256())
     try:
         model, ext1, ext2, v2 = materialize(scenario)
     except KreinKitError as exc:
-        return _finish_report([_error_record("build_model", tol, exc)], provenance)
+        return _finish_report([error_record("build_model", tol, exc)], provenance)
     pair = kr.PairContext(model, ext1, ext2)
     checks = []
-    model_layer = lambda pair, zs, tol: _model_layer(pair, v2, tol)
-    for name, suite in (("model_layer", model_layer),) + _SUITES:
+    layer = lambda pair, zs, tol: model_layer(pair, v2, tol)
+    for name, suite in (("model_layer", layer),) + SUITES:
         try:
             for rec in suite(pair, scenario.z_grid, tol):
                 checks.append(rec)
         except KreinKitError as exc:
-            checks.append(_error_record(name, tol, exc))
+            checks.append(error_record(name, tol, exc))
     return _finish_report(checks, provenance)
-
-
-class _Worst(dict):
-    """Worst value of each record over a grid, in the order first seen.  The
-    running value is the first argument of max, so a NaN never displaces it."""
-
-    def add(self, name: str, *values: float) -> None:
-        self[name] = max(self.get(name, 0.0), *values)
-
-    def records(self, tol: float) -> list:
-        return [_record(name, value, tol) for name, value in self.items()]
-
-
-def _model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
-    """Model, parametrization and Cayley geometry; the resolvent difference
-    at i against Cayley data, noted with the pair's primeness."""
-    model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
-    eyen = np.eye(model.deficiency)
-    bp, bm = model.nplus.basis, model.nminus.basis
-    yield _record("model_invariants", max(
-        frob(bp.conj().T @ bp - eyen),
-        frob(bm.conj().T @ bm - eyen),
-        frob(model.dot_domain.basis.conj().T @ model.dot_domain.basis
-             - np.eye(model.dot_domain.rank)),
-        frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
-    ), tol)
-    yield _record("extension_parameter_roundtrip", max(
-        frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
-        frob(pair.parameter(ext1).v - eyen),
-    ), tol)
-    yield _record("cayley_roundtrip", max(
-        frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),
-        frob(inverse_cayley(ext2.cayley) - ext2.a) / (1.0 + frob(ext2.a)),
-    ), tol)
-    geo1 = check_cayley_geometry(model, ext1)
-    geo2 = check_cayley_geometry(model, ext2)
-    for key, name in (
-        ("deficiency_exchange", "cayley_exchanges_deficiency_spaces"),
-        ("resolvent_cayley_identity", "resolvent_cayley_identity"),
-        ("domain_direct_sum", "domain_direct_sum"),
-    ):
-        yield _record(name, max(geo1[key], geo2[key]), tol)
-
-    # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
-    note = "relatively prime" if pair.angle.prime else "not relatively prime"
-    yield _record("relatively_prime_consistency", frob(
-        pair.resolvent_difference - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
-    ), tol, note=note)
-
-
-def _weyl_suite(pair: kr.PairContext, zs: list, tol: float):
-    """M(z) of both extensions: fixed point at i, symmetry, Herglotz."""
-    worst = _Worst()
-    for ext in (pair.ext1, pair.ext2):
-        worst.add("weyl_fixed_point_at_i",
-                  frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
-        for z in zs:
-            hz = kr.herglotz_check(pair, ext, z)
-            worst.add("weyl_conjugate_symmetry",
-                      hz["conjugate_symmetry"] / (1.0 + frob(pair.m(ext, z))))
-            worst.add("herglotz_bound", hz["positivity_bound"])
-            worst.add("herglotz_identity", hz["exact_identity"])
-    yield from worst.records(tol)
-
-
-def _p_function_suite(pair: kr.PairContext, zs: list, tol: float):
-    """P(i) against Cayley data, then P(z) over the grid."""
-    model = pair.model
-    prime = pair.angle.prime
-    p_i = pair.p(1j).restricted
-    yield _record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
-    worst = _Worst()
-    min_sv = np.inf
-    pperp = np.eye(model.dim) - projector(model.nplus)
-    for z, zp in zip(zs, zs[1:] + zs[:1]):
-        ps = pair.p(z)
-        _, sv, leak = pair.p_range(z)
-        scale = 1.0 + frob(ps.full)
-        worst.add("p_adjoint_symmetry",
-                  frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
-        worst.add("p_support", frob(ps.full @ pperp) / scale, leak / scale)
-        tr = kr.p_translation_check(pair, z, zp)
-        worst.add("p_translation", tr["translation"] / scale)
-        worst.add("p_compressed_rank_constancy", tr["rank_delta"])
-        worst.add("p_range_constancy", tr["range_drift"])
-        if prime:
-            min_sv = min(min_sv, float(sv[-1]))
-    yield from worst.records(tol)
-    if prime:
-        yield _record("p_restricted_min_sv", 0.0 if min_sv > tol else 1.0, tol,
-                      note=f"smallest singular value {min_sv:.3e}")
-
-
-def _angle_suite(pair: kr.PairContext, zs: list, tol: float):
-    """sin(alpha) - i cos(alpha) and sin(alpha) - cos(alpha) M1(z) invert P(i)
-    and P(z) up to the factor cos(alpha), and the angle form of the
-    fractional-linear law."""
-    angle = pair.angle
-    cos_a, sin_a, _, _ = angle.law_factors(1.0)
-    yield _record("angle_tan_inversion",
-                  frob((sin_a - 1j * cos_a) @ pair.p(1j).restricted - cos_a), tol)
-    worst = _Worst()
-    for z in zs:
-        ps = pair.p(z)
-        m1 = pair.m(pair.ext1, z)
-        worst.add("p_inverse_via_weyl",
-                  frob((sin_a - cos_a @ m1) @ ps.restricted - cos_a) / (1.0 + frob(m1)))
-        m2 = pair.m(pair.ext2, z)
-        via = kr.lft_m1_to_m2_angle(m1, angle)
-        worst.add("lft_angle_vs_direct", frob(via - m2) / (1.0 + frob(m2)))
-    yield from worst.records(tol)
-
-
-def _krein_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Krein's formula on N+ against a direct solve for R2(z)."""
-    eye = np.eye(pair.model.dim)
-    worst = _Worst()
-    for z in zs:
-        direct = solve_linear(pair.ext2.a - z * eye, eye)
-        via = kr.krein_resolvent(pair.ext1, pair.angle, z)
-        worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
-    yield from worst.records(tol)
-
-
-def _lft_suite(pair: kr.PairContext, zs: list, tol: float):
-    res = kr.general_lft_check(pair, zs)
-    for key in ("direct", "third_extension", "reference_inversion"):
-        yield _record("lft_" + key, res[key], tol)
-
-
-def _vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):
-    yield _record("vonneumann_link", kr.vonneumann_link_check(pair)["parametrization_link"],
-                  tol)
-
-
-# (error record name, suite), run in this order behind run_checks' boundary
-_SUITES = (
-    ("weyl_suite", _weyl_suite),
-    ("p_function_suite", _p_function_suite),
-    ("angle_suite", _angle_suite),
-    ("krein_vs_direct", _krein_suite),
-    ("lft_suite", _lft_suite),
-    ("vonneumann_link", _vonneumann_suite),
-)
 
 
 def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
@@ -626,7 +457,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             hl.HalflineScenario(float(a2))
             good_alpha.append(float(a2))
         except (NotRelativelyPrime, ValueError) as exc:
-            checks.append(_error_record(f"alpha2_validation[{a2:.6g}]", tol, exc))
+            checks.append(error_record(f"alpha2_validation[{a2:.6g}]", tol, exc))
     good_z = []
     for z in z_values:
         z = complex(z)
@@ -636,7 +467,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             hl.sqrt_upper(z)
             good_z.append(z)
         except (BadDimensions, BranchCut) as exc:
-            checks.append(_error_record(f"z_validation[{z:.6g}]", tol, exc))
+            checks.append(error_record(f"z_validation[{z:.6g}]", tol, exc))
     pole_hits = []
     for a2 in good_alpha:
         scen = hl.HalflineScenario(a2)
@@ -648,7 +479,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             except KreinKitError as exc:
                 pole_hits.append((a2, z, exc))
     for a2, z, exc in pole_hits:
-        checks.append(_error_record(
+        checks.append(error_record(
             f"pole_validation[alpha2={a2:.6g},z={z:.6g}]", tol, exc
         ))
     if good_alpha and good_z and not pole_hits:
@@ -656,9 +487,9 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             residuals = hl.verify_halfline(tuple(good_z), tuple(good_alpha))
             for name, value in sorted(residuals.items()):
                 effective = QUADRATURE_TOL if name == "quadrature_roundtrip" else tol
-                checks.append(_record(name, value, effective))
+                checks.append(record(name, value, effective))
         except KreinKitError as exc:
-            checks.append(_error_record("verify_halfline", tol, exc))
+            checks.append(error_record("verify_halfline", tol, exc))
     digest = hashlib.sha256(_dump_json({
         "alpha2": [float(a) for a in alpha2_values],
         "z": [_c_to_json(complex(z)) for z in z_values],
@@ -734,8 +565,7 @@ def main(argv=None) -> int:
                       else _parse_list(args.alpha2, "real"))
             zs = (list(hl.DEFAULT_Z) if args.z is None
                   else _parse_list(args.z, "complex"))
-            if not (1e-14 <= args.tol <= 1e-3):
-                raise BadDimensions("tolerance must lie in [1e-14, 1e-3]")
+            _checked_tolerance(args.tol)
             doc = halfline_command(alpha2, zs, args.tol)
         _emit(_dump_json(doc), args.output)
         if args.command in ("gen", "mfunc"):

@@ -47,7 +47,6 @@ from .numerics import (
     hermitian_deviation,
     hermitian_eig,
     orthonormal_range,
-    projector,
     solve_linear,
     unitary_eig,
 )
@@ -261,29 +260,3 @@ def resolvent_difference_at_i(ext1: Extension, ext2: Extension) -> np.ndarray:
     r2 = solve_linear(ext2.a - 1j * eye, eye)
     return r2 - r1
 
-
-def check_cayley_geometry(model: RestrictionModel, ext: Extension) -> dict[str, float]:
-    """Residuals of the structural facts tying one extension to the model.
-
-    Keys:
-      deficiency_exchange       ||P_{N+} - C P_{N-} C^{-1}||
-      resolvent_cayley_identity ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp||
-      domain_direct_sum         N - rank([dot_domain basis | (1 - C^{-1}) Bp])
-    """
-    eye = np.eye(model.dim)
-    c = ext.cayley
-    c_inv = c.conj().T
-    bp = model.nplus.basis
-    pp = projector(model.nplus)
-    pm = projector(model.nminus)
-    exchange = frob(pp - c @ pm @ c_inv)
-    lhs = solve_linear(ext.a - 1j * eye, c_inv @ bp)
-    rhs = 0.5j * (c_inv @ bp - bp)
-    resolvent_identity = frob(lhs - rhs)
-    combined = np.hstack([model.dot_domain.basis, (eye - c_inv) @ bp])
-    rank = orthonormal_range(combined).rank
-    return {
-        "deficiency_exchange": exchange,
-        "resolvent_cayley_identity": resolvent_identity,
-        "domain_direct_sum": float(model.dim - rank),
-    }

@@ -318,9 +318,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
                     grid: QuadratureGrid = QuadratureGrid()) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
-    m1(z) is evaluated once per z.  Per alpha2, each matrix law runs once,
-    on the stack of 1x1 values m1(z) over the z grid; its solve decides every
-    z by that z's own denominator.
+    m1(z) and the Herglotz bound are evaluated once per z.  Per alpha2, each
+    matrix law runs once, on the stack of 1x1 values m1(z) over the z grid;
+    its solve decides every z by that z's own denominator.
 
     Returns max residuals over the (alpha2, z) grid:
       lft_phase_form       m2 vs the matrix angle-form law on 1x1 blocks
@@ -344,6 +344,8 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
     zs = [complex(z) for z in z_values]
     m1s = [m1_halfline(z) for z in zs]
+    # the Herglotz bound of each non-real z (DEFAULT_Z holds the real point -9)
+    bounds = [herglotz_lower_bound(z) if z.imag != 0.0 else None for z in zs]
     m1_stack = np.array(m1s, dtype=np.complex128).reshape(-1, 1, 1)
     for a2 in alpha2_values:
         scenario = HalflineScenario(float(a2))
@@ -362,15 +364,15 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         m2s = [_m2_from_m1(z, m1, scenario) for z, m1 in zip(zs, m1s)]
         via_angle = lft_m1_to_m2_angle(m1_stack, angle)[:, 0, 0]
         via_plain = lft_m1_to_m2(m1_stack, np.array([[p_i]], dtype=np.complex128))[:, 0, 0]
-        for z, m1, m2, angle_m2, plain_m2 in zip(zs, m1s, m2s, via_angle, via_plain):
+        for z, m1, m2, angle_m2, plain_m2, bound in zip(zs, m1s, m2s, via_angle, via_plain,
+                                                        bounds):
             out["lft_phase_form"] = max(out["lft_phase_form"], abs(angle_m2 - m2))
             out["lft_plain_form"] = max(out["lft_plain_form"], abs(plain_m2 - m2))
             p_z = p12_halfline(z, scenario)
             out["p_inverse_via_m"] = max(
                 out["p_inverse_via_m"], abs(1.0 / p_z - (t - m1))
             )
-            if z.imag != 0.0:
-                bound = herglotz_lower_bound(z)
+            if bound is not None:
                 out["herglotz_m1"] = max(
                     out["herglotz_m1"], max(0.0, bound - z.imag * m1.imag)
                 )

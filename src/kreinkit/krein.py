@@ -20,16 +20,16 @@ the blocks where the extensions agree), so no function of the module needs
 a primeness decision.  Out of these pieces the module assembles:
 
   * the resolvent formula recovering R2(z) from A1-data plus the angle,
-  * the Herglotz bound and the exact positivity identity for Im M,
+  * the Herglotz lower bound for Im z * Im M,
   * the fractional-linear laws mapping M1 to M2 (directly, in angle form,
-    and through a deterministic auxiliary third extension),
-  * the translation identity in z and the range constancy of P,
-  * the consistency link with the von Neumann unitary parameters.
+    and through a deterministic auxiliary third extension, chosen by
+    choose_third_extension).
 
-The pair-level checks read their inputs from a PairContext, which computes
-each quantity of one pair once (P(z) and the SVD of P(z)|N+ per z, M(z) per
-extension and z, the angle with its primeness decision, the Cayley products)
-and shares it.
+The module holds formulas only; the checks module turns them into the
+records of the check report.  Its suites read their inputs from a
+PairContext, which computes each quantity of one pair once (P(z) and the SVD
+of P(z)|N+ per z, M(z) per extension and z, the angle with its primeness
+decision, the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -253,7 +253,7 @@ def _frozen(*arrays: np.ndarray) -> np.ndarray:
 
 
 class PairContext:
-    """Memo of what the pair-level checks read about one pair (ext1, ext2)
+    """Memo of what the check suites read about one pair (ext1, ext2)
     of extensions of a model, with N+ as the sampling subspace.
 
     Every entry is computed on first use by the same function a direct call
@@ -303,9 +303,13 @@ class PairContext:
             # (identical extensions) must count as rank 0 at every z, not as
             # noise directions
             sub, sv = _svd_range(ps.restricted, 1.0)
-            pperp = np.eye(self.model.dim) - projector(self.model.nplus)
-            self._ranges[z] = (sub, _frozen(sv, sub.basis), frob(pperp @ ps.full))
+            self._ranges[z] = (sub, _frozen(sv, sub.basis), frob(self.nplus_perp @ ps.full))
         return self._ranges[z]
+
+    @cached_property
+    def nplus_perp(self) -> np.ndarray:
+        """1 - P_N+, the orthogonal projector onto N+^perp."""
+        return _frozen(np.eye(self.model.dim) - projector(self.model.nplus))
 
     def herglotz_root(self, ext: Extension) -> np.ndarray:
         """(1 + a^2)^{1/2} of ext, a diagonal function of its eigenframe."""
@@ -366,36 +370,6 @@ def herglotz_lower_bound(z) -> float:
         x, y = x / s, y / s
         return y * y / (x * x + y * y + x / s)
     return z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
-
-
-def herglotz_check(pair: PairContext, ext: Extension, z) -> dict[str, float]:
-    """Positivity data of the Weyl-Titchmarsh operator of ext on N+ at one
-    non-real z; M and the (1 + a^2)^{1/2} factor come from the pair's memo.
-
-    Keys:
-      positivity_bound    max(0, bound - lambda_min(Im z * Im m(z)))
-      exact_identity      || Im z * Im m - (Im z)^2 S*(1+a^2)^{1/2}((a-x)^2+y^2)^{-1}(1+a^2)^{1/2} S ||
-      conjugate_symmetry  || m(conj z) - m(z)* ||
-    """
-    z = complex(z)
-    bound = herglotz_lower_bound(z)  # raises RealParameter on the axis
-    m = pair.m(ext, z)
-    im_m = (m - m.conj().T) / 2j
-    im_m = (im_m + im_m.conj().T) / 2.0
-    lhs = z.imag * im_m
-    lam_min = float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
-    # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve with
-    # a - conj z, whose condition number is the square root of the product's
-    y = z.imag
-    half = solve_linear(ext.a - z.conjugate() * np.eye(ext.dim),
-                        pair.herglotz_root(ext) @ pair.model.nplus.basis)
-    rhs = (y * y) * (half.conj().T @ half)
-    m_conj = pair.m(ext, z.conjugate())
-    return {
-        "positivity_bound": max(0.0, bound - lam_min),
-        "exact_identity": frob(lhs - rhs),
-        "conjugate_symmetry": frob(m_conj - m.conj().T),
-    }
 
 
 def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
@@ -493,83 +467,3 @@ def choose_third_extension(
             if a32.prime:
                 return ext3, a31, a32
     raise ExhaustedCandidates("no admissible third extension in the phase sweep")
-
-
-def general_lft_check(pair: PairContext, zs) -> dict[str, float]:
-    """Exercise every route from m1(z) to m2(z) over the z-grid zs (an
-    iterable of non-real points; pass [z] for a single point) and report the
-    worst residual of each key over the grid.
-
-    The pair-level data (p(i) from Cayley data, the auxiliary third
-    extension and the two angles that chose it) is computed once; per z only
-    the fractional-linear maps are evaluated, on Weyl operators from the
-    pair's memo.
-
-    Keys:
-      direct               coefficient form vs directly computed m2
-      third_extension      route through the auxiliary extension vs m2
-      reference_inversion  inverted m_ref vs its directly computed value
-    """
-    ext1, ext2 = pair.ext1, pair.ext2
-    p_i = pair.p_at_i_via_cayley
-    ext3, a31, a32 = choose_third_extension(pair)
-
-    direct = third = reference_inversion = 0.0
-    for z in zs:
-        m1 = pair.m(ext1, z)
-        m2 = pair.m(ext2, z)
-        direct = max(direct, frob(lft_m1_to_m2(m1, p_i) - m2))
-        m3 = lft_to_reference(m1, a31)
-        reference_inversion = max(reference_inversion, frob(m3 - pair.m(ext3, z)))
-        third = max(third, frob(lft_m1_to_m2_angle(m3, a32) - m2))
-
-    return {
-        "direct": direct,
-        "third_extension": third,
-        "reference_inversion": reference_inversion,
-    }
-
-
-def vonneumann_link_check(pair: PairContext) -> dict[str, float]:
-    """Link between the compressed resolvent difference at i and the von
-    Neumann unitary parameters on N+: p(i) = (i/2)(1 - u2^{-1} u1), for
-    every pair.
-
-    Keys:
-      parametrization_link        residual of the identity above
-    """
-    u1 = pair.parameter(pair.ext1).v
-    u2 = pair.parameter(pair.ext2).v
-    right = 0.5j * (np.eye(pair.model.deficiency) - u2.conj().T @ u1)
-    return {"parametrization_link": frob(pair.p(1j).restricted - right)}
-
-
-def p_translation_check(pair: PairContext, z, z_prime) -> dict[str, float]:
-    """Translation identity in the spectral parameter plus rank constancy,
-    on P and its range data from the pair's memo.
-
-    Keys:
-      translation  || P(z) - P(z') - (z - z') P(z')(a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1} P(z) ||
-      rank_delta   |rank P(z)|_N+ - rank P(z')|_N+|
-      range_drift  || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
-                   + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
-                   sigma_r the last singular value above the rank cutoff (no
-                   leak at rank 0); a sin-theta bound on the full range's drift
-    """
-    z = complex(z)
-    zp = complex(z_prime)
-    ext1 = pair.ext1
-    pz = pair.p(z)
-    pzp = pair.p(zp)
-    w1 = ext1.spectrum.eigenvalues
-    mid = ext1.spectrum.compose((1.0 + w1 * w1) * _resolvent_diagonal(ext1, zp)
-                                * _resolvent_diagonal(ext1, z))
-    translation = frob(pz.full - pzp.full - (z - zp) * (pzp.full @ mid @ pz.full))
-    ranges = (pair.p_range(z), pair.p_range(zp))
-    (range_z, _, _), (range_zp, _, _) = ranges
-    leaks = sum(leak / sv[sub.rank - 1] for sub, sv, leak in ranges if sub.rank)
-    return {
-        "translation": translation,
-        "rank_delta": float(abs(range_z.rank - range_zp.rank)),
-        "range_drift": frob(projector(range_z) - projector(range_zp)) + leaks,
-    }

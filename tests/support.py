@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from kreinkit import cli
+from kreinkit import checks, cli
 from kreinkit.extension import (
     Extension,
     ExtensionParameter,
@@ -197,6 +197,30 @@ def full_range_drift(pair, z, zp):
     data; this is the direct route it replaced."""
     ranges = [_svd_range(pair.p(w).full, 1.0)[0] for w in (z, zp)]
     return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
+
+
+def records(suite, pair, zs=(), tol=1e-9):
+    """{name: max_residual} of the records that one suite of kreinkit.checks
+    (zs the grid it runs on) yields for the pair."""
+    return {rec["name"]: rec["max_residual"] for rec in suite(pair, list(zs), tol)}
+
+
+def layer_records(pair, tol=1e-9):
+    """The records of checks.model_layer for the pair, as records() gives
+    them; ext2's parameter stands in for the v2 that built it."""
+    layer = checks.model_layer(pair, pair.parameter(pair.ext2).v, tol)
+    return {rec["name"]: rec["max_residual"] for rec in layer}
+
+
+def translation_residual(pair, z, zp):
+    """|| P(z) - P(z') - (z - z') P(z') (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1} P(z) ||,
+    unnormalized, with P from the pair's memo and the middle factor from
+    ext1's eigenframe.  The p_translation record divides it by 1 + ||P(z)||."""
+    pz, pzp = pair.p(z).full, pair.p(zp).full
+    spec = pair.ext1.spectrum
+    w = spec.eigenvalues
+    mid = spec.compose((1.0 + w * w) / ((w - zp) * (w - z)))
+    return float(np.linalg.norm(pz - pzp - (z - zp) * (pzp @ mid @ pz)))
 
 
 def tan_of(angle):

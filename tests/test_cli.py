@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import support
-from kreinkit import cli
+from kreinkit import checks, cli
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
 from kreinkit.errors import BadDimensions, NotInvariant
@@ -513,6 +513,21 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_each_report_record_comes_from_one_suite():
+    # a (64, 3) report holds exactly the records that the model layer and
+    # the suites of checks.SUITES yield, and no two suites yield one name
+    scenario = cli.generate_scenario(64, 3, 3)
+    model, ext1, ext2, v2 = cli.materialize(scenario)
+    pair = krein_module.PairContext(model, ext1, ext2)
+    tol = scenario.tolerance
+    suites = [checks.model_layer(pair, v2, tol)]
+    suites += [suite(pair, scenario.z_grid, tol) for _, suite in checks.SUITES]
+    names = collections.Counter(rec["name"] for suite in suites for rec in suite)
+    assert max(names.values()) == 1
+    report = cli.run_checks(scenario)
+    assert [rec["name"] for rec in report["checks"]] == sorted(names)
+
+
 # ---------------------------------------------------------------------------
 # cost contract of the check suite
 
@@ -584,6 +599,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.resolvent_difference, pair.cayley_w, pair.angle.alpha,
+                   pair.nplus_perp,
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0
@@ -617,8 +633,7 @@ def test_battery_report_passes_on_a_near_unit_cayley_eigenvalue(seed):
 def test_herglotz_identity_holds_for_a_large_norm_extension():
     model, ext1, ext2, _ = cli.materialize(cli.generate_scenario(64, 3, 450058655))
     pair = krein_module.PairContext(model, ext1, ext2)
-    worst = max(krein_module.herglotz_check(pair, ext, z)["exact_identity"]
-                for ext in (ext1, ext2) for z in cli.FIXED_Z16)
+    worst = support.records(checks.weyl_suite, pair, cli.FIXED_Z16)["herglotz_identity"]
     assert worst <= 1e-9
 
 
@@ -693,7 +708,9 @@ def test_range_drift_bounds_the_full_space_drift(scenario):
     zs = scenario.z_grid
     for z, zp in zip(zs, zs[1:] + zs[:1]):
         oracle = support.full_range_drift(pair, z, zp)
-        drift = krein_module.p_translation_check(pair, z, zp)["range_drift"]
+        # on the grid [z, zp] the record is this pair's drift, which is
+        # symmetric in z and zp
+        drift = support.records(checks.p_function_suite, pair, [z, zp])["p_range_constancy"]
         assert oracle <= 1e-14 or drift >= oracle, (z, zp, oracle, drift)
 
 

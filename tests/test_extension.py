@@ -25,13 +25,12 @@ from kreinkit.extension import (
     ExtensionParameter,
     RestrictionModel,
     build_model,
-    check_cayley_geometry,
     extension_from_parameter,
     inverse_cayley,
     parameter_of,
     restricted_cayley_product,
 )
-from kreinkit.krein import angle_operator
+from kreinkit.krein import PairContext, angle_operator
 from kreinkit.numerics import frob, projector, unitary_eig
 
 EPS = np.finfo(float).eps
@@ -365,11 +364,11 @@ def test_unit_eigenvalue_raises_where_the_pivot_ratio_is_one():
 def test_check_cayley_geometry_residuals():
     for seed in (0, 1, 2):
         model, ext1, ext2, _ = support.random_pair(5, 2, seed)
-        for ext in (ext1, ext2):
-            res = check_cayley_geometry(model, ext)
-            assert res["deficiency_exchange"] < 1e-10
-            assert res["resolvent_cayley_identity"] < 1e-10
-            assert res["domain_direct_sum"] == 0.0
+        # each record is the worst over ext1 and ext2
+        res = support.layer_records(PairContext(model, ext1, ext2))
+        assert res["cayley_exchanges_deficiency_spaces"] < 1e-10
+        assert res["resolvent_cayley_identity"] < 1e-10
+        assert res["domain_direct_sum"] == 0.0
 
 
 def test_restriction_model_is_frozen(swap_model):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import support
+from kreinkit import checks
 from kreinkit.errors import (
     NotAnExtension,
     NotHermitian,
@@ -34,16 +35,12 @@ from kreinkit.krein import (
     PairContext,
     angle_operator,
     choose_third_extension,
-    general_lft_check,
-    herglotz_check,
     herglotz_lower_bound,
     krein_resolvent,
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
     lft_to_reference,
     p_function,
-    p_translation_check,
-    vonneumann_link_check,
     weyl_operator,
 )
 from kreinkit.numerics import Subspace, frob, hermitian_eig, solve_linear, unitary_eig
@@ -127,13 +124,11 @@ def test_s1_herglotz_frozen(s1):
     # Im(2i) * Im m1(2i) = 2 * 0.5 = 1
     assert herglotz_lower_bound(2j) == pytest.approx(1.0)
     pair = PairContext(model, ext1, ext2)
-    res = herglotz_check(pair, ext1, 2j)
-    assert res["positivity_bound"] <= 1e-14
-    assert res["exact_identity"] < 1e-14
-    assert res["conjugate_symmetry"] < 1e-14
-    res2 = herglotz_check(pair, ext2, 2j)
-    assert res2["positivity_bound"] <= 1e-14
-    assert res2["exact_identity"] < 1e-14
+    # the records are the worst over ext1 and ext2
+    res = support.records(checks.weyl_suite, pair, [2j])
+    assert res["herglotz_bound"] <= 1e-14
+    assert res["herglotz_identity"] < 1e-14
+    assert frob(pair.m(ext1, -2j) - pair.m(ext1, 2j).conj().T) < 1e-14
 
 
 def test_herglotz_lower_bound_frozen_values():
@@ -244,7 +239,7 @@ def test_matrix_pair_identities(dim, deficiency, seed):
 def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed)
     pair = PairContext(model, ext1, ext2)
-    res = general_lft_check(pair, (2j, 1 + 1j))
+    res = support.records(checks.lft_suite, pair, (2j, 1 + 1j))
     for key, value in res.items():
         assert value < 1e-9, (key, value)
     # Cayley compression at i: p(i) = (i/2)(1 - W) and 1 + i p(i) = (1 + W)/2
@@ -253,8 +248,8 @@ def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     p_i = p_function(ext1, ext2, model.nplus, 1j).restricted
     assert frob(p_i - 0.5j * (eyen - w)) < 1e-9
     assert frob((eyen + 1j * p_i) - 0.5 * (eyen + w)) < 1e-9
-    vn = vonneumann_link_check(pair)
-    assert vn["parametrization_link"] < 1e-10
+    vn = support.records(checks.vonneumann_suite, pair)
+    assert vn["vonneumann_link"] < 1e-10
 
 
 def test_one_membership_gate_rejects_a_near_extension():
@@ -273,16 +268,19 @@ def test_one_membership_gate_rejects_a_near_extension():
     with pytest.raises(NotAnExtension):
         pair.parameter(near)
     with pytest.raises(NotAnExtension):
-        vonneumann_link_check(pair)
+        support.records(checks.vonneumann_suite, pair)
 
 
 @pytest.mark.parametrize("z,zp", [(1j, 2j), (1 + 1j, -2 - 1j), (2j, -3j)])
 def test_translation_identity(z, zp):
     model, ext1, ext2, _ = support.random_pair(5, 2, seed=17)
-    res = p_translation_check(PairContext(model, ext1, ext2), z, zp)
-    assert res["translation"] < 1e-10
-    assert res["rank_delta"] == 0.0
-    assert res["range_drift"] < 1e-9
+    pair = PairContext(model, ext1, ext2)
+    assert support.translation_residual(pair, z, zp) < 1e-10
+    # on the grid [z, zp] the records read this pair's rank change and
+    # range drift, both symmetric in z and zp
+    res = support.records(checks.p_function_suite, pair, [z, zp])
+    assert res["p_compressed_rank_constancy"] == 0.0
+    assert res["p_range_constancy"] < 1e-9
 
 
 def test_angle_matches_parameter_spectrum():
@@ -310,12 +308,12 @@ def test_weyl_fixed_point_and_conjugate_symmetry():
 def test_herglotz_on_matrix_pair():
     model, ext1, ext2, _ = support.random_pair(6, 2, seed=37)
     pair = PairContext(model, ext1, ext2)
+    res = support.records(checks.weyl_suite, pair, SAFE_Z)
+    assert res["herglotz_bound"] <= 1e-12
+    assert res["herglotz_identity"] < 1e-10
     for ext in (ext1, ext2):
         for z in SAFE_Z:
-            res = herglotz_check(pair, ext, z)
-            assert res["positivity_bound"] <= 1e-12
-            assert res["exact_identity"] < 1e-10
-            assert res["conjugate_symmetry"] < 1e-10
+            assert frob(pair.m(ext, np.conj(z)) - pair.m(ext, z).conj().T) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +406,9 @@ def test_non_prime_pair_behaviour():
         m2 = weyl_operator(ext2, sub, z)
         assert frob(lft_m1_to_m2(m1, pair.p_at_i_via_cayley) - m2) < 1e-9 * (1.0 + frob(m2))
         # and the third-extension route avoids the degenerate pair entirely
-        res = general_lft_check(pair, [z])
-        assert res["direct"] < 1e-9
-        assert res["third_extension"] < 1e-9
+        res = support.records(checks.lft_suite, pair, [z])
+        assert res["lft_direct"] < 1e-9
+        assert res["lft_third_extension"] < 1e-9
 
 
 def test_identical_extensions_degenerate_cleanly():
