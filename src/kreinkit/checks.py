@@ -14,10 +14,11 @@ and M(z) is computed once per run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import krein as kr
-from .extension import inverse_cayley
 from .numerics import frob, orthonormal_range, projector, solve_linear
 
 
@@ -43,12 +44,18 @@ def error_record(name: str, tol: float, exc: Exception) -> dict:
     }
 
 
+def _worst(*values: float) -> float:
+    """max of the values, or NaN if any of them is NaN: a residual that
+    turned NaN must fail its record, not drop out of the max."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 class _Worst(dict):
-    """Worst value of each record over a grid, in the order first seen.  The
-    running value is the first argument of max, so a NaN never displaces it."""
+    """Worst value of each record over a grid, in the order first seen; a
+    NaN at any point makes the record NaN (_worst)."""
 
     def add(self, name: str, *values: float) -> None:
-        self[name] = max(self.get(name, 0.0), *values)
+        self[name] = _worst(self.get(name, 0.0), *values)
 
     def records(self, tol: float) -> list:
         return [record(name, value, tol) for name, value in self.items()]
@@ -61,21 +68,23 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     eye, eyen = np.eye(model.dim), np.eye(model.deficiency)
     bp, bm = model.nplus.basis, model.nminus.basis
-    yield record("model_invariants", max(
+    yield record("model_invariants", _worst(
         frob(bp.conj().T @ bp - eyen),
         frob(bm.conj().T @ bm - eyen),
         frob(model.dot_domain.basis.conj().T @ model.dot_domain.basis
              - np.eye(model.dot_domain.rank)),
         frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
     ), tol)
-    yield record("extension_parameter_roundtrip", max(
+    yield record("extension_parameter_roundtrip", _worst(
         frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
         frob(pair.parameter(ext1).v - eyen),
     ), tol)
-    yield record("cayley_roundtrip", max(
-        frob(inverse_cayley(ext1.cayley) - ext1.a) / (1.0 + frob(ext1.a)),
-        frob(inverse_cayley(ext2.cayley) - ext2.a) / (1.0 + frob(ext2.a)),
-    ), tol)
+    # a = i (C - 1)^{-1} (C + 1) by one LU solve, independent of the eigh
+    # frame that built C
+    yield record("cayley_roundtrip", _worst(*(
+        frob(1j * solve_linear(ext.cayley - eye, ext.cayley + eye) - ext.a)
+        / (1.0 + frob(ext.a)) for ext in (ext1, ext2)
+    )), tol)
 
     # per extension with Cayley transform C: ||P_N+ - C P_N- C^{-1}||,
     # ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp|| and
@@ -93,7 +102,7 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
                                     "resolvent_cayley_identity", "domain_direct_sum"),
                                    *geometry):
-        yield record(name, max(first, second), tol)
+        yield record(name, _worst(first, second), tol)
 
     # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
     note = "relatively prime" if pair.angle.prime else "not relatively prime"
@@ -126,14 +135,15 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
             rhs = (y * y) * (half.conj().T @ half)
             symmetry = frob(pair.m(ext, z.conjugate()) - m.conj().T)
             worst.add("weyl_conjugate_symmetry", symmetry / (1.0 + frob(m)))
-            worst.add("herglotz_bound", max(0.0, bound - lam_min))
+            worst.add("herglotz_bound", _worst(0.0, bound - lam_min))
             worst.add("herglotz_identity", frob(lhs - rhs))
     yield from worst.records(tol)
 
 
 def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
-    """P(i) against Cayley data, then P(z) over the grid, each z paired with
-    the next one z' (cyclically) for
+    """P(i) against Cayley data, then P(z) over the grid, read in ext1's
+    eigenframe (PairContext.p; every record is a norm that the frame leaves
+    unchanged), each z paired with the next one z' (cyclically) for
 
       p_translation                || P(z) - P(z') - (z - z') P(z') mid P(z) ||,
                                    mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}
@@ -152,18 +162,20 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     worst = _Worst()
     min_sv = np.inf
     w1 = ext1.spectrum.eigenvalues
+    s1 = pair.frame_nplus
     for z, zp in zip(zs, zs[1:] + zs[:1]):
         ps = pair.p(z)
         _, sv, leak = pair.p_range(z)
         scale = 1.0 + frob(ps.full)
         worst.add("p_adjoint_symmetry",
                   frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
-        worst.add("p_support", frob(ps.full @ pair.nplus_perp) / scale, leak / scale)
+        # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe
+        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1.conj().T) / scale,
+                  leak / scale)
         pzp = pair.p(zp)
-        # the translation identity's middle factor, in ext1's eigenframe
-        mid = ext1.spectrum.compose((1.0 + w1 * w1) * kr._resolvent_diagonal(ext1, zp)
-                                    * kr._resolvent_diagonal(ext1, z))
-        translation = frob(ps.full - pzp.full - (z - zp) * (pzp.full @ mid @ ps.full))
+        # the translation identity's middle factor, diagonal in ext1's eigenframe
+        mid = (1.0 + w1 * w1) * kr._resolvent_diagonal(ext1, zp) * kr._resolvent_diagonal(ext1, z)
+        translation = frob(ps.full - pzp.full - (z - zp) * (pzp.full @ (mid[:, None] * ps.full)))
         worst.add("p_translation", translation / scale)
         ranges = (pair.p_range(z), pair.p_range(zp))
         (range_z, _, _), (range_zp, _, _) = ranges

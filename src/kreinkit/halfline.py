@@ -244,15 +244,29 @@ def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     return out
 
 
+def _exp_table(a: complex, count: int) -> np.ndarray:
+    """e^{a j} for j = 0..count-1, as the outer product of a coarse table
+    e^{a block q} and a fine table e^{a r} (j = block q + r, block = 64):
+    about block + count/block complex exponentials instead of count.  The
+    last row runs past count; its surplus entries may overflow or underflow
+    and are dropped."""
+    block = 64
+    fine = np.exp(a * np.arange(min(block, count)))
+    coarse = np.exp((a * block) * np.arange(-(-count // block)))
+    with np.errstate(all="ignore"):
+        return np.outer(coarse, fine).ravel()[:count]
+
+
 def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = QuadratureGrid()) -> np.ndarray:
     """Apply the Dirichlet resolvent (A_D - z)^{-1} to sampled data.
 
     u(x) = [e^{ikx} int_0^x sin(ky) f(y) dy + sin(kx) int_x^L e^{iky} f(y) dy] / k
 
-    with k = sqrt_upper(z).  f_samples must hold f on grid.points().  One
-    exponential e = e^{ikx} is evaluated, and sin(kx) = (e - 1/e)/(2i) is read
-    off it; Im k * length > 690 raises NumericalFailure, which keeps
-    |1/e| <= e^690 finite.  The result is validated in place by the
+    with k = sqrt_upper(z).  f_samples must hold f on grid.points().  The
+    exponentials e^{ikx} and e^{-ikx} come from _exp_table, and
+    sin(kx) = (e^{ikx} - e^{-ikx})/(2i) is read off them; Im k * length > 690
+    raises NumericalFailure, which keeps |e^{-ikx}| <= e^690 finite.  The
+    result is validated in place by the
     three-point second difference of the defining equation -u'' - z u = f;
     GridTooCoarse reports a violation.
     """
@@ -269,10 +283,9 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
         raise NumericalFailure(
             "sin(kx) overflows on this grid; shorten the interval or move z"
         )
-    x = grid.points()
     h = grid.step
-    e = np.exp(1j * k * x)
-    s = (e - 1.0 / e) / 2j
+    e = _exp_table(1j * k * h, grid.nodes + 1)
+    s = (e - _exp_table(-1j * k * h, grid.nodes + 1)) / 2j
     c1 = _cumulative(s * f, h, grid.scheme)
     tail = e * f
     c2 = _cumulative(tail[::-1], h, grid.scheme)[::-1]

@@ -27,9 +27,9 @@ a primeness decision.  Out of these pieces the module assembles:
 
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
-PairContext, which computes each quantity of one pair once (P(z) and the SVD
-of P(z)|N+ per z, M(z) per extension and z, the angle with its primeness
-decision, the Cayley products) and shares it.
+PairContext, which computes each quantity of one pair once (P(z) in ext1's
+eigenframe and the SVD of P(z)|N+ per z, M(z) per extension and z, the angle
+with its primeness decision, the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -72,7 +72,6 @@ from .numerics import (
     _svd_range,
     as_matrix,
     frob,
-    projector,
     solve_linear,
     unitary_eig,
 )
@@ -80,7 +79,9 @@ from .numerics import (
 @dataclass(frozen=True, eq=False)
 class PSample:
     """One evaluation of the sandwiched resolvent difference: the full-space
-    matrix and its compression to the sampling subspace's frame."""
+    matrix (in the original frame from p_function, in ext1's eigenframe from
+    PairContext.p) and its compression to the sampling subspace's frame,
+    which is the same in both."""
 
     full: np.ndarray
     restricted: np.ndarray
@@ -256,10 +257,13 @@ class PairContext:
     """Memo of what the check suites read about one pair (ext1, ext2)
     of extensions of a model, with N+ as the sampling subspace.
 
-    Every entry is computed on first use by the same function a direct call
-    would use (p_function, weyl_operator, orthonormal_range, ...) and shared
-    by every later read, so a check suite over a z-grid evaluates P(z) and
-    the SVD of P(z)|N+ once per distinct z and M(z) once per (extension, z).
+    Every entry is computed on first use and shared by every later read, so
+    a check suite over a z-grid evaluates P(z) and the SVD of P(z)|N+ once
+    per distinct z and M(z) once per (extension, z).  M(z) and the pair-level
+    entries come from the functions a direct call would use (weyl_operator,
+    angle_operator, parameter_of, ...); P(z) is held in ext1's eigenframe
+    (p), where it takes one N x N product, and p_function stays the route in
+    the original frame.
     Cached arrays are read-only.  The context is the only owner of its
     entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
@@ -277,13 +281,34 @@ class PairContext:
         self._parameters: dict = {}
 
     def p(self, z) -> PSample:
-        """P(z) of the pair, full and compressed to N+."""
+        """P(z) of the pair in ext1's eigenframe V1, and compressed to N+:
+        V1* P(z) V1 = D_l (Q D2 Q* - D1) D_r with the diagonals
+        D_l = (w1 - z)/(w1 - i), D_r = (w1 - z)/(w1 + i), D1 = 1/(w1 - z),
+        D2 = 1/(w2 - z), one N x N product per z.  The compression
+        S1* (V1* P V1) S1 is p_function's, up to roundoff."""
         z = complex(z)
         if z not in self._p:
-            ps = p_function(self.ext1, self.ext2, self.model.nplus, z)
+            w1 = self.ext1.spectrum.eigenvalues
+            d1 = _resolvent_diagonal(self.ext1, z)
+            middle = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q.conj().T
+            middle[np.diag_indices_from(middle)] -= d1
+            full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 + 1j))
+            s1 = self.frame_nplus
+            ps = PSample(full=full, restricted=s1.conj().T @ full @ s1)
             _frozen(ps.full, ps.restricted)
             self._p[z] = ps
         return self._p[z]
+
+    @cached_property
+    def frame_q(self) -> np.ndarray:
+        """Q = V1* V2, ext2's eigenframe in ext1's."""
+        return _frozen(self.ext1.spectrum.eigenvectors.conj().T
+                       @ self.ext2.spectrum.eigenvectors)
+
+    @cached_property
+    def frame_nplus(self) -> np.ndarray:
+        """S1 = V1* Bp, the N+ basis in ext1's eigenframe."""
+        return _frozen(self.ext1.spectrum.eigenvectors.conj().T @ self.model.nplus.basis)
 
     def m(self, ext: Extension, z) -> np.ndarray:
         """M(z) of ext (an extension of the pair or any other extension of
@@ -295,7 +320,8 @@ class PairContext:
 
     def p_range(self, z) -> tuple[Subspace, np.ndarray, float]:
         """Range and singular values (descending) of P(z)|N+, from one SVD,
-        and the leakage ||(1 - P_N+) P(z)|| of P(z) off N+."""
+        and the leakage ||(1 - P_N+) P(z)|| = ||P - S1 (S1* P)|| of P(z) off
+        N+, in ext1's eigenframe."""
         z = complex(z)
         if z not in self._ranges:
             ps = self.p(z)
@@ -303,13 +329,10 @@ class PairContext:
             # (identical extensions) must count as rank 0 at every z, not as
             # noise directions
             sub, sv = _svd_range(ps.restricted, 1.0)
-            self._ranges[z] = (sub, _frozen(sv, sub.basis), frob(self.nplus_perp @ ps.full))
+            s1 = self.frame_nplus
+            leak = frob(ps.full - s1 @ (s1.conj().T @ ps.full))
+            self._ranges[z] = (sub, _frozen(sv, sub.basis), leak)
         return self._ranges[z]
-
-    @cached_property
-    def nplus_perp(self) -> np.ndarray:
-        """1 - P_N+, the orthogonal projector onto N+^perp."""
-        return _frozen(np.eye(self.model.dim) - projector(self.model.nplus))
 
     def herglotz_root(self, ext: Extension) -> np.ndarray:
         """(1 + a^2)^{1/2} of ext, a diagonal function of its eigenframe."""

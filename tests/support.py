@@ -21,6 +21,7 @@ from kreinkit.extension import (
     parameter_of,
     resolvent_difference_at_i,
 )
+from kreinkit.krein import p_function
 from kreinkit.numerics import _svd_range, projector
 
 
@@ -190,12 +191,18 @@ def common_subspace(ext1, ext2):
     return _svd_range(resolvent_difference_at_i(ext1, ext2), 1.0)[0]
 
 
+def p_full(pair, z):
+    """The full N x N P(z) of the pair from p_function, in the original
+    frame: a route independent of the eigenframe form the pair's memo holds."""
+    return p_function(pair.ext1, pair.ext2, pair.model.nplus, z).full
+
+
 def full_range_drift(pair, z, zp):
     """|| range-projector(P(z)) - range-projector(P(z')) || with the ranges
-    of the full N x N P from the pair's memo, at the scale floor the memo
-    uses for P|N+.  The library reports a bound on this drift from n x n
-    data; this is the direct route it replaced."""
-    ranges = [_svd_range(pair.p(w).full, 1.0)[0] for w in (z, zp)]
+    of the full N x N P from p_function, at the scale floor the memo uses
+    for P|N+.  The library reports a bound on this drift from n x n data;
+    this is the direct route it replaced."""
+    ranges = [_svd_range(p_full(pair, w), 1.0)[0] for w in (z, zp)]
     return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
 
 
@@ -214,9 +221,10 @@ def layer_records(pair, tol=1e-9):
 
 def translation_residual(pair, z, zp):
     """|| P(z) - P(z') - (z - z') P(z') (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1} P(z) ||,
-    unnormalized, with P from the pair's memo and the middle factor from
-    ext1's eigenframe.  The p_translation record divides it by 1 + ||P(z)||."""
-    pz, pzp = pair.p(z).full, pair.p(zp).full
+    unnormalized, with P from p_function in the original frame and the
+    middle factor composed from ext1's eigenframe.  The p_translation record
+    divides it by 1 + ||P(z)||."""
+    pz, pzp = p_full(pair, z), p_full(pair, zp)
     spec = pair.ext1.spectrum
     w = spec.eigenvalues
     mid = spec.compose((1.0 + w * w) / ((w - zp) * (w - z)))

@@ -477,6 +477,23 @@ def test_error_record_sentinel_shape(tmp_path):
         assert isinstance(rec["note"], str)
 
 
+# a residual that turns NaN (overflow, 0/0) must fail its record wherever it
+# falls among the values, not drop out of the max
+@pytest.mark.parametrize("values", [
+    [(math.nan,)],
+    [(1.0,), (math.nan,)],
+    [(0.5, math.nan, 0.25)],
+    [(math.nan,), (2.0,)],
+])
+def test_a_nan_residual_fails_its_record(values):
+    worst = checks._Worst()
+    for group in values:
+        worst.add("x", *group)
+    (rec,) = worst.records(1e-9)
+    assert math.isnan(rec["max_residual"])
+    assert rec["pass"] is False
+
+
 def test_module_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "kreinkit", "gen", "--dim", "2", "--def", "1",
@@ -536,17 +553,19 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # counted, not timed: the pair-level auxiliary extension is chosen once
     # for the whole z-grid, every resolvent-type evaluation of ext1, ext2
     # and ext3 reuses one cached eigendecomposition per extension, and the
-    # pair memo builds P(z) once for each of the 26 distinct z (the grid,
-    # its conjugates and i), the range of P(z)|N+ (3 x 3) once per grid point
-    # and no range of the full 64 x 64 P(z), and the angle operator once for
-    # the pair and once for each pair of the third-extension route.  Seven
-    # Schur forms in all: one 3 x 3 per angle, which also decides primeness,
-    # and the four 64 x 64 inverse Cayley transforms (ext2, ext3 and the two
-    # of cayley_roundtrip)
+    # pair memo builds P(z) in ext1's eigenframe once for each of the 26
+    # distinct z (the grid, its conjugates and i), never through
+    # p_function, the range of P(z)|N+ (3 x 3) once per grid point and no
+    # range of the full 64 x 64 P(z), and the angle operator once for the
+    # pair and once for each pair of the third-extension route.  Three Schur
+    # forms in all, one 3 x 3 per angle, which also decides primeness:
+    # extensions are rank-n updates of a1, and cayley_roundtrip inverts
+    # each Cayley transform by an LU solve
     decompositions = collections.Counter()
     svds = []
     third_calls = []
     p_bodies = []
+    frames = []
     ranges = []
     angles = []
     schurs = []
@@ -572,6 +591,11 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
             super().__init__(*args)
             pairs.append(self)
 
+        def p(self, z):
+            if complex(z) not in self._p:
+                frames.append(z)
+            return super().p(z)
+
     monkeypatch.setattr(extension_module, "hermitian_eig", counting_eig)
     monkeypatch.setattr(krein_module, "choose_third_extension",
                         counting(third_calls, real_third))
@@ -587,19 +611,18 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(third_calls) == 1
     assert len(decompositions) == 3
     assert max(decompositions.values()) == 1
-    assert len(p_bodies) == 26
+    assert len(p_bodies) == 0
+    assert len(frames) == len(set(frames)) == 26
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
     # the other 3 SVDs are ranks of the model layer, outside the grid loop
     assert len(svds) == 19
     assert len(angles) == 3
-    # extensions are rank-n updates of a1; the two 64 x 64 Schur forms are
-    # cayley_roundtrip's inverse Cayley transforms
-    assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3 + [(64, 64)] * 2
+    assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.resolvent_difference, pair.cayley_w, pair.angle.alpha,
-                   pair.nplus_perp,
+                   pair.frame_q, pair.frame_nplus,
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0
@@ -611,6 +634,30 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
 def test_cayley_roundtrip_holds_for_a_near_unit_cayley_eigenvalue():
     report = cli.run_checks(cli.generate_scenario(64, 3, 586626706))
     assert report["summary"] == "pass"
+
+
+@given(st.sampled_from([(64, 3), (32, 3), (8, 2), (6, 6), (1, 1)]),
+       st.integers(0, 2 ** 32 - 1))
+# large-norm second extensions (||a2|| up to 1.49e4)
+@example((64, 3), 450058655)
+@example((64, 3), 586626706)
+@example((64, 3), 824942258)
+# n = N = 1 with |a2| about 2e3: cond(C - 1) = 1, and the error is that of
+# forming C - 1 from C
+@example((1, 1), 800)
+def test_cayley_roundtrip_is_bounded_by_the_conditioning_of_its_solve(shape, seed):
+    # the record solves (C - 1) X = C + 1 for each extension.  A
+    # backward-stable solve errs by N eps cond(C - 1) relative to ||X|| = ||a||,
+    # and an error of N eps in C moves C - 1 relative to itself by
+    # N eps ||(C - 1)^{-1}||, which cancels where every |w| is large
+    model, ext1, ext2, _ = cli.materialize(cli.generate_scenario(*shape, seed))
+    eye = np.eye(model.dim)
+    bound = max(10.0 * model.dim * np.finfo(float).eps
+                * (np.linalg.cond(ext.cayley - eye)
+                   + np.linalg.norm(np.linalg.inv(ext.cayley - eye), 2))
+                for ext in (ext1, ext2))
+    pair = krein_module.PairContext(model, ext1, ext2)
+    assert support.layer_records(pair)["cayley_roundtrip"] <= bound
 
 
 # two of the near-unit draws pinned on test_parameter_roundtrip_random_pairs

@@ -232,8 +232,9 @@ def test_quadrature_overflow_guard():
 
 def test_quadrature_at_the_edge_of_the_overflow_guard():
     # k = 17.25 i puts Im k * L at 690 exactly, the largest the guard admits:
-    # sin(kx) is read off e = exp(ikx) as (e - 1/e)/(2i), with |1/e| up to
-    # e^690.  For f = e^{-x} and z = -kappa^2 the Dirichlet solution is
+    # sin(kx) is read off the tables e^{ikx} and e^{-ikx} as their difference
+    # over 2i, with |e^{-ikx}| up to e^690.  For f = e^{-x} and z = -kappa^2
+    # the Dirichlet solution is
     # (e^{-x} - e^{-kappa x}) / (kappa^2 - 1)
     grid = QuadratureGrid(nodes=20000)
     x = grid.points()
@@ -243,6 +244,23 @@ def test_quadrature_at_the_edge_of_the_overflow_guard():
     assert float(np.max(np.abs(u - exact))) < 1e-9
     with pytest.raises(NumericalFailure):
         dirichlet_resolvent_quadrature(np.exp(-x), -17.3 ** 2 + 0j, grid)
+
+
+@pytest.mark.parametrize("count", [1, 17, 64, 65, 129, 4001])
+@pytest.mark.parametrize("growth", [690.0, -690.0])
+def test_exp_table_matches_exp_up_to_the_guard(count, growth):
+    # e^{a j}, j < count, from a coarse and a fine table.  |e^{a j}| reaches
+    # e^{+-690} at the last kept j, as e^{-ikx} does at the edge of the
+    # quadrature's guard, while the surplus of the last row, up to 63 steps
+    # further, may leave the float range: no error is raised for it, and
+    # each kept entry is exp's to the rounding of its argument
+    steps = max(count - 1, 1)
+    for a in (growth / steps + 0.3j, (growth + 300j) / steps):
+        with np.errstate(all="raise"):
+            table = halfline._exp_table(a, count)
+        exact = np.exp(a * np.arange(count))
+        bound = 8.0 * EPS * (1.0 + abs(a) * count)
+        assert float(np.max(np.abs(table - exact) / np.abs(exact))) <= bound, a
 
 
 @given(

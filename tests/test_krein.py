@@ -656,3 +656,33 @@ def test_eigenbasis_routes_match_dense_solves(kind):
         # the acceptance oracle's relative measure, 100x below its tolerance
         via = krein_resolvent(ext1, angle, z)
         assert frob(via - r2) <= 1e-11 * frob(r2), (label, "krein")
+
+
+@pytest.mark.parametrize("shape", [(64, 3), (8, 2), (6, 6), (1, 1), "identical"])
+def test_pair_memo_eigenframe_p_matches_p_function(shape):
+    # PairContext.p holds V1* P(z) V1, one N x N product per z.  Mapped back
+    # to the original frame, it and its compression to N+ agree with
+    # p_function (four spectral functions, two products) up to the roundoff
+    # of two backward-stable routes: N eps kappa(a - z) times the size of the
+    # terms P(z) combines, ||(a1 - z)(a1 - i)^{-1}|| ||(a1 - z)(a1 + i)^{-1}||
+    # (||R1(z)|| + ||R2(z)||)
+    if shape == "identical":
+        model = support.random_model(8, 2, seed=61)
+        ext1 = ext2 = model.reference
+    else:
+        model, ext1, ext2, _ = support.random_pair(*shape, seed=67)
+    pair = PairContext(model, ext1, ext2)
+    v1 = ext1.spectrum.eigenvectors
+    w1 = ext1.spectrum.eigenvalues.real
+    w2 = ext2.spectrum.eigenvalues.real
+    zs = [1j, 1 + 1j, -0.7 + 0.3j, 2 - 1j, 1e6j, 6e5 + 8e5j]
+    if model.dim > 1:
+        zs.append((w1[0] + w1[1]) / 2.0 + 1e-6j)
+    for z in zs:
+        ps, ref = pair.p(z), p_function(ext1, ext2, model.nplus, z)
+        scale = (np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
+                 * np.max(np.abs(w1 - z) / np.abs(w1 + 1j))
+                 * (1.0 / np.min(np.abs(w1 - z)) + 1.0 / np.min(np.abs(w2 - z))))
+        budget = 10.0 * _budget((ext1, ext2), z) * scale
+        assert frob(v1 @ ps.full @ v1.conj().T - ref.full) <= budget, z
+        assert frob(ps.restricted - ref.restricted) <= budget, z
