@@ -57,6 +57,11 @@ KERNELS = {
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         f"from kreinkit import cli\n_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
         "cli.run_checks(scenario)", 1),
+    # the provenance digest that every run_checks and tabulate_m computes
+    "ScenarioFile.sha256 (64,3)": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
+        "scenario.sha256()", 10),
     "solve_linear n=1": (_SOLVE.format(n=1), "solve_linear(a, b)", 2000),
     "solve_linear n=3": (_SOLVE.format(n=3), "solve_linear(a, b)", 2000),
     "solve_linear n=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),

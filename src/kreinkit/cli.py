@@ -10,7 +10,9 @@ File formats are plain UTF-8 JSON with a mandatory "version": 1.  Complex
 scalars serialize as two-element arrays [re, im]; matrices as row-major
 nested lists of those pairs.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline), so identical inputs give byte-identical
-outputs.  Reports carry no timestamps by design.
+outputs.  Reports carry no timestamps by design.  Their provenance digests
+(scenario_sha256, request_sha256) hash the decoded values in a versioned
+binary layout (_digest), not the bytes of any file.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 input or I/O error.  check runs checks.model_layer and then the suites of
@@ -126,57 +128,33 @@ def _m_from_json(obj, where: str) -> np.ndarray:
 
 
 def _dump_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, for dicts
-    with str keys, lists, str, int, float, bool and None.  Written directly
-    because json.dumps with indent falls back to its pure-Python encoder,
-    which dominated the cost of hashing a scenario."""
-    return _json_value(obj, "\n") + "\n"
-
-
-def _json_value(obj, newline: str) -> str:
-    """One value of the indented layout; newline is the line break plus the
-    indentation of the line the value starts on."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        matrix = _float_matrix(obj, newline)
-        if matrix is not None:
-            return matrix
-        inner = newline + "  "
-        items = [float.__repr__(x) if type(x) is float and math.isfinite(x)
-                 else _json_value(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = [json.dumps(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)
-    return json.dumps(obj)
-
-
-def _float_matrix(rows: list, newline: str) -> str | None:
-    """The layout of rows when they are equal-length lists of finite floats
-    (a matrix row of [re, im] pairs, a z-grid), written with one join over
-    all the floats; None for any other list."""
-    width = len(rows[0]) if type(rows[0]) is list else 0
-    if not width or not all(type(row) is list and len(row) == width for row in rows):
-        return None
-    flat = [x for row in rows for x in row]
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    inner, leaf = newline + "  ", newline + "    "
-    seps = (["," + leaf] * (width - 1) + [inner + "]," + inner + "[" + leaf]) * len(rows)
-    parts = [""] * (2 * len(flat) - 1)
-    parts[0::2] = map(float.__repr__, flat)
-    parts[1::2] = seps[:-1]
-    return "[" + inner + "[" + leaf + "".join(parts) + inner + "]" + newline + "]"
+    """The canonical layout: json.dumps(obj, sort_keys=True, indent=2) plus
+    a newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Scenario files
+
+
+SCENARIO_DIGEST_LAYOUT = "kreinkit-scenario-digest/1"
+HALFLINE_DIGEST_LAYOUT = "kreinkit-halfline-request-digest/1"
+
+
+def _digest(header: dict, arrays) -> str:
+    """SHA-256 of one provenance layout: the header as _dump_json writes it,
+    then each array's little-endian complex128 bytes in C order.  Real or
+    Fortran-order input hashes like its complex128 C-order copy, which is
+    what to_json writes; -0.0 and 0.0 stay distinct.  The header's "layout"
+    tag must change whenever the layout does."""
+    digest = hashlib.sha256(_dump_json(header).encode("utf-8"))
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<c16").tobytes())
+    return digest.hexdigest()
+
+
+def _all_finite(m) -> bool:
+    return bool(np.isfinite(np.asarray(m, dtype=np.complex128)).all())
 
 
 def _checked_tolerance(tol) -> float:
@@ -225,6 +203,8 @@ class ScenarioFile:
         if not self.z_grid:
             raise BadDimensions("z_grid must be nonempty")
         self.z_grid = [complex(z) for z in self.z_grid]
+        if not _all_finite(self.z_grid):
+            raise BadDimensions("z_grid has a non-finite entry")
         if any(z.imag == 0.0 or abs(z) > 1e150 for z in self.z_grid):
             raise BadDimensions("z_grid entries must be nonreal with |z| <= 1e150")
         self.tolerance = _checked_tolerance(self.tolerance)
@@ -234,6 +214,9 @@ class ScenarioFile:
             raise BadDimensions(
                 f"nplus shape {self.nplus.shape} does not match (dimension, deficiency)"
             )
+        for name, m in (("a1", self.a1), ("nplus", self.nplus), ("parameter", mat)):
+            if m is not None and not _all_finite(m):
+                raise BadDimensions(f"{name} has a non-finite entry")
 
     @classmethod
     def from_json(cls, obj) -> "ScenarioFile":
@@ -294,7 +277,25 @@ class ScenarioFile:
         return _dump_json(self.to_json()).encode("utf-8")
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        """The provenance digest (see _digest) of the decoded values: the
+        header names the layout, the scalars, the parameter tag, which of
+        a1 and nplus are present, and the z-grid length; the payload is
+        a1, nplus, the parameter matrix and the z-grid."""
+        tag, mat = next(iter(self.parameter.items()))
+        header = {
+            "layout": SCENARIO_DIGEST_LAYOUT,
+            "version": int(self.version),
+            "seed": self.seed,
+            "dimension": self.dimension,
+            "deficiency": self.deficiency,
+            "tolerance": self.tolerance,
+            "parameter": tag,
+            "a1": self.a1 is not None,
+            "nplus": self.nplus is not None,
+            "z_grid": len(self.z_grid),
+        }
+        arrays = [m for m in (self.a1, self.nplus) if m is not None]
+        return _digest(header, arrays + [mat, self.z_grid])
 
 
 def _seeded_matrices(dim: int, deficiency: int, seed: int):
@@ -490,11 +491,12 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
                 checks.append(record(name, value, effective))
         except KreinKitError as exc:
             checks.append(error_record("verify_halfline", tol, exc))
-    digest = hashlib.sha256(_dump_json({
-        "alpha2": [float(a) for a in alpha2_values],
-        "z": [_c_to_json(complex(z)) for z in z_values],
-        "tol": tol,
-    }).encode("utf-8")).hexdigest()
+    alpha2 = [float(a) for a in alpha2_values]
+    zs = [complex(z) for z in z_values]
+    digest = _digest(
+        {"layout": HALFLINE_DIGEST_LAYOUT, "alpha2": len(alpha2), "z": len(zs), "tol": tol},
+        (alpha2, zs),
+    )
     return _finish_report(checks, _provenance("request_sha256", digest))
 
 

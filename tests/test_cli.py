@@ -80,6 +80,78 @@ def test_generate_scenario_is_deterministic():
     assert c != a
 
 
+def _with_signed_zero(a1):
+    a1 = a1.copy()
+    assert a1[0, 0].imag == 0.0 and not np.signbit(a1[0, 0].imag)
+    a1[0, 0] = complex(a1[0, 0].real, -0.0)
+    return a1
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: dataclasses.replace(s, seed=s.seed + 1),
+    lambda s: dataclasses.replace(s, tolerance=1e-8),
+    lambda s: dataclasses.replace(s, parameter={"unitary": s.parameter["angle"]}),
+    lambda s: dataclasses.replace(s, a1=None),
+    lambda s: dataclasses.replace(s, z_grid=s.z_grid[::-1]),
+    lambda s: dataclasses.replace(s, a1=_with_signed_zero(s.a1)),
+], ids=["seed", "tolerance", "parameter_tag", "a1_absent", "z_order", "signed_zero"])
+def test_scenario_digest_reads_every_field(change):
+    scenario = cli.generate_scenario(4, 2, 42)
+    assert change(scenario).sha256() != scenario.sha256()
+
+
+def test_scenario_digest_reads_decoded_values():
+    scenario = cli.generate_scenario(4, 2, 42)
+    real = dataclasses.replace(scenario, a1=np.ascontiguousarray(scenario.a1.real))
+    assert real.a1.dtype == np.float64
+    assert real.sha256() == dataclasses.replace(
+        scenario, a1=real.a1.astype(np.complex128)).sha256()
+    fortran = dataclasses.replace(scenario, a1=np.asfortranarray(scenario.a1))
+    assert not fortran.a1.flags.c_contiguous
+    assert fortran.sha256() == scenario.sha256()
+    compact = json.dumps(scenario.to_json(), separators=(",", ":"))
+    assert compact.encode("utf-8") != scenario.canonical_bytes()
+    assert cli.ScenarioFile.from_json(json.loads(compact)).sha256() == scenario.sha256()
+
+
+# the document of generate_scenario(2, 1, 0), written out so that the pin
+# reads the digest layout and not the platform's QR and eigh
+GEN_2_1_0 = {
+    "version": 1, "seed": 0, "dimension": 2, "deficiency": 1,
+    "a1": [[[0.1257302210933933, 0.0], [0.2541588935759901, -0.47120249511032625]],
+           [[0.2541588935759901, 0.47120249511032625], [0.10490011715303971, 0.0]]],
+    "nplus": [[[-0.2513055417191923, -0.8302740698558034]],
+              [[-0.22257280647326555, -0.4449177895352335]]],
+    "parameter": {"angle": [[[-0.5442589828573099, 0.0]]]},
+    "z_grid": [[z.real, z.imag] for z in cli.FIXED_Z16],
+    "tolerance": 1e-09,
+}
+
+
+def test_provenance_digests_are_pinned():
+    # a change of either layout must change its "layout" tag and these pins
+    assert cli.ScenarioFile.from_json(GEN_2_1_0).sha256() == \
+        "fb3064c05195e383d45149020e23da812b28460dd4119a3abb12d3430b84e0fd"
+    report = cli.halfline_command([0.0, 0.3], [1j, 1 + 1j])
+    assert report["provenance"]["request_sha256"] == \
+        "aa25b54505ae6ecf289c716f8e08c7d88f48ac76116ea46fb72ff0ac093072d5"
+
+
+def test_scenario_built_in_python_rejects_non_finite_values():
+    base = cli.generate_scenario(4, 2, 42)
+    with pytest.raises(BadDimensions):
+        cli.ScenarioFile(dimension=4, deficiency=2, parameter=base.parameter,
+                         z_grid=[1j, complex(math.nan, 1.0)], a1=base.a1, nplus=base.nplus)
+    a1 = base.a1.copy()
+    a1[1, 2] = math.nan
+    with pytest.raises(BadDimensions):
+        dataclasses.replace(base, a1=a1)
+    with pytest.raises(BadDimensions):
+        dataclasses.replace(base, nplus=np.full_like(base.nplus, math.inf))
+    with pytest.raises(BadDimensions):
+        dataclasses.replace(base, parameter={"angle": np.full((2, 2), math.nan)})
+
+
 AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, 1.0, 2.0 ** 53])
 JSON_FLOATS = st.one_of(AWKWARD_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 
