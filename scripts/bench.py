@@ -53,6 +53,20 @@ KERNELS = {
         f"model, _, _, v2 = cli.materialize(cli.generate_scenario(64, 3, {SCENARIO_SEED}))\n"
         "p = ExtensionParameter(v2)",
         "extension_from_parameter(model, p)", 20),
+    # the model layer on its own: build_model (the eigh of a1 and two
+    # N x n QRs), and checks.model_layer on a fresh pair memo of the
+    # battery input's extensions
+    "build_model (64,3)": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        "from kreinkit.extension import build_model\n"
+        f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
+        "build_model(scenario.a1, scenario.nplus)", 10),
+    "model_layer (64,3)": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        "from kreinkit import checks, cli\nfrom kreinkit.krein import PairContext\n"
+        f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()\n"
+        "model, ext1, ext2, v2 = cli.materialize(scenario)",
+        "list(checks.model_layer(PairContext(model, ext1, ext2), v2, 1e-9))", 10),
     "run_checks battery input": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         f"from kreinkit import cli\n_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import krein as kr
-from .numerics import frob, orthonormal_range, projector, solve_linear
+from .numerics import _svd_range, frob, projector, solve_linear
 
 
 def record(name: str, residual: float, tol: float, **extra) -> dict:
@@ -68,11 +68,11 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     eye, eyen = np.eye(model.dim), np.eye(model.deficiency)
     bp, bm = model.nplus.basis, model.nminus.basis
+    qf = model.domain_complement.basis
     yield record("model_invariants", _worst(
         frob(bp.conj().T @ bp - eyen),
         frob(bm.conj().T @ bm - eyen),
-        frob(model.dot_domain.basis.conj().T @ model.dot_domain.basis
-             - np.eye(model.dot_domain.rank)),
+        frob(qf.conj().T @ qf - eyen),
         frob(model.a1 - model.a1.conj().T) / (1.0 + frob(model.a1)),
     ), tol)
     yield record("extension_parameter_roundtrip", _worst(
@@ -87,18 +87,20 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     )), tol)
 
     # per extension with Cayley transform C: ||P_N+ - C P_N- C^{-1}||,
-    # ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp|| and
-    # N - rank([dot_domain basis | (1 - C^{-1}) Bp])
+    # ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp|| and the codimension of
+    # D + (1 - C^{-1}) N+, which is n - rank(Qf* (1 - C^{-1}) Bp): a subspace
+    # fills C^N together with D iff it projects onto D^perp with rank n.  The
+    # scale floor 1 stands for the unit columns of a basis of D
     geometry = []
     for ext in (ext1, ext2):
         c_inv = ext.cayley.conj().T
         exchange = frob(projector(model.nplus)
                         - ext.cayley @ projector(model.nminus) @ c_inv)
-        lhs = solve_linear(ext.a - 1j * eye, c_inv @ bp)
-        identity = frob(lhs - 0.5j * (c_inv @ bp - bp))
-        combined = np.hstack([model.dot_domain.basis, (eye - c_inv) @ bp])
-        geometry.append((exchange, identity,
-                         float(model.dim - orthonormal_range(combined).rank)))
+        c_inv_bp = c_inv @ bp
+        lhs = solve_linear(ext.a - 1j * eye, c_inv_bp)
+        identity = frob(lhs - 0.5j * (c_inv_bp - bp))
+        meet = _svd_range(qf.conj().T @ (bp - c_inv_bp), 1.0)[0]
+        geometry.append((exchange, identity, float(model.deficiency - meet.rank)))
     for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
                                     "resolvent_cayley_identity", "domain_direct_sum"),
                                    *geometry):
@@ -119,6 +121,7 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     for ext in (pair.ext1, pair.ext2):
         worst.add("weyl_fixed_point_at_i",
                   frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
+        eye, root = np.eye(ext.dim), pair.herglotz_root(ext)
         for z in zs:
             bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
             m = pair.m(ext, z)
@@ -130,8 +133,7 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
             # with a - conj z, whose condition number is the square root of the
             # product's
             y = z.imag
-            half = solve_linear(ext.a - z.conjugate() * np.eye(ext.dim),
-                                pair.herglotz_root(ext) @ pair.model.nplus.basis)
+            half = solve_linear(ext.a - z.conjugate() * eye, root)
             rhs = (y * y) * (half.conj().T @ half)
             symmetry = frob(pair.m(ext, z.conjugate()) - m.conj().T)
             worst.add("weyl_conjugate_symmetry", symmetry / (1.0 + frob(m)))
@@ -230,14 +232,18 @@ def lft_suite(pair: kr.PairContext, zs: list, tol: float):
     ext1, ext2 = pair.ext1, pair.ext2
     p_i = pair.p_at_i_via_cayley
     ext3, a31, a32 = kr.choose_third_extension(pair)
+    # each law maps the stacked M1(z) of the whole grid in one call, bit for
+    # bit the per-z maps
+    m1 = np.stack([pair.m(ext1, z) for z in zs])
+    direct = kr.lft_m1_to_m2(m1, p_i)
+    m3 = kr.lft_to_reference(m1, a31)
+    third = kr.lft_m1_to_m2_angle(m3, a32)
     worst = _Worst()
-    for z in zs:
-        m1 = pair.m(ext1, z)
+    for k, z in enumerate(zs):
         m2 = pair.m(ext2, z)
-        worst.add("lft_direct", frob(kr.lft_m1_to_m2(m1, p_i) - m2))
-        m3 = kr.lft_to_reference(m1, a31)
-        worst.add("lft_reference_inversion", frob(m3 - pair.m(ext3, z)))
-        worst.add("lft_third_extension", frob(kr.lft_m1_to_m2_angle(m3, a32) - m2))
+        worst.add("lft_direct", frob(direct[k] - m2))
+        worst.add("lft_reference_inversion", frob(m3[k] - pair.m(ext3, z)))
+        worst.add("lft_third_extension", frob(third[k] - m2))
     yield from worst.records(tol)
 
 

@@ -180,16 +180,25 @@ class ScenarioFile:
     version: int = 1
 
     def __post_init__(self):
+        # exact types: nothing is coerced, and bool is a subclass of int
+        for key in ("version", "dimension", "deficiency", "seed"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise BadDimensions(f"{key} must be an integer, got {value!r}")
+        if type(self.tolerance) not in (int, float):
+            raise BadDimensions(f"tolerance must be a number, got {self.tolerance!r}")
+        for key in ("a1", "nplus"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, np.ndarray):
+                raise BadDimensions(f"{key} must be decoded before validation")
         if self.version != 1:
             raise BadDimensions(f"unsupported scenario version {self.version!r}")
-        n, d = int(self.deficiency), int(self.dimension)
+        n, d = self.deficiency, self.dimension
         if not (1 <= n <= d <= MAX_DIMENSION):
             raise BadDimensions(
                 f"need 1 <= deficiency <= dimension <= {MAX_DIMENSION}, "
                 f"got deficiency={n}, dimension={d}"
             )
-        self.dimension, self.deficiency = d, n
-        self.seed = int(self.seed)
         if not (isinstance(self.parameter, dict) and len(self.parameter) == 1
                 and next(iter(self.parameter)) in ("angle", "unitary")):
             raise BadDimensions('parameter must be {"angle": H} or {"unitary": V}')
@@ -230,12 +239,6 @@ class ScenarioFile:
         for key in ("version", "dimension", "deficiency", "parameter", "z_grid"):
             if key not in obj:
                 raise BadDimensions(f"scenario is missing the {key!r} field")
-        # exact types: nothing is coerced, and bool is a subclass of int
-        for key in ("version", "dimension", "deficiency", "seed"):
-            if key in obj and type(obj[key]) is not int:
-                raise BadDimensions(f"{key} must be an integer, got {obj[key]!r}")
-        if type(obj.get("tolerance", 1e-9)) not in (int, float):
-            raise BadDimensions(f"tolerance must be a number, got {obj['tolerance']!r}")
         par = obj["parameter"]
         if not (isinstance(par, dict) and len(par) == 1):
             raise BadDimensions('parameter must be {"angle": H} or {"unitary": V}')

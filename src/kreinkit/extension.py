@@ -8,6 +8,13 @@ matrix that agrees with ``a1`` on D is an extension.  The deficiency
 subspaces are N+ and N- = C1^{-1} N+ (C1 the Cayley transform of ``a1``),
 and extensions (rank-n updates of a1) biject with unitaries N+ -> N-.
 
+The model holds D by its n-dimensional orthogonal complement
+D^perp = (a1 - i) N+ (x in D iff (a1 + i) x is orthogonal to N+, that is,
+iff x is orthogonal to (a1 - i) N+).  Every question about D that the
+package asks - does a matrix agree with a1 on D, does D meet a subspace -
+is then an O(N^2 n) product or an n x n decomposition, with no N-sized
+solve or SVD.
+
 A word of caution that applies to everything built on this model: D is a
 proper subspace of C^N, so the restricted operator is *not* densely defined.
 None of the identities implemented downstream need density - they are
@@ -46,7 +53,6 @@ from .numerics import (
     frob,
     hermitian_deviation,
     hermitian_eig,
-    orthonormal_range,
     solve_linear,
     unitary_eig,
 )
@@ -106,15 +112,16 @@ class ExtensionParameter:
 @dataclass(frozen=True, eq=False)
 class RestrictionModel:
     """The fixed data of one model: ambient dimension, deficiency index,
-    reference matrix, the two deficiency subspaces, and the restricted
-    domain D (called dot_domain)."""
+    reference matrix, the two deficiency subspaces, and the orthogonal
+    complement D^perp = (a1 - i) N+ of the restricted domain D, of rank n
+    (the whole space when n = N, where D = {0})."""
 
     dim: int
     deficiency: int
     a1: np.ndarray
     nplus: Subspace
     nminus: Subspace
-    dot_domain: Subspace
+    domain_complement: Subspace
     reference: Extension
 
 
@@ -143,30 +150,32 @@ def inverse_cayley(c) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _orthonormal_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-fixed complete QR: orientation-preserving orthonormalization of
-    the columns of m, and an orthonormal basis of their complement.
+def _orthonormal_columns(m: np.ndarray, failure: Exception) -> np.ndarray:
+    """Phase-fixed reduced QR: orientation-preserving orthonormalization of
+    the columns of m, raising failure when they are not independent (an
+    |R_ii| ratio at or below TOL_RANK).
 
     diag(R) is rotated to the positive real axis, so an already-orthonormal
     input comes back unchanged (up to roundoff) and the first basis vector is
     a positive multiple of the first input column.
     """
-    q, r = np.linalg.qr(m, mode="complete")
-    n = m.shape[1]
+    q, r = np.linalg.qr(m)
     d = np.diag(r)
     mags = np.abs(d)
     dmax = float(mags.max()) if mags.size else 0.0
     if dmax == 0.0 or float(mags.min()) <= TOL_RANK * dmax:
-        raise RankDeficientInput("defect-subspace columns are not independent")
-    return q[:, :n] * (d.conj() / mags)[None, :], q[:, n:]
+        raise failure
+    return q * (d.conj() / mags)[None, :]
 
 
 def build_model(a1, nplus_raw) -> RestrictionModel:
     """Assemble the model from the reference matrix and a raw N+ spanning set.
 
     nplus_raw is N x n with independent columns; it is orthonormalized with
-    the orientation-preserving QR above, which also gives N+^perp.  N- is the
-    isometric image -C1^{-1} N+, and dot_domain is (a1 + i)^{-1}(N+^perp).
+    the orientation-preserving QR above.  N- is the isometric image
+    -C1^{-1} N+, and domain_complement is the QR basis of F = (a1 - i) Bp,
+    which spans D^perp.  F has full rank in exact arithmetic (its singular
+    values are at least 1), so a failed pivot gate there is NumericalFailure.
     """
     a1 = as_matrix(a1, "reference matrix")
     dim = a1.shape[0]
@@ -176,21 +185,21 @@ def build_model(a1, nplus_raw) -> RestrictionModel:
         raise ValueError(f"nplus rows {raw.shape[0]} != dimension {dim}")
     if not 1 <= n <= dim:
         raise ValueError(f"deficiency index {n} out of range 1..{dim}")
-    bp, perp = _orthonormal_columns(raw)
+    bp = _orthonormal_columns(
+        raw, RankDeficientInput("defect-subspace columns are not independent"))
     reference = Extension(a1)
     bm = -reference.cayley.conj().T @ bp
     nplus = Subspace(basis=bp)
     nminus = Subspace(basis=bm)  # ctor verifies isometry
-    dot = orthonormal_range(solve_linear(a1 + 1j * np.eye(dim), perp))
-    if dot.rank != dim - n:
-        raise NumericalFailure("restricted domain has wrong rank")
+    qf = _orthonormal_columns(
+        a1 @ bp - 1j * bp, NumericalFailure("restricted domain has wrong rank"))
     return RestrictionModel(
         dim=dim,
         deficiency=n,
         a1=a1,
         nplus=nplus,
         nminus=nminus,
-        dot_domain=dot,
+        domain_complement=Subspace(basis=qf),
         reference=reference,
     )
 
@@ -231,7 +240,7 @@ def parameter_of(model: RestrictionModel, ext: Extension) -> ExtensionParameter:
     Raises NotAnExtension unless ext agrees with the reference on the
     restricted domain, within DEFAULT_TOL of the scale 1 + ||a|| + ||a1||.
     """
-    dev = frob((ext.a - model.a1) @ model.dot_domain.basis)
+    dev = domain_deviation(model, ext.a)
     scale = 1.0 + frob(ext.a) + frob(model.a1)
     if dev > DEFAULT_TOL * scale:
         raise NotAnExtension(
@@ -239,6 +248,15 @@ def parameter_of(model: RestrictionModel, ext: Extension) -> ExtensionParameter:
         )
     v = -(ext.cayley @ model.nminus.basis).conj().T @ model.nplus.basis
     return ExtensionParameter(v)
+
+
+def domain_deviation(model: RestrictionModel, a: np.ndarray) -> float:
+    """||(a - a1) P_D||, how far a departs from the reference on the
+    restricted domain: with d = a - a1 and Qf the basis of D^perp,
+    ||d - (d Qf) Qf*||, O(N^2 n)."""
+    d = a - model.a1
+    qf = model.domain_complement.basis
+    return frob(d - (d @ qf) @ qf.conj().T)
 
 
 def restricted_cayley_product(ext1: Extension, ext2: Extension,

@@ -290,7 +290,7 @@ class PairContext:
         if z not in self._p:
             w1 = self.ext1.spectrum.eigenvalues
             d1 = _resolvent_diagonal(self.ext1, z)
-            middle = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q.conj().T
+            middle = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
             middle[np.diag_indices_from(middle)] -= d1
             full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 + 1j))
             s1 = self.frame_nplus
@@ -304,6 +304,11 @@ class PairContext:
         """Q = V1* V2, ext2's eigenframe in ext1's."""
         return _frozen(self.ext1.spectrum.eigenvectors.conj().T
                        @ self.ext2.spectrum.eigenvectors)
+
+    @cached_property
+    def frame_q_adjoint(self) -> np.ndarray:
+        """Q*, which p reads at every z."""
+        return _frozen(self.frame_q.conj().T)
 
     @cached_property
     def frame_nplus(self) -> np.ndarray:
@@ -335,12 +340,12 @@ class PairContext:
         return self._ranges[z]
 
     def herglotz_root(self, ext: Extension) -> np.ndarray:
-        """(1 + a^2)^{1/2} of ext, a diagonal function of its eigenframe."""
+        """(1 + a^2)^{1/2} Bp of ext, the N x n factor of the Herglotz
+        identity; (1 + a^2)^{1/2} is a diagonal function of ext's eigenframe."""
         if ext not in self._roots:
             spec = ext.spectrum
-            self._roots[ext] = _frozen(
-                spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
-            )
+            root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
+            self._roots[ext] = _frozen(root @ self.model.nplus.basis)
         return self._roots[ext]
 
     def parameter(self, ext: Extension) -> ExtensionParameter:

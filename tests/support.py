@@ -22,7 +22,7 @@ from kreinkit.extension import (
     resolvent_difference_at_i,
 )
 from kreinkit.krein import p_function
-from kreinkit.numerics import _svd_range, projector
+from kreinkit.numerics import _svd_range, orthonormal_range, projector, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,16 @@ def random_pair(dim, deficiency, seed, *, degenerate=0, clamp=1.4, gap=0.0):
     v2 = -expm(2j * h)
     ext2 = extension_from_parameter(model, ExtensionParameter(v2))
     return model, model.reference, ext2, h
+
+
+def restricted_domain(model):
+    """Orthonormal basis of the restricted domain D = (a1 + i)^{-1}(N+^perp)
+    itself, of rank N - n: N+^perp from a complete QR of the N+ basis, one
+    N x N solve with a1 + i and the range by SVD.  build_model holds D by
+    its complement (a1 - i) N+ instead; this is the route it replaced."""
+    q, _ = np.linalg.qr(model.nplus.basis, mode="complete")
+    perp = q[:, model.deficiency:]
+    return orthonormal_range(solve_linear(model.a1 + 1j * np.eye(model.dim), perp))
 
 
 def assembled_cayley(model, v):

@@ -152,6 +152,25 @@ def test_scenario_built_in_python_rejects_non_finite_values():
         dataclasses.replace(base, parameter={"angle": np.full((2, 2), math.nan)})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a1", [[0.0] * 4] * 4),
+    ("nplus", [[1.0, 0.0]] * 4),
+    ("seed", 1.7),
+    ("seed", np.int64(3)),
+    ("dimension", 4.9),
+    ("deficiency", 2.0),
+    ("version", True),
+    ("tolerance", "1e-9"),
+    ("tolerance", True),
+])
+def test_scenario_built_in_python_rejects_what_from_json_rejects(field, value):
+    # the exact-type rule of from_json: nothing is coerced, and a matrix
+    # must be decoded to an array first
+    base = cli.generate_scenario(4, 2, 42)
+    with pytest.raises(BadDimensions):
+        dataclasses.replace(base, **{field: value})
+
+
 AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, 1.0, 2.0 ** 53])
 JSON_FLOATS = st.one_of(AWKWARD_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 
@@ -686,15 +705,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(p_bodies) == 0
     assert len(frames) == len(set(frames)) == 26
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
-    # the other 3 SVDs are ranks of the model layer, outside the grid loop
-    assert len(svds) == 19
+    # the other 2 SVDs are domain_direct_sum's, one n x n per extension in
+    # the model layer; none is N-sized
+    assert [args[0].shape for args in svds] == [(3, 3)] * 18
     assert len(angles) == 3
     assert sorted(args[0].shape for args in schurs) == [(3, 3)] * 3
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.resolvent_difference, pair.cayley_w, pair.angle.alpha,
-                   pair.frame_q, pair.frame_nplus,
+                   pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
+                   pair.herglotz_root(pair.ext2),
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0

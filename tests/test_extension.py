@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 import support
+from kreinkit import extension as extension_module
 from kreinkit.errors import (
     NotAnExtension,
     NotHermitian,
@@ -25,13 +26,14 @@ from kreinkit.extension import (
     ExtensionParameter,
     RestrictionModel,
     build_model,
+    domain_deviation,
     extension_from_parameter,
     inverse_cayley,
     parameter_of,
     restricted_cayley_product,
 )
 from kreinkit.krein import PairContext, angle_operator
-from kreinkit.numerics import frob, projector, unitary_eig
+from kreinkit.numerics import frob, orthonormal_range, projector, unitary_eig
 
 EPS = np.finfo(float).eps
 
@@ -110,7 +112,8 @@ def test_scalar_model_frozen_data(scalar_model):
     assert_allclose(m.nplus.basis, [[1.0]], atol=1e-15)
     # nminus = -C1^{-1} nplus = -(-1)^{-1} * 1 = 1
     assert_allclose(m.nminus.basis, [[1.0]], atol=1e-15)
-    assert m.dot_domain.rank == 0
+    # D = {0}, so its complement is the whole line
+    assert m.domain_complement.rank == 1
 
 
 def test_scalar_model_parameter_bijection(scalar_model):
@@ -147,9 +150,10 @@ def test_swap_model_frozen_data(swap_model):
     assert_allclose(m.reference.cayley, 1j * m.a1, atol=1e-14)
     assert_allclose(m.nplus.basis, [[1.0], [0.0]], atol=1e-14)
     assert_allclose(m.nminus.basis, [[0.0], [1j]], atol=1e-14)
-    # dot domain spans (e1 - i e2)/sqrt(2); compare projectors (phase-free)
+    # dot domain spans (e1 - i e2)/sqrt(2), so its complement (a1 - i) e1
+    # spans (-i e1 + e2)/sqrt(2); compare projectors (phase-free)
     p_dot = 0.5 * np.array([[1.0, 1j], [-1j, 1.0]])
-    assert_allclose(projector(m.dot_domain), p_dot, atol=1e-14)
+    assert_allclose(projector(m.domain_complement), np.eye(2) - p_dot, atol=1e-14)
 
 
 def test_swap_model_extension_frozen(swap_model):
@@ -160,7 +164,8 @@ def test_swap_model_extension_frozen(swap_model):
     v = parameter_of(swap_model, ext).v
     assert_allclose(v, [[1j]], atol=1e-12)
     # the new matrix agrees with the reference on the dot domain
-    assert frob((ext.a - swap_model.a1) @ swap_model.dot_domain.basis) < 1e-13
+    dot = support.restricted_domain(swap_model).basis
+    assert frob((ext.a - swap_model.a1) @ dot) < 1e-13
 
 
 def test_swap_model_relation_parameter_raises(swap_model):
@@ -192,6 +197,18 @@ def test_build_model_rejects_bad_shapes():
         build_model(np.eye(2), np.ones((2, 3)))
 
 
+def test_build_model_takes_no_solve_or_svd(monkeypatch):
+    # D is held by its complement (a1 - i) N+, from the QR of an N x n matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_model solved or took an SVD")
+
+    monkeypatch.setattr(extension_module, "solve_linear", refuse)
+    for name in ("solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    model = support.random_model(16, 3, seed=4)
+    assert model.domain_complement.rank == 3
+
+
 def test_extension_parameter_must_be_unitary():
     with pytest.raises(ValueError):
         ExtensionParameter(np.array([[0.5]]))
@@ -201,7 +218,7 @@ def test_full_deficiency_model():
     # n = N: the dot domain is zero-dimensional, every Hermitian matrix is
     # an extension
     model = support.random_model(3, 3, seed=7)
-    assert model.dot_domain.rank == 0
+    assert model.domain_complement.rank == 3
     other = Extension(support.random_hermitian(
         np.random.default_rng(8), 3))
     v = parameter_of(model, other)
@@ -213,16 +230,46 @@ def test_full_deficiency_model():
        st.integers(0, 2 ** 32 - 1))
 @example((1, 1), 0)
 @example((5, 5), 1)
-def test_dot_domain_is_orthonormal_and_meets_the_defect_space(shape, seed):
-    # D = (a1 + i)^{-1}(N+^perp): orthonormal, of rank N - n (0 at n = N), and
-    # (a1 + i) D is orthogonal to N+
+def test_domain_complement_is_orthonormal_and_spans_the_image_of_the_defect_space(
+        shape, seed):
+    # D^perp = (a1 - i) N+: an orthonormal basis Qf of rank n (the whole space
+    # at n = N) whose span holds F = (a1 - i) Bp
     dim, deficiency = shape
     model = support.random_model(dim, deficiency, seed)
-    d = model.dot_domain.basis
-    assert d.shape == (dim, dim - deficiency)
-    assert frob(d.conj().T @ d - np.eye(dim - deficiency)) < 1e-12 * dim
-    leak = model.nplus.basis.conj().T @ (model.a1 + 1j * np.eye(dim)) @ d
-    assert frob(leak) < 1e-12 * (1.0 + frob(model.a1))
+    qf = model.domain_complement.basis
+    assert qf.shape == (dim, deficiency)
+    assert frob(qf.conj().T @ qf - np.eye(deficiency)) < 1e-12 * dim
+    f = (model.a1 - 1j * np.eye(dim)) @ model.nplus.basis
+    assert frob(f - qf @ (qf.conj().T @ f)) < 1e-12 * (1.0 + frob(model.a1))
+
+
+@given(st.sampled_from([(64, 3), (32, 3), (12, 5), (8, 2), (6, 6), (3, 3), (1, 1)]),
+       st.integers(0, 2 ** 32 - 1))
+@example((6, 6), 0)
+def test_domain_complement_agrees_with_the_solved_domain_route(shape, seed):
+    # against D from support.restricted_domain (an N x N solve and an SVD):
+    # Qf has rank n and is orthogonal to D, domain_direct_sum is
+    # N - rank([D | (1 - C^{-1}) Bp]) for both extensions, and the membership
+    # deviation is ||(a - a1) D||
+    dim, deficiency = shape
+    model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed)
+    dot = support.restricted_domain(model).basis
+    qf = model.domain_complement.basis
+    assert model.domain_complement.rank == deficiency
+    assert dot.shape == (dim, dim - deficiency)
+    assert frob(dot.conj().T @ qf) < 1e-12 * (1.0 + frob(model.a1))
+    eye = np.eye(dim)
+    via_dot = max(
+        dim - orthonormal_range(np.hstack([dot, (eye - ext.cayley.conj().T)
+                                           @ model.nplus.basis])).rank
+        for ext in (ext1, ext2))
+    layer = support.layer_records(PairContext(model, ext1, ext2))
+    assert layer["domain_direct_sum"] == via_dot == 0
+    stranger = support.random_hermitian(np.random.default_rng(seed), dim)
+    for a in (ext1.a, ext2.a, stranger):
+        scale = 1.0 + frob(a) + frob(model.a1)
+        assert abs(domain_deviation(model, a) - frob((a - model.a1) @ dot)) \
+            < 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

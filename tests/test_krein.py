@@ -260,7 +260,9 @@ def test_one_membership_gate_rejects_a_near_extension():
     # DEFAULT_TOL gate: every route to its von Neumann parameter refuses it
     shift = np.eye(model.dim)
     scale = 1.0 + frob(ext2.a) + frob(model.a1)
-    eps = 3e-9 * scale / frob(shift @ model.dot_domain.basis)
+    # ||shift on D|| = ||1 - Qf Qf*|| = sqrt(N - n)
+    qf = model.domain_complement.basis
+    eps = 3e-9 * scale / frob(shift - (shift @ qf) @ qf.conj().T)
     near = Extension(ext2.a + eps * shift)
     with pytest.raises(NotAnExtension):
         parameter_of(model, near)
