@@ -37,7 +37,6 @@ from .extension import (
     RestrictionModel,
     build_model,
     extension_from_parameter,
-    inverse_cayley,
     parameter_of,
     resolvent_difference_at_i,
     restricted_cayley_product,
@@ -64,14 +63,12 @@ from .krein import (
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
     lft_to_reference,
-    p_function,
     weyl_operator,
 )
 from .numerics import (
     SpectralDecomposition,
     Subspace,
     hermitian_eig,
-    orthonormal_range,
     projector,
     solve_linear,
     unitary_eig,
@@ -114,16 +111,13 @@ __all__ = [
     "extension_from_parameter",
     "herglotz_lower_bound",
     "hermitian_eig",
-    "inverse_cayley",
     "krein_resolvent",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
     "lft_to_reference",
     "m1_halfline",
     "m2_halfline",
-    "orthonormal_range",
     "p12_halfline",
-    "p_function",
     "parameter_of",
     "projector",
     "resolvent_coefficient",

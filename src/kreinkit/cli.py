@@ -209,8 +209,13 @@ class ScenarioFile:
             raise BadDimensions(
                 f"parameter matrix shape {mat.shape} does not match deficiency {n}"
             )
+        if not isinstance(self.z_grid, (list, tuple)):
+            raise BadDimensions("z_grid must be a list")
         if not self.z_grid:
             raise BadDimensions("z_grid must be nonempty")
+        if not all(isinstance(z, (int, float, complex, np.number))
+                   and not isinstance(z, bool) for z in self.z_grid):
+            raise BadDimensions("z_grid entries must be numbers")
         self.z_grid = [complex(z) for z in self.z_grid]
         if not _all_finite(self.z_grid):
             raise BadDimensions("z_grid has a non-finite entry")
@@ -275,9 +280,6 @@ class ScenarioFile:
             "z_grid": [_c_to_json(z) for z in self.z_grid],
             "tolerance": self.tolerance,
         }
-
-    def canonical_bytes(self) -> bytes:
-        return _dump_json(self.to_json()).encode("utf-8")
 
     def sha256(self) -> str:
         """The provenance digest (see _digest) of the decoded values: the

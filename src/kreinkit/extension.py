@@ -44,17 +44,14 @@ from .errors import (
     UnitEigenvalue,
 )
 from .numerics import (
-    TOL_HERM,
     TOL_ORTHO,
     TOL_RANK,
     SpectralDecomposition,
     Subspace,
     as_matrix,
     frob,
-    hermitian_deviation,
     hermitian_eig,
     solve_linear,
-    unitary_eig,
 )
 
 DEFAULT_TOL = 1e-9  # instance tolerance for extension-level checks
@@ -123,31 +120,6 @@ class RestrictionModel:
     nminus: Subspace
     domain_complement: Subspace
     reference: Extension
-
-
-def inverse_cayley(c) -> np.ndarray:
-    """Invert the Cayley transform: a = i (c + 1)(c - 1)^{-1}, taken in the
-    unitary eigenframe of c as V diag(cot(theta/2)) V*, theta = arg mu.
-
-    Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1;
-    that is the self-adjoint-relation case and is never silently perturbed.
-    """
-    c = as_matrix(c, "cayley transform")
-    dec = unitary_eig(c)
-    if dec.dim:
-        gap = float(np.min(np.abs(dec.eigenvalues - 1.0)))
-        if gap <= DEFAULT_TOL:
-            raise UnitEigenvalue(
-                f"cayley transform has eigenvalue within {gap:.3e} of 1"
-            )
-    # the real cot of the phase: i (mu + 1)/(mu - 1) would keep an imaginary
-    # rounding error that grows like 1/gap^2
-    a = dec.compose(1.0 / np.tan(np.angle(dec.eigenvalues) / 2.0))
-    if hermitian_deviation(a) > TOL_HERM:
-        raise NumericalFailure(
-            f"inverse cayley lost Hermiticity by {frob(a - a.conj().T):.3e}"
-        )
-    return (a + a.conj().T) / 2.0
 
 
 def _orthonormal_columns(m: np.ndarray, failure: Exception) -> np.ndarray:

@@ -166,14 +166,13 @@ def resolvent_coefficient(z, scenario: HalflineScenario) -> complex:
 class QuadratureGrid:
     """Uniform grid on [0, length] with `nodes` subintervals (nodes+1 points).
 
-    scheme selects the cumulative rule; the composite Simpson default is
-    needed to push the Green-kernel round trip below 1e-6 on the default
-    grid (plain trapezoid stalls near 1e-5 there).  residual_tol bounds the
-    relative second-difference residual of the returned solution."""
+    The quadrature integrates on it by the composite Simpson rule, which
+    pushes the Green-kernel round trip below 1e-6 on the default grid.
+    residual_tol bounds the relative second-difference residual of the
+    returned solution."""
 
     length: float = 40.0
     nodes: int = 4000
-    scheme: str = "simpson"
     residual_tol: float = 1e-4
 
     def __post_init__(self):
@@ -182,8 +181,6 @@ class QuadratureGrid:
         if int(self.nodes) != self.nodes or self.nodes < 16 or self.nodes % 2:
             raise ValueError("nodes must be an even integer >= 16")
         object.__setattr__(self, "nodes", int(self.nodes))
-        if self.scheme not in ("simpson", "trapezoid"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ValueError("residual_tol must be positive")
 
@@ -207,40 +204,35 @@ def _parts(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
-def _cumulative(y: np.ndarray, dx: float, scheme: str) -> np.ndarray:
-    """Running integral of complex samples y on a uniform grid, from 0.
+def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running integral of complex samples y on a uniform grid, from 0, by
+    the composite Simpson rule.
 
-    The rules are those of scipy.integrate.cumulative_simpson and
-    cumulative_trapezoid (initial=0), applied to the real and imaginary
-    parts in scipy's operation order, so the result is bit-identical.  The
-    steps are computed on the two parts as the columns of one real array: a
-    complex product with a real factor rounds the same but can flip the sign
-    of a zero.  The running sum adds the steps as complex numbers, which
-    adds each part on its own.
+    The rule is that of scipy.integrate.cumulative_simpson (initial=0),
+    applied to the real and imaginary parts in scipy's operation order, so
+    the result is bit-identical.  The steps are computed on the two parts as
+    the columns of one real array: a complex product with a real factor
+    rounds the same but can flip the sign of a zero.  The running sum adds
+    the steps as complex numbers, which adds each part on its own.
     """
     y = np.asarray(y, dtype=np.complex128)
     n = y.shape[0]
-    if scheme == "simpson":
-        # even steps from the forward windows starting at even points, odd
-        # steps from the same windows read backwards; the windows are slices
-        # of contiguous copies of the even and odd samples
-        windows = (n - 1) // 2
-        steps = np.empty(n - 1, dtype=np.complex128)
-        even, odd = _parts(y[::2]), _parts(y[1::2])
-        first, mid, last = even[:windows], odd[:windows], even[1:windows + 1]
-        steps[:-1:2] = _simpson_step(first, mid, last, dx).view(np.complex128).ravel()
-        steps[1::2] = _simpson_step(last, mid, first, dx).view(np.complex128).ravel()
-        if n % 2 == 0:
-            # no window ends at the last point: read the last three backwards
-            tail = _parts(y[-3:])
-            steps[-1:] = _simpson_step(tail[2:], tail[1:2], tail[:1], dx).view(np.complex128)
-    else:
-        parts = _parts(y)
-        steps = (dx * (parts[1:] + parts[:-1]) / 2.0).view(np.complex128).ravel()
+    # even steps from the forward windows starting at even points, odd steps
+    # from the same windows read backwards; the windows are slices of
+    # contiguous copies of the even and odd samples
+    windows = (n - 1) // 2
+    steps = np.empty(n - 1, dtype=np.complex128)
+    even, odd = _parts(y[::2]), _parts(y[1::2])
+    first, mid, last = even[:windows], odd[:windows], even[1:windows + 1]
+    steps[:-1:2] = _simpson_step(first, mid, last, dx).view(np.complex128).ravel()
+    steps[1::2] = _simpson_step(last, mid, first, dx).view(np.complex128).ravel()
+    if n % 2 == 0:
+        # no window ends at the last point: read the last three backwards
+        tail = _parts(y[-3:])
+        steps[-1:] = _simpson_step(tail[2:], tail[1:2], tail[:1], dx).view(np.complex128)
     out = np.zeros(n, dtype=np.complex128)
     np.cumsum(steps, out=out[1:])
-    if scheme == "simpson":
-        out += 0.0  # scipy adds `initial` to the sums, which turns -0.0 into 0.0
+    out += 0.0  # scipy adds `initial` to the sums, which turns -0.0 into 0.0
     return out
 
 
@@ -286,9 +278,9 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
     h = grid.step
     e = _exp_table(1j * k * h, grid.nodes + 1)
     s = (e - _exp_table(-1j * k * h, grid.nodes + 1)) / 2j
-    c1 = _cumulative(s * f, h, grid.scheme)
+    c1 = _cumulative(s * f, h)
     tail = e * f
-    c2 = _cumulative(tail[::-1], h, grid.scheme)[::-1]
+    c2 = _cumulative(tail[::-1], h)[::-1]
     u = (e * c1 + s * c2) / k
     u[0] = 0.0
     if not np.all(np.isfinite(u)):

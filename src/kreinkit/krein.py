@@ -78,10 +78,10 @@ from .numerics import (
 
 @dataclass(frozen=True, eq=False)
 class PSample:
-    """One evaluation of the sandwiched resolvent difference: the full-space
-    matrix (in the original frame from p_function, in ext1's eigenframe from
-    PairContext.p) and its compression to the sampling subspace's frame,
-    which is the same in both."""
+    """One evaluation of the sandwiched resolvent difference, as
+    PairContext.p holds it: the full-space matrix in ext1's eigenframe V1
+    (V1* P(z) V1) and its compression to N+ in the N+ frame, which that
+    change of frame leaves unchanged."""
 
     full: np.ndarray
     restricted: np.ndarray
@@ -143,24 +143,6 @@ def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
                 f"z = {z:.6g} is within {dist:.3e} of the spectrum"
             )
     return 1.0 / (w - z)
-
-
-def p_function(ext1: Extension, ext2: Extension, subspace: Subspace, z) -> PSample:
-    """Sandwiched resolvent difference at z, full and compressed.
-
-    z must stay off both spectra; the compression frame is the given
-    subspace's basis (use the model's nplus for the standard object).
-    """
-    z = complex(z)
-    r1 = ext1.spectrum.compose(_resolvent_diagonal(ext1, z))
-    r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, z))
-    spec1 = ext1.spectrum
-    w1 = spec1.eigenvalues
-    left = spec1.compose((w1 - z) / (w1 - 1j))
-    right = spec1.compose((w1 - z) / (w1 + 1j))
-    full = left @ (r2 - r1) @ right
-    s = subspace.basis
-    return PSample(full=full, restricted=s.conj().T @ full @ s)
 
 
 def _branch_angle(lam: complex) -> float:
@@ -262,8 +244,7 @@ class PairContext:
     per distinct z and M(z) once per (extension, z).  M(z) and the pair-level
     entries come from the functions a direct call would use (weyl_operator,
     angle_operator, parameter_of, ...); P(z) is held in ext1's eigenframe
-    (p), where it takes one N x N product, and p_function stays the route in
-    the original frame.
+    (p), where it takes one N x N product.
     Cached arrays are read-only.  The context is the only owner of its
     entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
@@ -285,7 +266,7 @@ class PairContext:
         V1* P(z) V1 = D_l (Q D2 Q* - D1) D_r with the diagonals
         D_l = (w1 - z)/(w1 - i), D_r = (w1 - z)/(w1 + i), D1 = 1/(w1 - z),
         D2 = 1/(w2 - z), one N x N product per z.  The compression
-        S1* (V1* P V1) S1 is p_function's, up to roundoff."""
+        S1* (V1* P V1) S1 is Bp* P(z) Bp, as in the original frame."""
         z = complex(z)
         if z not in self._p:
             w1 = self.ext1.spectrum.eigenvalues

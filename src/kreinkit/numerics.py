@@ -186,12 +186,6 @@ def unitary_eig(u) -> SpectralDecomposition:
     return SpectralDecomposition(w, zf)
 
 
-def orthonormal_range(m) -> Subspace:
-    """Orthonormal basis of the (numerical) column range of m: the left
-    singular vectors of the singular values above TOL_RANK * sigma_max."""
-    return _svd_range(m, 0.0)[0]
-
-
 def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
     """Range and singular values (descending) of m, the rank cutoff being
     TOL_RANK * max(sigma_max, scale_floor).  A caller that knows the natural

