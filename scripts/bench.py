@@ -71,6 +71,11 @@ KERNELS = {
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         f"from kreinkit import cli\n_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
         "cli.run_checks(scenario)", 1),
+    # n = N: every gated denominator is 64 x 64
+    "run_checks (64,64)": (
+        "from kreinkit import cli\n"
+        f"scenario = cli.generate_scenario(64, 64, {SCENARIO_SEED})",
+        "cli.run_checks(scenario)", 1),
     # the provenance digest that every run_checks and tabulate_m computes
     "ScenarioFile.sha256 (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
@@ -78,7 +83,15 @@ KERNELS = {
         "scenario.sha256()", 10),
     "solve_linear n=1": (_SOLVE.format(n=1), "solve_linear(a, b)", 2000),
     "solve_linear n=3": (_SOLVE.format(n=3), "solve_linear(a, b)", 2000),
-    "solve_linear n=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),
+    # n = N: the gated solve at the size of the largest denominator a
+    # scenario can have, deficiency equal to dimension
+    "solve_linear n=N=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),
+    # the eight 1x1 denominators of one angle-form law call in the halfline
+    # command, as one stack
+    "solve_linear 8 stacked 1x1": (
+        "import numpy as np\nfrom kreinkit.numerics import solve_linear\n"
+        "a = ((1.0 + 1.0j) * np.arange(1, 9)).reshape(8, 1, 1)\nb = np.eye(1)",
+        "solve_linear(a, b)", 2000),
     "lft_m1_to_m2_angle 1x1": (
         "import numpy as np\n"
         "from kreinkit.extension import Extension, build_model\n"
@@ -117,6 +130,16 @@ KERNELS = {
         "import numpy as np\nfrom kreinkit import halfline as hl\n"
         "grid = hl.QuadratureGrid()\nf = np.exp(-grid.points())",
         "hl.dirichlet_resolvent_quadrature(f, 1j, grid)", 20),
+    # verify_halfline's data: the bump -g'' - z g, zero on the right half
+    "dirichlet_resolvent_quadrature bump": (
+        "from kreinkit import halfline as hl\n"
+        "grid = hl.QuadratureGrid()\nx = grid.points()\n"
+        "g, g2 = hl._bump_with_second_derivative(x, float(x[grid.nodes // 2]))\n"
+        "f = -g2 - 1j * g",
+        "hl.dirichlet_resolvent_quadrature(f, 1j, grid)", 20),
+    "verify_halfline default grid": (
+        "from kreinkit import halfline as hl",
+        "hl.verify_halfline()", 5),
 }
 KERNEL_REPEATS = 7
 _KERNEL_MAIN = """{setup}

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (
     SingularDenominator,
 )
 from .krein import herglotz_lower_bound
-from .numerics import Subspace, hermitian_eig
+from .numerics import SpectralDecomposition, Subspace
 
 SQRT_HALF = math.sqrt(0.5)
 BRANCH_CUT_TOL = 1e-12  # how close to [0, inf) a spectral parameter may sit
@@ -93,14 +94,19 @@ class HalflineScenario:
         return (1.0 - math.tan(self.alpha2)) * SQRT_HALF
 
 
-def sqrt_upper(z) -> complex:
+def sqrt_upper(z):
     """Square root with positive imaginary part, cut along [0, inf).
 
-    Points within BRANCH_CUT_TOL of the cut (z nearly real with
-    Re z >= -BRANCH_CUT_TOL) are rejected: both the branch and the decay of
-    e^{i sqrt(z) x} degenerate there.  Strictly negative real z is fine and
-    gives i sqrt(|z|).
+    z is a number or a numpy array of them, which gives an array of roots
+    of its shape.  Points within BRANCH_CUT_TOL of the cut (z nearly real
+    with Re z >= -BRANCH_CUT_TOL) are rejected: both the branch and the
+    decay of e^{i sqrt(z) x} degenerate there.  Strictly negative real z is
+    fine and gives i sqrt(|z|).  Every root is cmath.sqrt's: np.sqrt rounds
+    some of them differently.
     """
+    if isinstance(z, np.ndarray):
+        roots = [sqrt_upper(v) for v in z.astype(np.complex128).ravel().tolist()]
+        return np.array(roots, dtype=np.complex128).reshape(z.shape)
     z = complex(z)
     if abs(z.imag) <= BRANCH_CUT_TOL and z.real >= -BRANCH_CUT_TOL:
         raise BranchCut(f"z = {z:.6g} lies on the [0, inf) branch cut")
@@ -110,42 +116,69 @@ def sqrt_upper(z) -> complex:
     return w
 
 
-def m1_halfline(z) -> complex:
+def _refuse_poles(poles, z, what: str) -> None:
+    """SingularDenominator naming z, or for an array the first point where
+    the mask `poles`, which z broadcasts against, is set."""
+    if isinstance(poles, np.ndarray):
+        if not poles.any():
+            return
+        z = np.broadcast_to(z, poles.shape)[poles][0]
+    elif not poles:
+        return
+    raise SingularDenominator(f"z = {complex(z):.6g} is a pole of {what}")
+
+
+def _assemble(re, im):
+    """The complex number, or array, with these parts exactly."""
+    if isinstance(re, np.ndarray):
+        out = np.empty(re.shape, dtype=np.complex128)
+        out.real, out.imag = re, im
+        return out
+    return complex(re, im)
+
+
+# m1_halfline, m2_halfline and p12_halfline take a number z or a numpy array
+# of them.  One expression serves both: Python's complex arithmetic for a
+# number, numpy's for an array, whose division can round differently in the
+# last bit.  The angle's constants enter through _m2_halfline and
+# _p12_halfline, which broadcast them, as columns, against an array of z.
+
+
+def m1_halfline(z):
     """Weyl function of the reference (Dirichlet) extension: 1 + i sqrt(2z).
 
     Fixed point m1(i) = i, matching the finite-model normalization."""
-    return 1.0 + 1j * sqrt_upper(2.0 * complex(z))
+    return 1.0 + 1j * sqrt_upper(2.0 * z)
 
 
-def m2_halfline(z, scenario: HalflineScenario) -> complex:
+def m2_halfline(z, scenario: HalflineScenario):
     """Weyl function of the angle-a2 extension via the scalar angle law.
 
     The imaginary part is Im m1 / |sin a2 - cos a2 m1|^2, exact for a map of
     determinant 1; read off the quotient it cancels away for |z| >= 1e34."""
-    return _m2_from_m1(z, m1_halfline(z), scenario)
+    return _m2_halfline(z, math.cos(scenario.alpha2), math.sin(scenario.alpha2))
 
 
-def _m2_from_m1(z, m1: complex, scenario: HalflineScenario) -> complex:
-    """m2_halfline at z, given m1 = m1_halfline(z)."""
-    ca = math.cos(scenario.alpha2)
-    sa = math.sin(scenario.alpha2)
+def _m2_halfline(z, ca, sa):
+    """m2_halfline at z for cos a2 = ca and sin a2 = sa."""
+    m1 = m1_halfline(z)
     den = sa - ca * m1
-    if abs(den) <= 1e-12 * (1.0 + abs(m1)):
-        raise SingularDenominator(
-            f"z = {complex(z):.6g} is a pole of the second Weyl function"
-        )
-    return complex(((ca + sa * m1) / den).real, m1.imag / abs(den) / abs(den))
+    size = abs(den)
+    _refuse_poles(size <= 1e-12 * (1.0 + abs(m1)), z, "the second Weyl function")
+    return _assemble(((ca + sa * m1) / den).real, m1.imag / size / size)
 
 
-def p12_halfline(z, scenario: HalflineScenario) -> complex:
+def p12_halfline(z, scenario: HalflineScenario):
     """Compressed resolvent difference of the pair: -1/(1 - tan a2 + i sqrt(2z))."""
-    t = math.tan(scenario.alpha2)
-    root = sqrt_upper(2.0 * complex(z))
+    return _p12_halfline(z, math.tan(scenario.alpha2))
+
+
+def _p12_halfline(z, t):
+    """p12_halfline at z for tan a2 = t."""
+    root = sqrt_upper(2.0 * z)
     den = 1.0 - t + 1j * root
-    if abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root)):
-        raise SingularDenominator(
-            f"z = {complex(z):.6g} is a pole of the resolvent difference"
-        )
+    _refuse_poles(abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root)), z,
+                  "the resolvent difference")
     return -1.0 / den
 
 
@@ -190,6 +223,17 @@ class QuadratureGrid:
 
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.nodes + 1)
+
+    @cached_property
+    def bump(self) -> tuple[np.ndarray, np.ndarray]:
+        """The solution g of verify_halfline's quadrature round trip on these
+        points, the C^3 bump on [0, a] with a the middle point, and g'';
+        computed once per grid and read-only."""
+        x = self.points()
+        g, g2 = _bump_with_second_derivative(x, float(x[self.nodes // 2]))
+        g.flags.writeable = False
+        g2.flags.writeable = False
+        return g, g2
 
 
 def _simpson_step(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, dx: float) -> np.ndarray:
@@ -249,6 +293,26 @@ def _exp_table(a: complex, count: int) -> np.ndarray:
         return np.outer(coarse, fine).ravel()[:count]
 
 
+def _green_integrals(e: np.ndarray, s: np.ndarray, f: np.ndarray,
+                     h: float) -> tuple[np.ndarray, np.ndarray]:
+    """c1 = int_0^x sin(ky) f(y) dy and c2 = int_x^L e^{iky} f(y) dy on a grid
+    of an odd number of points, from the samples e = e^{ikx}, s = sin(kx)
+    and f.  _cumulative runs only up to the even index K that ends the
+    Simpson window of f's last nonzero sample; beyond K every window holds
+    zeros of f, so c1 stays at c1[K] and c2 is zero, exactly as the sums
+    over the whole grid give them."""
+    n = f.shape[0]
+    c1 = np.zeros(n, dtype=np.complex128)
+    c2 = np.zeros(n, dtype=np.complex128)
+    nonzero = np.flatnonzero(f != 0.0)
+    if nonzero.size:
+        end = min(2 * (int(nonzero[-1]) // 2) + 3, n)  # K + 1
+        c1[:end] = _cumulative(s[:end] * f[:end], h)
+        c1[end:] = c1[end - 1]
+        c2[:end] = _cumulative((e[:end] * f[:end])[::-1], h)[::-1]
+    return c1, c2
+
+
 def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = QuadratureGrid()) -> np.ndarray:
     """Apply the Dirichlet resolvent (A_D - z)^{-1} to sampled data.
 
@@ -257,17 +321,18 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
     with k = sqrt_upper(z).  f_samples must hold f on grid.points().  The
     exponentials e^{ikx} and e^{-ikx} come from _exp_table, and
     sin(kx) = (e^{ikx} - e^{-ikx})/(2i) is read off them; Im k * length > 690
-    raises NumericalFailure, which keeps |e^{-ikx}| <= e^690 finite.  The
-    result is validated in place by the
-    three-point second difference of the defining equation -u'' - z u = f;
-    GridTooCoarse reports a violation.
+    raises NumericalFailure, which keeps |e^{-ikx}| <= e^690 finite.  The two
+    integrals run over the support of f only (_green_integrals).  The result
+    is validated in place by the three-point second difference of the
+    defining equation -u'' - z u = f; GridTooCoarse reports a violation.
     """
     f = np.asarray(f_samples, dtype=np.complex128)
     if f.ndim != 1 or f.shape[0] != grid.nodes + 1:
         raise BadDimensions(
             f"expected {grid.nodes + 1} samples on the grid, got shape {f.shape}"
         )
-    if not np.all(np.isfinite(f)):
+    f_max = float(np.max(np.abs(f)))
+    if not math.isfinite(f_max):
         raise BadDimensions("f samples must be finite")
     z = complex(z)
     k = sqrt_upper(z)
@@ -278,16 +343,15 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = Quadratu
     h = grid.step
     e = _exp_table(1j * k * h, grid.nodes + 1)
     s = (e - _exp_table(-1j * k * h, grid.nodes + 1)) / 2j
-    c1 = _cumulative(s * f, h)
-    tail = e * f
-    c2 = _cumulative(tail[::-1], h)[::-1]
+    c1, c2 = _green_integrals(e, s, f, h)
     u = (e * c1 + s * c2) / k
     u[0] = 0.0
-    if not np.all(np.isfinite(u)):
+    u_max = float(np.max(np.abs(u)))
+    if not math.isfinite(u_max):
         raise NumericalFailure("quadrature produced non-finite values")
     second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h)
     residual = np.abs(-second - z * u[1:-1] - f[1:-1])
-    scale = 1.0 + float(np.max(np.abs(f))) + abs(z) * float(np.max(np.abs(u)))
+    scale = 1.0 + f_max + abs(z) * u_max
     worst = float(np.max(residual)) if residual.size else 0.0
     if worst > grid.residual_tol * scale:
         raise GridTooCoarse(
@@ -323,9 +387,13 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
                     grid: QuadratureGrid = QuadratureGrid()) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
-    m1(z) and the Herglotz bound are evaluated once per z.  Per alpha2, each
-    matrix law runs once, on the stack of 1x1 values m1(z) over the z grid;
-    its solve decides every z by that z's own denominator.
+    The checks are array expressions over the (alpha2, z) grid.  m1(z) and
+    the Herglotz bound are evaluated once per z.  m2(z) and p12(z) are
+    evaluated once on the whole grid, by the code of m2_halfline and
+    p12_halfline with one row per angle.  The coefficient law runs once, on
+    the stack of p12(i) over alpha2 against the stack of 1x1 values m1(z)
+    over z; the angle-form law runs once per alpha2, on the stack over z.
+    Each law's solve decides every (alpha2, z) by its own denominator.
 
     Returns max residuals over the (alpha2, z) grid:
       lft_phase_form       m2 vs the matrix angle-form law on 1x1 blocks
@@ -334,7 +402,8 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
       p_at_i_inverse       1/p12(i) vs tan a2 - i
       angle_recovery       a2 recovered from p12(i), compared mod pi
       herglotz_m1/_m2      positivity-bound deficit, non-real z only
-      quadrature_roundtrip Green-kernel solve vs a closed-form bump solution
+      quadrature_roundtrip Green-kernel solve vs the closed-form bump
+                           solution of the grid (QuadratureGrid.bump)
 
     Residuals are raw; callers pick the thresholds.
     """
@@ -348,49 +417,49 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     out = {key: 0.0 for key in keys}
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
     zs = [complex(z) for z in z_values]
-    m1s = [m1_halfline(z) for z in zs]
-    # the Herglotz bound of each non-real z (DEFAULT_Z holds the real point -9)
-    bounds = [herglotz_lower_bound(z) if z.imag != 0.0 else None for z in zs]
-    m1_stack = np.array(m1s, dtype=np.complex128).reshape(-1, 1, 1)
-    for a2 in alpha2_values:
-        scenario = HalflineScenario(float(a2))
-        t = math.tan(scenario.alpha2)
-        angle = AngleOperator(
-            hermitian_eig(np.array([[scenario.alpha2]], dtype=np.complex128)), line
-        )
-        p_i = p12_halfline(1j, scenario)
+    z_grid = np.array(zs, dtype=np.complex128)
+    m1 = m1_halfline(z_grid)
+    m1_stack = m1.reshape(-1, 1, 1)
+    scenarios = [HalflineScenario(float(a2)) for a2 in alpha2_values]
+
+    # the per-alpha2 constants as columns against the z grid
+    def column(fn):
+        return np.array([fn(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1)
+
+    t = column(math.tan)
+    m2 = _m2_halfline(z_grid, column(math.cos), column(math.sin))
+    p_z = _p12_halfline(z_grid, t)
+    p_i = [p12_halfline(1j, scenario) for scenario in scenarios]
+    via_angle = np.empty((len(scenarios), len(zs)), dtype=np.complex128)
+    for row, (scenario, p) in enumerate(zip(scenarios, p_i)):
         out["p_at_i_inverse"] = max(
-            out["p_at_i_inverse"], abs(1.0 / p_i - (t - 1j))
+            out["p_at_i_inverse"], abs(1.0 / p - (math.tan(scenario.alpha2) - 1j))
         )
-        recovered = math.atan((1.0 / p_i + 1j).real)
+        recovered = math.atan((1.0 / p + 1j).real)
         out["angle_recovery"] = max(
             out["angle_recovery"], abs(_wrap_mod_pi(recovered - scenario.alpha2))
         )
-        m2s = [_m2_from_m1(z, m1, scenario) for z, m1 in zip(zs, m1s)]
-        via_angle = lft_m1_to_m2_angle(m1_stack, angle)[:, 0, 0]
-        via_plain = lft_m1_to_m2(m1_stack, np.array([[p_i]], dtype=np.complex128))[:, 0, 0]
-        for z, m1, m2, angle_m2, plain_m2, bound in zip(zs, m1s, m2s, via_angle, via_plain,
-                                                        bounds):
-            out["lft_phase_form"] = max(out["lft_phase_form"], abs(angle_m2 - m2))
-            out["lft_plain_form"] = max(out["lft_plain_form"], abs(plain_m2 - m2))
-            p_z = p12_halfline(z, scenario)
-            out["p_inverse_via_m"] = max(
-                out["p_inverse_via_m"], abs(1.0 / p_z - (t - m1))
-            )
-            if bound is not None:
-                out["herglotz_m1"] = max(
-                    out["herglotz_m1"], max(0.0, bound - z.imag * m1.imag)
-                )
-                out["herglotz_m2"] = max(
-                    out["herglotz_m2"], max(0.0, bound - z.imag * m2.imag)
-                )
+        angle = AngleOperator(SpectralDecomposition([scenario.alpha2], [[1.0]]), line)
+        via_angle[row] = lft_m1_to_m2_angle(m1_stack, angle)[:, 0, 0]
+    via_plain = lft_m1_to_m2(
+        m1_stack, np.array(p_i, dtype=np.complex128).reshape(-1, 1, 1, 1))[..., 0, 0]
+
+    def worst(residuals) -> float:
+        return float(np.max(residuals, initial=0.0))
+
+    out["lft_phase_form"] = worst(np.abs(via_angle - m2))
+    out["lft_plain_form"] = worst(np.abs(via_plain - m2))
+    out["p_inverse_via_m"] = worst(np.abs(1.0 / p_z - (t - m1)))
+    # the Herglotz bound of each non-real z (DEFAULT_Z holds the real point -9)
+    nonreal = z_grid.imag != 0.0
+    bounds = np.array([herglotz_lower_bound(z) for z in z_grid[nonreal]])
+    y = z_grid.imag[nonreal]
+    out["herglotz_m1"] = worst(bounds - y * m1.imag[nonreal])
+    out["herglotz_m2"] = worst(bounds - y * m2.imag[:, nonreal])
     if include_quadrature:
-        x = grid.points()
-        a = float(x[grid.nodes // 2])
-        g, g2 = _bump_with_second_derivative(x, a)
+        g, g2 = grid.bump
         for z in zs:
-            f = -g2 - z * g
-            u = dirichlet_resolvent_quadrature(f, z, grid)
+            u = dirichlet_resolvent_quadrature(-g2 - z * g, z, grid)
             out["quadrature_roundtrip"] = max(
                 out["quadrature_roundtrip"], float(np.max(np.abs(u - g)))
             )

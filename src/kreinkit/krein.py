@@ -216,7 +216,7 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
     cos_a, sin_a, _, _ = angle.law_factors(1.0)
     m1 = weyl_operator(ext1, angle.subspace, z)
     try:
-        mid = solve_linear(sin_a - cos_a @ m1, cos_a)
+        mid = solve_linear(sin_a - cos_a @ m1, np.eye(m1.shape[-1])) @ cos_a
     except SingularMatrix as exc:
         raise SingularDenominator(
             f"sin(alpha) - cos(alpha) m(z) is singular at z = {z:.6g}"
@@ -338,7 +338,7 @@ class PairContext:
 
     @cached_property
     def resolvent_difference(self) -> np.ndarray:
-        """R2(i) - R1(i), one LU solve per extension."""
+        """R2(i) - R1(i), one direct solve per extension."""
         return _frozen(resolvent_difference_at_i(self.ext1, self.ext2))
 
     @cached_property
@@ -381,7 +381,7 @@ def herglotz_lower_bound(z) -> float:
     return z.imag ** 2 / (max(1.0, abs(z) ** 2) + abs(z.real))
 
 
-def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
+def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     """Fractional-linear law sending the reference M-operator to the second
     extension's, with coefficients built from the compressed
     resolvent-difference value p_i at z = i:
@@ -390,17 +390,19 @@ def lft_m1_to_m2(m1, p_i: np.ndarray) -> np.ndarray:
 
     Holds for arbitrary pairs, degenerate ones included (p_i = 0 on a
     degenerate block gives the identity map there).  m1 is one k x k matrix
-    or a stack (..., k, k) of them, say one per z; the coefficients stay one
-    k x k matrix.  A stack takes one solve_linear call, which decides each
-    denominator on its own, and maps every matrix bit for bit as a call on
-    it alone would.
+    or a stack (..., k, k) of them, say one per z, and p_i is one k x k
+    matrix or a stack whose leading axes broadcast against m1's, say one per
+    pair of a grid of pairs.  The whole grid takes one solve_linear call,
+    which decides each denominator on its own, and maps every matrix bit for
+    bit as a call on its own m1 and p_i would.
     """
     m = _as_stack(m1, "weyl matrix")
-    p = as_matrix(p_i, "p at i")
+    p = _as_stack(p_i, "p at i")
     k = m.shape[-1]
     eye = np.eye(k)
-    num = p + (eye + 1j * p) @ m
-    den = (eye + 1j * p) - p @ m
+    coefficient = eye + 1j * p
+    num = p + coefficient @ m
+    den = coefficient - p @ m
     try:
         den_inv = solve_linear(den, eye)
     except SingularMatrix as exc:

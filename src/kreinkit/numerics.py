@@ -3,9 +3,11 @@
 Everything downstream (Cayley transforms, deficiency subspaces, resolvent
 formulas) reduces to a small set of dense operations: Hermitian and unitary
 eigendecompositions, SVD-based range extraction, spectral function calculus
-(SpectralDecomposition.compose), and linear solves with singularity
-detection.  This module owns those operations and their failure modes;
-formula-level code never calls LAPACK directly.
+(SpectralDecomposition.compose), and the gated solve of the n x n
+denominators.  This module owns those operations and their failure modes.
+An N x N solve whose matrix is already decided elsewhere (a - z behind the
+spectral guard, a - i, C - 1 behind the Cayley gap of the extension) calls
+np.linalg.solve directly, with no gate of its own.
 
 Matrices are numpy complex128 arrays, validated on entry.  Residuals use the
 Frobenius norm throughout.
@@ -25,11 +27,7 @@ from .errors import NotHermitian, NotUnitary, NumericalFailure, SingularMatrix
 TOL_ORTHO = 1e-12   # orthonormality of bases / unitarity gate
 TOL_RECON = 1e-10   # eigendecomposition reconstruction, relative
 TOL_HERM = 1e-11    # Hermitian deviation, relative; unit-circle deviation
-TOL_RANK = 1e-9     # relative singular value / pivot cutoff
-
-# LAPACK's complex LU, bound once: the calls scipy.linalg.lu_factor/lu_solve
-# reach, without their per-call wrapper stack (finiteness is checked here).
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+TOL_RANK = 1e-9     # relative singular value cutoff
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -203,18 +201,20 @@ def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
 
 
 def solve_linear(m, b) -> np.ndarray:
-    """Solve M X = B by LU with partial pivoting and a pivot-ratio gate.
+    """Solve M X = B behind a singular-value gate.
 
     m is one square matrix (k, k) or a stack (..., k, k) of them, and b is a
     (k, r) right-hand side or a stack whose leading axes broadcast against
-    m's.  Each matrix is factorized and gated on its own (_lu_solve), so a
-    stack holds the solutions of the 2-d calls on its matrices, bit for bit,
-    and fails where one of them would.  A 2-d call returns LAPACK's output
-    array as it is.
+    m's.  Each matrix is decided on its own: SingularMatrix when its smallest
+    singular value is at or below TOL_RANK times its largest, which is the
+    package's test for a degenerate denominator.  The whole stack is solved
+    by one np.linalg.solve, so a stack holds the solutions of the 2-d calls
+    on its matrices, bit for bit, and fails where one of them would.
 
-    Raises SingularMatrix when the smallest |U_ii| falls below TOL_RANK times
-    the largest, which is the operational singularity test used everywhere in
-    the package (resolvents at spectral points, degenerate denominators).
+    When B is the identity, X is M^{-1}, and ||M||_F ||M^{-1}||_F, an upper
+    bound on s_max / s_min, settles at O(k^2) cost every matrix it puts
+    below half of 1 / TOL_RANK (the margin covers the solve's roundoff).
+    The singular values of the other matrices come from one batched SVD.
     """
     a = _as_stack(m, "solve matrix")
     rhs = _as_stack(b, "solve rhs")
@@ -223,36 +223,29 @@ def solve_linear(m, b) -> np.ndarray:
         raise ValueError(f"expected square matrix, got {a.shape}")
     if rhs.shape[-2] != d:
         raise ValueError(f"rhs has {rhs.shape[-2]} rows, expected {d}")
-    if a.ndim == 2 and rhs.ndim == 2:
-        return _lu_solve(a, rhs)
-    batch = np.broadcast_shapes(a.shape[:-2], rhs.shape[:-2])
-    out = np.empty(batch + rhs.shape[-2:], dtype=np.complex128)
-    a = np.broadcast_to(a, batch + a.shape[-2:])
-    rhs = np.broadcast_to(rhs, out.shape)
-    for index in np.ndindex(batch):
-        out[index] = _lu_solve(a[index], rhs[index])
-    return out
-
-
-def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """solve_linear on one validated square matrix and a 2-d right-hand side
-    with matching rows: the one place that factorizes and gates."""
-    if a.shape[0] == 0:
-        return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    # an exact zero pivot shows only as info > 0, which the gate below covers
-    lu, piv, info = _GETRF(a)
-    if info < 0:
-        raise SingularMatrix(f"LU factorization failed: getrf info {info}")
-    diag = np.abs(lu.diagonal())
-    dmax = float(diag.max())
-    if dmax == 0.0 or float(diag.min()) <= TOL_RANK * dmax:
-        raise SingularMatrix(
-            f"pivot ratio {float(diag.min()) / max(dmax, np.finfo(float).tiny):.3e} "
-            f"below cutoff {TOL_RANK:.1e}"
-        )
-    x, info = _GETRS(lu, piv, rhs)
-    if info != 0:
-        raise ValueError(f"LU solve failed: getrs info {info}")
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        x = None  # an exactly singular matrix, which the gate refuses
+    if d:
+        doubtful = np.ones(a.shape[:-2], dtype=bool)
+        if x is not None and rhs.shape == (d, d) and (rhs == np.eye(d)).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))
+            doubtful = ~(cond < 0.5 / TOL_RANK)
+        if doubtful.any():
+            try:
+                sv = np.linalg.svd(a[doubtful], compute_uv=False)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
+                raise NumericalFailure(f"svd failed: {exc}") from exc
+            if not (sv[:, -1] > TOL_RANK * sv[:, 0]).all():
+                ratio = sv[:, -1] / np.maximum(sv[:, 0], np.finfo(float).tiny)
+                raise SingularMatrix(
+                    f"singular value ratio {float(np.min(ratio)):.3e} "
+                    f"below cutoff {TOL_RANK:.1e}"
+                )
+    if x is None:  # pragma: no cover - LAPACK and the SVD disagree
+        raise NumericalFailure("solve failed on a matrix the gate passed")
     if x.size and not np.isfinite(x).all():
         raise NumericalFailure("solve produced non-finite entries")
     return x

@@ -691,7 +691,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # unitary_eig in the library, so these are all the Schur forms: three,
     # one 3 x 3 per angle, which also decides primeness:
     # extensions are rank-n updates of a1, and cayley_roundtrip inverts
-    # each Cayley transform by an LU solve
+    # each Cayley transform by a direct solve
     decompositions = collections.Counter()
     svds = []
     third_calls = []

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kreinkit.errors import (
     BadDimensions,
@@ -17,6 +17,8 @@ from kreinkit.errors import (
     SingularDenominator,
 )
 from kreinkit import halfline
+from kreinkit.krein import AngleOperator
+from kreinkit.numerics import SpectralDecomposition, Subspace, hermitian_eig
 from kreinkit.halfline import (
     DEFAULT_ALPHA2,
     DEFAULT_Z,
@@ -114,6 +116,39 @@ def test_p12_inversion_identity():
         for z in DEFAULT_Z:
             p = p12_halfline(z, scen)
             assert abs(1.0 / p - (t - m1_halfline(z))) < 1e-12 * (1.0 + abs(1.0 / p))
+
+
+def test_scalar_formulas_take_arrays_of_z():
+    # one implementation serves a number and an array of z: the array holds
+    # the per-z values (to the last bit where no complex division enters;
+    # numpy rounds some quotients differently from Python) and refuses the
+    # first bad point of the array by the message of the scalar call
+    z = np.array([[1j, -2 - 1j, 1e50j], [-9.0 + 0j, 0.5 + 0.5j, 3 - 4j]])
+    assert sqrt_upper(z).tobytes() == np.array(
+        [[sqrt_upper(complex(v)) for v in row] for row in z]).tobytes()
+    assert m1_halfline(z).tobytes() == np.array(
+        [[m1_halfline(complex(v)) for v in row] for row in z]).tobytes()
+    for a2 in DEFAULT_ALPHA2:
+        scen = HalflineScenario(a2)
+        for formula in (m2_halfline, p12_halfline):
+            got = formula(z, scen)
+            assert got.shape == z.shape and got.dtype == np.complex128
+            for value, point in zip(got.ravel(), z.ravel()):
+                want = formula(complex(point), scen)
+                assert abs(value - want) <= 2 * EPS * abs(want)
+    scen = HalflineScenario(0.0)  # bound state at z = -1/2
+    poles = np.array([1j, -0.5 + 0j, -0.5 + 0j])
+    for formula in (m2_halfline, p12_halfline):
+        with pytest.raises(SingularDenominator) as on_array:
+            formula(poles, scen)
+        with pytest.raises(SingularDenominator) as on_number:
+            formula(-0.5, scen)
+        assert str(on_array.value) == str(on_number.value)
+    with pytest.raises(BranchCut) as on_array:
+        m1_halfline(np.array([-1 + 1j, 2.0, 3.0]))
+    with pytest.raises(BranchCut) as on_number:
+        m1_halfline(2.0)
+    assert str(on_array.value) == str(on_number.value)
 
 
 def test_resolvent_coefficient_proportional_to_p12():
@@ -290,6 +325,72 @@ def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share):
     assert got.tobytes() == expected.tobytes()
     reversed_view = halfline._cumulative(y[::-1], dx)
     assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx).tobytes()
+
+
+def _full_grid_quadrature(f, z, grid):
+    """u of dirichlet_resolvent_quadrature with both running integrals taken
+    over the whole grid, without the support trim and the gate."""
+    k, h, n = sqrt_upper(z), grid.step, grid.nodes + 1
+    e = halfline._exp_table(1j * k * h, n)
+    s = (e - halfline._exp_table(-1j * k * h, n)) / 2j
+    c1 = halfline._cumulative(s * f, h)
+    c2 = halfline._cumulative((e * f)[::-1], h)[::-1]
+    u = (e * c1 + s * c2) / k
+    u[0] = 0.0
+    return u
+
+
+@given(last=st.integers(-1, 100), seed=st.integers(0, 2 ** 32 - 1),
+       z=st.sampled_from(DEFAULT_Z))
+@example(last=-1, seed=0, z=1j)    # f = 0
+@example(last=100, seed=0, z=1j)   # f nonzero at the last point
+@example(last=99, seed=0, z=-9.0)  # a zero tail of one point
+def test_support_trimmed_quadrature_equals_the_full_grid(last, seed, z):
+    # f is rough on [0, x_last] (zeros inside included) and zero after it,
+    # with zeros of both signs, so that the zero tail takes every length and
+    # parity; residual_tol = 1e300 lets rough data through the gate
+    grid = QuadratureGrid(length=10.0, nodes=100, residual_tol=1e300)
+    rng = np.random.default_rng(seed)
+    f = np.empty(101, dtype=np.complex128)
+    f.real = rng.choice((-0.0, 0.0), 101)
+    f.imag = rng.choice((-0.0, 0.0), 101)
+    keep = rng.random(last + 1) < 0.8
+    keep[-1:] = True
+    f[:last + 1] = (rng.standard_normal(last + 1) + 1j * rng.standard_normal(last + 1)) * keep
+    u = dirichlet_resolvent_quadrature(f, z, grid)
+    assert u.tobytes() == _full_grid_quadrature(f, z, grid).tobytes()
+
+
+def test_quadrature_of_the_bump_equals_the_full_grid():
+    grid = QuadratureGrid()
+    g, g2 = grid.bump
+    for z in DEFAULT_Z:
+        f = -g2 - z * g
+        u = dirichlet_resolvent_quadrature(f, z, grid)
+        assert u.tobytes() == _full_grid_quadrature(f, z, grid).tobytes(), z
+
+
+def test_bump_is_computed_once_per_grid_and_read_only():
+    grid = QuadratureGrid(length=10.0, nodes=100)
+    g, g2 = grid.bump
+    assert grid.bump[0] is g and grid.bump[1] is g2
+    x = grid.points()
+    expected = halfline._bump_with_second_derivative(x, float(x[50]))
+    assert g.tobytes() == expected[0].tobytes() and g2.tobytes() == expected[1].tobytes()
+    for array in (g, g2):
+        with pytest.raises(ValueError):
+            array[1] = 0.0
+
+
+@pytest.mark.parametrize("alpha2", [0.0, 0.3, -1.2, 5 * math.pi / 8, 15 * math.pi / 16])
+def test_one_by_one_angle_has_the_law_factors_of_its_eigendecomposition(alpha2):
+    # verify_halfline builds the 1x1 angle from its value, without an eigh
+    line = Subspace(basis=np.eye(1, dtype=np.complex128))
+    direct = AngleOperator(SpectralDecomposition([alpha2], [[1.0]]), line)
+    via_eig = AngleOperator(hermitian_eig(np.array([[alpha2]], dtype=np.complex128)), line)
+    for sign in (1.0, -1.0):
+        for mine, theirs in zip(direct.law_factors(sign), via_eig.law_factors(sign)):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 def test_grid_too_coarse_is_reported():

@@ -568,6 +568,28 @@ def test_laws_on_a_stack_match_their_per_matrix_calls(n):
         lft_m1_to_m2(np.stack([stack[0], np.full((n, n), np.nan)]), pair.p_at_i_via_cayley)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]), st.integers(0, 4),
+       st.integers(0, 5))
+def test_coefficient_law_on_a_stack_of_p_matches_the_per_p_calls(seed, k, pairs, zs):
+    # a grid of pairs against a grid of z takes one call of the coefficient
+    # law, with p(i) stacked over the pairs on a leading axis of its own; each
+    # pair's slice maps as a call with its p(i) alone does, to the bit
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m1, p_i = draw(zs, k, k), draw(pairs, k, k)
+    grid = lft_m1_to_m2(m1, p_i[:, None])
+    assert grid.shape == (pairs, zs, k, k)
+    for p, mapped in zip(p_i, grid):
+        assert mapped.tobytes() == lft_m1_to_m2(m1, p).tobytes()
+    # one m1 against the stack of p(i)
+    if zs:
+        for p, mapped in zip(p_i, lft_m1_to_m2(m1[0], p_i)):
+            assert mapped.tobytes() == lft_m1_to_m2(m1[0], p).tobytes()
+
+
 def test_krein_resolvent_singular_denominator():
     # a genuine angle can never make sin(alpha) - cos(alpha) m1(z) singular
     # off the real axis (Im m1 is definite there), so force it on the axis:

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,6 +12,7 @@ import support
 
 from kreinkit.errors import NotHermitian, NotUnitary, SingularMatrix
 from kreinkit.numerics import (
+    TOL_RANK,
     SpectralDecomposition,
     Subspace,
     as_matrix,
@@ -163,7 +163,7 @@ def test_solve_linear_known_system_and_failures():
     assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
     with pytest.raises(SingularMatrix):
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
-    # the pivot-ratio gate sits at TOL_RANK = 1e-9
+    # the singular-value gate sits at TOL_RANK = 1e-9
     with pytest.raises(SingularMatrix):
         solve_linear(np.diag([1.0, 5e-10]), np.eye(2))
     assert_allclose(solve_linear(np.diag([1.0, 2e-9]), np.eye(2)),
@@ -177,8 +177,9 @@ def test_solve_linear_known_system_and_failures():
 
 
 def test_solve_linear_exact_zero_pivot_raises_without_warning():
-    # LAPACK reports the zero pivot through info alone; the gate turns it
-    # into SingularMatrix and nothing reaches the warnings machinery
+    # np.linalg.solve refuses the exactly singular matrix by an exception,
+    # the singular-value gate turns it into SingularMatrix, and nothing
+    # reaches the warnings machinery
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrix):
@@ -186,7 +187,7 @@ def test_solve_linear_exact_zero_pivot_raises_without_warning():
 
 
 def test_solve_linear_decides_each_matrix_of_a_stack():
-    # one matrix of the stack fails its own pivot-ratio gate
+    # one matrix of the stack fails its own singular-value gate
     with pytest.raises(SingularMatrix):
         solve_linear(np.stack([np.eye(2), np.diag([1.0, 5e-10])]), np.eye(2))
     # a ratio of 1e-12 between matrices is no failure: each passes alone
@@ -212,6 +213,45 @@ def test_solve_linear_decides_each_matrix_of_a_stack():
         solve_linear(np.ones(2), np.eye(2))
 
 
+def test_solve_linear_settles_a_well_conditioned_inverse_without_an_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    rng = _rng(9)
+    stack = rng.standard_normal((4, 3, 3)) + 3j * np.eye(3)
+    expected = np.linalg.solve(stack, np.eye(3))
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert solve_linear(stack, np.eye(3)).tobytes() == expected.tobytes()
+    # any other right-hand side leaves the decision to the singular values
+    with pytest.raises(AssertionError):
+        solve_linear(stack, 2.0 * np.eye(3))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.floats(-1.0, 10.0),
+       st.floats(-200.0, 200.0), st.integers(0, 2))
+def test_solve_linear_decides_an_inverse_as_its_singular_values_do(
+        seed, k, decades, scale, depth):
+    # matrices U diag(s) V* with s_min / s_max = TOL_RANK * 10**decades, from
+    # a decade below the cutoff to ten above it, at any overall scale: the
+    # Frobenius bound may settle only what the singular values pass
+    rng = _rng(seed)
+
+    def matrix():
+        s = np.geomspace(1.0, TOL_RANK * 10.0 ** decades, k) if k > 1 else np.ones(1)
+        u = _random_unitary(int(rng.integers(10 ** 6)), k)
+        v = _random_unitary(int(rng.integers(10 ** 6)), k)
+        return 2.0 ** scale * (u * s) @ v.conj().T
+
+    stack = np.stack([matrix() for _ in range(depth + 1)])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    if (sv[:, -1] > TOL_RANK * sv[:, 0]).all():
+        x = solve_linear(stack, np.eye(k))
+        assert x.tobytes() == np.linalg.solve(stack, np.eye(k)).tobytes()
+    else:
+        with pytest.raises(SingularMatrix):
+            solve_linear(stack, np.eye(k))
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -230,7 +270,7 @@ _LAYOUTS = ("c", "fortran", "transpose", "adjoint")
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]), st.data())
-def test_solve_linear_matches_scipy_lu_bit_for_bit(seed, n, data):
+def test_solve_linear_matches_numpy_solve_bit_for_bit(seed, n, data):
     rng = _rng(seed)
     a = _laid_out(rng, n, n, data.draw(st.sampled_from(_LAYOUTS), label="matrix layout"))
     b = _laid_out(rng, n, data.draw(st.integers(1, n + 1), label="rhs columns"),
@@ -239,10 +279,10 @@ def test_solve_linear_matches_scipy_lu_bit_for_bit(seed, n, data):
         a.flags.writeable = False
         b.flags.writeable = False
     a_before, b_before = a.tobytes(), b.tobytes()
-    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    expected = np.linalg.solve(a, b)
     got = solve_linear(a, b)
     assert got.tobytes() == expected.tobytes()
-    # LAPACK's own output array, not a copy in another order: frob and the
+    # numpy's own output array, not a copy in another order: frob and the
     # records built on it sum in memory order
     assert got.strides == expected.strides
     assert a.tobytes() == a_before and b.tobytes() == b_before

@@ -3,7 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import support
@@ -11,6 +13,7 @@ from kreinkit import cli
 from kreinkit.errors import NumericalFailure
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def _load(name):
@@ -49,6 +52,23 @@ def test_identity_sweep_counts_each_failing_scenario_once(monkeypatch, capsys):
     assert first[0] == "raised NumericalFailure: injected at dim=1 n=1 seed=0"
     assert first[-2].startswith("2 scenarios, 2 failed, ")
     assert first[-1] == second[-1] == f"reports sha256 {expected}"
+
+
+def test_identity_sweep_reports_do_not_depend_on_the_blas_thread_count():
+    # one (1, 1) scenario: its n = 1 report once moved in the last bits
+    # between one and two OpenBLAS threads.  Each child process gets its
+    # thread count before numpy is imported, whatever this process runs with
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "identity_sweep.py"),
+             "--dims", "1", "--defs", "1", "--seeds", "1"],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        lines.append(done.stdout.splitlines()[-1])
+    assert lines[0].startswith("reports sha256 ")
+    assert lines[0] == lines[1]
 
 
 def test_bench_writes_medians_per_tree(monkeypatch, tmp_path):
