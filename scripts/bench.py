@@ -37,10 +37,17 @@ SHAPES = ((8, 2), (32, 3), (64, 3))
 SCENARIO_SEED = 3
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
-_SOLVE = ("import numpy as np\n"
-          "from kreinkit.numerics import solve_linear\n"
-          "g = np.random.default_rng(0).standard_normal((2, {n}, {n}))\n"
-          "a, b = g[0] + 1j * g[1], np.eye({n})")
+# numerics.inverse, or on a tree that predates it, solve_linear against the
+# identity
+_INVERSE = ("import numpy as np\n"
+            "try:\n"
+            "    from kreinkit.numerics import inverse\n"
+            "except ImportError:\n"
+            "    from kreinkit.numerics import solve_linear\n"
+            "    def inverse(a):\n"
+            "        return solve_linear(a, np.eye(a.shape[-1]))\n")
+_RANDOM = _INVERSE + ("g = np.random.default_rng(0).standard_normal((2, {n}, {n}))\n"
+                      "a = g[0] + 1j * g[1]")
 # name -> (set-up, timed statement, calls per sample)
 KERNELS = {
     "halfline_command": (
@@ -81,17 +88,16 @@ KERNELS = {
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",
         "scenario.sha256()", 10),
-    "solve_linear n=1": (_SOLVE.format(n=1), "solve_linear(a, b)", 2000),
-    "solve_linear n=3": (_SOLVE.format(n=3), "solve_linear(a, b)", 2000),
-    # n = N: the gated solve at the size of the largest denominator a
+    "inverse n=1": (_RANDOM.format(n=1), "inverse(a)", 2000),
+    "inverse n=3": (_RANDOM.format(n=3), "inverse(a)", 2000),
+    # n = N: the gated inverse at the size of the largest denominator a
     # scenario can have, deficiency equal to dimension
-    "solve_linear n=N=64": (_SOLVE.format(n=64), "solve_linear(a, b)", 100),
+    "inverse n=N=64": (_RANDOM.format(n=64), "inverse(a)", 100),
     # the eight 1x1 denominators of one angle-form law call in the halfline
     # command, as one stack
-    "solve_linear 8 stacked 1x1": (
-        "import numpy as np\nfrom kreinkit.numerics import solve_linear\n"
-        "a = ((1.0 + 1.0j) * np.arange(1, 9)).reshape(8, 1, 1)\nb = np.eye(1)",
-        "solve_linear(a, b)", 2000),
+    "inverse 8 stacked 1x1": (
+        _INVERSE + "a = ((1.0 + 1.0j) * np.arange(1, 9)).reshape(8, 1, 1)",
+        "inverse(a)", 2000),
     "lft_m1_to_m2_angle 1x1": (
         "import numpy as np\n"
         "from kreinkit.extension import Extension, build_model\n"

@@ -1,6 +1,7 @@
 """Half-line Laplacian demo: closed-form Weyl functions, the resolvent
-coefficient, the bound state of the mixed boundary condition, and quadrature
-convergence of the Green-kernel resolvent.
+coefficient r(z) = -1/(c + i sqrt(z)) = sqrt(2) p12(z) near the bound state
+of the mixed boundary condition, and quadrature convergence of the
+Green-kernel resolvent.
 
 Usage:
     python3 scripts/halfline_demo.py --alpha2 0.6
@@ -20,9 +21,10 @@ from kreinkit.halfline import (
     m1_halfline,
     m2_halfline,
     p12_halfline,
-    resolvent_coefficient,
     verify_halfline,
 )
+
+SQRT2 = math.sqrt(2.0)
 
 
 def value_table(scen: HalflineScenario) -> None:
@@ -45,7 +47,7 @@ def bound_state_scan(scen: HalflineScenario) -> None:
     print(f"{'z':>12}  {'|resolvent coefficient|':>24}")
     for off in (0.4, 0.2, 0.1, 0.05, 0.025):
         z = pole + off * abs(pole)
-        r = resolvent_coefficient(z, scen)
+        r = SQRT2 * p12_halfline(z, scen)
         print(f"{z:>12.6f}  {abs(r):>24.4e}")
 
 

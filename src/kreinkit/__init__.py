@@ -48,7 +48,6 @@ from .halfline import (
     m1_halfline,
     m2_halfline,
     p12_halfline,
-    resolvent_coefficient,
     sqrt_upper,
     verify_halfline,
 )
@@ -69,8 +68,8 @@ from .numerics import (
     SpectralDecomposition,
     Subspace,
     hermitian_eig,
+    inverse,
     projector,
-    solve_linear,
     unitary_eig,
 )
 
@@ -111,6 +110,7 @@ __all__ = [
     "extension_from_parameter",
     "herglotz_lower_bound",
     "hermitian_eig",
+    "inverse",
     "krein_resolvent",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
@@ -120,10 +120,8 @@ __all__ = [
     "p12_halfline",
     "parameter_of",
     "projector",
-    "resolvent_coefficient",
     "resolvent_difference_at_i",
     "restricted_cayley_product",
-    "solve_linear",
     "sqrt_upper",
     "unitary_eig",
     "verify_halfline",

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import krein as kr
+from .extension import resolvent_difference_at_i
 from .numerics import _svd_range, frob, projector
 
 
@@ -99,7 +100,7 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
         c_inv_bp = c_inv @ bp
         lhs = np.linalg.solve(ext.a - 1j * eye, c_inv_bp)
         identity = frob(lhs - 0.5j * (c_inv_bp - bp))
-        meet = _svd_range(qf.conj().T @ (bp - c_inv_bp), 1.0)[0]
+        meet = _svd_range(qf.conj().T @ (bp - c_inv_bp))[0]
         geometry.append((exchange, identity, float(model.deficiency - meet.rank)))
     for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
                                     "resolvent_cayley_identity", "domain_direct_sum"),
@@ -109,7 +110,8 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
     note = "relatively prime" if pair.angle.prime else "not relatively prime"
     yield record("relatively_prime_consistency", frob(
-        pair.resolvent_difference - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
+        resolvent_difference_at_i(ext1, ext2)
+        - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
     ), tol, note=note)
 
 
@@ -121,7 +123,11 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     for ext in (pair.ext1, pair.ext2):
         worst.add("weyl_fixed_point_at_i",
                   frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
-        eye, root = np.eye(ext.dim), pair.herglotz_root(ext)
+        # (1 + a^2)^{1/2} Bp, the N x n factor of the Herglotz identity;
+        # (1 + a^2)^{1/2} is a diagonal function of ext's eigenframe
+        spec = ext.spectrum
+        eye = np.eye(ext.dim)
+        root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2)) @ pair.model.nplus.basis
         for z in zs:
             bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
             m = pair.m(ext, z)

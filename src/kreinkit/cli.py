@@ -479,9 +479,7 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
         scen = hl.HalflineScenario(a2)
         for z in good_z:
             try:
-                hl.p12_halfline(z, scen)
-                hl.m2_halfline(z, scen)
-                hl.resolvent_coefficient(z, scen)
+                hl.m2_halfline(z, scen)  # the pole rule of p12 and m2
             except KreinKitError as exc:
                 pole_hits.append((a2, z, exc))
     for a2, z, exc in pole_hits:

@@ -51,7 +51,6 @@ from .numerics import (
     as_matrix,
     frob,
     hermitian_eig,
-    solve_linear,  # noqa: F401 - unused here; the test suite patches extension.solve_linear
 )
 
 DEFAULT_TOL = 1e-9  # instance tolerance for extension-level checks

@@ -10,11 +10,13 @@ theory collapses to a scalar function of z with explicit formulas:
     m1(z)  = 1 + i sqrt(2 z)                    (Dirichlet Weyl function, shifted frame)
     m2(z)  = (cos a2 + sin a2 * m1) / (sin a2 - cos a2 * m1)
     p12(z) = -1 / (1 - tan a2 + i sqrt(2 z))    (compressed resolvent difference)
-    r(z)   = -1 / (c + i sqrt(z))               (rank-one resolvent coefficient)
 
 with the square root taken in the upper half plane (cut along [0, inf)).
-For c > 0 the second extension has a bound state at z = -c^2, where p12, m2
-and r all blow up; the guards below refuse evaluation there.
+The coefficient -1/(c + i sqrt(z)) of the rank-one resolvent correction is
+sqrt(2) p12(z).  For c > 0 the second extension has a bound state at
+z = -c^2, where 1 - tan a2 + i sqrt(2 z) vanishes.  That is p12's
+denominator, and m2's is -cos a2 times it, so one pole rule
+(_pole_checked_root) refuses both there.
 
 The module also solves (A_D - z) u = f numerically through the Dirichlet
 Green kernel sin(sqrt(z) min(x,y)) e^{i sqrt(z) max(x,y)} / sqrt(z) on a
@@ -116,18 +118,6 @@ def sqrt_upper(z):
     return w
 
 
-def _refuse_poles(poles, z, what: str) -> None:
-    """SingularDenominator naming z, or for an array the first point where
-    the mask `poles`, which z broadcasts against, is set."""
-    if isinstance(poles, np.ndarray):
-        if not poles.any():
-            return
-        z = np.broadcast_to(z, poles.shape)[poles][0]
-    elif not poles:
-        return
-    raise SingularDenominator(f"z = {complex(z):.6g} is a pole of {what}")
-
-
 def _assemble(re, im):
     """The complex number, or array, with these parts exactly."""
     if isinstance(re, np.ndarray):
@@ -151,20 +141,39 @@ def m1_halfline(z):
     return 1.0 + 1j * sqrt_upper(2.0 * z)
 
 
+def _pole_checked_root(z, t):
+    """root = sqrt_upper(2z) and den = 1 - t + i root for tan a2 = t, the
+    denominator of p12 and, times -cos a2, of m2.  The one pole rule of the
+    pair: SingularDenominator where |den| <= 1e-12 (1 + |t| + |root|),
+    naming z, or for an array the first such point."""
+    root = sqrt_upper(2.0 * z)
+    den = 1.0 - t + 1j * root
+    poles = abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root))
+    if isinstance(poles, np.ndarray):
+        if not poles.any():
+            return root, den
+        z = np.broadcast_to(z, poles.shape)[poles][0]
+    elif not poles:
+        return root, den
+    raise SingularDenominator(f"z = {complex(z):.6g} is a pole of the resolvent difference")
+
+
 def m2_halfline(z, scenario: HalflineScenario):
     """Weyl function of the angle-a2 extension via the scalar angle law.
 
     The imaginary part is Im m1 / |sin a2 - cos a2 m1|^2, exact for a map of
-    determinant 1; read off the quotient it cancels away for |z| >= 1e34."""
-    return _m2_halfline(z, math.cos(scenario.alpha2), math.sin(scenario.alpha2))
+    determinant 1; read off the quotient it cancels away for |z| >= 1e34.
+    Its poles are p12's, refused by the same rule."""
+    a2 = scenario.alpha2
+    return _m2_halfline(z, math.cos(a2), math.sin(a2), math.tan(a2))
 
 
-def _m2_halfline(z, ca, sa):
-    """m2_halfline at z for cos a2 = ca and sin a2 = sa."""
-    m1 = m1_halfline(z)
+def _m2_halfline(z, ca, sa, t):
+    """m2_halfline at z for cos a2 = ca, sin a2 = sa and tan a2 = t."""
+    root, _ = _pole_checked_root(z, t)
+    m1 = 1.0 + 1j * root
     den = sa - ca * m1
     size = abs(den)
-    _refuse_poles(size <= 1e-12 * (1.0 + abs(m1)), z, "the second Weyl function")
     return _assemble(((ca + sa * m1) / den).real, m1.imag / size / size)
 
 
@@ -175,23 +184,7 @@ def p12_halfline(z, scenario: HalflineScenario):
 
 def _p12_halfline(z, t):
     """p12_halfline at z for tan a2 = t."""
-    root = sqrt_upper(2.0 * z)
-    den = 1.0 - t + 1j * root
-    _refuse_poles(abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root)), z,
-                  "the resolvent difference")
-    return -1.0 / den
-
-
-def resolvent_coefficient(z, scenario: HalflineScenario) -> complex:
-    """Coefficient -1/(c + i sqrt(z)) of the rank-one resolvent correction.
-
-    Blows up exactly at the bound state z = -c^2, present when c > 0."""
-    root = sqrt_upper(complex(z))
-    den = scenario.c + 1j * root
-    if abs(den) <= 1e-12 * (1.0 + abs(scenario.c) + abs(root)):
-        raise SingularDenominator(
-            f"z = {complex(z):.6g} is the bound state of the second extension"
-        )
+    _, den = _pole_checked_root(z, t)
     return -1.0 / den
 
 
@@ -313,7 +306,12 @@ def _green_integrals(e: np.ndarray, s: np.ndarray, f: np.ndarray,
     return c1, c2
 
 
-def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = QuadratureGrid()) -> np.ndarray:
+# The grid of verify_halfline and the default of dirichlet_resolvent_quadrature:
+# one instance, so that its bump is computed once per process.
+DEFAULT_GRID = QuadratureGrid()
+
+
+def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = DEFAULT_GRID) -> np.ndarray:
     """Apply the Dirichlet resolvent (A_D - z)^{-1} to sampled data.
 
     u(x) = [e^{ikx} int_0^x sin(ky) f(y) dy + sin(kx) int_x^L e^{iky} f(y) dy] / k
@@ -383,8 +381,7 @@ def _wrap_mod_pi(x: float) -> float:
 
 
 def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
-                    include_quadrature: bool = True,
-                    grid: QuadratureGrid = QuadratureGrid()) -> dict[str, float]:
+                    include_quadrature: bool = True) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
     The checks are array expressions over the (alpha2, z) grid.  m1(z) and
@@ -402,8 +399,8 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
       p_at_i_inverse       1/p12(i) vs tan a2 - i
       angle_recovery       a2 recovered from p12(i), compared mod pi
       herglotz_m1/_m2      positivity-bound deficit, non-real z only
-      quadrature_roundtrip Green-kernel solve vs the closed-form bump
-                           solution of the grid (QuadratureGrid.bump)
+      quadrature_roundtrip Green-kernel solve on DEFAULT_GRID vs the
+                           closed-form bump solution (QuadratureGrid.bump)
 
     Residuals are raw; callers pick the thresholds.
     """
@@ -427,7 +424,7 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         return np.array([fn(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1)
 
     t = column(math.tan)
-    m2 = _m2_halfline(z_grid, column(math.cos), column(math.sin))
+    m2 = _m2_halfline(z_grid, column(math.cos), column(math.sin), t)
     p_z = _p12_halfline(z_grid, t)
     p_i = [p12_halfline(1j, scenario) for scenario in scenarios]
     via_angle = np.empty((len(scenarios), len(zs)), dtype=np.complex128)
@@ -457,9 +454,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     out["herglotz_m1"] = worst(bounds - y * m1.imag[nonreal])
     out["herglotz_m2"] = worst(bounds - y * m2.imag[:, nonreal])
     if include_quadrature:
-        g, g2 = grid.bump
+        g, g2 = DEFAULT_GRID.bump
         for z in zs:
-            u = dirichlet_resolvent_quadrature(-g2 - z * g, z, grid)
+            u = dirichlet_resolvent_quadrature(-g2 - z * g, z, DEFAULT_GRID)
             out["quadrature_roundtrip"] = max(
                 out["quadrature_roundtrip"], float(np.max(np.abs(u - g)))
             )

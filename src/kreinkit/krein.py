@@ -62,7 +62,6 @@ from .extension import (
     RestrictionModel,
     extension_from_parameter,
     parameter_of,
-    resolvent_difference_at_i,
     restricted_cayley_product,
 )
 from .numerics import (
@@ -72,7 +71,7 @@ from .numerics import (
     _svd_range,
     as_matrix,
     frob,
-    solve_linear,
+    inverse,
     unitary_eig,
 )
 
@@ -216,7 +215,7 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
     cos_a, sin_a, _, _ = angle.law_factors(1.0)
     m1 = weyl_operator(ext1, angle.subspace, z)
     try:
-        mid = solve_linear(sin_a - cos_a @ m1, np.eye(m1.shape[-1])) @ cos_a
+        mid = inverse(sin_a - cos_a @ m1) @ cos_a
     except SingularMatrix as exc:
         raise SingularDenominator(
             f"sin(alpha) - cos(alpha) m(z) is singular at z = {z:.6g}"
@@ -258,7 +257,6 @@ class PairContext:
         self._p: dict = {}
         self._m: dict = {}
         self._ranges: dict = {}
-        self._roots: dict = {}
         self._parameters: dict = {}
 
     def p(self, z) -> PSample:
@@ -314,20 +312,11 @@ class PairContext:
             # scale floor 1: a compressed difference that is pure roundoff
             # (identical extensions) must count as rank 0 at every z, not as
             # noise directions
-            sub, sv = _svd_range(ps.restricted, 1.0)
+            sub, sv = _svd_range(ps.restricted)
             s1 = self.frame_nplus
             leak = frob(ps.full - s1 @ (s1.conj().T @ ps.full))
             self._ranges[z] = (sub, _frozen(sv, sub.basis), leak)
         return self._ranges[z]
-
-    def herglotz_root(self, ext: Extension) -> np.ndarray:
-        """(1 + a^2)^{1/2} Bp of ext, the N x n factor of the Herglotz
-        identity; (1 + a^2)^{1/2} is a diagonal function of ext's eigenframe."""
-        if ext not in self._roots:
-            spec = ext.spectrum
-            root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2))
-            self._roots[ext] = _frozen(root @ self.model.nplus.basis)
-        return self._roots[ext]
 
     def parameter(self, ext: Extension) -> ExtensionParameter:
         """parameter_of(model, ext), the von Neumann parameter of ext."""
@@ -337,19 +326,11 @@ class PairContext:
         return self._parameters[ext]
 
     @cached_property
-    def resolvent_difference(self) -> np.ndarray:
-        """R2(i) - R1(i), one direct solve per extension."""
-        return _frozen(resolvent_difference_at_i(self.ext1, self.ext2))
-
-    @cached_property
-    def cayley_w(self) -> np.ndarray:
-        """Restricted Cayley product W = (C2 C1^{-1})|N+ in the N+ frame."""
-        return _frozen(restricted_cayley_product(self.ext1, self.ext2, self.model.nplus))
-
-    @cached_property
     def p_at_i_via_cayley(self) -> np.ndarray:
-        """(i/2)(1 - W): P(i) on N+ from Cayley data alone."""
-        return _frozen(0.5j * (np.eye(self.model.deficiency) - self.cayley_w))
+        """(i/2)(1 - W): P(i) on N+ from Cayley data alone, W = (C2 C1^{-1})|N+
+        the restricted Cayley product in the N+ frame."""
+        w = restricted_cayley_product(self.ext1, self.ext2, self.model.nplus)
+        return _frozen(0.5j * (np.eye(self.model.deficiency) - w))
 
     @cached_property
     def angle(self) -> AngleOperator:
@@ -392,7 +373,7 @@ def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     degenerate block gives the identity map there).  m1 is one k x k matrix
     or a stack (..., k, k) of them, say one per z, and p_i is one k x k
     matrix or a stack whose leading axes broadcast against m1's, say one per
-    pair of a grid of pairs.  The whole grid takes one solve_linear call,
+    pair of a grid of pairs.  The whole grid takes one inverse call,
     which decides each denominator on its own, and maps every matrix bit for
     bit as a call on its own m1 and p_i would.
     """
@@ -404,7 +385,7 @@ def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     num = p + coefficient @ m
     den = coefficient - p @ m
     try:
-        den_inv = solve_linear(den, eye)
+        den_inv = inverse(den)
     except SingularMatrix as exc:
         raise SingularDenominator("fractional-linear denominator is singular") from exc
     return num @ den_inv
@@ -419,7 +400,7 @@ def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
     try:
-        den_inv = solve_linear(den, np.eye(m.shape[-1]))
+        den_inv = inverse(den)
     except SingularMatrix as exc:
         raise SingularDenominator(f"{what} denominator is singular") from exc
     return phase_left @ num @ den_inv @ phase_right

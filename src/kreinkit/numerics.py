@@ -3,7 +3,7 @@
 Everything downstream (Cayley transforms, deficiency subspaces, resolvent
 formulas) reduces to a small set of dense operations: Hermitian and unitary
 eigendecompositions, SVD-based range extraction, spectral function calculus
-(SpectralDecomposition.compose), and the gated solve of the n x n
+(SpectralDecomposition.compose), and the gated inverse of the n x n
 denominators.  This module owns those operations and their failure modes.
 An N x N solve whose matrix is already decided elsewhere (a - z behind the
 spectral guard, a - i, C - 1 behind the Cayley gap of the extension) calls
@@ -184,52 +184,49 @@ def unitary_eig(u) -> SpectralDecomposition:
     return SpectralDecomposition(w, zf)
 
 
-def _svd_range(m, scale_floor: float) -> tuple[Subspace, np.ndarray]:
+def _svd_range(m) -> tuple[Subspace, np.ndarray]:
     """Range and singular values (descending) of m, the rank cutoff being
-    TOL_RANK * max(sigma_max, scale_floor).  A caller that knows the natural
-    norm scale of m passes it as scale_floor, so that pure roundoff comes
-    back as the zero subspace instead of full-rank noise."""
+    TOL_RANK * max(sigma_max, 1).  The floor 1 is the natural norm scale of
+    what the library passes (compressed resolvent differences and the
+    projections of unit basis columns), so that pure roundoff comes back as
+    the zero subspace instead of full-rank noise."""
     a = as_matrix(m, "range input")
     try:
         uu, ss, _ = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"svd failed: {exc}") from exc
     smax = float(ss[0]) if ss.size else 0.0
-    cutoff = TOL_RANK * max(smax, scale_floor)
-    rank = int(np.count_nonzero(ss > cutoff)) if cutoff > 0.0 else 0
+    rank = int(np.count_nonzero(ss > TOL_RANK * max(smax, 1.0)))
     return Subspace(basis=uu[:, :rank]), ss
 
 
-def solve_linear(m, b) -> np.ndarray:
-    """Solve M X = B behind a singular-value gate.
+def inverse(m) -> np.ndarray:
+    """M^{-1} behind a singular-value gate.
 
-    m is one square matrix (k, k) or a stack (..., k, k) of them, and b is a
-    (k, r) right-hand side or a stack whose leading axes broadcast against
-    m's.  Each matrix is decided on its own: SingularMatrix when its smallest
-    singular value is at or below TOL_RANK times its largest, which is the
-    package's test for a degenerate denominator.  The whole stack is solved
-    by one np.linalg.solve, so a stack holds the solutions of the 2-d calls
-    on its matrices, bit for bit, and fails where one of them would.
+    m is one square matrix (k, k) or a stack (..., k, k) of them.  Each
+    matrix is decided on its own: SingularMatrix when its smallest singular
+    value is at or below TOL_RANK times its largest, which is the package's
+    test for a degenerate denominator.  The whole stack is inverted by one
+    np.linalg.solve against the identity, so a stack holds the inverses of
+    the 2-d calls on its matrices, bit for bit, and fails where one of them
+    would.
 
-    When B is the identity, X is M^{-1}, and ||M||_F ||M^{-1}||_F, an upper
-    bound on s_max / s_min, settles at O(k^2) cost every matrix it puts
-    below half of 1 / TOL_RANK (the margin covers the solve's roundoff).
-    The singular values of the other matrices come from one batched SVD.
+    ||M||_F ||M^{-1}||_F, an upper bound on s_max / s_min, settles at O(k^2)
+    cost every matrix it puts below half of 1 / TOL_RANK (the margin covers
+    the solve's roundoff).  The singular values of the other matrices come
+    from one batched SVD.
     """
-    a = _as_stack(m, "solve matrix")
-    rhs = _as_stack(b, "solve rhs")
+    a = _as_stack(m, "inverse input")
     d = a.shape[-1]
     if a.shape[-2] != d:
         raise ValueError(f"expected square matrix, got {a.shape}")
-    if rhs.shape[-2] != d:
-        raise ValueError(f"rhs has {rhs.shape[-2]} rows, expected {d}")
     try:
-        x = np.linalg.solve(a, rhs)
+        x = np.linalg.solve(a, np.eye(d))
     except np.linalg.LinAlgError:
         x = None  # an exactly singular matrix, which the gate refuses
     if d:
         doubtful = np.ones(a.shape[:-2], dtype=bool)
-        if x is not None and rhs.shape == (d, d) and (rhs == np.eye(d)).all():
+        if x is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))
             doubtful = ~(cond < 0.5 / TOL_RANK)

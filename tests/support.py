@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from kreinkit import checks, cli
-from kreinkit.errors import NumericalFailure, UnitEigenvalue
+from kreinkit.errors import NumericalFailure, SingularDenominator, UnitEigenvalue
 from kreinkit.extension import (
     DEFAULT_TOL,
     Extension,
@@ -24,15 +24,17 @@ from kreinkit.extension import (
     parameter_of,
     resolvent_difference_at_i,
 )
+from kreinkit.halfline import sqrt_upper
 from kreinkit.krein import PSample, _resolvent_diagonal
 from kreinkit.numerics import (
     TOL_HERM,
+    TOL_RANK,
+    Subspace,
     _svd_range,
     as_matrix,
     frob,
     hermitian_deviation,
     projector,
-    solve_linear,
     unitary_eig,
 )
 
@@ -109,7 +111,9 @@ def eig22(m):
 def orthonormal_range(m):
     """Orthonormal basis of the (numerical) column range of m: the left
     singular vectors of the singular values above TOL_RANK * sigma_max."""
-    return _svd_range(m, 0.0)[0]
+    uu, ss, _ = np.linalg.svd(as_matrix(m, "range input"), full_matrices=False)
+    smax = float(ss[0]) if ss.size else 0.0
+    return Subspace(basis=uu[:, :int(np.count_nonzero(ss > TOL_RANK * smax))])
 
 
 def inverse_cayley(c):
@@ -155,6 +159,21 @@ def p_function(ext1, ext2, subspace, z):
     full = left @ (r2 - r1) @ right
     s = subspace.basis
     return PSample(full=full, restricted=s.conj().T @ full @ s)
+
+
+def resolvent_coefficient(z, scenario):
+    """Coefficient -1/(c + i sqrt(z)) of the rank-one resolvent correction
+    of the half-line pair, c = scenario.c; it is sqrt(2) p12_halfline(z),
+    which the library computes instead.
+
+    Blows up exactly at the bound state z = -c^2, present when c > 0."""
+    root = sqrt_upper(complex(z))
+    den = scenario.c + 1j * root
+    if abs(den) <= 1e-12 * (1.0 + abs(scenario.c) + abs(root)):
+        raise SingularDenominator(
+            f"z = {complex(z):.6g} is the bound state of the second extension"
+        )
+    return -1.0 / den
 
 
 def canonical_bytes(scenario):
@@ -211,7 +230,7 @@ def restricted_domain(model):
     its complement (a1 - i) N+ instead; this is the route it replaced."""
     q, _ = np.linalg.qr(model.nplus.basis, mode="complete")
     perp = q[:, model.deficiency:]
-    return orthonormal_range(solve_linear(model.a1 + 1j * np.eye(model.dim), perp))
+    return orthonormal_range(np.linalg.solve(model.a1 + 1j * np.eye(model.dim), perp))
 
 
 def assembled_cayley(model, v):
@@ -289,7 +308,7 @@ def common_subspace(ext1, ext2):
     common symmetric part.  It is N+ for a relatively prime pair and rank 0
     for identical extensions.  Both resolvents have norm at most 1, so the
     rank cutoff floors the scale at 1."""
-    return _svd_range(resolvent_difference_at_i(ext1, ext2), 1.0)[0]
+    return _svd_range(resolvent_difference_at_i(ext1, ext2))[0]
 
 
 def p_full(pair, z):
@@ -303,7 +322,7 @@ def full_range_drift(pair, z, zp):
     of the full N x N P from p_function, at the scale floor the memo uses
     for P|N+.  The library reports a bound on this drift from n x n data;
     this is the direct route it replaced."""
-    ranges = [_svd_range(p_full(pair, w), 1.0)[0] for w in (z, zp)]
+    ranges = [_svd_range(p_full(pair, w))[0] for w in (z, zp)]
     return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
 
 

@@ -749,9 +749,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
-                   pair.resolvent_difference, pair.cayley_w, pair.angle.alpha,
+                   pair.p_at_i_via_cayley, pair.angle.alpha,
                    pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
-                   pair.herglotz_root(pair.ext2),
                    *pair.angle.law_factors(1.0)):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0

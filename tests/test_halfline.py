@@ -16,7 +16,8 @@ from kreinkit.errors import (
     NumericalFailure,
     SingularDenominator,
 )
-from kreinkit import halfline
+import support
+from kreinkit import cli, halfline
 from kreinkit.krein import AngleOperator
 from kreinkit.numerics import SpectralDecomposition, Subspace, hermitian_eig
 from kreinkit.halfline import (
@@ -28,7 +29,6 @@ from kreinkit.halfline import (
     m1_halfline,
     m2_halfline,
     p12_halfline,
-    resolvent_coefficient,
     sqrt_upper,
     verify_halfline,
 )
@@ -156,7 +156,7 @@ def test_resolvent_coefficient_proportional_to_p12():
     for a2 in (0.0, math.pi / 8, 3 * math.pi / 4):
         scen = HalflineScenario(a2)
         for z in (1j, -2 - 1j, -9.0 + 0j):
-            r = resolvent_coefficient(z, scen)
+            r = support.resolvent_coefficient(z, scen)
             p = p12_halfline(z, scen)
             assert abs(r - SQRT2 * p) < 1e-13 * (1.0 + abs(r))
 
@@ -176,7 +176,7 @@ def test_bound_state_pole_detected():
     # three scalar objects lose their denominator
     scen = HalflineScenario(0.0)
     with pytest.raises(SingularDenominator):
-        resolvent_coefficient(-0.5, scen)
+        support.resolvent_coefficient(-0.5, scen)
     with pytest.raises(SingularDenominator):
         p12_halfline(-0.5, scen)
     with pytest.raises(SingularDenominator):
@@ -184,13 +184,45 @@ def test_bound_state_pole_detected():
     # another c > 0 case: tan(3 pi/4) = -1 gives c = sqrt(2), pole at -2
     scen2 = HalflineScenario(3 * math.pi / 4)
     with pytest.raises(SingularDenominator):
-        resolvent_coefficient(-scen2.c ** 2, scen2)
+        support.resolvent_coefficient(-scen2.c ** 2, scen2)
+    for formula in (p12_halfline, m2_halfline):
+        with pytest.raises(SingularDenominator):
+            formula(-2.0, scen2)
     # for c < 0 (tan a2 > 1) the candidate point -c^2 is regular:
     # c + i sqrt(-c^2) = c - |c| = 2c there
     scen3 = HalflineScenario(3 * math.pi / 8)
     assert scen3.c < 0.0
-    r = resolvent_coefficient(-scen3.c ** 2, scen3)
+    r = support.resolvent_coefficient(-scen3.c ** 2, scen3)
     assert abs(r - (-1.0 / (2.0 * scen3.c))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha2, z, pole", [
+    (0.0, -0.5 + 0j, True),
+    (3 * math.pi / 4, -2.0 + 0j, True),
+    # 3e-10 off the bound state -60.5 of tan a2 = -10: |1 - t + i root| is
+    # 2.7e-11 against the cutoff 2.2e-11, while m2's own denominator, -cos a2
+    # times it, is 2.7e-12 and would fall below a cutoff 1e-12 (1 + |m1|)
+    (math.atan(-10.0) % math.pi, -60.5 + 3e-10j, False),
+    # 3e-12 off the bound state -1/2 of alpha2 = 0: 3e-12 against 2e-12,
+    # while |c + i sqrt(z)| = 2.1e-12 would fall below a cutoff
+    # 1e-12 (1 + |c| + |sqrt z|) = 2.4e-12
+    (0.0, -0.5 + 3e-12j, False),
+], ids=["pole-alpha2-0", "pole-alpha2-3pi/4", "near-pole-tan-minus-10", "near-pole-alpha2-0"])
+def test_p12_and_m2_share_one_pole_rule(alpha2, z, pole):
+    # p12 and m2 decide each point alike, on a number and on an array, and
+    # the halfline command writes a pole_validation record exactly for a pole
+    scen = HalflineScenario(alpha2)
+    for formula in (p12_halfline, m2_halfline):
+        for arg in (z, np.array([1j, z])):
+            if pole:
+                with pytest.raises(SingularDenominator):
+                    formula(arg, scen)
+            else:
+                formula(arg, scen)
+    report = cli.halfline_command([alpha2], [z])
+    names = [rec["name"] for rec in report["checks"]]
+    assert [name.startswith("pole_validation") for name in names] == (
+        [True] if pole else [False] * len(names))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from kreinkit.krein import (
     lft_to_reference,
     weyl_operator,
 )
-from kreinkit.numerics import Subspace, frob, hermitian_eig, solve_linear, unitary_eig
+from kreinkit.numerics import Subspace, frob, hermitian_eig, inverse, unitary_eig
 
 SAFE_Z = (1j, 2j, -3j, 1 + 1j, -1 + 1j, -2 - 1j, 0.5 + 0.5j)
 
@@ -523,7 +523,7 @@ def _angle_form_rebuilt(m, angle, sign):
     spec = angle.spectrum
     b = sign * spec.eigenvalues
     cos_b, sin_b = spec.compose(np.cos(b)), spec.compose(np.sin(b))
-    den_inv = solve_linear(sin_b - cos_b @ m, np.eye(m.shape[0]))
+    den_inv = inverse(sin_b - cos_b @ m)
     return (spec.compose(np.exp(-1j * b)) @ (cos_b + sin_b @ m) @ den_inv
             @ spec.compose(np.exp(1j * b)))
 

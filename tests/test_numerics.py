@@ -19,8 +19,8 @@ from kreinkit.numerics import (
     frob,
     hermitian_deviation,
     hermitian_eig,
+    inverse,
     projector,
-    solve_linear,
     unitary_eig,
 )
 
@@ -159,21 +159,17 @@ def test_compose_matches_matrix_square():
 
 def test_solve_linear_known_system_and_failures():
     m = np.array([[2.0, 0.0], [0.0, 4.0]])
-    x = solve_linear(m, np.eye(2))
+    x = inverse(m)
     assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
     with pytest.raises(SingularMatrix):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+        inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
     # the singular-value gate sits at TOL_RANK = 1e-9
     with pytest.raises(SingularMatrix):
-        solve_linear(np.diag([1.0, 5e-10]), np.eye(2))
-    assert_allclose(solve_linear(np.diag([1.0, 2e-9]), np.eye(2)),
-                    np.diag([1.0, 5e8]), rtol=1e-15)
+        inverse(np.diag([1.0, 5e-10]))
+    assert_allclose(inverse(np.diag([1.0, 2e-9])), np.diag([1.0, 5e8]), rtol=1e-15)
     with pytest.raises(ValueError):
-        solve_linear(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        solve_linear(np.zeros((2, 3)), np.eye(2))
-    empty = solve_linear(np.zeros((0, 0)), np.zeros((0, 2)))
-    assert empty.shape == (0, 2)
+        inverse(np.zeros((2, 3)))
+    assert inverse(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_solve_linear_exact_zero_pivot_raises_without_warning():
@@ -183,34 +179,30 @@ def test_solve_linear_exact_zero_pivot_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrix):
-            solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+            inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_solve_linear_decides_each_matrix_of_a_stack():
     # one matrix of the stack fails its own singular-value gate
     with pytest.raises(SingularMatrix):
-        solve_linear(np.stack([np.eye(2), np.diag([1.0, 5e-10])]), np.eye(2))
+        inverse(np.stack([np.eye(2), np.diag([1.0, 5e-10])]))
     # a ratio of 1e-12 between matrices is no failure: each passes alone
-    x = solve_linear(np.array([[[1.0]], [[1e-12]]]), np.eye(1))
+    x = inverse(np.array([[[1.0]], [[1e-12]]]))
     assert_allclose(x, np.array([[[1.0]], [[1e12]]]), rtol=1e-15)
-    # the empty stack solves to the empty stack
-    assert solve_linear(np.zeros((0, 2, 2)), np.eye(2)).shape == (0, 2, 2)
-    assert solve_linear(np.zeros((0, 1, 1)), np.zeros((0, 1, 3))).shape == (0, 1, 3)
-    # leading axes broadcast; the result is the matching stack
+    # the empty stack inverts to the empty stack
+    assert inverse(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    # any number of leading axes; the result is the matching stack
     rng = _rng(4)
     a = rng.standard_normal((2, 1, 3, 3)) + 3j * np.eye(3)
-    b = rng.standard_normal((4, 3, 2)) + 0j
-    x = solve_linear(a, b)
-    assert x.shape == (2, 4, 3, 2)
-    assert x[1, 2].tobytes() == solve_linear(a[1, 0], b[2]).tobytes()
+    x = inverse(a)
+    assert x.shape == (2, 1, 3, 3)
+    assert x[1, 0].tobytes() == inverse(a[1, 0]).tobytes()
     with pytest.raises(ValueError):
-        solve_linear(np.stack([np.eye(2), np.eye(2)]), np.eye(3))
+        inverse(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
-        solve_linear(np.zeros((2, 2, 3)), np.eye(2))
+        inverse(np.stack([np.eye(2), np.diag([1.0, np.inf])]))
     with pytest.raises(ValueError):
-        solve_linear(np.stack([np.eye(2), np.diag([1.0, np.inf])]), np.eye(2))
-    with pytest.raises(ValueError):
-        solve_linear(np.ones(2), np.eye(2))
+        inverse(np.ones(2))
 
 
 def test_solve_linear_settles_a_well_conditioned_inverse_without_an_svd(monkeypatch):
@@ -221,10 +213,7 @@ def test_solve_linear_settles_a_well_conditioned_inverse_without_an_svd(monkeypa
     stack = rng.standard_normal((4, 3, 3)) + 3j * np.eye(3)
     expected = np.linalg.solve(stack, np.eye(3))
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    assert solve_linear(stack, np.eye(3)).tobytes() == expected.tobytes()
-    # any other right-hand side leaves the decision to the singular values
-    with pytest.raises(AssertionError):
-        solve_linear(stack, 2.0 * np.eye(3))
+    assert inverse(stack).tobytes() == expected.tobytes()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.floats(-1.0, 10.0),
@@ -245,11 +234,11 @@ def test_solve_linear_decides_an_inverse_as_its_singular_values_do(
     stack = np.stack([matrix() for _ in range(depth + 1)])
     sv = np.linalg.svd(stack, compute_uv=False)
     if (sv[:, -1] > TOL_RANK * sv[:, 0]).all():
-        x = solve_linear(stack, np.eye(k))
+        x = inverse(stack)
         assert x.tobytes() == np.linalg.solve(stack, np.eye(k)).tobytes()
     else:
         with pytest.raises(SingularMatrix):
-            solve_linear(stack, np.eye(k))
+            inverse(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +262,24 @@ _LAYOUTS = ("c", "fortran", "transpose", "adjoint")
 def test_solve_linear_matches_numpy_solve_bit_for_bit(seed, n, data):
     rng = _rng(seed)
     a = _laid_out(rng, n, n, data.draw(st.sampled_from(_LAYOUTS), label="matrix layout"))
-    b = _laid_out(rng, n, data.draw(st.integers(1, n + 1), label="rhs columns"),
-                  data.draw(st.sampled_from(_LAYOUTS), label="rhs layout"))
     if data.draw(st.booleans(), label="read-only"):
         a.flags.writeable = False
-        b.flags.writeable = False
-    a_before, b_before = a.tobytes(), b.tobytes()
-    expected = np.linalg.solve(a, b)
-    got = solve_linear(a, b)
+    a_before = a.tobytes()
+    expected = np.linalg.solve(a, np.eye(n))
+    got = inverse(a)
     assert got.tobytes() == expected.tobytes()
     # numpy's own output array, not a copy in another order: frob and the
     # records built on it sum in memory order
     assert got.strides == expected.strides
-    assert a.tobytes() == a_before and b.tobytes() == b_before
-    # a stack holding a, against b shared or stacked: each matrix solves as
-    # its own 2-d call does, to the bit
+    assert a.tobytes() == a_before
+    # a stack holding a: each matrix inverts as its own 2-d call does, to
+    # the bit
     depth = data.draw(st.integers(0, 3), label="further matrices in the stack")
     stack = np.stack([a] + [_laid_out(rng, n, n, "c") for _ in range(depth)])
-    if data.draw(st.booleans(), label="stacked rhs"):
-        rhs = np.stack([b] + [_laid_out(rng, *b.shape, "c") for _ in range(depth)])
-        rhs_of = list(rhs)
-    else:
-        rhs, rhs_of = b, [b] * (depth + 1)
-    x = solve_linear(stack, rhs)
-    assert x.shape == (depth + 1,) + b.shape
-    for solution, matrix, right in zip(x, stack, rhs_of):
-        assert solution.tobytes() == solve_linear(matrix, right).tobytes()
+    x = inverse(stack)
+    assert x.shape == (depth + 1, n, n)
+    for solution, matrix in zip(x, stack):
+        assert solution.tobytes() == inverse(matrix).tobytes()
     assert x[0].tobytes() == expected.tobytes()
 
 
@@ -340,7 +321,5 @@ def test_rank_nullity_partition(seed, rows, cols):
 @given(st.integers(0, 10 ** 6), st.integers(1, 8))
 def test_solve_linear_residual(seed, k):
     m = _random_hermitian(seed, k) + 1j * np.eye(k)  # shifted: never singular
-    b = _rng(seed + 5).standard_normal((k, 2)) \
-        + 1j * _rng(seed + 6).standard_normal((k, 2))
-    x = solve_linear(m, b)
-    assert frob(m @ x - b) < 1e-9 * (1.0 + frob(m) * frob(x) + frob(b))
+    x = inverse(m)
+    assert frob(m @ x - np.eye(k)) < 1e-9 * (1.0 + frob(m) * frob(x))

@@ -76,11 +76,11 @@ def test_bench_writes_medians_per_tree(monkeypatch, tmp_path):
     out = tmp_path / "bench.json"
     bench = _load("bench")
     monkeypatch.setattr(bench, "SHAPES", ((2, 1),))
-    monkeypatch.setattr(bench, "KERNELS", {"solve_linear n=1": bench.KERNELS["solve_linear n=1"]})
+    monkeypatch.setattr(bench, "KERNELS", {"inverse n=1": bench.KERNELS["inverse n=1"]})
     assert bench.main(["--src", src, "--runs", "1", "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert set(result["cases"]) == {"import kreinkit.cli", "check (2,1)"}
-    assert set(result["kernels"]) == {"solve_linear n=1"}
+    assert set(result["kernels"]) == {"inverse n=1"}
     for per_tree in [*result["cases"].values(), *result["kernels"].values()]:
         stats = per_tree[src]
         assert stats["exit_code"] == 0
