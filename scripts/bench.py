@@ -121,6 +121,24 @@ KERNELS = {
         "except ValueError:\n"
         "    law = lambda: [lft_m1_to_m2_angle(m, angle) for m in ms]",
         "law()", 500),
+    # the angle-form law of one halfline op: the eight 1x1 angles of
+    # DEFAULT_ALPHA2 against the eight m1(z) of DEFAULT_Z, in one call on the
+    # sequence of angles, or eight calls on a tree whose law takes one angle
+    "lft_m1_to_m2_angle 8 angles x 8 z": (
+        "import numpy as np\n"
+        "from kreinkit.halfline import DEFAULT_ALPHA2, DEFAULT_Z, m1_halfline\n"
+        "from kreinkit.krein import AngleOperator, lft_m1_to_m2_angle\n"
+        "from kreinkit.numerics import SpectralDecomposition, Subspace\n"
+        "line = Subspace(basis=np.eye(1, dtype=np.complex128))\n"
+        "angles = [AngleOperator(SpectralDecomposition([a], [[1.0]]), line)\n"
+        "          for a in DEFAULT_ALPHA2]\n"
+        "m = m1_halfline(np.array(DEFAULT_Z)).reshape(-1, 1, 1)\n"
+        "try:\n"
+        "    lft_m1_to_m2_angle(m, angles)\n"
+        "    law = lambda: lft_m1_to_m2_angle(m, angles)\n"
+        "except AttributeError:\n"
+        "    law = lambda: [lft_m1_to_m2_angle(m, angle) for angle in angles]",
+        "law()", 200),
     # the Simpson rule, on a tree whose _cumulative also takes the name of
     # the rule or on one where Simpson is its only rule
     "halfline._cumulative 4001": (
@@ -143,9 +161,21 @@ KERNELS = {
         "g, g2 = hl._bump_with_second_derivative(x, float(x[grid.nodes // 2]))\n"
         "f = -g2 - 1j * g",
         "hl.dirichlet_resolvent_quadrature(f, 1j, grid)", 20),
+    # the quadrature round trip of one halfline workload input: the bump
+    # solved at each of its eight z
+    "quadrature 8 z of a halfline input": (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        "from kreinkit import halfline as hl\n"
+        "_, zs = workloads.Halfline(1).next_input()\n"
+        "grid = hl.QuadratureGrid()\ng, g2 = grid.bump",
+        "[hl.dirichlet_resolvent_quadrature(-g2 - z * g, z, grid) for z in zs]", 5),
+    # the laws and the quadrature round trip on the default grid: one
+    # verify_halfline call, plus quadrature_roundtrip on a tree where the
+    # round trip is a call of its own
     "verify_halfline default grid": (
-        "from kreinkit import halfline as hl",
-        "hl.verify_halfline()", 5),
+        "from kreinkit import halfline as hl\n"
+        "roundtrip = getattr(hl, 'quadrature_roundtrip', lambda: None)",
+        "hl.verify_halfline(); roundtrip()", 5),
 }
 KERNEL_REPEATS = 7
 _KERNEL_MAIN = """{setup}

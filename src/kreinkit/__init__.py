@@ -48,6 +48,7 @@ from .halfline import (
     m1_halfline,
     m2_halfline,
     p12_halfline,
+    quadrature_roundtrip,
     sqrt_upper,
     verify_halfline,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "p12_halfline",
     "parameter_of",
     "projector",
+    "quadrature_roundtrip",
     "resolvent_difference_at_i",
     "restricted_cayley_product",
     "sqrt_upper",

@@ -24,7 +24,13 @@ uniform grid, which gives the scalar formulas an independent, discretization-
 based check.  The tail integral is accumulated from the right end toward the
 origin: computing it as (total - running integral) would cancel away the
 exponentially small tail that the growing factor sin(sqrt(z) x) then
-amplifies back to order one.
+amplifies back to order one.  Both integrals, and sin(sqrt(z) x) itself,
+are read only where f is nonzero (up to the end of its last Simpson
+window); beyond it the solution is e^{i sqrt(z) x} times a constant.
+
+verify_halfline cross-checks the closed forms against the general
+fractional-linear laws; quadrature_roundtrip checks the Green-kernel
+solve against a closed-form bump.  They fail independently of each other.
 """
 
 from __future__ import annotations
@@ -219,9 +225,9 @@ class QuadratureGrid:
 
     @cached_property
     def bump(self) -> tuple[np.ndarray, np.ndarray]:
-        """The solution g of verify_halfline's quadrature round trip on these
-        points, the C^3 bump on [0, a] with a the middle point, and g'';
-        computed once per grid and read-only."""
+        """The solution g of quadrature_roundtrip on these points, the C^3
+        bump on [0, a] with a the middle point, and g''; computed once per
+        grid and read-only."""
         x = self.points()
         g, g2 = _bump_with_second_derivative(x, float(x[self.nodes // 2]))
         g.flags.writeable = False
@@ -254,15 +260,20 @@ def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.complex128)
     n = y.shape[0]
-    # even steps from the forward windows starting at even points, odd steps
-    # from the same windows read backwards; the windows are slices of
-    # contiguous copies of the even and odd samples
+    # even steps from the forward windows (f0, f1, f2) = (y[2j], y[2j+1],
+    # y[2j+2]), odd steps from the same windows read backwards; both read
+    # 5 f0/4 and f2/4 off the even samples and 2 f1 off the odd ones, whose
+    # contiguous copies are computed on once
     windows = (n - 1) // 2
-    steps = np.empty(n - 1, dtype=np.complex128)
     even, odd = _parts(y[::2]), _parts(y[1::2])
-    first, mid, last = even[:windows], odd[:windows], even[1:windows + 1]
-    steps[:-1:2] = _simpson_step(first, mid, last, dx).view(np.complex128).ravel()
-    steps[1::2] = _simpson_step(last, mid, first, dx).view(np.complex128).ravel()
+    five, quarter, twice = 5 * even / 4, even / 4, 2 * odd[:windows]
+    steps = np.empty(n - 1, dtype=np.complex128)
+    for out, near, far in ((steps[:2 * windows:2], five[:-1], quarter[1:]),
+                           (steps[1:2 * windows:2], five[1:], quarter[:-1])):
+        window = near + twice
+        window -= far
+        window *= dx / 3
+        out[:] = window.view(np.complex128).ravel()
     if n % 2 == 0:
         # no window ends at the last point: read the last three backwards
         tail = _parts(y[-3:])
@@ -286,27 +297,17 @@ def _exp_table(a: complex, count: int) -> np.ndarray:
         return np.outer(coarse, fine).ravel()[:count]
 
 
-def _green_integrals(e: np.ndarray, s: np.ndarray, f: np.ndarray,
-                     h: float) -> tuple[np.ndarray, np.ndarray]:
-    """c1 = int_0^x sin(ky) f(y) dy and c2 = int_x^L e^{iky} f(y) dy on a grid
-    of an odd number of points, from the samples e = e^{ikx}, s = sin(kx)
-    and f.  _cumulative runs only up to the even index K that ends the
-    Simpson window of f's last nonzero sample; beyond K every window holds
-    zeros of f, so c1 stays at c1[K] and c2 is zero, exactly as the sums
-    over the whole grid give them."""
-    n = f.shape[0]
-    c1 = np.zeros(n, dtype=np.complex128)
-    c2 = np.zeros(n, dtype=np.complex128)
-    nonzero = np.flatnonzero(f != 0.0)
-    if nonzero.size:
-        end = min(2 * (int(nonzero[-1]) // 2) + 3, n)  # K + 1
-        c1[:end] = _cumulative(s[:end] * f[:end], h)
-        c1[end:] = c1[end - 1]
-        c2[:end] = _cumulative((e[:end] * f[:end])[::-1], h)[::-1]
-    return c1, c2
+def _support_end(size: np.ndarray) -> int:
+    """K + 1 for the even index K that ends the Simpson window of the last
+    nonzero of size (the |f| samples on a grid of an odd number of points),
+    or 0 when f vanishes.  Beyond K every window holds zeros of f."""
+    nonzero = np.flatnonzero(size != 0.0)
+    if not nonzero.size:
+        return 0
+    return min(2 * (int(nonzero[-1]) // 2) + 3, size.shape[0])
 
 
-# The grid of verify_halfline and the default of dirichlet_resolvent_quadrature:
+# The grid of quadrature_roundtrip and the default of dirichlet_resolvent_quadrature:
 # one instance, so that its bump is computed once per process.
 DEFAULT_GRID = QuadratureGrid()
 
@@ -314,22 +315,33 @@ DEFAULT_GRID = QuadratureGrid()
 def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = DEFAULT_GRID) -> np.ndarray:
     """Apply the Dirichlet resolvent (A_D - z)^{-1} to sampled data.
 
-    u(x) = [e^{ikx} int_0^x sin(ky) f(y) dy + sin(kx) int_x^L e^{iky} f(y) dy] / k
+    u(x) = [e^{ikx} c1(x) + sin(kx) c2(x)] / k,
+    c1(x) = int_0^x sin(ky) f(y) dy,   c2(x) = int_x^L e^{iky} f(y) dy,
 
     with k = sqrt_upper(z).  f_samples must hold f on grid.points().  The
     exponentials e^{ikx} and e^{-ikx} come from _exp_table, and
     sin(kx) = (e^{ikx} - e^{-ikx})/(2i) is read off them; Im k * length > 690
-    raises NumericalFailure, which keeps |e^{-ikx}| <= e^690 finite.  The two
-    integrals run over the support of f only (_green_integrals).  The result
-    is validated in place by the three-point second difference of the
-    defining equation -u'' - z u = f; GridTooCoarse reports a violation.
+    raises NumericalFailure, which keeps |e^{-ikx}| <= e^690 finite.
+
+    Both integrals run over the support of f only: beyond the even index K
+    that ends the Simpson window of f's last nonzero sample every window
+    holds zeros of f, so c2 = 0 and c1 = c1[K] there, exactly as the sums
+    over the whole grid give them.  So e^{-ikx} and sin(kx) are read on
+    [0, x_K] only, and u = e^{ikx} c1[K] / k beyond it; where a part of
+    e^{ikx} c1[K] is zero, the sign that + sin(kx) * 0 gives it over the
+    whole grid is kept.  The result is bit-identical to the sums over the
+    whole grid.  It is validated in place by the three-point second
+    difference of the defining equation -u'' - z u = f; GridTooCoarse
+    reports a violation.
     """
     f = np.asarray(f_samples, dtype=np.complex128)
-    if f.ndim != 1 or f.shape[0] != grid.nodes + 1:
+    n = grid.nodes + 1
+    if f.ndim != 1 or f.shape[0] != n:
         raise BadDimensions(
-            f"expected {grid.nodes + 1} samples on the grid, got shape {f.shape}"
+            f"expected {n} samples on the grid, got shape {f.shape}"
         )
-    f_max = float(np.max(np.abs(f)))
+    size = np.abs(f)
+    f_max = float(np.max(size))
     if not math.isfinite(f_max):
         raise BadDimensions("f samples must be finite")
     z = complex(z)
@@ -339,16 +351,34 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = DEFAULT_
             "sin(kx) overflows on this grid; shorten the interval or move z"
         )
     h = grid.step
-    e = _exp_table(1j * k * h, grid.nodes + 1)
-    s = (e - _exp_table(-1j * k * h, grid.nodes + 1)) / 2j
-    c1, c2 = _green_integrals(e, s, f, h)
-    u = (e * c1 + s * c2) / k
+    end = _support_end(size)  # K + 1
+    e = _exp_table(1j * k * h, n)
+    u = np.empty(n, dtype=np.complex128)
+    c1_end = np.complex128(0.0)
+    if end:
+        head = e[:end]
+        s = (head - _exp_table(-1j * k * h, end)) / 2j
+        c1 = _cumulative(s * f[:end], h)
+        c2 = _cumulative((head * f[:end])[::-1], h)[::-1]
+        u[:end] = (head * c1 + s * c2) / k
+        c1_end = c1[-1]
+    tail = e[end:] * c1_end
+    if not tail.view(np.float64).all():
+        # the sign of a zero part comes from + sin(kx) * c2 with c2 = 0
+        s = (e[end:] - _exp_table(-1j * k * h, n)[end:]) / 2j
+        tail += s * 0j
+    u[end:] = tail / k
     u[0] = 0.0
     u_max = float(np.max(np.abs(u)))
     if not math.isfinite(u_max):
         raise NumericalFailure("quadrature produced non-finite values")
-    second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h)
-    residual = np.abs(-second - z * u[1:-1] - f[1:-1])
+    # |-u'' - z u - f| as |u'' + z u + f|, which rounds to the same value;
+    # u'' is divided by h^2 part by part, each part correctly rounded
+    second = u[:-2] - 2.0 * u[1:-1] + u[2:]
+    second.view(np.float64)[:] /= h * h
+    second += z * u[1:-1]
+    second += f[1:-1]
+    residual = np.abs(second)
     scale = 1.0 + f_max + abs(z) * u_max
     worst = float(np.max(residual)) if residual.size else 0.0
     if worst > grid.residual_tol * scale:
@@ -380,17 +410,17 @@ def _wrap_mod_pi(x: float) -> float:
     return x - math.pi * round(x / math.pi)
 
 
-def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
-                    include_quadrature: bool = True) -> dict[str, float]:
+def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
     The checks are array expressions over the (alpha2, z) grid.  m1(z) and
     the Herglotz bound are evaluated once per z.  m2(z) and p12(z) are
     evaluated once on the whole grid, by the code of m2_halfline and
-    p12_halfline with one row per angle.  The coefficient law runs once, on
-    the stack of p12(i) over alpha2 against the stack of 1x1 values m1(z)
-    over z; the angle-form law runs once per alpha2, on the stack over z.
-    Each law's solve decides every (alpha2, z) by its own denominator.
+    p12_halfline with one row per angle.  Each fractional-linear law runs
+    once on the whole grid: the coefficient law on the stack of p12(i) over
+    alpha2, the angle-form law on the sequence of angles, each against the
+    stack of 1x1 values m1(z) over z.  Each law's inverse decides every
+    (alpha2, z) by its own denominator.
 
     Returns max residuals over the (alpha2, z) grid:
       lft_phase_form       m2 vs the matrix angle-form law on 1x1 blocks
@@ -399,22 +429,19 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
       p_at_i_inverse       1/p12(i) vs tan a2 - i
       angle_recovery       a2 recovered from p12(i), compared mod pi
       herglotz_m1/_m2      positivity-bound deficit, non-real z only
-      quadrature_roundtrip Green-kernel solve on DEFAULT_GRID vs the
-                           closed-form bump solution (QuadratureGrid.bump)
 
-    Residuals are raw; callers pick the thresholds.
+    Residuals are raw; callers pick the thresholds.  The Green-kernel
+    cross-check is quadrature_roundtrip's.
     """
     from .krein import AngleOperator, lft_m1_to_m2, lft_m1_to_m2_angle
 
     keys = [
         "lft_phase_form", "lft_plain_form", "p_inverse_via_m",
         "p_at_i_inverse", "angle_recovery", "herglotz_m1", "herglotz_m2",
-        "quadrature_roundtrip",
     ]
     out = {key: 0.0 for key in keys}
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
-    zs = [complex(z) for z in z_values]
-    z_grid = np.array(zs, dtype=np.complex128)
+    z_grid = np.array([complex(z) for z in z_values], dtype=np.complex128)
     m1 = m1_halfline(z_grid)
     m1_stack = m1.reshape(-1, 1, 1)
     scenarios = [HalflineScenario(float(a2)) for a2 in alpha2_values]
@@ -427,8 +454,7 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     m2 = _m2_halfline(z_grid, column(math.cos), column(math.sin), t)
     p_z = _p12_halfline(z_grid, t)
     p_i = [p12_halfline(1j, scenario) for scenario in scenarios]
-    via_angle = np.empty((len(scenarios), len(zs)), dtype=np.complex128)
-    for row, (scenario, p) in enumerate(zip(scenarios, p_i)):
+    for scenario, p in zip(scenarios, p_i):
         out["p_at_i_inverse"] = max(
             out["p_at_i_inverse"], abs(1.0 / p - (math.tan(scenario.alpha2) - 1j))
         )
@@ -436,8 +462,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
         out["angle_recovery"] = max(
             out["angle_recovery"], abs(_wrap_mod_pi(recovered - scenario.alpha2))
         )
-        angle = AngleOperator(SpectralDecomposition([scenario.alpha2], [[1.0]]), line)
-        via_angle[row] = lft_m1_to_m2_angle(m1_stack, angle)[:, 0, 0]
+    angles = [AngleOperator(SpectralDecomposition([scenario.alpha2], [[1.0]]), line)
+              for scenario in scenarios]
+    via_angle = lft_m1_to_m2_angle(m1_stack, angles)[..., 0, 0]
     via_plain = lft_m1_to_m2(
         m1_stack, np.array(p_i, dtype=np.complex128).reshape(-1, 1, 1, 1))[..., 0, 0]
 
@@ -453,11 +480,22 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2, *,
     y = z_grid.imag[nonreal]
     out["herglotz_m1"] = worst(bounds - y * m1.imag[nonreal])
     out["herglotz_m2"] = worst(bounds - y * m2.imag[:, nonreal])
-    if include_quadrature:
-        g, g2 = DEFAULT_GRID.bump
-        for z in zs:
-            u = dirichlet_resolvent_quadrature(-g2 - z * g, z, DEFAULT_GRID)
-            out["quadrature_roundtrip"] = max(
-                out["quadrature_roundtrip"], float(np.max(np.abs(u - g)))
-            )
+    return out
+
+
+def quadrature_roundtrip(z_values=DEFAULT_Z) -> float:
+    """Max over z of |u - g| on DEFAULT_GRID, where u is the Green-kernel
+    solve (dirichlet_resolvent_quadrature) of -u'' - z u = -g'' - z g and g
+    the closed-form bump of QuadratureGrid.bump.  The solve's errors
+    propagate: GridTooCoarse where the grid does not resolve z (from about
+    |z| = 25 on DEFAULT_GRID), NumericalFailure where sin(kx) would
+    overflow."""
+    g, g2 = DEFAULT_GRID.bump
+    # complex copies once, where each z would cast the real arrays again
+    g, minus_g2 = g.astype(np.complex128), (-g2).astype(np.complex128)
+    out = 0.0
+    for z in z_values:
+        z = complex(z)
+        u = dirichlet_resolvent_quadrature(minus_g2 - z * g, z, DEFAULT_GRID)
+        out = max(out, float(np.max(np.abs(u - g))))
     return out

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -391,12 +392,18 @@ def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     return num @ den_inv
 
 
-def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
+def _angle_form(m, angle: AngleOperator | Sequence[AngleOperator], sign: float,
+                what: str) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
     b = sign * alpha, the factors taken from the angle's cache; m is one
-    matrix or a stack of them, as in lft_m1_to_m2."""
+    matrix or a stack of them, as in lft_m1_to_m2.  angle is one
+    AngleOperator, or a sequence of them whose stacked factors take a new
+    leading axis in front of m's (_stacked_law_factors)."""
     m = _as_stack(m, "weyl matrix")
-    cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
+    if isinstance(angle, AngleOperator):
+        cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
+    else:
+        cos_b, sin_b, phase_left, phase_right = _stacked_law_factors(angle, sign, m)
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
     try:
@@ -406,26 +413,44 @@ def _angle_form(m, angle: AngleOperator, sign: float, what: str) -> np.ndarray:
     return phase_left @ num @ den_inv @ phase_right
 
 
-def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
+def _stacked_law_factors(angles: Sequence[AngleOperator], sign: float,
+                         m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of law_factors(sign) stacked over the angles, shaped
+    (len(angles), 1, ..., 1, k, k) so that it broadcasts against m's
+    leading axes."""
+    k = m.shape[-1]
+    shape = (len(angles),) + (1,) * (m.ndim - 2) + (k, k)
+    per_angle = [angle.law_factors(sign) for angle in angles]
+    return tuple(np.array([factors[j] for factors in per_angle],
+                          dtype=np.complex128).reshape(shape) for j in range(4))
+
+
+def lft_m1_to_m2_angle(m1, angle: AngleOperator | Sequence[AngleOperator]) -> np.ndarray:
     """Angle form of the same law, for every pair:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
 
     It is lft_m1_to_m2 written in the angle: p(i) = i e^{-i alpha} cos(alpha)
     and 1 + i p(i) = i e^{-i alpha} sin(alpha).  m1 is one matrix or a stack
-    of them, as in lft_m1_to_m2.
+    of them, as in lft_m1_to_m2.  angle is one AngleOperator, or a sequence
+    of them, say one per pair of a grid of pairs, the way lft_m1_to_m2 takes
+    a stack of p(i): the result then has a leading axis over the angles in
+    front of m1's axes.  The whole grid takes one inverse call, which
+    decides each denominator on its own, and maps every matrix bit for bit
+    as a call with its own angle would.
     """
     return _angle_form(m1, angle, 1.0, "angle-form")
 
 
-def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
+def lft_to_reference(m1, angle_ref1: AngleOperator | Sequence[AngleOperator]) -> np.ndarray:
     """Invert the angle-form law: recover the auxiliary reference extension's
     M-operator from m1, where angle_ref1 is the angle of (reference, ext1):
 
         m_ref = -e^{i a} (cos a - sin a * m1) (sin a + cos a * m1)^{-1} e^{-i a}
 
     which is the angle form at -alpha.  m1 is one matrix or a stack of them,
-    as in lft_m1_to_m2.
+    as in lft_m1_to_m2, and angle_ref1 one angle or a sequence of them, as
+    in lft_m1_to_m2_angle.
     """
     return _angle_form(m1, angle_ref1, -1.0, "reference-inversion")
 

@@ -24,7 +24,7 @@ from kreinkit.extension import (
     parameter_of,
     resolvent_difference_at_i,
 )
-from kreinkit.halfline import sqrt_upper
+from kreinkit.halfline import m1_halfline, sqrt_upper
 from kreinkit.krein import PSample, _resolvent_diagonal
 from kreinkit.numerics import (
     TOL_HERM,
@@ -101,6 +101,55 @@ def eig22(m):
     disc = np.sqrt(tr * tr / 4.0 - det + 0j)
     pair = [tr / 2.0 - disc, tr / 2.0 + disc]
     return tuple(sorted(pair, key=lambda w: (w.real, w.imag)))
+
+
+# ---------------------------------------------------------------------------
+# the half-line pair with n = 2: -d^2/dx^2 on [0, inf) tensored with C^2.
+# The reference is Dirichlet, with M(z) = m1(z) I; an extension with a
+# Hermitian 2x2 boundary matrix A has the matrix forms of the scalar closed
+# forms.  Functions of A come from expm and the 2x2 helpers, not from an
+# eigendecomposition, so they are independent of the library's spectral
+# calculus.
+
+
+def cos_sin(a):
+    """(cos A, sin A) of a Hermitian matrix, from e^{iA} and e^{-iA}."""
+    e, e_inv = expm(1j * a), expm(-1j * a)
+    return (e + e_inv) / 2.0, (e - e_inv) / 2j
+
+
+def matrix_m_halfline(z, a):
+    """M_A(z) = (cos A + sin A m1(z)) (sin A - cos A m1(z))^{-1}: the matrix
+    form of m2_halfline.  M_A(i) = i; A = (pi/2) I is Dirichlet itself."""
+    m1 = m1_halfline(complex(z))
+    cos_a, sin_a = cos_sin(a)
+    return (cos_a + sin_a * m1) @ inv22(sin_a - cos_a * m1)
+
+
+def matrix_p_at_i(a1, a2):
+    """P(i) of the pair (A1, A2), A1 the reference: (i/2)(1 - C2 C1^{-1})
+    on N+.  The restricted Cayley product of each extension against
+    Dirichlet is W_k = -e^{-2i A_k} (the scalar pair's -e^{-2i a2}), and
+    C2 C1^{-1} = (C2 C_D^{-1})(C1 C_D^{-1})^{-1} makes the pair's product
+    W2 W1^{-1}."""
+    w1, w2 = -expm(-2j * a1), -expm(-2j * a2)
+    return 0.5j * (np.eye(2) - w2 @ inv22(w1))
+
+
+def matrix_p12_halfline(z, a1, a2):
+    """Compressed resolvent difference of the pair (A1, A2):
+    P(z) = ((1 + i P(i)) - P(i) M_{A1}(z))^{-1} P(i), the paper's
+    (sin a - cos a M1(z)) P(z) = cos a multiplied by i e^{-ia}."""
+    p_i = matrix_p_at_i(a1, a2)
+    return inv22(np.eye(2) + 1j * p_i - p_i @ matrix_m_halfline(z, a1)) @ p_i
+
+
+def matrix_bound_states(a):
+    """The bound states z = -c^2 of the extension with boundary matrix A, one
+    per eigenvalue a_k with c = (1 - tan a_k)/sqrt(2) > 0: there
+    m1(z) = tan a_k, and sin A - cos A m1(z) is singular."""
+    c = [(1.0 - math.tan(w.real)) * math.sqrt(0.5) for w in eig22(a)]
+    return [complex(-ck * ck) for ck in c if ck > 0.0]
 
 
 # ---------------------------------------------------------------------------

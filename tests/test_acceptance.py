@@ -19,7 +19,13 @@ import support
 from kreinkit import checks, cli
 from kreinkit import krein as kr
 from kreinkit.extension import ExtensionParameter, build_model, extension_from_parameter
-from kreinkit.halfline import m1_halfline, m2_halfline, HalflineScenario, verify_halfline
+from kreinkit.halfline import (
+    HalflineScenario,
+    m1_halfline,
+    m2_halfline,
+    quadrature_roundtrip,
+    verify_halfline,
+)
 from kreinkit.numerics import frob, projector
 
 SHAPES = [(2, 1), (4, 1), (4, 2), (4, 3), (8, 1),
@@ -233,17 +239,16 @@ def test_criterion_07_scalar_ground_truth():
 def test_criterion_08_halfline_grid():
     started = time.perf_counter()
     res = verify_halfline()
+    roundtrip = quadrature_roundtrip()
     elapsed = time.perf_counter() - started
     for key, value in res.items():
-        if key == "quadrature_roundtrip":
-            assert value <= 1e-6, (key, value)
-        else:
-            assert value <= 1e-10, (key, value)
+        assert value <= 1e-10, (key, value)
+    assert roundtrip <= 1e-6
     assert elapsed < 10.0
-    worst_scalar = max(v for k, v in res.items() if k != "quadrature_roundtrip")
+    worst_scalar = max(res.values())
     _line(8, "half-line closed forms",
           f"8x8 grid, scalar identities {worst_scalar:.3e} (tol 1e-10), "
-          f"quadrature {res['quadrature_roundtrip']:.3e} (tol 1e-6), "
+          f"quadrature {roundtrip:.3e} (tol 1e-6), "
           f"{elapsed:.2f} s")
 
 

@@ -21,7 +21,7 @@ import support
 from kreinkit import checks, cli, halfline
 from kreinkit import extension as extension_module
 from kreinkit import krein as krein_module
-from kreinkit.errors import BadDimensions, NotInvariant
+from kreinkit.errors import BadDimensions, KreinKitError, NotInvariant
 from kreinkit.numerics import frob
 
 
@@ -520,6 +520,75 @@ def test_halfline_decides_each_z_on_its_own():
     # z = i are of order 1: each z passes its own gate
     doc = cli.halfline_command([0.0, 0.3], [1j, -0.5 + 1e-10j])
     assert doc["summary"] == "pass", doc["checks"]
+
+
+LAW_RECORDS = ["angle_recovery", "herglotz_m1", "herglotz_m2", "lft_phase_form",
+               "lft_plain_form", "p_at_i_inverse", "p_inverse_via_m"]
+
+
+@pytest.mark.parametrize("z, residual", [(-25.0 + 0j, "5.180e-03"), (30.0 + 1j, "7.546e-03")])
+def test_a_quadrature_failure_keeps_the_law_records(z, residual):
+    # the 4000-node grid does not resolve |z| of about 25 or more: the round
+    # trip fails on its own record, and the closed-form laws still report
+    doc = cli.halfline_command([0.3], [z])
+    assert doc["summary"] == "fail"
+    *laws, quadrature = doc["checks"]
+    assert [rec["name"] for rec in laws] == LAW_RECORDS
+    assert all(rec["pass"] and "error" not in rec for rec in laws)
+    assert quadrature == {
+        "name": "quadrature_roundtrip", "max_residual": -1.0,
+        "tolerance": cli.QUADRATURE_TOL, "pass": False, "error": "GridTooCoarse",
+        "note": quadrature["note"],
+    }
+    assert quadrature["note"].startswith(f"second-difference residual {residual} exceeds")
+
+
+def _pole_records(alpha2_values, z_values, tol=1e-10):
+    """The pole_validation records of per-point m2_halfline calls, in the
+    order of the (alpha2, z) loops."""
+    out = []
+    for a2 in alpha2_values:
+        scen = halfline.HalflineScenario(a2)
+        for z in z_values:
+            try:
+                halfline.m2_halfline(z, scen)
+            except KreinKitError as exc:
+                out.append(checks.error_record(
+                    f"pole_validation[alpha2={a2:.6g},z={z:.6g}]", tol, exc))
+    return out
+
+
+@pytest.mark.parametrize("alpha2_values, z_values, poles", [
+    # 3e-10 off the bound state -60.5 of tan a2 = -10, and 3e-12 off the
+    # bound state -1/2 of alpha2 = 0: both points are regular
+    ([math.atan(-10.0) % math.pi], [-60.5 + 3e-10j], 0),
+    ([0.0], [-0.5 + 3e-12j], 0),
+    # the bound states -1/2 of alpha2 = 0 and -2 of alpha2 = 3 pi/4
+    ([0.0, 3 * math.pi / 4], [-0.5 + 0j, -2.0 + 0j], 2),
+    # rows that mix poles and regular points, and a row without a pole
+    ([0.3, 0.0, 3 * math.pi / 4], [1j, -0.5 + 0j, -2.0 + 0j, -0.5 + 3e-12j, 1 + 1j], 2),
+], ids=["near-pole-tan-minus-10", "near-pole-alpha2-0", "bound-states", "mixed-rows"])
+def test_pole_screen_decides_like_per_point_calls(alpha2_values, z_values, poles):
+    # one m2_halfline call per alpha2 on the array of z, and point by point
+    # calls only for a row that raised: the same records as 64 scalar calls
+    z_array = np.array(z_values)
+    for a2 in alpha2_values:
+        scen = halfline.HalflineScenario(a2)
+        row_has_pole = bool(_pole_records([a2], z_values))
+        try:
+            halfline.m2_halfline(z_array, scen)
+            assert not row_has_pole
+        except KreinKitError:
+            assert row_has_pole
+    doc = cli.halfline_command(alpha2_values, z_values)
+    flagged = [rec for rec in doc["checks"] if rec["name"].startswith("pole_validation")]
+    expected = _pole_records(alpha2_values, z_values)
+    assert len(expected) == poles
+    assert flagged == sorted(expected, key=lambda rec: rec["name"])
+    if poles:
+        assert all(rec["note"].endswith("is a pole of the resolvent difference")
+                   for rec in flagged)
+        assert len(doc["checks"]) == poles  # no law runs on a grid with a pole
 
 
 def test_halfline_flagged_inputs_exit_1(tmp_path):

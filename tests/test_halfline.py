@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.linalg import expm
 
 from kreinkit.errors import (
     BadDimensions,
@@ -18,8 +19,8 @@ from kreinkit.errors import (
 )
 import support
 from kreinkit import cli, halfline
-from kreinkit.krein import AngleOperator
-from kreinkit.numerics import SpectralDecomposition, Subspace, hermitian_eig
+from kreinkit.krein import AngleOperator, lft_m1_to_m2_angle
+from kreinkit.numerics import SpectralDecomposition, Subspace, hermitian_eig, unitary_eig
 from kreinkit.halfline import (
     DEFAULT_ALPHA2,
     DEFAULT_Z,
@@ -29,6 +30,7 @@ from kreinkit.halfline import (
     m1_halfline,
     m2_halfline,
     p12_halfline,
+    quadrature_roundtrip,
     sqrt_upper,
     verify_halfline,
 )
@@ -106,7 +108,7 @@ def test_m2_halfline_keeps_its_imaginary_part_at_huge_z(z, alpha2):
     assert abs((got.imag - want_im) / want_im) < 8 * EPS
     if alpha2 == 0.3 and z == 1e50j:
         # a true Herglotz function: no false positivity violation
-        assert verify_halfline((z,), (alpha2,), include_quadrature=False)["herglotz_m2"] == 0.0
+        assert verify_halfline((z,), (alpha2,))["herglotz_m2"] == 0.0
 
 
 def test_p12_inversion_identity():
@@ -444,10 +446,8 @@ def test_grid_too_coarse_is_reported():
 def test_verify_halfline_default_grid():
     res = verify_halfline()
     for key, value in res.items():
-        if key == "quadrature_roundtrip":
-            assert value < 1e-6, (key, value)
-        else:
-            assert value < 1e-10, (key, value)
+        assert value < 1e-10, (key, value)
+    assert quadrature_roundtrip() < 1e-6
 
 
 def test_verify_halfline_on_an_empty_z_grid():
@@ -457,16 +457,92 @@ def test_verify_halfline_on_an_empty_z_grid():
                if key not in ("p_at_i_inverse", "angle_recovery")), res
     res = verify_halfline(z_values=(), alpha2_values=())
     assert set(res.values()) == {0.0}
+    assert quadrature_roundtrip(()) == 0.0
 
 
-def test_verify_halfline_without_quadrature():
-    res = verify_halfline(include_quadrature=False)
-    assert res["quadrature_roundtrip"] == 0.0
+def test_verify_halfline_without_quadrature(monkeypatch):
+    # the closed-form laws run no quadrature: quadrature_roundtrip is the
+    # one caller of the Green-kernel solve, under its own error boundary
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_halfline ran the quadrature")
+
+    monkeypatch.setattr(halfline, "dirichlet_resolvent_quadrature", refuse)
+    res = verify_halfline()
+    assert "quadrature_roundtrip" not in res
     assert res["lft_phase_form"] < 1e-10
 
 
 def test_verify_halfline_angle_recovery_mod_pi():
     # angles beyond (-pi/2, pi/2] are recovered modulo pi
-    res = verify_halfline(z_values=(1j,), alpha2_values=(5 * math.pi / 8,),
-                          include_quadrature=False)
+    res = verify_halfline(z_values=(1j,), alpha2_values=(5 * math.pi / 8,))
     assert res["angle_recovery"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# n = 2: boundary matrices that do not commute (support's matrix closed forms)
+
+
+def _boundary_pair(seed):
+    """Two Hermitian 2x2 boundary matrices with commutator norm above 0.1."""
+    rng = np.random.default_rng(seed)
+    a1, a2 = (0.6 * support.random_hermitian(rng, 2) for _ in range(2))
+    assert np.linalg.norm(a1 @ a2 - a2 @ a1) > 0.1
+    return a1, a2
+
+
+def _angle_of(p_i):
+    """The pair's angle read off P(i) = i e^{-i alpha} cos(alpha):
+    1 + 2i P(i) = -e^{-2i alpha}, mapped through the branch (-pi/2, pi/2]."""
+    w = unitary_eig(np.eye(2) + 2j * p_i)
+    alpha = [support.branch_angle(lam) for lam in w.eigenvalues]
+    return AngleOperator(SpectralDecomposition(alpha, w.eigenvectors),
+                         Subspace(basis=np.eye(2, dtype=np.complex128)))
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+def test_angle_form_law_maps_m_a1_to_m_a2_for_non_commuting_boundary_matrices(seed):
+    # the operator-valued law on the densely defined pair: the factor order
+    # of the law and of the Cayley product, which no scalar example sees
+    a1, a2 = _boundary_pair(seed)
+    angle = _angle_of(support.matrix_p_at_i(a1, a2))
+    m_a1 = np.stack([support.matrix_m_halfline(z, a1) for z in DEFAULT_Z])
+    m_a2 = np.stack([support.matrix_m_halfline(z, a2) for z in DEFAULT_Z])
+    mapped = lft_m1_to_m2_angle(m_a1, angle)
+    for got, want in zip(mapped, m_a2):
+        assert np.linalg.norm(got - want) <= 1e-13 * (1.0 + np.linalg.norm(want))
+    # the other order of the Cayley product, W1^{-1} W2, gives another angle
+    # that misses: the example tells the two orders apart
+    w1, w2 = -expm(-2j * a1), -expm(-2j * a2)
+    wrong = _angle_of(0.5j * (np.eye(2) - support.inv22(w1) @ w2))
+    assert np.max(np.linalg.norm(lft_m1_to_m2_angle(m_a1, wrong) - m_a2, axis=(1, 2))) > 1e-2
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_matrix_p12_against_dirichlet_is_p12_on_each_boundary_eigenvalue(seed):
+    # A1 = (pi/2) I is Dirichlet (M_A1 = m1 I), so the pair's P(z) is the
+    # scalar p12_halfline of each eigenvalue of A2 in A2's eigenframe
+    _, a2 = _boundary_pair(seed)
+    dirichlet = (math.pi / 2) * np.eye(2)
+    w, v = np.linalg.eigh(a2)
+    for z in DEFAULT_Z:
+        assert np.linalg.norm(support.matrix_m_halfline(z, dirichlet)
+                              - m1_halfline(z) * np.eye(2)) < 1e-14 * (1.0 + abs(m1_halfline(z)))
+        scalar = [p12_halfline(z, HalflineScenario(float(a))) for a in w]
+        want = (v * scalar) @ v.conj().T
+        assert np.linalg.norm(support.matrix_p12_halfline(z, dirichlet, a2) - want) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+def test_bound_states_of_the_second_boundary_matrix_are_poles_of_the_law(seed):
+    # at a bound state of A2, sin A2 - cos A2 m1(z) is singular, and so is the
+    # denominator of the law that maps M_A1 there
+    a1, a2 = _boundary_pair(seed)
+    angle = _angle_of(support.matrix_p_at_i(a1, a2))
+    states = support.matrix_bound_states(a2)
+    assert states
+    for z in states:
+        cos_a, sin_a = support.cos_sin(a2)
+        sv = np.linalg.svd(sin_a - cos_a * m1_halfline(z), compute_uv=False)
+        assert sv[-1] <= 1e-14 * sv[0]
+        with pytest.raises(SingularDenominator):
+            lft_m1_to_m2_angle(support.matrix_m_halfline(z, a1), angle)

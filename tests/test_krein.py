@@ -29,7 +29,7 @@ from kreinkit.extension import (
     parameter_of,
     restricted_cayley_product,
 )
-from kreinkit.halfline import verify_halfline
+from kreinkit.halfline import DEFAULT_ALPHA2, DEFAULT_Z, m1_halfline, verify_halfline
 from kreinkit.krein import (
     AngleOperator,
     PairContext,
@@ -42,7 +42,14 @@ from kreinkit.krein import (
     lft_to_reference,
     weyl_operator,
 )
-from kreinkit.numerics import Subspace, frob, hermitian_eig, inverse, unitary_eig
+from kreinkit.numerics import (
+    SpectralDecomposition,
+    Subspace,
+    frob,
+    hermitian_eig,
+    inverse,
+    unitary_eig,
+)
 
 SAFE_Z = (1j, 2j, -3j, 1 + 1j, -1 + 1j, -2 - 1j, 0.5 + 0.5j)
 
@@ -145,7 +152,7 @@ def test_herglotz_lower_bound_at_huge_z():
     assert herglotz_lower_bound(1e200j) == 1.0
     assert herglotz_lower_bound(1e160 + 1j) == pytest.approx(1e-320, rel=1e-3)
     assert herglotz_lower_bound(-1e200 - 1e200j) == pytest.approx(0.5)
-    res = verify_halfline((1e200j,), (0.3,), include_quadrature=False)
+    res = verify_halfline((1e200j,), (0.3,))
     assert all(math.isfinite(value) for value in res.values())
     # up to |z| = 1e150 the bound is the unscaled formula, bit for bit
     for z in (1e150j, 1e150 + 1e-3j, -7e149 + 7e149j, 2 - 1e-200j):
@@ -588,6 +595,67 @@ def test_coefficient_law_on_a_stack_of_p_matches_the_per_p_calls(seed, k, pairs,
     if zs:
         for p, mapped in zip(p_i, lft_m1_to_m2(m1[0], p_i)):
             assert mapped.tobytes() == lft_m1_to_m2(m1[0], p).tobytes()
+
+
+def _line_angles(alphas):
+    line = Subspace(basis=np.eye(1, dtype=np.complex128))
+    return [AngleOperator(SpectralDecomposition([a], [[1.0]]), line) for a in alphas]
+
+
+_OFF_AXIS_Z = st.builds(complex, st.floats(-30.0, 30.0),
+                       st.floats(0.01, 30.0) | st.floats(-30.0, -0.01))
+
+
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+       st.lists(st.sampled_from(DEFAULT_Z) | _OFF_AXIS_Z, max_size=8))
+@example(alphas=[0.3, 2.0], zs=[])          # an empty z grid
+@example(alphas=[0.3], zs=list(DEFAULT_Z))  # one alpha2
+@example(alphas=list(DEFAULT_ALPHA2), zs=list(DEFAULT_Z))
+def test_angle_form_on_a_sequence_of_angles_matches_the_per_angle_calls(alphas, zs):
+    # the half-line grid: one call of each angle-form law maps the stack of
+    # m1(z) through every 1x1 angle, with a leading axis over the angles, and
+    # each angle's slice is the call with that angle alone, to the bit
+    angles = _line_angles(alphas)
+    m1 = m1_halfline(np.array(zs, dtype=np.complex128)).reshape(-1, 1, 1)
+    for law in (lft_m1_to_m2_angle, lft_to_reference):
+        grid = law(m1, angles)
+        assert grid.shape == (len(alphas), len(zs), 1, 1)
+        for angle, mapped in zip(angles, grid):
+            assert mapped.tobytes() == law(m1, angle).tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]), st.integers(0, 4),
+       st.integers(0, 5))
+def test_angle_form_on_a_sequence_of_k_by_k_angles_matches_the_per_angle_calls(
+        seed, k, count, zs):
+    rng = np.random.default_rng(seed)
+    frame = Subspace(basis=np.eye(k, dtype=np.complex128))
+    angles = [AngleOperator(hermitian_eig(support.random_hermitian(rng, k)), frame)
+              for _ in range(count)]
+    m1 = rng.standard_normal((zs, k, k)) + 1j * rng.standard_normal((zs, k, k))
+    for law in (lft_m1_to_m2_angle, lft_to_reference):
+        grid = law(m1, angles)
+        assert grid.shape == (count, zs, k, k)
+        for angle, mapped in zip(angles, grid):
+            assert mapped.tobytes() == law(m1, angle).tobytes()
+        if zs:  # one matrix against the sequence
+            for angle, mapped in zip(angles, law(m1[0], angles)):
+                assert mapped.tobytes() == law(m1[0], angle).tobytes()
+
+
+def test_angle_form_on_a_sequence_of_angles_refuses_a_singular_denominator():
+    # alpha = 0 against m1 = 0 makes sin a - cos a m1 exactly 0: the sequence
+    # raises with the message of the call with that angle alone
+    angles = _line_angles([0.3, 0.0])
+    m1 = np.array([[[1j]], [[0.0]]])
+    for law, what in ((lft_m1_to_m2_angle, "angle-form"),
+                      (lft_to_reference, "reference-inversion")):
+        message = f"{what} denominator is singular"
+        with pytest.raises(SingularDenominator, match=message):
+            law(m1, angles[1])
+        with pytest.raises(SingularDenominator, match=message):
+            law(m1, angles)
+        law(m1, angles[:1])
 
 
 def test_krein_resolvent_singular_denominator():

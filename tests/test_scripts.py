@@ -103,7 +103,11 @@ def test_bench_kernels_run_on_the_current_tree(monkeypatch):
     # every kernel's set-up and statement run once; a set-up that no longer
     # matches the library would otherwise surface only in a full bench run
     monkeypatch.setattr(sys, "path", sys.path[:])  # set-ups may extend it
-    for setup, stmt, _ in _load("bench").KERNELS.values():
+    kernels = _load("bench").KERNELS
+    # the layers of a halfline op each have a kernel of their own
+    assert {"halfline_command", "quadrature 8 z of a halfline input",
+            "lft_m1_to_m2_angle 8 angles x 8 z", "verify_halfline default grid"} <= set(kernels)
+    for setup, stmt, _ in kernels.values():
         namespace = {}
         exec(setup, namespace)
         exec(stmt, namespace)
