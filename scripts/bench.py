@@ -37,15 +37,7 @@ SHAPES = ((8, 2), (32, 3), (64, 3))
 SCENARIO_SEED = 3
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
-# numerics.inverse, or on a tree that predates it, solve_linear against the
-# identity
-_INVERSE = ("import numpy as np\n"
-            "try:\n"
-            "    from kreinkit.numerics import inverse\n"
-            "except ImportError:\n"
-            "    from kreinkit.numerics import solve_linear\n"
-            "    def inverse(a):\n"
-            "        return solve_linear(a, np.eye(a.shape[-1]))\n")
+_INVERSE = "import numpy as np\nfrom kreinkit.numerics import inverse\n"
 _RANDOM = _INVERSE + ("g = np.random.default_rng(0).standard_normal((2, {n}, {n}))\n"
                       "a = g[0] + 1j * g[1]")
 # name -> (set-up, timed statement, calls per sample)
@@ -106,50 +98,20 @@ KERNELS = {
         "angle = angle_operator(model.reference, Extension(np.ones((1, 1))), model.nplus)\n"
         "m = np.array([[1.0 + 1.0j]])",
         "lft_m1_to_m2_angle(m, angle)", 2000),
-    # eight M-values through the angle law: one call on their stack, or
-    # eight calls on a tree whose laws take one matrix per call
+    # eight M-values through the angle law, one call on their stack
     "lft_m1_to_m2_angle 8 stacked 1x1": (
         "import numpy as np\n"
         "from kreinkit.extension import Extension, build_model\n"
         "from kreinkit.krein import angle_operator, lft_m1_to_m2_angle\n"
         "model = build_model(np.zeros((1, 1)), np.eye(1))\n"
         "angle = angle_operator(model.reference, Extension(np.ones((1, 1))), model.nplus)\n"
-        "ms = (1.0 + 1.0j) * np.arange(1, 9).reshape(8, 1, 1)\n"
-        "try:\n"
-        "    lft_m1_to_m2_angle(ms, angle)\n"
-        "    law = lambda: lft_m1_to_m2_angle(ms, angle)\n"
-        "except ValueError:\n"
-        "    law = lambda: [lft_m1_to_m2_angle(m, angle) for m in ms]",
-        "law()", 500),
-    # the angle-form law of one halfline op: the eight 1x1 angles of
-    # DEFAULT_ALPHA2 against the eight m1(z) of DEFAULT_Z, in one call on the
-    # sequence of angles, or eight calls on a tree whose law takes one angle
-    "lft_m1_to_m2_angle 8 angles x 8 z": (
-        "import numpy as np\n"
-        "from kreinkit.halfline import DEFAULT_ALPHA2, DEFAULT_Z, m1_halfline\n"
-        "from kreinkit.krein import AngleOperator, lft_m1_to_m2_angle\n"
-        "from kreinkit.numerics import SpectralDecomposition, Subspace\n"
-        "line = Subspace(basis=np.eye(1, dtype=np.complex128))\n"
-        "angles = [AngleOperator(SpectralDecomposition([a], [[1.0]]), line)\n"
-        "          for a in DEFAULT_ALPHA2]\n"
-        "m = m1_halfline(np.array(DEFAULT_Z)).reshape(-1, 1, 1)\n"
-        "try:\n"
-        "    lft_m1_to_m2_angle(m, angles)\n"
-        "    law = lambda: lft_m1_to_m2_angle(m, angles)\n"
-        "except AttributeError:\n"
-        "    law = lambda: [lft_m1_to_m2_angle(m, angle) for angle in angles]",
-        "law()", 200),
-    # the Simpson rule, on a tree whose _cumulative also takes the name of
-    # the rule or on one where Simpson is its only rule
+        "ms = (1.0 + 1.0j) * np.arange(1, 9).reshape(8, 1, 1)",
+        "lft_m1_to_m2_angle(ms, angle)", 500),
+    # the Simpson rule
     "halfline._cumulative 4001": (
         "import numpy as np\nfrom kreinkit import halfline as hl\n"
-        "x = np.linspace(0.0, 40.0, 4001)\ny = np.exp((-0.3 + 1j) * x)\n"
-        "try:\n"
-        "    hl._cumulative(y, 0.01)\n"
-        "    rule = lambda: hl._cumulative(y, 0.01)\n"
-        "except TypeError:\n"
-        "    rule = lambda: hl._cumulative(y, 0.01, 'simpson')",
-        "rule()", 200),
+        "x = np.linspace(0.0, 40.0, 4001)\ny = np.exp((-0.3 + 1j) * x)",
+        "hl._cumulative(y, 0.01)", 200),
     "dirichlet_resolvent_quadrature": (
         "import numpy as np\nfrom kreinkit import halfline as hl\n"
         "grid = hl.QuadratureGrid()\nf = np.exp(-grid.points())",
@@ -169,13 +131,11 @@ KERNELS = {
         "_, zs = workloads.Halfline(1).next_input()\n"
         "grid = hl.QuadratureGrid()\ng, g2 = grid.bump",
         "[hl.dirichlet_resolvent_quadrature(-g2 - z * g, z, grid) for z in zs]", 5),
-    # the laws and the quadrature round trip on the default grid: one
-    # verify_halfline call, plus quadrature_roundtrip on a tree where the
-    # round trip is a call of its own
+    # the law step of a halfline op: the closed forms and both
+    # fractional-linear laws on the default grid
     "verify_halfline default grid": (
-        "from kreinkit import halfline as hl\n"
-        "roundtrip = getattr(hl, 'quadrature_roundtrip', lambda: None)",
-        "hl.verify_halfline(); roundtrip()", 5),
+        "from kreinkit import halfline as hl",
+        "hl.verify_halfline()", 50),
 }
 KERNEL_REPEATS = 7
 _KERNEL_MAIN = """{setup}

@@ -204,7 +204,7 @@ def angle_suite(pair: kr.PairContext, zs: list, tol: float):
     and P(z) up to the factor cos(alpha), and the angle form of the
     fractional-linear law."""
     angle = pair.angle
-    cos_a, sin_a, _, _ = angle.law_factors(1.0)
+    cos_a, sin_a, _, _ = angle.law_factors
     yield record("angle_tan_inversion",
                  frob((sin_a - 1j * cos_a) @ pair.p(1j).restricted - cos_a), tol)
     # the angle form maps the stacked M1(z) of the whole grid in one call,

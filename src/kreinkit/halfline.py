@@ -50,8 +50,7 @@ from .errors import (
     NumericalFailure,
     SingularDenominator,
 )
-from .krein import herglotz_lower_bound
-from .numerics import SpectralDecomposition, Subspace
+from .krein import _angle_form, herglotz_lower_bound, lft_m1_to_m2
 
 SQRT_HALF = math.sqrt(0.5)
 BRANCH_CUT_TOL = 1e-12  # how close to [0, inf) a spectral parameter may sit
@@ -136,8 +135,8 @@ def _assemble(re, im):
 # m1_halfline, m2_halfline and p12_halfline take a number z or a numpy array
 # of them.  One expression serves both: Python's complex arithmetic for a
 # number, numpy's for an array, whose division can round differently in the
-# last bit.  The angle's constants enter through _m2_halfline and
-# _p12_halfline, which broadcast them, as columns, against an array of z.
+# last bit.  verify_halfline passes the angle's constants as columns, which
+# broadcast against an array of z.
 
 
 def m1_halfline(z):
@@ -167,17 +166,16 @@ def _pole_checked_root(z, t):
 def m2_halfline(z, scenario: HalflineScenario):
     """Weyl function of the angle-a2 extension via the scalar angle law.
 
-    The imaginary part is Im m1 / |sin a2 - cos a2 m1|^2, exact for a map of
-    determinant 1; read off the quotient it cancels away for |z| >= 1e34.
     Its poles are p12's, refused by the same rule."""
     a2 = scenario.alpha2
-    return _m2_halfline(z, math.cos(a2), math.sin(a2), math.tan(a2))
+    root, _ = _pole_checked_root(z, math.tan(a2))
+    return _m2_from_m1(1.0 + 1j * root, math.cos(a2), math.sin(a2))
 
 
-def _m2_halfline(z, ca, sa, t):
-    """m2_halfline at z for cos a2 = ca, sin a2 = sa and tan a2 = t."""
-    root, _ = _pole_checked_root(z, t)
-    m1 = 1.0 + 1j * root
+def _m2_from_m1(m1, ca, sa):
+    """(ca + sa m1) / (sa - ca m1) for cos a2 = ca and sin a2 = sa.  The
+    imaginary part is Im m1 / |sa - ca m1|^2, exact for a map of
+    determinant 1; read off the quotient it cancels away for |z| >= 1e34."""
     den = sa - ca * m1
     size = abs(den)
     return _assemble(((ca + sa * m1) / den).real, m1.imag / size / size)
@@ -185,12 +183,7 @@ def _m2_halfline(z, ca, sa, t):
 
 def p12_halfline(z, scenario: HalflineScenario):
     """Compressed resolvent difference of the pair: -1/(1 - tan a2 + i sqrt(2z))."""
-    return _p12_halfline(z, math.tan(scenario.alpha2))
-
-
-def _p12_halfline(z, t):
-    """p12_halfline at z for tan a2 = t."""
-    _, den = _pole_checked_root(z, t)
+    _, den = _pole_checked_root(z, math.tan(scenario.alpha2))
     return -1.0 / den
 
 
@@ -235,12 +228,6 @@ class QuadratureGrid:
         return g, g2
 
 
-def _simpson_step(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, dx: float) -> np.ndarray:
-    """Integral from the first to the second point of the three-point windows
-    (f0, f1, f2)."""
-    return dx / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)
-
-
 def _parts(y: np.ndarray) -> np.ndarray:
     """Contiguous (n, 2) real array of complex samples: the real and
     imaginary parts as columns."""
@@ -248,8 +235,8 @@ def _parts(y: np.ndarray) -> np.ndarray:
 
 
 def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running integral of complex samples y on a uniform grid, from 0, by
-    the composite Simpson rule.
+    """Running integral of complex samples y on a uniform grid of an odd
+    number of points, from 0, by the composite Simpson rule.
 
     The rule is that of scipy.integrate.cumulative_simpson (initial=0),
     applied to the real and imaginary parts in scipy's operation order, so
@@ -260,24 +247,21 @@ def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.complex128)
     n = y.shape[0]
+    if n % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of samples, got {n}")
     # even steps from the forward windows (f0, f1, f2) = (y[2j], y[2j+1],
     # y[2j+2]), odd steps from the same windows read backwards; both read
     # 5 f0/4 and f2/4 off the even samples and 2 f1 off the odd ones, whose
     # contiguous copies are computed on once
-    windows = (n - 1) // 2
     even, odd = _parts(y[::2]), _parts(y[1::2])
-    five, quarter, twice = 5 * even / 4, even / 4, 2 * odd[:windows]
+    five, quarter, twice = 5 * even / 4, even / 4, 2 * odd
     steps = np.empty(n - 1, dtype=np.complex128)
-    for out, near, far in ((steps[:2 * windows:2], five[:-1], quarter[1:]),
-                           (steps[1:2 * windows:2], five[1:], quarter[:-1])):
+    for out, near, far in ((steps[::2], five[:-1], quarter[1:]),
+                           (steps[1::2], five[1:], quarter[:-1])):
         window = near + twice
         window -= far
         window *= dx / 3
         out[:] = window.view(np.complex128).ravel()
-    if n % 2 == 0:
-        # no window ends at the last point: read the last three backwards
-        tail = _parts(y[-3:])
-        steps[-1:] = _simpson_step(tail[2:], tail[1:2], tail[:1], dx).view(np.complex128)
     out = np.zeros(n, dtype=np.complex128)
     np.cumsum(steps, out=out[1:])
     out += 0.0  # scipy adds `initial` to the sums, which turns -0.0 into 0.0
@@ -414,12 +398,14 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     """Cross-check every scalar formula against the general machinery.
 
     The checks are array expressions over the (alpha2, z) grid.  m1(z) and
-    the Herglotz bound are evaluated once per z.  m2(z) and p12(z) are
-    evaluated once on the whole grid, by the code of m2_halfline and
-    p12_halfline with one row per angle.  Each fractional-linear law runs
-    once on the whole grid: the coefficient law on the stack of p12(i) over
-    alpha2, the angle-form law on the sequence of angles, each against the
-    stack of 1x1 values m1(z) over z.  Each law's inverse decides every
+    the Herglotz bound are evaluated once per z, and m2(z) and p12(z) once
+    on the whole grid from one pole-checked root, by the code of m2_halfline
+    and p12_halfline with one row per angle.  Each fractional-linear law
+    runs once on the whole grid against the stack of 1x1 values m1(z) over
+    z: the coefficient law on the stack of p12(i) over alpha2, the
+    angle-form law on the scalar factors cos b, sin b, e^{-ib}, e^{ib} of
+    the alpha2 column b, which map each (alpha2, z) bit for bit as the law
+    with a 1x1 angle operator does.  Each law's inverse decides every
     (alpha2, z) by its own denominator.
 
     Returns max residuals over the (alpha2, z) grid:
@@ -433,14 +419,11 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     Residuals are raw; callers pick the thresholds.  The Green-kernel
     cross-check is quadrature_roundtrip's.
     """
-    from .krein import AngleOperator, lft_m1_to_m2, lft_m1_to_m2_angle
-
     keys = [
         "lft_phase_form", "lft_plain_form", "p_inverse_via_m",
         "p_at_i_inverse", "angle_recovery", "herglotz_m1", "herglotz_m2",
     ]
     out = {key: 0.0 for key in keys}
-    line = Subspace(basis=np.eye(1, dtype=np.complex128))
     z_grid = np.array([complex(z) for z in z_values], dtype=np.complex128)
     m1 = m1_halfline(z_grid)
     m1_stack = m1.reshape(-1, 1, 1)
@@ -451,8 +434,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
         return np.array([fn(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1)
 
     t = column(math.tan)
-    m2 = _m2_halfline(z_grid, column(math.cos), column(math.sin), t)
-    p_z = _p12_halfline(z_grid, t)
+    _, den = _pole_checked_root(z_grid, t)
+    m2 = _m2_from_m1(m1, column(math.cos), column(math.sin))
+    p_z = -1.0 / den
     p_i = [p12_halfline(1j, scenario) for scenario in scenarios]
     for scenario, p in zip(scenarios, p_i):
         out["p_at_i_inverse"] = max(
@@ -462,9 +446,11 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
         out["angle_recovery"] = max(
             out["angle_recovery"], abs(_wrap_mod_pi(recovered - scenario.alpha2))
         )
-    angles = [AngleOperator(SpectralDecomposition([scenario.alpha2], [[1.0]]), line)
-              for scenario in scenarios]
-    via_angle = lft_m1_to_m2_angle(m1_stack, angles)[..., 0, 0]
+    # the angle's factors as 1x1 blocks against the stack of m1(z), by the
+    # complex functions of AngleOperator.law_factors
+    b = np.array([complex(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1, 1, 1)
+    factors = (np.cos(b), np.sin(b), np.exp(-1j * b), np.exp(1j * b))
+    via_angle = _angle_form(m1_stack, factors, "angle-form")[..., 0, 0]
     via_plain = lft_m1_to_m2(
         m1_stack, np.array(p_i, dtype=np.complex128).reshape(-1, 1, 1, 1))[..., 0, 0]
 

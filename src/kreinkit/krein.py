@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,12 +92,11 @@ class AngleOperator:
     subspace, held as its spectral decomposition: -exp(-2i alpha) equals the
     restricted Cayley product, and angle_operator reduces the spectrum to the
     branch (-pi/2, pi/2].  Every function of alpha is a diagonal function of
-    that one decomposition; the factors of the angle-form laws (law_factors)
-    are built once and shared."""
+    that one decomposition; the four factors of the angle-form laws
+    (law_factors) are built once and shared by both laws."""
 
     spectrum: SpectralDecomposition
     subspace: Subspace
-    _law_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.spectrum.dim != self.subspace.rank:
@@ -118,17 +116,17 @@ class AngleOperator:
         gaps = 2.0 * np.abs(np.cos(self.spectrum.eigenvalues.real))
         return bool(np.all(gaps > DEFAULT_TOL))
 
-    def law_factors(self, sign: float) -> tuple[np.ndarray, ...]:
-        """(cos b, sin b, e^{-ib}, e^{ib}) at b = sign * alpha, diagonal
-        functions of the spectrum, built once per sign and read-only."""
-        if sign not in self._law_factors:
-            spec = self.spectrum
-            b = sign * spec.eigenvalues
-            factors = (spec.compose(np.cos(b)), spec.compose(np.sin(b)),
-                       spec.compose(np.exp(-1j * b)), spec.compose(np.exp(1j * b)))
-            _frozen(*factors)
-            self._law_factors[sign] = factors
-        return self._law_factors[sign]
+    @cached_property
+    def law_factors(self) -> tuple[np.ndarray, ...]:
+        """(cos alpha, sin alpha, e^{-i alpha}, e^{i alpha}), diagonal
+        functions of the spectrum, read-only.  The factors at -alpha are
+        these rearranged: (cos alpha, -sin alpha, e^{i alpha}, e^{-i alpha})."""
+        spec = self.spectrum
+        a = spec.eigenvalues
+        factors = (spec.compose(np.cos(a)), spec.compose(np.sin(a)),
+                   spec.compose(np.exp(-1j * a)), spec.compose(np.exp(1j * a)))
+        _frozen(*factors)
+        return factors
 
 
 def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
@@ -213,7 +211,7 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
     z = complex(z)
     d = _resolvent_diagonal(ext1, z)
     spec = ext1.spectrum
-    cos_a, sin_a, _, _ = angle.law_factors(1.0)
+    cos_a, sin_a, _, _ = angle.law_factors
     m1 = weyl_operator(ext1, angle.subspace, z)
     try:
         mid = inverse(sin_a - cos_a @ m1) @ cos_a
@@ -392,18 +390,13 @@ def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     return num @ den_inv
 
 
-def _angle_form(m, angle: AngleOperator | Sequence[AngleOperator], sign: float,
-                what: str) -> np.ndarray:
-    """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} at
-    b = sign * alpha, the factors taken from the angle's cache; m is one
-    matrix or a stack of them, as in lft_m1_to_m2.  angle is one
-    AngleOperator, or a sequence of them whose stacked factors take a new
-    leading axis in front of m's (_stacked_law_factors)."""
+def _angle_form(m, factors: tuple, what: str) -> np.ndarray:
+    """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} for
+    factors = (cos b, sin b, e^{-i b}, e^{i b}); m is one matrix or a stack
+    of them, as in lft_m1_to_m2, and the factors broadcast against it.  One
+    inverse call decides each denominator on its own."""
     m = _as_stack(m, "weyl matrix")
-    if isinstance(angle, AngleOperator):
-        cos_b, sin_b, phase_left, phase_right = angle.law_factors(sign)
-    else:
-        cos_b, sin_b, phase_left, phase_right = _stacked_law_factors(angle, sign, m)
+    cos_b, sin_b, phase_left, phase_right = factors
     num = cos_b + sin_b @ m
     den = sin_b - cos_b @ m
     try:
@@ -413,46 +406,30 @@ def _angle_form(m, angle: AngleOperator | Sequence[AngleOperator], sign: float,
     return phase_left @ num @ den_inv @ phase_right
 
 
-def _stacked_law_factors(angles: Sequence[AngleOperator], sign: float,
-                         m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each of law_factors(sign) stacked over the angles, shaped
-    (len(angles), 1, ..., 1, k, k) so that it broadcasts against m's
-    leading axes."""
-    k = m.shape[-1]
-    shape = (len(angles),) + (1,) * (m.ndim - 2) + (k, k)
-    per_angle = [angle.law_factors(sign) for angle in angles]
-    return tuple(np.array([factors[j] for factors in per_angle],
-                          dtype=np.complex128).reshape(shape) for j in range(4))
-
-
-def lft_m1_to_m2_angle(m1, angle: AngleOperator | Sequence[AngleOperator]) -> np.ndarray:
+def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
     """Angle form of the same law, for every pair:
 
         m2 = e^{-i alpha} (cos a + sin a * m1) (sin a - cos a * m1)^{-1} e^{i alpha}
 
     It is lft_m1_to_m2 written in the angle: p(i) = i e^{-i alpha} cos(alpha)
     and 1 + i p(i) = i e^{-i alpha} sin(alpha).  m1 is one matrix or a stack
-    of them, as in lft_m1_to_m2.  angle is one AngleOperator, or a sequence
-    of them, say one per pair of a grid of pairs, the way lft_m1_to_m2 takes
-    a stack of p(i): the result then has a leading axis over the angles in
-    front of m1's axes.  The whole grid takes one inverse call, which
-    decides each denominator on its own, and maps every matrix bit for bit
-    as a call with its own angle would.
+    of them, as in lft_m1_to_m2, and the factors are the angle's cached
+    law_factors.
     """
-    return _angle_form(m1, angle, 1.0, "angle-form")
+    return _angle_form(m1, angle.law_factors, "angle-form")
 
 
-def lft_to_reference(m1, angle_ref1: AngleOperator | Sequence[AngleOperator]) -> np.ndarray:
+def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
     """Invert the angle-form law: recover the auxiliary reference extension's
     M-operator from m1, where angle_ref1 is the angle of (reference, ext1):
 
         m_ref = -e^{i a} (cos a - sin a * m1) (sin a + cos a * m1)^{-1} e^{-i a}
 
-    which is the angle form at -alpha.  m1 is one matrix or a stack of them,
-    as in lft_m1_to_m2, and angle_ref1 one angle or a sequence of them, as
-    in lft_m1_to_m2_angle.
+    which is the angle form at -alpha, read off the angle's law_factors
+    rearranged.  m1 is one matrix or a stack of them, as in lft_m1_to_m2.
     """
-    return _angle_form(m1, angle_ref1, -1.0, "reference-inversion")
+    cos_a, sin_a, phase_minus, phase_plus = angle_ref1.law_factors
+    return _angle_form(m1, (cos_a, -sin_a, phase_plus, phase_minus), "reference-inversion")
 
 
 def choose_third_extension(

@@ -820,7 +820,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.p_at_i_via_cayley, pair.angle.alpha,
                    pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
-                   *pair.angle.law_factors(1.0)):
+                   *pair.angle.law_factors):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0
 

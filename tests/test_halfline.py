@@ -331,7 +331,8 @@ def test_exp_table_matches_exp_up_to_the_guard(count, growth):
 
 
 @given(
-    n=st.one_of(st.integers(17, 257), st.just(QuadratureGrid().nodes + 1)),
+    n=st.one_of(st.integers(8, 128).map(lambda half: 2 * half + 1),
+                st.just(QuadratureGrid().nodes + 1)),
     dx=st.floats(1e-6, 10.0),
     seed=st.integers(0, 2 ** 32 - 1),
     zero_share=st.sampled_from((0.0, 0.25, 1.0)),
@@ -359,6 +360,12 @@ def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share):
     assert got.tobytes() == expected.tobytes()
     reversed_view = halfline._cumulative(y[::-1], dx)
     assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx).tobytes()
+
+
+def test_cumulative_rejects_an_even_number_of_samples():
+    # every grid, and every support cut of one, has an odd number of points
+    with pytest.raises(ValueError, match="odd number of samples"):
+        halfline._cumulative(np.ones(16, dtype=np.complex128), 0.1)
 
 
 def _full_grid_quadrature(f, z, grid):
@@ -416,15 +423,63 @@ def test_bump_is_computed_once_per_grid_and_read_only():
             array[1] = 0.0
 
 
-@pytest.mark.parametrize("alpha2", [0.0, 0.3, -1.2, 5 * math.pi / 8, 15 * math.pi / 16])
-def test_one_by_one_angle_has_the_law_factors_of_its_eigendecomposition(alpha2):
-    # verify_halfline builds the 1x1 angle from its value, without an eigh
+_OFF_AXIS_Z = st.builds(complex, st.floats(-30.0, 30.0),
+                       st.floats(0.01, 30.0) | st.floats(-30.0, -0.01))
+
+
+def _scalar_angle_law(monkeypatch, zs, alphas):
+    """verify_halfline's angle-form call on the grid: its factors, the name
+    its errors carry and what the law maps m1(z) to, read off a wrapper of
+    halfline._angle_form."""
+    calls = []
+
+    def spy(m, factors, what):
+        out = real(m, factors, what)
+        calls.append((factors, what, out))
+        return out
+
+    real = halfline._angle_form
+    monkeypatch.setattr(halfline, "_angle_form", spy)
+    verify_halfline(tuple(zs), tuple(alphas))
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@given(st.lists(st.floats(-3.0, 3.0).filter(
+           lambda a: abs(math.remainder(a - math.pi / 2.0, math.pi)) > 1e-8),
+           min_size=1, max_size=8),
+       st.lists(st.sampled_from(DEFAULT_Z) | _OFF_AXIS_Z, max_size=8))
+@example(alphas=[0.3, 2.0], zs=[])          # an empty z grid
+@example(alphas=[0.3], zs=list(DEFAULT_Z))  # one alpha2
+@example(alphas=list(DEFAULT_ALPHA2), zs=list(DEFAULT_Z))
+def test_verify_scalar_factors_map_as_one_by_one_angles(alphas, zs):
+    # the scalar factors of the alpha2 column map each (alpha2, z) as the
+    # angle-form law with the 1x1 angle operator of hermitian_eig does, to
+    # the bit
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        factors, _, grid = _scalar_angle_law(monkeypatch, zs, alphas)
+    assert all(f.shape == (len(alphas), 1, 1, 1) for f in factors)
+    assert grid.shape == (len(alphas), len(zs), 1, 1)
+    m1 = m1_halfline(np.array(zs, dtype=np.complex128)).reshape(-1, 1, 1)
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
-    direct = AngleOperator(SpectralDecomposition([alpha2], [[1.0]]), line)
-    via_eig = AngleOperator(hermitian_eig(np.array([[alpha2]], dtype=np.complex128)), line)
-    for sign in (1.0, -1.0):
-        for mine, theirs in zip(direct.law_factors(sign), via_eig.law_factors(sign)):
-            assert mine.tobytes() == theirs.tobytes()
+    for a, mapped in zip(alphas, grid):
+        angle = AngleOperator(hermitian_eig(np.array([[a]], dtype=np.complex128)), line)
+        assert mapped.tobytes() == lft_m1_to_m2_angle(m1, angle).tobytes()
+
+
+def test_verify_scalar_factors_refuse_a_singular_denominator(monkeypatch):
+    # alpha = 0 against m1 = 0 makes sin a - cos a m1 exactly 0: the stacked
+    # factors raise the message of the law with that angle alone
+    factors, what, _ = _scalar_angle_law(monkeypatch, [1j], [0.3, 0.0])
+    m1 = np.array([[[1j]], [[0.0]]])
+    line = Subspace(basis=np.eye(1, dtype=np.complex128))
+    message = "angle-form denominator is singular"
+    with pytest.raises(SingularDenominator, match=message):
+        lft_m1_to_m2_angle(m1, AngleOperator(hermitian_eig(np.zeros((1, 1))), line))
+    with pytest.raises(SingularDenominator, match=message):
+        halfline._angle_form(m1, factors, what)
+    halfline._angle_form(m1, tuple(f[:1] for f in factors), what)
 
 
 def test_grid_too_coarse_is_reported():

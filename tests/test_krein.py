@@ -29,7 +29,7 @@ from kreinkit.extension import (
     parameter_of,
     restricted_cayley_product,
 )
-from kreinkit.halfline import DEFAULT_ALPHA2, DEFAULT_Z, m1_halfline, verify_halfline
+from kreinkit.halfline import verify_halfline
 from kreinkit.krein import (
     AngleOperator,
     PairContext,
@@ -90,7 +90,7 @@ def test_s1_angle_and_tan_frozen(s1):
     # (sin a - i cos a) p(i) = cos a
     p_i = support.p_function(ext1, ext2, model.nplus, 1j).restricted
     assert abs((1.0 - 1j) * p_i[0, 0] - 1.0) < 1e-14
-    cos_a, sin_a, _, _ = ang.law_factors(1.0)
+    cos_a, sin_a, _, _ = ang.law_factors
     assert_allclose((sin_a - 1j * cos_a) @ p_i, cos_a, atol=1e-14)
 
 
@@ -395,7 +395,7 @@ def test_non_prime_pair_behaviour():
     ang = pair.angle
     evs = ang.spectrum.eigenvalues.real
     assert np.sum(np.abs(np.abs(evs) - math.pi / 2.0) < 1e-8) == 1
-    cos_a, sin_a, _, _ = ang.law_factors(1.0)
+    cos_a, sin_a, _, _ = ang.law_factors
     eye = np.eye(model.dim)
     for z in (2j, 1 + 1j, -2 - 1j):
         # the sine/cosine forms hold on all of N+: the inversion of P(z),
@@ -546,12 +546,11 @@ def test_angle_form_laws_reuse_read_only_factors():
                 _angle_form_rebuilt(m, angle, 1.0).tobytes()
             assert lft_to_reference(m, angle).tobytes() == \
                 _angle_form_rebuilt(m, angle, -1.0).tobytes()
-    for sign in (1.0, -1.0):
-        factors = angle.law_factors(sign)
-        assert angle.law_factors(sign) is factors
-        for factor in factors:
-            with pytest.raises(ValueError):
-                factor[0, 0] = 0.0
+    factors = angle.law_factors
+    assert angle.law_factors is factors
+    for factor in factors:
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -597,65 +596,20 @@ def test_coefficient_law_on_a_stack_of_p_matches_the_per_p_calls(seed, k, pairs,
             assert mapped.tobytes() == lft_m1_to_m2(m1[0], p).tobytes()
 
 
-def _line_angles(alphas):
-    line = Subspace(basis=np.eye(1, dtype=np.complex128))
-    return [AngleOperator(SpectralDecomposition([a], [[1.0]]), line) for a in alphas]
-
-
-_OFF_AXIS_Z = st.builds(complex, st.floats(-30.0, 30.0),
-                       st.floats(0.01, 30.0) | st.floats(-30.0, -0.01))
-
-
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
-       st.lists(st.sampled_from(DEFAULT_Z) | _OFF_AXIS_Z, max_size=8))
-@example(alphas=[0.3, 2.0], zs=[])          # an empty z grid
-@example(alphas=[0.3], zs=list(DEFAULT_Z))  # one alpha2
-@example(alphas=list(DEFAULT_ALPHA2), zs=list(DEFAULT_Z))
-def test_angle_form_on_a_sequence_of_angles_matches_the_per_angle_calls(alphas, zs):
-    # the half-line grid: one call of each angle-form law maps the stack of
-    # m1(z) through every 1x1 angle, with a leading axis over the angles, and
-    # each angle's slice is the call with that angle alone, to the bit
-    angles = _line_angles(alphas)
-    m1 = m1_halfline(np.array(zs, dtype=np.complex128)).reshape(-1, 1, 1)
-    for law in (lft_m1_to_m2_angle, lft_to_reference):
-        grid = law(m1, angles)
-        assert grid.shape == (len(alphas), len(zs), 1, 1)
-        for angle, mapped in zip(angles, grid):
-            assert mapped.tobytes() == law(m1, angle).tobytes()
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]), st.integers(0, 4),
-       st.integers(0, 5))
-def test_angle_form_on_a_sequence_of_k_by_k_angles_matches_the_per_angle_calls(
-        seed, k, count, zs):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 5))
+def test_reference_law_is_the_angle_form_at_minus_alpha(seed, k, zs):
+    # lft_to_reference reads the factors at alpha rearranged; on the same
+    # frame with eigenvalues -alpha, the angle-form law maps every matrix to
+    # the same bits
     rng = np.random.default_rng(seed)
-    frame = Subspace(basis=np.eye(k, dtype=np.complex128))
-    angles = [AngleOperator(hermitian_eig(support.random_hermitian(rng, k)), frame)
-              for _ in range(count)]
+    angle = AngleOperator(hermitian_eig(support.random_hermitian(rng, k)),
+                          Subspace(basis=np.eye(k, dtype=np.complex128)))
+    minus = AngleOperator(SpectralDecomposition(-angle.spectrum.eigenvalues,
+                                                angle.spectrum.eigenvectors), angle.subspace)
     m1 = rng.standard_normal((zs, k, k)) + 1j * rng.standard_normal((zs, k, k))
-    for law in (lft_m1_to_m2_angle, lft_to_reference):
-        grid = law(m1, angles)
-        assert grid.shape == (count, zs, k, k)
-        for angle, mapped in zip(angles, grid):
-            assert mapped.tobytes() == law(m1, angle).tobytes()
-        if zs:  # one matrix against the sequence
-            for angle, mapped in zip(angles, law(m1[0], angles)):
-                assert mapped.tobytes() == law(m1[0], angle).tobytes()
-
-
-def test_angle_form_on_a_sequence_of_angles_refuses_a_singular_denominator():
-    # alpha = 0 against m1 = 0 makes sin a - cos a m1 exactly 0: the sequence
-    # raises with the message of the call with that angle alone
-    angles = _line_angles([0.3, 0.0])
-    m1 = np.array([[[1j]], [[0.0]]])
-    for law, what in ((lft_m1_to_m2_angle, "angle-form"),
-                      (lft_to_reference, "reference-inversion")):
-        message = f"{what} denominator is singular"
-        with pytest.raises(SingularDenominator, match=message):
-            law(m1, angles[1])
-        with pytest.raises(SingularDenominator, match=message):
-            law(m1, angles)
-        law(m1, angles[:1])
+    assert lft_to_reference(m1, angle).tobytes() == lft_m1_to_m2_angle(m1, minus).tobytes()
+    for m in m1:
+        assert lft_to_reference(m, angle).tobytes() == lft_m1_to_m2_angle(m, minus).tobytes()
 
 
 def test_krein_resolvent_singular_denominator():
