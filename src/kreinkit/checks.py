@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import krein as kr
+from .errors import SingularDenominator, SpectralParameter
 from .extension import resolvent_difference_at_i
 from .numerics import _svd_range, frob, projector
 
@@ -121,16 +122,20 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     Im z * Im M = (Im z)^2 S*(1+a^2)^{1/2}((a-x)^2+y^2)^{-1}(1+a^2)^{1/2} S."""
     worst = _Worst()
     for ext in (pair.ext1, pair.ext2):
+        # one memo call for M at i and at each z and its conjugate, in the
+        # order the per-z reading took them, so that a collision raises as
+        # that reading raised it
+        ms = pair.m(ext, [1j, *(x for z in zs for x in (z, z.conjugate()))])
         worst.add("weyl_fixed_point_at_i",
-                  frob(pair.m(ext, 1j) - 1j * np.eye(pair.model.deficiency)))
+                  frob(ms[0] - 1j * np.eye(pair.model.deficiency)))
         # (1 + a^2)^{1/2} Bp, the N x n factor of the Herglotz identity;
         # (1 + a^2)^{1/2} is a diagonal function of ext's eigenframe
         spec = ext.spectrum
         eye = np.eye(ext.dim)
         root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2)) @ pair.model.nplus.basis
-        for z in zs:
+        for k, z in enumerate(zs):
             bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
-            m = pair.m(ext, z)
+            m, m_conj = ms[2 * k + 1], ms[2 * k + 2]
             im_m = (m - m.conj().T) / 2j
             im_m = (im_m + im_m.conj().T) / 2.0
             lhs = z.imag * im_m
@@ -141,7 +146,7 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
             y = z.imag
             half = np.linalg.solve(ext.a - z.conjugate() * eye, root)
             rhs = (y * y) * (half.conj().T @ half)
-            symmetry = frob(pair.m(ext, z.conjugate()) - m.conj().T)
+            symmetry = frob(m_conj - m.conj().T)
             worst.add("weyl_conjugate_symmetry", symmetry / (1.0 + frob(m)))
             worst.add("herglotz_bound", _worst(0.0, bound - lam_min))
             worst.add("herglotz_identity", frob(lhs - rhs))
@@ -209,15 +214,16 @@ def angle_suite(pair: kr.PairContext, zs: list, tol: float):
                  frob((sin_a - 1j * cos_a) @ pair.p(1j).restricted - cos_a), tol)
     # the angle form maps the stacked M1(z) of the whole grid in one call,
     # bit for bit the per-z maps
-    via = kr.lft_m1_to_m2_angle(np.stack([pair.m(pair.ext1, z) for z in zs]), angle)
+    m1 = pair.m(pair.ext1, zs)
+    via = kr.lft_m1_to_m2_angle(m1, angle)
+    # P(z) guards ext2 at z before M2(z) is read, with the same error
+    m2 = pair.m(pair.ext2, zs)
     worst = _Worst()
     for k, z in enumerate(zs):
         ps = pair.p(z)
-        m1 = pair.m(pair.ext1, z)
         worst.add("p_inverse_via_weyl",
-                  frob((sin_a - cos_a @ m1) @ ps.restricted - cos_a) / (1.0 + frob(m1)))
-        m2 = pair.m(pair.ext2, z)
-        worst.add("lft_angle_vs_direct", frob(via[k] - m2) / (1.0 + frob(m2)))
+                  frob((sin_a - cos_a @ m1[k]) @ ps.restricted - cos_a) / (1.0 + frob(m1[k])))
+        worst.add("lft_angle_vs_direct", frob(via[k] - m2[k]) / (1.0 + frob(m2[k])))
     yield from worst.records(tol)
 
 
@@ -226,10 +232,18 @@ def krein_suite(pair: kr.PairContext, zs: list, tol: float):
     spectral guard has put z away from the spectrum of a2."""
     eye = np.eye(pair.model.dim)
     worst = _Worst()
-    for z in zs:
-        kr._resolvent_diagonal(pair.ext2, z)
+    try:
+        kr._resolvent_diagonal(pair.ext2, zs)
+        vias = kr.krein_resolvent(pair.ext1, pair.angle, zs)
+    except (SpectralParameter, SingularDenominator):
+        # the grid z by z, ext2's guard at z before Krein's formula at z, to
+        # raise the error of the first offending z
+        for z in zs:
+            kr._resolvent_diagonal(pair.ext2, z)
+            kr.krein_resolvent(pair.ext1, pair.angle, z)
+        raise
+    for z, via in zip(zs, vias):
         direct = np.linalg.solve(pair.ext2.a - z * eye, eye)
-        via = kr.krein_resolvent(pair.ext1, pair.angle, z)
         worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
     yield from worst.records(tol)
 
@@ -244,16 +258,24 @@ def lft_suite(pair: kr.PairContext, zs: list, tol: float):
     ext3, a31, a32 = kr.choose_third_extension(pair)
     # each law maps the stacked M1(z) of the whole grid in one call, bit for
     # bit the per-z maps
-    m1 = np.stack([pair.m(ext1, z) for z in zs])
+    m1 = pair.m(ext1, zs)
     direct = kr.lft_m1_to_m2(m1, p_i)
     m3 = kr.lft_to_reference(m1, a31)
     third = kr.lft_m1_to_m2_angle(m3, a32)
+    try:
+        m2, m3_direct = pair.m(ext2, zs), pair.m(ext3, zs)
+    except SpectralParameter:
+        # the grid z by z, ext2 before ext3 at each z, to raise the error of
+        # the first offending z
+        for z in zs:
+            pair.m(ext2, z)
+            pair.m(ext3, z)
+        raise
     worst = _Worst()
-    for k, z in enumerate(zs):
-        m2 = pair.m(ext2, z)
-        worst.add("lft_direct", frob(direct[k] - m2))
-        worst.add("lft_reference_inversion", frob(m3[k] - pair.m(ext3, z)))
-        worst.add("lft_third_extension", frob(third[k] - m2))
+    for k in range(len(zs)):
+        worst.add("lft_direct", frob(direct[k] - m2[k]))
+        worst.add("lft_reference_inversion", frob(m3[k] - m3_direct[k]))
+        worst.add("lft_third_extension", frob(third[k] - m2[k]))
     yield from worst.records(tol)
 
 

@@ -28,8 +28,9 @@ a primeness decision.  Out of these pieces the module assembles:
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
-eigenframe and the SVD of P(z)|N+ per z, M(z) per extension and z, the angle
-with its primeness decision, the Cayley products) and shares it.
+eigenframe and the SVD of P(z)|N+ per z, M(z) per extension over a whole
+grid in one stacked product, the angle with its primeness decision, the
+Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -69,7 +70,6 @@ from .numerics import (
     Subspace,
     _as_stack,
     _svd_range,
-    as_matrix,
     frob,
     inverse,
     unitary_eig,
@@ -129,18 +129,31 @@ class AngleOperator:
         return factors
 
 
-def _resolvent_diagonal(ext: Extension, z: complex) -> np.ndarray:
+def _resolvent_diagonal(ext: Extension, z) -> np.ndarray:
     """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
-    the extension's cached eigenframe.  Rejects z within DEFAULT_TOL of the
-    (real) spectrum."""
-    w = ext.spectrum.eigenvalues
+    the extension's cached eigenframe, for a number z or along the last axis
+    for each z of an array.  Rejects z within DEFAULT_TOL of the (real)
+    spectrum; an array is rejected at its first such z."""
+    zs = np.asarray(z, dtype=np.complex128)[..., None]
+    w = _lifted(ext.spectrum.eigenvalues, zs.ndim)
     if w.size:
-        dist = float(np.min(np.abs(w - z)))
-        if dist <= DEFAULT_TOL:
+        dist = np.min(np.abs(w - zs), axis=-1).reshape(-1)
+        hit = np.flatnonzero(dist <= DEFAULT_TOL)
+        if hit.size:
+            k = hit[0]
             raise SpectralParameter(
-                f"z = {z:.6g} is within {dist:.3e} of the spectrum"
+                f"z = {complex(zs.flat[k]):.6g} is within {float(dist[k]):.3e} of the spectrum"
             )
-    return 1.0 / (w - z)
+    return 1.0 / (w - zs)
+
+
+def _lifted(a: np.ndarray, ndim: int) -> np.ndarray:
+    """a with leading axes of length 1 up to ndim axes.  numpy may take a
+    different loop, rounding complex products differently, for an operand
+    with fewer axes than the result, when every axis has length 1, so the
+    operands of the per-z formulas meet with equal numbers of axes: a grid
+    of one z at N = n = 1 then rounds as the scalar call does."""
+    return a.reshape((1,) * (ndim - a.ndim) + a.shape)
 
 
 def _branch_angle(lam: complex) -> float:
@@ -188,15 +201,22 @@ def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
     m(i) = i * identity for every extension and every subspace.  Evaluated
     in the extension's cached eigenframe V in the Herglotz-kernel form
     W* diag((1 + w z)/(w - z)) W with W = V* S.  Because W* W = 1 this is
-    the operator above, and unlike it, it cancels no two terms of size |z|."""
-    z = complex(z)
-    w = ext.spectrum.eigenvalues
-    kernel = (1.0 + w * z) * _resolvent_diagonal(ext, z)
+    the operator above, and unlike it, it cancels no two terms of size |z|.
+
+    z is a number, giving one n x n matrix, or a 1-d array, giving their
+    (k, n, n) stack from one stacked product, bit for bit the per-z calls.
+    An array raises the SpectralParameter of its first z on the spectrum."""
+    zs = np.asarray(z, dtype=np.complex128)
+    if zs.ndim > 1:
+        raise ValueError(f"z must be a number or a 1-d array, got shape {zs.shape}")
+    w = _lifted(ext.spectrum.eigenvalues, zs.ndim + 1)
+    kernel = (1.0 + w * zs[..., None]) * _resolvent_diagonal(ext, zs)
     ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
-    return as_matrix(ws.conj().T @ (kernel[:, None] * ws), "weyl operator")
+    return _as_stack(ws.conj().T @ (kernel[..., None] * _lifted(ws, zs.ndim + 2)),
+                     "weyl operator")
 
 
-def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
+def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
     """Resolvent of the second extension from first-extension data and the
     pair's angle operator on N+ (S the basis of angle.subspace):
 
@@ -207,23 +227,45 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
     where alpha = +-pi/2 (identical extensions give R1(z)).  R1 and the
     (a1 -/+ i) R1 factors are diagonal in the cached eigenframe of a1, so
     the second term is a rank-n update costing O(N^2 n).
+
+    z is a number, giving one N x N matrix, or a 1-d array, giving an
+    iterator over the resolvents in grid order, each bit for bit the per-z
+    call.  An array takes m1 of every z from one weyl_operator call and
+    inverts the k denominators in one inverse call; each N x N resolvent
+    is assembled only when the iterator reaches it, so no N x N stack is
+    held.  Every error is raised by the call, before any resolvent is
+    formed: the one the per-z calls raise first, in grid order.
     """
-    z = complex(z)
-    d = _resolvent_diagonal(ext1, z)
-    spec = ext1.spectrum
+    zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
-    m1 = weyl_operator(ext1, angle.subspace, z)
     try:
+        d = _resolvent_diagonal(ext1, zs)
+        m1 = weyl_operator(ext1, angle.subspace, zs)
         mid = inverse(sin_a - cos_a @ m1) @ cos_a
-    except SingularMatrix as exc:
-        raise SingularDenominator(
-            f"sin(alpha) - cos(alpha) m(z) is singular at z = {z:.6g}"
-        ) from exc
+    except (SpectralParameter, SingularMatrix) as exc:
+        if zs.ndim:
+            # the grid z by z, to raise the error of its first offending z
+            for zk in zs:
+                krein_resolvent(ext1, angle, zk)
+        elif isinstance(exc, SingularMatrix):
+            raise SingularDenominator(
+                f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs):.6g}"
+            ) from exc
+        raise
+    spec = ext1.spectrum
     v, w = spec.eigenvectors, spec.eigenvalues
-    ws = v.conj().T @ angle.subspace.basis
-    left = v @ (((w - 1j) * d)[:, None] * ws)                  # (a1 - i) R1 S
-    right = (ws.conj().T * ((w + 1j) * d)) @ v.conj().T         # S* (a1 + i) R1
-    return spec.compose(d) + left @ mid @ right
+    vh = v.conj().T
+    ws = vh @ angle.subspace.basis
+    wsh = ws.conj().T
+
+    def resolvent(dk: np.ndarray, midk: np.ndarray) -> np.ndarray:
+        left = v @ (((w - 1j) * dk)[:, None] * ws)                # (a1 - i) R1 S
+        right = (wsh * ((w + 1j) * dk)) @ vh                       # S* (a1 + i) R1
+        return (v * dk) @ vh + left @ midk @ right
+
+    if zs.ndim:
+        return map(resolvent, d, mid)
+    return resolvent(d, mid)
 
 
 def _frozen(*arrays: np.ndarray) -> np.ndarray:
@@ -239,10 +281,11 @@ class PairContext:
 
     Every entry is computed on first use and shared by every later read, so
     a check suite over a z-grid evaluates P(z) and the SVD of P(z)|N+ once
-    per distinct z and M(z) once per (extension, z).  M(z) and the pair-level
+    per distinct z and M(z) once per (extension, z), the M(z) a grid needs
+    from one weyl_operator call on the whole grid.  M(z) and the pair-level
     entries come from the functions a direct call would use (weyl_operator,
     angle_operator, parameter_of, ...); P(z) is held in ext1's eigenframe
-    (p), where it takes one N x N product.
+    (p), where it takes one N x N product, one z at a time.
     Cached arrays are read-only.  The context is the only owner of its
     entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
@@ -295,11 +338,19 @@ class PairContext:
 
     def m(self, ext: Extension, z) -> np.ndarray:
         """M(z) of ext (an extension of the pair or any other extension of
-        the model) compressed to N+."""
-        key = (ext, complex(z))
-        if key not in self._m:
-            self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]))
-        return self._m[key]
+        the model) compressed to N+, for a number z, or the (k, n, n) stack
+        of them for a sequence of k numbers.  The entries not yet cached come
+        from one weyl_operator call, which raises the error of the first
+        offending z among them."""
+        scalar = np.ndim(z) == 0
+        keys = [complex(z)] if scalar else [complex(x) for x in z]
+        missing = [x for x in dict.fromkeys(keys) if (ext, x) not in self._m]
+        if missing:
+            stack = _frozen(weyl_operator(ext, self.model.nplus, np.array(missing)))
+            self._m.update(((ext, x), m) for x, m in zip(missing, stack))
+        if scalar:
+            return self._m[ext, keys[0]]
+        return _frozen(np.stack([self._m[ext, x] for x in keys]))
 
     def p_range(self, z) -> tuple[Subspace, np.ndarray, float]:
         """Range and singular values (descending) of P(z)|N+, from one SVD,

@@ -440,6 +440,10 @@ def test_run_checks_turns_suite_errors_into_records():
     assert errors == dict.fromkeys(
         ("weyl_suite", "p_function_suite", "angle_suite", "krein_vs_direct",
          "lft_suite"), "SpectralParameter")
+    # each suite meets the collision at the first grid point, whether it
+    # reads the grid z by z or as one stack
+    for name in errors:
+        assert checks[name]["note"] == "z = 0+1e-14j is within 1.000e-14 of the spectrum"
     for name in errors:
         assert checks[name]["max_residual"] == -1.0 and not checks[name]["pass"]
     for name in ("p_at_i_consistency", "angle_tan_inversion", "vonneumann_link"):
@@ -823,6 +827,36 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
                    *pair.angle.law_factors):
         with pytest.raises(ValueError):
             cached.flat[0] = 0.0
+
+
+def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
+    # counted, not timed: M(z) comes from one weyl_operator call per
+    # extension (ext1 and ext2 at the 26 distinct points among i, the grid
+    # and its conjugates, the third extension on the grid, ext1 inside
+    # Krein's formula), Krein's 16 n x n denominators from one inverse call,
+    # and the four law calls one each.
+    # The 61 solves are those 5, the 32 herglotz_identity and 16
+    # krein_vs_direct solves, 6 in the model layer and 2 that build ext2
+    # and the third extension; no N x N stack reaches a solve
+    weyl, inverses, solves = [], [], []
+
+    def counting(calls, real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(krein_module, "weyl_operator",
+                        counting(weyl, krein_module.weyl_operator))
+    monkeypatch.setattr(krein_module, "inverse", counting(inverses, krein_module.inverse))
+    monkeypatch.setattr(np.linalg, "solve", counting(solves, np.linalg.solve))
+    report = cli.run_checks(cli.generate_scenario(64, 3, 3))
+    assert report["summary"] == "pass"
+    assert [np.shape(args[2]) for args in weyl] == [(26,), (26,), (16,), (16,)]
+    assert sorted(np.shape(args[0]) for args in inverses) == [(16, 3, 3)] * 5
+    assert len(solves) == 61
+    assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)
+               for args in solves)
 
 
 # a draw whose second extension has a Cayley eigenvalue 3e-4 to 2e-3 from 1,

@@ -14,7 +14,9 @@ from numpy.testing import assert_allclose
 
 import support
 from kreinkit import checks
+from kreinkit import krein as krein_module
 from kreinkit.errors import (
+    KreinKitError,
     NotAnExtension,
     NotHermitian,
     NotInvariant,
@@ -620,6 +622,140 @@ def test_krein_resolvent_singular_denominator():
     ang = AngleOperator(hermitian_eig(np.zeros((1, 1))), model.nplus)
     with pytest.raises(SingularDenominator):
         krein_resolvent(ext1, ang, -1.0)
+    # on a grid, the error is the one of the first offending point, as the
+    # per-z calls raise it: the singular denominator at -1 before a later
+    # collision with the spectrum at 1, and that collision before a later
+    # singular denominator
+    def call(z):
+        return krein_resolvent(ext1, ang, z)
+
+    for grid, error in (([2j, 1j, -1.0, 1.0 + 1e-12j], SingularDenominator),
+                        ([2j, 1.0 + 1e-12j, -1.0], SpectralParameter)):
+        expected = _first_error(call, grid)
+        assert expected[0] is error
+        assert _raised(call, np.array(grid)) == expected
+
+
+def _raised(f, *args):
+    """(class, message) of the error that f(*args) raises."""
+    with pytest.raises(KreinKitError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def _first_error(f, zs):
+    """(class, message) of the error that the per-z calls f(z) raise first."""
+    for z in zs:
+        try:
+            f(z)
+        except KreinKitError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point of the grid raises")
+
+
+def _off_axis_z():
+    # from 1e-3 off the real axis up to |z| = 1e6, in either half-plane
+    def build(log_im, sign, share):
+        im = sign * 10.0 ** log_im
+        return complex(share * math.sqrt(1e12 - im * im), im)
+
+    return st.builds(build, st.floats(-3.0, 6.0), st.sampled_from([1.0, -1.0]),
+                     st.floats(-1.0, 1.0))
+
+
+@given(st.sampled_from([(64, 3), (32, 3), (8, 2), (6, 6), (1, 1), (64, 64)]),
+       st.integers(0, 2 ** 32 - 1), st.lists(_off_axis_z(), min_size=1, max_size=6))
+# one z at N = n = 1: every operand has one entry, where numpy rounds a
+# complex product by another loop unless the operands have equal numbers of
+# axes
+@example((1, 1), 0, [999999.9999995 + 1j])
+def test_weyl_operator_and_krein_resolvent_on_an_array_match_the_per_z_calls(shape, seed, zs):
+    # one call on the grid gives, to the bit, what the per-z calls give:
+    # M(z) of both extensions as a stack, R2(z) one at a time
+    model, ext1, ext2, _ = support.random_pair(*shape, seed)
+    grid = np.array(zs)
+    for ext in (ext1, ext2):
+        stack = weyl_operator(ext, model.nplus, grid)
+        assert stack.shape == (len(zs), shape[1], shape[1])
+        for z, m in zip(zs, stack):
+            assert m.tobytes() == weyl_operator(ext, model.nplus, z).tobytes()
+    angle = angle_operator(ext1, ext2, model.nplus)
+    for z, r2 in zip(zs, krein_resolvent(ext1, angle, grid), strict=True):
+        assert r2.tobytes() == krein_resolvent(ext1, angle, z).tobytes()
+
+
+def test_weyl_operator_on_an_array_raises_at_its_first_collision():
+    # the grid meets the spectrum at its third and fourth points: the error
+    # is the per-z call's at the third, class and message
+    model, ext1, ext2, _ = support.random_pair(8, 2, 5)
+    w = ext1.spectrum.eigenvalues.real
+    grid = [1j, 2j, w[4] + 1e-12j, w[1] + 1e-11j, -1j]
+    expected = _first_error(lambda z: weyl_operator(ext1, model.nplus, z), grid)
+    assert expected[0] is SpectralParameter
+    assert _raised(weyl_operator, ext1, model.nplus, np.array(grid)) == expected
+    angle = angle_operator(ext1, ext2, model.nplus)
+    assert _raised(krein_resolvent, ext1, angle, np.array(grid)) == expected
+
+
+def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
+    # a sequence takes the entries it lacks from one weyl_operator call on
+    # them (a twin that differs in the sign of a zero part is one entry),
+    # and its stack holds the per-z entries to the bit, all read-only
+    model, ext1, ext2, _ = support.random_pair(8, 2, 7)
+    calls = []
+
+    def counting(ext, subspace, z):
+        calls.append((ext, list(np.atleast_1d(z))))
+        return real(ext, subspace, z)
+
+    real = krein_module.weyl_operator
+    monkeypatch.setattr(krein_module, "weyl_operator", counting)
+    pair = PairContext(model, ext1, ext2)
+    zs = [1j, 2j, 1j, complex(-0.0, 2.0), -1 + 1j]
+    stack = pair.m(ext1, zs)
+    assert calls == [(ext1, [1j, 2j, -1 + 1j])]
+    assert stack.shape == (5, 2, 2) and not stack.flags.writeable
+    for z, m in zip(zs, stack):
+        cached = pair.m(ext1, z)
+        assert cached is pair.m(ext1, z) and not cached.flags.writeable
+        assert cached.tobytes() == m.tobytes() == real(ext1, model.nplus, z).tobytes()
+    assert len(calls) == 1
+    pair.m(ext1, [2j, 3j, 1j])
+    pair.m(ext2, 2j)
+    pair.m(ext2, zs)
+    assert calls[1:] == [(ext1, [3j]), (ext2, [2j]), (ext2, [1j, -1 + 1j])]
+
+
+def _suite_pair():
+    # 1x1: reference 0, second extension -1, and their third extension
+    model, ext1, ext2 = scalar_pair(0.0, -1.0)
+    pair = PairContext(model, ext1, ext2)
+    return pair, choose_third_extension(pair)[0]
+
+
+def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z():
+    # ext2 meets the grid at -1, ext1 at 0: whichever comes first in the
+    # grid raises, as the per-z loop (ext2's guard, then Krein's formula)
+    pair, _ = _suite_pair()
+
+    def per_z(z):
+        krein_module._resolvent_diagonal(pair.ext2, z)
+        krein_resolvent(pair.ext1, pair.angle, z)
+
+    for grid in ([2j, -1 + 1e-12j, 1e-12j], [2j, 1e-12j, -1 + 1e-12j]):
+        expected = _first_error(per_z, grid)
+        assert _raised(support.records, checks.krein_suite, pair, grid) == expected
+    assert expected[1].startswith("z = 0+1e-12j ")
+
+
+def test_lft_suite_reads_ext2_before_ext3_at_each_z():
+    # the third extension meets the grid before the second does: the error
+    # is the third's, as the per-z reading (ext2, then ext3, at each z)
+    # raises it, not the one of ext2's stack
+    pair, ext3 = _suite_pair()
+    grid = [2j, ext3.spectrum.eigenvalues[0].real + 1e-12j, -1 + 1e-12j]
+    expected = _raised(weyl_operator, ext3, pair.model.nplus, grid[1])
+    assert _raised(support.records, checks.lft_suite, pair, grid) == expected
 
 
 def test_sample_shape_validation():
