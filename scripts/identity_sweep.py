@@ -5,10 +5,12 @@ Usage:
     python3 scripts/identity_sweep.py --dims 2 4 8 12 --defs 1 2 3 --seeds 5
 
 A scenario counts as failed once, whether its report fails or run_checks
-raises.  The last line is the SHA-256 of every report's canonical bytes,
-with "raised <Class>: <message>" standing in for a scenario that raised, so
-two source trees give byte-identical results on the sweep iff they print
-the same line.
+raises.  The last line is the SHA-256 of the canonical bytes of every
+scenario's report and of its two M(z) tables (cli.tabulate_m, which 1 and
+2, the tables of `kreinkit mfunc`), in that order, with
+"raised <Class>: <message>" standing in for a call that raised, so two
+source trees give byte-identical reports and tables on the sweep iff they
+print the same line.
 """
 
 import argparse
@@ -18,6 +20,17 @@ import time
 
 from kreinkit import cli
 from kreinkit.errors import KreinKitError
+
+
+def _add_tables(digest, scenario) -> None:
+    """Add the canonical bytes of the scenario's two M(z) tables, or the
+    "raised" line of a table that raised, to digest."""
+    for which in (1, 2):
+        try:
+            table = cli._dump_json(cli.tabulate_m(scenario, which))
+        except KreinKitError as exc:
+            table = f"raised {type(exc).__name__}: {exc}\n"
+        digest.update(table.encode("utf-8"))
 
 
 def main(argv=None) -> int:
@@ -48,9 +61,11 @@ def main(argv=None) -> int:
                     raised = f"raised {type(exc).__name__}: {exc}"
                     print(f"{raised} at dim={dim} n={deficiency} seed={seed}")
                     digest.update((raised + "\n").encode("utf-8"))
+                    _add_tables(digest, scenario)
                     failed += 1
                     continue
                 digest.update(cli._dump_json(report).encode("utf-8"))
+                _add_tables(digest, scenario)
                 if report["summary"] != "pass":
                     failed += 1
                 for rec in report["checks"]:

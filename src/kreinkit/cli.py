@@ -47,7 +47,7 @@ from . import __version__
 from . import halfline as hl
 from . import krein as kr
 from .checks import SUITES, error_record, model_layer, record
-from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
+from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime, SpectralParameter
 from .extension import ExtensionParameter, build_model, extension_from_parameter, parameter_of
 from .numerics import frob, hermitian_eig
 
@@ -430,10 +430,15 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
         raise BadDimensions("which must be 1 or 2")
     model, ext1, ext2, _ = materialize(scenario)
     ext = ext1 if which == 1 else ext2
+    try:
+        # the whole grid from one stacked call, bit for bit the per-z calls
+        ms = kr.weyl_operator(ext, model.nplus, np.array(scenario.z_grid))
+    except SpectralParameter:
+        ms = None  # z by z, so that each colliding row is flagged
     rows = []
-    for z in scenario.z_grid:
+    for k, z in enumerate(scenario.z_grid):
         try:
-            m = kr.weyl_operator(ext, model.nplus, z)
+            m = kr.weyl_operator(ext, model.nplus, z) if ms is None else ms[k]
         except KreinKitError as exc:
             rows.append({"z": _c_to_json(z), "error": type(exc).__name__})
             continue
@@ -478,12 +483,17 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             checks.append(error_record(f"z_validation[{z:.6g}]", tol, exc))
     pole_hits = []
     z_array = np.array(good_z, dtype=np.complex128)
-    for a2 in good_alpha:
-        scen = hl.HalflineScenario(a2)
-        try:
-            hl.m2_halfline(z_array, scen)  # the pole rule of p12 and m2
-        except KreinKitError:
-            for z in good_z:  # one record per pole
+    # the pole rule of p12 and m2 on the whole (alpha2, z) grid, tan a2 as
+    # a column, as verify_halfline applies it
+    tan_column = np.array([math.tan(a2) for a2 in good_alpha]).reshape(-1, 1)
+    try:
+        hl._pole_checked_root(z_array, tan_column)
+    except KreinKitError:
+        # row by row, point by point: one record per pole, each with the
+        # note of its own point
+        for a2 in good_alpha:
+            scen = hl.HalflineScenario(a2)
+            for z in good_z:
                 try:
                     hl.m2_halfline(z, scen)
                 except KreinKitError as exc:

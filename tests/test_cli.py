@@ -573,8 +573,10 @@ def _pole_records(alpha2_values, z_values, tol=1e-10):
     ([0.3, 0.0, 3 * math.pi / 4], [1j, -0.5 + 0j, -2.0 + 0j, -0.5 + 3e-12j, 1 + 1j], 2),
 ], ids=["near-pole-tan-minus-10", "near-pole-alpha2-0", "bound-states", "mixed-rows"])
 def test_pole_screen_decides_like_per_point_calls(alpha2_values, z_values, poles):
-    # one m2_halfline call per alpha2 on the array of z, and point by point
-    # calls only for a row that raised: the same records as 64 scalar calls
+    # one _pole_checked_root call on the (alpha2, z) grid, and scalar
+    # m2_halfline calls point by point only when it raises: the same
+    # records as one scalar call per point.  m2_halfline on the array of a
+    # row decides that row as its points do
     z_array = np.array(z_values)
     for a2 in alpha2_values:
         scen = halfline.HalflineScenario(a2)
@@ -593,6 +595,25 @@ def test_pole_screen_decides_like_per_point_calls(alpha2_values, z_values, poles
         assert all(rec["note"].endswith("is a pole of the resolvent difference")
                    for rec in flagged)
         assert len(doc["checks"]) == poles  # no law runs on a grid with a pole
+
+
+def test_pole_free_grid_is_screened_by_one_call(monkeypatch):
+    # the screen decides the whole (alpha2, z) grid in one pole-rule call
+    # with tan a2 as a column; the laws and the round trip are stubbed out,
+    # since verify_halfline applies the rule again
+    calls = []
+    real = halfline._pole_checked_root
+
+    def counted(z, t):
+        calls.append((np.shape(z), np.shape(t)))
+        return real(z, t)
+
+    monkeypatch.setattr(halfline, "_pole_checked_root", counted)
+    monkeypatch.setattr(halfline, "verify_halfline", lambda zs, alphas: {})
+    monkeypatch.setattr(halfline, "quadrature_roundtrip", lambda zs: 0.0)
+    doc = cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))
+    assert calls == [((8,), (8, 1))]
+    assert [rec["name"] for rec in doc["checks"]] == ["quadrature_roundtrip"]
 
 
 def test_halfline_flagged_inputs_exit_1(tmp_path):
@@ -710,10 +731,16 @@ def test_every_public_name_resolves():
 def test_every_exported_function_is_called_by_the_tool():
     # the library exports the routes the tool runs: each function of
     # kreinkit.__all__ is entered by a check of a generated (8, 2) scenario,
-    # its M(z) table or the halfline command on its default grid.  Reference
-    # routes that only tests compare against live in tests/support.py
+    # its M(z) table or the halfline command on its default grid and on a
+    # grid with poles, whose pole_validation records m2_halfline decides
+    # point by point.  dirichlet_resolvent_quadrature is the public front of
+    # the solver that the round trip enters for the |u| of its gate, so the
+    # solver's entry counts for it.  Reference routes that only tests
+    # compare against live in tests/support.py
     import kreinkit
-    exported = {obj.__code__: name for name in kreinkit.__all__
+    fronts = {halfline.dirichlet_resolvent_quadrature.__code__:
+              halfline._solve_dirichlet.__code__}
+    exported = {fronts.get(obj.__code__, obj.__code__): name for name in kreinkit.__all__
                 if inspect.isfunction(obj := getattr(kreinkit, name))}
     entered = set()
 
@@ -728,6 +755,7 @@ def test_every_exported_function_is_called_by_the_tool():
         cli.run_checks(scenario)
         cli.tabulate_m(scenario, 2)
         cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))
+        cli.halfline_command([0.0, 3 * math.pi / 4, 0.3], [-0.5 + 0j, -2.0 + 0j, 1j])
     finally:
         sys.setprofile(previous)
     assert sorted(name for code, name in exported.items() if code not in entered) == []

@@ -362,6 +362,31 @@ def test_cumulative_matches_scipy_bit_for_bit(n, dx, seed, zero_share):
     assert reversed_view.tobytes() == halfline._cumulative(y[::-1].copy(), dx).tobytes()
 
 
+@given(
+    rows=st.integers(1, 3),
+    n=st.integers(1, 64).map(lambda half: 2 * half + 1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zero_share=st.sampled_from((0.0, 0.5, 1.0)),
+)
+def test_stacked_cumulative_equals_the_rows_bit_for_bit(rows, n, seed, zero_share):
+    # each row of a stack is integrated along the last axis as its own 1-D
+    # call does it, signs of zero sums included; the quadrature stacks the
+    # two running integrals this way
+    rng = np.random.default_rng(seed)
+    y = np.empty((rows, n), dtype=np.complex128)
+    for part in (y.real, y.imag):
+        part[...] = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, n))
+        zeros = rng.random((rows, n)) < zero_share
+        part[zeros] = rng.choice((-0.0, 0.0), int(zeros.sum()))
+    stacked = halfline._cumulative(y, 0.37)
+    assert stacked.shape == y.shape
+    for row, expected in zip(stacked, y):
+        assert row.tobytes() == halfline._cumulative(expected, 0.37).tobytes()
+    # a stack of reversed rows reads as its contiguous copy does
+    assert (halfline._cumulative(y[:, ::-1], 0.37).tobytes()
+            == halfline._cumulative(y[:, ::-1].copy(), 0.37).tobytes())
+
+
 def test_cumulative_rejects_an_even_number_of_samples():
     # every grid, and every support cut of one, has an odd number of points
     with pytest.raises(ValueError, match="odd number of samples"):
@@ -409,6 +434,59 @@ def test_quadrature_of_the_bump_equals_the_full_grid():
         f = -g2 - z * g
         u = dirichlet_resolvent_quadrature(f, z, grid)
         assert u.tobytes() == _full_grid_quadrature(f, z, grid).tobytes(), z
+
+
+def _roundtrip_via_the_public_solve(zs):
+    """quadrature_roundtrip's value from dirichlet_resolvent_quadrature:
+    max over z of max |u - g| on the whole grid."""
+    g, g2 = QuadratureGrid().bump
+    out = 0.0
+    for z in zs:
+        u = dirichlet_resolvent_quadrature(-g2 - z * g, z)
+        out = max(out, float(np.max(np.abs(u - g))))
+    return out
+
+
+# the halfline workload's box of z, |Re z| <= 4 and 0.1 <= |Im z| <= 5
+_WORKLOAD_Z = st.builds(
+    complex, st.floats(-4.0, 4.0),
+    st.floats(0.1, 5.0).flatmap(lambda im: st.sampled_from((im, -im))))
+
+
+@given(zs=st.lists(_WORKLOAD_Z, min_size=1, max_size=8))
+@example(zs=list(DEFAULT_Z))  # its real point -9 takes the zero-sign branch
+def test_roundtrip_equals_the_public_solve_bit_for_bit(zs):
+    # the round trip reads |u| off the solve's gate and |u - g| only where
+    # the bump g is nonzero; its value is the whole-grid maximum exactly
+    got = quadrature_roundtrip(zs)
+    assert got.hex() == _roundtrip_via_the_public_solve(zs).hex()
+
+
+def test_roundtrip_reads_the_solution_beyond_the_bump(monkeypatch):
+    # on real data the largest |u - g| lies on the bump's support; where g
+    # vanishes the round trip reads the |u| of the solve, so an error there
+    # still counts
+    g, _ = QuadratureGrid().bump
+    u = g.astype(np.complex128)
+    u[3000] = 0.5j
+    monkeypatch.setattr(halfline, "_solve_dirichlet", lambda f, z, grid: (u, np.abs(u)))
+    assert quadrature_roundtrip([1j]) == 0.5
+
+
+@pytest.mark.parametrize("zs, error", [
+    ([1j, -25.0 + 0j, -300.0 + 0j], GridTooCoarse),
+    ([1j, -300.0 + 0j, -25.0 + 0j], NumericalFailure),
+])
+def test_roundtrip_raises_at_the_first_offending_z(zs, error):
+    # -25 is beyond what DEFAULT_GRID resolves, and sin(kx) overflows at
+    # -300: the round trip raises the class and message of the earlier one
+    g, g2 = QuadratureGrid().bump
+    z = next(z for z in zs if z.imag == 0.0)
+    with pytest.raises(error) as expected:
+        dirichlet_resolvent_quadrature(-g2 - z * g, z)
+    with pytest.raises(error) as raised:
+        quadrature_roundtrip(zs)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_bump_is_computed_once_per_grid_and_read_only():
