@@ -17,12 +17,8 @@ Runs alternate between the trees, and the order flips on every round, so a
 slow phase of the host falls on both sides.  The JSON output
 holds each side's samples, median and quartiles, the BLAS thread variables
 as the runs saw them, the processor count, and the Python, numpy and scipy
-versions.  Each tree after the first also gets its paired ratios: the
-round-by-round ratio of its sample to the first tree's sample of the same
-round, with their median, quartiles and the number of rounds it won (ratio
-below 1).  A noisy spell that spans several rounds of one tree can move a
-median of samples; the paired ratios of the other rounds still hold.  A
-case whose exit code differs between runs of one tree stops the script.
+versions.  A case whose exit code differs between runs of one tree stops
+the script.
 """
 
 import argparse
@@ -159,12 +155,6 @@ KERNELS = {
         "_, zs = workloads.Halfline(1).next_input()\n"
         "grid = hl.QuadratureGrid()\ng, g2 = grid.bump",
         "[hl.dirichlet_resolvent_quadrature(-g2 - z * g, z, grid) for z in zs]", 5),
-    # the round trip of one halfline workload input, as the command runs it
-    "quadrature_roundtrip of a halfline input": (
-        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
-        "from kreinkit import halfline as hl\n"
-        "_, zs = workloads.Halfline(1).next_input()",
-        "hl.quadrature_roundtrip(zs)", 5),
     # the law step of a halfline op: the closed forms and both
     # fractional-linear laws on the default grid
     "verify_halfline default grid": (
@@ -199,24 +189,12 @@ def _run_kernel(src: str, args: list) -> tuple:
     return float(done.stdout.split()[-1]), 0
 
 
-def _quartiles(values: list) -> tuple:
-    """(q1, median, q3) of values."""
-    if len(values) > 1:
-        return tuple(statistics.quantiles(values, n=4, method="inclusive"))
-    return (values[0],) * 3
-
-
 def _summary(samples: list) -> dict:
-    q1, median, q3 = _quartiles(samples)
+    if len(samples) > 1:
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = samples[0]
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples_s": samples}
-
-
-def _paired(samples: list, first: list) -> dict:
-    """Round-by-round ratios of samples to the first tree's samples."""
-    ratios = [mine / theirs for mine, theirs in zip(samples, first)]
-    q1, median, q3 = _quartiles(ratios)
-    return {"median": median, "q1": q1, "q3": q3,
-            "rounds_won": sum(ratio < 1.0 for ratio in ratios), "ratios": ratios}
 
 
 def main(argv=None) -> int:
@@ -269,13 +247,8 @@ def main(argv=None) -> int:
                         samples[case][src].append(seconds)
 
     def per_tree(case):
-        first = samples[case][args.src[0]]
-        out = {}
-        for src in args.src:
-            out[src] = {"exit_code": exits[case][src], **_summary(samples[case][src])}
-            if src != args.src[0]:
-                out[src]["paired_vs_first"] = _paired(samples[case][src], first)
-        return out
+        return {src: {"exit_code": exits[case][src], **_summary(samples[case][src])}
+                for src in args.src}
 
     result = {
         "machine": {
@@ -297,15 +270,9 @@ def main(argv=None) -> int:
         handle.write("\n")
     for case, trees in {**result["cases"], **result["kernels"]}.items():
         for src, stats in trees.items():
-            line = (f"{case:30s} {src:30s} median {stats['median_s'] * 1e3:9.4g} ms  "
-                    f"quartiles {stats['q1_s'] * 1e3:.4g}-{stats['q3_s'] * 1e3:.4g} ms  "
-                    f"exit {stats['exit_code']}")
-            paired = stats.get("paired_vs_first")
-            if paired:
-                line += (f"  paired ratio {paired['median']:.3f} "
-                         f"({paired['q1']:.3f}-{paired['q3']:.3f}), "
-                         f"won {paired['rounds_won']}/{len(paired['ratios'])}")
-            print(line)
+            print(f"{case:30s} {src:30s} median {stats['median_s'] * 1e3:9.4g} ms  "
+                  f"quartiles {stats['q1_s'] * 1e3:.4g}-{stats['q3_s'] * 1e3:.4g} ms  "
+                  f"exit {stats['exit_code']}")
     return 0
 
 

@@ -47,7 +47,7 @@ from . import __version__
 from . import halfline as hl
 from . import krein as kr
 from .checks import SUITES, error_record, model_layer, record
-from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime, SpectralParameter
+from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
 from .extension import ExtensionParameter, build_model, extension_from_parameter, parameter_of
 from .numerics import frob, hermitian_eig
 
@@ -430,15 +430,10 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
         raise BadDimensions("which must be 1 or 2")
     model, ext1, ext2, _ = materialize(scenario)
     ext = ext1 if which == 1 else ext2
-    try:
-        # the whole grid from one stacked call, bit for bit the per-z calls
-        ms = kr.weyl_operator(ext, model.nplus, np.array(scenario.z_grid))
-    except SpectralParameter:
-        ms = None  # z by z, so that each colliding row is flagged
     rows = []
-    for k, z in enumerate(scenario.z_grid):
+    for z in scenario.z_grid:
         try:
-            m = kr.weyl_operator(ext, model.nplus, z) if ms is None else ms[k]
+            m = kr.weyl_operator(ext, model.nplus, z)
         except KreinKitError as exc:
             rows.append({"z": _c_to_json(z), "error": type(exc).__name__})
             continue

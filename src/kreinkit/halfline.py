@@ -325,14 +325,10 @@ def dirichlet_resolvent_quadrature(f_samples, z, grid: QuadratureGrid = DEFAULT_
     whole grid.  It is validated in place by the three-point second
     difference of the defining equation -u'' - z u = f; GridTooCoarse
     reports a violation.
+
+    Both running integrals come from one _cumulative call on the (2, K+1)
+    stack of sin(kx) f and the reversed e^{ikx} f.
     """
-    return _solve_dirichlet(f_samples, z, grid)[0]
-
-
-def _solve_dirichlet(f_samples, z, grid: QuadratureGrid):
-    """(u, |u|): dirichlet_resolvent_quadrature's solution and the moduli
-    its gate takes.  Both running integrals come from one _cumulative call
-    on the (2, K+1) stack of s f and the reversed e f."""
     f = np.asarray(f_samples, dtype=np.complex128)
     n = grid.nodes + 1
     if f.ndim != 1 or f.shape[0] != n:
@@ -373,8 +369,7 @@ def _solve_dirichlet(f_samples, z, grid: QuadratureGrid):
         tail += s * 0j
     tail /= k
     u[0] = 0.0
-    u_size = np.abs(u)
-    u_max = float(np.max(u_size))
+    u_max = float(np.max(np.abs(u)))
     if not math.isfinite(u_max):
         raise NumericalFailure("quadrature produced non-finite values")
     # |-u'' - z u - f| as |u'' + z u + f|, which rounds to the same value;
@@ -393,7 +388,7 @@ def _solve_dirichlet(f_samples, z, grid: QuadratureGrid):
             f"second-difference residual {worst:.3e} exceeds "
             f"{grid.residual_tol:.1e} * {scale:.3e}"
         )
-    return u, u_size
+    return u
 
 
 def _bump_with_second_derivative(x: np.ndarray, a: float):
@@ -500,8 +495,8 @@ def quadrature_roundtrip(z_values=DEFAULT_Z) -> float:
     |z| = 25 on DEFAULT_GRID), NumericalFailure where sin(kx) would
     overflow.
 
-    g vanishes from the middle point a of the grid on, so |u - g| is read
-    there off the |u| that the solve's gate has taken already."""
+    g vanishes from the middle point a of the grid on, so |u - g| is |u|
+    there and is read without the subtraction."""
     g, g2 = DEFAULT_GRID.bump
     # complex copies once, where each z would cast the real arrays again
     g, minus_g2 = g.astype(np.complex128), (-g2).astype(np.complex128)
@@ -509,7 +504,7 @@ def quadrature_roundtrip(z_values=DEFAULT_Z) -> float:
     out = 0.0
     for z in z_values:
         z = complex(z)
-        u, u_size = _solve_dirichlet(minus_g2 - z * g, z, DEFAULT_GRID)
+        u = dirichlet_resolvent_quadrature(minus_g2 - z * g, z, DEFAULT_GRID)
         out = max(out, float(np.max(np.abs(u[:cut] - g[:cut]))),
-                  float(np.max(u_size[cut:])))
+                  float(np.max(np.abs(u[cut:]))))
     return out

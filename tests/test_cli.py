@@ -733,14 +733,10 @@ def test_every_exported_function_is_called_by_the_tool():
     # kreinkit.__all__ is entered by a check of a generated (8, 2) scenario,
     # its M(z) table or the halfline command on its default grid and on a
     # grid with poles, whose pole_validation records m2_halfline decides
-    # point by point.  dirichlet_resolvent_quadrature is the public front of
-    # the solver that the round trip enters for the |u| of its gate, so the
-    # solver's entry counts for it.  Reference routes that only tests
-    # compare against live in tests/support.py
+    # point by point.  Reference routes that only tests compare against
+    # live in tests/support.py
     import kreinkit
-    fronts = {halfline.dirichlet_resolvent_quadrature.__code__:
-              halfline._solve_dirichlet.__code__}
-    exported = {fronts.get(obj.__code__, obj.__code__): name for name in kreinkit.__all__
+    exported = {obj.__code__: name for name in kreinkit.__all__
                 if inspect.isfunction(obj := getattr(kreinkit, name))}
     entered = set()
 

@@ -456,20 +456,20 @@ _WORKLOAD_Z = st.builds(
 @given(zs=st.lists(_WORKLOAD_Z, min_size=1, max_size=8))
 @example(zs=list(DEFAULT_Z))  # its real point -9 takes the zero-sign branch
 def test_roundtrip_equals_the_public_solve_bit_for_bit(zs):
-    # the round trip reads |u| off the solve's gate and |u - g| only where
-    # the bump g is nonzero; its value is the whole-grid maximum exactly
+    # the round trip reads |u - g| only where the bump g is nonzero and |u|
+    # beyond it; its value is the whole-grid maximum exactly
     got = quadrature_roundtrip(zs)
     assert got.hex() == _roundtrip_via_the_public_solve(zs).hex()
 
 
 def test_roundtrip_reads_the_solution_beyond_the_bump(monkeypatch):
     # on real data the largest |u - g| lies on the bump's support; where g
-    # vanishes the round trip reads the |u| of the solve, so an error there
-    # still counts
+    # vanishes the round trip reads |u| without subtracting g, so an error
+    # there still counts
     g, _ = QuadratureGrid().bump
     u = g.astype(np.complex128)
     u[3000] = 0.5j
-    monkeypatch.setattr(halfline, "_solve_dirichlet", lambda f, z, grid: (u, np.abs(u)))
+    monkeypatch.setattr(halfline, "dirichlet_resolvent_quadrature", lambda f, z, grid: u)
     assert quadrature_roundtrip([1j]) == 0.5
 
 

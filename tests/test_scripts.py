@@ -40,6 +40,7 @@ def test_identity_sweep_counts_each_failing_scenario_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "generate_scenario",
                         lambda dim, deficiency, seed: (raising, collision)[seed])
     monkeypatch.setattr(cli, "run_checks", run_checks)
+
     def tables(scenario):
         return b"".join(cli._dump_json(cli.tabulate_m(scenario, which)).encode("utf-8")
                         for which in (1, 2))
@@ -94,31 +95,6 @@ def test_bench_writes_medians_per_tree(monkeypatch, tmp_path):
     assert set(result["machine"]["thread_variables"]) == set(bench.THREAD_VARIABLES)
 
 
-def test_bench_pairs_each_later_tree_with_the_first_round_by_round(monkeypatch, tmp_path,
-                                                                  capsys):
-    # a second path to the same tree: each round's ratio is that round's
-    # sample over the first tree's sample of the same round
-    src = str(SCRIPTS.parent / "src")
-    other = tmp_path / "other_src"
-    other.symlink_to(src, target_is_directory=True)
-    out = tmp_path / "bench.json"
-    bench = _load("bench")
-    monkeypatch.setattr(bench, "SHAPES", ((2, 1),))
-    monkeypatch.setattr(bench, "KERNELS", {"inverse n=1": bench.KERNELS["inverse n=1"]})
-    assert bench.main(["--src", src, "--src", str(other), "--runs", "3",
-                       "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
-    for per_tree in [*result["cases"].values(), *result["kernels"].values()]:
-        assert "paired_vs_first" not in per_tree[src]
-        paired = per_tree[str(other)]["paired_vs_first"]
-        first, later = per_tree[src]["samples_s"], per_tree[str(other)]["samples_s"]
-        assert paired["ratios"] == [b / a for a, b in zip(first, later)]
-        assert paired["rounds_won"] == sum(b < a for a, b in zip(first, later))
-        assert paired["q1"] <= paired["median"] <= paired["q3"]
-        assert paired["median"] == sorted(paired["ratios"])[1]
-    assert "paired ratio" in capsys.readouterr().out
-
-
 def test_bench_stops_on_a_failing_kernel(monkeypatch, tmp_path, capsys):
     src = str(SCRIPTS.parent / "src")
     out = tmp_path / "bench.json"
@@ -137,7 +113,6 @@ def test_bench_kernels_run_on_the_current_tree(monkeypatch):
     kernels = _load("bench").KERNELS
     # the layers of a halfline op each have a kernel of their own
     assert {"halfline_command", "quadrature 8 z of a halfline input",
-            "quadrature_roundtrip of a halfline input",
             "verify_halfline default grid"} <= set(kernels)
     for setup, stmt, _ in kernels.values():
         namespace = {}
