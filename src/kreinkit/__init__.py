@@ -15,7 +15,6 @@ records of the check report in `checks`, and a scenario-driven CLI in `cli`.
 from .errors import (
     BadDimensions,
     BranchCut,
-    ExhaustedCandidates,
     GridTooCoarse,
     KreinKitError,
     NotAnExtension,
@@ -57,12 +56,10 @@ from .krein import (
     PSample,
     PairContext,
     angle_operator,
-    choose_third_extension,
     herglotz_lower_bound,
     krein_resolvent,
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
-    lft_to_reference,
     weyl_operator,
 )
 from .numerics import (
@@ -80,7 +77,6 @@ __all__ = [
     "AngleOperator",
     "BadDimensions",
     "BranchCut",
-    "ExhaustedCandidates",
     "Extension",
     "ExtensionParameter",
     "GridTooCoarse",
@@ -106,7 +102,6 @@ __all__ = [
     "UnitEigenvalue",
     "angle_operator",
     "build_model",
-    "choose_third_extension",
     "dirichlet_resolvent_quadrature",
     "extension_from_parameter",
     "herglotz_lower_bound",
@@ -115,7 +110,6 @@ __all__ = [
     "krein_resolvent",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
-    "lft_to_reference",
     "m1_halfline",
     "m2_halfline",
     "p12_halfline",

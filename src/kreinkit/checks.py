@@ -249,33 +249,16 @@ def krein_suite(pair: kr.PairContext, zs: list, tol: float):
 
 
 def lft_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Every route from M1(z) to M2(z): the coefficient form with p(i) from
-    Cayley data (lft_direct), and the route through an auxiliary third
-    extension, chosen once for the grid: M1 inverted to its M
-    (lft_reference_inversion) and mapped on to M2 (lft_third_extension)."""
-    ext1, ext2 = pair.ext1, pair.ext2
-    p_i = pair.p_at_i_via_cayley
-    ext3, a31, a32 = kr.choose_third_extension(pair)
-    # each law maps the stacked M1(z) of the whole grid in one call, bit for
+    """The coefficient form of the fractional-linear law, with p(i) from
+    Cayley data, mapping M1(z) to M2(z) (lft_direct); its angle form is
+    angle_suite's lft_angle_vs_direct."""
+    # the law maps the stacked M1(z) of the whole grid in one call, bit for
     # bit the per-z maps
-    m1 = pair.m(ext1, zs)
-    direct = kr.lft_m1_to_m2(m1, p_i)
-    m3 = kr.lft_to_reference(m1, a31)
-    third = kr.lft_m1_to_m2_angle(m3, a32)
-    try:
-        m2, m3_direct = pair.m(ext2, zs), pair.m(ext3, zs)
-    except SpectralParameter:
-        # the grid z by z, ext2 before ext3 at each z, to raise the error of
-        # the first offending z
-        for z in zs:
-            pair.m(ext2, z)
-            pair.m(ext3, z)
-        raise
+    direct = kr.lft_m1_to_m2(pair.m(pair.ext1, zs), pair.p_at_i_via_cayley)
+    m2 = pair.m(pair.ext2, zs)
     worst = _Worst()
     for k in range(len(zs)):
         worst.add("lft_direct", frob(direct[k] - m2[k]))
-        worst.add("lft_reference_inversion", frob(m3[k] - m3_direct[k]))
-        worst.add("lft_third_extension", frob(third[k] - m2[k]))
     yield from worst.records(tol)
 
 

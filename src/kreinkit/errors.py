@@ -70,9 +70,5 @@ class GridTooCoarse(KreinKitError):
     """Quadrature self-check residual exceeded the grid's tolerance."""
 
 
-class ExhaustedCandidates(KreinKitError):
-    """A deterministic candidate sweep found no admissible element."""
-
-
 class BadDimensions(KreinKitError):
     """Scenario or CLI input violates the documented size constraints."""

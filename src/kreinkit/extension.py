@@ -181,21 +181,33 @@ def extension_from_parameter(model: RestrictionModel,
     update a2 = a1 + F T F* of the reference, F = (a1 - i) Bp: Woodbury on
     c - 1 for its Cayley transform c = C1 + Bp (1 - v)* Bm* gives
     T = u (2i - (h + i) u)^{-1}, u = (1 - v)*, h + i = Bp* a1 Bp + i = Bp* F + 2i.
+    At n >= 2 that loses about eps ||a1||^2, so where a1 outweighs a2 on D^perp,
+    ||Qf* a1 Qf|| > 10 (1 + ||Qf* a2 Qf||), a2 = a1 + Qf X Qf* is solved there
+    from G = (a2 - i)^{-1} Bm = (Bp v* + Bm) i/2, X (Qf* G) = Qf* ((Bm - Bp v*)/2
+    - a1 G): every factor but a1 is bounded by 1.
     Raises UnitEigenvalue when c has an eigenvalue within DEFAULT_TOL of 1
     (v selects a relation), read off a2 and not off a pivot ratio: an
     eigenvalue w has |(w + i)/(w - i) - 1| = 2/|w - i| <= DEFAULT_TOL, or an
     entry of a2 is at least 2/DEFAULT_TOL (so is some |w|) or nan (overflow).
     """
-    bp, eye = model.nplus.basis, np.eye(model.deficiency)
+    bp, bm, eye = model.nplus.basis, model.nminus.basis, np.eye(model.deficiency)
     if p.v.shape != eye.shape:
         raise ValueError(f"parameter size {p.v.shape[0]} != deficiency {model.deficiency}")
-    f, u = model.a1 @ bp - 1j * bp, (eye - p.v).conj().T
+    f, u, qf = model.a1 @ bp - 1j * bp, (eye - p.v).conj().T, model.domain_complement.basis
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             t = u @ np.linalg.solve(2j * eye - (bp.conj().T @ f + 2j * eye) @ u, eye)
+            t, r, y1 = (t + t.conj().T) / 2.0, qf.conj().T @ f, qf.conj().T @ model.a1 @ qf
+            if model.deficiency > 1 and frob(y1) > 10.0 * (1.0 + frob(y1 + r @ t @ r.conj().T)):
+                bv = bp @ p.v.conj().T
+                g = (bv + bm) * 0.5j
+                rhs = qf.conj().T @ ((bm - bv) / 2.0 - model.a1 @ g)
+                x = np.linalg.solve((qf.conj().T @ g).T, rhs.T).T
+                a2 = model.a1 + qf @ ((x + x.conj().T) / 2.0) @ qf.conj().T
+            else:
+                a2 = model.a1 + f @ t @ f.conj().T
         except np.linalg.LinAlgError:  # exactly singular
             raise UnitEigenvalue("cayley transform has eigenvalue 1") from None
-        a2 = model.a1 + f @ ((t + t.conj().T) / 2.0) @ f.conj().T
     if not np.abs(a2).max() < 2.0 / DEFAULT_TOL:
         raise UnitEigenvalue(f"extension has an entry of size {np.abs(a2).max():.3e}")
     ext = Extension((a2 + a2.conj().T) / 2.0)

@@ -468,7 +468,7 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     # complex functions of AngleOperator.law_factors
     b = np.array([complex(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1, 1, 1)
     factors = (np.cos(b), np.sin(b), np.exp(-1j * b), np.exp(1j * b))
-    via_angle = _angle_form(m1_stack, factors, "angle-form")[..., 0, 0]
+    via_angle = _angle_form(m1_stack, factors)[..., 0, 0]
     via_plain = lft_m1_to_m2(
         m1_stack, np.array(p_i, dtype=np.complex128).reshape(-1, 1, 1, 1))[..., 0, 0]
 

@@ -21,9 +21,8 @@ a primeness decision.  Out of these pieces the module assembles:
 
   * the resolvent formula recovering R2(z) from A1-data plus the angle,
   * the Herglotz lower bound for Im z * Im M,
-  * the fractional-linear laws mapping M1 to M2 (directly, in angle form,
-    and through a deterministic auxiliary third extension, chosen by
-    choose_third_extension).
+  * the fractional-linear law mapping M1 to M2, in coefficient form with
+    p(i) and in angle form.
 
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
@@ -46,7 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ExhaustedCandidates,
     NotHermitian,
     NotInvariant,
     NumericalFailure,
@@ -54,14 +52,12 @@ from .errors import (
     SingularDenominator,
     SingularMatrix,
     SpectralParameter,
-    UnitEigenvalue,
 )
 from .extension import (
     DEFAULT_TOL,
     Extension,
     ExtensionParameter,
     RestrictionModel,
-    extension_from_parameter,
     parameter_of,
     restricted_cayley_product,
 )
@@ -92,8 +88,8 @@ class AngleOperator:
     subspace, held as its spectral decomposition: -exp(-2i alpha) equals the
     restricted Cayley product, and angle_operator reduces the spectrum to the
     branch (-pi/2, pi/2].  Every function of alpha is a diagonal function of
-    that one decomposition; the four factors of the angle-form laws
-    (law_factors) are built once and shared by both laws."""
+    that one decomposition; the four factors of the angle-form law
+    (law_factors) are built once and shared by the law and Krein's formula."""
 
     spectrum: SpectralDecomposition
     subspace: Subspace
@@ -119,8 +115,7 @@ class AngleOperator:
     @cached_property
     def law_factors(self) -> tuple[np.ndarray, ...]:
         """(cos alpha, sin alpha, e^{-i alpha}, e^{i alpha}), diagonal
-        functions of the spectrum, read-only.  The factors at -alpha are
-        these rearranged: (cos alpha, -sin alpha, e^{i alpha}, e^{-i alpha})."""
+        functions of the spectrum, read-only."""
         spec = self.spectrum
         a = spec.eigenvalues
         factors = (spec.compose(np.cos(a)), spec.compose(np.sin(a)),
@@ -441,7 +436,7 @@ def lft_m1_to_m2(m1, p_i) -> np.ndarray:
     return num @ den_inv
 
 
-def _angle_form(m, factors: tuple, what: str) -> np.ndarray:
+def _angle_form(m, factors: tuple) -> np.ndarray:
     """e^{-i b} (cos b + sin b * m) (sin b - cos b * m)^{-1} e^{i b} for
     factors = (cos b, sin b, e^{-i b}, e^{i b}); m is one matrix or a stack
     of them, as in lft_m1_to_m2, and the factors broadcast against it.  One
@@ -453,7 +448,7 @@ def _angle_form(m, factors: tuple, what: str) -> np.ndarray:
     try:
         den_inv = inverse(den)
     except SingularMatrix as exc:
-        raise SingularDenominator(f"{what} denominator is singular") from exc
+        raise SingularDenominator("angle-form denominator is singular") from exc
     return phase_left @ num @ den_inv @ phase_right
 
 
@@ -467,48 +462,4 @@ def lft_m1_to_m2_angle(m1, angle: AngleOperator) -> np.ndarray:
     of them, as in lft_m1_to_m2, and the factors are the angle's cached
     law_factors.
     """
-    return _angle_form(m1, angle.law_factors, "angle-form")
-
-
-def lft_to_reference(m1, angle_ref1: AngleOperator) -> np.ndarray:
-    """Invert the angle-form law: recover the auxiliary reference extension's
-    M-operator from m1, where angle_ref1 is the angle of (reference, ext1):
-
-        m_ref = -e^{i a} (cos a - sin a * m1) (sin a + cos a * m1)^{-1} e^{-i a}
-
-    which is the angle form at -alpha, read off the angle's law_factors
-    rearranged.  m1 is one matrix or a stack of them, as in lft_m1_to_m2.
-    """
-    cos_a, sin_a, phase_minus, phase_plus = angle_ref1.law_factors
-    return _angle_form(m1, (cos_a, -sin_a, phase_plus, phase_minus), "reference-inversion")
-
-
-def choose_third_extension(
-        pair: PairContext) -> tuple[Extension, AngleOperator, AngleOperator]:
-    """Deterministically pick an auxiliary extension ext3 relatively prime to
-    both, and return it with the angles of (ext3, ext1) and (ext3, ext2) on
-    N+ that decided it.
-
-    Sweeps the phases t_j = j pi / (2 (2n + 2)), j = 1..2n+1, each defining a
-    candidate whose inverse Cayley transform on N+ is the reference one
-    rotated by e^{-2i t_j}.  Each obstruction (degeneracy against ext1 or
-    ext2, or a unit eigenvalue of the candidate's Cayley transform) rules out
-    finitely many phases, so the sweep cannot exhaust for honest inputs;
-    ExhaustedCandidates otherwise.
-    """
-    model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
-    n = model.deficiency
-    v1 = pair.parameter(ext1).v
-    for j in range(1, 2 * n + 2):
-        t = j * math.pi / (2.0 * (2 * n + 2))
-        candidate = ExtensionParameter(cmath.exp(-2j * t) * v1)
-        try:
-            ext3 = extension_from_parameter(model, candidate)
-        except UnitEigenvalue:
-            continue
-        a31 = angle_operator(ext3, ext1, model.nplus)
-        if a31.prime:
-            a32 = angle_operator(ext3, ext2, model.nplus)
-            if a32.prime:
-                return ext3, a31, a32
-    raise ExhaustedCandidates("no admissible third extension in the phase sweep")
+    return _angle_form(m1, angle.law_factors)

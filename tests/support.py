@@ -7,14 +7,23 @@ tautology.  The 2x2 helpers use the adjugate and the trace/det quadratic so
 matrix examples can be verified without numpy.linalg either.
 """
 
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from kreinkit import checks, cli
-from kreinkit.errors import NumericalFailure, SingularDenominator, UnitEigenvalue
+from kreinkit import krein as kr
+from kreinkit.errors import (
+    KreinKitError,
+    NumericalFailure,
+    SingularDenominator,
+    SingularMatrix,
+    UnitEigenvalue,
+)
 from kreinkit.extension import (
     DEFAULT_TOL,
     Extension,
@@ -29,7 +38,9 @@ from kreinkit.krein import PSample, _resolvent_diagonal
 from kreinkit.numerics import (
     TOL_HERM,
     TOL_RANK,
+    SpectralDecomposition,
     Subspace,
+    _as_stack,
     _svd_range,
     as_matrix,
     frob,
@@ -419,3 +430,228 @@ SPECTRAL_COLLISION = {
     "z_grid": [[0.0, 1e-14], [0.0, 1.0]],
     "tolerance": 1e-9,
 }
+
+
+# ---------------------------------------------------------------------------
+# pairs whose first extension is not the reference
+
+
+def unitary_pair(dim, deficiency, seed):
+    """PairContext on the model of generate_scenario(dim, deficiency, seed)
+    with both extensions built from random unitary parameters (random_unitary
+    of default_rng(seed), v1 first), so v1 != I: a pair that no report
+    forms, since materialize takes ext1 = model.reference."""
+    model, _, _, _ = cli.materialize(cli.generate_scenario(dim, deficiency, seed))
+    rng = np.random.default_rng(seed)
+    v1, v2 = (random_unitary(rng, deficiency) for _ in range(2))
+    ext1, ext2 = (extension_from_parameter(model, ExtensionParameter(v)) for v in (v1, v2))
+    return kr.PairContext(model, ext1, ext2)
+
+
+def suite_records(pair, zs, tol=1e-9):
+    """The records of every suite of checks.SUITES on the pair over the grid
+    zs, an error in a suite becoming its one failed record after the records
+    it yielded, as cli.run_checks runs them after the model layer."""
+    out = []
+    for name, suite in checks.SUITES:
+        try:
+            for rec in suite(pair, list(zs), tol):
+                out.append(rec)
+        except KreinKitError as exc:
+            out.append(checks.error_record(name, tol, exc))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# mutation table: named mutants, each one library formula changed by a
+# monkeypatch (the library has no mutation hook), and the records that fail
+# under them.  `angle + pi` is left out: it is an equivalent mutant, since
+# cos, sin and the two phases all change sign, and every law, Krein's
+# formula, the inversion of P(z) and the primeness decision read them in
+# pairs whose signs cancel.
+
+_ANGLE_OPERATOR = kr.angle_operator
+_HERGLOTZ_BOUND = kr.herglotz_lower_bound
+_LFT = kr.lft_m1_to_m2
+_PAIR_INIT = kr.PairContext.__init__
+_PARAMETER_OF = kr.parameter_of
+_UNITARY_EIG = kr.unitary_eig
+_WEYL = kr.weyl_operator
+
+
+def _angle_form_with(num, den, phases):
+    """The angle-form law with its numerator num(cos b, sin b, m), its
+    denominator den(cos b, sin b, m) and its phase pair
+    phases(e^{-ib}, e^{ib}) given."""
+    def law(m, factors):
+        m = _as_stack(m, "weyl matrix")
+        cos_b, sin_b, left, right = factors
+        left, right = phases(left, right)
+        try:
+            den_inv = kr.inverse(den(cos_b, sin_b, m))
+        except SingularMatrix as exc:
+            raise SingularDenominator("angle-form denominator is singular") from exc
+        return left @ num(cos_b, sin_b, m) @ den_inv @ right
+    return law
+
+
+def _numerator(cos_b, sin_b, m):
+    return cos_b + sin_b @ m
+
+
+def _denominator(cos_b, sin_b, m):
+    return sin_b - cos_b @ m
+
+
+def _as_given(left, right):
+    return left, right
+
+
+def _phase_identity(phase):
+    return np.broadcast_to(np.eye(phase.shape[-1]), phase.shape)
+
+
+def _law_factors_at_minus_alpha(angle):
+    spec = angle.spectrum
+    a = -spec.eigenvalues
+    return (spec.compose(np.cos(a)), spec.compose(np.sin(a)),
+            spec.compose(np.exp(-1j * a)), spec.compose(np.exp(1j * a)))
+
+
+def _angle_at_minus_alpha(ext1, ext2, subspace):
+    angle = _ANGLE_OPERATOR(ext1, ext2, subspace)
+    spec = angle.spectrum
+    return kr.AngleOperator(SpectralDecomposition(-spec.eigenvalues, spec.eigenvectors),
+                            subspace)
+
+
+def _conjugated_frame(w):
+    dec = _UNITARY_EIG(w)
+    return SpectralDecomposition(dec.eigenvalues, dec.eigenvectors.conj())
+
+
+def _perturbed_weyl(ext, subspace, z):
+    """M(z) + 1e-7 (z - i), which keeps M(i) = i."""
+    m = _WEYL(ext, subspace, z)
+    shift = 1e-7 * (np.asarray(z, dtype=np.complex128) - 1j)
+    return m + shift[..., None, None] * np.eye(m.shape[-1])
+
+
+def _krein_m1_cos(ext1, angle, z):
+    """Krein's formula with m1 @ cos a for cos a @ m1 in its denominator."""
+    zs = np.asarray(z, dtype=np.complex128)
+    cos_a, sin_a, _, _ = angle.law_factors
+    d = kr._resolvent_diagonal(ext1, zs)
+    m1 = kr.weyl_operator(ext1, angle.subspace, zs)
+    mid = kr.inverse(sin_a - m1 @ cos_a) @ cos_a
+    v, w = ext1.spectrum.eigenvectors, ext1.spectrum.eigenvalues
+    ws = v.conj().T @ angle.subspace.basis
+
+    def resolvent(dk, midk):
+        left = v @ (((w - 1j) * dk)[:, None] * ws)
+        right = (ws.conj().T * ((w + 1j) * dk)) @ v.conj().T
+        return (v * dk) @ v.conj().T + left @ midk @ right
+
+    return map(resolvent, d, mid) if zs.ndim else resolvent(d, mid)
+
+
+def _p_right_factor_minus_i(self, z):
+    """PairContext.p with (w1 - z)/(w1 - i) as its right factor."""
+    z = complex(z)
+    if z not in self._p:
+        w1 = self.ext1.spectrum.eigenvalues
+        middle = (self.frame_q * kr._resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+        middle[np.diag_indices_from(middle)] -= kr._resolvent_diagonal(self.ext1, z)
+        full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 - 1j))
+        s1 = self.frame_nplus
+        self._p[z] = PSample(full=full, restricted=s1.conj().T @ full @ s1)
+    return self._p[z]
+
+
+def _reference_cayley(mp):
+    """angle_operator reads the reference's Cayley transform in place of
+    ext1's.  The reference of a call's model is found through the N+
+    subspace the call names, recorded when a PairContext is built on it;
+    only a pair whose ext1 is not the reference can show the change."""
+    references = {}
+
+    def remembering(self, model, ext1, ext2):
+        references[id(model.nplus)] = (model.nplus, model.reference)
+        _PAIR_INIT(self, model, ext1, ext2)
+
+    def angle_operator(ext1, ext2, subspace):
+        held, reference = references.get(id(subspace), (None, ext1))
+        return _ANGLE_OPERATOR(reference if held is subspace else ext1, ext2, subspace)
+
+    mp.setattr(kr.PairContext, "__init__", remembering)
+    mp.setattr(kr, "angle_operator", angle_operator)
+
+
+MUTANTS = {
+    "angle form: phases swapped": lambda mp: mp.setattr(kr, "_angle_form", _angle_form_with(
+        _numerator, _denominator, lambda left, right: (right, left))),
+    "angle form: phases conjugated": lambda mp: mp.setattr(kr, "_angle_form", _angle_form_with(
+        _numerator, _denominator, lambda left, right: (left.conj(), right.conj()))),
+    "angle form: phases dropped": lambda mp: mp.setattr(kr, "_angle_form", _angle_form_with(
+        _numerator, _denominator,
+        lambda left, right: (_phase_identity(left), _phase_identity(right)))),
+    "angle form: m @ sin b in the numerator": lambda mp: mp.setattr(
+        kr, "_angle_form", _angle_form_with(
+            lambda cos_b, sin_b, m: cos_b + m @ sin_b, _denominator, _as_given)),
+    "angle form: m @ cos b in the denominator": lambda mp: mp.setattr(
+        kr, "_angle_form", _angle_form_with(
+            _numerator, lambda cos_b, sin_b, m: sin_b - m @ cos_b, _as_given)),
+    "law factors at -alpha": lambda mp: mp.setattr(
+        kr.AngleOperator, "law_factors", property(_law_factors_at_minus_alpha)),
+    "angle at -alpha": lambda mp: mp.setattr(kr, "angle_operator", _angle_at_minus_alpha),
+    "lft_m1_to_m2 given p(i)*": lambda mp: mp.setattr(
+        kr, "lft_m1_to_m2", lambda m1, p_i: _LFT(m1, np.swapaxes(np.conj(p_i), -1, -2))),
+    "weyl_operator + 1e-7 (z - i)": lambda mp: mp.setattr(kr, "weyl_operator", _perturbed_weyl),
+    "weyl_operator transposed": lambda mp: mp.setattr(
+        kr, "weyl_operator", lambda *args: np.swapaxes(_WEYL(*args), -1, -2)),
+    "unitary_eig with a conjugated frame": lambda mp: mp.setattr(
+        kr, "unitary_eig", _conjugated_frame),
+    "parameter_of transposed": lambda mp: mp.setattr(
+        kr, "parameter_of", lambda model, ext: ExtensionParameter(_PARAMETER_OF(model, ext).v.T)),
+    "Krein's formula: m1 @ cos a": lambda mp: mp.setattr(kr, "krein_resolvent", _krein_m1_cos),
+    "PairContext.p: (w1 - i) as its right factor": lambda mp: mp.setattr(
+        kr.PairContext, "p", _p_right_factor_minus_i),
+    "Herglotz bound times 1.5": lambda mp: mp.setattr(
+        kr, "herglotz_lower_bound", lambda z: 1.5 * _HERGLOTZ_BOUND(z)),
+    "angle_operator reads the reference's Cayley transform": _reference_cayley,
+}
+
+
+@contextlib.contextmanager
+def mutant(name):
+    """The library with the named mutant of MUTANTS applied, restored on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        MUTANTS[name](mp)
+        yield
+
+
+# the (dim, deficiency, seed) cases of the tier-1 mutation test and of
+# scripts/mutation_matrix.py's default run
+MUTATION_CASES = ((8, 2, 3), (32, 3, 7), (6, 6, 1), (16, 4, 9))
+
+
+def failing_records(cases):
+    """{record name: kinds} of the records that fail on the cases, each a
+    (dim, deficiency, seed) triple: kind "report" for a record of
+    run_checks(generate_scenario(dim, deficiency, seed)), "pair" for one of
+    suite_records(unitary_pair(dim, deficiency, seed)) on the scenario's
+    grid.  An error record counts under its suite's name."""
+    out = {}
+    for dim, deficiency, seed in cases:
+        scenario = cli.generate_scenario(dim, deficiency, seed)
+        try:
+            pair_records = suite_records(unitary_pair(dim, deficiency, seed), scenario.z_grid,
+                                         scenario.tolerance)
+        except KreinKitError as exc:
+            pair_records = [checks.error_record("unitary_pair", scenario.tolerance, exc)]
+        for kind, recs in (("report", cli.run_checks(scenario)["checks"]),
+                           ("pair", pair_records)):
+            for rec in recs:
+                if not rec["pass"]:
+                    out.setdefault(rec["name"], set()).add(kind)
+    return out

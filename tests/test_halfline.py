@@ -506,14 +506,13 @@ _OFF_AXIS_Z = st.builds(complex, st.floats(-30.0, 30.0),
 
 
 def _scalar_angle_law(monkeypatch, zs, alphas):
-    """verify_halfline's angle-form call on the grid: its factors, the name
-    its errors carry and what the law maps m1(z) to, read off a wrapper of
-    halfline._angle_form."""
+    """verify_halfline's angle-form call on the grid: its factors and what
+    the law maps m1(z) to, read off a wrapper of halfline._angle_form."""
     calls = []
 
-    def spy(m, factors, what):
-        out = real(m, factors, what)
-        calls.append((factors, what, out))
+    def spy(m, factors):
+        out = real(m, factors)
+        calls.append((factors, out))
         return out
 
     real = halfline._angle_form
@@ -536,7 +535,7 @@ def test_verify_scalar_factors_map_as_one_by_one_angles(alphas, zs):
     # angle-form law with the 1x1 angle operator of hermitian_eig does, to
     # the bit
     with pytest.MonkeyPatch.context() as monkeypatch:
-        factors, _, grid = _scalar_angle_law(monkeypatch, zs, alphas)
+        factors, grid = _scalar_angle_law(monkeypatch, zs, alphas)
     assert all(f.shape == (len(alphas), 1, 1, 1) for f in factors)
     assert grid.shape == (len(alphas), len(zs), 1, 1)
     m1 = m1_halfline(np.array(zs, dtype=np.complex128)).reshape(-1, 1, 1)
@@ -549,15 +548,15 @@ def test_verify_scalar_factors_map_as_one_by_one_angles(alphas, zs):
 def test_verify_scalar_factors_refuse_a_singular_denominator(monkeypatch):
     # alpha = 0 against m1 = 0 makes sin a - cos a m1 exactly 0: the stacked
     # factors raise the message of the law with that angle alone
-    factors, what, _ = _scalar_angle_law(monkeypatch, [1j], [0.3, 0.0])
+    factors, _ = _scalar_angle_law(monkeypatch, [1j], [0.3, 0.0])
     m1 = np.array([[[1j]], [[0.0]]])
     line = Subspace(basis=np.eye(1, dtype=np.complex128))
     message = "angle-form denominator is singular"
     with pytest.raises(SingularDenominator, match=message):
         lft_m1_to_m2_angle(m1, AngleOperator(hermitian_eig(np.zeros((1, 1))), line))
     with pytest.raises(SingularDenominator, match=message):
-        halfline._angle_form(m1, factors, what)
-    halfline._angle_form(m1, tuple(f[:1] for f in factors), what)
+        halfline._angle_form(m1, factors)
+    halfline._angle_form(m1, tuple(f[:1] for f in factors))
 
 
 def test_grid_too_coarse_is_reported():

@@ -36,12 +36,10 @@ from kreinkit.krein import (
     AngleOperator,
     PairContext,
     angle_operator,
-    choose_third_extension,
     herglotz_lower_bound,
     krein_resolvent,
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
-    lft_to_reference,
     weyl_operator,
 )
 from kreinkit.numerics import (
@@ -415,10 +413,7 @@ def test_non_prime_pair_behaviour():
         m1 = weyl_operator(ext1, sub, z)
         m2 = weyl_operator(ext2, sub, z)
         assert frob(lft_m1_to_m2(m1, pair.p_at_i_via_cayley) - m2) < 1e-9 * (1.0 + frob(m2))
-        # and the third-extension route avoids the degenerate pair entirely
-        res = support.records(checks.lft_suite, pair, [z])
-        assert res["lft_direct"] < 1e-9
-        assert res["lft_third_extension"] < 1e-9
+        assert support.records(checks.lft_suite, pair, [z])["lft_direct"] < 1e-9
 
 
 def test_identical_extensions_degenerate_cleanly():
@@ -439,35 +434,6 @@ def test_identical_extensions_degenerate_cleanly():
     # compressed difference on N+ is numerically zero
     ps = support.p_function(ext1, ext1, model.nplus, 2j)
     assert frob(ps.restricted) < 1e-12
-
-
-def test_choose_third_extension_properties(s1):
-    model, ext1, ext2 = s1
-    model2, e1, e2, _ = support.random_pair(4, 2, seed=47, degenerate=1)
-    # also for a non-prime pair: the returned angles decided the choice, so
-    # they are prime, and they are the angles a fresh call computes
-    for m, first, second in ((model, ext1, ext2), (model2, e1, e2)):
-        ext3, a31, a32 = choose_third_extension(PairContext(m, first, second))
-        for angle, other in ((a31, first), (a32, second)):
-            assert angle.prime
-            fresh = angle_operator(ext3, other, m.nplus)
-            for got, want in ((angle.spectrum.eigenvalues, fresh.spectrum.eigenvalues),
-                              (angle.spectrum.eigenvectors, fresh.spectrum.eigenvectors),
-                              (angle.alpha, fresh.alpha)):
-                assert got.tobytes() == want.tobytes()
-
-
-def test_lft_to_reference_inverts_angle_form():
-    model, ext1, ext2, _ = support.random_pair(5, 2, seed=53)
-    sub = model.nplus
-    a12 = angle_operator(ext1, ext2, sub)
-    for z in (2j, -1 + 1j):
-        m1 = weyl_operator(ext1, sub, z)
-        m2 = lft_m1_to_m2_angle(m1, a12)
-        back = lft_to_reference(m2, a12)
-        # the inverse law recovers m1 from m2 when the roles are arranged
-        # as (reference, other) = (ext1, ext2)
-        assert frob(back - m1) < 1e-9 * (1.0 + frob(m1))
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +483,17 @@ def test_angle_form_laws_are_finite_at_the_pole():
             a = sign * (math.pi / 2.0 - gap)
             ang = AngleOperator(hermitian_eig(np.array([[a]])), line)
             for _ in range(2):   # the second pass reads the cached factors
-                p_fwd = np.array([[1j * np.exp(-1j * a) * math.cos(a)]])
-                p_back = np.array([[1j * np.exp(1j * a) * math.cos(a)]])
-                assert_allclose(lft_m1_to_m2_angle(m1, ang), lft_m1_to_m2(m1, p_fwd),
-                                atol=1e-15)
-                assert_allclose(lft_to_reference(m1, ang), lft_m1_to_m2(m1, p_back),
+                p_i = np.array([[1j * np.exp(-1j * a) * math.cos(a)]])
+                assert_allclose(lft_m1_to_m2_angle(m1, ang), lft_m1_to_m2(m1, p_i),
                                 atol=1e-15)
             if gap == 0.0:
                 assert_allclose(lft_m1_to_m2_angle(m1, ang), m1, atol=1e-15)
 
 
-def _angle_form_rebuilt(m, angle, sign):
-    """The angle-form law at b = sign * alpha, every factor composed afresh."""
+def _angle_form_rebuilt(m, angle):
+    """The angle-form law, every factor composed afresh."""
     spec = angle.spectrum
-    b = sign * spec.eigenvalues
+    b = spec.eigenvalues
     cos_b, sin_b = spec.compose(np.cos(b)), spec.compose(np.sin(b))
     den_inv = inverse(sin_b - cos_b @ m)
     return (spec.compose(np.exp(-1j * b)) @ (cos_b + sin_b @ m) @ den_inv
@@ -545,9 +508,7 @@ def test_angle_form_laws_reuse_read_only_factors():
         for k in range(3):
             m = rng.standard_normal((3, 3)) + 1j * (np.eye(3) + 0.1 * k)
             assert lft_m1_to_m2_angle(m, angle).tobytes() == \
-                _angle_form_rebuilt(m, angle, 1.0).tobytes()
-            assert lft_to_reference(m, angle).tobytes() == \
-                _angle_form_rebuilt(m, angle, -1.0).tobytes()
+                _angle_form_rebuilt(m, angle).tobytes()
     factors = angle.law_factors
     assert angle.law_factors is factors
     for factor in factors:
@@ -562,8 +523,7 @@ def test_laws_on_a_stack_match_their_per_matrix_calls(n):
     model, ext1, ext2, _ = support.random_pair(n + 5, n, 21)
     pair = PairContext(model, ext1, ext2)
     stack = np.stack([pair.m(ext1, z) for z in (2j, 1 + 1j, -0.5 + 0.3j, 4 - 2j)])
-    routes = ((lft_m1_to_m2, pair.p_at_i_via_cayley), (lft_m1_to_m2_angle, pair.angle),
-              (lft_to_reference, pair.angle))
+    routes = ((lft_m1_to_m2, pair.p_at_i_via_cayley), (lft_m1_to_m2_angle, pair.angle))
     for law, coefficients in routes:
         mapped = law(stack, coefficients)
         assert mapped.shape == stack.shape
@@ -596,22 +556,6 @@ def test_coefficient_law_on_a_stack_of_p_matches_the_per_p_calls(seed, k, pairs,
     if zs:
         for p, mapped in zip(p_i, lft_m1_to_m2(m1[0], p_i)):
             assert mapped.tobytes() == lft_m1_to_m2(m1[0], p).tobytes()
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 5))
-def test_reference_law_is_the_angle_form_at_minus_alpha(seed, k, zs):
-    # lft_to_reference reads the factors at alpha rearranged; on the same
-    # frame with eigenvalues -alpha, the angle-form law maps every matrix to
-    # the same bits
-    rng = np.random.default_rng(seed)
-    angle = AngleOperator(hermitian_eig(support.random_hermitian(rng, k)),
-                          Subspace(basis=np.eye(k, dtype=np.complex128)))
-    minus = AngleOperator(SpectralDecomposition(-angle.spectrum.eigenvalues,
-                                                angle.spectrum.eigenvectors), angle.subspace)
-    m1 = rng.standard_normal((zs, k, k)) + 1j * rng.standard_normal((zs, k, k))
-    assert lft_to_reference(m1, angle).tobytes() == lft_m1_to_m2_angle(m1, minus).tobytes()
-    for m in m1:
-        assert lft_to_reference(m, angle).tobytes() == lft_m1_to_m2_angle(m, minus).tobytes()
 
 
 def test_krein_resolvent_singular_denominator():
@@ -726,17 +670,10 @@ def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
     assert calls[1:] == [(ext1, [3j]), (ext2, [2j]), (ext2, [1j, -1 + 1j])]
 
 
-def _suite_pair():
-    # 1x1: reference 0, second extension -1, and their third extension
-    model, ext1, ext2 = scalar_pair(0.0, -1.0)
-    pair = PairContext(model, ext1, ext2)
-    return pair, choose_third_extension(pair)[0]
-
-
-def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z():
+def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z(s1):
     # ext2 meets the grid at -1, ext1 at 0: whichever comes first in the
     # grid raises, as the per-z loop (ext2's guard, then Krein's formula)
-    pair, _ = _suite_pair()
+    pair = PairContext(*s1)
 
     def per_z(z):
         krein_module._resolvent_diagonal(pair.ext2, z)
@@ -746,16 +683,6 @@ def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z():
         expected = _first_error(per_z, grid)
         assert _raised(support.records, checks.krein_suite, pair, grid) == expected
     assert expected[1].startswith("z = 0+1e-12j ")
-
-
-def test_lft_suite_reads_ext2_before_ext3_at_each_z():
-    # the third extension meets the grid before the second does: the error
-    # is the third's, as the per-z reading (ext2, then ext3, at each z)
-    # raises it, not the one of ext2's stack
-    pair, ext3 = _suite_pair()
-    grid = [2j, ext3.spectrum.eigenvalues[0].real + 1e-12j, -1 + 1e-12j]
-    expected = _raised(weyl_operator, ext3, pair.model.nplus, grid[1])
-    assert _raised(support.records, checks.lft_suite, pair, grid) == expected
 
 
 def test_sample_shape_validation():

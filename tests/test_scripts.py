@@ -118,3 +118,24 @@ def test_bench_kernels_run_on_the_current_tree(monkeypatch):
         namespace = {}
         exec(setup, namespace)
         exec(stmt, namespace)
+
+
+def test_mutation_matrix_prints_every_mutant_and_exits_0(capsys):
+    matrix = _load("mutation_matrix")
+    assert matrix.main(["--case", "8", "2", "3", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"1 cases [(8, 2, 3)], {len(support.MUTANTS)} mutants, ")
+    header = lines[1].split()
+    assert header[:3] == ["record", "suite", "ms"]
+    assert header[3:] == [str(k) for k in range(1, len(support.MUTANTS) + 1)]
+    assert any(line.split()[:2] == ["lft_direct", "lft_suite"] for line in lines)
+    for k, name in enumerate(support.MUTANTS, 1):
+        assert any(line.startswith(f"{k:>2} {name}: fails ") for line in lines)
+
+
+def test_mutation_matrix_exits_1_on_a_mutant_that_fails_no_record(monkeypatch, capsys):
+    matrix = _load("mutation_matrix")
+    monkeypatch.setattr(support, "MUTANTS", {"no change": lambda mp: None})
+    assert matrix.main(["--case", "1", "1", "2", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [" 1 no change: fails 0", "mutants that fail no record: ['no change']"]
