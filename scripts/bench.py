@@ -62,10 +62,11 @@ KERNELS = {
         "build_model(scenario.a1, scenario.nplus)", 10),
     "model_layer (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
+        "import numpy as np\n"
         "from kreinkit import checks, cli\nfrom kreinkit.krein import PairContext\n"
         f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()\n"
         "model, ext1, ext2, v2 = cli.materialize(scenario)",
-        "list(checks.model_layer(PairContext(model, ext1, ext2), v2, 1e-9))", 10),
+        "list(checks.model_layer(PairContext(model, ext1, ext2), np.eye(3), v2, 1e-9))", 10),
     "run_checks battery input": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         f"from kreinkit import cli\n_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()",

@@ -6,10 +6,10 @@ Usage:
 The mutants are the table MUTANTS of tests/support.py, each one library
 formula changed by a monkeypatch.  Each --case (dim, deficiency, seed) is
 checked two ways: the report of run_checks on generate_scenario(dim,
-deficiency, seed), and the suites of checks.SUITES on a pair of that
-scenario's model whose two extensions come from random unitary parameters
-(support.unitary_pair), where ext1 is not the reference.  Without --case the
-cases are support.MUTATION_CASES.
+deficiency, seed), and every record of checks.run, the model layer's
+included, on a pair of that scenario's model whose two extensions come from
+random unitary parameters (support.unitary_pair), where ext1 is not the
+reference.  Without --case the cases are support.MUTATION_CASES.
 
 The matrix has one row per record and one column per mutant: R marks a
 record that fails in a report, P one that fails on a pair, RP both.  An
@@ -27,6 +27,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 
 import support  # noqa: E402
@@ -36,19 +38,18 @@ from kreinkit import krein as kr  # noqa: E402
 
 def suite_times(cases, repeats):
     """{suite name: ms} and {record name: suite name} over the unmutated
-    reports of the cases; the model layer is the suite "model_layer"."""
+    reports of the cases (checks.suite_runs, as run_checks reads them)."""
     best, owner = {}, {}
     for dim, deficiency, seed in cases:
         scenario = cli.generate_scenario(dim, deficiency, seed)
         model, ext1, ext2, v2 = cli.materialize(scenario)
-        suites = (("model_layer", lambda pair, zs, tol: checks.model_layer(pair, v2, tol)),) \
-            + checks.SUITES
         samples = {}
         for _ in range(repeats):
             pair = kr.PairContext(model, ext1, ext2)
-            for name, suite in suites:
+            for name, records in checks.suite_runs(pair, np.eye(deficiency), v2,
+                                                   scenario.z_grid, scenario.tolerance):
                 started = time.perf_counter()
-                for rec in suite(pair, scenario.z_grid, scenario.tolerance):
+                for rec in records:
                     owner[rec["name"]] = name
                 samples.setdefault(name, []).append(time.perf_counter() - started)
         for name, values in samples.items():

@@ -45,7 +45,6 @@ from .halfline import (
     QuadratureGrid,
     dirichlet_resolvent_quadrature,
     m1_halfline,
-    m2_halfline,
     p12_halfline,
     quadrature_roundtrip,
     sqrt_upper,
@@ -111,7 +110,6 @@ __all__ = [
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
     "m1_halfline",
-    "m2_halfline",
     "p12_halfline",
     "parameter_of",
     "projector",

@@ -6,8 +6,8 @@ come in suites, generators over one krein.PairContext: model_layer (the
 model, its parametrization and Cayley geometry), then the suites of SUITES
 (Weyl operators, P(z), the angle operator, Krein's formula, the
 fractional-linear laws and the von Neumann link), each with the name of the
-failed record that an error in it becomes.  cli.run_checks runs them in that
-order behind one error boundary.  A suite computes its residuals from the
+failed record that an error in it becomes.  run yields them in that order,
+each behind one error boundary.  A suite computes its residuals from the
 pair's memo and calls the krein formulas through the module, so each P(z)
 and M(z) is computed once per run.
 """
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import krein as kr
-from .errors import SingularDenominator, SpectralParameter
+from .errors import KreinKitError, SingularDenominator, SpectralParameter
 from .extension import resolvent_difference_at_i
 from .numerics import _svd_range, frob, projector
 
@@ -63,10 +63,10 @@ class _Worst(dict):
         return [record(name, value, tol) for name, value in self.items()]
 
 
-def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
+def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float):
     """Model, parametrization and Cayley geometry; the resolvent difference
-    at i against Cayley data, noted with the pair's primeness.  v2 is the
-    parameter that built ext2."""
+    at i against Cayley data, noted with the pair's primeness.  v1 and v2
+    are the parameters that built ext1 and ext2 (v1 = I for the reference)."""
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     eye, eyen = np.eye(model.dim), np.eye(model.deficiency)
     bp, bm = model.nplus.basis, model.nminus.basis
@@ -79,7 +79,7 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     ), tol)
     yield record("extension_parameter_roundtrip", _worst(
         frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
-        frob(pair.parameter(ext1).v - eyen),
+        frob(pair.parameter(ext1).v - v1),
     ), tol)
     # a = i (C - 1)^{-1} (C + 1) by one direct solve, independent of the eigh
     # frame that built C; the extension's Cayley gap keeps C - 1 invertible
@@ -116,6 +116,14 @@ def model_layer(pair: kr.PairContext, v2: np.ndarray, tol: float):
     ), tol, note=note)
 
 
+def herglotz_form(z: complex, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Im z * Im M(z), Hermitian by construction, and its smallest
+    eigenvalue, the margin the Herglotz bound is compared with."""
+    im_m = (m - m.conj().T) / 2j
+    lhs = z.imag * ((im_m + im_m.conj().T) / 2.0)
+    return lhs, float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
+
+
 def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     """M(z) of both extensions: fixed point at i, conjugate symmetry, the
     Herglotz bound on lambda_min(Im z * Im M(z)) and the exact identity
@@ -136,10 +144,7 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
         for k, z in enumerate(zs):
             bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
             m, m_conj = ms[2 * k + 1], ms[2 * k + 2]
-            im_m = (m - m.conj().T) / 2j
-            im_m = (im_m + im_m.conj().T) / 2.0
-            lhs = z.imag * im_m
-            lam_min = float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
+            lhs, lam_min = herglotz_form(z, m)
             # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve
             # with a - conj z, whose condition number is the square root of the
             # product's
@@ -280,3 +285,23 @@ SUITES = (
     ("lft_suite", lft_suite),
     ("vonneumann_link", vonneumann_suite),
 )
+
+
+def suite_runs(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, zs: list, tol: float) -> list:
+    """(name, records) of model_layer and then of each suite of SUITES on
+    the pair over the grid zs, v1 and v2 the parameters that built ext1 and
+    ext2.  Each records is the suite's generator, so no suite runs before
+    the one ahead of it has been read to its end."""
+    runs = [("model_layer", model_layer(pair, v1, v2, tol))]
+    return runs + [(name, suite(pair, zs, tol)) for name, suite in SUITES]
+
+
+def run(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, zs: list, tol: float):
+    """Every record of suite_runs in its order.  A KreinKitError in a suite
+    becomes the failed record named after it, after the records it yielded;
+    the later suites still run."""
+    for name, records in suite_runs(pair, v1, v2, zs, tol):
+        try:
+            yield from records
+        except KreinKitError as exc:
+            yield error_record(name, tol, exc)

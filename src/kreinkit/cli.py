@@ -15,11 +15,11 @@ outputs.  Reports carry no timestamps by design.  Their provenance digests
 binary layout (_digest), not the bytes of any file.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-input or I/O error.  check runs checks.model_layer and then the suites of
-checks.SUITES, which define every record of the report.  An error building
-the model becomes the failed record build_model, and one inside a suite a
-failed record named after the suite (model_layer, weyl_suite,
-p_function_suite, angle_suite, krein_vs_direct, lft_suite,
+input or I/O error.  check reads every record from checks.run: the model
+layer (v1 = I, the reference's parameter), then the suites of checks.SUITES.
+An error building the model becomes the failed record build_model, and one
+inside a suite a failed record named after the suite (model_layer,
+weyl_suite, p_function_suite, angle_suite, krein_vs_direct, lft_suite,
 vonneumann_link), with an "error" tag and the sentinel max_residual -1.0;
 the later suites still run.  The model layer is the first suite, so an
 error there, too, is a failed record and exit 1.
@@ -46,7 +46,8 @@ import numpy as np
 from . import __version__
 from . import halfline as hl
 from . import krein as kr
-from .checks import SUITES, error_record, model_layer, record
+from . import checks as ck
+from .checks import error_record, record
 from .errors import BadDimensions, BranchCut, KreinKitError, NotRelativelyPrime
 from .extension import ExtensionParameter, build_model, extension_from_parameter, parameter_of
 from .numerics import frob, hermitian_eig
@@ -395,9 +396,8 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     """Execute the full identity suite on one scenario.
 
     A record passes iff max_residual <= tolerance.  A KreinKitError in
-    materialize, in checks.model_layer or in a suite of checks.SUITES
-    becomes one failed record (see the module docstring), after the records
-    the suite yielded.
+    materialize, or in a suite of checks.run, becomes one failed record (see
+    the module docstring), after the records the suite yielded.
 
     Every check reads P(z), M(z) and the pair's data from one
     krein.PairContext, so each is computed once; it is dropped on return.
@@ -409,15 +409,8 @@ def run_checks(scenario: ScenarioFile, tol_override: float | None = None) -> dic
     except KreinKitError as exc:
         return _finish_report([error_record("build_model", tol, exc)], provenance)
     pair = kr.PairContext(model, ext1, ext2)
-    checks = []
-    layer = lambda pair, zs, tol: model_layer(pair, v2, tol)
-    for name, suite in (("model_layer", layer),) + SUITES:
-        try:
-            for rec in suite(pair, scenario.z_grid, tol):
-                checks.append(rec)
-        except KreinKitError as exc:
-            checks.append(error_record(name, tol, exc))
-    return _finish_report(checks, provenance)
+    records = ck.run(pair, np.eye(model.deficiency), v2, scenario.z_grid, tol)
+    return _finish_report(list(records), provenance)
 
 
 def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
@@ -437,12 +430,10 @@ def tabulate_m(scenario: ScenarioFile, which: int) -> dict:
         except KreinKitError as exc:
             rows.append({"z": _c_to_json(z), "error": type(exc).__name__})
             continue
-        im_m = (m - m.conj().T) / 2j
-        lhs = z.imag * (im_m + im_m.conj().T) / 2.0
         rows.append({
             "z": _c_to_json(z),
             "m": _m_to_json(m),
-            "lambda_min": float(np.min(np.linalg.eigvalsh(lhs))),
+            "lambda_min": ck.herglotz_form(z, m)[1],
             "herglotz_bound": kr.herglotz_lower_bound(z),
         })
     return {
@@ -476,28 +467,18 @@ def halfline_command(alpha2_values, z_values, tol: float = 1e-10) -> dict:
             good_z.append(z)
         except (BadDimensions, BranchCut) as exc:
             checks.append(error_record(f"z_validation[{z:.6g}]", tol, exc))
-    pole_hits = []
     z_array = np.array(good_z, dtype=np.complex128)
     # the pole rule of p12 and m2 on the whole (alpha2, z) grid, tan a2 as
-    # a column, as verify_halfline applies it
+    # a column, as verify_halfline applies it: one record per pole, in
+    # row-major order, each with the note of its own point
     tan_column = np.array([math.tan(a2) for a2 in good_alpha]).reshape(-1, 1)
-    try:
-        hl._pole_checked_root(z_array, tan_column)
-    except KreinKitError:
-        # row by row, point by point: one record per pole, each with the
-        # note of its own point
-        for a2 in good_alpha:
-            scen = hl.HalflineScenario(a2)
-            for z in good_z:
-                try:
-                    hl.m2_halfline(z, scen)
-                except KreinKitError as exc:
-                    pole_hits.append((a2, z, exc))
-    for a2, z, exc in pole_hits:
+    _, _, poles = hl._pole_rule(z_array, tan_column)
+    for row, col in np.argwhere(poles):
+        a2, z = good_alpha[row], good_z[col]
         checks.append(error_record(
-            f"pole_validation[alpha2={a2:.6g},z={z:.6g}]", tol, exc
+            f"pole_validation[alpha2={a2:.6g},z={z:.6g}]", tol, hl._pole_error(z)
         ))
-    if good_alpha and good_z and not pole_hits:
+    if good_alpha and good_z and not poles.any():
         # the closed-form laws and the quadrature round trip fail on their own
         try:
             residuals = hl.verify_halfline(tuple(good_z), tuple(good_alpha))

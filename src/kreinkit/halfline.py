@@ -146,21 +146,30 @@ def m1_halfline(z):
     return 1.0 + 1j * sqrt_upper(2.0 * z)
 
 
-def _pole_checked_root(z, t):
-    """root = sqrt_upper(2z) and den = 1 - t + i root for tan a2 = t, the
-    denominator of p12 and, times -cos a2, of m2.  The one pole rule of the
-    pair: SingularDenominator where |den| <= 1e-12 (1 + |t| + |root|),
-    naming z, or for an array the first such point."""
+def _pole_rule(z, t):
+    """root = sqrt_upper(2z), den = 1 - t + i root for tan a2 = t (the
+    denominator of p12 and, times -cos a2, of m2) and the one pole rule of
+    the pair, the mask |den| <= 1e-12 (1 + |t| + |root|)."""
     root = sqrt_upper(2.0 * z)
     den = 1.0 - t + 1j * root
-    poles = abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root))
+    return root, den, abs(den) <= 1e-12 * (1.0 + abs(t) + abs(root))
+
+
+def _pole_error(z) -> SingularDenominator:
+    return SingularDenominator(f"z = {complex(z):.6g} is a pole of the resolvent difference")
+
+
+def _pole_checked_root(z, t):
+    """root and den of _pole_rule, or SingularDenominator where the rule
+    finds a pole, naming z, or for an array the first such point."""
+    root, den, poles = _pole_rule(z, t)
     if isinstance(poles, np.ndarray):
         if not poles.any():
             return root, den
         z = np.broadcast_to(z, poles.shape)[poles][0]
     elif not poles:
         return root, den
-    raise SingularDenominator(f"z = {complex(z):.6g} is a pole of the resolvent difference")
+    raise _pole_error(z)
 
 
 def m2_halfline(z, scenario: HalflineScenario):

@@ -394,9 +394,9 @@ def records(suite, pair, zs=(), tol=1e-9):
 
 def layer_records(pair, tol=1e-9):
     """The records of checks.model_layer for the pair, as records() gives
-    them; ext2's parameter stands in for the v2 that built it."""
-    layer = checks.model_layer(pair, pair.parameter(pair.ext2).v, tol)
-    return {rec["name"]: rec["max_residual"] for rec in layer}
+    them; each extension's parameter stands in for the one that built it."""
+    v1, v2 = (pair.parameter(ext).v for ext in (pair.ext1, pair.ext2))
+    return {rec["name"]: rec["max_residual"] for rec in checks.model_layer(pair, v1, v2, tol)}
 
 
 def translation_residual(pair, z, zp):
@@ -437,29 +437,15 @@ SPECTRAL_COLLISION = {
 
 
 def unitary_pair(dim, deficiency, seed):
-    """PairContext on the model of generate_scenario(dim, deficiency, seed)
-    with both extensions built from random unitary parameters (random_unitary
-    of default_rng(seed), v1 first), so v1 != I: a pair that no report
-    forms, since materialize takes ext1 = model.reference."""
+    """(pair, v1, v2), the pair on the model of generate_scenario(dim,
+    deficiency, seed) with both extensions built from random unitary
+    parameters (random_unitary of default_rng(seed), v1 first), so v1 != I:
+    a pair that no report forms, since materialize takes ext1 = model.reference."""
     model, _, _, _ = cli.materialize(cli.generate_scenario(dim, deficiency, seed))
     rng = np.random.default_rng(seed)
     v1, v2 = (random_unitary(rng, deficiency) for _ in range(2))
     ext1, ext2 = (extension_from_parameter(model, ExtensionParameter(v)) for v in (v1, v2))
-    return kr.PairContext(model, ext1, ext2)
-
-
-def suite_records(pair, zs, tol=1e-9):
-    """The records of every suite of checks.SUITES on the pair over the grid
-    zs, an error in a suite becoming its one failed record after the records
-    it yielded, as cli.run_checks runs them after the model layer."""
-    out = []
-    for name, suite in checks.SUITES:
-        try:
-            for rec in suite(pair, list(zs), tol):
-                out.append(rec)
-        except KreinKitError as exc:
-            out.append(checks.error_record(name, tol, exc))
-    return out
+    return kr.PairContext(model, ext1, ext2), v1, v2
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +457,7 @@ def suite_records(pair, zs, tol=1e-9):
 # pairs whose signs cancel.
 
 _ANGLE_OPERATOR = kr.angle_operator
+_CAYLEY = Extension.cayley.func
 _HERGLOTZ_BOUND = kr.herglotz_lower_bound
 _LFT = kr.lft_m1_to_m2
 _PAIR_INIT = kr.PairContext.__init__
@@ -613,6 +600,11 @@ MUTANTS = {
         kr, "unitary_eig", _conjugated_frame),
     "parameter_of transposed": lambda mp: mp.setattr(
         kr, "parameter_of", lambda model, ext: ExtensionParameter(_PARAMETER_OF(model, ext).v.T)),
+    "parameter_of with the sign of v flipped": lambda mp: mp.setattr(
+        kr, "parameter_of", lambda model, ext: ExtensionParameter(-_PARAMETER_OF(model, ext).v)),
+    # a property, which an instance's cached transform cannot shadow
+    "Cayley transform with its sign flipped": lambda mp: mp.setattr(
+        Extension, "cayley", property(lambda ext: -_CAYLEY(ext))),
     "Krein's formula: m1 @ cos a": lambda mp: mp.setattr(kr, "krein_resolvent", _krein_m1_cos),
     "PairContext.p: (w1 - i) as its right factor": lambda mp: mp.setattr(
         kr.PairContext, "p", _p_right_factor_minus_i),
@@ -639,16 +631,17 @@ def failing_records(cases):
     """{record name: kinds} of the records that fail on the cases, each a
     (dim, deficiency, seed) triple: kind "report" for a record of
     run_checks(generate_scenario(dim, deficiency, seed)), "pair" for one of
-    suite_records(unitary_pair(dim, deficiency, seed)) on the scenario's
-    grid.  An error record counts under its suite's name."""
+    checks.run(*unitary_pair(dim, deficiency, seed)) on the scenario's grid.
+    An error record counts under its suite's name."""
     out = {}
     for dim, deficiency, seed in cases:
         scenario = cli.generate_scenario(dim, deficiency, seed)
         try:
-            pair_records = suite_records(unitary_pair(dim, deficiency, seed), scenario.z_grid,
-                                         scenario.tolerance)
+            pair = unitary_pair(dim, deficiency, seed)
         except KreinKitError as exc:
             pair_records = [checks.error_record("unitary_pair", scenario.tolerance, exc)]
+        else:
+            pair_records = checks.run(*pair, scenario.z_grid, scenario.tolerance)
         for kind, recs in (("report", cli.run_checks(scenario)["checks"]),
                            ("pair", pair_records)):
             for rec in recs:

@@ -573,10 +573,9 @@ def _pole_records(alpha2_values, z_values, tol=1e-10):
     ([0.3, 0.0, 3 * math.pi / 4], [1j, -0.5 + 0j, -2.0 + 0j, -0.5 + 3e-12j, 1 + 1j], 2),
 ], ids=["near-pole-tan-minus-10", "near-pole-alpha2-0", "bound-states", "mixed-rows"])
 def test_pole_screen_decides_like_per_point_calls(alpha2_values, z_values, poles):
-    # one _pole_checked_root call on the (alpha2, z) grid, and scalar
-    # m2_halfline calls point by point only when it raises: the same
-    # records as one scalar call per point.  m2_halfline on the array of a
-    # row decides that row as its points do
+    # the mask of one pole-rule call on the (alpha2, z) grid gives the
+    # same records as one scalar call per point.  m2_halfline on the array
+    # of a row decides that row as its points do
     z_array = np.array(z_values)
     for a2 in alpha2_values:
         scen = halfline.HalflineScenario(a2)
@@ -602,13 +601,13 @@ def test_pole_free_grid_is_screened_by_one_call(monkeypatch):
     # with tan a2 as a column; the laws and the round trip are stubbed out,
     # since verify_halfline applies the rule again
     calls = []
-    real = halfline._pole_checked_root
+    real = halfline._pole_rule
 
     def counted(z, t):
         calls.append((np.shape(z), np.shape(t)))
         return real(z, t)
 
-    monkeypatch.setattr(halfline, "_pole_checked_root", counted)
+    monkeypatch.setattr(halfline, "_pole_rule", counted)
     monkeypatch.setattr(halfline, "verify_halfline", lambda zs, alphas: {})
     monkeypatch.setattr(halfline, "quadrature_roundtrip", lambda zs: 0.0)
     doc = cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))
@@ -732,9 +731,9 @@ def test_every_exported_function_is_called_by_the_tool():
     # the library exports the routes the tool runs: each function of
     # kreinkit.__all__ is entered by a check of a generated (8, 2) scenario,
     # its M(z) table or the halfline command on its default grid and on a
-    # grid with poles, whose pole_validation records m2_halfline decides
-    # point by point.  Reference routes that only tests compare against
-    # live in tests/support.py
+    # grid with poles.  Reference routes that only tests compare against
+    # live in tests/support.py; m2_halfline, the scalar closed form, stays in
+    # kreinkit.halfline for the demo script and the tests
     import kreinkit
     exported = {obj.__code__: name for name in kreinkit.__all__
                 if inspect.isfunction(obj := getattr(kreinkit, name))}
@@ -758,15 +757,13 @@ def test_every_exported_function_is_called_by_the_tool():
 
 
 def test_each_report_record_comes_from_one_suite():
-    # a (64, 3) report holds exactly the records that the model layer and
-    # the suites of checks.SUITES yield, and no two suites yield one name
+    # a (64, 3) report holds exactly the records that checks.run yields,
+    # and no two suites yield one name
     scenario = cli.generate_scenario(64, 3, 3)
     model, ext1, ext2, v2 = cli.materialize(scenario)
     pair = krein_module.PairContext(model, ext1, ext2)
-    tol = scenario.tolerance
-    suites = [checks.model_layer(pair, v2, tol)]
-    suites += [suite(pair, scenario.z_grid, tol) for _, suite in checks.SUITES]
-    names = collections.Counter(rec["name"] for suite in suites for rec in suite)
+    records = checks.run(pair, np.eye(3), v2, scenario.z_grid, scenario.tolerance)
+    names = collections.Counter(rec["name"] for rec in records)
     assert max(names.values()) == 1
     report = cli.run_checks(scenario)
     assert [rec["name"] for rec in report["checks"]] == sorted(names)
@@ -967,10 +964,9 @@ def test_role_swap_passes_and_rebuilds_the_reference(shape, seed):
 
 
 # both parameters drawn, so neither extension is the reference (v1 != I):
-# every suite of checks.SUITES must hold for such a pair, as the paper's
-# formulas do for any two self-adjoint extensions.  model_layer is left out:
-# it compares parameter(ext1) with the identity by definition.  The shapes
-# repeat so that few examples are 64 x 64
+# every record of checks.run, the model layer's with v1 among them, must
+# hold for such a pair, as the paper's formulas do for any two self-adjoint
+# extensions.  The shapes repeat so that few examples are 64 x 64
 @given(st.sampled_from([(32, 3), (8, 2), (6, 6), (1, 1)] * 4 + [(64, 3)]),
        st.integers(0, 2 ** 32 - 1))
 # a large-norm ext2 (||a2|| = 2.8e4) and a large-norm ext1 (||a1|| = 3.3e4),
@@ -978,12 +974,13 @@ def test_role_swap_passes_and_rebuilds_the_reference(shape, seed):
 @example((32, 3), 16)
 @example((64, 3), 21)
 def test_every_suite_passes_when_neither_extension_is_the_reference(shape, seed):
-    pair = support.unitary_pair(*shape, seed)
+    pair, v1, v2 = support.unitary_pair(*shape, seed)
     # records fail on valid extensions of norm beyond about 1e6 (ROADMAP
     # item 15); that band is not what this test is about
     assume(max(frob(pair.ext1.a), frob(pair.ext2.a)) < 1e5)
-    failed = [rec for rec in support.suite_records(pair, cli.FIXED_Z16) if not rec["pass"]]
-    assert not failed
+    records = list(checks.run(pair, v1, v2, list(cli.FIXED_Z16), 1e-9))
+    assert "extension_parameter_roundtrip" in {rec["name"] for rec in records}
+    assert not [rec for rec in records if not rec["pass"]]
 
 
 def _weyl_error_scales(ext, z):

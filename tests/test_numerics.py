@@ -157,7 +157,7 @@ def test_compose_matches_matrix_square():
     assert frob(sq - h @ h) < 1e-12 * (1.0 + frob(h @ h))
 
 
-def test_solve_linear_known_system_and_failures():
+def test_inverse_known_system_and_failures():
     m = np.array([[2.0, 0.0], [0.0, 4.0]])
     x = inverse(m)
     assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
@@ -172,7 +172,7 @@ def test_solve_linear_known_system_and_failures():
     assert inverse(np.zeros((0, 0))).shape == (0, 0)
 
 
-def test_solve_linear_exact_zero_pivot_raises_without_warning():
+def test_inverse_exact_zero_pivot_raises_without_warning():
     # np.linalg.solve refuses the exactly singular matrix by an exception,
     # the singular-value gate turns it into SingularMatrix, and nothing
     # reaches the warnings machinery
@@ -182,7 +182,7 @@ def test_solve_linear_exact_zero_pivot_raises_without_warning():
             inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_solve_linear_decides_each_matrix_of_a_stack():
+def test_inverse_decides_each_matrix_of_a_stack():
     # one matrix of the stack fails its own singular-value gate
     with pytest.raises(SingularMatrix):
         inverse(np.stack([np.eye(2), np.diag([1.0, 5e-10])]))
@@ -205,7 +205,7 @@ def test_solve_linear_decides_each_matrix_of_a_stack():
         inverse(np.ones(2))
 
 
-def test_solve_linear_settles_a_well_conditioned_inverse_without_an_svd(monkeypatch):
+def test_inverse_settles_a_well_conditioned_inverse_without_an_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -218,7 +218,7 @@ def test_solve_linear_settles_a_well_conditioned_inverse_without_an_svd(monkeypa
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.floats(-1.0, 10.0),
        st.floats(-200.0, 200.0), st.integers(0, 2))
-def test_solve_linear_decides_an_inverse_as_its_singular_values_do(
+def test_inverse_decides_an_inverse_as_its_singular_values_do(
         seed, k, decades, scale, depth):
     # matrices U diag(s) V* with s_min / s_max = TOL_RANK * 10**decades, from
     # a decade below the cutoff to ten above it, at any overall scale: the
@@ -259,7 +259,7 @@ _LAYOUTS = ("c", "fortran", "transpose", "adjoint")
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]), st.data())
-def test_solve_linear_matches_numpy_solve_bit_for_bit(seed, n, data):
+def test_inverse_matches_numpy_solve_bit_for_bit(seed, n, data):
     rng = _rng(seed)
     a = _laid_out(rng, n, n, data.draw(st.sampled_from(_LAYOUTS), label="matrix layout"))
     if data.draw(st.booleans(), label="read-only"):
@@ -319,7 +319,7 @@ def test_rank_nullity_partition(seed, rows, cols):
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 8))
-def test_solve_linear_residual(seed, k):
+def test_inverse_residual(seed, k):
     m = _random_hermitian(seed, k) + 1j * np.eye(k)  # shifted: never singular
     x = inverse(m)
     assert frob(m @ x - np.eye(k)) < 1e-9 * (1.0 + frob(m) * frob(x))
