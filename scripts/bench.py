@@ -77,21 +77,15 @@ KERNELS = {
         f"scenario = cli.generate_scenario(64, 64, {SCENARIO_SEED})",
         "cli.run_checks(scenario)", 1),
     # M(z) of one extension at the 26 distinct points of the 16-point grid,
-    # its conjugates and i, as weyl_suite asks for them: one call on the
-    # array where weyl_operator takes one, else one call per z
+    # its conjugates and i, as weyl_suite asks for them, in one call
     "weyl_operator battery grid (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         "import numpy as np\nfrom kreinkit import cli\nfrom kreinkit import krein as kr\n"
         f"_, scenario = workloads.Battery({SCENARIO_SEED}).next_input()\n"
         "model, ext1, _, _ = cli.materialize(scenario)\n"
         "zs = scenario.z_grid\n"
-        "pts = np.array(list(dict.fromkeys([1j, *zs, *(z.conjugate() for z in zs)])))\n"
-        "try:\n"
-        "    kr.weyl_operator(ext1, model.nplus, pts)\n"
-        "    grid = lambda: kr.weyl_operator(ext1, model.nplus, pts)\n"
-        "except TypeError:\n"
-        "    grid = lambda: [kr.weyl_operator(ext1, model.nplus, z) for z in pts]",
-        "grid()", 50),
+        "pts = np.array(list(dict.fromkeys([1j, *zs, *(z.conjugate() for z in zs)])))",
+        "kr.weyl_operator(ext1, model.nplus, pts)", 50),
     # Krein's formula against the direct solve over the grid, on a memo
     # whose angle is already cached
     "krein_suite (64,3)": (

@@ -575,6 +575,6 @@ def main(argv=None) -> int:
         if args.output not in (None, "-"):
             sys.stdout.write(f"{doc['summary']}: see {args.output}\n")
         return 0 if doc["summary"] == "pass" else 1
-    except (KreinKitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KreinKitError, ValueError, OSError) as exc:
         sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
         return 2

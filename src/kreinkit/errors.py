@@ -22,7 +22,15 @@ class NumericalFailure(KreinKitError):
     """A backend decomposition failed or a residual check did not converge."""
 
 
-class SingularMatrix(KreinKitError):
+class _Positioned(KreinKitError):
+    """position is the flat index of the first failing entry of an array."""
+
+    def __init__(self, message: str, position: int = 0):
+        super().__init__(message)
+        self.position = position
+
+
+class SingularMatrix(_Positioned):
     """Linear solve hit a (numerically) singular matrix."""
 
 
@@ -39,7 +47,7 @@ class NotAnExtension(KreinKitError):
     """Matrix does not agree with the reference on the restricted domain."""
 
 
-class SpectralParameter(KreinKitError):
+class SpectralParameter(_Positioned):
     """The spectral parameter z sits on (or too close to) a spectrum."""
 
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     NotAnExtension,
+    NotUnitary,
     NumericalFailure,
     RankDeficientInput,
     UnitEigenvalue,
@@ -102,7 +103,7 @@ class ExtensionParameter:
             raise ValueError("extension parameter must be square")
         dev = frob(v.conj().T @ v - np.eye(n))
         if dev > TOL_ORTHO * max(1.0, float(n)):
-            raise ValueError(f"extension parameter not unitary, deviation {dev:.3e}")
+            raise NotUnitary(f"extension parameter not unitary, deviation {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,17 +128,16 @@ def _resolvent_diagonal(ext: Extension, z) -> np.ndarray:
     """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
     the extension's cached eigenframe, for a number z or along the last axis
     for each z of an array.  Rejects z within DEFAULT_TOL of the (real)
-    spectrum; an array is rejected at its first such z."""
+    spectrum; an array is rejected at its first such z, the error's position."""
     zs = np.asarray(z, dtype=np.complex128)[..., None]
     w = _lifted(ext.spectrum.eigenvalues, zs.ndim)
     if w.size:
         dist = np.min(np.abs(w - zs), axis=-1).reshape(-1)
         hit = np.flatnonzero(dist <= DEFAULT_TOL)
         if hit.size:
-            k = hit[0]
-            raise SpectralParameter(
-                f"z = {complex(zs.flat[k]):.6g} is within {float(dist[k]):.3e} of the spectrum"
-            )
+            k = int(hit[0])
+            raise SpectralParameter(f"z = {complex(zs.flat[k]):.6g} is within "
+                                    f"{float(dist[k]):.3e} of the spectrum", position=k)
     return 1.0 / (w - zs)
 
 
@@ -229,24 +228,21 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
     inverts the k denominators in one inverse call; each N x N resolvent
     is assembled only when the iterator reaches it, so no N x N stack is
     held.  Every error is raised by the call, before any resolvent is
-    formed: the one the per-z calls raise first, in grid order.
+    formed: the first error of the per-z calls in grid order, at the gates' positions.
     """
     zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
     try:
         d = _resolvent_diagonal(ext1, zs)
-        m1 = weyl_operator(ext1, angle.subspace, zs)
-        mid = inverse(sin_a - cos_a @ m1) @ cos_a
-    except (SpectralParameter, SingularMatrix) as exc:
-        if zs.ndim:
-            # the grid z by z, to raise the error of its first offending z
-            for zk in zs:
-                krein_resolvent(ext1, angle, zk)
-        elif isinstance(exc, SingularMatrix):
-            raise SingularDenominator(
-                f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs):.6g}"
-            ) from exc
+        mid = inverse(sin_a - cos_a @ weyl_operator(ext1, angle.subspace, zs)) @ cos_a
+    except SpectralParameter as exc:
+        # a singular denominator before the first collision raises first
+        krein_resolvent(ext1, angle, zs.reshape(-1)[:exc.position])
         raise
+    except SingularMatrix as exc:
+        raise SingularDenominator(
+            f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs.flat[exc.position]):.6g}"
+        ) from exc
     spec = ext1.spectrum
     v, w = spec.eigenvectors, spec.eigenvalues
     vh = v.conj().T

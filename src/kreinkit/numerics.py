@@ -209,7 +209,7 @@ def inverse(m) -> np.ndarray:
     test for a degenerate denominator.  The whole stack is inverted by one
     np.linalg.solve against the identity, so a stack holds the inverses of
     the 2-d calls on its matrices, bit for bit, and fails where one of them
-    would.
+    would: with the 2-d call's error on the first, at that matrix's position.
 
     ||M||_F ||M^{-1}||_F, an upper bound on s_max / s_min, settles at O(k^2)
     cost every matrix it puts below half of 1 / TOL_RANK (the margin covers
@@ -235,11 +235,13 @@ def inverse(m) -> np.ndarray:
                 sv = np.linalg.svd(a[doubtful], compute_uv=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
                 raise NumericalFailure(f"svd failed: {exc}") from exc
-            if not (sv[:, -1] > TOL_RANK * sv[:, 0]).all():
-                ratio = sv[:, -1] / np.maximum(sv[:, 0], np.finfo(float).tiny)
+            passed = sv[:, -1] > TOL_RANK * sv[:, 0]
+            if not passed.all():
+                k = int(np.argmin(passed))
+                ratio = sv[k, -1] / max(sv[k, 0], np.finfo(float).tiny)
                 raise SingularMatrix(
-                    f"singular value ratio {float(np.min(ratio)):.3e} "
-                    f"below cutoff {TOL_RANK:.1e}"
+                    f"singular value ratio {ratio:.3e} below cutoff {TOL_RANK:.1e}",
+                    position=int(np.flatnonzero(doubtful)[k]),
                 )
     if x is None:  # pragma: no cover - LAPACK and the SVD disagree
         raise NumericalFailure("solve failed on a matrix the gate passed")

@@ -59,11 +59,6 @@ def cay(a):
     return (a + 1j) / (a - 1j)
 
 
-def inv_cay(c):
-    """Inverse Cayley transform: i (c + 1)/(c - 1)."""
-    return 1j * (c + 1.0) / (c - 1.0)
-
-
 def resolvent(a, z):
     return 1.0 / (a - z)
 
@@ -397,6 +392,24 @@ def layer_records(pair, tol=1e-9):
     them; each extension's parameter stands in for the one that built it."""
     v1, v2 = (pair.parameter(ext).v for ext in (pair.ext1, pair.ext2))
     return {rec["name"]: rec["max_residual"] for rec in checks.model_layer(pair, v1, v2, tol)}
+
+
+def raised(f, *args):
+    """(class, message) of the error that f(*args) raises."""
+    with pytest.raises(KreinKitError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def first_error(f, xs):
+    """(class, message) of the error that the calls f(x), x in xs in
+    order, raise first."""
+    for x in xs:
+        try:
+            f(x)
+        except KreinKitError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no call raises")
 
 
 def translation_residual(pair, z, zp):

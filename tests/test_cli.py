@@ -471,20 +471,39 @@ def test_angle_error_in_the_model_layer_is_a_failed_record(tmp_path, monkeypatch
     assert read_json(out)["summary"] == "fail"
 
 
-def _check_near_unit(tmp_path, delta):
-    scen = tmp_path / "near.json"
-    scen.write_text(cli._dump_json(support.near_unit_scenario(8, 1, 5, delta).to_json()),
-                    encoding="utf-8")
-    out = tmp_path / "near_report.json"
+def test_parameter_off_the_unitary_group_in_the_model_layer_is_a_failed_record(monkeypatch):
+    # with the Cayley transform inverted, the von Neumann parameter read back
+    # from an extension is not unitary: the gate's NotUnitary is the failed
+    # record model_layer, not an error out of the report
+    cayley = extension_module.Extension.cayley.func
+    monkeypatch.setattr(extension_module.Extension, "cayley",
+                        property(lambda ext: cayley(ext).conj().T))
+    report = cli.run_checks(cli.generate_scenario(8, 2, 3))
+    errors = {rec["name"]: rec["error"] for rec in report["checks"] if "error" in rec}
+    assert errors["model_layer"] == "NotUnitary"
+
+
+def _check_file(tmp_path, scenario):
+    scen = tmp_path / "scen.json"
+    scen.write_text(cli._dump_json(scenario.to_json()), encoding="utf-8")
+    out = tmp_path / "report.json"
     return run_main(["check", str(scen), "-o", str(out)]), read_json(out)
 
 
+def _check_near_unit(tmp_path, delta):
+    return _check_file(tmp_path, support.near_unit_scenario(8, 1, 5, delta))
+
+
 def test_unit_eigenvalue_parameter_is_a_failed_build_model_record(tmp_path):
-    # {"unitary": V} 1e-9 from the unit-eigenvalue phase of (8, 1) seed 5
-    code, report = _check_near_unit(tmp_path, 1e-9)
-    assert code == 1
-    (rec,) = report["checks"]
-    assert rec["name"] == "build_model" and rec["error"] == "UnitEigenvalue"
+    # {"unitary": V} 1e-9 from the unit-eigenvalue phase of (8, 1) seed 5,
+    # and {"unitary": diag(0.5, 1)}, which is no unitary
+    not_unitary = support.unitary_scenario(cli.generate_scenario(8, 2, 3),
+                                           np.diag([0.5, 1.0]).astype(complex))
+    for (code, report), error in ((_check_near_unit(tmp_path, 1e-9), "UnitEigenvalue"),
+                                  (_check_file(tmp_path, not_unitary), "NotUnitary")):
+        assert code == 1
+        (rec,) = report["checks"]
+        assert rec["name"] == "build_model" and rec["error"] == error
 
 
 def test_model_layer_error_on_a_valid_scenario_exits_1(tmp_path):

@@ -16,6 +16,7 @@ import support
 from kreinkit.errors import (
     NotAnExtension,
     NotHermitian,
+    NotUnitary,
     RankDeficientInput,
     UnitEigenvalue,
 )
@@ -207,7 +208,7 @@ def test_build_model_takes_no_solve_or_svd(monkeypatch):
 
 
 def test_extension_parameter_must_be_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotUnitary):
         ExtensionParameter(np.array([[0.5]]))
 
 

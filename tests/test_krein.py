@@ -16,7 +16,6 @@ import support
 from kreinkit import checks
 from kreinkit import krein as krein_module
 from kreinkit.errors import (
-    KreinKitError,
     NotAnExtension,
     NotHermitian,
     NotInvariant,
@@ -569,32 +568,16 @@ def test_krein_resolvent_singular_denominator():
     # on a grid, the error is the one of the first offending point, as the
     # per-z calls raise it: the singular denominator at -1 before a later
     # collision with the spectrum at 1, and that collision before a later
-    # singular denominator
+    # singular denominator, also when nothing of the grid comes before it
     def call(z):
         return krein_resolvent(ext1, ang, z)
 
     for grid, error in (([2j, 1j, -1.0, 1.0 + 1e-12j], SingularDenominator),
-                        ([2j, 1.0 + 1e-12j, -1.0], SpectralParameter)):
-        expected = _first_error(call, grid)
+                        ([2j, 1.0 + 1e-12j, -1.0], SpectralParameter),
+                        ([1.0 + 1e-12j, -1.0], SpectralParameter)):
+        expected = support.first_error(call, grid)
         assert expected[0] is error
-        assert _raised(call, np.array(grid)) == expected
-
-
-def _raised(f, *args):
-    """(class, message) of the error that f(*args) raises."""
-    with pytest.raises(KreinKitError) as info:
-        f(*args)
-    return type(info.value), str(info.value)
-
-
-def _first_error(f, zs):
-    """(class, message) of the error that the per-z calls f(z) raise first."""
-    for z in zs:
-        try:
-            f(z)
-        except KreinKitError as exc:
-            return type(exc), str(exc)
-    raise AssertionError("no point of the grid raises")
+        assert support.raised(call, np.array(grid)) == expected
 
 
 def _off_axis_z():
@@ -634,11 +617,11 @@ def test_weyl_operator_on_an_array_raises_at_its_first_collision():
     model, ext1, ext2, _ = support.random_pair(8, 2, 5)
     w = ext1.spectrum.eigenvalues.real
     grid = [1j, 2j, w[4] + 1e-12j, w[1] + 1e-11j, -1j]
-    expected = _first_error(lambda z: weyl_operator(ext1, model.nplus, z), grid)
+    expected = support.first_error(lambda z: weyl_operator(ext1, model.nplus, z), grid)
     assert expected[0] is SpectralParameter
-    assert _raised(weyl_operator, ext1, model.nplus, np.array(grid)) == expected
+    assert support.raised(weyl_operator, ext1, model.nplus, np.array(grid)) == expected
     angle = angle_operator(ext1, ext2, model.nplus)
-    assert _raised(krein_resolvent, ext1, angle, np.array(grid)) == expected
+    assert support.raised(krein_resolvent, ext1, angle, np.array(grid)) == expected
 
 
 def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
@@ -672,16 +655,18 @@ def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
 
 def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z(s1):
     # ext2 meets the grid at -1, ext1 at 0: whichever comes first in the
-    # grid raises, as the per-z loop (ext2's guard, then Krein's formula)
+    # grid raises, as the per-z loop (ext2's guard, then Krein's formula),
+    # ext2's also at the grid's first point
     pair = PairContext(*s1)
 
     def per_z(z):
         krein_module._resolvent_diagonal(pair.ext2, z)
         krein_resolvent(pair.ext1, pair.angle, z)
 
-    for grid in ([2j, -1 + 1e-12j, 1e-12j], [2j, 1e-12j, -1 + 1e-12j]):
-        expected = _first_error(per_z, grid)
-        assert _raised(support.records, checks.krein_suite, pair, grid) == expected
+    for grid in ([-1 + 1e-12j, 1e-12j], [2j, -1 + 1e-12j, 1e-12j],
+                 [2j, 1e-12j, -1 + 1e-12j]):
+        expected = support.first_error(per_z, grid)
+        assert support.raised(support.records, checks.krein_suite, pair, grid) == expected
     assert expected[1].startswith("z = 0+1e-12j ")
 
 

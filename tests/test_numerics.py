@@ -186,6 +186,14 @@ def test_inverse_decides_each_matrix_of_a_stack():
     # one matrix of the stack fails its own singular-value gate
     with pytest.raises(SingularMatrix):
         inverse(np.stack([np.eye(2), np.diag([1.0, 5e-10])]))
+    # two singular matrices after two that the norm bound settles: the
+    # error is the 2-d call's on the first of them, at its flat position
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 5e-10]),
+                      np.diag([1.0, 1e-10])])
+    assert support.raised(inverse, stack) == support.first_error(inverse, stack)
+    with pytest.raises(SingularMatrix) as info:
+        inverse(stack.reshape(2, 2, 2, 2))
+    assert info.value.position == 2
     # a ratio of 1e-12 between matrices is no failure: each passes alone
     x = inverse(np.array([[[1.0]], [[1e-12]]]))
     assert_allclose(x, np.array([[[1.0]], [[1e12]]]), rtol=1e-15)
