@@ -44,7 +44,6 @@ from .halfline import (
     HalflineScenario,
     QuadratureGrid,
     dirichlet_resolvent_quadrature,
-    m1_halfline,
     p12_halfline,
     quadrature_roundtrip,
     sqrt_upper,
@@ -109,7 +108,6 @@ __all__ = [
     "krein_resolvent",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
-    "m1_halfline",
     "p12_halfline",
     "parameter_of",
     "projector",

@@ -9,7 +9,7 @@ fractional-linear laws and the von Neumann link), each with the name of the
 failed record that an error in it becomes.  run yields them in that order,
 each behind one error boundary.  A suite computes its residuals from the
 pair's memo and calls the krein formulas through the module, so each P(z)
-and M(z) is computed once per run.
+and M(z) is computed once per run, and no record decides a rank of its own.
 """
 
 from __future__ import annotations
@@ -163,27 +163,24 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     eigenframe (PairContext.p; every record is a norm that the frame leaves
     unchanged), each z paired with the next one z' (cyclically) for
 
-      p_translation                || P(z) - P(z') - (z - z') P(z') mid P(z) ||,
-                                   mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}
-      p_compressed_rank_constancy  |rank P(z)|_N+ - rank P(z')|_N+|
-      p_range_constancy            || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
-                                   + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
-                                   sigma_r the last singular value above the
-                                   rank cutoff (no leak at rank 0); a sin-theta
-                                   bound on the full range's drift, symmetric
-                                   in z and z'
+      p_translation      || P(z) - P(z') - (z - z') P(z') mid P(z) ||,
+                         mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}
+      p_range_constancy  || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
+                         + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
+                         r = angle.rank the pair's rank (no leak at rank 0);
+                         a sin-theta bound on the full range's drift,
+                         symmetric in z and z'
     """
     ext1 = pair.ext1
-    prime = pair.angle.prime
+    rank = pair.angle.rank  # read first: an angle error is the first output
     p_i = pair.p(1j).restricted
     yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
     worst = _Worst()
-    min_sv = np.inf
     w1 = ext1.spectrum.eigenvalues
     s1 = pair.frame_nplus
     for z, zp in zip(zs, zs[1:] + zs[:1]):
         ps = pair.p(z)
-        _, sv, leak = pair.p_range(z)
+        leak = pair.p_range(z)[2]
         scale = 1.0 + frob(ps.full)
         worst.add("p_adjoint_symmetry",
                   frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
@@ -196,17 +193,10 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
         translation = frob(ps.full - pzp.full - (z - zp) * (pzp.full @ (mid[:, None] * ps.full)))
         worst.add("p_translation", translation / scale)
         ranges = (pair.p_range(z), pair.p_range(zp))
-        (range_z, _, _), (range_zp, _, _) = ranges
-        leaks = sum(off / s[sub.rank - 1] for sub, s, off in ranges if sub.rank)
-        worst.add("p_compressed_rank_constancy", float(abs(range_z.rank - range_zp.rank)))
+        leaks = sum(off / s[rank - 1] for _, s, off in ranges) if rank else 0.0
         worst.add("p_range_constancy",
-                  frob(projector(range_z) - projector(range_zp)) + leaks)
-        if prime:
-            min_sv = min(min_sv, float(sv[-1]))
+                  frob(projector(ranges[0][0]) - projector(ranges[1][0])) + leaks)
     yield from worst.records(tol)
-    if prime:
-        yield record("p_restricted_min_sv", 0.0 if min_sv > tol else 1.0, tol,
-                     note=f"smallest singular value {min_sv:.3e}")
 
 
 def angle_suite(pair: kr.PairContext, zs: list, tol: float):

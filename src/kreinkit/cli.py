@@ -26,9 +26,9 @@ error there, too, is a failed record and exit 1.
 
 Every suite runs on N+ for every pair.  Krein's formula and the angle-form
 checks use the sine/cosine form of the paper's (tan alpha - M1(z))^{-1},
-which needs no primeness decision; primeness (read off the angle: no
-Cayley eigenvalue within DEFAULT_TOL of 1) only sets the note of
-relatively_prime_consistency and the p_restricted_min_sv record.
+which needs no primeness decision.  The angle decides the pair's one rank
+(Cayley eigenvalues farther than DEFAULT_TOL from 1), P(z)|N+'s at every
+z; primeness, full rank, sets the note of relatively_prime_consistency.
 """
 
 from __future__ import annotations

@@ -424,10 +424,10 @@ def _wrap_mod_pi(x: float) -> float:
 def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[str, float]:
     """Cross-check every scalar formula against the general machinery.
 
-    The checks are array expressions over the (alpha2, z) grid.  m1(z) and
-    the Herglotz bound are evaluated once per z, and m2(z) and p12(z) once
-    on the whole grid from one pole-checked root, by the code of m2_halfline
-    and p12_halfline with one row per angle.  Each fractional-linear law
+    The checks are array expressions over the (alpha2, z) grid.  m1(z),
+    m2(z) and p12(z) come from one pole-checked root per z, by the code of
+    m1_halfline, m2_halfline and p12_halfline with one row per angle, and
+    the Herglotz bound is evaluated once per z.  Each fractional-linear law
     runs once on the whole grid against the stack of 1x1 values m1(z) over
     z: the coefficient law on the stack of p12(i) over alpha2, the
     angle-form law on the scalar factors cos b, sin b, e^{-ib}, e^{ib} of
@@ -452,8 +452,6 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     ]
     out = {key: 0.0 for key in keys}
     z_grid = np.array([complex(z) for z in z_values], dtype=np.complex128)
-    m1 = m1_halfline(z_grid)
-    m1_stack = m1.reshape(-1, 1, 1)
     scenarios = [HalflineScenario(float(a2)) for a2 in alpha2_values]
 
     # the per-alpha2 constants as columns against the z grid
@@ -461,7 +459,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
         return np.array([fn(scenario.alpha2) for scenario in scenarios]).reshape(-1, 1)
 
     t = column(math.tan)
-    _, den = _pole_checked_root(z_grid, t)
+    root, den = _pole_checked_root(z_grid, t)
+    m1 = 1.0 + 1j * root  # m1_halfline from the one root
+    m1_stack = m1.reshape(-1, 1, 1)
     m2 = _m2_from_m1(m1, column(math.cos), column(math.sin))
     p_z = -1.0 / den
     p_i = [p12_halfline(1j, scenario) for scenario in scenarios]

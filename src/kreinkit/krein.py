@@ -28,8 +28,8 @@ The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
 eigenframe and the SVD of P(z)|N+ per z, M(z) per extension over a whole
-grid in one stacked product, the angle with its primeness decision, the
-Cayley products) and shares it.
+grid in one stacked product, the angle with the pair's one rank decision,
+the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -65,7 +65,6 @@ from .numerics import (
     SpectralDecomposition,
     Subspace,
     _as_stack,
-    _svd_range,
     frob,
     inverse,
     unitary_eig,
@@ -105,12 +104,18 @@ class AngleOperator:
         """alpha as a matrix in the subspace frame, read-only."""
         return _frozen(self.spectrum.compose(self.spectrum.eigenvalues))
 
+    @cached_property
+    def rank(self) -> int:
+        """The pair's one rank decision: the number of Cayley eigenvalues
+        mu = -exp(-2i alpha_k) with |mu - 1| = 2|cos alpha_k| > DEFAULT_TOL,
+        which is rank cos(alpha) and so rank P(z)|N+ at every non-real z."""
+        gaps = 2.0 * np.abs(np.cos(self.spectrum.eigenvalues.real))
+        return int(np.count_nonzero(gaps > DEFAULT_TOL))
+
     @property
     def prime(self) -> bool:
-        """The pair's primeness decision: every Cayley eigenvalue
-        mu = -exp(-2i alpha_k) keeps |mu - 1| = 2|cos alpha_k| > DEFAULT_TOL."""
-        gaps = 2.0 * np.abs(np.cos(self.spectrum.eigenvalues.real))
-        return bool(np.all(gaps > DEFAULT_TOL))
+        """Primeness: cos(alpha) has full rank."""
+        return self.rank == self.spectrum.dim
 
     @cached_property
     def law_factors(self) -> tuple[np.ndarray, ...]:
@@ -346,14 +351,12 @@ class PairContext:
     def p_range(self, z) -> tuple[Subspace, np.ndarray, float]:
         """Range and singular values (descending) of P(z)|N+, from one SVD,
         and the leakage ||(1 - P_N+) P(z)|| = ||P - S1 (S1* P)|| of P(z) off
-        N+, in ext1's eigenframe."""
+        N+, in ext1's eigenframe.  The range keeps angle.rank singular vectors."""
         z = complex(z)
         if z not in self._ranges:
             ps = self.p(z)
-            # scale floor 1: a compressed difference that is pure roundoff
-            # (identical extensions) must count as rank 0 at every z, not as
-            # noise directions
-            sub, sv = _svd_range(ps.restricted)
+            u, sv, _ = np.linalg.svd(ps.restricted)
+            sub = Subspace(basis=u[:, :self.angle.rank])
             s1 = self.frame_nplus
             leak = frob(ps.full - s1 @ (s1.conj().T @ ps.full))
             self._ranges[z] = (sub, _frozen(sv, sub.basis), leak)
@@ -376,7 +379,7 @@ class PairContext:
     @cached_property
     def angle(self) -> AngleOperator:
         """angle_operator(ext1, ext2, N+), with its law factors cached; its
-        prime is the one primeness decision of the pair."""
+        rank is the one rank decision of the pair, primeness among it."""
         return angle_operator(self.ext1, self.ext2, self.model.nplus)
 
 

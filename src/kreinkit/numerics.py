@@ -186,10 +186,10 @@ def unitary_eig(u) -> SpectralDecomposition:
 
 def _svd_range(m) -> tuple[Subspace, np.ndarray]:
     """Range and singular values (descending) of m, the rank cutoff being
-    TOL_RANK * max(sigma_max, 1).  The floor 1 is the natural norm scale of
-    what the library passes (compressed resolvent differences and the
-    projections of unit basis columns), so that pure roundoff comes back as
-    the zero subspace instead of full-rank noise."""
+    TOL_RANK * max(sigma_max, 1).  Its one library caller, domain_direct_sum,
+    passes projections of unit basis columns, whose natural norm scale is
+    the floor 1: pure roundoff comes back as the zero subspace, not as
+    full-rank noise."""
     a = as_matrix(m, "range input")
     try:
         uu, ss, _ = np.linalg.svd(a, full_matrices=False)

@@ -10,6 +10,7 @@ matrix examples can be verified without numpy.linalg either.
 import contextlib
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -471,6 +472,7 @@ def unitary_pair(dim, deficiency, seed):
 
 _ANGLE_OPERATOR = kr.angle_operator
 _CAYLEY = Extension.cayley.func
+_EXTENSION_FROM_PARAMETER = extension_from_parameter
 _HERGLOTZ_BOUND = kr.herglotz_lower_bound
 _LFT = kr.lft_m1_to_m2
 _PAIR_INIT = kr.PairContext.__init__
@@ -587,6 +589,39 @@ def _reference_cayley(mp):
     mp.setattr(kr, "angle_operator", angle_operator)
 
 
+def _on_built_extensions(change):
+    """The mutant that applies change(ext) to every extension that
+    extension_from_parameter builds for cli and for this module: ext2 of a
+    report, both extensions of a unitary_pair.  The reference is untouched."""
+    def build(model, p):
+        ext = _EXTENSION_FROM_PARAMETER(model, p)
+        change(ext)
+        return ext
+
+    def apply(mp):
+        mp.setattr(cli, "extension_from_parameter", build)
+        mp.setattr(sys.modules[__name__], "extension_from_parameter", build)
+    return apply
+
+
+def _eigenvalue_near_0_shifted(ext):
+    """The cached eigenvalue nearest 0 moved by 1e-9, the frame kept."""
+    spec = ext.spectrum
+    w = spec.eigenvalues.copy()
+    w[np.argmin(np.abs(w))] += 1e-9
+    ext.__dict__["spectrum"] = SpectralDecomposition(w, spec.eigenvectors)
+
+
+def _dense_matrix_moved(ext):
+    """a moved by 1e-8 times a unit Hermitian matrix (seeded) after its frame
+    is cached (extension_from_parameter reads the frame): the direct solves
+    read the moved a, the eigenframe routes the old one."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((ext.dim, ext.dim)) + 1j * rng.standard_normal((ext.dim, ext.dim))
+    h = g + g.conj().T
+    object.__setattr__(ext, "a", ext.a + 1e-8 * h / frob(h))
+
+
 MUTANTS = {
     "angle form: phases swapped": lambda mp: mp.setattr(kr, "_angle_form", _angle_form_with(
         _numerator, _denominator, lambda left, right: (right, left))),
@@ -624,6 +659,10 @@ MUTANTS = {
     "Herglotz bound times 1.5": lambda mp: mp.setattr(
         kr, "herglotz_lower_bound", lambda z: 1.5 * _HERGLOTZ_BOUND(z)),
     "angle_operator reads the reference's Cayley transform": _reference_cayley,
+    "built extension: eigenvalue nearest 0 + 1e-9 in its frame": _on_built_extensions(
+        _eigenvalue_near_0_shifted),
+    "built extension: a + 1e-8 H after its frame is cached": _on_built_extensions(
+        _dense_matrix_moved),
 }
 
 

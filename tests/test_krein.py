@@ -283,10 +283,9 @@ def test_translation_identity(z, zp):
     model, ext1, ext2, _ = support.random_pair(5, 2, seed=17)
     pair = PairContext(model, ext1, ext2)
     assert support.translation_residual(pair, z, zp) < 1e-10
-    # on the grid [z, zp] the records read this pair's rank change and
-    # range drift, both symmetric in z and zp
+    # on the grid [z, zp] the record reads this pair's range drift, which is
+    # symmetric in z and zp
     res = support.records(checks.p_function_suite, pair, [z, zp])
-    assert res["p_compressed_rank_constancy"] == 0.0
     assert res["p_range_constancy"] < 1e-9
 
 
@@ -370,6 +369,9 @@ def test_angle_spectrum_decides_primeness_and_rebuilds_w(log_gap, dim, deficienc
     assume(abs(cayley_gap - DEFAULT_TOL) > 1e-3 * DEFAULT_TOL)
     ang = angle_operator(ext1, ext2, model.nplus)
     assert ang.prime == (cayley_gap > DEFAULT_TOL)
+    # one degenerate eigenvalue: the rank is n, or n - 1 where it is decided
+    # to sit at 1, and prime is full rank
+    assert ang.rank == deficiency - (cayley_gap <= DEFAULT_TOL)
     # the rebuilt product is unitary by construction, W only up to the
     # roundoff of the Cayley transforms, so that defect enters the bound
     tol = 10 * deficiency * np.finfo(float).eps
@@ -413,6 +415,21 @@ def test_non_prime_pair_behaviour():
         m2 = weyl_operator(ext2, sub, z)
         assert frob(lft_m1_to_m2(m1, pair.p_at_i_via_cayley) - m2) < 1e-9 * (1.0 + frob(m2))
         assert support.records(checks.lft_suite, pair, [z])["lft_direct"] < 1e-9
+
+
+def test_range_of_p_has_the_angle_rank_at_every_z():
+    # two angle eigenvalues at pi/2: the one rank decision is the angle's,
+    # rank cos(alpha) = 1, and the range of P(z)|N+ has that dimension at
+    # every z, with the kept singular value far above the dropped ones
+    model, ext1, ext2, _ = support.random_pair(6, 3, seed=41, degenerate=2)
+    pair = PairContext(model, ext1, ext2)
+    assert pair.angle.rank == 1
+    assert not pair.angle.prime
+    for z in (*SAFE_Z, 1e3j, 0.5 + 1e-6j):
+        sub, sv, _ = pair.p_range(z)
+        assert sub.rank == pair.angle.rank
+        assert np.linalg.matrix_rank(pair.p(z).restricted, tol=1e-9) == 1
+        assert sv[1] < 1e-12 * sv[0]
 
 
 def test_identical_extensions_degenerate_cleanly():

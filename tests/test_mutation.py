@@ -32,3 +32,12 @@ def test_a_wrong_first_extension_shows_only_on_pairs_without_the_reference():
     assert set(failing) == {"angle_tan_inversion", "krein_vs_direct",
                             "lft_angle_vs_direct", "p_inverse_via_weyl"}
     assert all(kinds == {"pair"} for kinds in failing.values())
+
+
+def test_a_shifted_eigenvalue_of_the_battery_shape_shows_only_in_range_constancy():
+    # on (64, 3, 3) an eigenvalue of each built extension moved by 1e-9 in its
+    # cached frame fails p_range_constancy, in the report and on the pair,
+    # and no other record
+    with support.mutant("built extension: eigenvalue nearest 0 + 1e-9 in its frame"):
+        failing = support.failing_records([(64, 3, 3)])
+    assert failing == {"p_range_constancy": {"report", "pair"}}
