@@ -19,7 +19,8 @@ the cases (best of --repeats, the suites run in report order on one fresh
 pair memo, so a shared entry is timed in the suite that reads it first).
 A record that is the only one to fail under some mutant is marked "only".
 
-Exit status 1 if a mutant fails no record, or if a record fails unmutated.
+Exit status 1 if a mutant fails no record on some case, or if a record
+fails unmutated.
 """
 
 import argparse
@@ -71,10 +72,16 @@ def main(argv=None) -> int:
         return 1
     times, owner = suite_times(cases, args.repeats)
     started = time.perf_counter()
-    caught = {}
+    caught, missed = {}, {}
     for name in support.MUTANTS:
+        caught[name] = {}
         with support.mutant(name):
-            caught[name] = support.failing_records(cases)
+            for case in cases:
+                failing = support.failing_records([case])
+                if not failing:
+                    missed.setdefault(name, []).append(case)
+                for record, kinds in failing.items():
+                    caught[name].setdefault(record, set()).update(kinds)
     elapsed = time.perf_counter() - started
 
     errors = sorted({r for f in caught.values() for r in f} - set(owner))
@@ -102,6 +109,9 @@ def main(argv=None) -> int:
             uncaught.append(name)
     if uncaught:
         print(f"mutants that fail no record: {uncaught}")
+        return 1
+    if missed:
+        print(f"mutants that fail no record on some case: {missed}")
         return 1
     return 0
 

@@ -55,7 +55,7 @@ from .krein import (
     PairContext,
     angle_operator,
     herglotz_lower_bound,
-    krein_resolvent,
+    krein_resolvent_frame,
     lft_m1_to_m2,
     lft_m1_to_m2_angle,
     weyl_operator,
@@ -105,7 +105,7 @@ __all__ = [
     "herglotz_lower_bound",
     "hermitian_eig",
     "inverse",
-    "krein_resolvent",
+    "krein_resolvent_frame",
     "lft_m1_to_m2",
     "lft_m1_to_m2_angle",
     "p12_halfline",

@@ -160,37 +160,49 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
 
 def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid, read in ext1's
-    eigenframe (PairContext.p; every record is a norm that the frame leaves
-    unchanged), each z paired with the next one z' (cyclically) for
+    eigenframe (every record is a norm that the frame leaves unchanged),
+    each z paired with the next one z' (cyclically).  At each grid z the
+    records read the full P(z) of PairContext.p and its compression
+    X(z) = S1* P(z) S1 (S1 the N+ basis); at conj z only the compression is
+    needed, from one PairContext.p_compressed stack, so no full P(conj z)
+    is built:
 
-      p_translation      || P(z) - P(z') - (z - z') P(z') mid P(z) ||,
-                         mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}
+      p_adjoint_symmetry || X(z)* - X(conj z) ||
+      p_translation      || X(z) - X(z') - (z - z') X(z') (S1* mid S1) X(z) ||,
+                         mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}, an
+                         identity on N+ that holds given P(z)'s support there
       p_range_constancy  || range-projector(P(z)|N+) - range-projector(P(z')|N+) ||
                          + leak(z) + leak(z'), leak = ||(1 - P_N+) P|| / sigma_r(P|N+),
                          r = angle.rank the pair's rank (no leak at rank 0);
                          a sin-theta bound on the full range's drift,
                          symmetric in z and z'
+
+    p_adjoint_symmetry, p_support and p_translation are divided by 1 + ||P(z)||.
     """
     ext1 = pair.ext1
     rank = pair.angle.rank  # read first: an angle error is the first output
     p_i = pair.p(1j).restricted
     yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
+    # the grid z in grid order first, so a collision raises at its first z,
+    # and no conj z comes before it
+    samples = [pair.p(z) for z in zs]
+    conjugates = pair.p_compressed([z.conjugate() for z in zs])
     worst = _Worst()
     w1 = ext1.spectrum.eigenvalues
     s1 = pair.frame_nplus
-    for z, zp in zip(zs, zs[1:] + zs[:1]):
-        ps = pair.p(z)
+    s1h = s1.conj().T
+    for k, (z, zp) in enumerate(zip(zs, zs[1:] + zs[:1])):
+        ps = samples[k]
+        x, xp = ps.restricted, samples[(k + 1) % len(zs)].restricted
         leak = pair.p_range(z)[2]
         scale = 1.0 + frob(ps.full)
-        worst.add("p_adjoint_symmetry",
-                  frob(ps.full.conj().T - pair.p(np.conj(z)).full) / scale)
+        worst.add("p_adjoint_symmetry", frob(x.conj().T - conjugates[k]) / scale)
         # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe
-        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1.conj().T) / scale,
-                  leak / scale)
-        pzp = pair.p(zp)
-        # the translation identity's middle factor, diagonal in ext1's eigenframe
+        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1h) / scale, leak / scale)
+        # the translation identity's middle factor, diagonal in ext1's
+        # eigenframe, compressed to N+
         mid = (1.0 + w1 * w1) * kr._resolvent_diagonal(ext1, zp) * kr._resolvent_diagonal(ext1, z)
-        translation = frob(ps.full - pzp.full - (z - zp) * (pzp.full @ (mid[:, None] * ps.full)))
+        translation = frob(x - xp - (z - zp) * (xp @ (s1h @ (mid[:, None] * s1)) @ x))
         worst.add("p_translation", translation / scale)
         ranges = (pair.p_range(z), pair.p_range(zp))
         leaks = sum(off / s[rank - 1] for _, s, off in ranges) if rank else 0.0
@@ -223,17 +235,21 @@ def angle_suite(pair: kr.PairContext, zs: list, tol: float):
 
 
 def krein_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Krein's formula on N+ against a direct solve for R2(z), behind the
-    spectral guard of a2: per z, the guard's error comes before the formula's."""
-    eye = np.eye(pair.model.dim)
+    """Krein's formula on N+ in ext1's eigenframe (krein_resolvent_frame)
+    against ext2's resolvent in that frame, Q D2 Q* (the r2 of
+    PairContext.p): a route that reads ext2 through its own eigenframe,
+    where the formula reads it through the n x n angle alone.  The record
+    is ||via - direct|| / ||direct||, which the frame leaves unchanged.
+    Behind the spectral guard of a2: per z, the guard's error comes before
+    the formula's."""
     worst = _Worst()
     try:
         kr._resolvent_diagonal(pair.ext2, zs)
     except SpectralParameter as exc:
-        kr.krein_resolvent(pair.ext1, pair.angle, zs[:exc.position])
+        kr.krein_resolvent_frame(pair.ext1, pair.angle, zs[:exc.position])
         raise
-    for z, via in zip(zs, kr.krein_resolvent(pair.ext1, pair.angle, zs)):
-        direct = np.linalg.solve(pair.ext2.a - z * eye, eye)
+    for z, via in zip(zs, kr.krein_resolvent_frame(pair.ext1, pair.angle, zs)):
+        direct = pair.p(z).r2
         worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
     yield from worst.records(tol)
 

@@ -19,7 +19,9 @@ form holds for every pair, relatively prime or not (cos alpha vanishes on
 the blocks where the extensions agree), so no function of the module needs
 a primeness decision.  Out of these pieces the module assembles:
 
-  * the resolvent formula recovering R2(z) from A1-data plus the angle,
+  * the resolvent formula recovering R2(z) from A1-data plus the angle, in
+    A1's eigenframe, where it is a rank-n update of a diagonal (one
+    implementation, krein_resolvent_frame; krein_resolvent maps it back),
   * the Herglotz lower bound for Im z * Im M,
   * the fractional-linear law mapping M1 to M2, in coefficient form with
     p(i) and in angle form.
@@ -27,9 +29,10 @@ a primeness decision.  Out of these pieces the module assembles:
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
-eigenframe and the SVD of P(z)|N+ per z, M(z) per extension over a whole
-grid in one stacked product, the angle with the pair's one rank decision,
-the Cayley products) and shares it.
+eigenframe, from the one N x N product per z that also gives R2(z) in that
+frame, and the SVD of P(z)|N+ per z; M(z) per extension over a whole grid
+in one stacked product; the angle with the pair's one rank decision; the
+Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -72,13 +75,15 @@ from .numerics import (
 
 @dataclass(frozen=True, eq=False)
 class PSample:
-    """One evaluation of the sandwiched resolvent difference, as
-    PairContext.p holds it: the full-space matrix in ext1's eigenframe V1
-    (V1* P(z) V1) and its compression to N+ in the N+ frame, which that
-    change of frame leaves unchanged."""
+    """One evaluation of the sandwiched resolvent difference in a frame of
+    C^N, as PairContext.p holds it in ext1's eigenframe V1: the full-space
+    matrix (V1* P(z) V1), its compression to N+ in the N+ frame, which that
+    change of frame leaves unchanged, and the second extension's resolvent
+    (V1* R2(z) V1 = Q D2 Q*) that the full matrix is read off."""
 
     full: np.ndarray
     restricted: np.ndarray
+    r2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,25 +220,25 @@ def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
                      "weyl operator")
 
 
-def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
-    """Resolvent of the second extension from first-extension data and the
-    pair's angle operator on N+ (S the basis of angle.subspace):
+def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z):
+    """Krein's formula in the cached eigenframe V1 of a1 (S the basis of
+    angle.subspace, S1 = V1* S), where R1(z) is the diagonal D1 = 1/(w1 - z):
 
-        R2(z) = R1(z) + (a1 - i) R1(z) S (sin a - cos a m1(z))^{-1} cos a S* (a1 + i) R1(z)
+        V1* R2(z) V1 = D1 + diag((w1 - i) D1) S1 mid S1* diag((w1 + i) D1),
+        mid = (sin a - cos a m1(z))^{-1} cos a,
 
     the paper's (tan(alpha) - m1(z))^{-1} multiplied through by cos(alpha),
-    so it holds for every pair: the middle factor vanishes on the blocks
-    where alpha = +-pi/2 (identical extensions give R1(z)).  R1 and the
-    (a1 -/+ i) R1 factors are diagonal in the cached eigenframe of a1, so
-    the second term is a rank-n update costing O(N^2 n).
+    so it holds for every pair: mid vanishes on the blocks where
+    alpha = +-pi/2 (identical extensions give D1).  The second term is a
+    rank-n update, so one matrix costs O(N^2 n).
 
     z is a number, giving one N x N matrix, or a 1-d array, giving an
-    iterator over the resolvents in grid order, each bit for bit the per-z
+    iterator over the matrices in grid order, each bit for bit the per-z
     call.  An array takes m1 of every z from one weyl_operator call and
-    inverts the k denominators in one inverse call; each N x N resolvent
-    is assembled only when the iterator reaches it, so no N x N stack is
-    held.  Every error is raised by the call, before any resolvent is
-    formed: the first error of the per-z calls in grid order, at the gates' positions.
+    inverts the k denominators in one inverse call; each N x N matrix is
+    assembled only when the iterator reaches it, so no N x N stack is held.
+    Every error is raised by the call, before any matrix is formed: the
+    first error of the per-z calls in grid order, at the gates' positions.
     """
     zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
@@ -242,26 +247,51 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
         mid = inverse(sin_a - cos_a @ weyl_operator(ext1, angle.subspace, zs)) @ cos_a
     except SpectralParameter as exc:
         # a singular denominator before the first collision raises first
-        krein_resolvent(ext1, angle, zs.reshape(-1)[:exc.position])
+        krein_resolvent_frame(ext1, angle, zs.reshape(-1)[:exc.position])
         raise
     except SingularMatrix as exc:
         raise SingularDenominator(
             f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs.flat[exc.position]):.6g}"
         ) from exc
-    spec = ext1.spectrum
-    v, w = spec.eigenvectors, spec.eigenvalues
-    vh = v.conj().T
-    ws = vh @ angle.subspace.basis
-    wsh = ws.conj().T
+    w = ext1.spectrum.eigenvalues
+    s1 = ext1.spectrum.eigenvectors.conj().T @ angle.subspace.basis
+    s1h = s1.conj().T
 
     def resolvent(dk: np.ndarray, midk: np.ndarray) -> np.ndarray:
-        left = v @ (((w - 1j) * dk)[:, None] * ws)                # (a1 - i) R1 S
-        right = (wsh * ((w + 1j) * dk)) @ vh                       # S* (a1 + i) R1
-        return (v * dk) @ vh + left @ midk @ right
+        left = ((w - 1j) * dk)[:, None] * s1                      # (a1 - i) R1 S
+        right = s1h * ((w + 1j) * dk)                              # S* (a1 + i) R1
+        frame = left @ midk @ right
+        frame[np.diag_indices_from(frame)] += dk
+        return frame
 
     if zs.ndim:
         return map(resolvent, d, mid)
     return resolvent(d, mid)
+
+
+def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
+    """Resolvent of the second extension from first-extension data and the
+    pair's angle operator on N+ (S the basis of angle.subspace):
+
+        R2(z) = R1(z) + (a1 - i) R1(z) S (sin a - cos a m1(z))^{-1} cos a S* (a1 + i) R1(z)
+
+    computed as V1 F V1* with F = krein_resolvent_frame(ext1, angle, z), the
+    one implementation of the formula, so each z costs two N x N products
+    on top of F's O(N^2 n).  z is a number, giving one N x N matrix, or a
+    1-d array, giving an iterator over the resolvents in grid order, each
+    bit for bit the per-z call; every error is raised by the call, as
+    krein_resolvent_frame raises it.  It is public in this module and not
+    exported by the package, since the check tool reads the frame form."""
+    frames = krein_resolvent_frame(ext1, angle, z)
+    v = ext1.spectrum.eigenvectors
+    vh = v.conj().T
+
+    def resolvent(frame: np.ndarray) -> np.ndarray:
+        return (v @ frame) @ vh
+
+    if np.ndim(z):
+        return map(resolvent, frames)
+    return resolvent(frames)
 
 
 def _frozen(*arrays: np.ndarray) -> np.ndarray:
@@ -280,8 +310,11 @@ class PairContext:
     per distinct z and M(z) once per (extension, z), the M(z) a grid needs
     from one weyl_operator call on the whole grid.  M(z) and the pair-level
     entries come from the functions a direct call would use (weyl_operator,
-    angle_operator, parameter_of, ...); P(z) is held in ext1's eigenframe
-    (p), where it takes one N x N product, one z at a time.
+    angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
+    the full matrix with its compression to N+ (p), one N x N product per
+    z, one z at a time, which the suites read at the grid's z and at i.
+    At the grid's conjugates, where only the compression is read,
+    p_compressed evaluates it in one O(N^2 n) stack, uncached.
     Cached arrays are read-only.  The context is the only owner of its
     entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
@@ -301,20 +334,44 @@ class PairContext:
         """P(z) of the pair in ext1's eigenframe V1, and compressed to N+:
         V1* P(z) V1 = D_l (Q D2 Q* - D1) D_r with the diagonals
         D_l = (w1 - z)/(w1 - i), D_r = (w1 - z)/(w1 + i), D1 = 1/(w1 - z),
-        D2 = 1/(w2 - z), one N x N product per z.  The compression
-        S1* (V1* P V1) S1 is Bp* P(z) Bp, as in the original frame."""
+        D2 = 1/(w2 - z), one N x N product per z, Q D2 Q*, which the sample
+        keeps as r2.  The compression S1* (V1* P V1) S1 is Bp* P(z) Bp, as in
+        the original frame."""
         z = complex(z)
         if z not in self._p:
             w1 = self.ext1.spectrum.eigenvalues
             d1 = _resolvent_diagonal(self.ext1, z)
-            middle = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+            r2 = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+            middle = r2.copy()
             middle[np.diag_indices_from(middle)] -= d1
             full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 + 1j))
             s1 = self.frame_nplus
-            ps = PSample(full=full, restricted=s1.conj().T @ full @ s1)
-            _frozen(ps.full, ps.restricted)
+            ps = PSample(full=full, restricted=s1.conj().T @ full @ s1, r2=r2)
+            _frozen(ps.full, ps.restricted, ps.r2)
             self._p[z] = ps
         return self._p[z]
+
+    def p_compressed(self, zs) -> np.ndarray:
+        """The (k, n, n) stack of X(z) = S1* (V1* P(z) V1) S1, P(z) compressed
+        to N+, for a sequence of k numbers, at O(N^2 n) per z and with no
+        N x N matrix: the compression at the z where the full P(z) is not
+        needed (the suites read it at the grid's conjugates; at the grid's z
+        they read p(z).restricted).  With the diagonals of p,
+        D_l D1 D_r = (w1 - z)/(1 + w1^2), so
+
+            X(z) = (Q* conj(D_l) S1)* D2 (Q* D_r S1) - S1* diag((w1 - z)/(1 + w1^2)) S1.
+
+        It divides by w2 - z alone (P(z) is bounded near a1's spectrum), so
+        ext2's guard is its one gate, raising the error of the first
+        offending z.  Nothing is cached: each call evaluates its stack."""
+        z = np.array([complex(x) for x in zs])[:, None]
+        d2 = _resolvent_diagonal(self.ext2, z[:, 0])
+        w1 = self.ext1.spectrum.eigenvalues
+        s1 = self.frame_nplus
+        left = self.frame_q_adjoint @ (np.conj((w1 - z) / (w1 - 1j))[..., None] * s1)
+        right = self.frame_q_adjoint @ (((w1 - z) / (w1 + 1j))[..., None] * s1)
+        return (np.swapaxes(left.conj(), -1, -2) @ (d2[..., None] * right)
+                - s1.conj().T @ (((w1 - z) / (1.0 + w1 * w1))[..., None] * s1))
 
     @cached_property
     def frame_q(self) -> np.ndarray:

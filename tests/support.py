@@ -214,7 +214,7 @@ def p_function(ext1, ext2, subspace, z):
     right = spec1.compose((w1 - z) / (w1 + 1j))
     full = left @ (r2 - r1) @ right
     s = subspace.basis
-    return PSample(full=full, restricted=s.conj().T @ full @ s)
+    return PSample(full=full, restricted=s.conj().T @ full @ s, r2=r2)
 
 
 def resolvent_coefficient(z, scenario):
@@ -540,19 +540,20 @@ def _perturbed_weyl(ext, subspace, z):
 
 
 def _krein_m1_cos(ext1, angle, z):
-    """Krein's formula with m1 @ cos a for cos a @ m1 in its denominator."""
+    """Krein's formula in ext1's eigenframe with m1 @ cos a for cos a @ m1
+    in its denominator; krein_resolvent reads it through the module."""
     zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
     d = kr._resolvent_diagonal(ext1, zs)
     m1 = kr.weyl_operator(ext1, angle.subspace, zs)
     mid = kr.inverse(sin_a - m1 @ cos_a) @ cos_a
-    v, w = ext1.spectrum.eigenvectors, ext1.spectrum.eigenvalues
-    ws = v.conj().T @ angle.subspace.basis
+    w = ext1.spectrum.eigenvalues
+    s1 = ext1.spectrum.eigenvectors.conj().T @ angle.subspace.basis
 
     def resolvent(dk, midk):
-        left = v @ (((w - 1j) * dk)[:, None] * ws)
-        right = (ws.conj().T * ((w + 1j) * dk)) @ v.conj().T
-        return (v * dk) @ v.conj().T + left @ midk @ right
+        frame = (((w - 1j) * dk)[:, None] * s1) @ midk @ (s1.conj().T * ((w + 1j) * dk))
+        frame[np.diag_indices_from(frame)] += dk
+        return frame
 
     return map(resolvent, d, mid) if zs.ndim else resolvent(d, mid)
 
@@ -562,12 +563,25 @@ def _p_right_factor_minus_i(self, z):
     z = complex(z)
     if z not in self._p:
         w1 = self.ext1.spectrum.eigenvalues
-        middle = (self.frame_q * kr._resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+        r2 = (self.frame_q * kr._resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+        middle = r2.copy()
         middle[np.diag_indices_from(middle)] -= kr._resolvent_diagonal(self.ext1, z)
         full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 - 1j))
         s1 = self.frame_nplus
-        self._p[z] = PSample(full=full, restricted=s1.conj().T @ full @ s1)
+        self._p[z] = PSample(full=full, restricted=s1.conj().T @ full @ s1, r2=r2)
     return self._p[z]
+
+
+def _p_compressed_left_unconjugated(self, zs):
+    """PairContext.p_compressed with D_l for conj(D_l) in its left factor."""
+    z = np.array([complex(x) for x in zs])[:, None]
+    d2 = kr._resolvent_diagonal(self.ext2, z[:, 0])
+    w1 = self.ext1.spectrum.eigenvalues[None, :]
+    s1 = self.frame_nplus
+    left = self.frame_q_adjoint @ (((w1 - z) / (w1 - 1j))[..., None] * s1)
+    right = self.frame_q_adjoint @ (((w1 - z) / (w1 + 1j))[..., None] * s1)
+    return (np.swapaxes(left.conj(), -1, -2) @ (d2[..., None] * right)
+            - s1.conj().T @ (((w1 - z) / (1.0 + w1 * w1))[..., None] * s1))
 
 
 def _reference_cayley(mp):
@@ -653,9 +667,12 @@ MUTANTS = {
     # a property, which an instance's cached transform cannot shadow
     "Cayley transform with its sign flipped": lambda mp: mp.setattr(
         Extension, "cayley", property(lambda ext: -_CAYLEY(ext))),
-    "Krein's formula: m1 @ cos a": lambda mp: mp.setattr(kr, "krein_resolvent", _krein_m1_cos),
+    "Krein's formula: m1 @ cos a": lambda mp: mp.setattr(
+        kr, "krein_resolvent_frame", _krein_m1_cos),
     "PairContext.p: (w1 - i) as its right factor": lambda mp: mp.setattr(
         kr.PairContext, "p", _p_right_factor_minus_i),
+    "PairContext.p_compressed: D_l for conj(D_l)": lambda mp: mp.setattr(
+        kr.PairContext, "p_compressed", _p_compressed_left_unconjugated),
     "Herglotz bound times 1.5": lambda mp: mp.setattr(
         kr, "herglotz_lower_bound", lambda z: 1.5 * _HERGLOTZ_BOUND(z)),
     "angle_operator reads the reference's Cayley transform": _reference_cayley,

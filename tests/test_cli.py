@@ -752,7 +752,9 @@ def test_every_exported_function_is_called_by_the_tool():
     # its M(z) table or the halfline command on its default grid and on a
     # grid with poles.  Reference routes that only tests compare against
     # live in tests/support.py; m1_halfline and m2_halfline, the scalar
-    # closed forms, stay in kreinkit.halfline for the demo script and the tests
+    # closed forms, stay in kreinkit.halfline for the demo script and the
+    # tests, and krein_resolvent, the N x N form of Krein's formula, stays in
+    # kreinkit.krein
     import kreinkit
     exported = {obj.__code__: name for name in kreinkit.__all__
                 if inspect.isfunction(obj := getattr(kreinkit, name))}
@@ -795,8 +797,10 @@ def test_each_report_record_comes_from_one_suite():
 def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # counted, not timed: every resolvent-type evaluation of ext1 and ext2
     # reuses one cached eigendecomposition per extension, and no other
-    # extension is built; the pair memo builds P(z) in ext1's eigenframe
-    # once for each of the 26 distinct z (the grid, its conjugates and i),
+    # extension is built; the pair memo builds the full P(z) in ext1's
+    # eigenframe once for each of the 16 distinct z of the grid, i among
+    # them, and none at a conjugate (p_adjoint_symmetry reads the compressed
+    # stack),
     # the SVD of P(z)|N+ (3 x 3), taken in PairContext.p_range, once per
     # grid point and no SVD of the full 64 x 64 P(z), and the angle operator
     # once, for the pair.
@@ -851,7 +855,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert report["summary"] == "pass"
     assert len(decompositions) == 2
     assert max(decompositions.values()) == 1
-    assert len(frames) == len(set(frames)) == 26
+    assert len(frames) == len(set(frames)) == 16
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
     # the other 2 SVDs are domain_direct_sum's, one n x n per extension in
     # the model layer; none is N-sized
@@ -859,7 +863,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(angles) == 1
     assert [args[0].shape for args in schurs] == [(3, 3)]
     (pair,) = pairs
-    for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.m(pair.ext2, 2j),
+    for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.p(2j).r2,
+                   pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.p_at_i_via_cayley, pair.angle.alpha,
                    pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
@@ -874,9 +879,10 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     # and its conjugates) and one for ext1 inside Krein's formula, Krein's
     # 16 n x n denominators from one inverse call, and the two law calls
     # one each.
-    # The 58 solves are those 3, the 32 herglotz_identity and 16
-    # krein_vs_direct solves, 6 in the model layer and 1 that builds ext2;
-    # no N x N stack reaches a solve
+    # The 42 solves are those 3, the 32 herglotz_identity solves, 6 in the
+    # model layer and 1 that builds ext2 (krein_vs_direct reads ext2's
+    # resolvent from the pair memo's P(z) and solves nothing); no N x N
+    # stack reaches a solve
     weyl, inverses, solves = [], [], []
 
     def counting(calls, real):
@@ -893,7 +899,7 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     assert report["summary"] == "pass"
     assert [np.shape(args[2]) for args in weyl] == [(26,), (26,), (16,)]
     assert [np.shape(args[0]) for args in inverses] == [(16, 3, 3)] * 3
-    assert len(solves) == 58
+    assert len(solves) == 42
     assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)
                for args in solves)
 

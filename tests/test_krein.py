@@ -5,6 +5,7 @@ in support.py pin down exact expected values; matrix cases are then checked
 against internal identities and the independently built second extension.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import support
-from kreinkit import checks
+from kreinkit import checks, cli
 from kreinkit import krein as krein_module
 from kreinkit.errors import (
     NotAnExtension,
@@ -687,6 +688,32 @@ def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z(s1):
     assert expected[1].startswith("z = 0+1e-12j ")
 
 
+def test_p_function_and_krein_suites_raise_at_the_first_collision_of_either_extension():
+    # the grid meets one spectrum at its second point and the other at its
+    # third.  p_function_suite raises as P(z) at each grid z raises, ext1's
+    # guard before ext2's and a grid z before its conjugate; krein_suite as
+    # ext2's guard and then Krein's formula at each z
+    model, ext1, ext2, _ = support.random_pair(8, 2, 5)
+    pair = PairContext(model, ext1, ext2)
+    w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
+
+    def p_at(z):
+        krein_module._resolvent_diagonal(ext1, z)
+        krein_module._resolvent_diagonal(ext2, z)
+
+    def krein_at(z):
+        krein_module._resolvent_diagonal(ext2, z)
+        krein_module.krein_resolvent_frame(ext1, pair.angle, z)
+
+    hit1, hit2 = w1[4] + 1e-12j, w2[1] + 1e-11j
+    for grid, first in (([1j, hit1, hit2, -1j], hit1), ([2j, hit2, hit1, -1j], hit2)):
+        for suite, per_z in ((checks.p_function_suite, p_at), (checks.krein_suite, krein_at)):
+            expected = support.first_error(per_z, grid)
+            assert expected[0] is SpectralParameter
+            assert expected[1].startswith(f"z = {first:.6g} ")
+            assert support.raised(support.records, suite, pair, grid) == expected
+
+
 def test_sample_shape_validation():
     line = Subspace(basis=np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
@@ -766,6 +793,46 @@ def test_eigenbasis_routes_match_dense_solves(kind):
         # the acceptance oracle's relative measure, 100x below its tolerance
         via = krein_resolvent(ext1, angle, z)
         assert frob(via - r2) <= 1e-11 * frob(r2), (label, "krein")
+
+
+def _oracle_pair(shape):
+    if shape == "non-prime":
+        scenario = dataclasses.replace(
+            cli.generate_scenario(6, 2, 9),
+            parameter={"angle": np.diag([math.pi / 2, 0.3]).astype(complex)})
+    else:
+        scenario = cli.generate_scenario(*shape, 3)
+    return cli.materialize(scenario)[:3]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (6, 6), (8, 2), (64, 3), "non-prime"])
+def test_frame_forms_match_their_oracles(shape):
+    # Krein's formula in ext1's eigenframe, mapped back by V1, against a
+    # dense solve with a2 - z, relative to ||R2(z)||; the compressed stack
+    # against S1* (V1* P(z) V1) S1 from the full P(z), relative to the size
+    # of the terms P(z) combines (test_pair_memo_eigenframe_p_matches_p_function).
+    # z 1e-6 off the axis between two eigenvalues of a1, and |z| = 1e6
+    model, ext1, ext2 = _oracle_pair(shape)
+    pair = PairContext(model, ext1, ext2)
+    if shape == "non-prime":
+        assert pair.angle.rank == 1
+    v1 = ext1.spectrum.eigenvectors
+    w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
+    between = w1[0] - 0.5 if model.dim == 1 else (w1[0] + w1[1]) / 2.0
+    zs = [between + 1e-6j, between - 1e-6j, 1e6j, 6e5 - 8e5j, 1 + 1j]
+    unit = 10.0 * model.dim * EPS
+    eye = np.eye(model.dim)
+    s1 = pair.frame_nplus
+    stack = pair.p_compressed(zs)
+    assert stack.shape == (len(zs), model.deficiency, model.deficiency)
+    frames = krein_module.krein_resolvent_frame(ext1, pair.angle, np.array(zs))
+    for z, x, frame in zip(zs, stack, frames, strict=True):
+        direct = np.linalg.solve(ext2.a - z * eye, eye)
+        assert frob(v1 @ frame @ v1.conj().T - direct) <= unit * frob(direct), z
+        scale = (np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
+                 * np.max(np.abs(w1 - z) / np.abs(w1 + 1j))
+                 * (1.0 / np.min(np.abs(w1 - z)) + 1.0 / np.min(np.abs(w2 - z))))
+        assert frob(x - s1.conj().T @ pair.p(z).full @ s1) <= unit * scale, z
 
 
 @pytest.mark.parametrize("shape", [(64, 3), (8, 2), (6, 6), (1, 1), "identical"])

@@ -3,13 +3,17 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import support
 from kreinkit import cli
+from kreinkit import krein
 from kreinkit.errors import NumericalFailure
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -139,3 +143,53 @@ def test_mutation_matrix_exits_1_on_a_mutant_that_fails_no_record(monkeypatch, c
     assert matrix.main(["--case", "1", "1", "2", "--repeats", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [" 1 no change: fails 0", "mutants that fail no record: ['no change']"]
+
+
+def test_mutation_matrix_exits_1_on_a_mutant_that_one_case_misses(monkeypatch, capsys):
+    # M(z) transposed at N = 4 alone: (4, 2) fails records, (1, 1) none
+    matrix = _load("mutation_matrix")
+    weyl = krein.weyl_operator
+
+    def transposed_at_4(ext, subspace, z):
+        m = weyl(ext, subspace, z)
+        return np.swapaxes(m, -1, -2) if ext.dim == 4 else m
+
+    monkeypatch.setattr(support, "MUTANTS", {"weyl at N = 4 transposed": lambda mp: mp.setattr(
+        krein, "weyl_operator", transposed_at_4)})
+    assert matrix.main(["--case", "4", "2", "1", "--case", "1", "1", "2", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "mutants that fail no record on some case: {'weyl at N = 4 transposed': [(1, 1, 2)]}"
+
+
+def test_record_diff_of_a_tree_with_itself_moves_nothing(capsys):
+    # the same tree twice: every record's movement is 0 and nothing flips
+    diff = _load("record_diff")
+    assert diff.main(["--src", str(SRC), "--src", str(SRC)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" inputs") and lines[1].split()[0] == "record"
+    rows = lines[2:lines.index("")]
+    assert {"krein_vs_direct", "p_translation", "quadrature_roundtrip"} <= {
+        row.split()[0] for row in rows}
+    # an error-record name has no residual on either tree
+    assert all(row.split()[-1] == "0.000" for row in rows)
+    assert lines[-1] == "0 pass/fail or error flips"
+
+
+def test_record_diff_compares_each_record_over_the_inputs():
+    # one record scaled by 2 on one input moves by log10 2 and no other;
+    # a pass that turns into a failure, and an error that changes class,
+    # are flips
+    diff = _load("record_diff")
+    a = {"x": [["r", 1e-10, True, None], ["s", 3e-12, True, None]],
+         "y": [["r", 4e-13, True, None], ["suite", -1.0, False, "SpectralParameter"]]}
+    b = {"x": [["r", 2e-10, True, None], ["s", 3e-12, True, None]],
+         "y": [["r", 4e-9, False, None], ["suite", -1.0, False, "NotInvariant"]]}
+    rows, flips = diff.compare(a, {"x": b["x"], "y": a["y"]})
+    assert rows["r"][:2] == [1e-10, 2e-10] and rows["r"][3] == "x"
+    assert math.isclose(rows["r"][2], math.log10(2.0), rel_tol=1e-12)
+    assert rows["s"][2] == 0.0 and flips == []
+    rows, flips = diff.compare(a, b)
+    assert rows["r"][1] == 4e-9 and rows["r"][3] == "y"
+    assert math.isclose(rows["r"][2], 4.0, rel_tol=1e-12)
+    assert flips == [("y", "r", "pass 4e-13", "fail 4e-09"),
+                     ("y", "suite", "error SpectralParameter", "error NotInvariant")]
