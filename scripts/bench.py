@@ -77,7 +77,8 @@ KERNELS = {
         f"scenario = cli.generate_scenario(64, 64, {SCENARIO_SEED})",
         "cli.run_checks(scenario)", 1),
     # M(z) of one extension at the 26 distinct points of the 16-point grid,
-    # its conjugates and i, as weyl_suite asks for them, in one call
+    # its conjugates and i, in one call: more than weyl_suite reads (i and
+    # the grid), kept so that the kernel's times compare across trees
     "weyl_operator battery grid (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         "import numpy as np\nfrom kreinkit import cli\nfrom kreinkit import krein as kr\n"
@@ -87,8 +88,8 @@ KERNELS = {
         "pts = np.array(list(dict.fromkeys([1j, *zs, *(z.conjugate() for z in zs)])))",
         "kr.weyl_operator(ext1, model.nplus, pts)", 50),
     # P(z) over the grid on a fresh pair memo, as the first suite of a
-    # report to read it: the full P(z) at each grid z, the compressed stack
-    # at the grid's conjugates and the SVDs of P(z)|N+
+    # report to read it: the full P(z) at each grid z and the SVDs of
+    # P(z)|N+
     "p_function_suite (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         "from kreinkit import checks, cli\nfrom kreinkit.krein import PairContext\n"

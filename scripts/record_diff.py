@@ -23,10 +23,13 @@ set, so both trees check the same scenario bytes:
 
 For each record name the script prints its worst residual on each tree and
 the largest |log10(r_B / r_A)| over the inputs, each residual floored at
-eps, with the input where it is largest.  Then it lists every input and
-record whose pass/fail or error class differs between the trees, with both
-values.  Nothing it prints goes into a report.  It informs and is no gate:
-the exit status is 0, also when a tree fails to run (its error is printed).
+eps, with the input where it is largest.  A record that one tree reports on
+inputs where the other does not, say one that a tree deleted, is listed on
+one line: its name, the tree that has it and on how many inputs.  Then it
+lists every input and record of both trees whose pass/fail or error class
+differs, with both values.  Nothing it prints goes into a report.  It
+informs and is no gate: the exit status is 0, also when a tree fails to
+run (its error is printed).
 """
 
 import argparse
@@ -178,18 +181,22 @@ def _floored(r: float) -> float:
 
 
 def compare(a: dict, b: dict) -> tuple:
-    """(rows, flips): per record name (worst r_A, worst r_B, max |dlog10|,
-    input of that max), and per input and record whose pass/fail or error
-    class differs (label, name, state A, state B)."""
-    rows, flips = {}, []
+    """(rows, flips, one_tree): per record name (worst r_A, worst r_B, max
+    |dlog10|, input of that max); per input and record that both trees
+    report and whose pass/fail or error class differs (label, name, state A,
+    state B); and per record and tree "A" or "B" that alone reports it on
+    some inputs, [number of those inputs, the first of them]."""
+    rows, flips, one_tree = {}, [], {}
     for label in a:
         recs_a = {rec[0]: rec for rec in a[label]}
         recs_b = {rec[0]: rec for rec in b.get(label, [])}
         for name in [*recs_a, *(n for n in recs_b if n not in recs_a)]:
             ra, rb = recs_a.get(name), recs_b.get(name)
-            if ra is None or rb is None or ra[2] != rb[2] or ra[3] != rb[3]:
-                flips.append((label, name, _state(ra) if ra else "absent",
-                              _state(rb) if rb else "absent"))
+            if ra is None or rb is None:
+                seen = one_tree.setdefault((name, "B" if ra is None else "A"), [0, label])
+                seen[0] += 1
+            elif ra[2] != rb[2] or ra[3] != rb[3]:
+                flips.append((label, name, _state(ra), _state(rb)))
             row = rows.setdefault(name, [-math.inf, -math.inf, 0.0, None])
             for k, rec in ((0, ra), (1, rb)):
                 if rec is not None and not rec[3] and not math.isnan(rec[1]):
@@ -202,7 +209,7 @@ def compare(a: dict, b: dict) -> tuple:
                 move = abs(_floored(rb[1]) - _floored(ra[1]))
             if move > row[2]:
                 row[2], row[3] = move, label
-    return rows, flips
+    return rows, flips, one_tree
 
 
 def main(argv=None) -> int:
@@ -233,7 +240,7 @@ def main(argv=None) -> int:
                 return 0
             results.append(json.loads(done.stdout))
 
-    rows, flips = compare(*results)
+    rows, flips, one_tree = compare(*results)
     print(f"A = {args.src[0]}, B = {args.src[1]}, {len(results[0])} inputs")
     width = max(map(len, rows))
     print(f"{'record':<{width}}  {'worst A':>10}  {'worst B':>10}  {'max |dlog10|':>12}  at")
@@ -242,6 +249,10 @@ def main(argv=None) -> int:
         cells = "  ".join(f"{w:10.3e}" if w > -math.inf else f"{'-':>10}" for w in (worst_a, worst_b))
         print(f"{name:<{width}}  {cells}  {move:12.3f}  {where or ''}")
     print()
+    if one_tree:
+        print(f"{len(one_tree)} records reported by one tree only:")
+        for (name, tree), (count, first) in sorted(one_tree.items()):
+            print(f"  {name}: {tree} only, on {count} inputs, first {first}")
     print(f"{len(flips)} pass/fail or error flips" + (":" if flips else ""))
     for label, name, state_a, state_b in flips:
         print(f"  {label}: {name}: {state_a} -> {state_b}")

@@ -125,15 +125,16 @@ def herglotz_form(z: complex, m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
-    """M(z) of both extensions: fixed point at i, conjugate symmetry, the
-    Herglotz bound on lambda_min(Im z * Im M(z)) and the exact identity
-    Im z * Im M = (Im z)^2 S*(1+a^2)^{1/2}((a-x)^2+y^2)^{-1}(1+a^2)^{1/2} S."""
+    """M(z) of both extensions: fixed point at i, the Herglotz bound on
+    lambda_min(Im z * Im M(z)) and the exact identity
+    Im z * Im M = (Im z)^2 S*(1+a^2)^{1/2}((a-x)^2+y^2)^{-1}(1+a^2)^{1/2} S.
+    M(conj z) = M(z)* holds by construction of weyl_operator's spectral
+    form, so no record reads M at a conjugate."""
     worst = _Worst()
     for ext in (pair.ext1, pair.ext2):
-        # one memo call for M at i and at each z and its conjugate, in the
-        # order the per-z reading took them, so that a collision raises as
-        # that reading raised it
-        ms = pair.m(ext, [1j, *(x for z in zs for x in (z, z.conjugate()))])
+        # one memo call for M at i and at the grid, so that a collision
+        # raises at its first z
+        ms = pair.m(ext, [1j, *zs])
         worst.add("weyl_fixed_point_at_i",
                   frob(ms[0] - 1j * np.eye(pair.model.deficiency)))
         # (1 + a^2)^{1/2} Bp, the N x n factor of the Herglotz identity;
@@ -143,16 +144,13 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
         root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2)) @ pair.model.nplus.basis
         for k, z in enumerate(zs):
             bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
-            m, m_conj = ms[2 * k + 1], ms[2 * k + 2]
-            lhs, lam_min = herglotz_form(z, m)
+            lhs, lam_min = herglotz_form(z, ms[k + 1])
             # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve
             # with a - conj z, whose condition number is the square root of the
             # product's
             y = z.imag
             half = np.linalg.solve(ext.a - z.conjugate() * eye, root)
             rhs = (y * y) * (half.conj().T @ half)
-            symmetry = frob(m_conj - m.conj().T)
-            worst.add("weyl_conjugate_symmetry", symmetry / (1.0 + frob(m)))
             worst.add("herglotz_bound", _worst(0.0, bound - lam_min))
             worst.add("herglotz_identity", frob(lhs - rhs))
     yield from worst.records(tol)
@@ -163,11 +161,9 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     eigenframe (every record is a norm that the frame leaves unchanged),
     each z paired with the next one z' (cyclically).  At each grid z the
     records read the full P(z) of PairContext.p and its compression
-    X(z) = S1* P(z) S1 (S1 the N+ basis); at conj z only the compression is
-    needed, from one PairContext.p_compressed stack, so no full P(conj z)
-    is built:
+    X(z) = S1* P(z) S1 (S1 the N+ basis).  P(conj z) = P(z)* holds by
+    construction of that spectral form, so no record reads a conjugate:
 
-      p_adjoint_symmetry || X(z)* - X(conj z) ||
       p_translation      || X(z) - X(z') - (z - z') X(z') (S1* mid S1) X(z) ||,
                          mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}, an
                          identity on N+ that holds given P(z)'s support there
@@ -177,16 +173,14 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
                          a sin-theta bound on the full range's drift,
                          symmetric in z and z'
 
-    p_adjoint_symmetry, p_support and p_translation are divided by 1 + ||P(z)||.
+    p_support and p_translation are divided by 1 + ||P(z)||.
     """
     ext1 = pair.ext1
     rank = pair.angle.rank  # read first: an angle error is the first output
     p_i = pair.p(1j).restricted
     yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
-    # the grid z in grid order first, so a collision raises at its first z,
-    # and no conj z comes before it
+    # the grid z in grid order, so a collision raises at its first z
     samples = [pair.p(z) for z in zs]
-    conjugates = pair.p_compressed([z.conjugate() for z in zs])
     worst = _Worst()
     w1 = ext1.spectrum.eigenvalues
     s1 = pair.frame_nplus
@@ -196,7 +190,6 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
         x, xp = ps.restricted, samples[(k + 1) % len(zs)].restricted
         leak = pair.p_range(z)[2]
         scale = 1.0 + frob(ps.full)
-        worst.add("p_adjoint_symmetry", frob(x.conj().T - conjugates[k]) / scale)
         # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe
         worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1h) / scale, leak / scale)
         # the translation identity's middle factor, diagonal in ext1's
@@ -223,7 +216,8 @@ def angle_suite(pair: kr.PairContext, zs: list, tol: float):
     # bit for bit the per-z maps
     m1 = pair.m(pair.ext1, zs)
     via = kr.lft_m1_to_m2_angle(m1, angle)
-    # P(z) guards ext2 at z before M2(z) is read, with the same error
+    # M2 is read before any P(z): a collision of a2 with the grid raises
+    # here, at its first z, with the error P(z) would raise there
     m2 = pair.m(pair.ext2, zs)
     worst = _Worst()
     for k, z in enumerate(zs):

@@ -1,9 +1,12 @@
 """Half-line Laplacian pair in closed form, plus a quadrature cross-check.
 
 The reference extension is -d^2/dx^2 on [0, inf) with the Dirichlet boundary
-condition; the second extension carries the boundary condition
-sin(a2) u'(0) = cos(a2) (u'(0) tan(a2) ... ) parametrized by a single angle
-a2, equivalently by the Robin constant encoded in c = (1 - tan a2)/sqrt(2).
+condition u(0) = 0; the second extension carries the Robin condition
+
+    u'(0) + c u(0) = 0,  c = (1 - tan a2)/sqrt(2),
+
+that is sqrt(2) cos(a2) u'(0) + (cos a2 - sin a2) u(0) = 0, parametrized by
+a single angle a2; a2 = pi/2 (|c| -> inf) gives back the Dirichlet condition.
 Deficiency indices are (1, 1), so every operator-valued object of the general
 theory collapses to a scalar function of z with explicit formulas:
 
@@ -13,9 +16,11 @@ theory collapses to a scalar function of z with explicit formulas:
 
 with the square root taken in the upper half plane (cut along [0, inf)).
 The coefficient -1/(c + i sqrt(z)) of the rank-one resolvent correction is
-sqrt(2) p12(z).  For c > 0 the second extension has a bound state at
-z = -c^2, where 1 - tan a2 + i sqrt(2 z) vanishes.  That is p12's
-denominator, and m2's is -cos a2 times it, so one pole rule
+sqrt(2) p12(z): imposing the Robin condition on the kernel
+G_D + beta e^{i sqrt(z) x} e^{i sqrt(z) y}, G_D the Dirichlet kernel below,
+gives beta = -1/(c + i sqrt(z)).  For c > 0 the second extension has the
+bound state e^{-c x} at z = -c^2, where 1 - tan a2 + i sqrt(2 z) vanishes.
+That is p12's denominator, and m2's is -cos a2 times it, so one pole rule
 (_pole_checked_root) refuses both there.
 
 The module also solves (A_D - z) u = f numerically through the Dirichlet

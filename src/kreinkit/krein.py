@@ -29,10 +29,10 @@ a primeness decision.  Out of these pieces the module assembles:
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
-eigenframe, from the one N x N product per z that also gives R2(z) in that
-frame, and the SVD of P(z)|N+ per z; M(z) per extension over a whole grid
-in one stacked product; the angle with the pair's one rank decision; the
-Cayley products) and shares it.
+eigenframe with its compression to N+, from the one N x N product per z
+that also gives R2(z) in that frame, and the SVD of P(z)|N+ per z; M(z) per
+extension over a whole grid in one stacked product; the angle with the
+pair's one rank decision; the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -312,11 +312,10 @@ class PairContext:
     entries come from the functions a direct call would use (weyl_operator,
     angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
     the full matrix with its compression to N+ (p), one N x N product per
-    z, one z at a time, which the suites read at the grid's z and at i.
-    At the grid's conjugates, where only the compression is read,
-    p_compressed evaluates it in one O(N^2 n) stack, uncached.
-    Cached arrays are read-only.  The context is the only owner of its
-    entries: it lives as long as its creator keeps it.  Spectral parameters
+    z, one z at a time, which the suites read at the grid's z and at i,
+    never at a conjugate point; p is the one code path of the compression
+    X(z) = Bp* P(z) Bp.  Cached arrays are read-only.  The context is the
+    only owner of its entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
     part share one entry.
     """
@@ -350,28 +349,6 @@ class PairContext:
             _frozen(ps.full, ps.restricted, ps.r2)
             self._p[z] = ps
         return self._p[z]
-
-    def p_compressed(self, zs) -> np.ndarray:
-        """The (k, n, n) stack of X(z) = S1* (V1* P(z) V1) S1, P(z) compressed
-        to N+, for a sequence of k numbers, at O(N^2 n) per z and with no
-        N x N matrix: the compression at the z where the full P(z) is not
-        needed (the suites read it at the grid's conjugates; at the grid's z
-        they read p(z).restricted).  With the diagonals of p,
-        D_l D1 D_r = (w1 - z)/(1 + w1^2), so
-
-            X(z) = (Q* conj(D_l) S1)* D2 (Q* D_r S1) - S1* diag((w1 - z)/(1 + w1^2)) S1.
-
-        It divides by w2 - z alone (P(z) is bounded near a1's spectrum), so
-        ext2's guard is its one gate, raising the error of the first
-        offending z.  Nothing is cached: each call evaluates its stack."""
-        z = np.array([complex(x) for x in zs])[:, None]
-        d2 = _resolvent_diagonal(self.ext2, z[:, 0])
-        w1 = self.ext1.spectrum.eigenvalues
-        s1 = self.frame_nplus
-        left = self.frame_q_adjoint @ (np.conj((w1 - z) / (w1 - 1j))[..., None] * s1)
-        right = self.frame_q_adjoint @ (((w1 - z) / (w1 + 1j))[..., None] * s1)
-        return (np.swapaxes(left.conj(), -1, -2) @ (d2[..., None] * right)
-                - s1.conj().T @ (((w1 - z) / (1.0 + w1 * w1))[..., None] * s1))
 
     @cached_property
     def frame_q(self) -> np.ndarray:

@@ -572,18 +572,6 @@ def _p_right_factor_minus_i(self, z):
     return self._p[z]
 
 
-def _p_compressed_left_unconjugated(self, zs):
-    """PairContext.p_compressed with D_l for conj(D_l) in its left factor."""
-    z = np.array([complex(x) for x in zs])[:, None]
-    d2 = kr._resolvent_diagonal(self.ext2, z[:, 0])
-    w1 = self.ext1.spectrum.eigenvalues[None, :]
-    s1 = self.frame_nplus
-    left = self.frame_q_adjoint @ (((w1 - z) / (w1 - 1j))[..., None] * s1)
-    right = self.frame_q_adjoint @ (((w1 - z) / (w1 + 1j))[..., None] * s1)
-    return (np.swapaxes(left.conj(), -1, -2) @ (d2[..., None] * right)
-            - s1.conj().T @ (((w1 - z) / (1.0 + w1 * w1))[..., None] * s1))
-
-
 def _reference_cayley(mp):
     """angle_operator reads the reference's Cayley transform in place of
     ext1's.  The reference of a call's model is found through the N+
@@ -671,8 +659,6 @@ MUTANTS = {
         kr, "krein_resolvent_frame", _krein_m1_cos),
     "PairContext.p: (w1 - i) as its right factor": lambda mp: mp.setattr(
         kr.PairContext, "p", _p_right_factor_minus_i),
-    "PairContext.p_compressed: D_l for conj(D_l)": lambda mp: mp.setattr(
-        kr.PairContext, "p_compressed", _p_compressed_left_unconjugated),
     "Herglotz bound times 1.5": lambda mp: mp.setattr(
         kr, "herglotz_lower_bound", lambda z: 1.5 * _HERGLOTZ_BOUND(z)),
     "angle_operator reads the reference's Cayley transform": _reference_cayley,

@@ -799,11 +799,9 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # reuses one cached eigendecomposition per extension, and no other
     # extension is built; the pair memo builds the full P(z) in ext1's
     # eigenframe once for each of the 16 distinct z of the grid, i among
-    # them, and none at a conjugate (p_adjoint_symmetry reads the compressed
-    # stack),
-    # the SVD of P(z)|N+ (3 x 3), taken in PairContext.p_range, once per
-    # grid point and no SVD of the full 64 x 64 P(z), and the angle operator
-    # once, for the pair.
+    # them, and none at a conjugate, the SVD of P(z)|N+ (3 x 3), taken in
+    # PairContext.p_range, once per grid point and no SVD of the full
+    # 64 x 64 P(z), and the angle operator once, for the pair.
     # angle_operator is the one caller of unitary_eig in the library, so
     # this is the one Schur form, 3 x 3, which also decides primeness:
     # extensions are rank-n updates of a1, and cayley_roundtrip inverts
@@ -875,10 +873,10 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
 
 def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     # counted, not timed: M(z) comes from one weyl_operator call per
-    # extension (ext1 and ext2 at the 26 distinct points among i, the grid
-    # and its conjugates) and one for ext1 inside Krein's formula, Krein's
-    # 16 n x n denominators from one inverse call, and the two law calls
-    # one each.
+    # extension (ext1 and ext2 at the 16 distinct points of i and the grid,
+    # which holds i, and at no conjugate) and one for ext1 inside Krein's
+    # formula, Krein's 16 n x n denominators from one inverse call, and the
+    # two law calls one each.
     # The 42 solves are those 3, the 32 herglotz_identity solves, 6 in the
     # model layer and 1 that builds ext2 (krein_vs_direct reads ext2's
     # resolvent from the pair memo's P(z) and solves nothing); no N x N
@@ -897,7 +895,7 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting(solves, np.linalg.solve))
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
-    assert [np.shape(args[2]) for args in weyl] == [(26,), (26,), (16,)]
+    assert [np.shape(args[2]) for args in weyl] == [(16,), (16,), (16,)]
     assert [np.shape(args[0]) for args in inverses] == [(16, 3, 3)] * 3
     assert len(solves) == 42
     assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)

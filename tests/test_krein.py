@@ -808,31 +808,59 @@ def _oracle_pair(shape):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (6, 6), (8, 2), (64, 3), "non-prime"])
 def test_frame_forms_match_their_oracles(shape):
     # Krein's formula in ext1's eigenframe, mapped back by V1, against a
-    # dense solve with a2 - z, relative to ||R2(z)||; the compressed stack
-    # against S1* (V1* P(z) V1) S1 from the full P(z), relative to the size
-    # of the terms P(z) combines (test_pair_memo_eigenframe_p_matches_p_function).
-    # z 1e-6 off the axis between two eigenvalues of a1, and |z| = 1e6
+    # dense solve with a2 - z, relative to ||R2(z)||, at z 1e-6 off the axis
+    # between two eigenvalues of a1, and at |z| = 1e6
     model, ext1, ext2 = _oracle_pair(shape)
     pair = PairContext(model, ext1, ext2)
     if shape == "non-prime":
         assert pair.angle.rank == 1
     v1 = ext1.spectrum.eigenvectors
-    w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
+    w1 = ext1.spectrum.eigenvalues.real
     between = w1[0] - 0.5 if model.dim == 1 else (w1[0] + w1[1]) / 2.0
     zs = [between + 1e-6j, between - 1e-6j, 1e6j, 6e5 - 8e5j, 1 + 1j]
     unit = 10.0 * model.dim * EPS
     eye = np.eye(model.dim)
-    s1 = pair.frame_nplus
-    stack = pair.p_compressed(zs)
-    assert stack.shape == (len(zs), model.deficiency, model.deficiency)
     frames = krein_module.krein_resolvent_frame(ext1, pair.angle, np.array(zs))
-    for z, x, frame in zip(zs, stack, frames, strict=True):
+    for z, frame in zip(zs, frames, strict=True):
         direct = np.linalg.solve(ext2.a - z * eye, eye)
         assert frob(v1 @ frame @ v1.conj().T - direct) <= unit * frob(direct), z
-        scale = (np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1), (6, 6), (8, 2), (64, 3), "non-prime"]),
+       st.one_of(st.none(), st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+       st.floats(-6.0, 0.0), st.sampled_from([1.0, -1.0]))
+@example((64, 3), None, -6.0, 1.0)
+@example((64, 3), 1e6, -6.0, -1.0)
+def test_p_and_m_are_adjoint_at_conjugate_points(shape, re, log_im, sign):
+    # P(conj z) = P(z)* and M(conj z) = M(z)* of both extensions, as the
+    # spectral forms give them, which no report record reads: up to the
+    # roundoff of two evaluations, N eps kappa(a - z) times the size of the
+    # terms each combines.  Im z from 1e-6 to 1 and |z| up to 1e6; re None
+    # is midway between the two lowest eigenvalues of a1
+    model, ext1, ext2 = _oracle_pair(shape)
+    pair = PairContext(model, ext1, ext2)
+    w1 = ext1.spectrum.eigenvalues.real
+    if re is None:
+        re = w1[0] - 0.5 if model.dim == 1 else (w1[0] + w1[1]) / 2.0
+    z = complex(re, sign * 10.0 ** log_im)
+    budget = 10.0 * _budget((ext1, ext2), z)
+    p_err = frob(pair.p(z.conjugate()).full - pair.p(z).full.conj().T)
+    assert p_err <= budget * _p_terms(ext1, ext2, z), (z, p_err)
+    for ext in (ext1, ext2):
+        w = ext.spectrum.eigenvalues.real
+        m_scale = float(np.max(np.abs(1.0 + w * z) / np.abs(w - z)))
+        m_err = frob(pair.m(ext, z.conjugate()) - pair.m(ext, z).conj().T)
+        assert m_err <= budget * m_scale, (z, m_err)
+
+
+def _p_terms(ext1, ext2, z):
+    """The size of the terms P(z) combines in ext1's eigenframe:
+    ||(a1 - z)(a1 - i)^{-1}|| ||(a1 - z)(a1 + i)^{-1}|| (||R1(z)|| + ||R2(z)||)."""
+    w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
+    return float(np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
                  * np.max(np.abs(w1 - z) / np.abs(w1 + 1j))
                  * (1.0 / np.min(np.abs(w1 - z)) + 1.0 / np.min(np.abs(w2 - z))))
-        assert frob(x - s1.conj().T @ pair.p(z).full @ s1) <= unit * scale, z
 
 
 @pytest.mark.parametrize("shape", [(64, 3), (8, 2), (6, 6), (1, 1), "identical"])
@@ -851,15 +879,11 @@ def test_pair_memo_eigenframe_p_matches_p_function(shape):
     pair = PairContext(model, ext1, ext2)
     v1 = ext1.spectrum.eigenvectors
     w1 = ext1.spectrum.eigenvalues.real
-    w2 = ext2.spectrum.eigenvalues.real
     zs = [1j, 1 + 1j, -0.7 + 0.3j, 2 - 1j, 1e6j, 6e5 + 8e5j]
     if model.dim > 1:
         zs.append((w1[0] + w1[1]) / 2.0 + 1e-6j)
     for z in zs:
         ps, ref = pair.p(z), support.p_function(ext1, ext2, model.nplus, z)
-        scale = (np.max(np.abs(w1 - z) / np.abs(w1 - 1j))
-                 * np.max(np.abs(w1 - z) / np.abs(w1 + 1j))
-                 * (1.0 / np.min(np.abs(w1 - z)) + 1.0 / np.min(np.abs(w2 - z))))
-        budget = 10.0 * _budget((ext1, ext2), z) * scale
+        budget = 10.0 * _budget((ext1, ext2), z) * _p_terms(ext1, ext2, z)
         assert frob(v1 @ ps.full @ v1.conj().T - ref.full) <= budget, z
         assert frob(ps.restricted - ref.restricted) <= budget, z

@@ -184,12 +184,29 @@ def test_record_diff_compares_each_record_over_the_inputs():
          "y": [["r", 4e-13, True, None], ["suite", -1.0, False, "SpectralParameter"]]}
     b = {"x": [["r", 2e-10, True, None], ["s", 3e-12, True, None]],
          "y": [["r", 4e-9, False, None], ["suite", -1.0, False, "NotInvariant"]]}
-    rows, flips = diff.compare(a, {"x": b["x"], "y": a["y"]})
+    rows, flips, one_tree = diff.compare(a, {"x": b["x"], "y": a["y"]})
     assert rows["r"][:2] == [1e-10, 2e-10] and rows["r"][3] == "x"
     assert math.isclose(rows["r"][2], math.log10(2.0), rel_tol=1e-12)
-    assert rows["s"][2] == 0.0 and flips == []
-    rows, flips = diff.compare(a, b)
+    assert rows["s"][2] == 0.0 and flips == [] and one_tree == {}
+    rows, flips, one_tree = diff.compare(a, b)
     assert rows["r"][1] == 4e-9 and rows["r"][3] == "y"
     assert math.isclose(rows["r"][2], 4.0, rel_tol=1e-12)
     assert flips == [("y", "r", "pass 4e-13", "fail 4e-09"),
                      ("y", "suite", "error SpectralParameter", "error NotInvariant")]
+    assert one_tree == {}
+
+
+def test_record_diff_lists_a_record_one_tree_lacks_once():
+    # a record that tree B dropped, passing on one input and failing on the
+    # other, is one entry with its input count, and no flip; a record that
+    # only B reports is its own entry
+    diff = _load("record_diff")
+    a = {"x": [["r", 1e-10, True, None], ["gone", 1e-16, True, None]],
+         "y": [["r", 4e-13, True, None], ["gone", 2.0, False, None]]}
+    b = {"x": [["r", 1e-10, True, None]],
+         "y": [["r", 4e-13, True, None], ["new", 1e-12, True, None]]}
+    rows, flips, one_tree = diff.compare(a, b)
+    assert flips == []
+    assert one_tree == {("gone", "A"): [2, "x"], ("new", "B"): [1, "y"]}
+    assert rows["gone"] == [2.0, -math.inf, 0.0, None]
+    assert rows["r"][2] == 0.0
