@@ -21,9 +21,11 @@ set, so both trees check the same scenario bytes:
   * the default `kreinkit halfline` grid and the halfline workload ops
     HALFLINE_OPS (workload seed, 0-based op index) of perfbench.
 
-For each record name the script prints its worst residual on each tree and
+For each record name the script prints its worst residual on each tree,
 the largest |log10(r_B / r_A)| over the inputs, each residual floored at
-eps, with the input where it is largest.  A record that one tree reports on
+eps, the number of inputs on which the record's residual or state is not
+bit for bit the same on both trees (NaN equals NaN), and the input where
+the largest |log10| is.  A record that one tree reports on
 inputs where the other does not, say one that a tree deleted, is listed on
 one line: its name, the tree that has it and on how many inputs.  Then it
 lists every input and record of both trees whose pass/fail or error class
@@ -49,7 +51,7 @@ EPS = 2.220446049250313e-16
 SWEEPS = (((2, 4, 8), (1, 2), 2), ((32,), (1,), 9), ((1, 64), (1, 3), 2),
           ((3, 6), (3, 6), 2), ((8, 64), (2, 3), 3))
 DEGENERATE_EPS = (1e-6, 3e-9, 1.5e-9, 7e-10, 3e-10)
-UNITARY_PAIRS = ((32, 3, 4891),)
+UNITARY_PAIRS = ((32, 3, 4891), (32, 3, 268435455))
 NEAR_UNIT = (((8, 2, 5), (64, 3, 5), (32, 1, 8), (8, 1, 5)), (1e-5, 1e-6, 1e-7, 1e-8))
 ROLE_SWAPPED = ((64, 3, 450058655), (64, 3, 586626706), (64, 3, 824942258),
                 (6, 6, 1521), (6, 6, 2304), (6, 6, 6096), (6, 6, 6300), (6, 6, 16041),
@@ -180,9 +182,17 @@ def _floored(r: float) -> float:
     return math.log10(max(r, EPS))
 
 
+def _differs(ra, rb) -> bool:
+    """Whether two compact records of one name differ in residual, pass or
+    error class; a NaN residual equals a NaN."""
+    same = ra[1] == rb[1] or (math.isnan(ra[1]) and math.isnan(rb[1]))
+    return not same or ra[2:] != rb[2:]
+
+
 def compare(a: dict, b: dict) -> tuple:
-    """(rows, flips, one_tree): per record name (worst r_A, worst r_B, max
-    |dlog10|, input of that max); per input and record that both trees
+    """(rows, flips, one_tree): per record name [worst r_A, worst r_B, max
+    |dlog10|, input of that max, number of inputs that both trees report it
+    on and where it differs (_differs)]; per input and record that both trees
     report and whose pass/fail or error class differs (label, name, state A,
     state B); and per record and tree "A" or "B" that alone reports it on
     some inputs, [number of those inputs, the first of them]."""
@@ -197,11 +207,14 @@ def compare(a: dict, b: dict) -> tuple:
                 seen[0] += 1
             elif ra[2] != rb[2] or ra[3] != rb[3]:
                 flips.append((label, name, _state(ra), _state(rb)))
-            row = rows.setdefault(name, [-math.inf, -math.inf, 0.0, None])
+            row = rows.setdefault(name, [-math.inf, -math.inf, 0.0, None, 0])
             for k, rec in ((0, ra), (1, rb)):
                 if rec is not None and not rec[3] and not math.isnan(rec[1]):
                     row[k] = max(row[k], rec[1])
-            if ra is None or rb is None or ra[3] or rb[3]:
+            if ra is None or rb is None:
+                continue
+            row[4] += _differs(ra, rb)
+            if ra[3] or rb[3]:
                 continue
             if math.isnan(ra[1]) or math.isnan(rb[1]):
                 move = 0.0 if math.isnan(ra[1]) and math.isnan(rb[1]) else math.inf
@@ -243,11 +256,12 @@ def main(argv=None) -> int:
     rows, flips, one_tree = compare(*results)
     print(f"A = {args.src[0]}, B = {args.src[1]}, {len(results[0])} inputs")
     width = max(map(len, rows))
-    print(f"{'record':<{width}}  {'worst A':>10}  {'worst B':>10}  {'max |dlog10|':>12}  at")
+    print(f"{'record':<{width}}  {'worst A':>10}  {'worst B':>10}  {'max |dlog10|':>12}"
+          f"  {'differ':>6}  at")
     for name in sorted(rows):
-        worst_a, worst_b, move, where = rows[name]
+        worst_a, worst_b, move, where, differ = rows[name]
         cells = "  ".join(f"{w:10.3e}" if w > -math.inf else f"{'-':>10}" for w in (worst_a, worst_b))
-        print(f"{name:<{width}}  {cells}  {move:12.3f}  {where or ''}")
+        print(f"{name:<{width}}  {cells}  {move:12.3f}  {differ:6d}  {where or ''}")
     print()
     if one_tree:
         print(f"{len(one_tree)} records reported by one tree only:")

@@ -8,8 +8,9 @@ model, its parametrization and Cayley geometry), then the suites of SUITES
 fractional-linear laws and the von Neumann link), each with the name of the
 failed record that an error in it becomes.  run yields them in that order,
 each behind one error boundary.  A suite computes its residuals from the
-pair's memo and calls the krein formulas through the module, so each P(z)
-and M(z) is computed once per run, and no record decides a rank of its own.
+pair's memo and calls the krein formulas through the module, none of its
+privates, so each P(z) and M(z) is computed once per run, and no record
+decides a rank of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from . import krein as kr
-from .errors import KreinKitError, SpectralParameter
+from .errors import KreinKitError
 from .extension import resolvent_difference_at_i
 from .numerics import _svd_range, frob, projector
 
@@ -94,10 +95,10 @@ def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float
     # fills C^N together with D iff it projects onto D^perp with rank n.  The
     # scale floor 1 stands for the unit columns of a basis of D
     geometry = []
+    pn_plus, pn_minus = projector(model.nplus), projector(model.nminus)
     for ext in (ext1, ext2):
         c_inv = ext.cayley.conj().T
-        exchange = frob(projector(model.nplus)
-                        - ext.cayley @ projector(model.nminus) @ c_inv)
+        exchange = frob(pn_plus - ext.cayley @ pn_minus @ c_inv)
         c_inv_bp = c_inv @ bp
         lhs = np.linalg.solve(ext.a - 1j * eye, c_inv_bp)
         identity = frob(lhs - 0.5j * (c_inv_bp - bp))
@@ -160,9 +161,10 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid, read in ext1's
     eigenframe (every record is a norm that the frame leaves unchanged),
     each z paired with the next one z' (cyclically).  At each grid z the
-    records read the full P(z) of PairContext.p and its compression
-    X(z) = S1* P(z) S1 (S1 the N+ basis).  P(conj z) = P(z)* holds by
-    construction of that spectral form, so no record reads a conjugate:
+    records read the PSample of PairContext.p: P(z), its compression
+    X(z) = S1* P(z) S1 (S1 the N+ basis), its leak and ext1's diagonal D1.
+    P(conj z) = P(z)* holds by construction of that spectral form, so no
+    record reads a conjugate:
 
       p_translation      || X(z) - X(z') - (z - z') X(z') (S1* mid S1) X(z) ||,
                          mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}, an
@@ -175,32 +177,29 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
 
     p_support and p_translation are divided by 1 + ||P(z)||.
     """
-    ext1 = pair.ext1
     rank = pair.angle.rank  # read first: an angle error is the first output
     p_i = pair.p(1j).restricted
     yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
     # the grid z in grid order, so a collision raises at its first z
     samples = [pair.p(z) for z in zs]
     worst = _Worst()
-    w1 = ext1.spectrum.eigenvalues
+    w1 = pair.ext1.spectrum.eigenvalues
     s1 = pair.frame_nplus
     s1h = s1.conj().T
     for k, (z, zp) in enumerate(zip(zs, zs[1:] + zs[:1])):
-        ps = samples[k]
-        x, xp = ps.restricted, samples[(k + 1) % len(zs)].restricted
-        leak = pair.p_range(z)[2]
+        ps, psp = samples[k], samples[(k + 1) % len(zs)]
+        x, xp = ps.restricted, psp.restricted
         scale = 1.0 + frob(ps.full)
         # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe
-        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1h) / scale, leak / scale)
+        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1h) / scale, ps.leak / scale)
         # the translation identity's middle factor, diagonal in ext1's
         # eigenframe, compressed to N+
-        mid = (1.0 + w1 * w1) * kr._resolvent_diagonal(ext1, zp) * kr._resolvent_diagonal(ext1, z)
+        mid = (1.0 + w1 * w1) * psp.d1 * ps.d1
         translation = frob(x - xp - (z - zp) * (xp @ (s1h @ (mid[:, None] * s1)) @ x))
         worst.add("p_translation", translation / scale)
-        ranges = (pair.p_range(z), pair.p_range(zp))
-        leaks = sum(off / s[rank - 1] for _, s, off in ranges) if rank else 0.0
-        worst.add("p_range_constancy",
-                  frob(projector(ranges[0][0]) - projector(ranges[1][0])) + leaks)
+        (sub, sv), (subp, svp) = pair.p_range(z), pair.p_range(zp)
+        leaks = ps.leak / sv[rank - 1] + psp.leak / svp[rank - 1] if rank else 0.0
+        worst.add("p_range_constancy", frob(projector(sub) - projector(subp)) + leaks)
     yield from worst.records(tol)
 
 
@@ -234,17 +233,12 @@ def krein_suite(pair: kr.PairContext, zs: list, tol: float):
     PairContext.p): a route that reads ext2 through its own eigenframe,
     where the formula reads it through the n x n angle alone.  The record
     is ||via - direct|| / ||direct||, which the frame leaves unchanged.
-    Behind the spectral guard of a2: per z, the guard's error comes before
-    the formula's."""
+    The grid's samples are read first, so a collision raises as in
+    p_function_suite, ahead of any singular denominator of the formula."""
+    samples = [pair.p(z) for z in zs]
     worst = _Worst()
-    try:
-        kr._resolvent_diagonal(pair.ext2, zs)
-    except SpectralParameter as exc:
-        kr.krein_resolvent_frame(pair.ext1, pair.angle, zs[:exc.position])
-        raise
-    for z, via in zip(zs, kr.krein_resolvent_frame(pair.ext1, pair.angle, zs)):
-        direct = pair.p(z).r2
-        worst.add("krein_vs_direct", frob(via - direct) / frob(direct))
+    for ps, via in zip(samples, kr.krein_resolvent_frame(pair.ext1, pair.angle, zs)):
+        worst.add("krein_vs_direct", frob(via - ps.r2) / frob(ps.r2))
     yield from worst.records(tol)
 
 

@@ -443,13 +443,13 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     Returns max residuals over the (alpha2, z) grid:
       lft_phase_form       m2 vs the matrix angle-form law on 1x1 blocks
       lft_plain_form       m2 vs the matrix coefficient law with p12(i)
-      p_inverse_via_m      1/p12(z) vs tan a2 - m1(z)
-      p_at_i_inverse       1/p12(i) vs tan a2 - i
+      p_inverse_via_m      1/p12(z) vs tan a2 - m1(z), over 1 + |tan a2| + |m1(z)|
+      p_at_i_inverse       1/p12(i) vs tan a2 - i, over 2 + |tan a2| (|m1(i)| = 1)
       angle_recovery       a2 recovered from p12(i), compared mod pi
       herglotz_m1/_m2      positivity-bound deficit, non-real z only
 
-    Residuals are raw; callers pick the thresholds.  The Green-kernel
-    cross-check is quadrature_roundtrip's.
+    Residuals other than the p records' are raw; callers pick the
+    thresholds.  The Green-kernel cross-check is quadrature_roundtrip's.
     """
     keys = [
         "lft_phase_form", "lft_plain_form", "p_inverse_via_m",
@@ -471,8 +471,9 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
     p_z = -1.0 / den
     p_i = [p12_halfline(1j, scenario) for scenario in scenarios]
     for scenario, p in zip(scenarios, p_i):
+        tan_a2 = math.tan(scenario.alpha2)
         out["p_at_i_inverse"] = max(
-            out["p_at_i_inverse"], abs(1.0 / p - (math.tan(scenario.alpha2) - 1j))
+            out["p_at_i_inverse"], abs(1.0 / p - (tan_a2 - 1j)) / (2.0 + abs(tan_a2))
         )
         recovered = math.atan((1.0 / p + 1j).real)
         out["angle_recovery"] = max(
@@ -491,7 +492,8 @@ def verify_halfline(z_values=DEFAULT_Z, alpha2_values=DEFAULT_ALPHA2) -> dict[st
 
     out["lft_phase_form"] = worst(np.abs(via_angle - m2))
     out["lft_plain_form"] = worst(np.abs(via_plain - m2))
-    out["p_inverse_via_m"] = worst(np.abs(1.0 / p_z - (t - m1)))
+    out["p_inverse_via_m"] = worst(np.abs(1.0 / p_z - (t - m1))
+                                   / (1.0 + np.abs(t) + np.abs(m1)))
     # the Herglotz bound of each non-real z (DEFAULT_Z holds the real point -9)
     nonreal = z_grid.imag != 0.0
     bounds = np.array([herglotz_lower_bound(z) for z in z_grid[nonreal]])

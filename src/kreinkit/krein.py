@@ -29,10 +29,10 @@ a primeness decision.  Out of these pieces the module assembles:
 The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
-eigenframe with its compression to N+, from the one N x N product per z
-that also gives R2(z) in that frame, and the SVD of P(z)|N+ per z; M(z) per
-extension over a whole grid in one stacked product; the angle with the
-pair's one rank decision; the Cayley products) and shares it.
+eigenframe, from the one N x N product per z that also gives R1(z) and
+R2(z) there, with its compression to and leakage off N+, and the SVD of
+P(z)|N+ per z; M(z) per extension over a grid in one stacked product; the
+angle with the pair's one rank decision; the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -77,13 +77,16 @@ from .numerics import (
 class PSample:
     """One evaluation of the sandwiched resolvent difference in a frame of
     C^N, as PairContext.p holds it in ext1's eigenframe V1: the full-space
-    matrix (V1* P(z) V1), its compression to N+ in the N+ frame, which that
-    change of frame leaves unchanged, and the second extension's resolvent
-    (V1* R2(z) V1 = Q D2 Q*) that the full matrix is read off."""
+    matrix (V1* P(z) V1), its compression to N+ in the N+ frame and its
+    leakage ||(1 - P_N+) P(z)|| off N+, which that change of frame leaves
+    unchanged, and the resolvents it is read off: ext2's V1* R2(z) V1 =
+    Q D2 Q* and ext1's diagonal D1 = 1/(w1 - z)."""
 
     full: np.ndarray
     restricted: np.ndarray
     r2: np.ndarray
+    d1: np.ndarray
+    leak: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +317,9 @@ class PairContext:
     the full matrix with its compression to N+ (p), one N x N product per
     z, one z at a time, which the suites read at the grid's z and at i,
     never at a conjugate point; p is the one code path of the compression
-    X(z) = Bp* P(z) Bp.  Cached arrays are read-only.  The context is the
+    X(z) = Bp* P(z) Bp.  Its PSample is the suites' one source of per-z
+    data, and its spectral guards, ext1's before ext2's, the ones they meet
+    at a collision.  Cached arrays are read-only.  The context is the
     only owner of its entries: it lives as long as its creator keeps it.  Spectral parameters
     are keys by value, so z and a twin differing only in the sign of a zero
     part share one entry.
@@ -334,8 +339,8 @@ class PairContext:
         V1* P(z) V1 = D_l (Q D2 Q* - D1) D_r with the diagonals
         D_l = (w1 - z)/(w1 - i), D_r = (w1 - z)/(w1 + i), D1 = 1/(w1 - z),
         D2 = 1/(w2 - z), one N x N product per z, Q D2 Q*, which the sample
-        keeps as r2.  The compression S1* (V1* P V1) S1 is Bp* P(z) Bp, as in
-        the original frame."""
+        keeps as r2 (and D1 as d1).  The compression S1* (V1* P V1) S1 is
+        Bp* P(z) Bp, as in the original frame; the leak reads the same S1* P."""
         z = complex(z)
         if z not in self._p:
             w1 = self.ext1.spectrum.eigenvalues
@@ -345,8 +350,10 @@ class PairContext:
             middle[np.diag_indices_from(middle)] -= d1
             full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 + 1j))
             s1 = self.frame_nplus
-            ps = PSample(full=full, restricted=s1.conj().T @ full @ s1, r2=r2)
-            _frozen(ps.full, ps.restricted, ps.r2)
+            top = s1.conj().T @ full
+            ps = PSample(full=full, restricted=top @ s1, r2=r2, d1=d1,
+                         leak=frob(full - s1 @ top))
+            _frozen(ps.full, ps.restricted, ps.r2, ps.d1)
             self._p[z] = ps
         return self._p[z]
 
@@ -382,18 +389,14 @@ class PairContext:
             return self._m[ext, keys[0]]
         return _frozen(np.stack([self._m[ext, x] for x in keys]))
 
-    def p_range(self, z) -> tuple[Subspace, np.ndarray, float]:
-        """Range and singular values (descending) of P(z)|N+, from one SVD,
-        and the leakage ||(1 - P_N+) P(z)|| = ||P - S1 (S1* P)|| of P(z) off
-        N+, in ext1's eigenframe.  The range keeps angle.rank singular vectors."""
+    def p_range(self, z) -> tuple[Subspace, np.ndarray]:
+        """Range and singular values (descending) of P(z)|N+, from one SVD.
+        The range keeps angle.rank singular vectors."""
         z = complex(z)
         if z not in self._ranges:
-            ps = self.p(z)
-            u, sv, _ = np.linalg.svd(ps.restricted)
+            u, sv, _ = np.linalg.svd(self.p(z).restricted)
             sub = Subspace(basis=u[:, :self.angle.rank])
-            s1 = self.frame_nplus
-            leak = frob(ps.full - s1 @ (s1.conj().T @ ps.full))
-            self._ranges[z] = (sub, _frozen(sv, sub.basis), leak)
+            self._ranges[z] = (sub, _frozen(sv, sub.basis))
         return self._ranges[z]
 
     def parameter(self, ext: Extension) -> ExtensionParameter:

@@ -203,10 +203,12 @@ def p_function(ext1, ext2, subspace, z):
     """Sandwiched resolvent difference at z in the original frame, full and
     compressed to the subspace's frame: four spectral functions and two
     N x N products, where the pair memo (PairContext.p) takes one product
-    in ext1's eigenframe.  z must stay off both spectra (SpectralParameter
+    in ext1's eigenframe; the PSample's d1 and leak are read as there, the
+    leak off the subspace.  z must stay off both spectra (SpectralParameter
     otherwise)."""
     z = complex(z)
-    r1 = ext1.spectrum.compose(_resolvent_diagonal(ext1, z))
+    d1 = _resolvent_diagonal(ext1, z)
+    r1 = ext1.spectrum.compose(d1)
     r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, z))
     spec1 = ext1.spectrum
     w1 = spec1.eigenvalues
@@ -214,7 +216,9 @@ def p_function(ext1, ext2, subspace, z):
     right = spec1.compose((w1 - z) / (w1 + 1j))
     full = left @ (r2 - r1) @ right
     s = subspace.basis
-    return PSample(full=full, restricted=s.conj().T @ full @ s, r2=r2)
+    top = s.conj().T @ full
+    return PSample(full=full, restricted=top @ s, r2=r2, d1=d1,
+                   leak=frob(full - s @ top))
 
 
 def resolvent_coefficient(z, scenario):
@@ -563,12 +567,15 @@ def _p_right_factor_minus_i(self, z):
     z = complex(z)
     if z not in self._p:
         w1 = self.ext1.spectrum.eigenvalues
+        d1 = kr._resolvent_diagonal(self.ext1, z)
         r2 = (self.frame_q * kr._resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
         middle = r2.copy()
-        middle[np.diag_indices_from(middle)] -= kr._resolvent_diagonal(self.ext1, z)
+        middle[np.diag_indices_from(middle)] -= d1
         full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 - 1j))
         s1 = self.frame_nplus
-        self._p[z] = PSample(full=full, restricted=s1.conj().T @ full @ s1, r2=r2)
+        top = s1.conj().T @ full
+        self._p[z] = PSample(full=full, restricted=top @ s1, r2=r2, d1=d1,
+                             leak=frob(full - s1 @ top))
     return self._p[z]
 
 

@@ -861,7 +861,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(angles) == 1
     assert [args[0].shape for args in schurs] == [(3, 3)]
     (pair,) = pairs
-    for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.p(2j).r2,
+    for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.p(2j).r2, pair.p(2j).d1,
                    pair.m(pair.ext2, 2j),
                    pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.p_at_i_via_cayley, pair.angle.alpha,
@@ -900,6 +900,28 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     assert len(solves) == 42
     assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)
                for args in solves)
+
+
+def test_run_checks_passes_each_spectral_guard_once_per_sample(monkeypatch):
+    # counted, not timed: a pass of a spectral guard is one
+    # _resolvent_diagonal call.  The pair memo's P(z) makes one per
+    # extension at each of the 16 distinct z (32 scalar passes), and the
+    # grid passes are the 3 weyl_operator calls' and the D1 of Krein's
+    # formula (4).  The suites read R1(z)'s diagonal from the sample, so no
+    # pass is made from checks
+    calls = []
+    real = krein_module._resolvent_diagonal
+
+    def counting(ext, z):
+        calls.append((np.ndim(z), sys._getframe(1).f_globals["__name__"]))
+        return real(ext, z)
+
+    monkeypatch.setattr(krein_module, "_resolvent_diagonal", counting)
+    report = cli.run_checks(cli.generate_scenario(64, 3, 3))
+    assert report["summary"] == "pass"
+    assert len(calls) == 36
+    assert collections.Counter(ndim for ndim, _ in calls) == {0: 32, 1: 4}
+    assert {caller for _, caller in calls} == {"kreinkit.krein"}
 
 
 # a draw whose second extension has a Cayley eigenvalue 3e-4 to 2e-3 from 1,

@@ -582,6 +582,21 @@ def test_verify_halfline_default_grid():
     assert quadrature_roundtrip() < 1e-6
 
 
+# halfline workload op 931 of seed 110: alpha2 is 6.2e-7 from pi/2, so
+# |tan a2| = 1.6e6, whose one ulp is 2^-32 and exceeds the report tolerance
+# 1e-10 as an absolute residual
+def test_p_records_are_relative_to_tan_a2_near_pi_over_2():
+    zs = [0.7329020198748104 - 0.42192310768367j, -3.072312125382016 - 0.22754828249327613j,
+          -2.724555458484195 + 0.6137772601800328j, 2.8027496646809427 - 0.44555237844421763j,
+          -2.043910287614378 - 1.4381459386807007j, -3.5041287182097394 - 1.412097943679314j,
+          2.188575788977804 - 0.5138091549303914j, -3.697176978893201 - 0.6153542733380237j]
+    report = cli.halfline_command([1.5707969421060015], zs)
+    assert report["summary"] == "pass", report["checks"]
+    records = {rec["name"]: rec["max_residual"] for rec in report["checks"]}
+    assert records["p_inverse_via_m"] < 1e-15
+    assert records["p_at_i_inverse"] < 1e-15
+
+
 def test_verify_halfline_on_an_empty_z_grid():
     # the laws run on the empty stack of m1 values and return an empty stack
     res = verify_halfline(z_values=())

@@ -427,7 +427,7 @@ def test_range_of_p_has_the_angle_rank_at_every_z():
     assert pair.angle.rank == 1
     assert not pair.angle.prime
     for z in (*SAFE_Z, 1e3j, 0.5 + 1e-6j):
-        sub, sv, _ = pair.p_range(z)
+        sub, sv = pair.p_range(z)
         assert sub.rank == pair.angle.rank
         assert np.linalg.matrix_rank(pair.p(z).restricted, tol=1e-9) == 1
         assert sv[1] < 1e-12 * sv[0]
@@ -671,13 +671,14 @@ def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
     assert calls[1:] == [(ext1, [3j]), (ext2, [2j]), (ext2, [1j, -1 + 1j])]
 
 
-def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z(s1):
+def test_krein_suite_guards_both_spectra_at_z_before_krein_formula_at_z(s1):
     # ext2 meets the grid at -1, ext1 at 0: whichever comes first in the
-    # grid raises, as the per-z loop (ext2's guard, then Krein's formula),
-    # ext2's also at the grid's first point
+    # grid raises, as the per-z loop (P(z)'s guards, ext1's before ext2's,
+    # then Krein's formula), ext2's also at the grid's first point
     pair = PairContext(*s1)
 
     def per_z(z):
+        krein_module._resolvent_diagonal(pair.ext1, z)
         krein_module._resolvent_diagonal(pair.ext2, z)
         krein_resolvent(pair.ext1, pair.angle, z)
 
@@ -691,8 +692,8 @@ def test_krein_suite_guards_ext2_at_z_before_krein_formula_at_z(s1):
 def test_p_function_and_krein_suites_raise_at_the_first_collision_of_either_extension():
     # the grid meets one spectrum at its second point and the other at its
     # third.  p_function_suite raises as P(z) at each grid z raises, ext1's
-    # guard before ext2's and a grid z before its conjugate; krein_suite as
-    # ext2's guard and then Krein's formula at each z
+    # guard before ext2's; krein_suite as P(z)'s guards and then Krein's
+    # formula at each z
     model, ext1, ext2, _ = support.random_pair(8, 2, 5)
     pair = PairContext(model, ext1, ext2)
     w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
@@ -702,7 +703,7 @@ def test_p_function_and_krein_suites_raise_at_the_first_collision_of_either_exte
         krein_module._resolvent_diagonal(ext2, z)
 
     def krein_at(z):
-        krein_module._resolvent_diagonal(ext2, z)
+        p_at(z)
         krein_module.krein_resolvent_frame(ext1, pair.angle, z)
 
     hit1, hit2 = w1[4] + 1e-12j, w2[1] + 1e-11j

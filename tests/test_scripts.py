@@ -162,7 +162,8 @@ def test_mutation_matrix_exits_1_on_a_mutant_that_one_case_misses(monkeypatch, c
 
 
 def test_record_diff_of_a_tree_with_itself_moves_nothing(capsys):
-    # the same tree twice: every record's movement is 0 and nothing flips
+    # the same tree twice: every record's movement is 0, it differs on no
+    # input, and nothing flips
     diff = _load("record_diff")
     assert diff.main(["--src", str(SRC), "--src", str(SRC)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -171,7 +172,7 @@ def test_record_diff_of_a_tree_with_itself_moves_nothing(capsys):
     assert {"krein_vs_direct", "p_translation", "quadrature_roundtrip"} <= {
         row.split()[0] for row in rows}
     # an error-record name has no residual on either tree
-    assert all(row.split()[-1] == "0.000" for row in rows)
+    assert all(row.split()[-2:] == ["0.000", "0"] for row in rows)
     assert lines[-1] == "0 pass/fail or error flips"
 
 
@@ -188,6 +189,13 @@ def test_record_diff_compares_each_record_over_the_inputs():
     assert rows["r"][:2] == [1e-10, 2e-10] and rows["r"][3] == "x"
     assert math.isclose(rows["r"][2], math.log10(2.0), rel_tol=1e-12)
     assert rows["s"][2] == 0.0 and flips == [] and one_tree == {}
+    assert rows["r"][4] == 1 and rows["s"][4] == rows["suite"][4] == 0
+    # r scaled by 2 on every input differs on every input; NaN equals NaN
+    doubled = {label: [[n, 2.0 * r, p, e] if n == "r" else [n, r, p, e]
+                       for n, r, p, e in recs] for label, recs in a.items()}
+    assert diff.compare(a, doubled)[0]["r"][4] == 2
+    nan = {"x": [["r", math.nan, False, None]]}
+    assert diff.compare(nan, nan)[0]["r"][4] == 0
     rows, flips, one_tree = diff.compare(a, b)
     assert rows["r"][1] == 4e-9 and rows["r"][3] == "y"
     assert math.isclose(rows["r"][2], 4.0, rel_tol=1e-12)
@@ -208,5 +216,5 @@ def test_record_diff_lists_a_record_one_tree_lacks_once():
     rows, flips, one_tree = diff.compare(a, b)
     assert flips == []
     assert one_tree == {("gone", "A"): [2, "x"], ("new", "B"): [1, "y"]}
-    assert rows["gone"] == [2.0, -math.inf, 0.0, None]
+    assert rows["gone"] == [2.0, -math.inf, 0.0, None, 0]
     assert rows["r"][2] == 0.0
