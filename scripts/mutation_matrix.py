@@ -19,8 +19,9 @@ the cases (best of --repeats, the suites run in report order on one fresh
 pair memo, so a shared entry is timed in the suite that reads it first).
 A record that is the only one to fail under some mutant is marked "only".
 
-Exit status 1 if a mutant fails no record on some case, or if a record
-fails unmutated.
+Exit status 1 if a mutant fails no record on some case, if a record of
+the unmutated reports fails under no mutant on any case (a record that
+cannot fail shows nothing), or if a record fails unmutated.
 """
 
 import argparse
@@ -84,6 +85,7 @@ def main(argv=None) -> int:
                     caught[name].setdefault(record, set()).update(kinds)
     elapsed = time.perf_counter() - started
 
+    never = [row for row in owner if not any(row in f for f in caught.values())]
     errors = sorted({r for f in caught.values() for r in f} - set(owner))
     owner.update((name, name) for name in errors if name in times)
     rows = list(owner) + [name for name in errors if name not in owner]
@@ -112,6 +114,9 @@ def main(argv=None) -> int:
         return 1
     if missed:
         print(f"mutants that fail no record on some case: {missed}")
+        return 1
+    if never:
+        print(f"records that fail under no mutant: {never}")
         return 1
     return 0
 

@@ -10,7 +10,9 @@ the scenario builders of tests/support.py).  Tree A first writes the input
 set, so both trees check the same scenario bytes:
 
   * the identity sweeps that CI runs (SWEEPS, as scripts/identity_sweep.py
-    takes them);
+    takes them), and the scenarios TIGHTEST at 1e-14, the tightest
+    tolerance a scenario may carry, so that a record a change deletes or
+    redefines shows its pass/fail at every accepted tolerance;
   * the failing sets of the rank and leakage defects: (8, 2) seed 5 with the
     angle diag(pi/2 - eps, 0.3) for each eps of DEGENERATE_EPS, the same
     scenario on the grid [1e6 i, 1 + i], and the pairs UNITARY_PAIRS of
@@ -50,6 +52,7 @@ EPS = 2.220446049250313e-16
 # (dims, deficiencies, seeds 0..seeds-1) of the CI identity sweeps
 SWEEPS = (((2, 4, 8), (1, 2), 2), ((32,), (1,), 9), ((1, 64), (1, 3), 2),
           ((3, 6), (3, 6), 2), ((8, 64), (2, 3), 3))
+TIGHTEST = ((8, 2, 3), (64, 3, 3))
 DEGENERATE_EPS = (1e-6, 3e-9, 1.5e-9, 7e-10, 3e-10)
 UNITARY_PAIRS = ((32, 3, 4891), (32, 3, 268435455))
 NEAR_UNIT = (((8, 2, 5), (64, 3, 5), (32, 1, 8), (8, 1, 5)), (1e-5, 1e-6, 1e-7, 1e-8))
@@ -80,6 +83,10 @@ def _build_inputs() -> list:
                 scenarios += [(f"sweep ({dim},{deficiency},{seed})",
                                lambda d=dim, n=deficiency, s=seed: cli.generate_scenario(d, n, s))
                               for seed in range(seeds) if deficiency <= dim]
+    scenarios += [(f"({dim},{deficiency},{seed}) tolerance 1e-14",
+                   lambda c=(dim, deficiency, seed): dataclasses.replace(
+                       cli.generate_scenario(*c), tolerance=1e-14))
+                  for dim, deficiency, seed in TIGHTEST]
     base = cli.generate_scenario(8, 2, 5)
     for eps in DEGENERATE_EPS:
         angle = np.diag([math.pi / 2 - eps, 0.3]).astype(complex)

@@ -2,7 +2,7 @@
 
 Everything downstream (Cayley transforms, deficiency subspaces, resolvent
 formulas) reduces to a small set of dense operations: Hermitian and unitary
-eigendecompositions, SVD-based range extraction, spectral function calculus
+eigendecompositions, spectral function calculus
 (SpectralDecomposition.compose), and the gated inverse of the n x n
 denominators.  This module owns those operations and their failure modes.
 An N x N solve whose matrix is already decided elsewhere (a - z behind the
@@ -182,22 +182,6 @@ def unitary_eig(u) -> SpectralDecomposition:
     if res > TOL_RECON * (1.0 + frob(a)):
         raise NumericalFailure(f"unitary reconstruction residual {res:.3e}")
     return SpectralDecomposition(w, zf)
-
-
-def _svd_range(m) -> tuple[Subspace, np.ndarray]:
-    """Range and singular values (descending) of m, the rank cutoff being
-    TOL_RANK * max(sigma_max, 1).  Its one library caller, domain_direct_sum,
-    passes projections of unit basis columns, whose natural norm scale is
-    the floor 1: pure roundoff comes back as the zero subspace, not as
-    full-rank noise."""
-    a = as_matrix(m, "range input")
-    try:
-        uu, ss, _ = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"svd failed: {exc}") from exc
-    smax = float(ss[0]) if ss.size else 0.0
-    rank = int(np.count_nonzero(ss > TOL_RANK * max(smax, 1.0)))
-    return Subspace(basis=uu[:, :rank]), ss
 
 
 def inverse(m) -> np.ndarray:

@@ -42,7 +42,6 @@ from kreinkit.numerics import (
     SpectralDecomposition,
     Subspace,
     _as_stack,
-    _svd_range,
     as_matrix,
     frob,
     hermitian_deviation,
@@ -164,12 +163,14 @@ def matrix_bound_states(a):
 # for the tests that compare the two
 
 
-def orthonormal_range(m):
+def orthonormal_range(m, floor=0.0):
     """Orthonormal basis of the (numerical) column range of m: the left
-    singular vectors of the singular values above TOL_RANK * sigma_max."""
+    singular vectors of the singular values above
+    TOL_RANK * max(sigma_max, floor).  A floor at the natural norm scale of
+    m brings pure roundoff back as the zero subspace, not as full-rank noise."""
     uu, ss, _ = np.linalg.svd(as_matrix(m, "range input"), full_matrices=False)
     smax = float(ss[0]) if ss.size else 0.0
-    return Subspace(basis=uu[:, :int(np.count_nonzero(ss > TOL_RANK * smax))])
+    return Subspace(basis=uu[:, :int(np.count_nonzero(ss > TOL_RANK * max(smax, floor)))])
 
 
 def inverse_cayley(c):
@@ -293,6 +294,14 @@ def restricted_domain(model):
     return orthonormal_range(np.linalg.solve(model.a1 + 1j * np.eye(model.dim), perp))
 
 
+def direct_sum_codimension(model, ext):
+    """N - rank([D | (1 - C^{-1}) Bp]), D from restricted_domain and C the
+    Cayley transform of ext: the codimension of D + (1 - C^{-1}) N+ in C^N,
+    which is 0 for every extension by von Neumann's formula."""
+    g = (np.eye(model.dim) - ext.cayley.conj().T) @ model.nplus.basis
+    return model.dim - orthonormal_range(np.hstack([restricted_domain(model).basis, g])).rank
+
+
 def assembled_cayley(model, v):
     """The N x N Cayley transform C1 + Bp (1 - v)* Bm* of the extension with
     unitary parameter v.  inverse_cayley of it is the reference route to that
@@ -368,7 +377,7 @@ def common_subspace(ext1, ext2):
     common symmetric part.  It is N+ for a relatively prime pair and rank 0
     for identical extensions.  Both resolvents have norm at most 1, so the
     rank cutoff floors the scale at 1."""
-    return _svd_range(resolvent_difference_at_i(ext1, ext2))[0]
+    return orthonormal_range(resolvent_difference_at_i(ext1, ext2), floor=1.0)
 
 
 def p_full(pair, z):
@@ -379,10 +388,11 @@ def p_full(pair, z):
 
 def full_range_drift(pair, z, zp):
     """|| range-projector(P(z)) - range-projector(P(z')) || with the ranges
-    of the full N x N P from p_function, at the scale floor the memo uses
-    for P|N+.  The library reports a bound on this drift from n x n data;
-    this is the direct route it replaced."""
-    ranges = [_svd_range(p_full(pair, w))[0] for w in (z, zp)]
+    of the full N x N P from p_function, the rank cutoff's scale floored at
+    1, since P(z) of identical extensions is pure roundoff.  The library
+    reports a bound on this drift from n x n data; this is the direct route
+    it replaced."""
+    ranges = [orthonormal_range(p_full(pair, w), floor=1.0) for w in (z, zp)]
     return float(np.linalg.norm(projector(ranges[0]) - projector(ranges[1])))
 
 

@@ -196,7 +196,7 @@ def test_criterion_06_cayley_geometry_suite(sweep):
         worst_roundtrip = max(worst_roundtrip, geo["cayley_roundtrip"])
         worst_exchange = max(worst_exchange, geo["cayley_exchanges_deficiency_spaces"])
         worst_resolvent = max(worst_resolvent, geo["resolvent_cayley_identity"])
-        assert geo["domain_direct_sum"] == 0.0
+        assert [support.direct_sum_codimension(model, ext) for ext in (ext1, ext2)] == [0, 0]
         assert support.common_subspace(ext1, ext2).rank == n
         r1 = np.linalg.solve(ext1.a - 1j * eye, eye)
         r2 = np.linalg.solve(ext2.a - 1j * eye, eye)

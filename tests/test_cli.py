@@ -10,6 +10,8 @@ import dataclasses
 import inspect
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -513,7 +515,7 @@ def test_model_layer_error_on_a_valid_scenario_exits_1(tmp_path):
     assert code == 1
     errors = {rec["name"]: rec["error"] for rec in report["checks"] if "error" in rec}
     assert errors["model_layer"] == "NotInvariant"
-    assert "model_invariants" in {rec["name"] for rec in report["checks"]}
+    assert "extension_parameter_roundtrip" in {rec["name"] for rec in report["checks"]}
 
 
 def test_mfunc_which_choice_enforced(tmp_path):
@@ -855,9 +857,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert max(decompositions.values()) == 1
     assert len(frames) == len(set(frames)) == 16
     assert [args[0].shape for args in ranges] == [(3, 3)] * 16
-    # the other 2 SVDs are domain_direct_sum's, one n x n per extension in
-    # the model layer; none is N-sized
-    assert [args[0].shape for args in svds] == [(3, 3)] * 18
+    # they are the only SVDs; none is N-sized
+    assert [args[0].shape for args in svds] == [(3, 3)] * 16
     assert len(angles) == 1
     assert [args[0].shape for args in schurs] == [(3, 3)]
     (pair,) = pairs
@@ -873,10 +874,9 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
 
 def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     # counted, not timed: M(z) comes from one weyl_operator call per
-    # extension (ext1 and ext2 at the 16 distinct points of i and the grid,
-    # which holds i, and at no conjugate) and one for ext1 inside Krein's
-    # formula, Krein's 16 n x n denominators from one inverse call, and the
-    # two law calls one each.
+    # extension (ext1 and ext2 at the 16 points of the grid, and at no
+    # conjugate) and one for ext1 inside Krein's formula, Krein's 16 n x n
+    # denominators from one inverse call, and the two law calls one each.
     # The 42 solves are those 3, the 32 herglotz_identity solves, 6 in the
     # model layer and 1 that builds ext2 (krein_vs_direct reads ext2's
     # resolvent from the pair memo's P(z) and solves nothing); no N x N
@@ -1194,3 +1194,41 @@ def test_defect_scenarios_fail_range_constancy(scenario):
     # the leak is divided by sigma_2(P(z)|N+), of the order of eps, at every z
     checks = {rec["name"]: rec for rec in cli.run_checks(scenario)["checks"]}
     assert not checks["p_range_constancy"]["pass"]
+
+
+def _table_rows(text, heading):
+    """The cells of each body row of the first table after the heading,
+    split at the bars that are not escaped."""
+    lines = text[text.index(heading):].splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("|"))
+    end = next(k for k in range(start, len(lines)) if not lines[k].startswith("|"))
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in lines[start + 2:end]]
+
+
+def test_readme_records_table_matches_the_default_reports():
+    # README's table of records has one row per record name of a default
+    # check report and of a default halfline report, and no other; every
+    # criterion row names a record or a tier-1 test, and the records it
+    # names are those whose criterion column cites it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    rows = _table_rows(text, "## Records")
+    table = {row[0].strip("`"): (row[1], {int(k) for k in row[4].split(",")}) for row in rows}
+    assert len(table) == len(rows)
+    check = cli.run_checks(cli.generate_scenario(8, 2, 3))["checks"]
+    half = cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))["checks"]
+    for report, recs in (("check", check), ("halfline", half)):
+        assert {name for name, (where, _) in table.items() if where == report} \
+            == {rec["name"] for rec in recs}
+    tests = set(re.findall(r"^def (test_\w+)", "".join(
+        path.read_text(encoding="utf-8") for path in (root / "tests").glob("test_*.py")), re.M))
+    criteria = _table_rows(text, "| criterion | check |")
+    assert [row[0] for row in criteria] == [str(k) for k in range(1, 11)]
+    for row in criteria:
+        named = re.findall(r"`([a-z0-9_]+)`", row[3])
+        assert named and set(named) <= set(table) | tests, row
+        cited = {name for name, (_, ks) in table.items() if int(row[0]) in ks}
+        assert set(named) & set(table) == cited, row
+    assert "test_criterion_09_weyl_fixed_point" in criteria[8][3]
+    assert "support.direct_sum_codimension" in criteria[5][3]

@@ -246,9 +246,8 @@ def test_domain_complement_is_orthonormal_and_spans_the_image_of_the_defect_spac
 @example((6, 6), 0)
 def test_domain_complement_agrees_with_the_solved_domain_route(shape, seed):
     # against D from support.restricted_domain (an N x N solve and an SVD):
-    # Qf has rank n and is orthogonal to D, domain_direct_sum is
-    # N - rank([D | (1 - C^{-1}) Bp]) for both extensions, and the membership
-    # deviation is ||(a - a1) D||
+    # Qf has rank n and is orthogonal to D, D + (1 - C^{-1}) N+ = C^N for
+    # both extensions, and the membership deviation is ||(a - a1) D||
     dim, deficiency = shape
     model, ext1, ext2, _ = support.random_pair(dim, deficiency, seed)
     dot = support.restricted_domain(model).basis
@@ -256,13 +255,7 @@ def test_domain_complement_agrees_with_the_solved_domain_route(shape, seed):
     assert model.domain_complement.rank == deficiency
     assert dot.shape == (dim, dim - deficiency)
     assert frob(dot.conj().T @ qf) < 1e-12 * (1.0 + frob(model.a1))
-    eye = np.eye(dim)
-    via_dot = max(
-        dim - support.orthonormal_range(np.hstack([dot, (eye - ext.cayley.conj().T)
-                                           @ model.nplus.basis])).rank
-        for ext in (ext1, ext2))
-    layer = support.layer_records(PairContext(model, ext1, ext2))
-    assert layer["domain_direct_sum"] == via_dot == 0
+    assert [support.direct_sum_codimension(model, ext) for ext in (ext1, ext2)] == [0, 0]
     stranger = support.random_hermitian(np.random.default_rng(seed), dim)
     for a in (ext1.a, ext2.a, stranger):
         scale = 1.0 + frob(a) + frob(model.a1)
@@ -413,7 +406,7 @@ def test_check_cayley_geometry_residuals():
         res = support.layer_records(PairContext(model, ext1, ext2))
         assert res["cayley_exchanges_deficiency_spaces"] < 1e-10
         assert res["resolvent_cayley_identity"] < 1e-10
-        assert res["domain_direct_sum"] == 0.0
+        assert [support.direct_sum_codimension(model, ext) for ext in (ext1, ext2)] == [0, 0]
 
 
 def test_restriction_model_is_frozen(swap_model):

@@ -12,6 +12,8 @@ import support
 
 from kreinkit.errors import NotHermitian, NotUnitary, SingularMatrix
 from kreinkit.numerics import (
+    TOL_HERM,
+    TOL_ORTHO,
     TOL_RANK,
     SpectralDecomposition,
     Subspace,
@@ -68,6 +70,44 @@ def test_subspace_validates_orthonormality():
     z = Subspace(basis=np.zeros((3, 0)))
     assert (z.ambient, z.rank) == (3, 0) and (s.ambient, s.rank) == (2, 1)
     assert_allclose(projector(z), np.zeros((3, 3)), atol=0.0)
+
+
+def _scaled_frame(k, factor):
+    """The k x k identity times c, c^2 = 1 + t chosen so that
+    ||B* B - 1|| = t sqrt(k) is factor times the gate TOL_ORTHO max(1, k)."""
+    t = factor * TOL_ORTHO * max(1.0, k) / math.sqrt(k)
+    return np.eye(k) * math.sqrt(1.0 + t)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("build", [
+    lambda b: Subspace(basis=b),
+    lambda b: SpectralDecomposition(np.arange(b.shape[1]), b),
+], ids=["Subspace", "SpectralDecomposition"])
+def test_orthonormality_gates_sit_at_tol_ortho_times_rank(build, k):
+    # the gates that keep Bp, Bm, Qf and every eigenvector frame orthonormal,
+    # and so M(i) = i: just under TOL_ORTHO max(1, k) a basis is accepted,
+    # just over it refused
+    gate = TOL_ORTHO * max(1.0, k)
+    under, over = _scaled_frame(k, 0.99), _scaled_frame(k, 1.01)
+    assert frob(under.T @ under - np.eye(k)) < gate < frob(over.T @ over - np.eye(k))
+    build(under)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        build(over)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_hermitian_eig_gate_sits_at_tol_herm(factor, accepted):
+    # 1 + s J with J = [[0, 1], [-1, 0]]: ||H - H*|| = 2 sqrt(2) s and
+    # ||H|| = sqrt(2 + 2 s^2), so s sets the relative deviation
+    s = factor * TOL_HERM * (1.0 + math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
+    h = np.array([[1.0, s], [-s, 1.0]])
+    assert (hermitian_deviation(h) <= TOL_HERM) == accepted
+    if accepted:
+        assert_allclose(hermitian_eig(h).eigenvalues, [1.0, 1.0], atol=1e-10)
+    else:
+        with pytest.raises(NotHermitian):
+            hermitian_eig(h)
 
 
 def test_projector_frozen_complex_line():

@@ -1,5 +1,6 @@
 """Tests for the scripts that drive the check suite over many scenarios."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -161,13 +162,32 @@ def test_mutation_matrix_exits_1_on_a_mutant_that_one_case_misses(monkeypatch, c
     assert out[-1] == "mutants that fail no record on some case: {'weyl at N = 4 transposed': [(1, 1, 2)]}"
 
 
-def test_record_diff_of_a_tree_with_itself_moves_nothing(capsys):
+def test_mutation_matrix_exits_1_on_a_record_that_no_mutant_fails(monkeypatch, capsys):
+    # the Herglotz bound's mutant fails herglotz_bound alone on (8, 2, 3), so
+    # every other record of its report fails under no mutant
+    matrix = _load("mutation_matrix")
+    name = "Herglotz bound times 1.5"
+    monkeypatch.setattr(support, "MUTANTS", {name: support.MUTANTS[name]})
+    assert matrix.main(["--case", "8", "2", "3", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    names = {rec["name"] for rec in cli.run_checks(cli.generate_scenario(8, 2, 3))["checks"]}
+    prefix = "records that fail under no mutant: "
+    assert out[-2] == f" 1 {name}: fails 1" and out[-1].startswith(prefix)
+    assert sorted(ast.literal_eval(out[-1][len(prefix):])) == sorted(names - {"herglotz_bound"})
+
+
+def test_record_diff_of_a_tree_with_itself_moves_nothing(monkeypatch, capsys):
     # the same tree twice: every record's movement is 0, it differs on no
-    # input, and nothing flips
+    # input, and nothing flips.  The 82 inputs hold (8, 2, 3) and (64, 3, 3)
+    # at the tightest tolerance a scenario accepts
     diff = _load("record_diff")
     assert diff.main(["--src", str(SRC), "--src", str(SRC)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith(" inputs") and lines[1].split()[0] == "record"
+    assert lines[0].endswith(", 82 inputs") and lines[1].split()[0] == "record"
+    monkeypatch.setattr(sys, "path", sys.path[:])  # _build_inputs extends it
+    inputs = dict(diff._build_inputs())
+    for case in ("(8,2,3)", "(64,3,3)"):
+        assert inputs[f"{case} tolerance 1e-14"]["scenario"]["tolerance"] == 1e-14
     rows = lines[2:lines.index("")]
     assert {"krein_vs_direct", "p_translation", "quadrature_roundtrip"} <= {
         row.split()[0] for row in rows}
