@@ -37,7 +37,6 @@ from .extension import (
     build_model,
     extension_from_parameter,
     parameter_of,
-    resolvent_difference_at_i,
     restricted_cayley_product,
 )
 from .halfline import (
@@ -112,7 +111,6 @@ __all__ = [
     "parameter_of",
     "projector",
     "quadrature_roundtrip",
-    "resolvent_difference_at_i",
     "restricted_cayley_product",
     "sqrt_upper",
     "unitary_eig",

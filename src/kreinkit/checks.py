@@ -21,7 +21,6 @@ import numpy as np
 
 from . import krein as kr
 from .errors import KreinKitError
-from .extension import resolvent_difference_at_i
 from .numerics import frob, projector
 
 
@@ -84,25 +83,28 @@ def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float
         / (1.0 + frob(ext.a)) for ext in (ext1, ext2)
     )), tol)
 
-    # per extension with Cayley transform C: ||P_N+ - C P_N- C^{-1}|| and
-    # ||((a - i)^{-1} C^{-1} - (i/2)(C^{-1} - 1)) Bp||
-    geometry = []
-    pn_plus, pn_minus = projector(model.nplus), projector(model.nminus)
+    # per extension with Cayley transform C and R = (a - i)^{-1}, one direct
+    # solve read by two records: ||P_N+ - (C Bm)(C Bm)*|| and
+    # ||R C^{-1} Bp - (i/2)(C^{-1} - 1) Bp||
+    geometry, resolvents = [], []
+    pn_plus, bm = projector(model.nplus), model.nminus.basis
     for ext in (ext1, ext2):
-        c_inv = ext.cayley.conj().T
-        exchange = frob(pn_plus - ext.cayley @ pn_minus @ c_inv)
-        c_inv_bp = c_inv @ bp
-        lhs = np.linalg.solve(ext.a - 1j * eye, c_inv_bp)
-        geometry.append((exchange, frob(lhs - 0.5j * (c_inv_bp - bp))))
+        c_bm = ext.cayley @ bm
+        c_inv_bp = ext.cayley.conj().T @ bp
+        r = np.linalg.solve(ext.a - 1j * eye, eye)
+        resolvents.append(r)
+        geometry.append((frob(pn_plus - c_bm @ c_bm.conj().T),
+                         frob(r @ c_inv_bp - 0.5j * (c_inv_bp - bp))))
     for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
                                     "resolvent_cayley_identity"), *geometry):
         yield record(name, _worst(first, second), tol)
 
-    # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley data
+    # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley
+    # data, multiplied from the right so that no N x N x N product is formed
     note = "relatively prime" if pair.angle.prime else "not relatively prime"
+    r1, r2 = resolvents
     yield record("relatively_prime_consistency", frob(
-        resolvent_difference_at_i(ext1, ext2)
-        - bp @ pair.p_at_i_via_cayley @ bp.conj().T @ ext1.cayley,
+        r2 - r1 - bp @ (pair.p_at_i_via_cayley @ (bp.conj().T @ ext1.cayley)),
     ), tol, note=note)
 
 

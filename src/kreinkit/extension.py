@@ -248,18 +248,12 @@ def restricted_cayley_product(ext1: Extension, ext2: Extension,
     """Coordinates of (C2 C1^{-1}) restricted to the subspace, in its basis.
 
     This is the unitary whose spectrum encodes how the two extensions differ;
-    the subspace must be invariant for the restriction to be meaningful
-    (callers that cannot guarantee it check invariance first).
+    the restriction is meaningful on an invariant subspace.  N+ is one for
+    every pair in exact arithmetic: each Cayley transform maps N- onto N+
+    (the record cayley_exchanges_deficiency_spaces), so C2 C1^{-1} maps N+
+    onto N+.  No invariance check is made here; krein.angle_operator gates
+    it numerically.
     """
     s = subspace.basis
     return s.conj().T @ ext2.cayley @ (ext1.cayley.conj().T @ s)
-
-
-def resolvent_difference_at_i(ext1: Extension, ext2: Extension) -> np.ndarray:
-    """R2(i) - R1(i), each resolvent by a direct solve with a - i, which is
-    invertible for every Hermitian a."""
-    eye = np.eye(ext1.dim)
-    r1 = np.linalg.solve(ext1.a - 1j * eye, eye)
-    r2 = np.linalg.solve(ext2.a - 1j * eye, eye)
-    return r2 - r1
 

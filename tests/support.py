@@ -32,7 +32,6 @@ from kreinkit.extension import (
     build_model,
     extension_from_parameter,
     parameter_of,
-    resolvent_difference_at_i,
 )
 from kreinkit.halfline import m1_halfline, sqrt_upper
 from kreinkit.krein import PSample, _resolvent_diagonal
@@ -376,8 +375,11 @@ def common_subspace(ext1, ext2):
     """Range of R2(i) - R1(i): the deficiency subspace of the pair's maximal
     common symmetric part.  It is N+ for a relatively prime pair and rank 0
     for identical extensions.  Both resolvents have norm at most 1, so the
-    rank cutoff floors the scale at 1."""
-    return orthonormal_range(resolvent_difference_at_i(ext1, ext2), floor=1.0)
+    rank cutoff floors the scale at 1.  Each resolvent is a direct solve with
+    a - i, which is invertible for every Hermitian a."""
+    eye = np.eye(ext1.dim)
+    r1, r2 = (np.linalg.solve(ext.a - 1j * eye, eye) for ext in (ext1, ext2))
+    return orthonormal_range(r2 - r1, floor=1.0)
 
 
 def p_full(pair, z):

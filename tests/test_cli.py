@@ -877,10 +877,14 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     # extension (ext1 and ext2 at the 16 points of the grid, and at no
     # conjugate) and one for ext1 inside Krein's formula, Krein's 16 n x n
     # denominators from one inverse call, and the two law calls one each.
-    # The 42 solves are those 3, the 32 herglotz_identity solves, 6 in the
-    # model layer and 1 that builds ext2 (krein_vs_direct reads ext2's
+    # The 40 solves are those 3, the 32 herglotz_identity solves, 4 in the
+    # model layer (C - 1 for cayley_roundtrip and a - i, whose resolvent
+    # resolvent_cayley_identity and relatively_prime_consistency share, per
+    # extension) and 1 that builds ext2 (krein_vs_direct reads ext2's
     # resolvent from the pair memo's P(z) and solves nothing); no N x N
-    # stack reaches a solve
+    # stack reaches a solve, and no N x N matrix is solved twice.  The one
+    # matrix that two solves get is the stack of Krein's denominators
+    # sin a - cos a M1(z), which the angle form of the law inverts as well
     weyl, inverses, solves = [], [], []
 
     def counting(calls, real):
@@ -897,9 +901,12 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     assert report["summary"] == "pass"
     assert [np.shape(args[2]) for args in weyl] == [(16,), (16,), (16,)]
     assert [np.shape(args[0]) for args in inverses] == [(16, 3, 3)] * 3
-    assert len(solves) == 42
+    assert len(solves) == 40
     assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)
                for args in solves)
+    seen = collections.Counter(np.asarray(args[0]).tobytes() for args in solves)
+    assert [np.shape(args[0]) for args in solves
+            if seen[np.asarray(args[0]).tobytes()] > 1] == [(16, 3, 3)] * 2
 
 
 def test_run_checks_passes_each_spectral_guard_once_per_sample(monkeypatch):
@@ -1208,14 +1215,16 @@ def _table_rows(text, heading):
 
 def test_readme_records_table_matches_the_default_reports():
     # README's table of records has one row per record name of a default
-    # check report and of a default halfline report, and no other; every
-    # criterion row names a record or a tier-1 test, and the records it
-    # names are those whose criterion column cites it
+    # check report and of a default halfline report, and no other, and each
+    # row names the routes of both sides of its comparison; every criterion
+    # row names a record or a tier-1 test, and the records it names are
+    # those whose criterion column cites it
     root = pathlib.Path(__file__).resolve().parent.parent
     text = (root / "README.md").read_text(encoding="utf-8")
     rows = _table_rows(text, "## Records")
-    table = {row[0].strip("`"): (row[1], {int(k) for k in row[4].split(",")}) for row in rows}
+    table = {row[0].strip("`"): (row[1], {int(k) for k in row[5].split(",")}) for row in rows}
     assert len(table) == len(rows)
+    assert all(" / " in row[3] for row in rows), [row[0] for row in rows if " / " not in row[3]]
     check = cli.run_checks(cli.generate_scenario(8, 2, 3))["checks"]
     half = cli.halfline_command(list(halfline.DEFAULT_ALPHA2), list(halfline.DEFAULT_Z))["checks"]
     for report, recs in (("check", check), ("halfline", half)):

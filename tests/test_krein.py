@@ -43,7 +43,6 @@ from kreinkit.krein import (
     weyl_operator,
 )
 from kreinkit.numerics import (
-    SpectralDecomposition,
     Subspace,
     frob,
     hermitian_eig,
