@@ -10,12 +10,11 @@ failed record that an error in it becomes.  run yields them in that order,
 each behind one error boundary.  A suite computes its residuals from the
 pair's memo and calls the krein formulas through the module, none of its
 privates, so each P(z) and M(z) is computed once per run, and no record
-decides a rank of its own.
+decides a rank of its own.  The n x n blocks of a grid are (k, n, n)
+stacks, and each record folds its residuals with one np.max.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,6 +24,9 @@ from .numerics import frob, projector
 
 
 def record(name: str, residual: float, tol: float, **extra) -> dict:
+    """The record of one identity.  A suite passes the worst residual over
+    its grid as np.max of the residuals, which keeps a NaN, so a residual
+    that turned NaN fails its record wherever it falls."""
     rec = {
         "name": name,
         "max_residual": float(residual),
@@ -46,21 +48,14 @@ def error_record(name: str, tol: float, exc: Exception) -> dict:
     }
 
 
-def _worst(*values: float) -> float:
-    """max of the values, or NaN if any of them is NaN: a residual that
-    turned NaN must fail its record, not drop out of the max."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., n, n) stack."""
+    return np.linalg.norm(stack, axis=(-2, -1))
 
 
-class _Worst(dict):
-    """Worst value of each record over a grid, in the order first seen; a
-    NaN at any point makes the record NaN (_worst)."""
-
-    def add(self, name: str, *values: float) -> None:
-        self[name] = _worst(self.get(name, 0.0), *values)
-
-    def records(self, tol: float) -> list:
-        return [record(name, value, tol) for name, value in self.items()]
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., m, n) stack."""
+    return np.swapaxes(stack.conj(), -1, -2)
 
 
 def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float):
@@ -72,16 +67,16 @@ def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float
     von Neumann's formula, so no record re-reads them."""
     model, ext1, ext2 = pair.model, pair.ext1, pair.ext2
     eye, bp = np.eye(model.dim), model.nplus.basis
-    yield record("extension_parameter_roundtrip", _worst(
+    yield record("extension_parameter_roundtrip", np.max([
         frob(pair.parameter(ext2).v - v2) / (1.0 + frob(v2)),
         frob(pair.parameter(ext1).v - v1),
-    ), tol)
+    ]), tol)
     # a = i (C - 1)^{-1} (C + 1) by one direct solve, independent of the eigh
     # frame that built C; the extension's Cayley gap keeps C - 1 invertible
-    yield record("cayley_roundtrip", _worst(*(
+    yield record("cayley_roundtrip", np.max([
         frob(1j * np.linalg.solve(ext.cayley - eye, ext.cayley + eye) - ext.a)
         / (1.0 + frob(ext.a)) for ext in (ext1, ext2)
-    )), tol)
+    ]), tol)
 
     # per extension with Cayley transform C and R = (a - i)^{-1}, one direct
     # solve read by two records: ||P_N+ - (C Bm)(C Bm)*|| and
@@ -97,7 +92,7 @@ def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float
                          frob(r @ c_inv_bp - 0.5j * (c_inv_bp - bp))))
     for name, first, second in zip(("cayley_exchanges_deficiency_spaces",
                                     "resolvent_cayley_identity"), *geometry):
-        yield record(name, _worst(first, second), tol)
+        yield record(name, np.max([first, second]), tol)
 
     # R2(i) - R1(i) = P(i) C1, with P(i) = Bp (i/2)(1 - W) Bp* from Cayley
     # data, multiplied from the right so that no N x N x N product is formed
@@ -108,12 +103,14 @@ def model_layer(pair: kr.PairContext, v1: np.ndarray, v2: np.ndarray, tol: float
     ), tol, note=note)
 
 
-def herglotz_form(z: complex, m: np.ndarray) -> tuple[np.ndarray, float]:
+def herglotz_form(z, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Im z * Im M(z), Hermitian by construction, and its smallest
-    eigenvalue, the margin the Herglotz bound is compared with."""
-    im_m = (m - m.conj().T) / 2j
-    lhs = z.imag * ((im_m + im_m.conj().T) / 2.0)
-    return lhs, float(np.min(np.linalg.eigvalsh(lhs)))  # build_model: rank N+ >= 1
+    eigenvalue, the margin the Herglotz bound is compared with: for a number
+    z and its M(z), or for a 1-d array of z and the (k, n, n) stack of their
+    M(z), from one eigvalsh call."""
+    im_m = (m - _adjoint(m)) / 2j
+    lhs = np.asarray(z).imag[..., None, None] * ((im_m + _adjoint(im_m)) / 2.0)
+    return lhs, np.min(np.linalg.eigvalsh(lhs), axis=-1)  # build_model: rank N+ >= 1
 
 
 def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
@@ -124,37 +121,38 @@ def weyl_suite(pair: kr.PairContext, zs: list, tol: float):
     form, so no record reads M at a conjugate, and M(i) = i holds by the
     orthonormality gates of the eigenframe and the N+ basis, so none reads
     M at i."""
-    worst = _Worst()
+    grid = np.array(zs)
+    deficits, identities = [], []
     for ext in (pair.ext1, pair.ext2):
         # one memo call for the grid, so that a collision raises at its first z
         ms = pair.m(ext, zs)
+        # after ext's M(z), so that its collision raises before a RealParameter
+        bounds = np.array([kr.herglotz_lower_bound(z) for z in zs])
+        lhs, lam_min = herglotz_form(grid, ms)
         # (1 + a^2)^{1/2} Bp, the N x n factor of the Herglotz identity;
         # (1 + a^2)^{1/2} is a diagonal function of ext's eigenframe
         spec = ext.spectrum
         eye = np.eye(ext.dim)
         root = spec.compose(np.sqrt(1.0 + spec.eigenvalues.real ** 2)) @ pair.model.nplus.basis
-        for k, z in enumerate(zs):
-            bound = kr.herglotz_lower_bound(z)  # raises RealParameter on the axis
-            lhs, lam_min = herglotz_form(z, ms[k])
-            # ((a - x)^2 + y^2)^{-1} = (a - z)^{-1} (a - conj z)^{-1}: one solve
-            # with a - conj z, whose condition number is the square root of the
-            # product's
-            y = z.imag
-            half = np.linalg.solve(ext.a - z.conjugate() * eye, root)
-            rhs = (y * y) * (half.conj().T @ half)
-            worst.add("herglotz_bound", _worst(0.0, bound - lam_min))
-            worst.add("herglotz_identity", frob(lhs - rhs))
-    yield from worst.records(tol)
+        # the direct route of the identity: a solve with the dense a - conj z,
+        # not the eigenframe that M(z) reads; one per z, which measured faster
+        # than one stacked solve
+        halves = np.stack([np.linalg.solve(ext.a - z.conjugate() * eye, root) for z in zs])
+        rhs = (grid.imag ** 2)[:, None, None] * (_adjoint(halves) @ halves)
+        deficits.append(np.maximum(0.0, bounds - lam_min))
+        identities.append(_norms(lhs - rhs))
+    yield record("herglotz_bound", np.max(deficits), tol)
+    yield record("herglotz_identity", np.max(identities), tol)
 
 
 def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     """P(i) against Cayley data, then P(z) over the grid, read in ext1's
     eigenframe (every record is a norm that the frame leaves unchanged),
-    each z paired with the next one z' (cyclically).  At each grid z the
-    records read the PSample of PairContext.p: P(z), its compression
-    X(z) = S1* P(z) S1 (S1 the N+ basis), its leak and ext1's diagonal D1.
-    P(conj z) = P(z)* holds by construction of that spectral form, so no
-    record reads a conjugate:
+    each z paired with the next one z' (cyclically, by np.roll).  The
+    records read the grid's PSamples of PairContext.p: P(z), its compression
+    X(z) = S1* P(z) S1 (S1 the N+ basis), stacked over the grid, its leak
+    and ext1's diagonal D1.  P(conj z) = P(z)* holds by construction of that
+    spectral form, so no record reads a conjugate:
 
       p_translation      || X(z) - X(z') - (z - z') X(z') (S1* mid S1) X(z) ||,
                          mid = (a1+i)(a1-z')^{-1}(a1-i)(a1-z)^{-1}, an
@@ -172,25 +170,31 @@ def p_function_suite(pair: kr.PairContext, zs: list, tol: float):
     yield record("p_at_i_consistency", frob(p_i - pair.p_at_i_via_cayley), tol)
     # the grid z in grid order, so a collision raises at its first z
     samples = [pair.p(z) for z in zs]
-    worst = _Worst()
-    w1 = pair.ext1.spectrum.eigenvalues
     s1 = pair.frame_nplus
     s1h = s1.conj().T
-    for k, (z, zp) in enumerate(zip(zs, zs[1:] + zs[:1])):
-        ps, psp = samples[k], samples[(k + 1) % len(zs)]
-        x, xp = ps.restricted, psp.restricted
-        scale = 1.0 + frob(ps.full)
-        # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe
-        worst.add("p_support", frob(ps.full - (ps.full @ s1) @ s1h) / scale, ps.leak / scale)
-        # the translation identity's middle factor, diagonal in ext1's
-        # eigenframe, compressed to N+
-        mid = (1.0 + w1 * w1) * psp.d1 * ps.d1
-        translation = frob(x - xp - (z - zp) * (xp @ (s1h @ (mid[:, None] * s1)) @ x))
-        worst.add("p_translation", translation / scale)
-        (sub, sv), (subp, svp) = pair.p_range(z), pair.p_range(zp)
-        leaks = ps.leak / sv[rank - 1] + psp.leak / svp[rank - 1] if rank else 0.0
-        worst.add("p_range_constancy", frob(projector(sub) - projector(subp)) + leaks)
-    yield from worst.records(tol)
+    scale = 1.0 + np.array([frob(ps.full) for ps in samples])
+    leak = np.array([ps.leak for ps in samples])
+    # ||P (1 - P_N+)|| and ||(1 - P_N+) P||, in ext1's eigenframe; the N x N
+    # products stay one per sample
+    support = np.array([frob(ps.full - (ps.full @ s1) @ s1h) for ps in samples])
+    yield record("p_support", np.max([support / scale, leak / scale]), tol)
+    x = np.stack([ps.restricted for ps in samples])
+    d1 = np.stack([ps.d1 for ps in samples])
+    xp, d1p = np.roll(x, -1, axis=0), np.roll(d1, -1, axis=0)
+    dz = (np.array(zs) - np.roll(zs, -1))[:, None, None]
+    # the translation identity's middle factor, diagonal in ext1's
+    # eigenframe, compressed to N+
+    w1 = pair.ext1.spectrum.eigenvalues
+    mid = s1h @ (((1.0 + w1 * w1) * d1p * d1)[..., None] * s1)
+    yield record("p_translation", np.max(_norms(x - xp - dz * (xp @ mid @ x)) / scale), tol)
+    # one batched SVD of the grid's X(z): the range at the pair's rank, and
+    # sigma_r, which each leak is divided by
+    u, sv, _ = np.linalg.svd(x)
+    ranges = u[..., :rank]
+    proj = ranges @ _adjoint(ranges)
+    leaks = leak / sv[:, rank - 1] if rank else np.zeros(len(zs))
+    yield record("p_range_constancy",
+                 np.max(_norms(proj - np.roll(proj, -1, axis=0)) + (leaks + np.roll(leaks, -1))), tol)
 
 
 def angle_suite(pair: kr.PairContext, zs: list, tol: float):
@@ -208,28 +212,24 @@ def angle_suite(pair: kr.PairContext, zs: list, tol: float):
     # M2 is read before any P(z): a collision of a2 with the grid raises
     # here, at its first z, with the error P(z) would raise there
     m2 = pair.m(pair.ext2, zs)
-    worst = _Worst()
-    for k, z in enumerate(zs):
-        ps = pair.p(z)
-        worst.add("p_inverse_via_weyl",
-                  frob((sin_a - cos_a @ m1[k]) @ ps.restricted - cos_a) / (1.0 + frob(m1[k])))
-        worst.add("lft_angle_vs_direct", frob(via[k] - m2[k]) / (1.0 + frob(m2[k])))
-    yield from worst.records(tol)
+    x = np.stack([pair.p(z).restricted for z in zs])
+    yield record("p_inverse_via_weyl",
+                 np.max(_norms((sin_a - cos_a @ m1) @ x - cos_a) / (1.0 + _norms(m1))), tol)
+    yield record("lft_angle_vs_direct", np.max(_norms(via - m2) / (1.0 + _norms(m2))), tol)
 
 
 def krein_suite(pair: kr.PairContext, zs: list, tol: float):
-    """Krein's formula on N+ in ext1's eigenframe (krein_resolvent_frame)
-    against ext2's resolvent in that frame, Q D2 Q* (the r2 of
-    PairContext.p): a route that reads ext2 through its own eigenframe,
-    where the formula reads it through the n x n angle alone.  The record
-    is ||via - direct|| / ||direct||, which the frame leaves unchanged.
-    The grid's samples are read first, so a collision raises as in
-    p_function_suite, ahead of any singular denominator of the formula."""
+    """Krein's formula on N+ in ext1's eigenframe (krein_resolvent_frame,
+    with the pair's M1(z)) against ext2's resolvent in that frame, Q D2 Q*
+    (the r2 of PairContext.p): a route that reads ext2 through its own
+    eigenframe, where the formula reads it through the n x n angle alone.
+    The record is ||via - direct|| / ||direct||, which the frame leaves
+    unchanged.  The grid's samples are read first, so a collision raises as
+    in p_function_suite, ahead of any singular denominator of the formula."""
     samples = [pair.p(z) for z in zs]
-    worst = _Worst()
-    for ps, via in zip(samples, kr.krein_resolvent_frame(pair.ext1, pair.angle, zs)):
-        worst.add("krein_vs_direct", frob(via - ps.r2) / frob(ps.r2))
-    yield from worst.records(tol)
+    vias = kr.krein_resolvent_frame(pair.ext1, pair.angle, zs, pair.m(pair.ext1, zs))
+    yield record("krein_vs_direct",
+                 np.max([frob(via - ps.r2) / frob(ps.r2) for ps, via in zip(samples, vias)]), tol)
 
 
 def lft_suite(pair: kr.PairContext, zs: list, tol: float):
@@ -239,11 +239,7 @@ def lft_suite(pair: kr.PairContext, zs: list, tol: float):
     # the law maps the stacked M1(z) of the whole grid in one call, bit for
     # bit the per-z maps
     direct = kr.lft_m1_to_m2(pair.m(pair.ext1, zs), pair.p_at_i_via_cayley)
-    m2 = pair.m(pair.ext2, zs)
-    worst = _Worst()
-    for k in range(len(zs)):
-        worst.add("lft_direct", frob(direct[k] - m2[k]))
-    yield from worst.records(tol)
+    yield record("lft_direct", np.max(_norms(direct - pair.m(pair.ext2, zs))), tol)
 
 
 def vonneumann_suite(pair: kr.PairContext, zs: list, tol: float):

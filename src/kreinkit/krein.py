@@ -30,9 +30,9 @@ The module holds formulas only; the checks module turns them into the
 records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
 eigenframe, from the one N x N product per z that also gives R1(z) and
-R2(z) there, with its compression to and leakage off N+, and the SVD of
-P(z)|N+ per z; M(z) per extension over a grid in one stacked product; the
-angle with the pair's one rank decision; the Cayley products) and shares it.
+R2(z) there, with its compression to and leakage off N+; M(z) per
+extension over a grid in one stacked product; the angle with the pair's
+one rank decision; the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -223,7 +223,7 @@ def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
                      "weyl operator")
 
 
-def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z):
+def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z, m1):
     """Krein's formula in the cached eigenframe V1 of a1 (S the basis of
     angle.subspace, S1 = V1* S), where R1(z) is the diagonal D1 = 1/(w1 - z):
 
@@ -237,21 +237,20 @@ def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z):
 
     z is a number, giving one N x N matrix, or a 1-d array, giving an
     iterator over the matrices in grid order, each bit for bit the per-z
-    call.  An array takes m1 of every z from one weyl_operator call and
-    inverts the k denominators in one inverse call; each N x N matrix is
-    assembled only when the iterator reaches it, so no N x N stack is held.
-    Every error is raised by the call, before any matrix is formed: the
-    first error of the per-z calls in grid order, at the gates' positions.
+    call.  m1 is weyl_operator(ext1, angle.subspace, z), one n x n matrix or
+    the (k, n, n) stack, which the caller holds (PairContext.m, say).  An
+    array inverts the k denominators in one inverse call; each N x N matrix
+    is assembled only when the iterator reaches it, so no N x N stack is
+    held.  Every error is raised by the call, before any matrix is formed:
+    the SpectralParameter of D1's guard at the first z on a1's spectrum
+    (where weyl_operator would have raised m1's), else SingularDenominator
+    at the first singular denominator.
     """
     zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
+    d = _resolvent_diagonal(ext1, zs)
     try:
-        d = _resolvent_diagonal(ext1, zs)
-        mid = inverse(sin_a - cos_a @ weyl_operator(ext1, angle.subspace, zs)) @ cos_a
-    except SpectralParameter as exc:
-        # a singular denominator before the first collision raises first
-        krein_resolvent_frame(ext1, angle, zs.reshape(-1)[:exc.position])
-        raise
+        mid = inverse(sin_a - cos_a @ m1) @ cos_a
     except SingularMatrix as exc:
         raise SingularDenominator(
             f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs.flat[exc.position]):.6g}"
@@ -278,14 +277,22 @@ def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
 
         R2(z) = R1(z) + (a1 - i) R1(z) S (sin a - cos a m1(z))^{-1} cos a S* (a1 + i) R1(z)
 
-    computed as V1 F V1* with F = krein_resolvent_frame(ext1, angle, z), the
-    one implementation of the formula, so each z costs two N x N products
-    on top of F's O(N^2 n).  z is a number, giving one N x N matrix, or a
-    1-d array, giving an iterator over the resolvents in grid order, each
-    bit for bit the per-z call; every error is raised by the call, as
-    krein_resolvent_frame raises it.  It is public in this module and not
-    exported by the package, since the check tool reads the frame form."""
-    frames = krein_resolvent_frame(ext1, angle, z)
+    computed as V1 F V1* with F = krein_resolvent_frame(ext1, angle, z, m1),
+    the one implementation of the formula, and m1 from one weyl_operator
+    call, so each z costs two N x N products on top of F's O(N^2 n).  z is
+    a number, giving one N x N matrix, or a 1-d array, giving an iterator
+    over the resolvents in grid order, each bit for bit the per-z call.
+    Every error is raised by the call: the first error of the per-z calls
+    in grid order, at the gates' positions.  It is public in this module and
+    not exported by the package, since the check tool reads the frame form."""
+    zs = np.asarray(z, dtype=np.complex128)
+    try:
+        m1 = weyl_operator(ext1, angle.subspace, zs)
+    except SpectralParameter as exc:
+        # a singular denominator before the first collision raises first
+        krein_resolvent(ext1, angle, zs.reshape(-1)[:exc.position])
+        raise
+    frames = krein_resolvent_frame(ext1, angle, zs, m1)
     v = ext1.spectrum.eigenvectors
     vh = v.conj().T
 
@@ -309,11 +316,11 @@ class PairContext:
     of extensions of a model, with N+ as the sampling subspace.
 
     Every entry is computed on first use and shared by every later read, so
-    a check suite over a z-grid evaluates P(z) and the SVD of P(z)|N+ once
-    per distinct z and M(z) once per (extension, z), the M(z) a grid needs
-    from one weyl_operator call on the whole grid.  M(z) and the pair-level
-    entries come from the functions a direct call would use (weyl_operator,
-    angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
+    a check suite over a z-grid evaluates P(z) once per distinct z and M(z)
+    once per (extension, z), the M(z) a grid needs from one weyl_operator
+    call on the whole grid (Krein's formula reads ext1's).  M(z) and the
+    pair-level entries come from the functions a direct call would use
+    (weyl_operator, angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
     the full matrix with its compression to N+ (p), one N x N product per
     z, one z at a time, which the suites read at the grid's z and at i,
     never at a conjugate point; p is the one code path of the compression
@@ -331,7 +338,6 @@ class PairContext:
         self.ext2 = ext2
         self._p: dict = {}
         self._m: dict = {}
-        self._ranges: dict = {}
         self._parameters: dict = {}
 
     def p(self, z) -> PSample:
@@ -388,16 +394,6 @@ class PairContext:
         if scalar:
             return self._m[ext, keys[0]]
         return _frozen(np.stack([self._m[ext, x] for x in keys]))
-
-    def p_range(self, z) -> tuple[Subspace, np.ndarray]:
-        """Range and singular values (descending) of P(z)|N+, from one SVD.
-        The range keeps angle.rank singular vectors."""
-        z = complex(z)
-        if z not in self._ranges:
-            u, sv, _ = np.linalg.svd(self.p(z).restricted)
-            sub = Subspace(basis=u[:, :self.angle.rank])
-            self._ranges[z] = (sub, _frozen(sv, sub.basis))
-        return self._ranges[z]
 
     def parameter(self, ext: Extension) -> ExtensionParameter:
         """parameter_of(model, ext), the von Neumann parameter of ext."""

@@ -555,13 +555,12 @@ def _perturbed_weyl(ext, subspace, z):
     return m + shift[..., None, None] * np.eye(m.shape[-1])
 
 
-def _krein_m1_cos(ext1, angle, z):
+def _krein_m1_cos(ext1, angle, z, m1):
     """Krein's formula in ext1's eigenframe with m1 @ cos a for cos a @ m1
     in its denominator; krein_resolvent reads it through the module."""
     zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
     d = kr._resolvent_diagonal(ext1, zs)
-    m1 = kr.weyl_operator(ext1, angle.subspace, zs)
     mid = kr.inverse(sin_a - m1 @ cos_a) @ cos_a
     w = ext1.spectrum.eigenvalues
     s1 = ext1.spectrum.eigenvectors.conj().T @ angle.subspace.basis

@@ -696,20 +696,45 @@ def test_error_record_sentinel_shape(tmp_path):
 
 
 # a residual that turns NaN (overflow, 0/0) must fail its record wherever it
-# falls among the values, not drop out of the max
+# falls among the values, not drop out of the max: a suite folds its
+# residuals, a list or a stack over the grid, with one np.max
 @pytest.mark.parametrize("values", [
-    [(math.nan,)],
-    [(1.0,), (math.nan,)],
-    [(0.5, math.nan, 0.25)],
-    [(math.nan,), (2.0,)],
+    [math.nan],
+    [1.0, math.nan],
+    [0.5, math.nan, 0.25],
+    [math.nan, 2.0],
+    # one z of a stacked residual, as a suite folds the norms of a grid
+    [np.array([0.0, 1e-12, math.nan, 1e-13]), np.zeros(4)],
+    # the Herglotz deficit, floored at 0
+    np.maximum(0.0, np.array([0.5, math.nan, 0.5]) - np.array([1.0, 1.0, 0.25])),
 ])
 def test_a_nan_residual_fails_its_record(values):
-    worst = checks._Worst()
-    for group in values:
-        worst.add("x", *group)
-    (rec,) = worst.records(1e-9)
+    rec = checks.record("x", np.max(values), 1e-9)
     assert math.isnan(rec["max_residual"])
     assert rec["pass"] is False
+
+
+def test_a_nan_at_one_grid_point_fails_the_suites_record(monkeypatch):
+    # the suites fold their stacks as the records above do: a NaN at one z
+    # of the Herglotz bound reaches the floored deficit, and a NaN at one z
+    # of the law's stack reaches lft_direct's norms
+    pair = krein_module.PairContext(*cli.materialize(cli.generate_scenario(8, 2, 5))[:3])
+    zs = [1j, 2j, 1 - 1j]
+    bound, law = krein_module.herglotz_lower_bound, krein_module.lft_m1_to_m2
+    monkeypatch.setattr(krein_module, "herglotz_lower_bound",
+                        lambda z: math.nan if z == 2j else bound(z))
+
+    def law_with_a_nan(m1, p_i):
+        out = law(m1, p_i).copy()
+        out[1, 0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(krein_module, "lft_m1_to_m2", law_with_a_nan)
+    recs = {rec["name"]: rec for suite in (checks.weyl_suite, checks.lft_suite)
+            for rec in suite(pair, zs, 1e-9)}
+    for name in ("herglotz_bound", "lft_direct"):
+        assert math.isnan(recs[name]["max_residual"]) and recs[name]["pass"] is False
+    assert recs["herglotz_identity"]["pass"] is True
 
 
 def test_module_entry_point_subprocess():
@@ -801,9 +826,9 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     # reuses one cached eigendecomposition per extension, and no other
     # extension is built; the pair memo builds the full P(z) in ext1's
     # eigenframe once for each of the 16 distinct z of the grid, i among
-    # them, and none at a conjugate, the SVD of P(z)|N+ (3 x 3), taken in
-    # PairContext.p_range, once per grid point and no SVD of the full
-    # 64 x 64 P(z), and the angle operator once, for the pair.
+    # them, and none at a conjugate, p_range_constancy takes one SVD of the
+    # grid's (16, 3, 3) stack of P(z)|N+ and none of the full 64 x 64 P(z),
+    # and the angle operator is built once, for the pair.
     # angle_operator is the one caller of unitary_eig in the library, so
     # this is the one Schur form, 3 x 3, which also decides primeness:
     # extensions are rank-n updates of a1, and cayley_roundtrip inverts
@@ -811,7 +836,6 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     decompositions = collections.Counter()
     svds = []
     frames = []
-    ranges = []
     angles = []
     schurs = []
     pairs = []
@@ -829,12 +853,6 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    def counting_svd(*args, **kwargs):
-        svds.append(args)
-        if sys._getframe(1).f_code is krein_module.PairContext.p_range.__code__:
-            ranges.append(args)
-        return real_svd(*args, **kwargs)
-
     class RecordedPair(krein_module.PairContext):
         def __init__(self, *args):
             super().__init__(*args)
@@ -846,7 +864,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
             return super().p(z)
 
     monkeypatch.setattr(extension_module, "hermitian_eig", counting_eig)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting(svds, real_svd))
     monkeypatch.setattr(krein_module, "angle_operator", counting(angles, real_angle))
     monkeypatch.setattr(krein_module, "unitary_eig",
                         counting(schurs, krein_module.unitary_eig))
@@ -856,15 +874,13 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert len(decompositions) == 2
     assert max(decompositions.values()) == 1
     assert len(frames) == len(set(frames)) == 16
-    assert [args[0].shape for args in ranges] == [(3, 3)] * 16
-    # they are the only SVDs; none is N-sized
-    assert [args[0].shape for args in svds] == [(3, 3)] * 16
+    # the only SVD; none is N-sized
+    assert [args[0].shape for args in svds] == [(16, 3, 3)]
     assert len(angles) == 1
     assert [args[0].shape for args in schurs] == [(3, 3)]
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.p(2j).r2, pair.p(2j).d1,
                    pair.m(pair.ext2, 2j),
-                   pair.p_range(2j)[0].basis, pair.p_range(2j)[1],
                    pair.p_at_i_via_cayley, pair.angle.alpha,
                    pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
                    *pair.angle.law_factors):
@@ -875,8 +891,9 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
 def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     # counted, not timed: M(z) comes from one weyl_operator call per
     # extension (ext1 and ext2 at the 16 points of the grid, and at no
-    # conjugate) and one for ext1 inside Krein's formula, Krein's 16 n x n
-    # denominators from one inverse call, and the two law calls one each.
+    # conjugate), which Krein's formula reads from the pair memo, Krein's
+    # 16 n x n denominators from one inverse call, and the two law calls
+    # one each.
     # The 40 solves are those 3, the 32 herglotz_identity solves, 4 in the
     # model layer (C - 1 for cayley_roundtrip and a - i, whose resolvent
     # resolvent_cayley_identity and relatively_prime_consistency share, per
@@ -899,7 +916,7 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting(solves, np.linalg.solve))
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
-    assert [np.shape(args[2]) for args in weyl] == [(16,), (16,), (16,)]
+    assert [np.shape(args[2]) for args in weyl] == [(16,), (16,)]
     assert [np.shape(args[0]) for args in inverses] == [(16, 3, 3)] * 3
     assert len(solves) == 40
     assert all(np.ndim(args[0]) == 2 or np.shape(args[0])[-2:] == (3, 3)
@@ -913,8 +930,8 @@ def test_run_checks_passes_each_spectral_guard_once_per_sample(monkeypatch):
     # counted, not timed: a pass of a spectral guard is one
     # _resolvent_diagonal call.  The pair memo's P(z) makes one per
     # extension at each of the 16 distinct z (32 scalar passes), and the
-    # grid passes are the 3 weyl_operator calls' and the D1 of Krein's
-    # formula (4).  The suites read R1(z)'s diagonal from the sample, so no
+    # grid passes are the 2 weyl_operator calls' and the D1 of Krein's
+    # formula (3).  The suites read R1(z)'s diagonal from the sample, so no
     # pass is made from checks
     calls = []
     real = krein_module._resolvent_diagonal
@@ -926,9 +943,53 @@ def test_run_checks_passes_each_spectral_guard_once_per_sample(monkeypatch):
     monkeypatch.setattr(krein_module, "_resolvent_diagonal", counting)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
-    assert len(calls) == 36
-    assert collections.Counter(ndim for ndim, _ in calls) == {0: 32, 1: 4}
+    assert len(calls) == 35
+    assert collections.Counter(ndim for ndim, _ in calls) == {0: 32, 1: 3}
     assert {caller for _, caller in calls} == {"kreinkit.krein"}
+
+
+def test_run_checks_folds_each_grid_as_one_stack(monkeypatch):
+    # counted, not timed: the suites read the grid's n x n blocks as
+    # (16, 3, 3) stacks, so the Herglotz bound takes one eigvalsh per
+    # extension, p_range_constancy one batched SVD, and the memo one
+    # weyl_operator call per extension, which Krein's formula shares
+    eigvalsh, svds, weyl = [], [], []
+    real_eigvalsh, real_svd = np.linalg.eigvalsh, np.linalg.svd
+    real_weyl = krein_module.weyl_operator
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append((np.shape(a), sys._getframe(1).f_globals["__name__"]))
+        return real_svd(a, *args, **kwargs)
+
+    def counting_weyl(ext, subspace, z):
+        weyl.append(np.shape(z))
+        return real_weyl(ext, subspace, z)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(krein_module, "weyl_operator", counting_weyl)
+    report = cli.run_checks(cli.generate_scenario(64, 3, 3))
+    assert report["summary"] == "pass"
+    assert eigvalsh == [(16, 3, 3)] * 2
+    assert [shape for shape, caller in svds if caller == "kreinkit.checks"] == [(16, 3, 3)]
+    assert weyl == [(16,), (16,)]
+
+
+@pytest.mark.parametrize("shape", [(8, 2, 5), (1, 1, 0), (6, 6, 1), (64, 3, 3)])
+@pytest.mark.parametrize("grid", [[1 + 1j], [2j, 2j, 1 - 1j]])
+def test_the_stacked_suites_hold_on_a_one_point_and_a_repeated_grid(shape, grid):
+    # one z, its own z' under np.roll, and a repeated z, which the memo holds
+    # once and the stacks read twice: every record passes, under the names of
+    # the default report
+    scenario = cli.generate_scenario(*shape)
+    default = [rec["name"] for rec in cli.run_checks(scenario)["checks"]]
+    report = cli.run_checks(dataclasses.replace(scenario, z_grid=grid))
+    assert [rec["name"] for rec in report["checks"]] == default
+    assert [rec["name"] for rec in report["checks"] if not rec["pass"]] == []
 
 
 # a draw whose second extension has a Cayley eigenvalue 3e-4 to 2e-3 from 1,
