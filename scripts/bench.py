@@ -77,8 +77,9 @@ KERNELS = {
         f"scenario = cli.generate_scenario(64, 64, {SCENARIO_SEED})",
         "cli.run_checks(scenario)", 1),
     # M(z) of one extension at the 26 distinct points of the 16-point grid,
-    # its conjugates and i, in one call: more than weyl_suite reads (i and
-    # the grid), kept so that the kernel's times compare across trees
+    # its conjugates and i, in one call: more than weyl_suite reads (the 16
+    # points of the grid alone, i among them), kept so that the kernel's
+    # times compare with earlier BENCH_*.json files
     "weyl_operator battery grid (64,3)": (
         f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport workloads\n"
         "import numpy as np\nfrom kreinkit import cli\nfrom kreinkit import krein as kr\n"

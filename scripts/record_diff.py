@@ -31,12 +31,20 @@ the largest |log10| is.  A record that one tree reports on
 inputs where the other does not, say one that a tree deleted, is listed on
 one line: its name, the tree that has it and on how many inputs.  Then it
 lists every input and record of both trees whose pass/fail or error class
-differs, with both values.  Nothing it prints goes into a report.  It
+differs, with both values.
+
+Each scenario input also gets its two M(z) tables (cli.tabulate_m, which 1
+and 2, the tables of `kreinkit mfunc`), a table that raises standing as its
+error class.  After the records table's blank line one line says on how
+many of those inputs a table's rows differ in bits between the trees, and
+the largest relative change of one table entry, |b - a| / max(|a|, |b|),
+with the input it is at.  Nothing it prints goes into a report.  It
 informs and is no gate: the exit status is 0, also when a tree fails to
 run (its error is printed).
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -160,6 +168,27 @@ def _records(inputs: list) -> dict:
     return out
 
 
+def _tables(inputs: list) -> dict:
+    """{label: [rows of table 1, rows of table 2]} of every scenario input,
+    the rows of cli.tabulate_m, or the error class of a table that raised."""
+    from kreinkit import cli
+    from kreinkit.errors import KreinKitError
+
+    out = {}
+    for label, doc in inputs:
+        if "scenario" not in doc:
+            continue
+        scenario = cli.ScenarioFile.from_json(doc["scenario"])
+        tables = []
+        for which in (1, 2):
+            try:
+                tables.append(cli.tabulate_m(scenario, which)["rows"])
+            except KreinKitError as exc:
+                tables.append(type(exc).__name__)
+        out[label] = tables
+    return out
+
+
 def _worker(mode: str, path: str) -> int:
     if mode == "inputs":
         with open(path, "w", encoding="utf-8") as handle:
@@ -167,7 +196,7 @@ def _worker(mode: str, path: str) -> int:
         return 0
     with open(path, encoding="utf-8") as handle:
         inputs = json.load(handle)
-    json.dump(_records(inputs), sys.stdout)
+    json.dump({"records": _records(inputs), "tables": _tables(inputs)}, sys.stdout)
     return 0
 
 
@@ -232,6 +261,49 @@ def compare(a: dict, b: dict) -> tuple:
     return rows, flips, one_tree
 
 
+def _entry(x):
+    """x as a complex number if it is one entry of a table, a real or an
+    [re, im] pair, else None."""
+    if isinstance(x, list) and len(x) == 2 and all(isinstance(t, (int, float)) for t in x):
+        return complex(*x)
+    return complex(x) if isinstance(x, (int, float)) else None
+
+
+def _entry_change(a, b) -> float:
+    """The largest relative change |b - a| / max(|a|, |b|) of one entry
+    between two JSON values of the same layout, 0 where both are equal or
+    NaN, inf where one is NaN or the layouts or error classes differ."""
+    za, zb = _entry(a), _entry(b)
+    if za is not None and zb is not None:
+        if za == zb or (cmath.isnan(za) and cmath.isnan(zb)):
+            return 0.0
+        if cmath.isnan(za) or cmath.isnan(zb):
+            return math.inf
+        return abs(zb - za) / max(abs(za), abs(zb))
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_entry_change(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_entry_change(x, y) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
+def compare_tables(a: dict, b: dict) -> tuple:
+    """(differ, inputs, largest, where): the number of inputs of tree A's
+    tables whose two tables are not bit for bit the same on both trees (NaN
+    equals NaN, a missing input differs), the number of inputs, and the
+    largest relative entry change (_entry_change) with its input."""
+    differ, largest, where = 0, 0.0, None
+    for label, tables in a.items():
+        other = b.get(label)
+        if json.dumps(tables) == json.dumps(other):
+            continue
+        differ += 1
+        move = _entry_change(tables, other)
+        if move > largest or where is None:
+            largest, where = move, label
+    return differ, len(a), largest, where
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", help="directory holding the kreinkit package; "
@@ -260,8 +332,9 @@ def main(argv=None) -> int:
                 return 0
             results.append(json.loads(done.stdout))
 
-    rows, flips, one_tree = compare(*results)
-    print(f"A = {args.src[0]}, B = {args.src[1]}, {len(results[0])} inputs")
+    rows, flips, one_tree = compare(*(result["records"] for result in results))
+    tables = compare_tables(*(result["tables"] for result in results))
+    print(f"A = {args.src[0]}, B = {args.src[1]}, {len(results[0]['records'])} inputs")
     width = max(map(len, rows))
     print(f"{'record':<{width}}  {'worst A':>10}  {'worst B':>10}  {'max |dlog10|':>12}"
           f"  {'differ':>6}  at")
@@ -270,6 +343,8 @@ def main(argv=None) -> int:
         cells = "  ".join(f"{w:10.3e}" if w > -math.inf else f"{'-':>10}" for w in (worst_a, worst_b))
         print(f"{name:<{width}}  {cells}  {move:12.3f}  {differ:6d}  {where or ''}")
     print()
+    print("mfunc tables: {} of {} inputs differ in bits, largest relative entry change "
+          "{:.3e} at {}".format(*tables[:3], tables[3] or "-"))
     if one_tree:
         print(f"{len(one_tree)} records reported by one tree only:")
         for (name, tree), (count, first) in sorted(one_tree.items()):

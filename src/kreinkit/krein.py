@@ -26,13 +26,15 @@ a primeness decision.  Out of these pieces the module assembles:
   * the fractional-linear law mapping M1 to M2, in coefficient form with
     p(i) and in angle form.
 
-The module holds formulas only; the checks module turns them into the
-records of the check report.  Its suites read their inputs from a
+Every function of z runs on a 1-d grid of z; weyl_operator also takes a
+number, the grid of one, and krein_resolvent takes one z, which it runs as
+that grid.  The module holds formulas only; the checks module turns them
+into the records of the check report.  Its suites read their inputs from a
 PairContext, which computes each quantity of one pair once (P(z) in ext1's
 eigenframe, from the one N x N product per z that also gives R1(z) and
 R2(z) there, with its compression to and leakage off N+; M(z) per
-extension over a grid in one stacked product; the angle with the pair's
-one rank decision; the Cayley products) and shares it.
+extension and grid in one stacked product; the angle with the pair's one
+rank decision; the Cayley products) and shares it.
 
 All restricted matrices live in the coordinate frames of the subspaces they
 are compressed to (see the extension module's convention).
@@ -137,30 +139,21 @@ class AngleOperator:
         return factors
 
 
-def _resolvent_diagonal(ext: Extension, z) -> np.ndarray:
-    """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1}, in the order of
-    the extension's cached eigenframe, for a number z or along the last axis
-    for each z of an array.  Rejects z within DEFAULT_TOL of the (real)
-    spectrum; an array is rejected at its first such z, the error's position."""
-    zs = np.asarray(z, dtype=np.complex128)[..., None]
-    w = _lifted(ext.spectrum.eigenvalues, zs.ndim)
+def _resolvent_diagonal(ext: Extension, zs) -> np.ndarray:
+    """Eigenvalues 1/(w - z) of the resolvent (a - z)^{-1} for each z of the
+    1-d grid zs, as a (k, N) array whose rows follow the extension's cached
+    eigenframe.  Rejects the grid at its first z within DEFAULT_TOL of the
+    (real) spectrum, the error's position."""
+    zs = np.asarray(zs, dtype=np.complex128)[:, None]
+    w = ext.spectrum.eigenvalues[None, :]
     if w.size:
-        dist = np.min(np.abs(w - zs), axis=-1).reshape(-1)
+        dist = np.min(np.abs(w - zs), axis=-1)
         hit = np.flatnonzero(dist <= DEFAULT_TOL)
         if hit.size:
             k = int(hit[0])
-            raise SpectralParameter(f"z = {complex(zs.flat[k]):.6g} is within "
+            raise SpectralParameter(f"z = {complex(zs[k, 0]):.6g} is within "
                                     f"{float(dist[k]):.3e} of the spectrum", position=k)
     return 1.0 / (w - zs)
-
-
-def _lifted(a: np.ndarray, ndim: int) -> np.ndarray:
-    """a with leading axes of length 1 up to ndim axes.  numpy may take a
-    different loop, rounding complex products differently, for an operand
-    with fewer axes than the result, when every axis has length 1, so the
-    operands of the per-z formulas meet with equal numbers of axes: a grid
-    of one z at N = n = 1 then rounds as the scalar call does."""
-    return a.reshape((1,) * (ndim - a.ndim) + a.shape)
 
 
 def _branch_angle(lam: complex) -> float:
@@ -210,20 +203,23 @@ def weyl_operator(ext: Extension, subspace: Subspace, z) -> np.ndarray:
     W* diag((1 + w z)/(w - z)) W with W = V* S.  Because W* W = 1 this is
     the operator above, and unlike it, it cancels no two terms of size |z|.
 
-    z is a number, giving one n x n matrix, or a 1-d array, giving their
-    (k, n, n) stack from one stacked product, bit for bit the per-z calls.
-    An array raises the SpectralParameter of its first z on the spectrum."""
+    z is a 1-d array, giving the (k, n, n) stack from one stacked product,
+    or a number, the grid of one, giving that stack's one n x n matrix.  A
+    grid raises the SpectralParameter of its first z on the spectrum."""
     zs = np.asarray(z, dtype=np.complex128)
     if zs.ndim > 1:
         raise ValueError(f"z must be a number or a 1-d array, got shape {zs.shape}")
-    w = _lifted(ext.spectrum.eigenvalues, zs.ndim + 1)
-    kernel = (1.0 + w * zs[..., None]) * _resolvent_diagonal(ext, zs)
+    grid = zs.reshape(-1)
+    # (1, N) against (k, 1), (k, N, 1) against (1, N, n): operands with equal
+    # numbers of axes, which numpy rounds by one loop at every k, N and n
+    w = ext.spectrum.eigenvalues[None, :]
+    kernel = (1.0 + w * grid[:, None]) * _resolvent_diagonal(ext, grid)
     ws = ext.spectrum.eigenvectors.conj().T @ subspace.basis
-    return _as_stack(ws.conj().T @ (kernel[..., None] * _lifted(ws, zs.ndim + 2)),
-                     "weyl operator")
+    m = _as_stack(ws.conj().T @ (kernel[..., None] * ws[None]), "weyl operator")
+    return m if zs.ndim else m[0]
 
 
-def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z, m1):
+def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, zs, m1):
     """Krein's formula in the cached eigenframe V1 of a1 (S the basis of
     angle.subspace, S1 = V1* S), where R1(z) is the diagonal D1 = 1/(w1 - z):
 
@@ -235,25 +231,24 @@ def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z, m1):
     alpha = +-pi/2 (identical extensions give D1).  The second term is a
     rank-n update, so one matrix costs O(N^2 n).
 
-    z is a number, giving one N x N matrix, or a 1-d array, giving an
-    iterator over the matrices in grid order, each bit for bit the per-z
-    call.  m1 is weyl_operator(ext1, angle.subspace, z), one n x n matrix or
-    the (k, n, n) stack, which the caller holds (PairContext.m, say).  An
-    array inverts the k denominators in one inverse call; each N x N matrix
-    is assembled only when the iterator reaches it, so no N x N stack is
-    held.  Every error is raised by the call, before any matrix is formed:
-    the SpectralParameter of D1's guard at the first z on a1's spectrum
-    (where weyl_operator would have raised m1's), else SingularDenominator
-    at the first singular denominator.
+    zs is a 1-d grid and m1 the (k, n, n) stack
+    weyl_operator(ext1, angle.subspace, zs), which the caller holds
+    (PairContext.m, say); the result is an iterator over the matrices in
+    grid order.  The k denominators are inverted in one inverse call; each
+    N x N matrix is assembled only when the iterator reaches it, so no
+    N x N stack is held.  Every error is raised by the call, before any
+    matrix is formed: the SpectralParameter of D1's guard at the first z on
+    a1's spectrum (where weyl_operator would have raised m1's), else
+    SingularDenominator at the first singular denominator.
     """
-    zs = np.asarray(z, dtype=np.complex128)
+    zs = np.asarray(zs, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
     d = _resolvent_diagonal(ext1, zs)
     try:
         mid = inverse(sin_a - cos_a @ m1) @ cos_a
     except SingularMatrix as exc:
         raise SingularDenominator(
-            f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs.flat[exc.position]):.6g}"
+            f"sin(alpha) - cos(alpha) m(z) is singular at z = {complex(zs[exc.position]):.6g}"
         ) from exc
     w = ext1.spectrum.eigenvalues
     s1 = ext1.spectrum.eigenvectors.conj().T @ angle.subspace.basis
@@ -266,42 +261,27 @@ def krein_resolvent_frame(ext1: Extension, angle: AngleOperator, z, m1):
         frame[np.diag_indices_from(frame)] += dk
         return frame
 
-    if zs.ndim:
-        return map(resolvent, d, mid)
-    return resolvent(d, mid)
+    return map(resolvent, d, mid)
 
 
-def krein_resolvent(ext1: Extension, angle: AngleOperator, z):
-    """Resolvent of the second extension from first-extension data and the
-    pair's angle operator on N+ (S the basis of angle.subspace):
+def krein_resolvent(ext1: Extension, angle: AngleOperator, z) -> np.ndarray:
+    """Resolvent of the second extension at one z from first-extension data
+    and the pair's angle operator on N+ (S the basis of angle.subspace):
 
         R2(z) = R1(z) + (a1 - i) R1(z) S (sin a - cos a m1(z))^{-1} cos a S* (a1 + i) R1(z)
 
-    computed as V1 F V1* with F = krein_resolvent_frame(ext1, angle, z, m1),
-    the one implementation of the formula, and m1 from one weyl_operator
-    call, so each z costs two N x N products on top of F's O(N^2 n).  z is
-    a number, giving one N x N matrix, or a 1-d array, giving an iterator
-    over the resolvents in grid order, each bit for bit the per-z call.
-    Every error is raised by the call: the first error of the per-z calls
-    in grid order, at the gates' positions.  It is public in this module and
-    not exported by the package, since the check tool reads the frame form."""
-    zs = np.asarray(z, dtype=np.complex128)
-    try:
-        m1 = weyl_operator(ext1, angle.subspace, zs)
-    except SpectralParameter as exc:
-        # a singular denominator before the first collision raises first
-        krein_resolvent(ext1, angle, zs.reshape(-1)[:exc.position])
-        raise
-    frames = krein_resolvent_frame(ext1, angle, zs, m1)
-    v = ext1.spectrum.eigenvectors
-    vh = v.conj().T
-
-    def resolvent(frame: np.ndarray) -> np.ndarray:
-        return (v @ frame) @ vh
-
+    computed as V1 F V1* with F the frame of krein_resolvent_frame on the
+    grid [z], the one implementation of the formula, and m1 from
+    weyl_operator on that grid, so it costs two N x N products on top of
+    F's O(N^2 n).  A grid takes krein_resolvent_frame (ValueError here).
+    It is public in this module and not exported by the package, since the
+    check tool reads the frame form."""
     if np.ndim(z):
-        return map(resolvent, frames)
-    return resolvent(frames)
+        raise ValueError("krein_resolvent takes one z; a grid takes krein_resolvent_frame")
+    zs = np.array([z], dtype=np.complex128)
+    frame, = krein_resolvent_frame(ext1, angle, zs, weyl_operator(ext1, angle.subspace, zs))
+    v = ext1.spectrum.eigenvectors
+    return (v @ frame) @ v.conj().T
 
 
 def _frozen(*arrays: np.ndarray) -> np.ndarray:
@@ -317,19 +297,19 @@ class PairContext:
 
     Every entry is computed on first use and shared by every later read, so
     a check suite over a z-grid evaluates P(z) once per distinct z and M(z)
-    once per (extension, z), the M(z) a grid needs from one weyl_operator
-    call on the whole grid (Krein's formula reads ext1's).  M(z) and the
-    pair-level entries come from the functions a direct call would use
-    (weyl_operator, angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
+    once per (extension, grid), by one weyl_operator call on the whole grid
+    (Krein's formula reads ext1's).  M(z) and the pair-level entries come
+    from the functions a direct call would use (weyl_operator,
+    angle_operator, parameter_of, ...).  P(z) is held in ext1's eigenframe:
     the full matrix with its compression to N+ (p), one N x N product per
     z, one z at a time, which the suites read at the grid's z and at i,
     never at a conjugate point; p is the one code path of the compression
     X(z) = Bp* P(z) Bp.  Its PSample is the suites' one source of per-z
     data, and its spectral guards, ext1's before ext2's, the ones they meet
-    at a collision.  Cached arrays are read-only.  The context is the
-    only owner of its entries: it lives as long as its creator keeps it.  Spectral parameters
-    are keys by value, so z and a twin differing only in the sign of a zero
-    part share one entry.
+    at a collision.  Cached arrays are read-only.  The context is the only
+    owner of its entries: it lives as long as its creator keeps it.
+    Spectral parameters and grids are keys by value, so z and a twin
+    differing only in the sign of a zero part share one entry.
     """
 
     def __init__(self, model: RestrictionModel, ext1: Extension, ext2: Extension):
@@ -350,8 +330,8 @@ class PairContext:
         z = complex(z)
         if z not in self._p:
             w1 = self.ext1.spectrum.eigenvalues
-            d1 = _resolvent_diagonal(self.ext1, z)
-            r2 = (self.frame_q * _resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+            d1 = _resolvent_diagonal(self.ext1, [z])[0]
+            r2 = (self.frame_q * _resolvent_diagonal(self.ext2, [z])[0]) @ self.frame_q_adjoint
             middle = r2.copy()
             middle[np.diag_indices_from(middle)] -= d1
             full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 + 1j))
@@ -379,21 +359,15 @@ class PairContext:
         """S1 = V1* Bp, the N+ basis in ext1's eigenframe."""
         return _frozen(self.ext1.spectrum.eigenvectors.conj().T @ self.model.nplus.basis)
 
-    def m(self, ext: Extension, z) -> np.ndarray:
-        """M(z) of ext (an extension of the pair or any other extension of
-        the model) compressed to N+, for a number z, or the (k, n, n) stack
-        of them for a sequence of k numbers.  The entries not yet cached come
-        from one weyl_operator call, which raises the error of the first
-        offending z among them."""
-        scalar = np.ndim(z) == 0
-        keys = [complex(z)] if scalar else [complex(x) for x in z]
-        missing = [x for x in dict.fromkeys(keys) if (ext, x) not in self._m]
-        if missing:
-            stack = _frozen(weyl_operator(ext, self.model.nplus, np.array(missing)))
-            self._m.update(((ext, x), m) for x, m in zip(missing, stack))
-        if scalar:
-            return self._m[ext, keys[0]]
-        return _frozen(np.stack([self._m[ext, x] for x in keys]))
+    def m(self, ext: Extension, zs) -> np.ndarray:
+        """The (k, n, n) stack of M(z) of ext (an extension of the pair or
+        any other extension of the model) compressed to N+ over the 1-d grid
+        zs, from one weyl_operator call per (extension, grid), which raises
+        the error of the grid's first offending z."""
+        key = (ext, tuple(map(complex, zs)))
+        if key not in self._m:
+            self._m[key] = _frozen(weyl_operator(ext, self.model.nplus, key[1]))
+        return self._m[key]
 
     def parameter(self, ext: Extension) -> ExtensionParameter:
         """parameter_of(model, ext), the von Neumann parameter of ext."""

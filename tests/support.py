@@ -207,9 +207,9 @@ def p_function(ext1, ext2, subspace, z):
     leak off the subspace.  z must stay off both spectra (SpectralParameter
     otherwise)."""
     z = complex(z)
-    d1 = _resolvent_diagonal(ext1, z)
+    d1 = _resolvent_diagonal(ext1, [z])[0]
     r1 = ext1.spectrum.compose(d1)
-    r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, z))
+    r2 = ext2.spectrum.compose(_resolvent_diagonal(ext2, [z])[0])
     spec1 = ext1.spectrum
     w1 = spec1.eigenvalues
     left = spec1.compose((w1 - z) / (w1 - 1j))
@@ -555,10 +555,9 @@ def _perturbed_weyl(ext, subspace, z):
     return m + shift[..., None, None] * np.eye(m.shape[-1])
 
 
-def _krein_m1_cos(ext1, angle, z, m1):
+def _krein_m1_cos(ext1, angle, zs, m1):
     """Krein's formula in ext1's eigenframe with m1 @ cos a for cos a @ m1
     in its denominator; krein_resolvent reads it through the module."""
-    zs = np.asarray(z, dtype=np.complex128)
     cos_a, sin_a, _, _ = angle.law_factors
     d = kr._resolvent_diagonal(ext1, zs)
     mid = kr.inverse(sin_a - m1 @ cos_a) @ cos_a
@@ -570,7 +569,7 @@ def _krein_m1_cos(ext1, angle, z, m1):
         frame[np.diag_indices_from(frame)] += dk
         return frame
 
-    return map(resolvent, d, mid) if zs.ndim else resolvent(d, mid)
+    return map(resolvent, d, mid)
 
 
 def _p_right_factor_minus_i(self, z):
@@ -578,8 +577,8 @@ def _p_right_factor_minus_i(self, z):
     z = complex(z)
     if z not in self._p:
         w1 = self.ext1.spectrum.eigenvalues
-        d1 = kr._resolvent_diagonal(self.ext1, z)
-        r2 = (self.frame_q * kr._resolvent_diagonal(self.ext2, z)) @ self.frame_q_adjoint
+        d1 = kr._resolvent_diagonal(self.ext1, [z])[0]
+        r2 = (self.frame_q * kr._resolvent_diagonal(self.ext2, [z])[0]) @ self.frame_q_adjoint
         middle = r2.copy()
         middle[np.diag_indices_from(middle)] -= d1
         full = ((w1 - z) / (w1 - 1j))[:, None] * middle * ((w1 - z) / (w1 - 1j))

@@ -869,7 +869,8 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     monkeypatch.setattr(krein_module, "unitary_eig",
                         counting(schurs, krein_module.unitary_eig))
     monkeypatch.setattr(krein_module, "PairContext", RecordedPair)
-    report = cli.run_checks(cli.generate_scenario(64, 3, 3))
+    scenario = cli.generate_scenario(64, 3, 3)
+    report = cli.run_checks(scenario)
     assert report["summary"] == "pass"
     assert len(decompositions) == 2
     assert max(decompositions.values()) == 1
@@ -880,7 +881,7 @@ def test_run_checks_decomposes_each_extension_once(monkeypatch):
     assert [args[0].shape for args in schurs] == [(3, 3)]
     (pair,) = pairs
     for cached in (pair.p(2j).full, pair.p(2j).restricted, pair.p(2j).r2, pair.p(2j).d1,
-                   pair.m(pair.ext2, 2j),
+                   pair.m(pair.ext2, scenario.z_grid),
                    pair.p_at_i_via_cayley, pair.angle.alpha,
                    pair.frame_q, pair.frame_q_adjoint, pair.frame_nplus,
                    *pair.angle.law_factors):
@@ -928,23 +929,23 @@ def test_run_checks_takes_m_and_krein_denominators_once_per_grid(monkeypatch):
 
 def test_run_checks_passes_each_spectral_guard_once_per_sample(monkeypatch):
     # counted, not timed: a pass of a spectral guard is one
-    # _resolvent_diagonal call.  The pair memo's P(z) makes one per
-    # extension at each of the 16 distinct z (32 scalar passes), and the
-    # grid passes are the 2 weyl_operator calls' and the D1 of Krein's
-    # formula (3).  The suites read R1(z)'s diagonal from the sample, so no
-    # pass is made from checks
+    # _resolvent_diagonal call, on a grid.  The pair memo's P(z) makes one
+    # per extension at each of the 16 distinct z (32 one-point grids), and
+    # the passes on the whole grid are the 2 weyl_operator calls' and the D1
+    # of Krein's formula (3).  The suites read R1(z)'s diagonal from the
+    # sample, so no pass is made from checks
     calls = []
     real = krein_module._resolvent_diagonal
 
-    def counting(ext, z):
-        calls.append((np.ndim(z), sys._getframe(1).f_globals["__name__"]))
-        return real(ext, z)
+    def counting(ext, zs):
+        calls.append((len(zs), sys._getframe(1).f_globals["__name__"]))
+        return real(ext, zs)
 
     monkeypatch.setattr(krein_module, "_resolvent_diagonal", counting)
     report = cli.run_checks(cli.generate_scenario(64, 3, 3))
     assert report["summary"] == "pass"
     assert len(calls) == 35
-    assert collections.Counter(ndim for ndim, _ in calls) == {0: 32, 1: 3}
+    assert collections.Counter(length for length, _ in calls) == {1: 32, 16: 3}
     assert {caller for _, caller in calls} == {"kreinkit.krein"}
 
 

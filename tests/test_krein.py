@@ -133,7 +133,8 @@ def test_s1_herglotz_frozen(s1):
     res = support.records(checks.weyl_suite, pair, [2j])
     assert res["herglotz_bound"] <= 1e-14
     assert res["herglotz_identity"] < 1e-14
-    assert frob(pair.m(ext1, -2j) - pair.m(ext1, 2j).conj().T) < 1e-14
+    m, mc = weyl_operator(ext1, model.nplus, np.array([2j, -2j]))
+    assert frob(mc - m.conj().T) < 1e-14
 
 
 def test_herglotz_lower_bound_frozen_values():
@@ -318,8 +319,8 @@ def test_herglotz_on_matrix_pair():
     assert res["herglotz_bound"] <= 1e-12
     assert res["herglotz_identity"] < 1e-10
     for ext in (ext1, ext2):
-        for z in SAFE_Z:
-            assert frob(pair.m(ext, np.conj(z)) - pair.m(ext, z).conj().T) < 1e-10
+        for m, mc in zip(pair.m(ext, SAFE_Z), pair.m(ext, np.conj(SAFE_Z)), strict=True):
+            assert frob(mc - m.conj().T) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def test_laws_on_a_stack_match_their_per_matrix_calls(n):
     # matrix maps as a call on it alone does, to the bit
     model, ext1, ext2, _ = support.random_pair(n + 5, n, 21)
     pair = PairContext(model, ext1, ext2)
-    stack = np.stack([pair.m(ext1, z) for z in (2j, 1 + 1j, -0.5 + 0.3j, 4 - 2j)])
+    stack = pair.m(ext1, [2j, 1 + 1j, -0.5 + 0.3j, 4 - 2j])
     routes = ((lft_m1_to_m2, pair.p_at_i_via_cayley), (lft_m1_to_m2_angle, pair.angle))
     for law, coefficients in routes:
         mapped = law(stack, coefficients)
@@ -581,19 +582,32 @@ def test_krein_resolvent_singular_denominator():
     ang = AngleOperator(hermitian_eig(np.zeros((1, 1))), model.nplus)
     with pytest.raises(SingularDenominator):
         krein_resolvent(ext1, ang, -1.0)
-    # on a grid, the error is the one of the first offending point, as the
-    # per-z calls raise it: the singular denominator at -1 before a later
-    # collision with the spectrum at 1, and that collision before a later
-    # singular denominator, also when nothing of the grid comes before it
-    def call(z):
-        return krein_resolvent(ext1, ang, z)
+    # on a grid, the frame form raises the error of the first offending
+    # point, as the per-z calls raise it
+    grid = np.array([2j, 1j, -1.0, 3j, -1.0])
+    m1 = weyl_operator(ext1, model.nplus, grid)
+    expected = support.first_error(lambda z: krein_resolvent(ext1, ang, z), grid)
+    assert expected == (SingularDenominator,
+                        "sin(alpha) - cos(alpha) m(z) is singular at z = -1+0j")
+    assert support.raised(krein_module.krein_resolvent_frame, ext1, ang, grid, m1) == expected
 
-    for grid, error in (([2j, 1j, -1.0, 1.0 + 1e-12j], SingularDenominator),
-                        ([2j, 1.0 + 1e-12j, -1.0], SpectralParameter),
-                        ([1.0 + 1e-12j, -1.0], SpectralParameter)):
-        expected = support.first_error(call, grid)
-        assert expected[0] is error
-        assert support.raised(call, np.array(grid)) == expected
+
+def test_krein_frame_raises_a_collision_with_a1_before_a_singular_denominator():
+    # the frame form's documented order: D1's SpectralParameter at the grid's
+    # first collision with a1's spectrum, then the first singular
+    # denominator, even when that denominator comes earlier in the grid.
+    # weyl_operator on the whole grid would raise at the collision before
+    # the frame runs, so m1 there is any 1 x 1 matrix
+    model, ext1, _ = scalar_pair(1.0, 0.0)
+    ang = AngleOperator(hermitian_eig(np.zeros((1, 1))), model.nplus)
+    grid = np.array([2j, 1j, -1.0, 1.0 + 1e-12j])
+    m1 = np.concatenate([weyl_operator(ext1, model.nplus, grid[:3]), np.ones((1, 1, 1))])
+    with pytest.raises(SpectralParameter) as info:
+        krein_module.krein_resolvent_frame(ext1, ang, grid, m1)
+    assert info.value.position == 3
+    assert str(info.value).startswith("z = 1+1e-12j ")
+    with pytest.raises(SingularDenominator, match=r"at z = -1\+0j$"):
+        krein_module.krein_resolvent_frame(ext1, ang, grid[:3], m1[:3])
 
 
 def _off_axis_z():
@@ -612,24 +626,44 @@ def _off_axis_z():
 # complex product by another loop unless the operands have equal numbers of
 # axes
 @example((1, 1), 0, [999999.9999995 + 1j])
+@example((1, 1), 0, [999999.9999995 + 1j, 1j, -3e5 - 2e-3j])
+@example((64, 64), 0, [1 + 1j])
 def test_weyl_operator_and_krein_resolvent_on_an_array_match_the_per_z_calls(shape, seed, zs):
-    # one call on the grid gives, to the bit, what the per-z calls give:
-    # M(z) of both extensions as a stack, R2(z) one at a time
+    # one call on the grid gives, to the bit, what the per-z calls give: a
+    # number's M(z) is its one-point grid's matrix and the full grid's row,
+    # of both extensions, and krein_resolvent at z is V1 F V1* of the full
+    # grid frame's F at z
     model, ext1, ext2, _ = support.random_pair(*shape, seed)
     grid = np.array(zs)
     for ext in (ext1, ext2):
         stack = weyl_operator(ext, model.nplus, grid)
         assert stack.shape == (len(zs), shape[1], shape[1])
         for z, m in zip(zs, stack):
-            assert m.tobytes() == weyl_operator(ext, model.nplus, z).tobytes()
+            single = weyl_operator(ext, model.nplus, z)
+            assert single.shape == (shape[1], shape[1])
+            assert single.tobytes() == m.tobytes()
+            assert single.tobytes() == weyl_operator(ext, model.nplus, [z])[0].tobytes()
     angle = angle_operator(ext1, ext2, model.nplus)
-    for z, r2 in zip(zs, krein_resolvent(ext1, angle, grid), strict=True):
-        assert r2.tobytes() == krein_resolvent(ext1, angle, z).tobytes()
+    v1 = ext1.spectrum.eigenvectors
+    frames = krein_module.krein_resolvent_frame(ext1, angle, grid,
+                                                weyl_operator(ext1, model.nplus, grid))
+    for z, frame in zip(zs, frames, strict=True):
+        assert krein_resolvent(ext1, angle, z).tobytes() == ((v1 @ frame) @ v1.conj().T).tobytes()
+
+
+def test_krein_resolvent_takes_one_z():
+    # a grid takes the frame form, which the error names
+    model, ext1, ext2, _ = support.random_pair(8, 2, 5)
+    angle = angle_operator(ext1, ext2, model.nplus)
+    for grid in (np.array([1j, 2j]), np.array([1j]), [1j]):
+        with pytest.raises(ValueError, match="krein_resolvent_frame"):
+            krein_resolvent(ext1, angle, grid)
 
 
 def test_weyl_operator_on_an_array_raises_at_its_first_collision():
     # the grid meets the spectrum at its third and fourth points: the error
-    # is the per-z call's at the third, class and message
+    # is the per-z call's at the third, class and message, and so is the
+    # frame form's, whose D1 guard meets the grid where m1's did
     model, ext1, ext2, _ = support.random_pair(8, 2, 5)
     w = ext1.spectrum.eigenvalues.real
     grid = [1j, 2j, w[4] + 1e-12j, w[1] + 1e-11j, -1j]
@@ -637,18 +671,20 @@ def test_weyl_operator_on_an_array_raises_at_its_first_collision():
     assert expected[0] is SpectralParameter
     assert support.raised(weyl_operator, ext1, model.nplus, np.array(grid)) == expected
     angle = angle_operator(ext1, ext2, model.nplus)
-    assert support.raised(krein_resolvent, ext1, angle, np.array(grid)) == expected
+    m1 = np.broadcast_to(1j * np.eye(2), (len(grid), 2, 2))
+    assert support.raised(krein_module.krein_resolvent_frame, ext1, angle,
+                          np.array(grid), m1) == expected
 
 
-def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
-    # a sequence takes the entries it lacks from one weyl_operator call on
-    # them (a twin that differs in the sign of a zero part is one entry),
-    # and its stack holds the per-z entries to the bit, all read-only
+def test_pair_memo_holds_one_stack_per_extension_and_grid(monkeypatch):
+    # each (extension, grid) takes one weyl_operator call on the grid, keyed
+    # by the grid's values (a twin that differs in the sign of a zero part
+    # is the same grid), and its stack, read-only, holds that call's bits
     model, ext1, ext2, _ = support.random_pair(8, 2, 7)
     calls = []
 
     def counting(ext, subspace, z):
-        calls.append((ext, list(np.atleast_1d(z))))
+        calls.append((ext, list(z)))
         return real(ext, subspace, z)
 
     real = krein_module.weyl_operator
@@ -656,17 +692,15 @@ def test_pair_memo_stacks_the_per_z_entries_and_computes_each_once(monkeypatch):
     pair = PairContext(model, ext1, ext2)
     zs = [1j, 2j, 1j, complex(-0.0, 2.0), -1 + 1j]
     stack = pair.m(ext1, zs)
-    assert calls == [(ext1, [1j, 2j, -1 + 1j])]
+    assert calls == [(ext1, zs)]
     assert stack.shape == (5, 2, 2) and not stack.flags.writeable
-    for z, m in zip(zs, stack):
-        cached = pair.m(ext1, z)
-        assert cached is pair.m(ext1, z) and not cached.flags.writeable
-        assert cached.tobytes() == m.tobytes() == real(ext1, model.nplus, z).tobytes()
-    assert len(calls) == 1
-    pair.m(ext1, [2j, 3j, 1j])
-    pair.m(ext2, 2j)
+    assert stack.tobytes() == real(ext1, model.nplus, np.array(zs)).tobytes()
+    assert pair.m(ext1, zs) is stack and pair.m(ext1, np.array(zs)) is stack
+    assert pair.m(ext1, [2j]) is pair.m(ext1, [complex(-0.0, 2.0)])
+    assert pair.m(ext1, (2j,)).tobytes() == real(ext1, model.nplus, 2j).tobytes()
     pair.m(ext2, zs)
-    assert calls[1:] == [(ext1, [3j]), (ext2, [2j]), (ext2, [1j, -1 + 1j])]
+    pair.m(ext1, zs[:2])
+    assert calls == [(ext1, zs), (ext1, [2j]), (ext2, zs), (ext1, zs[:2])]
 
 
 def test_krein_suite_guards_both_spectra_at_z_before_krein_formula_at_z(s1):
@@ -676,8 +710,8 @@ def test_krein_suite_guards_both_spectra_at_z_before_krein_formula_at_z(s1):
     pair = PairContext(*s1)
 
     def per_z(z):
-        krein_module._resolvent_diagonal(pair.ext1, z)
-        krein_module._resolvent_diagonal(pair.ext2, z)
+        krein_module._resolvent_diagonal(pair.ext1, [z])
+        krein_module._resolvent_diagonal(pair.ext2, [z])
         krein_resolvent(pair.ext1, pair.angle, z)
 
     for grid in ([-1 + 1e-12j, 1e-12j], [2j, -1 + 1e-12j, 1e-12j],
@@ -697,12 +731,12 @@ def test_p_function_and_krein_suites_raise_at_the_first_collision_of_either_exte
     w1, w2 = ext1.spectrum.eigenvalues.real, ext2.spectrum.eigenvalues.real
 
     def p_at(z):
-        krein_module._resolvent_diagonal(ext1, z)
-        krein_module._resolvent_diagonal(ext2, z)
+        krein_module._resolvent_diagonal(ext1, [z])
+        krein_module._resolvent_diagonal(ext2, [z])
 
     def krein_at(z):
         p_at(z)
-        krein_module.krein_resolvent_frame(ext1, pair.angle, z, pair.m(ext1, z))
+        krein_resolvent(ext1, pair.angle, z)
 
     hit1, hit2 = w1[4] + 1e-12j, w2[1] + 1e-11j
     for grid, first in (([1j, hit1, hit2, -1j], hit1), ([2j, hit2, hit1, -1j], hit2)):
@@ -849,7 +883,8 @@ def test_p_and_m_are_adjoint_at_conjugate_points(shape, re, log_im, sign):
     for ext in (ext1, ext2):
         w = ext.spectrum.eigenvalues.real
         m_scale = float(np.max(np.abs(1.0 + w * z) / np.abs(w - z)))
-        m_err = frob(pair.m(ext, z.conjugate()) - pair.m(ext, z).conj().T)
+        m, mc = pair.m(ext, [z, z.conjugate()])
+        m_err = frob(mc - m.conj().T)
         assert m_err <= budget * m_scale, (z, m_err)
 
 

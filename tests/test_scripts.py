@@ -193,6 +193,10 @@ def test_record_diff_of_a_tree_with_itself_moves_nothing(monkeypatch, capsys):
         row.split()[0] for row in rows}
     # an error-record name has no residual on either tree
     assert all(row.split()[-2:] == ["0.000", "0"] for row in rows)
+    # both M(z) tables of each of the 78 scenario inputs
+    assert lines[lines.index("") + 1] == (
+        "mfunc tables: 0 of 78 inputs differ in bits, largest relative entry change "
+        "0.000e+00 at -")
     assert lines[-1] == "0 pass/fail or error flips"
 
 
@@ -222,6 +226,29 @@ def test_record_diff_compares_each_record_over_the_inputs():
     assert flips == [("y", "r", "pass 4e-13", "fail 4e-09"),
                      ("y", "suite", "error SpectralParameter", "error NotInvariant")]
     assert one_tree == {}
+
+
+def test_record_diff_compares_both_mfunc_tables_of_each_input():
+    # the rows of tables 1 and 2 per input: one moved entry of M(z) is one
+    # input that differs, by its relative change; a table that raises on one
+    # tree only, a NaN against a number and a missing input differ by inf;
+    # NaN equals NaN
+    diff = _load("record_diff")
+    row = {"z": [0.0, 2.0], "m": [[[1e-3, 0.5]]], "lambda_min": 1.0, "herglotz_bound": 1.0}
+    moved = {**row, "m": [[[1e-3, 0.5 + 2.0 ** -41]]]}
+    collision = {"z": [1.0, 1e-12], "error": "SpectralParameter"}
+    a = {"x": [[row, collision], [row, collision]], "y": [[row], "SpectralParameter"]}
+    assert diff.compare_tables(a, a) == (0, 2, 0.0, None)
+    differ, inputs, largest, where = diff.compare_tables(a, {**a, "x": [[row, collision],
+                                                                        [moved, collision]]})
+    assert (differ, inputs, where) == (1, 2, "x")
+    assert math.isclose(largest, 2.0 ** -41 / abs(complex(1e-3, 0.5 + 2.0 ** -41)),
+                        rel_tol=1e-12)
+    assert diff.compare_tables(a, {**a, "y": [[row], [row]]}) == (1, 2, math.inf, "y")
+    assert diff.compare_tables(a, {"x": a["x"]}) == (1, 2, math.inf, "y")
+    nan = {"x": [[{**row, "lambda_min": math.nan}], "SpectralParameter"]}
+    assert diff.compare_tables(nan, nan) == (0, 1, 0.0, None)
+    assert diff.compare_tables(nan, {"x": [[row], "SpectralParameter"]}) == (1, 1, math.inf, "x")
 
 
 def test_record_diff_lists_a_record_one_tree_lacks_once():
